@@ -9,8 +9,8 @@ identity) that make the two families of definitions agree.
 """
 
 from .catalog import MetricSpec, background_of, deviation_jet, metric_jet
-from .charges import (ah_mass, ah_ricci_charge, classical_center,
-                      classical_mass, einstein_flux, michel_integrand,
+from .charges import (ah_mass, ah_ricci_charge, charge_series,
+                      classical_center, classical_mass, michel_integrand,
                       ricci_center, ricci_mass, rt_diagnostics)
 from .errors import AsymfluxError
 from .fields import conformal_killing, kernel_basis, kernel_function, killing_basis
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MetricSpec", "background_of", "deviation_jet", "metric_jet",
-    "ah_mass", "ah_ricci_charge", "classical_center", "classical_mass",
-    "einstein_flux", "michel_integrand", "ricci_center", "ricci_mass",
+    "ah_mass", "ah_ricci_charge", "charge_series", "classical_center",
+    "classical_mass", "michel_integrand", "ricci_center", "ricci_mass",
     "rt_diagnostics", "AsymfluxError", "conformal_killing", "kernel_basis",
     "kernel_function", "killing_basis", "ChartKind", "ChartPoint", "curvature",
     "FluxSample", "RadialSeries", "decay_rate", "extrapolate",

@@ -11,7 +11,12 @@ fields, and the hyperbolic-mass functional.  The deviation is evaluated by
 the catalog's stable closed forms so that fluxes remain accurate at radii
 where ``g - b`` underflows a naive subtraction.
 
-Charge normalizations (exact constants):
+Every charge is linear in its kernel function V or conformal Killing field
+X, so :func:`charge_series` evaluates the jets, curvature, normal and area
+element once per node and radius and contracts them with a whole basis; the
+single-charge fronts are thin wrappers around it.
+
+Charge normalizations (exact constants, see ``_NORMALIZATION``):
 
 * mass:              1 / (2 (n-1) omega_{n-1})
 * center of mass:    1 / (2 (n-1) omega_{n-1} m)
@@ -28,20 +33,21 @@ import numpy as np
 
 from .catalog import (MetricSpec, background_of, deviation_jet, metric_jet,
                       round_sphere_det)
-from .errors import ChartMismatchError, DomainError, ZeroMassError
-from .fields import (ConformalKilling, KernelFunction, kernel_basis,
-                     kernel_function, killing_basis)
+from .errors import ChartMismatchError, ZeroMassError
+from .fields import (conformal_killing, kernel_basis, kernel_function,
+                     killing_basis)
 from .geometry import (ChartKind, MetricJet, ScalarJet, SymTensorJet,
-                       christoffel, divergence_symmetric2, inverse_metric)
+                       curvature, divergence_symmetric2, inverse_metric)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
-from .quadrature import QuadratureResult, SphereRule, integrate_sphere, omega
+from .quadrature import SphereRule, integrate_sphere, omega
 
 __all__ = [
     "michel_integrand", "michel_integrand_deviation", "adm_integrand",
-    "center_integrand", "classical_mass", "classical_center", "einstein_flux",
-    "ricci_mass", "ricci_center", "ah_mass", "ah_ricci_charge",
-    "rt_diagnostics", "RTReport", "mass_normalization", "ricci_mass_normalization",
-    "fit_radii", "decay_mode",
+    "center_integrand", "sphere_normal_area", "michel_sphere_integrand",
+    "einstein_sphere_integrand", "charge_series", "classical_mass",
+    "classical_center", "ricci_mass", "ricci_center", "ah_mass",
+    "ah_ricci_charge", "rt_diagnostics", "RTReport", "mass_normalization",
+    "ricci_mass_normalization", "fit_radii", "decay_mode",
 ]
 
 _MASS_FLOOR = 1e-12
@@ -55,6 +61,20 @@ def ricci_mass_normalization(n: int) -> float:
     return -1.0 / ((n - 1) * (n - 2) * omega(n))
 
 
+# basis-element family (id without its index) -> normalization(n, mass); the
+# two center families divide by the mass
+_NORMALIZATION = {
+    "const_one": lambda n, m: mass_normalization(n),
+    "coordinate": lambda n, m: mass_normalization(n) / m,
+    "ah_V": lambda n, m: mass_normalization(n),
+    "dilation": lambda n, m: ricci_mass_normalization(n),
+    "inverted_translation":
+        lambda n, m: 1.0 / (2.0 * (n - 1) * (n - 2) * omega(n) * m),
+    "ah_X": lambda n, m: ricci_mass_normalization(n),
+}
+_CENTER_FAMILIES = ("coordinate", "inverted_translation")
+
+
 # --------------------------------------------------------------- integrands
 
 def michel_integrand_deviation(V: ScalarJet, eps: SymTensorJet,
@@ -65,23 +85,25 @@ def michel_integrand_deviation(V: ScalarJet, eps: SymTensorJet,
     ``g - b`` avoids the catastrophic cancellation of subtracting two nearly
     equal metrics at large radii.
     """
+    return _michel_contract(V, eps, _michel_pieces(eps, b_jet), nu)
+
+
+def _michel_pieces(eps: SymTensorJet, b_jet: MetricJet):
+    """The V-independent parts of ``U``: ``(binv, -delta eps - d tr eps, tr eps)``."""
     binv = inverse_metric(b_jet.g)
-    Gamma = christoffel(b_jet, binv)
-
-    class _Bundle:  # just enough for divergence_symmetric2
-        pass
-
-    bundle = _Bundle()
-    bundle.ginv, bundle.christoffel = binv, Gamma
-    delta_eps = divergence_symmetric2(b_jet, eps, bundle)     # paper-sign delta
-
+    delta_eps = divergence_symmetric2(b_jet, eps, binv)       # paper-sign delta
     tr_eps = np.einsum("...ij,...ij->...", binv, eps.value)
     dbinv = -np.einsum("...ia,...kab,...bj->...kij", binv, b_jet.dg, binv)
     dtr = (np.einsum("...kij,...ij->...k", dbinv, eps.value)
            + np.einsum("...ij,...kij->...k", binv, eps.d))
+    return binv, -delta_eps - dtr, tr_eps
 
+
+def _michel_contract(V: ScalarJet, eps: SymTensorJet, pieces,
+                     nu: np.ndarray) -> np.ndarray:
+    binv, source, tr_eps = pieces
     gradV = np.einsum("...ij,...j->...i", binv, V.grad)
-    one_form = (V.value[..., None] * (-delta_eps - dtr)
+    one_form = (V.value[..., None] * source
                 + tr_eps[..., None] * V.grad
                 - np.einsum("...ij,...i->...j", eps.value, gradV))
     return np.einsum("...j,...j->...", one_form, nu)
@@ -115,114 +137,85 @@ def center_integrand(eps: SymTensorJet, alpha: int, points: np.ndarray,
     return contr + tr * nu[..., alpha]
 
 
-# ------------------------------------------------- normals and area elements
+# ------------------------------------------------- sphere integrands
 
-def _background_normal(points: np.ndarray, chart_kind: ChartKind, r: float):
-    nu = np.zeros_like(points)
-    if chart_kind == ChartKind.CARTESIAN:
-        nu[:] = points / r
-    elif chart_kind == ChartKind.POLAR_GEODESIC:
-        nu[..., 0] = 1.0
-    else:  # area chart: b_rr = 1/(1+rho^2)
-        nu[..., 0] = np.sqrt(1.0 + points[..., 0] ** 2)
-    return nu
+def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
+                       jet: MetricJet | None = None,
+                       ginv: np.ndarray | None = None):
+    """Unit normal ``nu`` and area element of the coordinate sphere S_r.
 
-
-def _radial_conormal(points: np.ndarray, chart_kind: ChartKind, r: float):
-    w = np.zeros_like(points)
-    if chart_kind == ChartKind.CARTESIAN:
+    Without ``jet`` both belong to the background metric; with the metric
+    jet (and optionally its inverse) to the metric, using
+    ``dA_g = sqrt(det g) |grad r|_g dV_coord/dr`` so that no embedding
+    Jacobian is needed.  The area element is relative to the round-sphere
+    measure carried by the rule weights.
+    """
+    n = points.shape[-1]
+    cartesian = chart_kind == ChartKind.CARTESIAN
+    w = np.zeros_like(points)                    # radial conormal dr
+    if cartesian:
         w[:] = points / r
     else:
         w[..., 0] = 1.0
-    return w
-
-
-def _metric_normal(jet: MetricJet, points, chart_kind, r):
-    ginv = inverse_metric(jet.g)
-    w = _radial_conormal(points, chart_kind, r)
+    if jet is None:
+        if chart_kind == ChartKind.POLAR_AREA:   # b_rr = 1/(1+rho^2)
+            w[..., 0] = np.sqrt(1.0 + points[..., 0] ** 2)
+        radial = np.sinh(r) if chart_kind == ChartKind.POLAR_GEODESIC \
+            else float(r)
+        return w, np.full(points.shape[:-1], radial ** (n - 1))
+    if ginv is None:
+        ginv = inverse_metric(jet.g)
     raised = np.einsum("...ij,...j->...i", ginv, w)
-    norm = np.sqrt(np.einsum("...i,...i->...", w, raised))
-    return raised / norm[..., None], ginv, w
-
-
-def _background_area(points, chart_kind, r):
-    n = points.shape[-1]
-    if chart_kind == ChartKind.CARTESIAN:
-        return np.full(points.shape[:-1], float(r) ** (n - 1))
-    if chart_kind == ChartKind.POLAR_GEODESIC:
-        return np.full(points.shape[:-1], np.sinh(r) ** (n - 1))
-    return np.full(points.shape[:-1], float(r) ** (n - 1))
-
-
-def _metric_area(jet: MetricJet, points, chart_kind, r):
-    """Area element of S_r in the metric measure, relative to the round sphere.
-
-    Uses ``dA_g = sqrt(det g) |grad r|_g dV_coord/dr``: no explicit embedding
-    Jacobian needed.
-    """
-    detg = np.linalg.det(jet.g)
-    ginv = inverse_metric(jet.g)
-    w = _radial_conormal(points, chart_kind, r)
+    nu = raised / np.sqrt(np.einsum("...i,...i->...", w, raised))[..., None]
     gradnorm = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, w, w))
-    if chart_kind == ChartKind.CARTESIAN:
-        coord_factor = float(r) ** (points.shape[-1] - 1)
+    if cartesian:
+        coord_factor = float(r) ** (n - 1)
     else:
         coord_factor = 1.0 / np.sqrt(round_sphere_det(points[..., 1:]))
-    return np.sqrt(detg) * gradnorm * coord_factor
+    return nu, np.sqrt(np.linalg.det(jet.g)) * gradnorm * coord_factor
 
 
-def _unit_jacobian(rule, r):
-    return 1.0
+def michel_sphere_integrand(spec: MetricSpec, kernels, r: float,
+                            measure: str = "background"):
+    """Integrand over S_r with one column ``U(V, g, b)(nu) dA`` per kernel V.
 
-
-# --------------------------------------------------------------- flux drivers
-
-def michel_flux(spec: MetricSpec, V: KernelFunction, r: float, rule: SphereRule,
-                measure: str = "background", nthreads=None) -> QuadratureResult:
-    """Raw flux of the charge integrand ``U(V, g, b)`` over S_r."""
+    ``measure`` picks the normal and area element: ``"background"`` or the
+    metric's (any other value).
+    """
     chart = spec.chart_kind
     bspec = background_of(spec)
 
     def f(points):
         b_jet = metric_jet(bspec, points)
         eps = deviation_jet(spec, points)
-        vjet = V.scalar_jet(points)
-        if measure == "background":
-            nu = _background_normal(points, chart, r)
-            area = _background_area(points, chart, r)
-        else:
-            g_jet = metric_jet(spec, points)
-            nu, _, _ = _metric_normal(g_jet, points, chart, r)
-            area = _metric_area(g_jet, points, chart, r)
-        return michel_integrand_deviation(vjet, eps, b_jet, nu) * area
+        g_jet = None if measure == "background" else metric_jet(spec, points)
+        nu, area = sphere_normal_area(points, chart, r, g_jet)
+        pieces = _michel_pieces(eps, b_jet)
+        return np.stack([_michel_contract(V.scalar_jet(points), eps, pieces, nu)
+                         * area for V in kernels], axis=-1)
 
-    return integrate_sphere(f, r, rule, chart, jacobian_fn=_unit_jacobian,
-                            nthreads=nthreads)
+    return f
 
 
-def einstein_flux(spec: MetricSpec, X: ConformalKilling, r: float,
-                  rule: SphereRule, measure: str = "metric",
-                  modified: bool = False, nthreads=None) -> FluxSample:
-    """Raw flux of ``G(X, nu)`` (or the modified Einstein tensor) over S_r."""
-    from .geometry import curvature
+def einstein_sphere_integrand(spec: MetricSpec, fields, r: float,
+                              modified: bool = False):
+    """Integrand over S_r with one column ``G(X, nu) dA_g`` per field X.
+
+    ``G`` is the Einstein tensor, or the modified one with ``modified``;
+    normal and area element are the metric's.
+    """
     chart = spec.chart_kind
 
     def f(points):
         jet = metric_jet(spec, points)
         bun = curvature(jet)
         G = bun.modified_einstein if modified else bun.einstein
-        xcomp = X.vector_jet(points).comp
-        if measure == "metric":
-            nu, _, _ = _metric_normal(jet, points, chart, r)
-            area = _metric_area(jet, points, chart, r)
-        else:
-            nu = _background_normal(points, chart, r)
-            area = _background_area(points, chart, r)
-        return np.einsum("...ij,...i,...j->...", G, xcomp, nu) * area
+        nu, area = sphere_normal_area(points, chart, r, jet, bun.ginv)
+        return np.stack([np.einsum("...ij,...i,...j->...", G,
+                                   X.vector_jet(points).comp, nu) * area
+                         for X in fields], axis=-1)
 
-    res = integrate_sphere(f, r, rule, chart, jacobian_fn=_unit_jacobian,
-                           nthreads=nthreads)
-    return FluxSample(float(r), res.value, res.value, res.error_estimate)
+    return f
 
 
 # --------------------------------------------------------------- radii tools
@@ -252,14 +245,62 @@ def _check_radii(radii):
     return radii
 
 
-def _series(spec, radii, raw_fluxes, quad_errors, norm, sigma_hint=None):
+def _series(spec, radii, raw_fluxes, quad_errors, norm):
     samples = [FluxSample(float(r), float(raw), float(raw) * norm,
                           float(err) * abs(norm))
                for r, raw, err in zip(radii, raw_fluxes, quad_errors)]
     limit, limit_error, model = extrapolate(
         fit_radii(spec, radii), [s.normalized for s in samples],
-        [s.quad_error for s in samples], decay_mode(spec), sigma_hint)
+        [s.quad_error for s in samples], decay_mode(spec))
     return RadialSeries(samples, limit, limit_error, model)
+
+
+# ------------------------------------------------------- basis-wide series
+
+def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
+                  fields=(), mass: float | None = None,
+                  measure: str = "background", nthreads=None):
+    """Normalized charge series for kernel functions and conformal Killing
+    fields, with one flux pass per family and radius.
+
+    Kernel functions V give the classical charges (flux of ``U(V, g, b)`` in
+    the ``measure`` of :func:`michel_sphere_integrand`); conformal Killing
+    fields X give the Ricci charges (flux of ``G(X, nu)`` in the metric
+    measure, with the modified Einstein tensor on hyperbolic-type metrics).
+    Center charges divide by ``mass``, which defaults to the limit of a
+    leading ``const_one`` kernel; a vanishing or missing mass raises
+    ZeroMassError.  Returns ``(kernel_series, field_series)`` in the order
+    requested.
+    """
+    radii = _check_radii(radii)
+    chart = spec.chart_kind
+    for element in (*kernels, *fields):
+        if element.chart_kind != chart:
+            raise ChartMismatchError(
+                f"{element.id} is defined in the {element.chart_kind.value} "
+                f"chart, the metric in the {chart.value} chart")
+    michel = [integrate_sphere(michel_sphere_integrand(spec, kernels, r, measure),
+                               r, rule, chart, nthreads=nthreads)
+              for r in radii] if kernels else []
+    einstein = [integrate_sphere(einstein_sphere_integrand(
+                    spec, fields, r, modified=spec.is_hyperbolic_type),
+                    r, rule, chart, nthreads=nthreads)
+                for r in radii] if fields else []
+    series = []
+    for elements, results in ((kernels, michel), (fields, einstein)):
+        for k, element in enumerate(elements):
+            family = element.id.rstrip("0123456789_")
+            if family in _CENTER_FAMILIES:
+                if mass is None and kernels and kernels[0].id == "const_one":
+                    mass = series[0].limit
+                if mass is None or abs(mass) < _MASS_FLOOR:
+                    raise ZeroMassError(
+                        "center of mass undefined for vanishing mass")
+            series.append(_series(
+                spec, radii, [q.value[k] for q in results],
+                [q.error_estimate[k] for q in results],
+                _NORMALIZATION[family](spec.n, mass)))
+    return series[:len(kernels)], series[len(kernels):]
 
 
 # -------------------------------------------------------------- charge fronts
@@ -269,12 +310,10 @@ def classical_mass(spec: MetricSpec, radii, rule: SphereRule,
     """ADM-type mass series, normalized by ``1/(2(n-1) omega_{n-1})``."""
     if not spec.is_flat_type:
         raise ChartMismatchError("classical mass needs a flat-type metric")
-    radii = _check_radii(radii)
-    V = kernel_function("const_one", spec.n)
-    results = [michel_flux(spec, V, r, rule, measure, nthreads) for r in radii]
-    return _series(spec, radii, [q.value for q in results],
-                   [q.error_estimate for q in results],
-                   mass_normalization(spec.n))
+    (series,), _ = charge_series(spec, radii, rule,
+                                 kernels=[kernel_function("const_one", spec.n)],
+                                 measure=measure, nthreads=nthreads)
+    return series
 
 
 def classical_center(spec: MetricSpec, alpha: int, radii, rule: SphereRule,
@@ -283,48 +322,32 @@ def classical_center(spec: MetricSpec, alpha: int, radii, rule: SphereRule,
     """Center-of-mass series for component ``alpha`` (0-based)."""
     if not spec.is_flat_type:
         raise ChartMismatchError("center of mass needs a flat-type metric")
-    if abs(mass) < _MASS_FLOOR:
-        raise ZeroMassError("center of mass undefined for vanishing mass")
-    radii = _check_radii(radii)
     V = kernel_function("coordinate", spec.n, alpha=alpha)
-    results = [michel_flux(spec, V, r, rule, measure, nthreads) for r in radii]
-    return _series(spec, radii, [q.value for q in results],
-                   [q.error_estimate for q in results],
-                   mass_normalization(spec.n) / mass)
+    (series,), _ = charge_series(spec, radii, rule, kernels=[V], mass=mass,
+                                 measure=measure, nthreads=nthreads)
+    return series
 
 
 def ricci_mass(spec: MetricSpec, radii, rule: SphereRule,
-               measure: str = "metric", nthreads=None) -> RadialSeries:
+               nthreads=None) -> RadialSeries:
     """Einstein-tensor mass: flux of ``G(r d_r, nu)``, Ricci normalization."""
     if not spec.is_flat_type:
         raise ChartMismatchError("Ricci mass needs a flat-type metric")
-    radii = _check_radii(radii)
-    from .fields import conformal_killing
-    X = conformal_killing("dilation", spec.n)
-    results = [einstein_flux(spec, X, r, rule, measure, nthreads=nthreads)
-               for r in radii]
-    return _series(spec, radii, [s.raw_flux for s in results],
-                   [s.quad_error for s in results],
-                   ricci_mass_normalization(spec.n))
+    _, (series,) = charge_series(spec, radii, rule,
+                                 fields=[conformal_killing("dilation", spec.n)],
+                                 nthreads=nthreads)
+    return series
 
 
 def ricci_center(spec: MetricSpec, alpha: int, radii, rule: SphereRule,
-                 mass: float, measure: str = "metric",
-                 nthreads=None) -> RadialSeries:
+                 mass: float, nthreads=None) -> RadialSeries:
     """Einstein-tensor center: flux of ``G(X^(alpha), nu)``; note the + sign."""
     if not spec.is_flat_type:
         raise ChartMismatchError("Ricci center needs a flat-type metric")
-    if abs(mass) < _MASS_FLOOR:
-        raise ZeroMassError("center of mass undefined for vanishing mass")
-    radii = _check_radii(radii)
-    from .fields import conformal_killing
     X = conformal_killing("inverted_translation", spec.n, alpha=alpha)
-    n = spec.n
-    norm = 1.0 / (2.0 * (n - 1) * (n - 2) * omega(n) * mass)
-    results = [einstein_flux(spec, X, r, rule, measure, nthreads=nthreads)
-               for r in radii]
-    return _series(spec, radii, [s.raw_flux for s in results],
-                   [s.quad_error for s in results], norm)
+    _, (series,) = charge_series(spec, radii, rule, fields=[X], mass=mass,
+                                 nthreads=nthreads)
+    return series
 
 
 def ah_mass(spec: MetricSpec, index: int, radii, rule: SphereRule,
@@ -332,26 +355,21 @@ def ah_mass(spec: MetricSpec, index: int, radii, rule: SphereRule,
     """Hyperbolic mass functional evaluated on kernel element ``V^(index)``."""
     if not spec.is_hyperbolic_type:
         raise ChartMismatchError("hyperbolic mass needs a hyperbolic-type metric")
-    radii = _check_radii(radii)
     V = kernel_basis(spec.n, spec.chart_kind)[index]
-    results = [michel_flux(spec, V, r, rule, measure, nthreads) for r in radii]
-    return _series(spec, radii, [q.value for q in results],
-                   [q.error_estimate for q in results],
-                   mass_normalization(spec.n))
+    (series,), _ = charge_series(spec, radii, rule, kernels=[V],
+                                 measure=measure, nthreads=nthreads)
+    return series
 
 
 def ah_ricci_charge(spec: MetricSpec, index: int, radii, rule: SphereRule,
-                    measure: str = "metric", nthreads=None) -> RadialSeries:
+                    nthreads=None) -> RadialSeries:
     """Modified-Einstein-tensor flux against ``X^(index)``, Ricci normalization."""
     if not spec.is_hyperbolic_type:
         raise ChartMismatchError("hyperbolic Ricci charge needs a hyperbolic-type metric")
-    radii = _check_radii(radii)
     X = killing_basis(spec.n, spec.chart_kind)[index]
-    results = [einstein_flux(spec, X, r, rule, measure, modified=True,
-                             nthreads=nthreads) for r in radii]
-    return _series(spec, radii, [s.raw_flux for s in results],
-                   [s.quad_error for s in results],
-                   ricci_mass_normalization(spec.n))
+    _, (series,) = charge_series(spec, radii, rule, fields=[X],
+                                 nthreads=nthreads)
+    return series
 
 
 # ----------------------------------------------------------------- diagnostics

@@ -34,8 +34,8 @@ import numpy as np
 from . import charges as charges_mod
 from . import verify as verify_mod
 from .catalog import MetricSpec
-from .errors import AsymfluxError, ConfigError
-from .fields import killing_basis
+from .errors import AsymfluxError, ChartMismatchError, ConfigError
+from .fields import kernel_basis, killing_basis
 from .geometry import ChartKind
 from .limits import RadialSeries, decay_rate
 from .quadrature import sphere_rule, thread_count
@@ -73,10 +73,28 @@ class RunConfig:
     threads: int | None = None
 
     def validate(self):
+        """Reject values no run can use.  The default schedule kind depends
+        on the metric, so ratio and step are checked unless the other kind
+        is set."""
+        if self.n not in (3, 4, 5):
+            raise ConfigError(f"dimension n must be 3, 4 or 5, got {self.n}")
         if self.schedule_count < 3:
             raise ConfigError("schedule count must be at least 3")
+        if self.schedule_start is not None and not self.schedule_start > 0:
+            raise ConfigError(
+                f"schedule start must be positive, got {self.schedule_start}")
+        if self.schedule_kind != "arithmetic" and not self.schedule_ratio > 1:
+            raise ConfigError(
+                f"schedule ratio must exceed 1, got {self.schedule_ratio}")
+        if self.schedule_kind != "geometric" and not self.schedule_step > 0:
+            raise ConfigError(
+                f"schedule step must be positive, got {self.schedule_step}")
         if not 1 <= self.degree <= 60:
             raise ConfigError(f"quadrature degree out of range: {self.degree}")
+        if self.annulus and not (len(self.annulus) == 2
+                                 and self.annulus[0] < self.annulus[1]):
+            raise ConfigError(f"annulus must be r0,r1 with r0 < r1, got "
+                              f"{','.join(map(str, self.annulus))}")
         return self
 
 
@@ -263,8 +281,9 @@ def cmd_mass(cfg: RunConfig) -> tuple[dict, int]:
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
     t0 = time.perf_counter()
-    cls = charges_mod.classical_mass(spec, radii, rule, nthreads=cfg.threads)
-    ric = charges_mod.ricci_mass(spec, radii, rule, nthreads=cfg.threads)
+    (cls,), (ric,) = charges_mod.charge_series(
+        spec, radii, rule, kernel_basis(spec.n, ChartKind.CARTESIAN)[:1],
+        killing_basis(spec.n, ChartKind.CARTESIAN)[:1], nthreads=cfg.threads)
     timings = {"total_s": time.perf_counter() - t0}
     report["charges"] = [_series_entry("mass_classical", cls),
                          _series_entry("mass_ricci", ric)]
@@ -281,31 +300,34 @@ def cmd_mass(cfg: RunConfig) -> tuple[dict, int]:
     return _finish(report, cfg, timings, ok)
 
 
+def _paired_entries(report, cfg, indices, labels, classical, ricci):
+    """Append each classical/Ricci pair of series and its agreement verdict;
+    ``labels`` are the classical, Ricci and verdict id prefixes."""
+    ok = True
+    for i, cls, ric in zip(indices, classical, ricci):
+        report["charges"] += [_series_entry(f"{labels[0]}_{i}", cls),
+                              _series_entry(f"{labels[1]}_{i}", ric)]
+        diff = abs(cls.limit - ric.limit)
+        budget = max(10.0 * (cls.limit_error + ric.limit_error), cfg.rel_tol)
+        good = diff <= budget
+        ok = ok and good
+        report["verdicts"].append({"id": f"{labels[2]}_{i}", "passed": bool(good),
+                                   "difference": diff, "budget": budget})
+    return ok
+
+
 def cmd_center(cfg: RunConfig) -> tuple[dict, int]:
     spec = build_spec(cfg)
     radii, _ = schedule_radii(cfg, spec)
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
     t0 = time.perf_counter()
-    mass_series = charges_mod.classical_mass(spec, radii, rule,
-                                             nthreads=cfg.threads)
-    mass = mass_series.limit
+    (mass_series, *cls), ric = charges_mod.charge_series(
+        spec, radii, rule, kernel_basis(spec.n, ChartKind.CARTESIAN),
+        killing_basis(spec.n, ChartKind.CARTESIAN)[1:], nthreads=cfg.threads)
     report["charges"].append(_series_entry("mass_classical", mass_series))
-    ok = True
-    for a in range(spec.n):
-        cc = charges_mod.classical_center(spec, a, radii, rule, mass,
-                                          nthreads=cfg.threads)
-        rc = charges_mod.ricci_center(spec, a, radii, rule, mass,
-                                      nthreads=cfg.threads)
-        report["charges"] += [_series_entry(f"center_classical_{a}", cc),
-                              _series_entry(f"center_ricci_{a}", rc)]
-        diff = abs(cc.limit - rc.limit)
-        budget = max(10.0 * (cc.limit_error + rc.limit_error), cfg.rel_tol)
-        good = diff <= budget
-        ok = ok and good
-        report["verdicts"].append({"id": f"center_agreement_{a}",
-                                   "passed": bool(good), "difference": diff,
-                                   "budget": budget})
+    ok = _paired_entries(report, cfg, range(spec.n), (
+        "center_classical", "center_ricci", "center_agreement"), cls, ric)
     rt = charges_mod.rt_diagnostics(spec, radii, rule)
     report["diagnostics"].update(rt_exponent=rt.exponent,
                                  rt_expected=rt.expected, rt_status=rt.status)
@@ -320,27 +342,21 @@ def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
     report = _base_report(cfg)
     indices = range(spec.n + 1)
     if kernel is not None:
-        if kernel == "V0":
-            indices = [0]
-        elif kernel.startswith("V") and kernel[1:].isdigit():
-            indices = [int(kernel[1:])]
-        else:
-            raise ConfigError(f"unknown kernel selector {kernel!r}")
+        if not (kernel.startswith("V") and kernel[1:].isdigit()
+                and int(kernel[1:]) <= spec.n):
+            raise ConfigError(f"unknown kernel selector {kernel!r}; "
+                              f"use V0..V{spec.n}")
+        indices = [int(kernel[1:])]
+    if not spec.is_hyperbolic_type:
+        raise ChartMismatchError("hyperbolic mass needs a hyperbolic-type metric")
     t0 = time.perf_counter()
-    ok = True
-    for i in indices:
-        am = charges_mod.ah_mass(spec, i, radii, rule, nthreads=cfg.threads)
-        ar = charges_mod.ah_ricci_charge(spec, i, radii, rule,
-                                         nthreads=cfg.threads)
-        report["charges"] += [_series_entry(f"ah_mass_{i}", am),
-                              _series_entry(f"ah_ricci_{i}", ar)]
-        diff = abs(am.limit - ar.limit)
-        budget = max(10.0 * (am.limit_error + ar.limit_error), cfg.rel_tol)
-        good = diff <= budget
-        ok = ok and good
-        report["verdicts"].append({"id": f"ah_agreement_{i}",
-                                   "passed": bool(good), "difference": diff,
-                                   "budget": budget})
+    kernels, fields = (kernel_basis(spec.n, spec.chart_kind),
+                       killing_basis(spec.n, spec.chart_kind))
+    am, ar = charges_mod.charge_series(
+        spec, radii, rule, [kernels[i] for i in indices],
+        [fields[i] for i in indices], nthreads=cfg.threads)
+    ok = _paired_entries(report, cfg, indices,
+                         ("ah_mass", "ah_ricci", "ah_agreement"), am, ar)
     timings = {"total_s": time.perf_counter() - t0}
     decay = decay_rate(spec, radii)
     report["diagnostics"].update(tau_hat=decay.tau_hat,
@@ -362,11 +378,9 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
             r0, r1 = (8.0, 16.0) if spec.is_flat_type else (1.0, 2.0)
             if spec.chart_kind == ChartKind.POLAR_AREA and not cfg.annulus:
                 r0, r1 = np.sinh(r0), np.sinh(r1)
-        for X in killing_basis(spec.n, spec.chart_kind):
-            rep = verify_mod.pohozaev_check(spec, X, r0, r1, rule,
-                                            cfg.radial_degree,
-                                            rel_tol=cfg.rel_tol,
-                                            nthreads=cfg.threads)
+        for rep in verify_mod.pohozaev_check(
+                spec, killing_basis(spec.n, spec.chart_kind), r0, r1, rule,
+                cfg.radial_degree, rel_tol=cfg.rel_tol, nthreads=cfg.threads):
             ok = ok and rep.passed
             report["verdicts"].append(
                 {"id": rep.check_id, "passed": rep.passed, "lhs": rep.lhs,
@@ -406,21 +420,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
     t0 = time.perf_counter()
-    if spec.is_flat_type:
-        entries = [("mass_classical",
-                    charges_mod.classical_mass(spec, radii, rule,
-                                               nthreads=cfg.threads)),
-                   ("mass_ricci",
-                    charges_mod.ricci_mass(spec, radii, rule,
-                                           nthreads=cfg.threads))]
-    else:
-        entries = [("ah_mass_0",
-                    charges_mod.ah_mass(spec, 0, radii, rule,
-                                        nthreads=cfg.threads)),
-                   ("ah_ricci_0",
-                    charges_mod.ah_ricci_charge(spec, 0, radii, rule,
-                                                nthreads=cfg.threads))]
-    report["charges"] = [_series_entry(cid, s) for cid, s in entries]
+    ids = ("mass_classical", "mass_ricci") if spec.is_flat_type \
+        else ("ah_mass_0", "ah_ricci_0")
+    (cls,), (ric,) = charges_mod.charge_series(
+        spec, radii, rule, kernel_basis(spec.n, spec.chart_kind)[:1],
+        killing_basis(spec.n, spec.chart_kind)[:1], nthreads=cfg.threads)
+    report["charges"] = [_series_entry(ids[0], cls), _series_entry(ids[1], ric)]
     report["verdicts"] = [{"id": "sweep", "passed": True}]
     timings = {"total_s": time.perf_counter() - t0}
     return _finish(report, cfg, timings, True)
@@ -482,18 +487,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "kernel", "which",
-                              "annulus")}
-    if overrides.get("center") is not None:
-        overrides["center"] = tuple(
-            float(t) for t in overrides["center"].replace(",", " ").split())
+                 if k not in ("command", "config", "kernel", "which")}
     try:
+        for key, section in (("center", "metric"), ("annulus", "run")):
+            if overrides.get(key) is not None:
+                overrides[key] = _convert(section, key, overrides[key])
         cfg = load_config(args.config, overrides)
-        if getattr(args, "annulus", None):
-            parts = [float(t) for t in args.annulus.replace(",", " ").split()]
-            if len(parts) != 2:
-                raise ConfigError("--annulus expects r0,r1")
-            cfg.annulus = tuple(parts)
         if args.command == "mass":
             _, code = cmd_mass(cfg)
         elif args.command == "center":

@@ -212,6 +212,11 @@ FLAT_KERNEL_IDS = ("const_one", "coordinate")
 FLAT_KILLING_IDS = ("dilation", "inverted_translation")
 
 
+def _check_alpha(id, alpha, lo, hi):
+    if alpha is None or not lo <= alpha <= hi:
+        raise ValueError(f"{id} needs alpha in {lo}..{hi}, got {alpha!r}")
+
+
 def kernel_function(id: str, n: int, chart_kind: ChartKind | str = ChartKind.CARTESIAN,
                     alpha: int | None = None) -> KernelFunction:
     """Build a kernel function by id.
@@ -224,14 +229,14 @@ def kernel_function(id: str, n: int, chart_kind: ChartKind | str = ChartKind.CAR
     if id == "const_one":
         return KernelFunction("const_one", n, chart_kind, _flat_const_one(n))
     if id == "coordinate":
+        _check_alpha(id, alpha, 0, n - 1)
         return KernelFunction(f"coordinate_{alpha}", n, chart_kind,
                               _flat_coordinate(n, alpha))
     if id == "ah_V0":
         return KernelFunction("ah_V0", n, chart_kind,
                               lambda c: _scalar_from_index(c, chart_kind, 0, n))
     if id == "ah_Valpha":
-        if not 1 <= alpha <= n:
-            raise ValueError("ah_Valpha needs alpha in 1..n")
+        _check_alpha(id, alpha, 1, n)
         return KernelFunction(f"ah_V{alpha}", n, chart_kind,
                               lambda c, a=alpha: _scalar_from_index(c, chart_kind, a, n))
     raise ValueError(f"unknown kernel function id {id!r}")
@@ -246,6 +251,7 @@ def conformal_killing(id: str, n: int,
         ev, div = _flat_dilation(n)
         return ConformalKilling("dilation", n, chart_kind, ev, div)
     if id == "inverted_translation":
+        _check_alpha(id, alpha, 0, n - 1)
         ev, div = _flat_inverted_translation(n, alpha)
         return ConformalKilling(f"inverted_translation_{alpha}", n, chart_kind,
                                 ev, div)
@@ -253,8 +259,7 @@ def conformal_killing(id: str, n: int,
         ev, div = _hyperbolic_killing(n, chart_kind, 0)
         return ConformalKilling("ah_X0", n, chart_kind, ev, div)
     if id == "ah_Xalpha":
-        if not 1 <= alpha <= n:
-            raise ValueError("ah_Xalpha needs alpha in 1..n")
+        _check_alpha(id, alpha, 1, n)
         ev, div = _hyperbolic_killing(n, chart_kind, alpha)
         return ConformalKilling(f"ah_X{alpha}", n, chart_kind, ev, div)
     raise ValueError(f"unknown conformal Killing id {id!r}")

@@ -130,14 +130,20 @@ def _same_point(a: ChartPoint, b: ChartPoint):
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
+    """Inverse of a batch of metric matrices, which must be positive definite.
+
+    The check is a Cholesky factorization.  ``cholesky`` raises for
+    indefinite matrices but passes non-finite entries through as NaN
+    factors, hence the finiteness test.
+    """
     g = np.asarray(g, dtype=float)
-    det = np.linalg.det(g)
-    if not np.all(np.isfinite(det)) or np.any(det <= 0.0):
-        raise DegenerateMetricError("metric matrix is singular or not positive definite")
     try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - det check above
-        raise DegenerateMetricError(str(exc)) from exc
+        definite = bool(np.all(np.isfinite(np.linalg.cholesky(g))))
+    except np.linalg.LinAlgError:
+        definite = False
+    if not definite:
+        raise DegenerateMetricError("metric matrix is singular or not positive definite")
+    return np.linalg.inv(g)
 
 
 def christoffel(jet: MetricJet, ginv: np.ndarray | None = None) -> np.ndarray:
@@ -194,13 +200,11 @@ def divergence_vector(jet: MetricJet, X: VectorJet,
 
 
 def divergence_symmetric2(jet: MetricJet, T: SymTensorJet,
-                          bundle: CurvatureBundle | None = None) -> np.ndarray:
+                          ginv: np.ndarray | None = None) -> np.ndarray:
     """One-form ``(delta^g T)_j = -grad^i T_ij`` (with the paper-side minus sign)."""
-    if bundle is None:
+    if ginv is None:
         ginv = inverse_metric(jet.g)
-        Gamma = christoffel(jet, ginv)
-    else:
-        ginv, Gamma = bundle.ginv, bundle.christoffel
+    Gamma = christoffel(jet, ginv)
     covd = (T.d
             - np.einsum("...lki,...lj->...kij", Gamma, T.value)
             - np.einsum("...lkj,...il->...kij", Gamma, T.value))

@@ -1,12 +1,12 @@
 """Radial-series extrapolation and decay-rate estimation.
 
-Flux samples over a radius schedule are fitted to a decay model built on the
-basis ``B(r) = r^-sigma`` in flat charts or ``e^{-sigma r}`` in hyperbolic
-charts — ``v_inf + c B`` for short series, ``v_inf + c1 B + c2 B^2`` once
-five samples are available — and the fitted ``v_inf`` is reported as the
-r->infinity limit.  The error estimate combines the fit residual, the
-sensitivity to dropping the smallest and the largest radius, and the
-propagated quadrature error.
+The r->infinity limit of a flux series is the iterated Aitken acceleration
+(at most two passes) of its samples.  Its error estimate is the largest of
+the Aitken tail, the change when the smallest radius (or, times 1.1, the
+largest) is dropped, and the quadrature error.  A single-decay fit
+``v_inf + c B(r)`` over the last four samples, with ``B = r^-sigma`` in flat
+charts or ``e^{-sigma r}`` in hyperbolic charts, supplies the model
+metadata, and the limit itself when the caller fixes the exponent.
 """
 
 from __future__ import annotations

@@ -6,10 +6,14 @@ angle carrying the measure ``sin^m``) tensored with a uniform midpoint rule
 in the azimuth.  The combination integrates every spherical polynomial up to
 the rule degree exactly.
 
-Reductions use a fixed-order pairwise summation tree and node evaluation is
-chunked with a fixed chunk size, so results are bit-for-bit identical
-regardless of the worker-thread count (override via the environment variable
-``ASYMFLUX_THREADS``).
+Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
+``(N, K)`` columns, one per integrand of a family evaluated together, and
+carry their own measure: the rule weights are those of the unit round sphere
+(times ``dr`` on annuli).  Reductions use a fixed-order pairwise summation
+tree along the node axis, which sums each column exactly as it would sum it
+alone, and node evaluation is chunked with a fixed chunk size, so results
+are bit-for-bit identical regardless of the worker-thread count (override
+via the environment variable ``ASYMFLUX_THREADS``).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .catalog import round_sphere_det, sphere_embedding
+from .catalog import sphere_embedding
 from .errors import QuadratureError
 from .geometry import ChartKind
 
@@ -64,8 +68,11 @@ class SphereRule:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    """Integral and embedded-rule error: floats, or ``(K,)`` arrays for
+    ``(N, K)`` integrands."""
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     nodes_used: int
 
 
@@ -101,13 +108,16 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     return SphereRule(n, degree, angles, units, weights)
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Fixed-order pairwise reduction; deterministic for a given input order."""
-    x = np.asarray(values, dtype=float).ravel().copy()
-    while x.size > 1:
-        m = x.size // 2
+def pairwise_sum(values: np.ndarray):
+    """Fixed-order pairwise reduction along the first axis; deterministic for
+    a given input order.  Returns a float for 1-d input, else an array."""
+    x = np.array(values, dtype=float)
+    while x.shape[0] > 1:
+        m = x.shape[0] // 2
         head = x[: 2 * m : 2] + x[1 : 2 * m : 2]
-        x = np.concatenate([head, x[2 * m:]]) if x.size % 2 else head
+        x = np.concatenate([head, x[2 * m:]]) if x.shape[0] % 2 else head
+    if x.ndim > 1:
+        return x[0] if x.shape[0] else np.zeros(x.shape[1:])
     return float(x[0]) if x.size else 0.0
 
 
@@ -115,19 +125,16 @@ def _evaluate(f, points, nthreads=None):
     """Chunked (optionally threaded) evaluation; chunking is thread-invariant."""
     nthreads = thread_count() if nthreads is None else max(1, int(nthreads))
     total = points.shape[0]
-    chunks = [(i, min(i + _CHUNK, total)) for i in range(0, total, _CHUNK)]
-    out = np.empty(total)
+    chunks = [points[i:i + _CHUNK] for i in range(0, total, _CHUNK)]
     if nthreads == 1 or len(chunks) == 1:
-        for lo, hi in chunks:
-            out[lo:hi] = np.asarray(f(points[lo:hi]), dtype=float)
+        parts = [np.asarray(f(c), dtype=float) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [(lo, hi, pool.submit(lambda s: np.asarray(f(s), dtype=float),
-                                            points[lo:hi]))
-                       for lo, hi in chunks]
-            for lo, hi, fut in futures:
-                out[lo:hi] = fut.result()
-    bad = ~np.isfinite(out)
+            futures = [pool.submit(lambda c: np.asarray(f(c), dtype=float), c)
+                       for c in chunks]
+            parts = [fut.result() for fut in futures]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    bad = ~np.isfinite(out).reshape(total, -1).all(axis=1)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise QuadratureError(
@@ -144,42 +151,25 @@ def sphere_points(rule: SphereRule, r: float, chart_kind: ChartKind) -> np.ndarr
         [np.full(rule.angles.shape[:-1] + (1,), float(r)), rule.angles], axis=-1)
 
 
-def background_sphere_jacobian(rule: SphereRule, r: float,
-                               chart_kind: ChartKind) -> np.ndarray:
-    """Area element of S_r in the background measure, relative to the round
-    sphere measure carried by the rule weights."""
-    chart_kind = ChartKind(chart_kind)
-    if chart_kind == ChartKind.CARTESIAN:
-        j = float(r) ** (rule.n - 1)
-    elif chart_kind == ChartKind.POLAR_GEODESIC:
-        j = math.sinh(r) ** (rule.n - 1)
-    else:
-        j = float(r) ** (rule.n - 1)
-    return np.full(rule.node_count, j)
-
-
-def _sphere_value(f, rule, r, chart_kind, jacobian_fn, nthreads):
+def _sphere_value(f, rule, r, chart_kind, nthreads):
     points = sphere_points(rule, r, chart_kind)
     values = _evaluate(f, points, nthreads)
-    jac = jacobian_fn(rule, r) if jacobian_fn is not None \
-        else background_sphere_jacobian(rule, r, chart_kind)
-    return pairwise_sum(values * rule.weights * jac), rule.node_count
+    return pairwise_sum((values.T * rule.weights).T), rule.node_count
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
                      chart_kind: ChartKind = ChartKind.CARTESIAN,
-                     jacobian_fn=None, nthreads=None) -> QuadratureResult:
+                     nthreads=None) -> QuadratureResult:
     """Integrate ``f`` over the coordinate sphere S_r.
 
-    ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values and must
-    be pure.  ``jacobian_fn(rule, r)`` supplies the area element relative to
-    the round-sphere measure; by default the background area element of the
-    chart is used.  The error estimate compares against an embedded rule of
-    lower degree.
+    ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
+    ``(N, K)`` columns and must be pure; it includes the area element of
+    S_r relative to the round-sphere measure carried by the rule weights.
+    The error estimate compares against an embedded rule of lower degree.
     """
-    hi, nodes_hi = _sphere_value(f, rule, r, chart_kind, jacobian_fn, nthreads)
+    hi, nodes_hi = _sphere_value(f, rule, r, chart_kind, nthreads)
     lo_rule = sphere_rule(rule.n, max(rule.degree - _EMBEDDED_STEP, 1))
-    lo, nodes_lo = _sphere_value(f, lo_rule, r, chart_kind, jacobian_fn, nthreads)
+    lo, nodes_lo = _sphere_value(f, lo_rule, r, chart_kind, nthreads)
     return QuadratureResult(hi, abs(hi - lo), nodes_hi + nodes_lo)
 
 
@@ -190,38 +180,31 @@ def _radial_nodes(r0, r1, radial_degree):
     return mid + half * c, half * w
 
 
-def _annulus_value(f, rule, radii, rweights, chart_kind, volume_fn, nthreads):
-    shell_values = np.empty(radii.size)
-    nodes = 0
-    for i, (r, w) in enumerate(zip(radii, rweights)):
-        points = sphere_points(rule, r, chart_kind)
-        values = _evaluate(f, points, nthreads)
-        jac = volume_fn(rule, r)
-        shell_values[i] = w * pairwise_sum(values * rule.weights * jac)
-        nodes += rule.node_count
-    return pairwise_sum(shell_values), nodes
+def _annulus_value(f, rule, radii, rweights, chart_kind, nthreads):
+    shells = []
+    for r, w in zip(radii, rweights):
+        values = _evaluate(f, sphere_points(rule, r, chart_kind), nthreads)
+        shells.append(w * pairwise_sum((values.T * rule.weights).T))
+    return pairwise_sum(np.array(shells)), rule.node_count * radii.size
 
 
 def integrate_annulus(f, r0: float, r1: float, rule: SphereRule,
                       radial_degree: int = 16,
                       chart_kind: ChartKind = ChartKind.CARTESIAN,
-                      volume_fn=None, nthreads=None) -> QuadratureResult:
+                      nthreads=None) -> QuadratureResult:
     """Integrate ``f`` over the annulus A(r0, r1).
 
     Gauss-Legendre in the radial coordinate tensored with the sphere rule.
-    ``volume_fn(rule, r)`` supplies the volume element of the chosen measure
-    relative to ``dr x (round sphere)``; by default the background volume
-    element of the chart is used.
+    ``f`` follows :func:`integrate_sphere` and includes the volume element
+    of its measure relative to ``dr x (round sphere)``.
     """
     if not r0 < r1:
         raise QuadratureError(f"annulus needs r0 < r1, got ({r0}, {r1})")
-    if volume_fn is None:
-        volume_fn = lambda rl, r: background_sphere_jacobian(rl, r, chart_kind)
     radii, rweights = _radial_nodes(r0, r1, radial_degree)
     hi, nodes_hi = _annulus_value(f, rule, radii, rweights, chart_kind,
-                                  volume_fn, nthreads)
+                                  nthreads)
     lo_rule = sphere_rule(rule.n, max(rule.degree - _EMBEDDED_STEP, 1))
     lo_radii, lo_rw = _radial_nodes(r0, r1, max(radial_degree - 2, 2))
     lo, nodes_lo = _annulus_value(f, lo_rule, lo_radii, lo_rw, chart_kind,
-                                  volume_fn, nthreads)
+                                  nthreads)
     return QuadratureResult(hi, abs(hi - lo), nodes_hi + nodes_lo)

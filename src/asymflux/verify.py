@@ -20,18 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import MetricSpec, background_of, metric_jet
-from .charges import (ah_mass, ah_ricci_charge, classical_center,
-                      classical_mass, decay_mode, fit_radii, ricci_center,
-                      ricci_mass, rt_diagnostics, _metric_normal, _metric_area,
-                      _unit_jacobian)
-from .errors import ChartMismatchError, DomainError
-from .fields import ConformalKilling, killing_basis
+from .catalog import MetricSpec, metric_jet, round_sphere_det
+from .charges import (charge_series, einstein_sphere_integrand,
+                      rt_diagnostics, sphere_normal_area)
+from .errors import DomainError, ZeroMassError
+from .fields import ConformalKilling, kernel_basis, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
                        killing_operator, tensor_norm)
 from .limits import decay_rate
 from .quadrature import (SphereRule, integrate_annulus, integrate_sphere,
-                         omega, sphere_points, sphere_rule)
+                         omega, sphere_points)
 
 __all__ = ["IdentityReport", "KernelReport", "EquivalenceRow",
            "EquivalenceReport", "pohozaev_check", "kernel_check_lemma22",
@@ -107,42 +105,24 @@ def sample_points(n: int, chart_kind: ChartKind, count: int,
 
 # ------------------------------------------------------------------ Pohozaev
 
-def _einstein_sphere_flux(spec, X, r, rule, nthreads):
-    """Signed and absolute flux of G(X, nu) over S_r in the metric measure."""
-    chart = spec.chart_kind
+def _sphere_flux(spec, fields, r, rule, nthreads):
+    """Signed fluxes of G(X, nu) over S_r in the metric measure, then the
+    fluxes of |G(X, nu)|, from the same per-node values."""
+    flux = einstein_sphere_integrand(spec, fields, r)
 
-    def make(absolute):
-        def f(points):
-            jet = metric_jet(spec, points)
-            bun = curvature(jet)
-            xcomp = X.vector_jet(points).comp
-            nu, _, _ = _metric_normal(jet, points, chart, r)
-            area = _metric_area(jet, points, chart, r)
-            val = np.einsum("...ij,...i,...j->...", bun.einstein, xcomp, nu)
-            return (np.abs(val) if absolute else val) * area
-        return f
+    def f(points):
+        signed = flux(points)
+        return np.concatenate([signed, np.abs(signed)], axis=-1)
 
-    signed = integrate_sphere(make(False), r, rule, chart,
-                              jacobian_fn=_unit_jacobian, nthreads=nthreads)
-    mag = integrate_sphere(make(True), r, rule, chart,
-                           jacobian_fn=_unit_jacobian, nthreads=nthreads)
-    return signed, abs(mag.value)
+    return integrate_sphere(f, r, rule, spec.chart_kind, nthreads=nthreads)
 
 
-def _killing_defect(spec, X, r, rule):
-    """Max trace-free Killing-operator norm of X for this metric on S_r."""
-    pts = sphere_points(rule, r, spec.chart_kind)
-    jet = metric_jet(spec, pts)
-    bun = curvature(jet)
-    _, tracefree = killing_operator(jet, X.vector_jet(pts), bun)
-    return float(np.max(tensor_norm(bun.ginv, tracefree)))
-
-
-def pohozaev_check(spec: MetricSpec, X: ConformalKilling, r0: float, r1: float,
+def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
                    rule: SphereRule, radial_degree: int = 16,
                    abs_tol: float = 1e-10, rel_tol: float = 1e-6,
-                   nthreads=None) -> IdentityReport:
-    """Integrated Bianchi identity on the annulus A(r0, r1), metric measure.
+                   nthreads=None) -> list[IdentityReport]:
+    """Integrated Bianchi identity on the annulus A(r0, r1), metric measure,
+    for each conformal Killing field in ``fields`` (one report each).
 
     lhs is the boundary flux with the outer normal of the annulus on both
     components (the inner sphere enters with a minus sign); rhs is
@@ -152,42 +132,52 @@ def pohozaev_check(spec: MetricSpec, X: ConformalKilling, r0: float, r1: float,
         raise ValueError(f"annulus needs r0 < r1, got ({r0}, {r1})")
     n = spec.n
     chart = spec.chart_kind
+    count = len(fields)
 
-    outer, outer_mag = _einstein_sphere_flux(spec, X, r1, rule, nthreads)
-    inner, inner_mag = _einstein_sphere_flux(spec, X, r0, rule, nthreads)
-    lhs = outer.value - inner.value
+    outer = _sphere_flux(spec, fields, r1, rule, nthreads)
+    inner = _sphere_flux(spec, fields, r0, rule, nthreads)
 
     def bulk(points):
         jet = metric_jet(spec, points)
         bun = curvature(jet)
-        divX = divergence_vector(jet, X.vector_jet(points), bun)
         detg = np.linalg.det(jet.g)
         if chart == ChartKind.CARTESIAN:
             coord = np.linalg.norm(points, axis=-1) ** (n - 1)
         else:
-            from .catalog import round_sphere_det
             coord = 1.0 / np.sqrt(round_sphere_det(points[..., 1:]))
-        return bun.scal * divX * np.sqrt(detg) * coord
+        return np.stack([bun.scal * divergence_vector(jet, X.vector_jet(points),
+                                                      bun)
+                         * np.sqrt(detg) * coord for X in fields], axis=-1)
 
     bulk_res = integrate_annulus(bulk, r0, r1, rule, radial_degree, chart,
-                                 volume_fn=_unit_jacobian, nthreads=nthreads)
-    rhs = (n - 2) / (2.0 * n) * bulk_res.value
+                                 nthreads=nthreads)
+    # trace-free Killing-operator norm of each X for this metric, mid annulus
+    pts = sphere_points(rule, 0.5 * (r0 + r1), chart)
+    jet = metric_jet(spec, pts)
+    bun = curvature(jet)
+    defects = [float(np.max(tensor_norm(bun.ginv, killing_operator(
+        jet, X.vector_jet(pts), bun)[1]))) for X in fields]
 
-    residual = abs(lhs - rhs)
-    quad_error = (outer.error_estimate + inner.error_estimate
-                  + (n - 2) / (2.0 * n) * bulk_res.error_estimate)
-    scale = max(abs(lhs), abs(rhs), outer_mag + inner_mag)
-    rel = residual / scale if scale > 0 else 0.0
-    tol = max(abs_tol, rel_tol * max(scale, 1.0))
-    defect = _killing_defect(spec, X, 0.5 * (r0 + r1), rule)
-    return IdentityReport(
-        check_id=f"pohozaev:{spec.kind}:{X.id}:{r0}:{r1}",
-        lhs=float(lhs), rhs=float(rhs), residual=float(residual),
-        relative_residual=float(rel), quad_error=float(quad_error),
-        tolerance=float(tol), passed=bool(residual <= tol),
-        context={"killing_defect": defect, "flux_scale": float(scale),
-                 "outer_flux": float(outer.value),
-                 "inner_flux": float(inner.value)})
+    reports = []
+    for k, X in enumerate(fields):
+        lhs = outer.value[k] - inner.value[k]
+        rhs = (n - 2) / (2.0 * n) * bulk_res.value[k]
+        residual = abs(lhs - rhs)
+        quad_error = (outer.error_estimate[k] + inner.error_estimate[k]
+                      + (n - 2) / (2.0 * n) * bulk_res.error_estimate[k])
+        magnitude = abs(outer.value[count + k]) + abs(inner.value[count + k])
+        scale = max(abs(lhs), abs(rhs), magnitude)
+        rel = residual / scale if scale > 0 else 0.0
+        tol = max(abs_tol, rel_tol * max(scale, 1.0))
+        reports.append(IdentityReport(
+            check_id=f"pohozaev:{spec.kind}:{X.id}:{r0}:{r1}",
+            lhs=float(lhs), rhs=float(rhs), residual=float(residual),
+            relative_residual=float(rel), quad_error=float(quad_error),
+            tolerance=float(tol), passed=bool(residual <= tol),
+            context={"killing_defect": defects[k], "flux_scale": float(scale),
+                     "outer_flux": float(outer.value[k]),
+                     "inner_flux": float(inner.value[k])}))
+    return reports
 
 
 # ------------------------------------------------------------------ Lemma 2.2
@@ -280,12 +270,18 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
     if not diagnostics["scal_integrable"]:
         warn_common.append("scalar curvature integrability proxy failed")
 
+    kernels = kernel_basis(n, spec.chart_kind)
+    fields = killing_basis(n, spec.chart_kind)
+    try:
+        classical, ricci = charge_series(spec, radii, rule, kernels, fields,
+                                         nthreads=nthreads)
+    except ZeroMassError:   # flat, no mass: no centers, report the mass alone
+        classical, ricci = charge_series(spec, radii, rule, kernels[:1],
+                                         fields[:1], nthreads=nthreads)
     rows = []
     if spec.is_flat_type:
-        cls_mass = classical_mass(spec, radii, rule, nthreads=nthreads)
-        ric_mass = ricci_mass(spec, radii, rule, nthreads=nthreads)
-        rows.append(_row("mass", cls_mass, ric_mass, warn_common))
-        mass = cls_mass.limit
+        rows.append(_row("mass", classical[0], ricci[0], warn_common))
+        mass = classical[0].limit
         rt = rt_diagnostics(spec, radii, rule)
         diagnostics["rt_exponent"] = rt.exponent
         diagnostics["rt_expected"] = rt.expected
@@ -295,18 +291,14 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
             if rt.status != "pass":
                 warn_center.append("parity decay (RT) diagnostic failed")
             for a in range(n):
-                cc = classical_center(spec, a, radii, rule, mass,
-                                      nthreads=nthreads)
-                rc = ricci_center(spec, a, radii, rule, mass,
-                                  nthreads=nthreads)
-                rows.append(_row(f"center[{a}]", cc, rc, warn_center))
+                rows.append(_row(f"center[{a}]", classical[a + 1],
+                                 ricci[a + 1], warn_center))
         else:
             diagnostics["center_skipped"] = "mass vanishes"
     else:
         for i in range(n + 1):
-            am = ah_mass(spec, i, radii, rule, nthreads=nthreads)
-            ar = ah_ricci_charge(spec, i, radii, rule, nthreads=nthreads)
-            rows.append(_row(f"ah_charge[{i}]", am, ar, warn_common))
+            rows.append(_row(f"ah_charge[{i}]", classical[i], ricci[i],
+                             warn_common))
     return EquivalenceReport(spec.kind, n, tuple(rows), diagnostics)
 
 
@@ -319,10 +311,7 @@ def _scal_integrable(spec, radii, rule):
         pts = sphere_points(rule, r, chart)
         bun = curvature(metric_jet(spec, pts))
         sup = float(np.max(np.abs(bun.scal - scal_b)))
-        vol = r ** (spec.n - 1) if spec.is_flat_type else \
-            np.sinh(np.arcsinh(r) if chart == ChartKind.POLAR_AREA else r) \
-            ** (spec.n - 1)
-        weighted.append(sup * vol)
+        weighted.append(sup * sphere_normal_area(pts, chart, r)[1][0])
     weighted = np.asarray(weighted)
     floor = 1e-8 * max(weighted.max(), 1.0)
     if weighted[-1] <= floor:

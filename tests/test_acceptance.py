@@ -105,11 +105,11 @@ def test_acceptance_4_pohozaev(verdict):
     for spec, r0 in cases:
         rule = sphere_rule(spec.n, 30)
         for X in killing_basis(spec.n, spec.chart_kind):
-            rep = pohozaev_check(spec, X, r0, 2.0 * r0, rule)
+            rep = pohozaev_check(spec, [X], r0, 2.0 * r0, rule)[0]
             ok &= rep.relative_residual < 1e-6
     spec = MetricSpec("hyperbolic_polar", 3)
     X0 = killing_basis(3, spec.chart_kind)[0]
-    rep = pohozaev_check(spec, X0, 1.0, 2.0, sphere_rule(3, 30))
+    rep = pohozaev_check(spec, [X0], 1.0, 2.0, sphere_rule(3, 30))[0]
     exact = hyperbolic_pohozaev_closed_form(3, 1.0, 2.0)
     ok &= abs(rep.lhs - exact) <= 1e-8 * abs(exact)
     verdict(4, "Pohozaev identity + hyperbolic closed form", ok)

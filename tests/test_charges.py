@@ -5,14 +5,16 @@ import pytest
 
 from asymflux.catalog import MetricSpec, background_of, deviation_jet, metric_jet
 from asymflux.charges import (adm_integrand, ah_mass, ah_ricci_charge,
-                              center_integrand, classical_center,
-                              classical_mass, einstein_flux, michel_flux,
+                              center_integrand, charge_series,
+                              classical_center, classical_mass,
                               michel_integrand, michel_integrand_deviation,
-                              ricci_center, ricci_mass, rt_diagnostics)
+                              michel_sphere_integrand, ricci_center,
+                              ricci_mass, rt_diagnostics)
 from asymflux.errors import ChartMismatchError, ZeroMassError
-from asymflux.fields import conformal_killing, kernel_function
+from asymflux.fields import (conformal_killing, kernel_basis, kernel_function,
+                             killing_basis)
 from asymflux.geometry import ScalarJet, SymTensorJet
-from asymflux.quadrature import omega, sphere_rule
+from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 
 RNG = np.random.default_rng(42)
 FLAT_RADII = 8.0 * 2.0 ** np.arange(5)
@@ -221,7 +223,7 @@ def test_einstein_flux_orientation():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     X = conformal_killing("dilation", 3)
     rule = sphere_rule(3, 12)
-    s = einstein_flux(spec, X, 16.0, rule)
+    s = charge_series(spec, [16.0, 32.0, 64.0], rule, fields=[X])[1][0].samples[0]
     # normalization: raw flux = -(n-1)(n-2) omega m at leading order
     assert s.raw_flux == pytest.approx(-2.0 * omega(3) * 1.0, rel=1e-6)
 
@@ -229,5 +231,38 @@ def test_einstein_flux_orientation():
 def test_michel_flux_quad_error_is_small():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     V = kernel_function("const_one", 3)
-    res = michel_flux(spec, V, 16.0, sphere_rule(3, 12))
+    flux = michel_sphere_integrand(spec, [V], 16.0)
+    res = integrate_sphere(lambda p: flux(p)[:, 0], 16.0, sphere_rule(3, 12))
     assert res.error_estimate < 1e-10 * max(abs(res.value), 1.0)
+
+
+def test_basis_pass_matches_single_charges():
+    """A charge computed alone equals the same charge inside the full basis,
+    bit for bit, for both families and for the Pohozaev reports."""
+    from asymflux.verify import pohozaev_check
+
+    rule = sphere_rule(3, 8)
+    spec = MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                      center=(1.0, 0.5, 0.0))
+    (mass, *cc), (rmass, *rc) = charge_series(
+        spec, FLAT_RADII, rule, kernel_basis(3, "cartesian"),
+        killing_basis(3, "cartesian"))
+    assert classical_mass(spec, FLAT_RADII, rule) == mass
+    assert ricci_mass(spec, FLAT_RADII, rule) == rmass
+    for a in range(3):
+        assert classical_center(spec, a, FLAT_RADII, rule, mass.limit) == cc[a]
+        assert ricci_center(spec, a, FLAT_RADII, rule, mass.limit) == rc[a]
+
+    spec = MetricSpec("kottler", 3, m=1.0)
+    radii = np.sinh(HYP_S)
+    am, ar = charge_series(spec, radii, rule, kernel_basis(3, "polar_area"),
+                           killing_basis(3, "polar_area"))
+    for i in range(4):
+        assert ah_mass(spec, i, radii, rule) == am[i]
+        assert ah_ricci_charge(spec, i, radii, rule) == ar[i]
+
+    spec = MetricSpec("hyperbolic_polar", 3)
+    fields = killing_basis(3, spec.chart_kind)
+    reports = pohozaev_check(spec, fields, 1.0, 2.0, rule, radial_degree=8)
+    for X, rep in zip(fields, reports):
+        assert pohozaev_check(spec, [X], 1.0, 2.0, rule, radial_degree=8) == [rep]

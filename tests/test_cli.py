@@ -163,9 +163,29 @@ def test_sweep_writes_csv(tmp_path):
 
 # ----------------------------------------------------------------- exit codes
 
-def test_exit_code_config_error(capsys):
-    assert main(["mass", "--kind", "bogus", "--n", "3"]) == 2
-    assert "config error" in capsys.readouterr().err
+_SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["mass", "--kind", "bogus", "--n", "3"], id="bogus-kind"),
+    pytest.param(["mass", *_SCHW3, "--ratio", "1"], id="ratio-1"),
+    pytest.param(["mass", *_SCHW3, "--start", "-1"], id="start-negative"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
+                  "--schedule", "arithmetic", "--step", "0"], id="step-0"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
+                  "--kernel", "V9"], id="kernel-V9"),
+    pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "6",
+                  "--m", "1"], id="n-6"),
+    pytest.param(["center", *_SCHW3, "--center", "1,x,0"], id="center-text"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "pohozaev", "--annulus", "2,1"],
+                 id="annulus-reversed"),
+])
+def test_exit_code_config_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_computation_error(capsys):
@@ -177,10 +197,18 @@ def test_exit_code_computation_error(capsys):
 
 # --------------------------------------------------------------- determinism
 
-def test_reports_byte_identical_across_threads(tmp_path):
-    cmd = [sys.executable, "-m", "asymflux.cli", "mass", "--kind",
-           "schwarzschild_conformal", "--n", "3", "--m", "1",
-           "--degree", "16", "--no-timings"]
+@pytest.mark.parametrize("args", [
+    pytest.param(["mass", *_SCHW3, "--degree", "16"], id="mass"),
+    pytest.param(["center", *_SCHW3, "--center", "1,0.5,0", "--degree", "8"],
+                 id="center"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
+                  "--degree", "8"], id="ah-mass"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "pohozaev", "--degree", "8"],
+                 id="verify-pohozaev"),
+])
+def test_reports_byte_identical_across_threads(tmp_path, args):
+    cmd = [sys.executable, "-m", "asymflux.cli", *args, "--no-timings"]
     outs = []
     for threads in ("1", "4"):
         env = dict(os.environ, ASYMFLUX_THREADS=threads)

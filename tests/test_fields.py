@@ -124,3 +124,14 @@ def test_unknown_ids():
         kernel_function("nope", 3)
     with pytest.raises(ValueError):
         conformal_killing("nope", 3)
+    # indexed ids need an alpha in range: 0..n-1 flat, 1..n hyperbolic
+    for alpha in (None, -1, 3):
+        with pytest.raises(ValueError):
+            kernel_function("coordinate", 3, alpha=alpha)
+        with pytest.raises(ValueError):
+            conformal_killing("inverted_translation", 3, alpha=alpha)
+    for alpha in (None, 0, 4):
+        with pytest.raises(ValueError):
+            kernel_function("ah_Valpha", 3, "polar_geodesic", alpha=alpha)
+        with pytest.raises(ValueError):
+            conformal_killing("ah_Xalpha", 3, "polar_geodesic", alpha=alpha)

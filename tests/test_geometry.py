@@ -258,6 +258,8 @@ def test_inverse_metric_rejects_degenerate():
         inverse_metric(g)
     with pytest.raises(DegenerateMetricError):
         inverse_metric(-np.eye(3))
+    with pytest.raises(DegenerateMetricError):
+        inverse_metric(np.diag([-1.0, -1.0, 1.0]))
 
 
 def test_tensor_norm_euclidean():

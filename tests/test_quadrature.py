@@ -47,8 +47,8 @@ def test_moment_exactness(n):
 def test_closed_form_sphere_integrals():
     rule = sphere_rule(3, 24)
     # integral of (1 + u_3^2) over S^2 = 4pi + 4pi/3
-    res = integrate_sphere(lambda p: 1.0 + (p[:, 2] / 2.0) ** 2, 2.0, rule,
-                           ChartKind.CARTESIAN)
+    res = integrate_sphere(lambda p: (1.0 + (p[:, 2] / 2.0) ** 2) * 2.0 ** 2,
+                           2.0, rule, ChartKind.CARTESIAN)
     expected = 4.0 * (4 * np.pi + 4 * np.pi / 3)  # r^2 area factor, u3 = p3/r
     assert res.value == pytest.approx(expected, rel=1e-12)
     assert res.error_estimate < 1e-10
@@ -56,21 +56,22 @@ def test_closed_form_sphere_integrals():
 
 def test_hyperbolic_sphere_area():
     rule = sphere_rule(3, 10)
-    res = integrate_sphere(lambda p: np.ones(p.shape[0]), 1.5, rule,
+    res = integrate_sphere(lambda p: np.sinh(p[:, 0]) ** 2, 1.5, rule,
                            ChartKind.POLAR_GEODESIC)
     assert res.value == pytest.approx(4 * np.pi * np.sinh(1.5) ** 2, rel=1e-12)
 
 
 def test_annulus_volume():
     rule = sphere_rule(3, 10)
-    res = integrate_annulus(lambda p: np.ones(p.shape[0]), 1.0, 2.0, rule,
-                            radial_degree=12, chart_kind=ChartKind.CARTESIAN)
+    res = integrate_annulus(lambda p: np.linalg.norm(p, axis=-1) ** 2, 1.0,
+                            2.0, rule, radial_degree=12,
+                            chart_kind=ChartKind.CARTESIAN)
     assert res.value == pytest.approx(4 * np.pi / 3 * (8 - 1), rel=1e-12)
 
 
 def test_annulus_hyperbolic_volume():
     rule = sphere_rule(3, 10)
-    res = integrate_annulus(lambda p: np.ones(p.shape[0]), 0.5, 1.5, rule,
+    res = integrate_annulus(lambda p: np.sinh(p[:, 0]) ** 2, 0.5, 1.5, rule,
                             radial_degree=20,
                             chart_kind=ChartKind.POLAR_GEODESIC)
     exact = 4 * np.pi * (np.sinh(2 * 1.5) / 4 - 1.5 / 2
@@ -127,6 +128,12 @@ def test_thread_count_invariance():
     res1 = integrate_sphere(f, 1.0, rule, nthreads=1)
     res4 = integrate_sphere(f, 1.0, rule, nthreads=4)
     assert res1.value == res4.value  # exact equality, not approx
+    # column integrands: each column equals its own one-column integral
+    cols = lambda p: np.stack([f(p), np.cos(p[:, 1])], axis=-1)
+    res1 = integrate_sphere(cols, 1.0, rule, nthreads=1)
+    res4 = integrate_sphere(cols, 1.0, rule, nthreads=4)
+    assert np.array_equal(res1.value, res4.value)
+    assert res1.value[0] == integrate_sphere(f, 1.0, rule).value
 
 
 def test_thread_env_var():

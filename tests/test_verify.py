@@ -26,7 +26,7 @@ def test_pohozaev_all_catalog_fields(kind, n, annulus):
     spec = MetricSpec(kind, n, m=1.0 if kind == "schwarzschild_conformal" else 0.0)
     rule = sphere_rule(n, 30)
     for X in killing_basis(n, spec.chart_kind):
-        rep = pohozaev_check(spec, X, *annulus, rule)
+        rep = pohozaev_check(spec, [X], *annulus, rule)[0]
         assert rep.passed, rep
         assert rep.relative_residual < 1e-6
         assert rep.context["killing_defect"] < 1e-9
@@ -35,7 +35,7 @@ def test_pohozaev_all_catalog_fields(kind, n, annulus):
 def test_pohozaev_hyperbolic_closed_form():
     spec = MetricSpec("hyperbolic_polar", 3)
     X0 = killing_basis(3, spec.chart_kind)[0]
-    rep = pohozaev_check(spec, X0, 1.0, 2.0, sphere_rule(3, 30))
+    rep = pohozaev_check(spec, [X0], 1.0, 2.0, sphere_rule(3, 30))[0]
     exact = hyperbolic_pohozaev_closed_form(3, 1.0, 2.0)
     assert exact == pytest.approx(omega(3) * (np.sinh(2.0) ** 3 - np.sinh(1.0) ** 3))
     assert rep.lhs == pytest.approx(exact, rel=1e-8)
@@ -47,7 +47,7 @@ def test_pohozaev_scalar_flat_has_zero_bulk():
     spheres must coincide."""
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     X = conformal_killing("dilation", 3)
-    rep = pohozaev_check(spec, X, 10.0, 20.0, sphere_rule(3, 30))
+    rep = pohozaev_check(spec, [X], 10.0, 20.0, sphere_rule(3, 30))[0]
     assert abs(rep.rhs) < 1e-10 * max(abs(rep.context["outer_flux"]), 1.0)
     assert rep.context["outer_flux"] == pytest.approx(
         rep.context["inner_flux"], rel=1e-10)
@@ -62,7 +62,7 @@ def test_pohozaev_residual_bounded_by_quadrature():
               conformal_killing("inverted_translation", 3, alpha=0),
               8.0, 16.0)]
     for spec, X, r0, r1 in cases:
-        rep = pohozaev_check(spec, X, r0, r1, sphere_rule(3, 30))
+        rep = pohozaev_check(spec, [X], r0, r1, sphere_rule(3, 30))[0]
         assert rep.passed
         assert rep.residual <= (10.0 * rep.quad_error
                                 + 1e-10 * max(rep.context["flux_scale"], 1.0))
@@ -73,7 +73,7 @@ def test_pohozaev_kottler_surfaces_killing_defect():
     still runs and reports how far off they are."""
     spec = MetricSpec("kottler", 3, m=1.0)
     X = killing_basis(3, spec.chart_kind)[0]
-    rep = pohozaev_check(spec, X, np.sinh(1.0), np.sinh(2.0), sphere_rule(3, 30))
+    rep = pohozaev_check(spec, [X], np.sinh(1.0), np.sinh(2.0), sphere_rule(3, 30))[0]
     assert rep.context["killing_defect"] > 1e-2
 
 
@@ -81,13 +81,13 @@ def test_pohozaev_orientation_antisymmetry():
     spec = MetricSpec("hyperbolic_polar", 3)
     X = killing_basis(3, spec.chart_kind)[0]
     rule = sphere_rule(3, 16)
-    fwd = pohozaev_check(spec, X, 1.0, 2.0, rule)
+    fwd = pohozaev_check(spec, [X], 1.0, 2.0, rule)[0]
     # swapping the roles of the spheres negates the boundary difference
     outer, inner = fwd.context["outer_flux"], fwd.context["inner_flux"]
     assert fwd.lhs == pytest.approx(outer - inner)
     assert -(inner - outer) == pytest.approx(fwd.lhs)
     with pytest.raises(ValueError):
-        pohozaev_check(spec, X, 2.0, 1.0, rule)
+        pohozaev_check(spec, [X], 2.0, 1.0, rule)[0]
 
 
 def test_pohozaev_reports_killing_defect_context():
@@ -96,7 +96,7 @@ def test_pohozaev_reports_killing_defect_context():
     spec = MetricSpec("perturbation", 3, base=MetricSpec("euclidean", 3),
                       components={(0, 0): "1/r"})
     X = conformal_killing("dilation", 3)
-    rep = pohozaev_check(spec, X, 8.0, 16.0, sphere_rule(3, 20))
+    rep = pohozaev_check(spec, [X], 8.0, 16.0, sphere_rule(3, 20))[0]
     assert rep.context["killing_defect"] > 1e-4
 
 
