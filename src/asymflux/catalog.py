@@ -10,6 +10,10 @@ of two polar charts over ``R x S^{n-1}``:
 
 Jets are produced by evaluating closed-form components with hyper-dual
 numbers, so first and second derivatives carry no truncation error.
+``expression`` and ``perturbation`` components are parsed once, when the
+spec is built, so a bad component fails before any computation starts.
+Catalog kinds give the deviation ``g - b`` in stable closed form;
+expression metrics subtract the jets, reusing those a caller already holds.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from .geometry import (ChartKind, ChartPoint, MetricJet, SymTensorJet,
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "metric_jet", "background_of", "deviation_jet",
-           "chart_transfer", "transfer_metric_jet", "chart_kind_of",
-           "sphere_embedding", "sphere_embedding_hd", "round_sphere_diag_hd",
-           "FLAT_KINDS", "HYPERBOLIC_KINDS"]
+           "chart_kind_of", "sphere_embedding", "sphere_embedding_hd",
+           "round_sphere_diag_hd", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
 
 FLAT_KINDS = ("euclidean", "schwarzschild_conformal")
 HYPERBOLIC_KINDS = ("hyperbolic_polar", "hyperbolic_area", "kottler")
@@ -48,6 +51,9 @@ class MetricSpec:
     params: Mapping | None = None       # parameter values for expressions
     decay_hint: float | None = None
     chart: str | None = None            # expression metrics only
+    # components parsed once, at construction
+    asts: Mapping | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         validate_dimension(self.n)
@@ -60,6 +66,12 @@ class MetricSpec:
             raise ValueError("expression spec requires components")
         if self.kind == "schwarzschild_conformal" and not self.center:
             object.__setattr__(self, "center", (0.0,) * self.n)
+        if self.kind in ("perturbation", "expression"):
+            chart, params = chart_kind_of(self), tuple(self.params or {})
+            object.__setattr__(self, "asts", {
+                key: expr_mod.parse(ast, self.n, chart, params)
+                if isinstance(ast, str) else ast
+                for key, ast in (self.components or {}).items()})
 
     @property
     def chart_kind(self) -> ChartKind:
@@ -312,9 +324,7 @@ def _components_jet(spec, coords, chart_kind) -> _Sym2Jet2:
     d = np.zeros(shape + (n, n, n))
     dd = np.zeros(shape + (n, n, n, n))
     params = dict(spec.params or {})
-    for (i, j), ast in spec.components.items():
-        if isinstance(ast, str):
-            ast = expr_mod.parse(ast, n, chart_kind, tuple(params))
+    for (i, j), ast in spec.asts.items():
         jet = expr_mod.eval_jet(ast, coords, params, chart_kind)
         for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
             value[..., a, b] = jet.value
@@ -323,8 +333,14 @@ def _components_jet(spec, coords, chart_kind) -> _Sym2Jet2:
     return _Sym2Jet2(value, d, dd)
 
 
-def deviation_jet(spec: MetricSpec, p) -> SymTensorJet:
-    """Stable closed-form jet of ``g - b`` (no large-radius cancellation)."""
+def deviation_jet(spec: MetricSpec, p, g_jet: MetricJet | None = None,
+                  b_jet: MetricJet | None = None) -> SymTensorJet:
+    """Stable closed-form jet of ``g - b`` (no large-radius cancellation).
+
+    Expression metrics have no closed form and subtract the jets of g and b
+    at ``p``; ``g_jet`` and ``b_jet``, when given, are those jets already
+    evaluated, and no other kind reads them.
+    """
     coords = _coords_of(p)
     n = spec.n
     shape = coords.shape[:-1]
@@ -363,89 +379,8 @@ def deviation_jet(spec: MetricSpec, p) -> SymTensorJet:
         return SymTensorJet(base_dev.value + eps.value, base_dev.d + eps.d)
 
     # expression metrics: plain subtraction from the chart background
-    jet = metric_jet(spec, coords)
-    bjet = metric_jet(background_of(spec), coords)
-    return SymTensorJet(jet.g - bjet.g, jet.dg - bjet.dg)
-
-
-# ------------------------------------------------------------ chart transfer
-
-def _radial_map(from_kind: ChartKind, to_kind: ChartKind):
-    """Map source-radius = f(target-radius) with derivatives up to third order.
-
-    Returns a callable ``target_r -> (f, f', f'', f''')``; the jet transform
-    pulls a source-chart jet back to the target chart.
-    """
-    if from_kind == ChartKind.POLAR_GEODESIC and to_kind == ChartKind.POLAR_AREA:
-        # source geodesic radius s = asinh(rho)
-        def fn(rho):
-            q = 1.0 + rho**2
-            return (np.arcsinh(rho), q**-0.5, -rho * q**-1.5,
-                    (2.0 * rho**2 - 1.0) * q**-2.5)
-        return fn
-    if from_kind == ChartKind.POLAR_AREA and to_kind == ChartKind.POLAR_GEODESIC:
-        # source area radius rho = sinh(s)
-        def fn(s):
-            return (np.sinh(s), np.cosh(s), np.sinh(s), np.cosh(s))
-        return fn
-    raise ChartMismatchError(
-        f"no chart transfer from {from_kind} to {to_kind}")
-
-
-def chart_transfer(p: ChartPoint, to_kind: ChartKind | str) -> ChartPoint:
-    """Transform point coordinates between the two hyperbolic polar charts."""
-    to_kind = ChartKind(to_kind)
-    if p.chart_kind == to_kind:
-        return ChartPoint(p.coords, to_kind)
-    coords = np.array(p.coords, dtype=float)
-    if p.chart_kind == ChartKind.POLAR_GEODESIC and to_kind == ChartKind.POLAR_AREA:
-        coords[..., 0] = np.sinh(coords[..., 0])
-    elif p.chart_kind == ChartKind.POLAR_AREA and to_kind == ChartKind.POLAR_GEODESIC:
-        coords[..., 0] = np.arcsinh(coords[..., 0])
-    else:
-        raise ChartMismatchError(
-            f"no chart transfer from {p.chart_kind} to {to_kind}")
-    return ChartPoint(coords, to_kind)
-
-
-def transfer_metric_jet(jet: MetricJet, to_kind: ChartKind | str) -> MetricJet:
-    """Push a metric 2-jet into another compatible chart (angles unchanged)."""
-    to_kind = ChartKind(to_kind)
-    src_kind = jet.point.chart_kind
-    if src_kind == to_kind:
-        return jet
-    n = jet.n
-    target_point = chart_transfer(jet.point, to_kind)
-    y = target_point.coords
-    f, f1, f2, f3 = _radial_map(src_kind, to_kind)(y[..., 0])
-
-    shape = y.shape[:-1]
-    J = np.zeros(shape + (n, n))        # J[a, i] = d x^a / d y^i
-    for a in range(1, n):
-        J[..., a, a] = 1.0
-    J[..., 0, 0] = f1
-    H = np.zeros(shape + (n, n, n))     # H[a, i, j] = d^2 x^a / dy^i dy^j
-    H[..., 0, 0, 0] = f2
-    T3 = np.zeros(shape + (n, n, n, n))
-    T3[..., 0, 0, 0, 0] = f3
-
-    g, dg, ddg = jet.g, jet.dg, jet.ddg
-    gp = np.einsum("...ai,...bj,...ab->...ij", J, J, g)
-
-    dgJ = np.einsum("...cab,...ck->...kab", dg, J)   # d_k' g_ab (chain rule)
-    dgp = (np.einsum("...aik,...bj,...ab->...kij", H, J, g)
-           + np.einsum("...ai,...bjk,...ab->...kij", J, H, g)
-           + np.einsum("...ai,...bj,...kab->...kij", J, J, dgJ))
-
-    ddgJ = np.einsum("...dcab,...dl,...ck->...lkab", ddg, J, J) \
-        + np.einsum("...cab,...ckl->...lkab", dg, H)            # d_l' d_k' g_ab
-    ddgp = (np.einsum("...aikl,...bj,...ab->...lkij", T3, J, g)
-            + np.einsum("...aik,...bjl,...ab->...lkij", H, H, g)
-            + np.einsum("...aik,...bj,...lab->...lkij", H, J, dgJ)
-            + np.einsum("...ail,...bjk,...ab->...lkij", H, H, g)
-            + np.einsum("...ai,...bjkl,...ab->...lkij", J, T3, g)
-            + np.einsum("...ai,...bjk,...lab->...lkij", J, H, dgJ)
-            + np.einsum("...ail,...bj,...kab->...lkij", H, J, dgJ)
-            + np.einsum("...ai,...bjl,...kab->...lkij", J, H, dgJ)
-            + np.einsum("...ai,...bj,...lkab->...lkij", J, J, ddgJ))
-    return MetricJet(gp, dgp, ddgp, target_point)
+    if g_jet is None:
+        g_jet = metric_jet(spec, coords)
+    if b_jet is None:
+        b_jet = metric_jet(background_of(spec), coords)
+    return SymTensorJet(g_jet.g - b_jet.g, g_jet.dg - b_jet.dg)

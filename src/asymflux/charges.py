@@ -12,9 +12,12 @@ the catalog's stable closed forms so that fluxes remain accurate at radii
 where ``g - b`` underflows a naive subtraction.
 
 Every charge is linear in its kernel function V or conformal Killing field
-X, so :func:`charge_series` evaluates the jets, curvature, normal and area
-element once per node and radius and contracts them with a whole basis; the
-single-charge fronts are thin wrappers around it.
+X, and both families integrate over the same sphere S_r.  So
+:func:`charge_series` makes one sphere pass per radius: its integrand
+evaluates the metric jet, the background jet, the deviation, the curvature,
+normal and area element once per node and contracts them with the whole
+kernel basis and Killing basis.  The single-charge fronts are thin wrappers
+around it.
 
 Charge normalizations (exact constants, see ``_NORMALIZATION``):
 
@@ -43,8 +46,8 @@ from .quadrature import SphereRule, integrate_sphere, omega
 
 __all__ = [
     "michel_integrand", "michel_integrand_deviation", "adm_integrand",
-    "center_integrand", "sphere_normal_area", "michel_sphere_integrand",
-    "einstein_sphere_integrand", "charge_series", "classical_mass",
+    "center_integrand", "sphere_normal_area", "sphere_integrand",
+    "charge_series", "classical_mass",
     "classical_center", "ricci_mass", "ricci_center", "ah_mass",
     "ah_ricci_charge", "rt_diagnostics", "RTReport", "mass_normalization",
     "ricci_mass_normalization", "fit_radii", "decay_mode",
@@ -175,45 +178,43 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
     return nu, np.sqrt(np.linalg.det(jet.g)) * gradnorm * coord_factor
 
 
-def michel_sphere_integrand(spec: MetricSpec, kernels, r: float,
-                            measure: str = "background"):
-    """Integrand over S_r with one column ``U(V, g, b)(nu) dA`` per kernel V.
+def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
+                     modified: bool = False):
+    """Integrand over S_r with one column per kernel V, then one per field X.
 
-    ``measure`` picks the normal and area element: ``"background"`` or the
-    metric's (any other value).
+    Kernel columns are ``U(V, g, b)(nu) dA`` with the background normal and
+    area element; field columns are ``G(X, nu) dA_g`` with the metric's,
+    where ``G`` is the Einstein tensor, or the modified one with
+    ``modified``.  Each chunk evaluates the metric jet, the background jet
+    and the deviation at most once, and the deviation reuses the jets the
+    pass already holds.
     """
     chart = spec.chart_kind
     bspec = background_of(spec)
 
-    def f(points):
+    def kernel_columns(points, g_jet):
         b_jet = metric_jet(bspec, points)
-        eps = deviation_jet(spec, points)
-        g_jet = None if measure == "background" else metric_jet(spec, points)
-        nu, area = sphere_normal_area(points, chart, r, g_jet)
+        eps = deviation_jet(spec, points, g_jet=g_jet, b_jet=b_jet)
+        nu, area = sphere_normal_area(points, chart, r)
         pieces = _michel_pieces(eps, b_jet)
-        return np.stack([_michel_contract(V.scalar_jet(points), eps, pieces, nu)
-                         * area for V in kernels], axis=-1)
+        return [_michel_contract(V.scalar_jet(points), eps, pieces, nu) * area
+                for V in kernels]
 
-    return f
-
-
-def einstein_sphere_integrand(spec: MetricSpec, fields, r: float,
-                              modified: bool = False):
-    """Integrand over S_r with one column ``G(X, nu) dA_g`` per field X.
-
-    ``G`` is the Einstein tensor, or the modified one with ``modified``;
-    normal and area element are the metric's.
-    """
-    chart = spec.chart_kind
-
-    def f(points):
-        jet = metric_jet(spec, points)
+    def field_columns(points, jet):
         bun = curvature(jet)
         G = bun.modified_einstein if modified else bun.einstein
         nu, area = sphere_normal_area(points, chart, r, jet, bun.ginv)
-        return np.stack([np.einsum("...ij,...i,...j->...", G,
-                                   X.vector_jet(points).comp, nu) * area
-                         for X in fields], axis=-1)
+        return [np.einsum("...ij,...i,...j->...", G,
+                          X.vector_jet(points).comp, nu) * area
+                for X in fields]
+
+    def f(points):
+        jet = metric_jet(spec, points) if fields else None
+        # the background jet dies with kernel_columns, before curvature runs
+        columns = kernel_columns(points, jet) if kernels else []
+        if fields:
+            columns += field_columns(points, jet)
+        return np.stack(columns, axis=-1)
 
     return f
 
@@ -258,73 +259,67 @@ def _series(spec, radii, raw_fluxes, quad_errors, norm):
 # ------------------------------------------------------- basis-wide series
 
 def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                  fields=(), mass: float | None = None,
-                  measure: str = "background", nthreads=None):
+                  fields=(), mass: float | None = None, nthreads=None):
     """Normalized charge series for kernel functions and conformal Killing
-    fields, with one flux pass per family and radius.
+    fields, with one sphere pass per radius (:func:`sphere_integrand`).
 
     Kernel functions V give the classical charges (flux of ``U(V, g, b)`` in
-    the ``measure`` of :func:`michel_sphere_integrand`); conformal Killing
-    fields X give the Ricci charges (flux of ``G(X, nu)`` in the metric
-    measure, with the modified Einstein tensor on hyperbolic-type metrics).
-    Center charges divide by ``mass``, which defaults to the limit of a
-    leading ``const_one`` kernel; a vanishing or missing mass raises
-    ZeroMassError.  Returns ``(kernel_series, field_series)`` in the order
-    requested.
+    the background measure); conformal Killing fields X give the Ricci
+    charges (flux of ``G(X, nu)`` in the metric measure, with the modified
+    Einstein tensor on hyperbolic-type metrics).  Center charges divide by
+    ``mass``, which defaults to the limit of a leading ``const_one`` kernel;
+    a vanishing or missing mass raises ZeroMassError.  Returns
+    ``(kernel_series, field_series)`` in the order requested.
     """
     radii = _check_radii(radii)
     chart = spec.chart_kind
-    for element in (*kernels, *fields):
+    elements = (*kernels, *fields)
+    for element in elements:
         if element.chart_kind != chart:
             raise ChartMismatchError(
                 f"{element.id} is defined in the {element.chart_kind.value} "
                 f"chart, the metric in the {chart.value} chart")
-    michel = [integrate_sphere(michel_sphere_integrand(spec, kernels, r, measure),
-                               r, rule, chart, nthreads=nthreads)
-              for r in radii] if kernels else []
-    einstein = [integrate_sphere(einstein_sphere_integrand(
-                    spec, fields, r, modified=spec.is_hyperbolic_type),
-                    r, rule, chart, nthreads=nthreads)
-                for r in radii] if fields else []
+    results = [integrate_sphere(sphere_integrand(
+                   spec, kernels, fields, r, modified=spec.is_hyperbolic_type),
+                   r, rule, chart, nthreads=nthreads)
+               for r in radii] if elements else []
     series = []
-    for elements, results in ((kernels, michel), (fields, einstein)):
-        for k, element in enumerate(elements):
-            family = element.id.rstrip("0123456789_")
-            if family in _CENTER_FAMILIES:
-                if mass is None and kernels and kernels[0].id == "const_one":
-                    mass = series[0].limit
-                if mass is None or abs(mass) < _MASS_FLOOR:
-                    raise ZeroMassError(
-                        "center of mass undefined for vanishing mass")
-            series.append(_series(
-                spec, radii, [q.value[k] for q in results],
-                [q.error_estimate[k] for q in results],
-                _NORMALIZATION[family](spec.n, mass)))
+    for k, element in enumerate(elements):
+        family = element.id.rstrip("0123456789_")
+        if family in _CENTER_FAMILIES:
+            if mass is None and kernels and kernels[0].id == "const_one":
+                mass = series[0].limit
+            if mass is None or abs(mass) < _MASS_FLOOR:
+                raise ZeroMassError(
+                    "center of mass undefined for vanishing mass")
+        series.append(_series(
+            spec, radii, [q.value[k] for q in results],
+            [q.error_estimate[k] for q in results],
+            _NORMALIZATION[family](spec.n, mass)))
     return series[:len(kernels)], series[len(kernels):]
 
 
 # -------------------------------------------------------------- charge fronts
 
 def classical_mass(spec: MetricSpec, radii, rule: SphereRule,
-                   measure: str = "background", nthreads=None) -> RadialSeries:
+                   nthreads=None) -> RadialSeries:
     """ADM-type mass series, normalized by ``1/(2(n-1) omega_{n-1})``."""
     if not spec.is_flat_type:
         raise ChartMismatchError("classical mass needs a flat-type metric")
     (series,), _ = charge_series(spec, radii, rule,
                                  kernels=[kernel_function("const_one", spec.n)],
-                                 measure=measure, nthreads=nthreads)
+                                 nthreads=nthreads)
     return series
 
 
 def classical_center(spec: MetricSpec, alpha: int, radii, rule: SphereRule,
-                     mass: float, measure: str = "background",
-                     nthreads=None) -> RadialSeries:
+                     mass: float, nthreads=None) -> RadialSeries:
     """Center-of-mass series for component ``alpha`` (0-based)."""
     if not spec.is_flat_type:
         raise ChartMismatchError("center of mass needs a flat-type metric")
     V = kernel_function("coordinate", spec.n, alpha=alpha)
     (series,), _ = charge_series(spec, radii, rule, kernels=[V], mass=mass,
-                                 measure=measure, nthreads=nthreads)
+                                 nthreads=nthreads)
     return series
 
 
@@ -350,14 +345,20 @@ def ricci_center(spec: MetricSpec, alpha: int, radii, rule: SphereRule,
     return series
 
 
+def _check_index(spec: MetricSpec, index: int):
+    if not 0 <= index <= spec.n:
+        raise ValueError(f"basis index must be in 0..{spec.n}, got {index}")
+
+
 def ah_mass(spec: MetricSpec, index: int, radii, rule: SphereRule,
-            measure: str = "background", nthreads=None) -> RadialSeries:
+            nthreads=None) -> RadialSeries:
     """Hyperbolic mass functional evaluated on kernel element ``V^(index)``."""
     if not spec.is_hyperbolic_type:
         raise ChartMismatchError("hyperbolic mass needs a hyperbolic-type metric")
+    _check_index(spec, index)
     V = kernel_basis(spec.n, spec.chart_kind)[index]
     (series,), _ = charge_series(spec, radii, rule, kernels=[V],
-                                 measure=measure, nthreads=nthreads)
+                                 nthreads=nthreads)
     return series
 
 
@@ -366,6 +367,7 @@ def ah_ricci_charge(spec: MetricSpec, index: int, radii, rule: SphereRule,
     """Modified-Einstein-tensor flux against ``X^(index)``, Ricci normalization."""
     if not spec.is_hyperbolic_type:
         raise ChartMismatchError("hyperbolic Ricci charge needs a hyperbolic-type metric")
+    _check_index(spec, index)
     X = killing_basis(spec.n, spec.chart_kind)[index]
     _, (series,) = charge_series(spec, radii, rule, fields=[X],
                                  nthreads=nthreads)

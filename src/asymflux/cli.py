@@ -229,11 +229,11 @@ def _series_entry(charge_id: str, series: RadialSeries) -> dict:
     }
 
 
-def _write_csv(path: Path, series: RadialSeries):
+def _write_csv(path: Path, samples: list[dict]):
     lines = ["r,raw_flux,normalized,quad_error"]
-    for s in series.samples:
-        lines.append(",".join(_FMT % v for v in
-                              (s.r, s.raw_flux, s.normalized, s.quad_error)))
+    for s in samples:
+        lines.append(",".join(_FMT % s[k] for k in
+                              ("r", "raw_flux", "normalized", "quad_error")))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -260,12 +260,7 @@ def _emit(report: dict, cfg: RunConfig, timings: dict):
         outdir = Path(cfg.csv_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for entry in report.get("charges", []):
-            series = RadialSeries(
-                [charges_mod.FluxSample(s["r"], s["raw_flux"], s["normalized"],
-                                        s["quad_error"])
-                 for s in entry["samples"]],
-                entry["limit"], entry["limit_error"], entry["model"])
-            _write_csv(outdir / f"{entry['id']}.csv", series)
+            _write_csv(outdir / f"{entry['id']}.csv", entry["samples"])
 
 
 def _base_report(cfg: RunConfig) -> dict:

@@ -5,8 +5,8 @@ The r->infinity limit of a flux series is the iterated Aitken acceleration
 the Aitken tail, the change when the smallest radius (or, times 1.1, the
 largest) is dropped, and the quadrature error.  A single-decay fit
 ``v_inf + c B(r)`` over the last four samples, with ``B = r^-sigma`` in flat
-charts or ``e^{-sigma r}`` in hyperbolic charts, supplies the model
-metadata, and the limit itself when the caller fixes the exponent.
+charts or ``e^{-sigma r}`` in hyperbolic charts, supplies only the model
+metadata (``sigma``, ``coeff``, ``residual``).
 """
 
 from __future__ import annotations
@@ -81,13 +81,10 @@ def _scan_sigma(r, v, mode):
     return float(np.exp(res.x))
 
 
-def _fit(r, v, mode, sigma_hint=None):
-    if sigma_hint is not None:
-        vinf, c, rms = _fit_fixed_sigma(r, v, float(sigma_hint), mode)
-        return vinf, c, float(sigma_hint), rms
+def _fit(r, v, mode):
     sigma = _scan_sigma(r, v, mode)
-    vinf, c, rms = _fit_fixed_sigma(r, v, sigma, mode)
-    return vinf, c, sigma, rms
+    _, c, rms = _fit_fixed_sigma(r, v, sigma, mode)
+    return c, sigma, rms
 
 
 def _aitken_once(col):
@@ -118,8 +115,7 @@ def _aitken_limit(v):
     return float(col[-1]), float(tail), depth
 
 
-def extrapolate(radii, values, quad_errors=None, mode: str = "power",
-                sigma_hint: float | None = None):
+def extrapolate(radii, values, quad_errors=None, mode: str = "power"):
     """Extrapolated limit, error estimate, and fitted model for a flux series."""
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -139,20 +135,11 @@ def extrapolate(radii, values, quad_errors=None, mode: str = "power",
         return limit, qerr, {"mode": mode, "sigma": None, "coeff": 0.0,
                              "residual": 0.0}
 
-    # the single-decay fit supplies the model metadata (and the limit when a
-    # fixed exponent is requested); the fit window skips early radii, which
-    # only contaminate the exponent
+    # the single-decay fit supplies the model metadata; the fit window skips
+    # early radii, which only contaminate the exponent
     window = min(r.size, 4)
-    vinf, c, sigma, rms = _fit(r[-window:], v[-window:], mode, sigma_hint)
+    c, sigma, rms = _fit(r[-window:], v[-window:], mode)
     qerr = float(np.max(quad_errors)) if quad_errors is not None else 0.0
-
-    if sigma_hint is not None:
-        drop = _fit_fixed_sigma(r[-window:][1:], v[-window:][1:],
-                                sigma, mode)[0]
-        error = max(rms, abs(vinf - drop), qerr)
-        model = {"mode": mode, "sigma": sigma, "coeff": c, "residual": rms,
-                 "window": window, "accel": "fit"}
-        return float(vinf), float(error), model
 
     # limit via iterated Aitken acceleration; sensitivities mirror reruns on
     # the schedule minus its smallest / largest radius

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import MetricSpec, metric_jet, round_sphere_det
-from .charges import (charge_series, einstein_sphere_integrand,
-                      rt_diagnostics, sphere_normal_area)
+from .charges import (charge_series, rt_diagnostics, sphere_integrand,
+                      sphere_normal_area)
 from .errors import DomainError, ZeroMassError
 from .fields import ConformalKilling, kernel_basis, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
@@ -108,7 +108,7 @@ def sample_points(n: int, chart_kind: ChartKind, count: int,
 def _sphere_flux(spec, fields, r, rule, nthreads):
     """Signed fluxes of G(X, nu) over S_r in the metric measure, then the
     fluxes of |G(X, nu)|, from the same per-node values."""
-    flux = einstein_sphere_integrand(spec, fields, r)
+    flux = sphere_integrand(spec, (), fields, r)
 
     def f(points):
         signed = flux(points)

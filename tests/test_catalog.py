@@ -1,12 +1,12 @@
-"""Metric catalog: closed-form jets, deviations, chart transfers, domains."""
+"""Metric catalog: closed-form jets, deviations, expression metrics, domains."""
 
 import numpy as np
 import pytest
 
-from asymflux.catalog import (MetricSpec, background_of, chart_transfer,
-                              deviation_jet, metric_jet, transfer_metric_jet)
+from asymflux.catalog import (MetricSpec, background_of, deviation_jet,
+                              metric_jet)
 from asymflux.errors import DomainError
-from asymflux.geometry import ChartKind, ChartPoint, curvature
+from asymflux.geometry import curvature
 
 RNG = np.random.default_rng(11)
 
@@ -99,15 +99,25 @@ def test_polar_radial_domain():
     ("schwarzschild_conformal", 3, lambda: RNG.normal(size=(6, 3)) * 3 + 9),
     ("kottler", 3, lambda: polar_points(3, 6, 3.0, 8.0)),
     ("kottler", 4, lambda: polar_points(4, 6, 3.0, 8.0)),
+    ("expression", 3, lambda: RNG.normal(size=(6, 3)) * 3 + 9),
 ])
 def test_deviation_matches_subtraction(kind, n, pts_fn):
-    spec = MetricSpec(kind, n, m=1.0)
+    if kind == "expression":
+        spec = MetricSpec(kind, n, components={
+            (0, 0): "1 + 2/r", (0, 1): "x1*x2/r^4", (2, 2): "exp(-r)"})
+    else:
+        spec = MetricSpec(kind, n, m=1.0)
     pts = pts_fn()
     eps = deviation_jet(spec, pts)
     g = metric_jet(spec, pts)
     b = metric_jet(background_of(spec), pts)
     assert np.allclose(eps.value, g.g - b.g, atol=1e-12)
     assert np.allclose(eps.d, g.dg - b.dg, atol=1e-12)
+    # jets a caller already holds give the same deviation bit for bit:
+    # expression metrics subtract them, catalog kinds keep their closed forms
+    held = deviation_jet(spec, pts, g_jet=g, b_jet=b)
+    assert np.array_equal(held.value, eps.value)
+    assert np.array_equal(held.d, eps.d)
 
 
 def test_deviation_stable_at_huge_radius():
@@ -128,28 +138,6 @@ def test_decay_scaling_property():
         eps = deviation_jet(spec, np.array([r, 0.0, 0.0]))
         # leading order 2m/r with an O(1/r^2) correction
         assert abs(eps.value[0, 0] * r / 2.0 - 1.0) < 4.0 / r
-
-
-# ------------------------------------------------------------ chart transfer
-
-def test_chart_transfer_roundtrip():
-    p = ChartPoint(polar_points(3, 5), ChartKind.POLAR_GEODESIC)
-    q = chart_transfer(p, ChartKind.POLAR_AREA)
-    assert np.allclose(q.coords[:, 0], np.sinh(p.coords[:, 0]))
-    back = chart_transfer(q, ChartKind.POLAR_GEODESIC)
-    assert np.allclose(back.coords, p.coords, atol=1e-14)
-
-
-def test_transfer_metric_jet_exact():
-    """Pushing the geodesic-chart hyperbolic jet to the area chart reproduces
-    the area-chart closed form, including second derivatives."""
-    pts = polar_points(3, 6, rlo=0.8, rhi=2.5)
-    src = metric_jet(MetricSpec("hyperbolic_polar", 3), pts)
-    moved = transfer_metric_jet(src, ChartKind.POLAR_AREA)
-    target = metric_jet(MetricSpec("hyperbolic_area", 3), moved.point.coords)
-    assert np.allclose(moved.g, target.g, atol=1e-12)
-    assert np.allclose(moved.dg, target.dg, atol=1e-12)
-    assert np.allclose(moved.ddg, target.ddg, atol=1e-11)
 
 
 # ------------------------------------------- perturbation/expression metrics

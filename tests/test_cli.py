@@ -74,6 +74,20 @@ def test_bad_component_key_rejected(tmp_path):
         build_spec(load_config(str(cfg_file)))
 
 
+@pytest.mark.parametrize("text", ["1 + (x1", "1 + foo"],
+                         ids=["syntax", "unknown-identifier"])
+def test_bad_component_text_rejected(tmp_path, text):
+    """Components are parsed when the spec is built, so a bad text is a
+    configuration error before any computation starts."""
+    cfg_file = tmp_path / "bad.ini"
+    cfg_file.write_text(
+        f"[metric]\nkind = expression\nn = 3\n[components]\ng_1_1 = {text}\n")
+    with pytest.raises(ConfigError):
+        build_spec(load_config(str(cfg_file)))
+    assert main(["mass", "--config", str(cfg_file),
+                 "--out-json", str(tmp_path / "out.json")]) == 2
+
+
 def test_config_echo_round_trip(tmp_path):
     code, report = run_cli(["mass", "--kind", "schwarzschild_conformal",
                             "--n", "3", "--m", "1", "--degree", "8"], tmp_path)

@@ -51,14 +51,6 @@ def test_drop_largest_within_reported_error():
         assert abs(full - trunc) <= err * (1 + 1e-9)
 
 
-def test_sigma_hint():
-    r = np.array([2.0, 3.0, 4.0, 5.0])
-    v = 7.0 - 4.0 * np.exp(-1.5 * r)
-    limit, _, model = extrapolate(r, v, mode="exp", sigma_hint=1.5)
-    assert limit == pytest.approx(7.0, abs=1e-12)
-    assert model["sigma"] == 1.5
-
-
 def test_quad_errors_floor_the_estimate():
     r = np.array([8.0, 16.0, 32.0, 64.0])
     v = 1.0 + 1.0 / r
