@@ -49,7 +49,6 @@ class MetricSpec:
     base: "MetricSpec | None" = None
     components: Mapping | None = None   # {(i, j): AST or str}, upper triangle
     params: Mapping | None = None       # parameter values for expressions
-    decay_hint: float | None = None
     chart: str | None = None            # expression metrics only
     # components parsed once, at construction
     asts: Mapping | None = field(default=None, init=False, repr=False,
@@ -64,6 +63,10 @@ class MetricSpec:
             raise ValueError("perturbation spec requires a base spec")
         if self.kind == "expression" and self.components is None:
             raise ValueError("expression spec requires components")
+        if not np.isfinite(self.m):
+            raise ValueError(f"mass parameter m must be finite, got {self.m}")
+        if self.center and len(self.center) != self.n:
+            raise ValueError(f"center needs {self.n} coordinates: {self.center}")
         if self.kind == "schwarzschild_conformal" and not self.center:
             object.__setattr__(self, "center", (0.0,) * self.n)
         if self.kind in ("perturbation", "expression"):
@@ -311,9 +314,6 @@ class _Sym2Jet2:
     value: np.ndarray
     d: np.ndarray
     dd: np.ndarray
-
-    def as_sym_tensor(self) -> SymTensorJet:
-        return SymTensorJet(self.value, self.d)
 
 
 def _components_jet(spec, coords, chart_kind) -> _Sym2Jet2:

@@ -387,9 +387,14 @@ class RTReport:
     even: bool
     status: str               # "pass" or "warn"
 
+    @property
+    def diagnostics(self) -> dict:
+        """The report diagnostics of the parity (RT) condition."""
+        return {"rt_exponent": self.exponent, "rt_expected": self.expected,
+                "rt_status": self.status}
 
-def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule,
-                   tau: float | None = None) -> RTReport:
+
+def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule) -> RTReport:
     """Sample the parity-odd part of g over antipodal node pairs and fit its decay."""
     if not spec.is_flat_type:
         raise ChartMismatchError("RT diagnostics apply to flat-type metrics")
@@ -401,9 +406,7 @@ def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule,
         sups[k] = np.abs(godd).max()
     exponent = fit_decay_exponent(radii, sups, "power")
     even = bool(np.all(sups <= 1e-14))
-    if tau is None:
-        tau = spec.decay_hint if spec.decay_hint is not None else float(spec.n - 2)
-    expected = float(tau) + 1.0
+    expected = float(spec.n - 1)     # tau + 1 for the decay rate tau = n - 2
     ok = even or (np.isfinite(exponent) and exponent > expected - 0.5)
     return RTReport(radii, sups, exponent, expected, even,
                     "pass" if ok else "warn")

@@ -35,7 +35,7 @@ from . import charges as charges_mod
 from . import verify as verify_mod
 from .catalog import MetricSpec
 from .errors import AsymfluxError, ChartMismatchError, ConfigError
-from .fields import kernel_basis, killing_basis
+from .fields import killing_basis
 from .geometry import ChartKind
 from .limits import RadialSeries, decay_rate
 from .quadrature import sphere_rule, thread_count
@@ -80,9 +80,12 @@ class RunConfig:
             raise ConfigError(f"dimension n must be 3, 4 or 5, got {self.n}")
         if self.schedule_count < 3:
             raise ConfigError("schedule count must be at least 3")
-        if self.schedule_start is not None and not self.schedule_start > 0:
-            raise ConfigError(
-                f"schedule start must be positive, got {self.schedule_start}")
+        if self.schedule_start is not None \
+                and not 0 < self.schedule_start < np.inf:
+            raise ConfigError(f"schedule start must be positive and finite, "
+                              f"got {self.schedule_start}")
+        if not np.isfinite([self.schedule_ratio, self.schedule_step]).all():
+            raise ConfigError("schedule ratio and step must be finite")
         if self.schedule_kind != "arithmetic" and not self.schedule_ratio > 1:
             raise ConfigError(
                 f"schedule ratio must exceed 1, got {self.schedule_ratio}")
@@ -91,6 +94,8 @@ class RunConfig:
                 f"schedule step must be positive, got {self.schedule_step}")
         if not 1 <= self.degree <= 60:
             raise ConfigError(f"quadrature degree out of range: {self.degree}")
+        if not 0 <= self.rel_tol < np.inf:
+            raise ConfigError(f"rel_tol must be in [0, inf), got {self.rel_tol}")
         if self.annulus and not (len(self.annulus) == 2
                                  and self.annulus[0] < self.annulus[1]):
             raise ConfigError(f"annulus must be r0,r1 with r0 < r1, got "
@@ -192,8 +197,8 @@ def build_spec(cfg: RunConfig) -> MetricSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def schedule_radii(cfg: RunConfig, spec: MetricSpec):
-    """Radius schedule in chart coordinates plus the natural radius used to fit.
+def schedule_radii(cfg: RunConfig, spec: MetricSpec) -> np.ndarray:
+    """Radius schedule in chart coordinates.
 
     Flat charts default to a geometric schedule ``8 * 2^k``; hyperbolic charts
     to an arithmetic geodesic schedule ``3 + 0.75 k`` (converted to the area
@@ -210,9 +215,8 @@ def schedule_radii(cfg: RunConfig, spec: MetricSpec):
         natural = start + cfg.schedule_step * k
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    if spec.chart_kind == ChartKind.POLAR_AREA:
-        return np.sinh(natural), natural
-    return natural, natural
+    return np.sinh(natural) if spec.chart_kind == ChartKind.POLAR_AREA \
+        else natural
 
 
 # ------------------------------------------------------------------ reporting
@@ -270,69 +274,58 @@ def _base_report(cfg: RunConfig) -> dict:
 
 # ------------------------------------------------------------------- commands
 
+def _paired_entries(report, cfg, labels, suffixes, fields, classical, ricci):
+    """Append each classical/Ricci pair of series and its agreement verdict
+    (ids: ``labels`` plus the pair's suffix); True if all verdicts passed."""
+    for suffix, X, cls, ric in zip(suffixes, fields, classical, ricci):
+        cls_id, ric_id, verdict_id = (f"{label}{suffix}" for label in labels)
+        report["charges"] += [_series_entry(cls_id, cls),
+                              _series_entry(ric_id, ric)]
+        diff, budget, ok = verify_mod.agreement(X, cls, ric, cfg.rel_tol)
+        report["verdicts"].append({"id": verdict_id, "passed": ok,
+                                   "difference": diff, "budget": budget})
+    return all(v["passed"] for v in report["verdicts"])
+
+
 def cmd_mass(cfg: RunConfig) -> tuple[dict, int]:
     spec = build_spec(cfg)
-    radii, natural = schedule_radii(cfg, spec)
+    radii = schedule_radii(cfg, spec)
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
     t0 = time.perf_counter()
-    (cls,), (ric,) = charges_mod.charge_series(
-        spec, radii, rule, kernel_basis(spec.n, ChartKind.CARTESIAN)[:1],
-        killing_basis(spec.n, ChartKind.CARTESIAN)[:1], nthreads=cfg.threads)
+    X = killing_basis(spec.n, ChartKind.CARTESIAN)[0]
+    cls, ric = charges_mod.charge_series(
+        spec, radii, rule, [X.kernel], [X], nthreads=cfg.threads)
     timings = {"total_s": time.perf_counter() - t0}
-    report["charges"] = [_series_entry("mass_classical", cls),
-                         _series_entry("mass_ricci", ric)]
-    diff = abs(cls.limit - ric.limit)
-    budget = max(10.0 * (cls.limit_error + ric.limit_error),
-                 cfg.rel_tol * max(abs(cls.limit), abs(ric.limit), 1.0))
-    ok = diff <= budget
-    report["verdicts"] = [{"id": "mass_agreement", "passed": bool(ok),
-                           "difference": diff, "budget": budget}]
-    decay = decay_rate(spec, radii)
-    report["diagnostics"].update(tau_hat=decay.tau_hat,
-                                 tau_threshold=decay.threshold,
-                                 tau_ok=decay.satisfied)
+    ok = _paired_entries(report, cfg, (
+        "mass_classical", "mass_ricci", "mass_agreement"), [""], [X], cls, ric)
+    report["diagnostics"].update(decay_rate(spec, radii).diagnostics)
     return _finish(report, cfg, timings, ok)
-
-
-def _paired_entries(report, cfg, indices, labels, classical, ricci):
-    """Append each classical/Ricci pair of series and its agreement verdict;
-    ``labels`` are the classical, Ricci and verdict id prefixes."""
-    ok = True
-    for i, cls, ric in zip(indices, classical, ricci):
-        report["charges"] += [_series_entry(f"{labels[0]}_{i}", cls),
-                              _series_entry(f"{labels[1]}_{i}", ric)]
-        diff = abs(cls.limit - ric.limit)
-        budget = max(10.0 * (cls.limit_error + ric.limit_error), cfg.rel_tol)
-        good = diff <= budget
-        ok = ok and good
-        report["verdicts"].append({"id": f"{labels[2]}_{i}", "passed": bool(good),
-                                   "difference": diff, "budget": budget})
-    return ok
 
 
 def cmd_center(cfg: RunConfig) -> tuple[dict, int]:
     spec = build_spec(cfg)
-    radii, _ = schedule_radii(cfg, spec)
+    radii = schedule_radii(cfg, spec)
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
     t0 = time.perf_counter()
+    basis = killing_basis(spec.n, ChartKind.CARTESIAN)
     (mass_series, *cls), ric = charges_mod.charge_series(
-        spec, radii, rule, kernel_basis(spec.n, ChartKind.CARTESIAN),
-        killing_basis(spec.n, ChartKind.CARTESIAN)[1:], nthreads=cfg.threads)
+        spec, radii, rule, [X.kernel for X in basis], basis[1:],
+        nthreads=cfg.threads)
     report["charges"].append(_series_entry("mass_classical", mass_series))
-    ok = _paired_entries(report, cfg, range(spec.n), (
-        "center_classical", "center_ricci", "center_agreement"), cls, ric)
-    rt = charges_mod.rt_diagnostics(spec, radii, rule)
-    report["diagnostics"].update(rt_exponent=rt.exponent,
-                                 rt_expected=rt.expected, rt_status=rt.status)
+    ok = _paired_entries(report, cfg, (
+        "center_classical_", "center_ricci_", "center_agreement_"),
+        range(spec.n), basis[1:], cls, ric)
+    report["diagnostics"].update(
+        charges_mod.rt_diagnostics(spec, radii, rule).diagnostics)
     timings = {"total_s": time.perf_counter() - t0}
     return _finish(report, cfg, timings, ok)
 
 
 def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
     spec = build_spec(cfg)
-    radii, _ = schedule_radii(cfg, spec)
+    radii = schedule_radii(cfg, spec)
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
     indices = range(spec.n + 1)
@@ -345,18 +338,15 @@ def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
     if not spec.is_hyperbolic_type:
         raise ChartMismatchError("hyperbolic mass needs a hyperbolic-type metric")
     t0 = time.perf_counter()
-    kernels, fields = (kernel_basis(spec.n, spec.chart_kind),
-                       killing_basis(spec.n, spec.chart_kind))
+    basis = killing_basis(spec.n, spec.chart_kind)
+    fields = [basis[i] for i in indices]
     am, ar = charges_mod.charge_series(
-        spec, radii, rule, [kernels[i] for i in indices],
-        [fields[i] for i in indices], nthreads=cfg.threads)
-    ok = _paired_entries(report, cfg, indices,
-                         ("ah_mass", "ah_ricci", "ah_agreement"), am, ar)
+        spec, radii, rule, [X.kernel for X in fields], fields,
+        nthreads=cfg.threads)
+    ok = _paired_entries(report, cfg, ("ah_mass_", "ah_ricci_", "ah_agreement_"),
+                         indices, fields, am, ar)
     timings = {"total_s": time.perf_counter() - t0}
-    decay = decay_rate(spec, radii)
-    report["diagnostics"].update(tau_hat=decay.tau_hat,
-                                 tau_threshold=decay.threshold,
-                                 tau_ok=decay.satisfied)
+    report["diagnostics"].update(decay_rate(spec, radii).diagnostics)
     return _finish(report, cfg, timings, ok)
 
 
@@ -371,7 +361,7 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
             r0, r1 = cfg.annulus
         else:
             r0, r1 = (8.0, 16.0) if spec.is_flat_type else (1.0, 2.0)
-            if spec.chart_kind == ChartKind.POLAR_AREA and not cfg.annulus:
+            if spec.chart_kind == ChartKind.POLAR_AREA:
                 r0, r1 = np.sinh(r0), np.sinh(r1)
         for rep in verify_mod.pohozaev_check(
                 spec, killing_basis(spec.n, spec.chart_kind), r0, r1, rule,
@@ -392,8 +382,8 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
                  "trace_residual": rep.trace_residual,
                  "einstein_defect": rep.einstein_defect})
     elif which == "equivalence":
-        radii, _ = schedule_radii(cfg, spec)
-        rep = verify_mod.equivalence_report(spec, radii, rule,
+        rep = verify_mod.equivalence_report(spec, schedule_radii(cfg, spec),
+                                            rule, rel_tol=cfg.rel_tol,
                                             nthreads=cfg.threads)
         ok = rep.passed
         report["diagnostics"].update(rep.diagnostics)
@@ -401,7 +391,7 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
             report["verdicts"].append(
                 {"id": f"equivalence:{row.charge}", "passed": row.passed,
                  "classical": row.classical, "ricci": row.ricci,
-                 "difference": row.difference,
+                 "difference": row.difference, "budget": row.budget,
                  "warnings": list(row.warnings)})
     else:
         raise ConfigError(f"unknown verify target {which!r}")
@@ -411,15 +401,15 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
 
 def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
     spec = build_spec(cfg)
-    radii, _ = schedule_radii(cfg, spec)
+    radii = schedule_radii(cfg, spec)
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
     t0 = time.perf_counter()
     ids = ("mass_classical", "mass_ricci") if spec.is_flat_type \
         else ("ah_mass_0", "ah_ricci_0")
+    X = killing_basis(spec.n, spec.chart_kind)[0]
     (cls,), (ric,) = charges_mod.charge_series(
-        spec, radii, rule, kernel_basis(spec.n, spec.chart_kind)[:1],
-        killing_basis(spec.n, spec.chart_kind)[:1], nthreads=cfg.threads)
+        spec, radii, rule, [X.kernel], [X], nthreads=cfg.threads)
     report["charges"] = [_series_entry(ids[0], cls), _series_entry(ids[1], ric)]
     report["verdicts"] = [{"id": "sweep", "passed": True}]
     timings = {"total_s": time.perf_counter() - t0}

@@ -9,12 +9,13 @@ Flat chart (cartesian):
 
 Hyperbolic charts: the kernel is spanned by ``cosh r`` and
 ``u^alpha sinh r`` (``u`` the unit-sphere embedding); the matching conformal
-Killing fields are the metric gradients of these functions, which satisfy
-``delta^b X = -n V`` for the divergence convention used here.
+Killing fields are the metric gradients of these functions.
 
-Each field evaluates exact jets via hyper-dual arithmetic, and each
-conformal Killing field also exposes the analytic jet of its background
-divergence (used by the kernel-identity verifier).
+Each conformal Killing field X carries its paired kernel function V and the
+constant c in ``delta^b X = c V``: -n for the dilation and the hyperbolic
+gradients, 2n for the inverted translations.  :func:`kernel_basis` is read
+off :func:`killing_basis`, and the analytic jet of ``delta^b X`` (used by
+the kernel-identity verifier) is the scaled jet of V.  Jets are exact.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .geometry import ChartKind, ChartPoint, ScalarJet, VectorJet
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["KernelFunction", "ConformalKilling", "kernel_function",
-           "conformal_killing", "kernel_basis", "killing_basis",
-           "paired_killing_id", "FLAT_KERNEL_IDS", "FLAT_KILLING_IDS"]
+           "conformal_killing", "kernel_basis", "killing_basis"]
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,21 @@ class KernelFunction:
 
 @dataclass(frozen=True)
 class ConformalKilling:
-    """Background conformal Killing field with exact jet evaluators."""
+    """Background conformal Killing field X with ``delta^b X = c V``, V = ``kernel``."""
 
     id: str
     n: int
     chart_kind: ChartKind
     _eval: Callable
-    _div: Callable
+    kernel: KernelFunction
+    c: float
 
     def vector_jet(self, p) -> VectorJet:
         return self._eval(_coords(p, self.chart_kind, self.n))
 
     def divergence_jet(self, p) -> ScalarJet:
         """Analytic jet of ``delta^b X`` (background divergence, paper sign)."""
-        return self._div(_coords(p, self.chart_kind, self.n))
+        return self.kernel.scalar_jet(p).scaled(self.c)
 
 
 def _coords(p, chart_kind, n):
@@ -77,12 +78,6 @@ def _coords(p, chart_kind, n):
     if coords.shape[-1] != n:
         raise ChartMismatchError("coordinate count does not match dimension")
     return coords
-
-
-def _scalar_jet_from_hd(x: HyperDual, shape, n) -> ScalarJet:
-    return ScalarJet(np.broadcast_to(x.val, shape),
-                     np.broadcast_to(x.grad, shape + (n,)),
-                     np.broadcast_to(x.hess, shape + (n, n)))
 
 
 # --------------------------------------------------------------- flat fields
@@ -110,12 +105,7 @@ def _flat_dilation(n):
         shape = coords.shape[:-1]
         d = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
         return VectorJet(coords.copy(), d)
-
-    def div(coords):
-        shape = coords.shape[:-1]
-        return ScalarJet(np.full(shape, -float(n)), np.zeros(shape + (n,)),
-                         np.zeros(shape + (n, n)))
-    return ev, div
+    return ev
 
 
 def _flat_inverted_translation(n, alpha):
@@ -132,35 +122,32 @@ def _flat_inverted_translation(n, alpha):
              - 2.0 * np.einsum("j,...i->...ji", e_alpha, coords)
              - 2.0 * xa[..., None, None] * np.eye(n))
         return VectorJet(comp, d)
-
-    def div(coords):
-        # delta^e X^{(alpha)} = 2 n x^alpha
-        shape = coords.shape[:-1]
-        grad = np.zeros(shape + (n,))
-        grad[..., alpha] = 2.0 * n
-        return ScalarJet(2.0 * n * coords[..., alpha], grad,
-                         np.zeros(shape + (n, n)))
-    return ev, div
+    return ev
 
 
 # --------------------------------------------------------- hyperbolic fields
 
-def _hyperbolic_kernel_hd(coords, chart_kind, index):
-    """Hyper-dual kernel function V^{(index)} at polar coords."""
-    if np.any(coords[..., 0] <= 0.0):
-        raise DomainError("polar radial coordinate must be positive")
-    variables = seed_variables(coords)
-    radial, angles = variables[0], variables[1:]
-    if chart_kind == ChartKind.POLAR_GEODESIC:
-        v0 = hd.cosh(radial)
-        radial_factor = hd.sinh(radial)
-    else:  # area chart: rho = sinh r
-        v0 = hd.sqrt(1.0 + radial * radial)
-        radial_factor = radial
-    if index == 0:
-        return v0
-    u = sphere_embedding_hd(angles)
-    return u[index - 1] * radial_factor
+def _hyperbolic_kernel(n, chart_kind, index):
+    """Kernel function V^{(index)} at polar coords, by hyper-dual arithmetic."""
+
+    def ev(coords):
+        if np.any(coords[..., 0] <= 0.0):
+            raise DomainError("polar radial coordinate must be positive")
+        variables = seed_variables(coords)
+        radial, angles = variables[0], variables[1:]
+        if chart_kind == ChartKind.POLAR_GEODESIC:
+            v0 = hd.cosh(radial)
+            radial_factor = hd.sinh(radial)
+        else:  # area chart: rho = sinh r
+            v0 = hd.sqrt(1.0 + radial * radial)
+            radial_factor = radial
+        x = v0 if index == 0 \
+            else sphere_embedding_hd(angles)[index - 1] * radial_factor
+        shape = coords.shape[:-1]
+        return ScalarJet(np.broadcast_to(x.val, shape),
+                         np.broadcast_to(x.grad, shape + (n,)),
+                         np.broadcast_to(x.hess, shape + (n, n)))
+    return ev
 
 
 def _hyperbolic_binv_diag(coords, chart_kind):
@@ -179,12 +166,13 @@ def _hyperbolic_binv_diag(coords, chart_kind):
     return [radial_inv] + [one / (sph2 * s) for s in sigma]
 
 
-def _hyperbolic_killing(n, chart_kind, index):
-    """Gradient field X = grad_b V^{(index)}; satisfies delta^b X = -n V."""
+def _hyperbolic_killing(kernel: KernelFunction):
+    """Gradient field X = grad_b V of a hyperbolic kernel function V."""
+    n, chart_kind = kernel.n, kernel.chart_kind
 
     def ev(coords):
         shape = coords.shape[:-1]
-        vjet = _scalar_from_index(coords, chart_kind, index, n)
+        vjet = kernel.scalar_jet(coords)
         binv = _hyperbolic_binv_diag(coords, chart_kind)
         comp = np.zeros(shape + (n,))
         d = np.zeros(shape + (n, n))
@@ -195,22 +183,10 @@ def _hyperbolic_killing(n, chart_kind, index):
             d[..., :, j] = (bj.grad * vjet.grad[..., j][..., None]
                             + bj.val[..., None] * vjet.hess[..., :, j])
         return VectorJet(comp, d)
-
-    def div(coords):
-        return _scalar_from_index(coords, chart_kind, index, n).scaled(-float(n))
-    return ev, div
-
-
-def _scalar_from_index(coords, chart_kind, index, n) -> ScalarJet:
-    x = _hyperbolic_kernel_hd(coords, chart_kind, index)
-    return _scalar_jet_from_hd(x, coords.shape[:-1], n)
+    return ev
 
 
 # ------------------------------------------------------------------ factories
-
-FLAT_KERNEL_IDS = ("const_one", "coordinate")
-FLAT_KILLING_IDS = ("dilation", "inverted_translation")
-
 
 def _check_alpha(id, alpha, lo, hi):
     if alpha is None or not lo <= alpha <= hi:
@@ -234,50 +210,46 @@ def kernel_function(id: str, n: int, chart_kind: ChartKind | str = ChartKind.CAR
                               _flat_coordinate(n, alpha))
     if id == "ah_V0":
         return KernelFunction("ah_V0", n, chart_kind,
-                              lambda c: _scalar_from_index(c, chart_kind, 0, n))
+                              _hyperbolic_kernel(n, chart_kind, 0))
     if id == "ah_Valpha":
         _check_alpha(id, alpha, 1, n)
         return KernelFunction(f"ah_V{alpha}", n, chart_kind,
-                              lambda c, a=alpha: _scalar_from_index(c, chart_kind, a, n))
+                              _hyperbolic_kernel(n, chart_kind, alpha))
     raise ValueError(f"unknown kernel function id {id!r}")
 
 
 def conformal_killing(id: str, n: int,
                       chart_kind: ChartKind | str = ChartKind.CARTESIAN,
                       alpha: int | None = None) -> ConformalKilling:
-    """Build a conformal Killing field by id (see :func:`kernel_function`)."""
+    """Build a conformal Killing field by id: ``dilation``,
+    ``inverted_translation``, ``ah_X0`` and ``ah_Xalpha`` carry the kernel
+    functions ``const_one``, ``coordinate``, ``ah_V0`` and ``ah_Valpha`` (with
+    the same ``alpha``; see :func:`kernel_function`)."""
     chart_kind = ChartKind(chart_kind)
     if id == "dilation":
-        ev, div = _flat_dilation(n)
-        return ConformalKilling("dilation", n, chart_kind, ev, div)
+        return ConformalKilling("dilation", n, chart_kind, _flat_dilation(n),
+                                kernel_function("const_one", n, chart_kind),
+                                -float(n))
     if id == "inverted_translation":
-        _check_alpha(id, alpha, 0, n - 1)
-        ev, div = _flat_inverted_translation(n, alpha)
+        V = kernel_function("coordinate", n, chart_kind, alpha)
         return ConformalKilling(f"inverted_translation_{alpha}", n, chart_kind,
-                                ev, div)
-    if id == "ah_X0":
-        ev, div = _hyperbolic_killing(n, chart_kind, 0)
-        return ConformalKilling("ah_X0", n, chart_kind, ev, div)
-    if id == "ah_Xalpha":
-        _check_alpha(id, alpha, 1, n)
-        ev, div = _hyperbolic_killing(n, chart_kind, alpha)
-        return ConformalKilling(f"ah_X{alpha}", n, chart_kind, ev, div)
+                                _flat_inverted_translation(n, alpha), V,
+                                2.0 * n)
+    if id in ("ah_X0", "ah_Xalpha"):
+        V = kernel_function(id.replace("X", "V"), n, chart_kind, alpha)
+        return ConformalKilling(V.id.replace("V", "X"), n, chart_kind,
+                                _hyperbolic_killing(V), V, -float(n))
     raise ValueError(f"unknown conformal Killing id {id!r}")
 
 
 def kernel_basis(n: int, chart_kind: ChartKind | str) -> list[KernelFunction]:
-    """The (n+1)-element kernel basis for the chart's background."""
-    chart_kind = ChartKind(chart_kind)
-    if chart_kind == ChartKind.CARTESIAN:
-        return ([kernel_function("const_one", n)]
-                + [kernel_function("coordinate", n, alpha=a) for a in range(n)])
-    return ([kernel_function("ah_V0", n, chart_kind)]
-            + [kernel_function("ah_Valpha", n, chart_kind, alpha=a)
-               for a in range(1, n + 1)])
+    """The (n+1)-element kernel basis for the chart's background, paired
+    index-by-index with :func:`killing_basis`."""
+    return [X.kernel for X in killing_basis(n, chart_kind)]
 
 
 def killing_basis(n: int, chart_kind: ChartKind | str) -> list[ConformalKilling]:
-    """Conformal Killing fields paired index-by-index with :func:`kernel_basis`."""
+    """The (n+1) conformal Killing fields for the chart's background."""
     chart_kind = ChartKind(chart_kind)
     if chart_kind == ChartKind.CARTESIAN:
         return ([conformal_killing("dilation", n)]
@@ -286,14 +258,3 @@ def killing_basis(n: int, chart_kind: ChartKind | str) -> list[ConformalKilling]
     return ([conformal_killing("ah_X0", n, chart_kind)]
             + [conformal_killing("ah_Xalpha", n, chart_kind, alpha=a)
                for a in range(1, n + 1)])
-
-
-def paired_killing_id(kernel_id: str) -> str:
-    """Killing field whose divergence reproduces the given kernel function."""
-    mapping = {"const_one": "dilation", "coordinate": "inverted_translation",
-               "ah_V0": "ah_X0", "ah_Valpha": "ah_Xalpha"}
-    base = kernel_id.rstrip("0123456789_")
-    for key, val in mapping.items():
-        if kernel_id == key or base == key.rstrip("0123456789_"):
-            return val
-    raise ValueError(f"no paired Killing field for {kernel_id!r}")

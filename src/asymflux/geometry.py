@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ChartMismatchError, DegenerateMetricError
+from .errors import DegenerateMetricError
 
 __all__ = [
     "ChartKind", "ChartPoint", "MetricJet", "ScalarJet", "VectorJet",
@@ -118,15 +118,6 @@ class CurvatureBundle:
     einstein: np.ndarray            # Ric - Scal/2 g
     modified_einstein: np.ndarray   # einstein - (n-1)(n-2)/2 g
     ginv: np.ndarray                # (..., n, n)
-
-
-def _same_point(a: ChartPoint, b: ChartPoint):
-    if a.chart_kind != b.chart_kind:
-        raise ChartMismatchError(
-            f"chart kinds differ: {a.chart_kind} vs {b.chart_kind}")
-    if a.coords.shape != b.coords.shape or not np.allclose(a.coords, b.coords,
-                                                           rtol=0, atol=1e-12):
-        raise ChartMismatchError("jets evaluated at different points")
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ __all__ = ["FluxSample", "RadialSeries", "DecayReport", "extrapolate",
            "decay_rate", "fit_decay_exponent"]
 
 _SIGMA_RANGE = {"power": (0.05, 12.0), "exp": (0.05, 16.0)}
+_DECAY_DEGREE = 10          # sphere rule degree of the decay-rate sampling
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,14 @@ class DecayReport:
     radii: np.ndarray
     sups: np.ndarray
 
+    @property
+    def diagnostics(self) -> dict:
+        """The report diagnostics of the decay hypothesis."""
+        return {"tau_hat": self.tau_hat, "tau_threshold": self.threshold,
+                "tau_ok": self.satisfied}
 
-def decay_rate(spec, radii, degree: int = 10) -> DecayReport:
+
+def decay_rate(spec, radii) -> DecayReport:
     """Regress the sup of the frame-rescaled deviation over coordinate spheres.
 
     Components are measured in a background-orthonormal frame
@@ -177,14 +184,15 @@ def decay_rate(spec, radii, degree: int = 10) -> DecayReport:
     from .quadrature import sphere_points, sphere_rule
 
     radii = np.asarray(radii, dtype=float)
-    rule = sphere_rule(spec.n, degree)
+    rule = sphere_rule(spec.n, _DECAY_DEGREE)
     chart = spec.chart_kind
     bspec = background_of(spec)
     sups = np.empty(radii.size)
     for k, r in enumerate(radii):
         pts = sphere_points(rule, r, chart)
-        eps = deviation_jet(spec, pts).value
-        bdiag = np.sqrt(np.einsum("...ii->...i", metric_jet(bspec, pts).g))
+        b_jet = metric_jet(bspec, pts)
+        eps = deviation_jet(spec, pts, b_jet=b_jet).value
+        bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
         frame = eps / (bdiag[..., :, None] * bdiag[..., None, :])
         sups[k] = np.abs(frame).max()
     flat = spec.is_flat_type

@@ -175,6 +175,33 @@ def test_sweep_writes_csv(tmp_path):
     assert vals[-1] == pytest.approx(1.0, abs=2e-2)
 
 
+@pytest.mark.parametrize("rel_tol", [[], ["--rel-tol", "1e-3"]],
+                         ids=["default-rel-tol", "rel-tol-1e-3"])
+def test_equivalence_verdicts_match_commands(tmp_path, rel_tol):
+    """`verify --which equivalence` judges every classical/Ricci pair exactly
+    as the pair's own command does, with the same --rel-tol."""
+    schw = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1",
+            "--center", "1,0.5,0"]
+    kottler = ["--kind", "kottler", "--n", "3", "--m", "1"]
+    cases = [(schw, ("mass", "center"),
+              {"mass": "mass_agreement",
+               **{f"center[{a}]": f"center_agreement_{a}" for a in range(3)}}),
+             (kottler, ("ah-mass",),
+              {f"ah_charge[{i}]": f"ah_agreement_{i}" for i in range(4)})]
+    for metric, commands, pairs in cases:
+        args = [*metric, "--degree", "10", *rel_tol]
+        _, eq = run_cli(["verify", "--which", "equivalence", *args], tmp_path)
+        own = {}
+        for command in commands:
+            _, report = run_cli([command, *args], tmp_path)
+            own.update({v["id"]: v for v in report["verdicts"]})
+        assert len(eq["verdicts"]) == len(pairs)
+        for verdict in eq["verdicts"]:
+            match = own[pairs[verdict["id"].removeprefix("equivalence:")]]
+            for key in ("difference", "budget", "passed"):
+                assert verdict[key] == match[key], (verdict["id"], key)
+
+
 # ----------------------------------------------------------------- exit codes
 
 _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
@@ -194,6 +221,12 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
     pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
                   "--which", "pohozaev", "--annulus", "2,1"],
                  id="annulus-reversed"),
+    pytest.param(["mass", *_SCHW3, "--center", "1,2"], id="center-length"),
+    pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "3",
+                  "--m", "nan"], id="m-nan"),
+    pytest.param(["mass", *_SCHW3, "--start", "inf"], id="start-inf"),
+    pytest.param(["mass", *_SCHW3, "--rel-tol", "nan"], id="rel-tol-nan"),
+    pytest.param(["mass", *_SCHW3, "--rel-tol", "-1"], id="rel-tol-negative"),
 ])
 def test_exit_code_config_error(capsys, argv):
     assert main(argv) == 2

@@ -6,7 +6,7 @@ import pytest
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import ChartMismatchError
 from asymflux.fields import (conformal_killing, kernel_basis, kernel_function,
-                             killing_basis, paired_killing_id)
+                             killing_basis)
 from asymflux.geometry import (ChartKind, ChartPoint, divergence_vector,
                                dscal_adjoint, killing_operator, tensor_norm)
 
@@ -21,22 +21,32 @@ def polar_points(n, count):
     return pts
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("chart", [ChartKind.POLAR_GEODESIC,
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("chart", [ChartKind.CARTESIAN,
+                                   ChartKind.POLAR_GEODESIC,
                                    ChartKind.POLAR_AREA])
 def test_hyperbolic_pairing(n, chart):
-    """delta^b X^(i) = -n V^(i), the index-paired divergence identity."""
-    kind = "hyperbolic_polar" if chart == ChartKind.POLAR_GEODESIC \
-        else "hyperbolic_area"
+    """delta^b X^(i) = c V^(i), the index-paired divergence identity: c = -n
+    for the dilation and the hyperbolic gradients, 2n for the inverted
+    translations."""
+    kind = {ChartKind.CARTESIAN: "euclidean",
+            ChartKind.POLAR_GEODESIC: "hyperbolic_polar",
+            ChartKind.POLAR_AREA: "hyperbolic_area"}[chart]
     spec = MetricSpec(kind, n)
-    pts = polar_points(n, 30)
+    if chart == ChartKind.CARTESIAN:
+        pts = RNG.normal(size=(30, n)) * 3.0
+        cs = [-n] + [2 * n] * n
+    else:
+        pts = polar_points(n, 30)
+        cs = [-n] * (n + 1)
     if chart == ChartKind.POLAR_AREA:
         pts[:, 0] = np.sinh(pts[:, 0])
     jet = metric_jet(spec, pts)
-    for V, X in zip(kernel_basis(n, chart), killing_basis(n, chart)):
+    for V, X, c in zip(kernel_basis(n, chart), killing_basis(n, chart), cs):
+        assert X.c == c
         div = divergence_vector(jet, X.vector_jet(pts))
         vals = V.scalar_jet(pts).value
-        assert np.max(np.abs(div + n * vals)) < 1e-10
+        assert np.max(np.abs(div - c * vals)) < 1e-10
         # the analytic divergence jet agrees with the computed divergence
         assert np.allclose(X.divergence_jet(pts).value, div, atol=1e-10)
 
@@ -115,8 +125,10 @@ def test_basis_sizes_and_pairing_ids():
     for n in (3, 4, 5):
         assert len(kernel_basis(n, ChartKind.CARTESIAN)) == n + 1
         assert len(killing_basis(n, ChartKind.CARTESIAN)) == n + 1
-    assert paired_killing_id("const_one") == "dilation"
-    assert paired_killing_id("ah_V0") == "ah_X0"
+        for chart in ChartKind:
+            for i in range(n + 1):
+                assert (killing_basis(n, chart)[i].kernel.id
+                        == kernel_basis(n, chart)[i].id)
 
 
 def test_unknown_ids():
