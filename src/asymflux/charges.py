@@ -36,11 +36,12 @@ import numpy as np
 
 from .catalog import (MetricSpec, background_of, deviation_jet, metric_jet,
                       round_sphere_det)
-from .errors import ChartMismatchError, ZeroMassError
+from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import (conformal_killing, kernel_basis, kernel_function,
                      killing_basis)
 from .geometry import (ChartKind, MetricJet, ScalarJet, SymTensorJet,
-                       curvature, divergence_symmetric2, inverse_metric)
+                       curvature, divergence_symmetric2, inverse_derivative,
+                       inverse_metric)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import SphereRule, integrate_sphere, omega
 
@@ -96,7 +97,7 @@ def _michel_pieces(eps: SymTensorJet, b_jet: MetricJet):
     binv = inverse_metric(b_jet.g)
     delta_eps = divergence_symmetric2(b_jet, eps, binv)       # paper-sign delta
     tr_eps = np.einsum("...ij,...ij->...", binv, eps.value)
-    dbinv = -np.einsum("...ia,...kab,...bj->...kij", binv, b_jet.dg, binv)
+    dbinv = inverse_derivative(binv, b_jet.dg)
     dtr = (np.einsum("...kij,...ij->...k", dbinv, eps.value)
            + np.einsum("...ij,...kij->...k", binv, eps.d))
     return binv, -delta_eps - dtr, tr_eps
@@ -164,18 +165,26 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
         if chart_kind == ChartKind.POLAR_AREA:   # b_rr = 1/(1+rho^2)
             w[..., 0] = np.sqrt(1.0 + points[..., 0] ** 2)
         radial = np.sinh(r) if chart_kind == ChartKind.POLAR_GEODESIC \
-            else float(r)
-        return w, np.full(points.shape[:-1], radial ** (n - 1))
+            else np.float64(r)
+        area = np.full(points.shape[:-1], radial ** (n - 1))
+        return w, _finite(area, "area element", r)
     if ginv is None:
         ginv = inverse_metric(jet.g)
     raised = np.einsum("...ij,...j->...i", ginv, w)
     nu = raised / np.sqrt(np.einsum("...i,...i->...", w, raised))[..., None]
     gradnorm = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, w, w))
     if cartesian:
-        coord_factor = float(r) ** (n - 1)
+        coord_factor = np.float64(r) ** (n - 1)
     else:
         coord_factor = 1.0 / np.sqrt(round_sphere_det(points[..., 1:]))
-    return nu, np.sqrt(np.linalg.det(jet.g)) * gradnorm * coord_factor
+    area = np.sqrt(np.linalg.det(jet.g)) * gradnorm * coord_factor
+    return nu, _finite(area, "area element", r)
+
+
+def _finite(values: np.ndarray, what: str, r: float) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError(f"{what} not finite on S_r at r = {r}")
+    return values
 
 
 def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
@@ -210,6 +219,10 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
 
     def f(points):
         jet = metric_jet(spec, points) if fields else None
+        if jet is not None:
+            # g is inverted below; a non-finite dg or ddg reaches the
+            # integrand, which integrate_sphere rejects with the same error
+            _finite(jet.g, "metric jet", r)
         # the background jet dies with kernel_columns, before curvature runs
         columns = kernel_columns(points, jet) if kernels else []
         if fields:

@@ -94,6 +94,9 @@ class RunConfig:
                 f"schedule step must be positive, got {self.schedule_step}")
         if not 1 <= self.degree <= 60:
             raise ConfigError(f"quadrature degree out of range: {self.degree}")
+        if not 1 <= self.radial_degree <= 60:
+            raise ConfigError(
+                f"radial quadrature degree out of range: {self.radial_degree}")
         if not 0 <= self.rel_tol < np.inf:
             raise ConfigError(f"rel_tol must be in [0, inf), got {self.rel_tol}")
         if self.annulus and not (len(self.annulus) == 2

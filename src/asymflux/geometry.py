@@ -12,6 +12,16 @@ Conventions used throughout the package:
 
 Every operation accepts arbitrary leading batch dimensions and is a pure
 function of its inputs.
+
+The curvature hot path (:func:`inverse_derivative`, :func:`christoffel`,
+:func:`christoffel_derivative`) contracts with stacked matmuls: a trailing
+index pair ``(i, j)`` is reshaped into one axis of length ``n*n`` so that
+each contraction against ``g^{-1}`` or ``d g^{-1}`` is one ``@`` over the
+batch.  A rewrite of these contractions may reorder a sum but must never
+regroup a product or factor a sum (say, take a trace before contracting).
+On a metric that is diagonal in its chart every such sum has exactly one
+nonzero term, so the order of summation cannot change a bit and reports
+stay byte-identical; regrouping a product can.
 """
 
 from __future__ import annotations
@@ -26,9 +36,10 @@ from .errors import DegenerateMetricError
 __all__ = [
     "ChartKind", "ChartPoint", "MetricJet", "ScalarJet", "VectorJet",
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
-    "christoffel", "christoffel_derivative", "curvature", "divergence_vector",
-    "divergence_symmetric2", "killing_operator", "hessian", "laplacian",
-    "dscal_adjoint", "tensor_norm",
+    "inverse_derivative", "christoffel", "christoffel_derivative",
+    "curvature", "divergence_vector", "divergence_symmetric2",
+    "killing_operator", "hessian", "laplacian", "dscal_adjoint",
+    "tensor_norm",
 ]
 
 
@@ -137,33 +148,47 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
+def inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """``d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}`` as ``[..., m, k, l]``."""
+    gi = ginv[..., None, :, :]
+    return -((gi @ dg) @ gi)
+
+
 def christoffel(jet: MetricJet, ginv: np.ndarray | None = None) -> np.ndarray:
     """Levi-Civita symbols ``Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2``."""
     if ginv is None:
         ginv = inverse_metric(jet.g)
     A = _first_kind(jet.dg)
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, A)
+    return 0.5 * _pairs_last(ginv @ _pairs_flat(A))
 
 
 def _first_kind(dg):
     # A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    di_gjl = np.einsum("...ijl->...lij", dg)
-    dj_gil = np.einsum("...jil->...lij", dg)
-    return di_gjl + dj_gil - dg
+    di_gjl = np.moveaxis(dg, -1, -3)
+    return di_gjl + di_gjl.swapaxes(-1, -2) - dg
+
+
+def _pairs_flat(T):
+    # [..., l, i, j] -> [..., l, i*j]: a trailing index pair as one matmul axis
+    return T.reshape(*T.shape[:-2], -1)
+
+
+def _pairs_last(T):
+    # inverse of _pairs_flat: [..., k, i*j] -> [..., k, i, j]
+    n = T.shape[-2]
+    return T.reshape(*T.shape[:-1], n, n)
 
 
 def christoffel_derivative(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
     """``dGamma[..., m, k, i, j] = d_m Gamma^k_ij`` from the exact 2-jet."""
     dg, ddg = jet.dg, jet.ddg
     A = _first_kind(dg)
-    # d_m g^{kl} = -g^{ka} d_m g_ab g^{bl}
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    dginv = inverse_derivative(ginv, dg)
     # d_m A[..., l, i, j] = dd_{mi} g_jl + dd_{mj} g_il - dd_{ml} g_ij
-    dA = (np.einsum("...mijl->...mlij", ddg)
-          + np.einsum("...mjil->...mlij", ddg)
-          - np.einsum("...mlij->...mlij", ddg))
-    return 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, A)
-                  + np.einsum("...kl,...mlij->...mkij", ginv, dA))
+    dd_mi_gjl = np.moveaxis(ddg, -1, -3)
+    dA = dd_mi_gjl + dd_mi_gjl.swapaxes(-1, -2) - ddg
+    return 0.5 * _pairs_last(dginv @ _pairs_flat(A)[..., None, :, :]
+                             + ginv[..., None, :, :] @ _pairs_flat(dA))
 
 
 def curvature(jet: MetricJet) -> CurvatureBundle:

@@ -227,6 +227,12 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
     pytest.param(["mass", *_SCHW3, "--start", "inf"], id="start-inf"),
     pytest.param(["mass", *_SCHW3, "--rel-tol", "nan"], id="rel-tol-nan"),
     pytest.param(["mass", *_SCHW3, "--rel-tol", "-1"], id="rel-tol-negative"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "pohozaev", "--radial-degree", "0"],
+                 id="radial-degree-0"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "pohozaev", "--radial-degree", "-3"],
+                 id="radial-degree-negative"),
 ])
 def test_exit_code_config_error(capsys, argv):
     assert main(argv) == 2
@@ -240,6 +246,18 @@ def test_exit_code_computation_error(capsys):
     code = main(["verify", "--kind", "kottler", "--n", "3", "--m", "50",
                  "--which", "pohozaev", "--annulus", "1,2", "--degree", "8"])
     assert code == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_huge_radius_is_a_computation_error(capsys):
+    # the hyper-dual metric jet overflows at r = 1e300 (inf, then inf * 0)
+    code = main(["mass", *_SCHW3, "--count", "3", "--start", "1e300",
+                 "--degree", "6"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------- determinism

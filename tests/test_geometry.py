@@ -8,9 +8,10 @@ from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DegenerateMetricError
 from asymflux.fields import conformal_killing, kernel_basis, killing_basis
 from asymflux.geometry import (ChartPoint, MetricJet, ScalarJet, SymTensorJet,
-                               VectorJet, christoffel, curvature,
-                               divergence_symmetric2, divergence_vector,
-                               dscal_adjoint, hessian, inverse_metric,
+                               VectorJet, christoffel, christoffel_derivative,
+                               curvature, divergence_symmetric2,
+                               divergence_vector, dscal_adjoint, hessian,
+                               inverse_derivative, inverse_metric,
                                killing_operator, laplacian, tensor_norm)
 
 RNG = np.random.default_rng(7)
@@ -139,6 +140,68 @@ def test_christoffel_derivative_matches_fd():
         jm = metric_jet(spec, x0 - e)
         fd = (christoffel(jp) - christoffel(jm)) / (2 * h)
         assert np.allclose(analytic[m], fd, rtol=1e-6, atol=1e-6)
+
+
+# ------------------------------------------------ contractions vs einsum
+
+def _einsum_inverse_derivative(ginv, dg):
+    return -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+
+
+def _einsum_first_kind(dg):
+    return (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+            - dg)
+
+
+def _einsum_christoffel(ginv, dg):
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _einsum_first_kind(dg))
+
+
+def _einsum_christoffel_derivative(ginv, dg, ddg):
+    dginv = _einsum_inverse_derivative(ginv, dg)
+    dA = (np.einsum("...mijl->...mlij", ddg)
+          + np.einsum("...mjil->...mlij", ddg)
+          - np.einsum("...mlij->...mlij", ddg))
+    return 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv,
+                            _einsum_first_kind(dg))
+                  + np.einsum("...kl,...mlij->...mkij", ginv, dA))
+
+
+def _random_jet(shape, n, diagonal):
+    """SPD metric with a 2-jet symmetric in (i, j) and in (k, l)."""
+    rng = np.random.default_rng(11 * n + len(shape))
+    a = rng.normal(size=shape + (n, n))
+    g = a @ a.swapaxes(-1, -2) + n * np.eye(n)
+    dg = rng.normal(size=shape + (n, n, n))
+    dg = dg + dg.swapaxes(-1, -2)
+    ddg = rng.normal(size=shape + (n, n, n, n))
+    ddg = ddg + ddg.swapaxes(-1, -2)
+    ddg = ddg + ddg.swapaxes(-3, -4)
+    if diagonal:
+        eye = np.eye(n, dtype=bool)
+        g, dg, ddg = g * eye, dg * eye, ddg * eye
+    return MetricJet(g, dg, ddg, ChartPoint(np.zeros(shape + (n,)), "cartesian"))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_matmul_contractions_match_einsum(n, shape):
+    dense = _random_jet(shape, n, diagonal=False)
+    diag = _random_jet(shape, n, diagonal=True)
+    for jet, exact in ((dense, False), (diag, True)):
+        ginv = inverse_metric(jet.g)
+        pairs = [(inverse_derivative(ginv, jet.dg),
+                  _einsum_inverse_derivative(ginv, jet.dg)),
+                 (christoffel(jet, ginv), _einsum_christoffel(ginv, jet.dg)),
+                 (christoffel_derivative(jet, ginv),
+                  _einsum_christoffel_derivative(ginv, jet.dg, jet.ddg))]
+        for out, ref in pairs:
+            assert out.shape == ref.shape
+            if exact:
+                # one nonzero term per sum: the order of summation is exact
+                assert np.array_equal(out, ref)
+            else:
+                assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------- divergences
