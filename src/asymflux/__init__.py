@@ -8,7 +8,7 @@ structural identities (integrated Bianchi, conformal-Killing kernel
 identity) that make the two families of definitions agree.
 """
 
-from .catalog import MetricSpec, background_of, deviation_jet, metric_jet
+from .catalog import MetricSpec, background_of, jets, metric_jet
 from .charges import (ah_mass, ah_ricci_charge, charge_series,
                       classical_center, classical_mass, michel_integrand,
                       ricci_center, ricci_mass, rt_diagnostics)
@@ -22,7 +22,7 @@ from .verify import equivalence_report, kernel_check_lemma22, pohozaev_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "MetricSpec", "background_of", "deviation_jet", "metric_jet",
+    "MetricSpec", "background_of", "jets", "metric_jet",
     "ah_mass", "ah_ricci_charge", "charge_series", "classical_center",
     "classical_mass", "michel_integrand", "ricci_center", "ricci_mass",
     "rt_diagnostics", "AsymfluxError", "conformal_killing", "kernel_basis",

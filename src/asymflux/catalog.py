@@ -12,8 +12,9 @@ Jets are produced by evaluating closed-form components with hyper-dual
 numbers, so first and second derivatives carry no truncation error.
 ``expression`` and ``perturbation`` components are parsed once, when the
 spec is built, so a bad component fails before any computation starts.
-Catalog kinds give the deviation ``g - b`` in stable closed form;
-expression metrics subtract the jets, reusing those a caller already holds.
+:func:`jets` returns the metric jet, the background jet and the deviation
+``g - b`` from one evaluation; catalog kinds give the deviation in stable
+closed form, expression metrics subtract the jets.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .geometry import (ChartKind, ChartPoint, MetricJet, SymTensorJet,
                        validate_dimension)
 from .hyperdual import HyperDual, seed_variables
 
-__all__ = ["MetricSpec", "metric_jet", "background_of", "deviation_jet",
+__all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
            "chart_kind_of", "sphere_embedding", "sphere_embedding_hd",
            "round_sphere_diag_hd", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
 
@@ -243,80 +244,104 @@ def _hyperbolic_polar_components(coords):
     return comps
 
 
-def _area_chart_components(coords, radial_fn):
-    """Polar-area-chart diagonal metric ``radial_fn(rho) drho^2 + rho^2 sigma``."""
-    variables = seed_variables(coords)
-    rho, angles = variables[0], variables[1:]
-    one = HyperDual.constant(1.0, coords.shape[-1], coords.shape[:-1])
-    diag = round_sphere_diag_hd(angles, one)
-    comps = {(0, 0): radial_fn(rho)}
-    rho2 = rho * rho
-    for j, sigma_jj in enumerate(diag):
-        comps[(1 + j, 1 + j)] = rho2 * sigma_jj
-    return comps
+def _euclidean_jet(coords) -> MetricJet:
+    """The identity with zero derivatives, as read-only broadcast views."""
+    n, shape = coords.shape[-1], coords.shape[:-1]
+    return MetricJet(np.broadcast_to(np.eye(n), shape + (n, n)),
+                     np.broadcast_to(0.0, shape + (n,) * 3),
+                     np.broadcast_to(0.0, shape + (n,) * 4),
+                     ChartPoint(coords, ChartKind.CARTESIAN))
 
 
-def metric_jet(spec: MetricSpec, p) -> MetricJet:
-    """Exact analytic 2-jet of the spec's metric at point(s) ``p``."""
+def _diagonal_deviation(components, shape, n) -> SymTensorJet:
+    """Deviation jet from hyper-dual diagonal entries ``{i: eps_ii}``; an
+    empty dict gives the zero deviation as read-only broadcast views."""
+    if not components:
+        return SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
+                            np.broadcast_to(0.0, shape + (n, n, n)))
+    value = np.zeros(shape + (n, n))
+    d = np.zeros(shape + (n, n, n))
+    for i, e in components.items():
+        value[..., i, i] = e.val
+        d[..., :, i, i] = e.grad
+    return SymTensorJet(value, d)
+
+
+def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
+    """Exact 2-jets ``(g, b)`` of the spec's metric and of its background at
+    point(s) ``p``, and the jet of the deviation ``g - b``.
+
+    Catalog kinds give the deviation in stable closed form (no large-radius
+    cancellation); expression metrics subtract the jets.  The three share
+    their intermediates.  The Euclidean background and a zero deviation are
+    read-only broadcast views.
+    """
     coords = _coords_of(p)
     if coords.shape[-1] != spec.n:
         raise ChartMismatchError(
             f"point has {coords.shape[-1]} coordinates, spec has n={spec.n}")
     kind = chart_kind_of(spec)
     n = spec.n
+    shape = coords.shape[:-1]
+    zero = _diagonal_deviation({}, shape, n)
 
     if spec.kind == "euclidean":
-        comps = {(i, i): 1.0 for i in range(n)}
-        return _assemble(comps, coords, kind)
+        g = _euclidean_jet(coords)
+        return g, g, zero
 
     if spec.kind == "schwarzschild_conformal":
-        conf = hd.exp(_schwarzschild_log_factor(spec, coords))
-        comps = {(i, i): conf for i in range(n)}
-        return _assemble(comps, coords, kind)
+        log_factor = _schwarzschild_log_factor(spec, coords)
+        conf = hd.exp(log_factor)
+        w = hd.expm1(log_factor)
+        g = _assemble({(i, i): conf for i in range(n)}, coords, kind)
+        return (g, _euclidean_jet(coords),
+                _diagonal_deviation(dict.fromkeys(range(n), w), shape, n))
 
     if spec.kind == "hyperbolic_polar":
         _check_polar_domain(coords)
-        return _assemble(_hyperbolic_polar_components(coords), coords, kind)
+        g = _assemble(_hyperbolic_polar_components(coords), coords, kind)
+        return g, g, zero
 
-    if spec.kind == "hyperbolic_area":
+    if spec.kind in ("hyperbolic_area", "kottler"):
+        # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
         _check_polar_domain(coords)
-        comps = _area_chart_components(coords, lambda rho: 1.0 / (1.0 + rho * rho))
-        return _assemble(comps, coords, kind)
-
-    if spec.kind == "kottler":
-        _check_polar_domain(coords)
-
-        def radial(rho):
-            f = 1.0 + rho * rho - (2.0 * spec.m) * rho ** (-(n - 2))
-            if np.any(f.val <= 0.0):
-                raise DomainError("kottler metric function non-positive at point")
-            return 1.0 / f
-
-        return _assemble(_area_chart_components(coords, radial), coords, kind)
+        variables = seed_variables(coords)
+        rho, angles = variables[0], variables[1:]
+        one = HyperDual.constant(1.0, n, shape)
+        rho2 = rho * rho
+        angular = {(1 + j, 1 + j): rho2 * sigma_jj for j, sigma_jj
+                   in enumerate(round_sphere_diag_hd(angles, one))}
+        f0 = 1.0 + rho2
+        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, kind)
+        if spec.kind == "hyperbolic_area":
+            return b, b, zero
+        mass_term = (2.0 * spec.m) * rho ** (-(n - 2))
+        f = f0 - mass_term
+        if np.any(f.val <= 0.0):
+            raise DomainError("kottler metric function non-positive at point")
+        g = _assemble({(0, 0): 1.0 / f, **angular}, coords, kind)
+        # 1/f - 1/f0 = (f0 - f) / (f f0)
+        return g, b, _diagonal_deviation({0: mass_term / (f * f0)}, shape, n)
 
     if spec.kind == "perturbation":
-        base = metric_jet(spec.base, coords)
+        base, b, base_eps = jets(spec.base, coords)
         eps = _components_jet(spec, coords, kind)
-        return MetricJet(base.g + eps.value, base.dg + eps.d,
-                         base.ddg + eps.dd, base.point)
+        g = MetricJet(base.g + eps.g, base.dg + eps.dg, base.ddg + eps.ddg,
+                      base.point)
+        return g, b, SymTensorJet(base_eps.value + eps.g, base_eps.d + eps.dg)
 
-    if spec.kind == "expression":
-        eps = _components_jet(spec, coords, kind)
-        return MetricJet(eps.value, eps.d, eps.dd, ChartPoint(coords, kind))
-
-    raise ValueError(f"unknown metric kind {spec.kind!r}")  # pragma: no cover
-
-
-@dataclass
-class _Sym2Jet2:
-    """Symmetric 2-tensor with first AND second derivatives (internal)."""
-
-    value: np.ndarray
-    d: np.ndarray
-    dd: np.ndarray
+    # expression metrics: plain subtraction from the chart background
+    g = _components_jet(spec, coords, kind)
+    b = jets(background_of(spec), coords)[0]
+    return g, b, SymTensorJet(g.g - b.g, g.dg - b.dg)
 
 
-def _components_jet(spec, coords, chart_kind) -> _Sym2Jet2:
+def metric_jet(spec: MetricSpec, p) -> MetricJet:
+    """Exact analytic 2-jet of the spec's metric at point(s) ``p``."""
+    return jets(spec, p)[0]
+
+
+def _components_jet(spec, coords, chart_kind) -> MetricJet:
     """Evaluate the spec's expression components into a 2-jet tensor."""
     n = spec.n
     shape = coords.shape[:-1]
@@ -330,57 +355,4 @@ def _components_jet(spec, coords, chart_kind) -> _Sym2Jet2:
             value[..., a, b] = jet.value
             d[..., :, a, b] = jet.grad
             dd[..., :, :, a, b] = jet.hess
-    return _Sym2Jet2(value, d, dd)
-
-
-def deviation_jet(spec: MetricSpec, p, g_jet: MetricJet | None = None,
-                  b_jet: MetricJet | None = None) -> SymTensorJet:
-    """Stable closed-form jet of ``g - b`` (no large-radius cancellation).
-
-    Expression metrics have no closed form and subtract the jets of g and b
-    at ``p``; ``g_jet`` and ``b_jet``, when given, are those jets already
-    evaluated, and no other kind reads them.
-    """
-    coords = _coords_of(p)
-    n = spec.n
-    shape = coords.shape[:-1]
-
-    if spec.kind in ("euclidean", "hyperbolic_polar", "hyperbolic_area"):
-        return SymTensorJet(np.zeros(shape + (n, n)), np.zeros(shape + (n, n, n)))
-
-    if spec.kind == "schwarzschild_conformal":
-        w = hd.expm1(_schwarzschild_log_factor(spec, coords))
-        value = np.zeros(shape + (n, n))
-        d = np.zeros(shape + (n, n, n))
-        for i in range(n):
-            value[..., i, i] = w.val
-            d[..., :, i, i] = w.grad
-        return SymTensorJet(value, d)
-
-    if spec.kind == "kottler":
-        _check_polar_domain(coords)
-        variables = seed_variables(coords)
-        rho = variables[0]
-        # 1/f - 1/f0 = (f0 - f) / (f f0) with f0 = 1 + rho^2
-        f0 = 1.0 + rho * rho
-        f = f0 - (2.0 * spec.m) * rho ** (-(n - 2))
-        if np.any(f.val <= 0.0):
-            raise DomainError("kottler metric function non-positive at point")
-        e_rr = ((2.0 * spec.m) * rho ** (-(n - 2))) / (f * f0)
-        value = np.zeros(shape + (n, n))
-        d = np.zeros(shape + (n, n, n))
-        value[..., 0, 0] = e_rr.val
-        d[..., :, 0, 0] = e_rr.grad
-        return SymTensorJet(value, d)
-
-    if spec.kind == "perturbation":
-        base_dev = deviation_jet(spec.base, coords)
-        eps = _components_jet(spec, coords, chart_kind_of(spec))
-        return SymTensorJet(base_dev.value + eps.value, base_dev.d + eps.d)
-
-    # expression metrics: plain subtraction from the chart background
-    if g_jet is None:
-        g_jet = metric_jet(spec, coords)
-    if b_jet is None:
-        b_jet = metric_jet(background_of(spec), coords)
-    return SymTensorJet(g_jet.g - b_jet.g, g_jet.dg - b_jet.dg)
+    return MetricJet(value, d, dd, ChartPoint(coords, chart_kind))

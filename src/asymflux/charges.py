@@ -14,10 +14,10 @@ where ``g - b`` underflows a naive subtraction.
 Every charge is linear in its kernel function V or conformal Killing field
 X, and both families integrate over the same sphere S_r.  So
 :func:`charge_series` makes one sphere pass per radius: its integrand
-evaluates the metric jet, the background jet, the deviation, the curvature,
-normal and area element once per node and contracts them with the whole
-kernel basis and Killing basis.  The single-charge fronts are thin wrappers
-around it.
+evaluates the metric jet, the background jet, the deviation, the basis
+jets, the curvature, normal and area element once per node and contracts
+them with the whole kernel basis and Killing basis.  The single-charge
+fronts are thin wrappers around it.
 
 Charge normalizations (exact constants, see ``_NORMALIZATION``):
 
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (MetricSpec, background_of, deviation_jet, metric_jet,
-                      round_sphere_det)
+from .catalog import MetricSpec, jets, metric_jet, round_sphere_det
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
-from .fields import (conformal_killing, kernel_basis, kernel_function,
-                     killing_basis)
+from .fields import (basis_jets, conformal_killing, kernel_basis,
+                     kernel_function, killing_basis)
 from .geometry import (ChartKind, MetricJet, ScalarJet, SymTensorJet,
                        curvature, divergence_symmetric2, inverse_derivative,
                        inverse_metric)
@@ -194,39 +193,35 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
     Kernel columns are ``U(V, g, b)(nu) dA`` with the background normal and
     area element; field columns are ``G(X, nu) dA_g`` with the metric's,
     where ``G`` is the Einstein tensor, or the modified one with
-    ``modified``.  Each chunk evaluates the metric jet, the background jet
-    and the deviation at most once, and the deviation reuses the jets the
-    pass already holds.
+    ``modified``.  Each chunk makes one :func:`~asymflux.catalog.jets` call
+    for the metric jet, the background jet and the deviation, and one
+    :func:`~asymflux.fields.basis_jets` call for every kernel and field jet.
     """
     chart = spec.chart_kind
-    bspec = background_of(spec)
 
-    def kernel_columns(points, g_jet):
-        b_jet = metric_jet(bspec, points)
-        eps = deviation_jet(spec, points, g_jet=g_jet, b_jet=b_jet)
+    def kernel_columns(points, b_jet, eps, scalars):
         nu, area = sphere_normal_area(points, chart, r)
         pieces = _michel_pieces(eps, b_jet)
-        return [_michel_contract(V.scalar_jet(points), eps, pieces, nu) * area
-                for V in kernels]
-
-    def field_columns(points, jet):
-        bun = curvature(jet)
-        G = bun.modified_einstein if modified else bun.einstein
-        nu, area = sphere_normal_area(points, chart, r, jet, bun.ginv)
-        return [np.einsum("...ij,...i,...j->...", G,
-                          X.vector_jet(points).comp, nu) * area
-                for X in fields]
+        return [_michel_contract(V, eps, pieces, nu) * area for V in scalars]
 
     def f(points):
-        jet = metric_jet(spec, points) if fields else None
-        if jet is not None:
+        jet, b_jet, eps = jets(spec, points)
+        if fields:
             # g is inverted below; a non-finite dg or ddg reaches the
             # integrand, which integrate_sphere rejects with the same error
             _finite(jet.g, "metric jet", r)
-        # the background jet dies with kernel_columns, before curvature runs
-        columns = kernel_columns(points, jet) if kernels else []
+        scalars, vectors = basis_jets(points, kernels, fields)
+        columns = kernel_columns(points, b_jet, eps, scalars) if kernels else []
+        # the background jet, the deviation and the kernel jets die here,
+        # before curvature runs; of the field jets only the components stay
+        comps = [X.comp for X in vectors]
+        del b_jet, eps, scalars, vectors
         if fields:
-            columns += field_columns(points, jet)
+            bun = curvature(jet)
+            G = bun.modified_einstein if modified else bun.einstein
+            nu, area = sphere_normal_area(points, chart, r, jet, bun.ginv)
+            columns += [np.einsum("...ij,...i,...j->...", G, comp, nu) * area
+                        for comp in comps]
         return np.stack(columns, axis=-1)
 
     return f

@@ -33,12 +33,12 @@ import numpy as np
 
 from . import charges as charges_mod
 from . import verify as verify_mod
-from .catalog import MetricSpec
-from .errors import AsymfluxError, ChartMismatchError, ConfigError
+from .catalog import FLAT_KINDS, HYPERBOLIC_KINDS, MetricSpec
+from .errors import AsymfluxError, ConfigError
 from .fields import killing_basis
 from .geometry import ChartKind
 from .limits import RadialSeries, decay_rate
-from .quadrature import sphere_rule, thread_count
+from .quadrature import sphere_rule
 
 __all__ = ["main", "RunConfig", "load_config", "config_from_echo"]
 
@@ -99,6 +99,8 @@ class RunConfig:
                 f"radial quadrature degree out of range: {self.radial_degree}")
         if not 0 <= self.rel_tol < np.inf:
             raise ConfigError(f"rel_tol must be in [0, inf), got {self.rel_tol}")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if self.annulus and not (len(self.annulus) == 2
                                  and self.annulus[0] < self.annulus[1]):
             raise ConfigError(f"annulus must be r0,r1 with r0 < r1, got "
@@ -277,6 +279,17 @@ def _base_report(cfg: RunConfig) -> dict:
 
 # ------------------------------------------------------------------- commands
 
+def _require_family(spec: MetricSpec, command: str, flat: bool):
+    """Reject a metric of the other family as a configuration error."""
+    if spec.is_flat_type != flat:
+        family, kinds, chart = ("flat", FLAT_KINDS, "the cartesian chart") \
+            if flat else ("hyperbolic", HYPERBOLIC_KINDS, "a polar chart")
+        raise ConfigError(
+            f"{command} needs a {family}-type metric ({', '.join(kinds)}, or "
+            f"an expression or perturbation metric in {chart}), got "
+            f"{spec.kind} in the {spec.chart_kind.value} chart")
+
+
 def _paired_entries(report, cfg, labels, suffixes, fields, classical, ricci):
     """Append each classical/Ricci pair of series and its agreement verdict
     (ids: ``labels`` plus the pair's suffix); True if all verdicts passed."""
@@ -292,6 +305,7 @@ def _paired_entries(report, cfg, labels, suffixes, fields, classical, ricci):
 
 def cmd_mass(cfg: RunConfig) -> tuple[dict, int]:
     spec = build_spec(cfg)
+    _require_family(spec, "mass", flat=True)
     radii = schedule_radii(cfg, spec)
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
@@ -308,6 +322,7 @@ def cmd_mass(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_center(cfg: RunConfig) -> tuple[dict, int]:
     spec = build_spec(cfg)
+    _require_family(spec, "center", flat=True)
     radii = schedule_radii(cfg, spec)
     rule = sphere_rule(spec.n, cfg.degree)
     report = _base_report(cfg)
@@ -338,8 +353,7 @@ def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
             raise ConfigError(f"unknown kernel selector {kernel!r}; "
                               f"use V0..V{spec.n}")
         indices = [int(kernel[1:])]
-    if not spec.is_hyperbolic_type:
-        raise ChartMismatchError("hyperbolic mass needs a hyperbolic-type metric")
+    _require_family(spec, "ah-mass", flat=False)
     t0 = time.perf_counter()
     basis = killing_basis(spec.n, spec.chart_kind)
     fields = [basis[i] for i in indices]
@@ -376,6 +390,10 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
                  "relative_residual": rep.relative_residual,
                  "context": rep.context})
     elif which == "kernel":
+        if spec.kind not in verify_mod.EINSTEIN_LAMBDA:
+            raise ConfigError(
+                f"verify --which kernel needs an Einstein catalog metric "
+                f"({', '.join(verify_mod.EINSTEIN_LAMBDA)}), got {spec.kind}")
         for X in killing_basis(spec.n, spec.chart_kind):
             rep = verify_mod.kernel_check_lemma22(spec, X, seed=cfg.seed)
             ok = ok and rep.passed

@@ -15,13 +15,15 @@ Each conformal Killing field X carries its paired kernel function V and the
 constant c in ``delta^b X = c V``: -n for the dilation and the hyperbolic
 gradients, 2n for the inverted translations.  :func:`kernel_basis` is read
 off :func:`killing_basis`, and the analytic jet of ``delta^b X`` (used by
-the kernel-identity verifier) is the scaled jet of V.  Jets are exact.
+the kernel-identity verifier) is the scaled jet of V.
+
+Kernel functions and fields are plain data, an id and a basis index;
+:func:`basis_jets` evaluates any set of them at once, with exact jets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,36 +33,38 @@ from .errors import ChartMismatchError, DomainError
 from .geometry import ChartKind, ChartPoint, ScalarJet, VectorJet
 from .hyperdual import HyperDual, seed_variables
 
-__all__ = ["KernelFunction", "ConformalKilling", "kernel_function",
-           "conformal_killing", "kernel_basis", "killing_basis"]
+__all__ = ["KernelFunction", "ConformalKilling", "basis_jets",
+           "kernel_function", "conformal_killing", "kernel_basis",
+           "killing_basis"]
 
 
 @dataclass(frozen=True)
 class KernelFunction:
-    """Element of ker (D Scal)*_b with an exact jet evaluator."""
+    """Element ``V^(index)`` of ker (D Scal)*_b, ``index`` its position in
+    :func:`kernel_basis`: flat ``1, x^1, ..., x^n``, hyperbolic ``V^(0..n)``."""
 
     id: str
     n: int
     chart_kind: ChartKind
-    _eval: Callable
+    index: int
 
     def scalar_jet(self, p) -> ScalarJet:
-        return self._eval(_coords(p, self.chart_kind, self.n))
+        return basis_jets(p, [self], [])[0][0]
 
 
 @dataclass(frozen=True)
 class ConformalKilling:
-    """Background conformal Killing field X with ``delta^b X = c V``, V = ``kernel``."""
+    """Background conformal Killing field X with ``delta^b X = c V``, V = ``kernel``;
+    the chart and ``kernel.index`` say which basis field X is."""
 
     id: str
     n: int
     chart_kind: ChartKind
-    _eval: Callable
     kernel: KernelFunction
     c: float
 
     def vector_jet(self, p) -> VectorJet:
-        return self._eval(_coords(p, self.chart_kind, self.n))
+        return basis_jets(p, [], [self])[1][0]
 
     def divergence_jet(self, p) -> ScalarJet:
         """Analytic jet of ``delta^b X`` (background divergence, paper sign)."""
@@ -80,110 +84,104 @@ def _coords(p, chart_kind, n):
     return coords
 
 
+def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
+    """Exact jets of kernel functions and conformal Killing fields at ``p``.
+
+    One call evaluates the coordinates, the hyper-dual seeds, the sphere
+    embedding and the background inverse once for every element, and each
+    kernel jet once: the hyperbolic field ``X^(i) = grad_b V^(i)`` reads the
+    jet of its paired ``V^(i)``.  Returns ``(kernel jets, field jets)`` in
+    the order given.
+    """
+    elements = (*kernels, *fields)
+    if not elements:
+        return [], []
+    n, chart_kind = elements[0].n, elements[0].chart_kind
+    if any((e.n, e.chart_kind) != (n, chart_kind) for e in elements):
+        raise ChartMismatchError("basis elements of different charts or dimensions")
+    coords = _coords(p, chart_kind, n)
+    if chart_kind == ChartKind.CARTESIAN:
+        return ([_flat_kernel(coords, V.index) for V in kernels],
+                [_flat_field(coords, X.kernel.index) for X in fields])
+
+    if np.any(coords[..., 0] <= 0.0):
+        raise DomainError("polar radial coordinate must be positive")
+    shape = coords.shape[:-1]
+    variables = seed_variables(coords)
+    radial, angles = variables[0], variables[1:]
+    one = HyperDual.constant(1.0, n, shape)
+    # V^(0), the radial factor of V^(i), and the radial parts of b^{-1}
+    if chart_kind == ChartKind.POLAR_GEODESIC:
+        v0, radial_factor = hd.cosh(radial), hd.sinh(radial)
+        radial_inv, sph2 = one, radial_factor ** 2
+    else:  # area chart: rho = sinh r
+        sph2 = radial * radial
+        radial_inv = 1.0 + sph2
+        v0, radial_factor = hd.sqrt(radial_inv), radial
+    indices = {V.index for V in kernels} | {X.kernel.index for X in fields}
+    u = sphere_embedding_hd(angles) if indices - {0} else None
+    vjets = {}
+    for i in indices:
+        x = v0 if i == 0 else u[i - 1] * radial_factor
+        vjets[i] = ScalarJet(np.broadcast_to(x.val, shape),
+                             np.broadcast_to(x.grad, shape + (n,)),
+                             np.broadcast_to(x.hess, shape + (n, n)))
+    vectors = []
+    if fields:
+        binv = [radial_inv] + [one / (sph2 * s)
+                               for s in round_sphere_diag_hd(angles, one)]
+        vectors = [_gradient_field(vjets[X.kernel.index], binv)
+                   for X in fields]
+    return [vjets[V.index] for V in kernels], vectors
+
+
 # --------------------------------------------------------------- flat fields
 
-def _flat_const_one(n):
-    def ev(coords):
-        shape = coords.shape[:-1]
+def _flat_kernel(coords, index):
+    """Jet of ``1`` (index 0) or of the coordinate ``x^(index-1)``."""
+    n, shape = coords.shape[-1], coords.shape[:-1]
+    if index == 0:
         return ScalarJet(np.ones(shape), np.zeros(shape + (n,)),
                          np.zeros(shape + (n, n)))
-    return ev
+    alpha = index - 1
+    grad = np.zeros(shape + (n,))
+    grad[..., alpha] = 1.0
+    return ScalarJet(coords[..., alpha].copy(), grad, np.zeros(shape + (n, n)))
 
 
-def _flat_coordinate(n, alpha):
-    def ev(coords):
-        shape = coords.shape[:-1]
-        grad = np.zeros(shape + (n,))
-        grad[..., alpha] = 1.0
-        return ScalarJet(coords[..., alpha].copy(), grad,
-                         np.zeros(shape + (n, n)))
-    return ev
-
-
-def _flat_dilation(n):
-    def ev(coords):
-        shape = coords.shape[:-1]
+def _flat_field(coords, index):
+    """Jet of the dilation (index 0) or of the inverted translation along
+    ``index - 1``."""
+    n, shape = coords.shape[-1], coords.shape[:-1]
+    if index == 0:
         d = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
         return VectorJet(coords.copy(), d)
-    return ev
-
-
-def _flat_inverted_translation(n, alpha):
+    alpha = index - 1
     e_alpha = np.eye(n)[alpha]
-
-    def ev(coords):
-        shape = coords.shape[:-1]
-        r2 = np.einsum("...i,...i->...", coords, coords)
-        xa = coords[..., alpha]
-        comp = r2[..., None] * e_alpha - 2.0 * xa[..., None] * coords
-        # d[..., j, i] = d_j X^i = 2 x_j delta_i^alpha - 2 delta_j^alpha x^i
-        #                - 2 x^alpha delta_ij
-        d = (2.0 * np.einsum("...j,i->...ji", coords, e_alpha)
-             - 2.0 * np.einsum("j,...i->...ji", e_alpha, coords)
-             - 2.0 * xa[..., None, None] * np.eye(n))
-        return VectorJet(comp, d)
-    return ev
+    r2 = np.einsum("...i,...i->...", coords, coords)
+    xa = coords[..., alpha]
+    comp = r2[..., None] * e_alpha - 2.0 * xa[..., None] * coords
+    # d[..., j, i] = d_j X^i = 2 x_j delta_i^alpha - 2 delta_j^alpha x^i
+    #                - 2 x^alpha delta_ij
+    d = (2.0 * np.einsum("...j,i->...ji", coords, e_alpha)
+         - 2.0 * np.einsum("j,...i->...ji", e_alpha, coords)
+         - 2.0 * xa[..., None, None] * np.eye(n))
+    return VectorJet(comp, d)
 
 
 # --------------------------------------------------------- hyperbolic fields
 
-def _hyperbolic_kernel(n, chart_kind, index):
-    """Kernel function V^{(index)} at polar coords, by hyper-dual arithmetic."""
-
-    def ev(coords):
-        if np.any(coords[..., 0] <= 0.0):
-            raise DomainError("polar radial coordinate must be positive")
-        variables = seed_variables(coords)
-        radial, angles = variables[0], variables[1:]
-        if chart_kind == ChartKind.POLAR_GEODESIC:
-            v0 = hd.cosh(radial)
-            radial_factor = hd.sinh(radial)
-        else:  # area chart: rho = sinh r
-            v0 = hd.sqrt(1.0 + radial * radial)
-            radial_factor = radial
-        x = v0 if index == 0 \
-            else sphere_embedding_hd(angles)[index - 1] * radial_factor
-        shape = coords.shape[:-1]
-        return ScalarJet(np.broadcast_to(x.val, shape),
-                         np.broadcast_to(x.grad, shape + (n,)),
-                         np.broadcast_to(x.hess, shape + (n, n)))
-    return ev
-
-
-def _hyperbolic_binv_diag(coords, chart_kind):
-    """Diagonal of the inverse background metric, hyper-dual."""
-    n = coords.shape[-1]
-    variables = seed_variables(coords)
-    radial, angles = variables[0], variables[1:]
-    one = HyperDual.constant(1.0, n, coords.shape[:-1])
-    sigma = round_sphere_diag_hd(angles, one)
-    if chart_kind == ChartKind.POLAR_GEODESIC:
-        radial_inv = one
-        sph2 = hd.sinh(radial) ** 2
-    else:
-        radial_inv = 1.0 + radial * radial
-        sph2 = radial * radial
-    return [radial_inv] + [one / (sph2 * s) for s in sigma]
-
-
-def _hyperbolic_killing(kernel: KernelFunction):
-    """Gradient field X = grad_b V of a hyperbolic kernel function V."""
-    n, chart_kind = kernel.n, kernel.chart_kind
-
-    def ev(coords):
-        shape = coords.shape[:-1]
-        vjet = kernel.scalar_jet(coords)
-        binv = _hyperbolic_binv_diag(coords, chart_kind)
-        comp = np.zeros(shape + (n,))
-        d = np.zeros(shape + (n, n))
-        for j in range(n):
-            bj = binv[j]
-            comp[..., j] = bj.val * vjet.grad[..., j]
-            # d_k X^j = (d_k binv_jj) dV_j + binv_jj Hess^{coord}_kj V
-            d[..., :, j] = (bj.grad * vjet.grad[..., j][..., None]
-                            + bj.val[..., None] * vjet.hess[..., :, j])
-        return VectorJet(comp, d)
-    return ev
+def _gradient_field(vjet: ScalarJet, binv) -> VectorJet:
+    """``X = grad_b V`` from the jet of V and the diagonal of ``b^{-1}``."""
+    shape, n = vjet.grad.shape[:-1], len(binv)
+    comp = np.zeros(shape + (n,))
+    d = np.zeros(shape + (n, n))
+    for j, bj in enumerate(binv):
+        comp[..., j] = bj.val * vjet.grad[..., j]
+        # d_k X^j = (d_k binv_jj) dV_j + binv_jj Hess^{coord}_kj V
+        d[..., :, j] = (bj.grad * vjet.grad[..., j][..., None]
+                        + bj.val[..., None] * vjet.hess[..., :, j])
+    return VectorJet(comp, d)
 
 
 # ------------------------------------------------------------------ factories
@@ -202,20 +200,19 @@ def kernel_function(id: str, n: int, chart_kind: ChartKind | str = ChartKind.CAR
     the sphere coordinate).
     """
     chart_kind = ChartKind(chart_kind)
-    if id == "const_one":
-        return KernelFunction("const_one", n, chart_kind, _flat_const_one(n))
-    if id == "coordinate":
+    flat = chart_kind == ChartKind.CARTESIAN
+    if id == "const_one" and flat:
+        return KernelFunction("const_one", n, chart_kind, 0)
+    if id == "coordinate" and flat:
         _check_alpha(id, alpha, 0, n - 1)
-        return KernelFunction(f"coordinate_{alpha}", n, chart_kind,
-                              _flat_coordinate(n, alpha))
-    if id == "ah_V0":
-        return KernelFunction("ah_V0", n, chart_kind,
-                              _hyperbolic_kernel(n, chart_kind, 0))
-    if id == "ah_Valpha":
+        return KernelFunction(f"coordinate_{alpha}", n, chart_kind, alpha + 1)
+    if id == "ah_V0" and not flat:
+        return KernelFunction("ah_V0", n, chart_kind, 0)
+    if id == "ah_Valpha" and not flat:
         _check_alpha(id, alpha, 1, n)
-        return KernelFunction(f"ah_V{alpha}", n, chart_kind,
-                              _hyperbolic_kernel(n, chart_kind, alpha))
-    raise ValueError(f"unknown kernel function id {id!r}")
+        return KernelFunction(f"ah_V{alpha}", n, chart_kind, alpha)
+    raise ValueError(
+        f"unknown kernel function id {id!r} in the {chart_kind.value} chart")
 
 
 def conformal_killing(id: str, n: int,
@@ -224,21 +221,20 @@ def conformal_killing(id: str, n: int,
     """Build a conformal Killing field by id: ``dilation``,
     ``inverted_translation``, ``ah_X0`` and ``ah_Xalpha`` carry the kernel
     functions ``const_one``, ``coordinate``, ``ah_V0`` and ``ah_Valpha`` (with
-    the same ``alpha``; see :func:`kernel_function`)."""
+    the same ``alpha`` and chart; see :func:`kernel_function`)."""
     chart_kind = ChartKind(chart_kind)
     if id == "dilation":
-        return ConformalKilling("dilation", n, chart_kind, _flat_dilation(n),
+        return ConformalKilling("dilation", n, chart_kind,
                                 kernel_function("const_one", n, chart_kind),
                                 -float(n))
     if id == "inverted_translation":
         V = kernel_function("coordinate", n, chart_kind, alpha)
         return ConformalKilling(f"inverted_translation_{alpha}", n, chart_kind,
-                                _flat_inverted_translation(n, alpha), V,
-                                2.0 * n)
+                                V, 2.0 * n)
     if id in ("ah_X0", "ah_Xalpha"):
         V = kernel_function(id.replace("X", "V"), n, chart_kind, alpha)
-        return ConformalKilling(V.id.replace("V", "X"), n, chart_kind,
-                                _hyperbolic_killing(V), V, -float(n))
+        return ConformalKilling(V.id.replace("V", "X"), n, chart_kind, V,
+                                -float(n))
     raise ValueError(f"unknown conformal Killing id {id!r}")
 
 

@@ -179,21 +179,19 @@ def decay_rate(spec, radii) -> DecayReport:
     (``eps_ij / sqrt(b_ii b_jj)``), which makes the hyperbolic rate come out
     in the geodesic ``e^{-tau s}`` scale the definitions use.
     """
-    from .catalog import background_of, deviation_jet, metric_jet
+    from .catalog import jets
     from .geometry import ChartKind
     from .quadrature import sphere_points, sphere_rule
 
     radii = np.asarray(radii, dtype=float)
     rule = sphere_rule(spec.n, _DECAY_DEGREE)
     chart = spec.chart_kind
-    bspec = background_of(spec)
     sups = np.empty(radii.size)
     for k, r in enumerate(radii):
         pts = sphere_points(rule, r, chart)
-        b_jet = metric_jet(bspec, pts)
-        eps = deviation_jet(spec, pts, b_jet=b_jet).value
+        _, b_jet, eps = jets(spec, pts)
         bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
-        frame = eps / (bdiag[..., :, None] * bdiag[..., None, :])
+        frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         sups[k] = np.abs(frame).max()
     flat = spec.is_flat_type
     fit_r = np.arcsinh(radii) if chart == ChartKind.POLAR_AREA else radii

@@ -25,7 +25,7 @@ from .catalog import MetricSpec, metric_jet, round_sphere_det
 from .charges import (charge_series, rt_diagnostics, sphere_integrand,
                       sphere_normal_area)
 from .errors import DomainError, ZeroMassError
-from .fields import ConformalKilling, killing_basis
+from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
                        killing_operator, tensor_norm)
 from .limits import RadialSeries, decay_rate
@@ -34,7 +34,8 @@ from .quadrature import (SphereRule, integrate_annulus, integrate_sphere,
 
 __all__ = ["IdentityReport", "KernelReport", "EquivalenceRow",
            "EquivalenceReport", "pohozaev_check", "kernel_check_lemma22",
-           "agreement", "equivalence_report", "sample_points"]
+           "agreement", "equivalence_report", "sample_points",
+           "EINSTEIN_LAMBDA"]
 
 _POHOZAEV_FLOOR = 1e-10        # absolute tolerance floor of pohozaev_check
 _EINSTEIN_DEFECT_TOL = 1e-8    # kernel_check_lemma22 rejects larger defects
@@ -151,9 +152,9 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
             coord = np.linalg.norm(points, axis=-1) ** (n - 1)
         else:
             coord = 1.0 / np.sqrt(round_sphere_det(points[..., 1:]))
-        return np.stack([bun.scal * divergence_vector(jet, X.vector_jet(points),
-                                                      bun)
-                         * np.sqrt(detg) * coord for X in fields], axis=-1)
+        _, vectors = basis_jets(points, (), fields)
+        return np.stack([bun.scal * divergence_vector(jet, X, bun)
+                         * np.sqrt(detg) * coord for X in vectors], axis=-1)
 
     bulk_res = integrate_annulus(bulk, r0, r1, rule, radial_degree, chart,
                                  nthreads=nthreads)
@@ -161,8 +162,9 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
     pts = sphere_points(rule, 0.5 * (r0 + r1), chart)
     jet = metric_jet(spec, pts)
     bun = curvature(jet)
+    _, vectors = basis_jets(pts, (), fields)
     defects = [float(np.max(tensor_norm(bun.ginv, killing_operator(
-        jet, X.vector_jet(pts), bun)[1]))) for X in fields]
+        jet, X, bun)[1]))) for X in vectors]
 
     reports = []
     for k, X in enumerate(fields):
@@ -188,7 +190,8 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
 
 # ------------------------------------------------------------------ Lemma 2.2
 
-_EINSTEIN_LAMBDA = {"euclidean": 0.0, "hyperbolic_polar": -1.0,
+# Einstein constant lambda (Ric = lambda (n-1) g) of the catalog Einstein metrics
+EINSTEIN_LAMBDA = {"euclidean": 0.0, "hyperbolic_polar": -1.0,
                     "hyperbolic_area": -1.0}
 
 
@@ -204,10 +207,10 @@ def kernel_check_lemma22(spec: MetricSpec, X: ConformalKilling,
     """
     n = spec.n
     if lam is None:
-        if spec.kind not in _EINSTEIN_LAMBDA:
+        if spec.kind not in EINSTEIN_LAMBDA:
             raise DomainError(
                 f"no catalog Einstein constant for {spec.kind!r}; pass lam=")
-        lam = _EINSTEIN_LAMBDA[spec.kind]
+        lam = EINSTEIN_LAMBDA[spec.kind]
     if points is None:
         rng = np.random.default_rng(seed)
         points = sample_points(n, spec.chart_kind, count, rng)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import (MetricSpec, background_of, deviation_jet,
-                              metric_jet)
+from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
 from asymflux.errors import DomainError
 from asymflux.geometry import curvature
 
@@ -108,16 +107,15 @@ def test_deviation_matches_subtraction(kind, n, pts_fn):
     else:
         spec = MetricSpec(kind, n, m=1.0)
     pts = pts_fn()
-    eps = deviation_jet(spec, pts)
+    g_jet, b_jet, eps = jets(spec, pts)
     g = metric_jet(spec, pts)
     b = metric_jet(background_of(spec), pts)
     assert np.allclose(eps.value, g.g - b.g, atol=1e-12)
     assert np.allclose(eps.d, g.dg - b.dg, atol=1e-12)
-    # jets a caller already holds give the same deviation bit for bit:
-    # expression metrics subtract them, catalog kinds keep their closed forms
-    held = deviation_jet(spec, pts, g_jet=g, b_jet=b)
-    assert np.array_equal(held.value, eps.value)
-    assert np.array_equal(held.d, eps.d)
+    # the fused call gives the metric and background jets bit for bit
+    for fused, alone in ((g_jet, g), (b_jet, b)):
+        for key in ("g", "dg", "ddg"):
+            assert np.array_equal(getattr(fused, key), getattr(alone, key))
 
 
 def test_deviation_stable_at_huge_radius():
@@ -125,7 +123,7 @@ def test_deviation_stable_at_huge_radius():
     subtraction would cancel to noise."""
     spec = MetricSpec("kottler", 3, m=1.0)
     pts = np.array([[1e10, 1.2, 0.7]])
-    eps = deviation_jet(spec, pts)
+    eps = jets(spec, pts)[2]
     rho = pts[0, 0]
     expected = 2.0 / rho / ((1 + rho**2 - 2 / rho) * (1 + rho**2))
     assert eps.value[0, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -135,7 +133,7 @@ def test_decay_scaling_property():
     # frame-rescaled schwarzschild deviation scales like 2m/r in n=3
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     for r in (1e2, 1e4, 1e6):
-        eps = deviation_jet(spec, np.array([r, 0.0, 0.0]))
+        eps = jets(spec, np.array([r, 0.0, 0.0]))[2]
         # leading order 2m/r with an O(1/r^2) correction
         assert abs(eps.value[0, 0] * r / 2.0 - 1.0) < 4.0 / r
 
@@ -150,7 +148,7 @@ def test_expression_metric_jet():
     jet = metric_jet(spec, x)
     r2 = np.dot(x, x)
     assert np.allclose(np.diag(jet.g), 1 + 1 / r2)
-    eps = deviation_jet(spec, x)
+    eps = jets(spec, x)[2]
     assert np.allclose(eps.value, jet.g - np.eye(3), atol=1e-14)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import MetricSpec, background_of, deviation_jet, metric_jet
+from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
 from asymflux.charges import (adm_integrand, ah_mass, ah_ricci_charge,
                               center_integrand, charge_series,
                               classical_center, classical_mass,
@@ -72,7 +72,7 @@ def test_full_jets_agree_with_deviation_path():
     V = kernel_function("const_one", 3).scalar_jet(x)
     a = michel_integrand(V, metric_jet(spec, x),
                          metric_jet(background_of(spec), x), nu)
-    b = michel_integrand_deviation(V, deviation_jet(spec, x),
+    b = michel_integrand_deviation(V, jets(spec, x)[2],
                                    metric_jet(background_of(spec), x), nu)
     assert np.allclose(a, b, atol=1e-12)
 
@@ -234,6 +234,46 @@ def test_michel_flux_quad_error_is_small():
     flux = sphere_integrand(spec, [V], (), 16.0)
     res = integrate_sphere(lambda p: flux(p)[:, 0], 16.0, sphere_rule(3, 12))
     assert res.error_estimate < 1e-10 * max(abs(res.value), 1.0)
+
+
+@pytest.mark.parametrize("kind,chart,module,name,count", [
+    ("kottler", "polar_area", "fields", "sphere_embedding_hd", 4),
+    ("schwarzschild_conformal", "cartesian", "catalog",
+     "_schwarzschild_log_factor", 1),
+])
+def test_sphere_pass_evaluates_node_data_once_per_chunk(
+        monkeypatch, kind, chart, module, name, count):
+    """A sphere pass evaluates what its charges share once per chunk: the
+    sphere embedding of every hyperbolic kernel and field (full basis), and
+    the conformal factor behind g and g - b (flat mass pass)."""
+    import importlib
+
+    from asymflux import charges
+
+    target = importlib.import_module(f"asymflux.{module}")
+    counts = {"chunks": 0, name: 0}
+    original, integrand = getattr(target, name), charges.sphere_integrand
+
+    def counting(*args):
+        counts[name] += 1
+        return original(*args)
+
+    def counting_integrand(*args, **kwargs):
+        f = integrand(*args, **kwargs)
+
+        def chunk(points):
+            counts["chunks"] += 1
+            return f(points)
+        return chunk
+
+    monkeypatch.setattr(target, name, counting)
+    monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
+    radii = np.sinh(HYP_S) if chart == "polar_area" else FLAT_RADII
+    charge_series(MetricSpec(kind, 3, m=1.0), radii, sphere_rule(3, 8),
+                  kernel_basis(3, chart)[:count],
+                  killing_basis(3, chart)[:count])
+    assert counts["chunks"] > 0
+    assert counts[name] == counts["chunks"]
 
 
 def test_basis_pass_matches_single_charges():

@@ -233,6 +233,18 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
     pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
                   "--which", "pohozaev", "--radial-degree", "-3"],
                  id="radial-degree-negative"),
+    pytest.param(["mass", "--kind", "kottler", "--n", "3", "--m", "1"],
+                 id="mass-on-hyperbolic"),
+    pytest.param(["center", "--kind", "kottler", "--n", "3", "--m", "1"],
+                 id="center-on-hyperbolic"),
+    pytest.param(["ah-mass", "--kind", "euclidean", "--n", "3"],
+                 id="ah-mass-on-flat"),
+    pytest.param(["verify", *_SCHW3, "--which", "kernel"],
+                 id="kernel-non-einstein"),
+    pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--threads", "0"],
+                 id="threads-0"),
+    pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--threads", "-3"],
+                 id="threads-negative"),
 ])
 def test_exit_code_config_error(capsys, argv):
     assert main(argv) == 2

@@ -5,8 +5,8 @@ import pytest
 
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import ChartMismatchError
-from asymflux.fields import (conformal_killing, kernel_basis, kernel_function,
-                             killing_basis)
+from asymflux.fields import (basis_jets, conformal_killing, kernel_basis,
+                             kernel_function, killing_basis)
 from asymflux.geometry import (ChartKind, ChartPoint, divergence_vector,
                                dscal_adjoint, killing_operator, tensor_norm)
 
@@ -112,6 +112,28 @@ def test_hyperbolic_vector_jet_derivative_fd():
         e = np.zeros(3); e[j] = h
         fd = (X.vector_jet(pts + e).comp - X.vector_jet(pts - e).comp) / (2 * h)
         assert np.allclose(d[j], fd, atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("chart", list(ChartKind))
+def test_basis_jets_match_single_elements(n, chart):
+    """One basis_jets call gives every element its own jet bit for bit, for
+    the full basis and for a mixed subset whose fields pair with kernels not
+    asked for."""
+    pts = RNG.normal(size=(25, n)) * 3.0 if chart == ChartKind.CARTESIAN \
+        else polar_points(n, 25)
+    kernels, fields = kernel_basis(n, chart), killing_basis(n, chart)
+    for ks, xs in ((kernels, fields), (kernels[1::2][::-1], fields[::2])):
+        scalars, vectors = basis_jets(pts, ks, xs)
+        assert (len(scalars), len(vectors)) == (len(ks), len(xs))
+        for V, jet in zip(ks, scalars):
+            alone = V.scalar_jet(pts)
+            for key in ("value", "grad", "hess"):
+                assert np.array_equal(getattr(jet, key), getattr(alone, key))
+        for X, jet in zip(xs, vectors):
+            alone = X.vector_jet(pts)
+            assert np.array_equal(jet.comp, alone.comp)
+            assert np.array_equal(jet.d, alone.d)
 
 
 def test_chart_mismatch_rejected():

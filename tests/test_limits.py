@@ -101,17 +101,18 @@ def test_decay_rate_background_is_infinite():
 
 def test_decay_rate_evaluates_the_background_once_per_radius(monkeypatch):
     """On an expression metric the background jet serves both the deviation
-    and the frame rescaling: one background and one metric jet per radius."""
+    and the frame rescaling: one fused ``jets`` call per radius, which
+    evaluates the background once."""
     from asymflux import catalog
 
     calls = {}
-    original = catalog.metric_jet
+    original = catalog.jets
 
     def counting(spec, p):
         calls[spec.kind] = calls.get(spec.kind, 0) + 1
         return original(spec, p)
 
-    monkeypatch.setattr(catalog, "metric_jet", counting)
+    monkeypatch.setattr(catalog, "jets", counting)
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r", (1, 1): "1", (2, 2): "1"})
     decay_rate(spec, 8.0 * 2.0 ** np.arange(5))
