@@ -14,7 +14,11 @@ numbers, so first and second derivatives carry no truncation error.
 spec is built, so a bad component fails before any computation starts.
 :func:`jets` returns the metric jet, the background jet and the deviation
 ``g - b`` from one evaluation; catalog kinds give the deviation in stable
-closed form, expression metrics subtract the jets.
+closed form, expression metrics subtract the jets.  :func:`jet_values` runs
+the same kind switch with hyper-duals seeded without derivatives (gradient
+and Hessian axes of width 0), so its values are bit-identical to those of
+:func:`jets` at a fraction of the cost; the diagnostics that read only
+``g``, ``b`` and ``g - b`` use it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .geometry import (ChartKind, ChartPoint, MetricJet, SymTensorJet,
                        validate_dimension)
 from .hyperdual import HyperDual, seed_variables
 
-__all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
+__all__ = ["MetricSpec", "jets", "jet_values", "metric_jet", "background_of",
            "chart_kind_of", "sphere_embedding", "sphere_embedding_hd",
            "round_sphere_diag_hd", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
 
@@ -172,22 +176,23 @@ def round_sphere_det(angles: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------- jet assembly
 
-def _assemble(components, coords, chart_kind) -> MetricJet:
-    """Pack an upper-triangular dict of HyperDual components into a MetricJet."""
+def _assemble(components, coords, chart_kind, width) -> MetricJet:
+    """Pack an upper-triangular dict of HyperDual components into a MetricJet
+    whose derivative axes have length ``width`` (``n``, or 0 for values)."""
     n = coords.shape[-1]
     shape = coords.shape[:-1]
     g = np.zeros(shape + (n, n))
-    dg = np.zeros(shape + (n, n, n))
-    ddg = np.zeros(shape + (n, n, n, n))
+    dg = np.zeros(shape + (width, n, n))
+    ddg = np.zeros(shape + (width, width, n, n))
     for (i, j), comp in components.items():
         if isinstance(comp, HyperDual):
             v = np.broadcast_to(comp.val, shape)
-            gr = np.broadcast_to(comp.grad, shape + (n,))
-            he = np.broadcast_to(comp.hess, shape + (n, n))
+            gr = np.broadcast_to(comp.grad, shape + (width,))
+            he = np.broadcast_to(comp.hess, shape + (width, width))
         else:
             v = np.broadcast_to(np.asarray(comp, dtype=float), shape)
-            gr = np.zeros(shape + (n,))
-            he = np.zeros(shape + (n, n))
+            gr = np.zeros(shape + (width,))
+            he = np.zeros(shape + (width, width))
         g[..., i, j] = v
         dg[..., :, i, j] = gr
         ddg[..., :, :, i, j] = he
@@ -209,14 +214,14 @@ def _check_polar_domain(coords):
         raise DomainError("polar radial coordinate must be positive")
 
 
-def _schwarzschild_log_factor(spec, coords):
+def _schwarzschild_log_factor(spec, coords, derivatives):
     """log of the conformal factor, as ``p * log1p(s)`` with ``s = m/(2 rho^{n-2})``.
 
     Computed in log form so that the deviation ``g - e`` stays accurate at
     large radii.
     """
     n = spec.n
-    x = seed_variables(coords)
+    x = seed_variables(coords, derivatives)
     center = spec.center or (0.0,) * n
     rho2 = None
     for i in range(n):
@@ -231,12 +236,12 @@ def _schwarzschild_log_factor(spec, coords):
     return (4.0 / (n - 2)) * hd.log1p(s)
 
 
-def _hyperbolic_polar_components(coords):
-    variables = seed_variables(coords)
+def _hyperbolic_polar_components(coords, derivatives):
+    variables = seed_variables(coords, derivatives)
     r, angles = variables[0], variables[1:]
     sh = hd.sinh(r)
     sh2 = sh * sh
-    one = HyperDual.constant(1.0, coords.shape[-1], coords.shape[:-1])
+    one = HyperDual.constant(1.0, r.nvars, coords.shape[:-1])
     diag = round_sphere_diag_hd(angles, one)
     comps = {(0, 0): 1.0}
     for j, sigma_jj in enumerate(diag):
@@ -244,23 +249,23 @@ def _hyperbolic_polar_components(coords):
     return comps
 
 
-def _euclidean_jet(coords) -> MetricJet:
+def _euclidean_jet(coords, width) -> MetricJet:
     """The identity with zero derivatives, as read-only broadcast views."""
     n, shape = coords.shape[-1], coords.shape[:-1]
     return MetricJet(np.broadcast_to(np.eye(n), shape + (n, n)),
-                     np.broadcast_to(0.0, shape + (n,) * 3),
-                     np.broadcast_to(0.0, shape + (n,) * 4),
+                     np.broadcast_to(0.0, shape + (width, n, n)),
+                     np.broadcast_to(0.0, shape + (width, width, n, n)),
                      ChartPoint(coords, ChartKind.CARTESIAN))
 
 
-def _diagonal_deviation(components, shape, n) -> SymTensorJet:
+def _diagonal_deviation(components, shape, n, width) -> SymTensorJet:
     """Deviation jet from hyper-dual diagonal entries ``{i: eps_ii}``; an
     empty dict gives the zero deviation as read-only broadcast views."""
     if not components:
         return SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
-                            np.broadcast_to(0.0, shape + (n, n, n)))
+                            np.broadcast_to(0.0, shape + (width, n, n)))
     value = np.zeros(shape + (n, n))
-    d = np.zeros(shape + (n, n, n))
+    d = np.zeros(shape + (width, n, n))
     for i, e in components.items():
         value[..., i, i] = e.val
         d[..., :, i, i] = e.grad
@@ -276,63 +281,84 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
     their intermediates.  The Euclidean background and a zero deviation are
     read-only broadcast views.
     """
+    return _jets(spec, p, derivatives=True)
+
+
+def jet_values(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet,
+                                            SymTensorJet]:
+    """``(g, b, g - b)`` as :func:`jets` gives them, without derivatives.
+
+    The derivative axes (``dg``, ``ddg``, ``d``) have length 0; ``g``, ``b``
+    and the deviation value are bit-identical to those of :func:`jets`.
+    """
+    return _jets(spec, p, derivatives=False)
+
+
+def _jets(spec, p, derivatives):
     coords = _coords_of(p)
     if coords.shape[-1] != spec.n:
         raise ChartMismatchError(
             f"point has {coords.shape[-1]} coordinates, spec has n={spec.n}")
+    # base and background evaluations call the public function of this
+    # mode, so that a wrapper around it (tracer, call-counting test) sees them
+    nested = jets if derivatives else jet_values
     kind = chart_kind_of(spec)
     n = spec.n
+    width = n if derivatives else 0
     shape = coords.shape[:-1]
-    zero = _diagonal_deviation({}, shape, n)
+    zero = _diagonal_deviation({}, shape, n, width)
 
     if spec.kind == "euclidean":
-        g = _euclidean_jet(coords)
+        g = _euclidean_jet(coords, width)
         return g, g, zero
 
     if spec.kind == "schwarzschild_conformal":
-        log_factor = _schwarzschild_log_factor(spec, coords)
+        log_factor = _schwarzschild_log_factor(spec, coords, derivatives)
         conf = hd.exp(log_factor)
         w = hd.expm1(log_factor)
-        g = _assemble({(i, i): conf for i in range(n)}, coords, kind)
-        return (g, _euclidean_jet(coords),
-                _diagonal_deviation(dict.fromkeys(range(n), w), shape, n))
+        g = _assemble({(i, i): conf for i in range(n)}, coords, kind, width)
+        return (g, _euclidean_jet(coords, width),
+                _diagonal_deviation(dict.fromkeys(range(n), w), shape, n,
+                                    width))
 
     if spec.kind == "hyperbolic_polar":
         _check_polar_domain(coords)
-        g = _assemble(_hyperbolic_polar_components(coords), coords, kind)
+        g = _assemble(_hyperbolic_polar_components(coords, derivatives),
+                      coords, kind, width)
         return g, g, zero
 
     if spec.kind in ("hyperbolic_area", "kottler"):
         # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
         _check_polar_domain(coords)
-        variables = seed_variables(coords)
+        variables = seed_variables(coords, derivatives)
         rho, angles = variables[0], variables[1:]
-        one = HyperDual.constant(1.0, n, shape)
+        one = HyperDual.constant(1.0, width, shape)
         rho2 = rho * rho
         angular = {(1 + j, 1 + j): rho2 * sigma_jj for j, sigma_jj
                    in enumerate(round_sphere_diag_hd(angles, one))}
         f0 = 1.0 + rho2
-        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, kind)
+        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, kind, width)
         if spec.kind == "hyperbolic_area":
             return b, b, zero
         mass_term = (2.0 * spec.m) * rho ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
-        g = _assemble({(0, 0): 1.0 / f, **angular}, coords, kind)
+        g = _assemble({(0, 0): 1.0 / f, **angular}, coords, kind, width)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
-        return g, b, _diagonal_deviation({0: mass_term / (f * f0)}, shape, n)
+        return g, b, _diagonal_deviation({0: mass_term / (f * f0)}, shape, n,
+                                         width)
 
     if spec.kind == "perturbation":
-        base, b, base_eps = jets(spec.base, coords)
-        eps = _components_jet(spec, coords, kind)
+        base, b, base_eps = nested(spec.base, coords)
+        eps = _components_jet(spec, coords, kind, derivatives)
         g = MetricJet(base.g + eps.g, base.dg + eps.dg, base.ddg + eps.ddg,
                       base.point)
         return g, b, SymTensorJet(base_eps.value + eps.g, base_eps.d + eps.dg)
 
     # expression metrics: plain subtraction from the chart background
-    g = _components_jet(spec, coords, kind)
-    b = jets(background_of(spec), coords)[0]
+    g = _components_jet(spec, coords, kind, derivatives)
+    b = nested(background_of(spec), coords)[0]
     return g, b, SymTensorJet(g.g - b.g, g.dg - b.dg)
 
 
@@ -341,16 +367,17 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
     return jets(spec, p)[0]
 
 
-def _components_jet(spec, coords, chart_kind) -> MetricJet:
+def _components_jet(spec, coords, chart_kind, derivatives) -> MetricJet:
     """Evaluate the spec's expression components into a 2-jet tensor."""
     n = spec.n
+    width = n if derivatives else 0
     shape = coords.shape[:-1]
     value = np.zeros(shape + (n, n))
-    d = np.zeros(shape + (n, n, n))
-    dd = np.zeros(shape + (n, n, n, n))
+    d = np.zeros(shape + (width, n, n))
+    dd = np.zeros(shape + (width, width, n, n))
     params = dict(spec.params or {})
     for (i, j), ast in spec.asts.items():
-        jet = expr_mod.eval_jet(ast, coords, params, chart_kind)
+        jet = expr_mod.eval_jet(ast, coords, params, chart_kind, derivatives)
         for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
             value[..., a, b] = jet.value
             d[..., :, a, b] = jet.grad

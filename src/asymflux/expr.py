@@ -261,8 +261,13 @@ def _print(node, parent_prec):
 # ----------------------------------------------------------------- evaluator
 
 def eval_jet(ast, p: ChartPoint | np.ndarray, params: dict | None = None,
-             chart_kind: ChartKind | str | None = None) -> ScalarJet:
-    """Evaluate ``ast`` at ``p`` returning exact value/gradient/Hessian."""
+             chart_kind: ChartKind | str | None = None,
+             derivatives: bool = True) -> ScalarJet:
+    """Evaluate ``ast`` at ``p`` returning exact value/gradient/Hessian.
+
+    Without ``derivatives`` the gradient and Hessian have width 0 and the
+    value comes from the same operations.
+    """
     if isinstance(p, ChartPoint):
         coords, chart_kind = p.coords, p.chart_kind
     else:
@@ -270,19 +275,34 @@ def eval_jet(ast, p: ChartPoint | np.ndarray, params: dict | None = None,
         chart_kind = ChartKind(chart_kind or ChartKind.CARTESIAN)
     params = dict(params or {})
     n = coords.shape[-1]
-    variables = seed_variables(coords)
+    variables = seed_variables(coords, derivatives)
+    width = variables[0].nvars
     env: dict[str, HyperDual] = dict(zip(variable_names(n, chart_kind), variables))
     if chart_kind == ChartKind.CARTESIAN:
         env["__cartesian_vars__"] = variables  # for lazy r
-    out = _eval(ast, env, params, n, coords.shape[:-1])
+    out = _eval(ast, env, params, width, coords.shape[:-1])
     if not isinstance(out, HyperDual):
-        out = HyperDual.constant(out, n, coords.shape[:-1])
+        out = HyperDual.constant(out, width, coords.shape[:-1])
     return ScalarJet(out.val, out.grad, out.hess)
 
 
-def _eval(node, env, params, n, shape):
+def _reads_variables(node, env) -> bool:
+    """Whether ``node`` reads a chart variable or ``r``; parameters and
+    numbers are constants.  Decided from the AST, so the answer does not
+    depend on the derivative width."""
+    if isinstance(node, Name):
+        return node.ident in env or node.ident == "r"
+    if isinstance(node, (Unary, Call)):
+        return _reads_variables(node.arg, env)
+    if isinstance(node, Bin):
+        return (_reads_variables(node.left, env)
+                or _reads_variables(node.right, env))
+    return False
+
+
+def _eval(node, env, params, width, shape):
     if isinstance(node, Num):
-        return HyperDual.constant(node.value, n, shape)
+        return HyperDual.constant(node.value, width, shape)
     if isinstance(node, Name):
         ident = node.ident
         if ident in env:
@@ -300,13 +320,13 @@ def _eval(node, env, params, n, shape):
             env["r"] = r
             return r
         if ident in params:
-            return HyperDual.constant(float(params[ident]), n, shape)
+            return HyperDual.constant(float(params[ident]), width, shape)
         raise UnknownIdentifierError(f"undeclared parameter {ident!r}", node.pos)
     if isinstance(node, Unary):
-        return -_eval(node.arg, env, params, n, shape)
+        return -_eval(node.arg, env, params, width, shape)
     if isinstance(node, Bin):
-        left = _eval(node.left, env, params, n, shape)
-        right = _eval(node.right, env, params, n, shape)
+        left = _eval(node.left, env, params, width, shape)
+        right = _eval(node.right, env, params, width, shape)
         try:
             if node.op == "+":
                 return left + right
@@ -317,7 +337,7 @@ def _eval(node, env, params, n, shape):
             if node.op == "/":
                 return left / right
             if node.op == "^":
-                if isinstance(right, HyperDual) and np.all(right.grad == 0.0):
+                if not _reads_variables(node.right, env):
                     return left ** float(np.ravel(right.val)[0]) \
                         if right.val.size else left ** float(right.val)
                 return left ** right
@@ -325,7 +345,7 @@ def _eval(node, env, params, n, shape):
             raise ExprDomainError(str(exc), node.pos) from exc
         raise ValueError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
-        arg = _eval(node.arg, env, params, n, shape)
+        arg = _eval(node.arg, env, params, width, shape)
         try:
             return _FUNCTIONS[node.fn](arg)
         except DomainError as exc:

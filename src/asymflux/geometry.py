@@ -21,7 +21,11 @@ batch.  A rewrite of these contractions may reorder a sum but must never
 regroup a product or factor a sum (say, take a trace before contracting).
 On a metric that is diagonal in its chart every such sum has exactly one
 nonzero term, so the order of summation cannot change a bit and reports
-stay byte-identical; regrouping a product can.
+stay byte-identical; regrouping a product can.  Accumulating in place
+(``out += Q``, ``out *= 0.5``, ``dA -= ddg``) runs the same elementwise
+operations in the same order as ``0.5 * (P + Q)`` and keeps every bit
+while saving the temporaries; :func:`curvature` builds the first-kind
+symbols once and shares them between Gamma and dGamma.
 """
 
 from __future__ import annotations
@@ -158,7 +162,10 @@ def christoffel(jet: MetricJet, ginv: np.ndarray | None = None) -> np.ndarray:
     """Levi-Civita symbols ``Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2``."""
     if ginv is None:
         ginv = inverse_metric(jet.g)
-    A = _first_kind(jet.dg)
+    return _christoffel(ginv, _first_kind(jet.dg))
+
+
+def _christoffel(ginv, A):
     return 0.5 * _pairs_last(ginv @ _pairs_flat(A))
 
 
@@ -179,24 +186,33 @@ def _pairs_last(T):
     return T.reshape(*T.shape[:-1], n, n)
 
 
-def christoffel_derivative(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
-    """``dGamma[..., m, k, i, j] = d_m Gamma^k_ij`` from the exact 2-jet."""
+def christoffel_derivative(jet: MetricJet, ginv: np.ndarray,
+                           A: np.ndarray | None = None) -> np.ndarray:
+    """``dGamma[..., m, k, i, j] = d_m Gamma^k_ij`` from the exact 2-jet.
+
+    ``A`` are the first-kind symbols of ``jet.dg`` if the caller has them.
+    """
     dg, ddg = jet.dg, jet.ddg
-    A = _first_kind(dg)
+    if A is None:
+        A = _first_kind(dg)
     dginv = inverse_derivative(ginv, dg)
     # d_m A[..., l, i, j] = dd_{mi} g_jl + dd_{mj} g_il - dd_{ml} g_ij
     dd_mi_gjl = np.moveaxis(ddg, -1, -3)
-    dA = dd_mi_gjl + dd_mi_gjl.swapaxes(-1, -2) - ddg
-    return 0.5 * _pairs_last(dginv @ _pairs_flat(A)[..., None, :, :]
-                             + ginv[..., None, :, :] @ _pairs_flat(dA))
+    dA = dd_mi_gjl + dd_mi_gjl.swapaxes(-1, -2)
+    dA -= ddg
+    out = dginv @ _pairs_flat(A)[..., None, :, :]
+    out += ginv[..., None, :, :] @ _pairs_flat(dA)
+    out *= 0.5
+    return _pairs_last(out)
 
 
 def curvature(jet: MetricJet) -> CurvatureBundle:
     """Ricci tensor, scalar curvature and (modified) Einstein tensor."""
     n = jet.n
     ginv = inverse_metric(jet.g)
-    Gamma = christoffel(jet, ginv)
-    dGamma = christoffel_derivative(jet, ginv)
+    A = _first_kind(jet.dg)
+    Gamma = _christoffel(ginv, A)
+    dGamma = christoffel_derivative(jet, ginv, A)
     ric = (np.einsum("...kkij->...ij", dGamma)
            - np.einsum("...ikkj->...ij", dGamma)
            + np.einsum("...kkl,...lij->...ij", Gamma, Gamma)

@@ -135,20 +135,25 @@ class HyperDual:
         return HyperDual(fv, grad, hess)
 
 
-def seed_variables(coords):
+def seed_variables(coords, derivatives: bool = True):
     """Seed coordinates ``coords`` of shape ``(..., n)`` as hyper-dual variables.
 
     Returns a list of ``n`` HyperDuals, the i-th being the i-th coordinate with
-    unit gradient seed ``e_i``.
+    unit gradient seed ``e_i``.  Without ``derivatives`` the gradient and
+    Hessian axes have width 0: every value is computed by the same
+    operations, and no derivative is.
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[-1]
+    width = n if derivatives else 0
     shape = coords.shape[:-1]
     out = []
     for i in range(n):
-        grad = np.zeros(shape + (n,))
-        grad[..., i] = 1.0
-        out.append(HyperDual(coords[..., i], grad, np.zeros(shape + (n, n))))
+        grad = np.zeros(shape + (width,))
+        if derivatives:
+            grad[..., i] = 1.0
+        out.append(HyperDual(coords[..., i], grad,
+                             np.zeros(shape + (width, width))))
     return out
 
 

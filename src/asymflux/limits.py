@@ -177,9 +177,10 @@ def decay_rate(spec, radii) -> DecayReport:
 
     Components are measured in a background-orthonormal frame
     (``eps_ij / sqrt(b_ii b_jj)``), which makes the hyperbolic rate come out
-    in the geodesic ``e^{-tau s}`` scale the definitions use.
+    in the geodesic ``e^{-tau s}`` scale the definitions use.  Only values
+    are read, so the metric is evaluated without derivatives.
     """
-    from .catalog import jets
+    from .catalog import jet_values
     from .geometry import ChartKind
     from .quadrature import sphere_points, sphere_rule
 
@@ -189,7 +190,7 @@ def decay_rate(spec, radii) -> DecayReport:
     sups = np.empty(radii.size)
     for k, r in enumerate(radii):
         pts = sphere_points(rule, r, chart)
-        _, b_jet, eps = jets(spec, pts)
+        _, b_jet, eps = jet_values(spec, pts)
         bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         sups[k] = np.abs(frame).max()

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .catalog import sphere_embedding
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 from .geometry import ChartKind
 
 __all__ = ["SphereRule", "QuadratureResult", "sphere_rule", "omega",
@@ -44,11 +44,19 @@ def omega(n: int) -> float:
 
 
 def thread_count() -> int:
-    env = os.environ.get("ASYMFLUX_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    """Worker threads from ``ASYMFLUX_THREADS``: 1 when unset or empty, a
+    ConfigError when it is not a positive integer."""
+    env = os.environ.get("ASYMFLUX_THREADS", "").strip()
+    if not env:
         return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(
+            f"ASYMFLUX_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
+from asymflux.catalog import (MetricSpec, background_of, jet_values, jets,
+                              metric_jet)
 from asymflux.errors import DomainError
 from asymflux.geometry import curvature
 
@@ -116,6 +117,66 @@ def test_deviation_matches_subtraction(kind, n, pts_fn):
     for fused, alone in ((g_jet, g), (b_jet, b)):
         for key in ("g", "dg", "ddg"):
             assert np.array_equal(getattr(fused, key), getattr(alone, key))
+
+
+_VARIABLE_EXPONENT = "1 + 2^(-r/(1 + x1^2))"
+
+
+@pytest.mark.parametrize("spec,pts_fn", [
+    pytest.param(MetricSpec("euclidean", 3),
+                 lambda: RNG.normal(size=(6, 3)) * 3 + 9, id="euclidean"),
+    pytest.param(MetricSpec("schwarzschild_conformal", 4, m=1.3,
+                            center=(0.5, -0.2, 0.1, 0.3)),
+                 lambda: RNG.normal(size=(6, 4)) * 3 + 9, id="schwarzschild"),
+    pytest.param(MetricSpec("hyperbolic_polar", 3), lambda: polar_points(3, 6),
+                 id="hyperbolic_polar"),
+    pytest.param(MetricSpec("hyperbolic_area", 4), lambda: polar_points(4, 6),
+                 id="hyperbolic_area"),
+    pytest.param(MetricSpec("kottler", 3, m=1.0),
+                 lambda: polar_points(3, 6, 3.0, 8.0), id="kottler"),
+    pytest.param(MetricSpec("perturbation", 3,
+                            base=MetricSpec("kottler", 3, m=0.5),
+                            components={(0, 2): "a*exp(-r)*sin(phi)"},
+                            params={"a": 0.3}),
+                 lambda: polar_points(3, 6, 3.0, 8.0), id="perturbation"),
+    pytest.param(MetricSpec("expression", 3, components={
+                     (0, 0): _VARIABLE_EXPONENT, (0, 1): "x1*x2/r^4",
+                     (2, 2): "(1 + 1/r)^1.5"}),
+                 lambda: RNG.normal(size=(2, 6, 3)) * 3 + 9,
+                 id="expression-variable-exponent"),
+    pytest.param(MetricSpec("expression", 3, chart="polar_area", components={
+                     (0, 0): "1/(1 + r^2) + r^(-3)", (1, 1): "r^2",
+                     (2, 2): "r^2*sin(theta1)^2"}),
+                 lambda: polar_points(3, 6, 3.0, 8.0), id="expression-polar"),
+])
+def test_jet_values_equal_jets(spec, pts_fn):
+    """The value-only evaluation gives g, b and g - b bit for bit, with
+    derivative axes of length 0, for every kind (a variable exponent too)."""
+    pts = pts_fn()
+    shape, n = pts.shape[:-1], spec.n
+    for full, values in zip(jets(spec, pts), jet_values(spec, pts)):
+        if hasattr(full, "g"):
+            assert np.array_equal(values.g, full.g)
+            assert values.dg.shape == shape + (0, n, n)
+            assert values.ddg.shape == shape + (0, 0, n, n)
+        else:
+            assert np.array_equal(values.value, full.value)
+            assert values.d.shape == shape + (0, n, n)
+
+
+def test_variable_exponent_is_not_taken_for_a_constant():
+    """Whether ``a^b`` takes the constant-exponent path is read from the
+    expression, not from the derivative width: at width 0 a variable
+    exponent must not collapse to its value at the first node."""
+    from asymflux.expr import eval_jet, parse
+
+    ast = parse(_VARIABLE_EXPONENT, 3)
+    pts = np.array([[9.0, 1.0, 2.0], [0.5, 7.0, -3.0]])
+    values = eval_jet(ast, pts, derivatives=False).value
+    r = np.linalg.norm(pts, axis=-1)
+    assert np.allclose(values, 1 + 2.0 ** (-r / (1 + pts[:, 0] ** 2)),
+                       rtol=1e-14)
+    assert np.array_equal(values, eval_jet(ast, pts).value)
 
 
 def test_deviation_stable_at_huge_radius():

@@ -14,6 +14,7 @@ from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import (conformal_killing, kernel_basis, kernel_function,
                              killing_basis)
 from asymflux.geometry import ScalarJet, SymTensorJet
+from asymflux.limits import decay_rate
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 
 RNG = np.random.default_rng(42)
@@ -75,6 +76,76 @@ def test_full_jets_agree_with_deviation_path():
     b = michel_integrand_deviation(V, jets(spec, x)[2],
                                    metric_jet(background_of(spec), x), nu)
     assert np.allclose(a, b, atol=1e-12)
+
+
+# ------------------------------------------ flat background in closed form
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(MetricSpec("schwarzschild_conformal", 3, m=1.3),
+                 id="schwarzschild"),
+    pytest.param(MetricSpec("schwarzschild_conformal", 4, m=0.7,
+                            center=(1.0, 0.5, -0.3, 0.2)),
+                 id="translated-schwarzschild"),
+    pytest.param(MetricSpec("perturbation", 3,
+                            base=MetricSpec("schwarzschild_conformal", 3,
+                                            m=1.0),
+                            components={(0, 1): "x1*x3/r^4",
+                                        (2, 2): "-1/r^2"}),
+                 id="perturbation"),
+    pytest.param(MetricSpec("expression", 3, components={
+                     (0, 0): "1 + 2/r", (0, 1): "x1*x2/r^3",
+                     (1, 1): "1 + 2/r", (1, 2): "-x2*x3/r^4",
+                     (2, 2): "1 + 2/r"}),
+                 id="expression-off-diagonal"),
+])
+def test_flat_michel_pieces_equal_general_formula(spec):
+    """On a flat-type metric the closed-form Michel pieces, and the kernel
+    columns built from them, equal the general formula bit for bit."""
+    from asymflux.charges import (_flat_michel_pieces, _michel_contract,
+                                  _michel_pieces)
+
+    units = sphere_rule(spec.n, 8).units
+    x = 12.0 * units
+    _, b_jet, eps = jets(spec, x)
+    flat, general = _flat_michel_pieces(eps, b_jet), _michel_pieces(eps, b_jet)
+    for closed, full in zip(flat, general):
+        assert np.array_equal(closed, full)
+    for V in kernel_basis(spec.n, "cartesian"):
+        jet = V.scalar_jet(x)
+        assert np.array_equal(_michel_contract(jet, eps, flat, units),
+                              _michel_contract(jet, eps, general, units))
+
+
+def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
+    """On a flat-type metric the sphere pass inverts g for the curvature and
+    leaves the identity background alone: one ``inverse_metric`` call per
+    chunk for the kernel and field columns together."""
+    from asymflux import charges, geometry
+
+    counts = {"inverse": 0, "chunks": 0}
+    original, integrand = geometry.inverse_metric, charges.sphere_integrand
+
+    def counting(g):
+        counts["inverse"] += 1
+        return original(g)
+
+    def counting_integrand(*args, **kwargs):
+        f = integrand(*args, **kwargs)
+
+        def chunk(points):
+            counts["chunks"] += 1
+            return f(points)
+        return chunk
+
+    for module in (geometry, charges):
+        monkeypatch.setattr(module, "inverse_metric", counting)
+    monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
+    spec = MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                      center=(1.0, 0.5, 0.0))
+    charge_series(spec, FLAT_RADII, sphere_rule(3, 8),
+                  kernel_basis(3, "cartesian"), killing_basis(3, "cartesian"))
+    assert counts["chunks"] > 0
+    assert counts["inverse"] == counts["chunks"]
 
 
 # ------------------------------------------------------------ flat charges
@@ -215,6 +286,34 @@ def test_rt_diagnostics_even_metric():
                          FLAT_RADII, sphere_rule(3, 10))
     assert rep.even
     assert rep.status == "pass"
+
+
+def test_diagnostics_evaluate_values_only(monkeypatch):
+    """``rt_diagnostics`` and ``decay_rate`` read only g, b and g - b: they
+    go through ``jet_values`` and make no full 2-jet call."""
+    from asymflux import catalog, charges
+
+    calls = {"values": 0}
+    original = catalog.jet_values
+
+    def counting(spec, p):
+        calls["values"] += 1
+        return original(spec, p)
+
+    def full_jet(*args):
+        raise AssertionError("a diagnostic evaluated a full 2-jet")
+
+    for module in (catalog, charges):
+        monkeypatch.setattr(module, "jets", full_jet)
+        monkeypatch.setattr(module, "jet_values", counting)
+    monkeypatch.setattr(catalog, "metric_jet", full_jet)
+    spec = MetricSpec("expression", 3, components={
+        (0, 0): "1 + 2/r", (0, 1): "x1*x2/r^3", (1, 1): "1", (2, 2): "1"})
+    rt_diagnostics(spec, FLAT_RADII, sphere_rule(3, 8))
+    decay_rate(spec, FLAT_RADII)
+    decay_rate(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S))
+    # rt: two metric and two background calls per radius; decay: one each
+    assert calls["values"] == 4 * 5 + 2 * 5 + 5
 
 
 # --------------------------------------------------------------- raw fluxes

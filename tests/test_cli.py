@@ -253,6 +253,24 @@ def test_exit_code_config_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value,code", [
+    pytest.param("0", 2, id="env-threads-0"),
+    pytest.param("-3", 2, id="env-threads-negative"),
+    pytest.param("abc", 2, id="env-threads-text"),
+    pytest.param("1.5", 2, id="env-threads-fraction"),
+    pytest.param("", 0, id="env-threads-empty"),
+])
+def test_threads_environment_variable(monkeypatch, capsys, value, code):
+    """An ``ASYMFLUX_THREADS`` that is not a positive integer is a
+    configuration error, as ``--threads 0`` is; empty means one thread."""
+    monkeypatch.setenv("ASYMFLUX_THREADS", value)
+    assert main(["mass", "--kind", "euclidean", "--n", "3",
+                 "--degree", "6"]) == code
+    err = capsys.readouterr().err
+    assert ("config error" in err) == (code == 2)
+    assert "Traceback" not in err
+
+
 def test_exit_code_computation_error(capsys):
     # kottler horizon inside the requested annulus -> domain error -> 1
     code = main(["verify", "--kind", "kottler", "--n", "3", "--m", "50",

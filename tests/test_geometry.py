@@ -204,6 +204,27 @@ def test_matmul_contractions_match_einsum(n, shape):
                 assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_in_place_accumulation_keeps_bits(n):
+    """``christoffel_derivative`` accumulates ``P + Q`` and the ``0.5`` in
+    place; on a dense jet it equals the out-of-place matmul formula bit for
+    bit, and the first-kind symbols ``curvature`` shares give the bits of
+    ``christoffel``."""
+    jet = _random_jet((7,), n, diagonal=False)
+    ginv = inverse_metric(jet.g)
+    dginv = inverse_derivative(ginv, jet.dg)
+    flat = lambda T: T.reshape(*T.shape[:-2], -1)           # noqa: E731
+    dd = np.moveaxis(jet.ddg, -1, -3)
+    dA = dd + dd.swapaxes(-1, -2) - jet.ddg
+    A = np.moveaxis(jet.dg, -1, -3)
+    A = A + A.swapaxes(-1, -2) - jet.dg
+    ref = 0.5 * (dginv @ flat(A)[..., None, :, :]
+                 + ginv[..., None, :, :] @ flat(dA))
+    assert np.array_equal(christoffel_derivative(jet, ginv),
+                          ref.reshape(ref.shape[:-1] + (n, n)))
+    assert np.array_equal(curvature(jet).christoffel, christoffel(jet, ginv))
+
+
 # ------------------------------------------------------------- divergences
 
 def test_divergence_vector_flat_examples():

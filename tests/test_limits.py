@@ -100,19 +100,19 @@ def test_decay_rate_background_is_infinite():
 
 
 def test_decay_rate_evaluates_the_background_once_per_radius(monkeypatch):
-    """On an expression metric the background jet serves both the deviation
-    and the frame rescaling: one fused ``jets`` call per radius, which
-    evaluates the background once."""
+    """On an expression metric the background values serve both the
+    deviation and the frame rescaling: one value-only ``jet_values`` call
+    per radius, which evaluates the background once."""
     from asymflux import catalog
 
     calls = {}
-    original = catalog.jets
+    original = catalog.jet_values
 
     def counting(spec, p):
         calls[spec.kind] = calls.get(spec.kind, 0) + 1
         return original(spec, p)
 
-    monkeypatch.setattr(catalog, "jets", counting)
+    monkeypatch.setattr(catalog, "jet_values", counting)
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r", (1, 1): "1", (2, 2): "1"})
     decay_rate(spec, 8.0 * 2.0 ** np.arange(5))

@@ -11,7 +11,7 @@ from scipy.special import gamma as sp_gamma
 from asymflux.errors import QuadratureError
 from asymflux.geometry import ChartKind
 from asymflux.quadrature import (integrate_annulus, integrate_sphere, omega,
-                                 pairwise_sum, sphere_rule)
+                                 pairwise_sum, sphere_rule, thread_count)
 
 
 def monomial_sphere_integral(exponents):
@@ -119,6 +119,13 @@ def test_pairwise_sum_matches_math_fsum():
     rng = np.random.default_rng(5)
     x = rng.normal(size=1001) * 10.0**rng.integers(-8, 8, 1001)
     assert pairwise_sum(x) == pytest.approx(math.fsum(x), rel=1e-12)
+
+
+def test_thread_count_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("ASYMFLUX_THREADS", raising=False)
+    assert thread_count() == 1
+    monkeypatch.setenv("ASYMFLUX_THREADS", "3")
+    assert thread_count() == 3
 
 
 def test_thread_count_invariance():
