@@ -19,6 +19,10 @@ the same kind switch with hyper-duals seeded without derivatives (gradient
 and Hessian axes of width 0), so its values are bit-identical to those of
 :func:`jets` at a fraction of the cost; the diagnostics that read only
 ``g``, ``b`` and ``g - b`` use it.
+
+The formulas that depend on the chart alone are written here once: the
+sphere embedding (the quadrature nodes too), the coordinate volume factor,
+the polar-domain check, the area/geodesic radius map and the decay model.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from .geometry import (ChartKind, ChartPoint, MetricJet, SymTensorJet,
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "jets", "jet_values", "metric_jet", "background_of",
-           "chart_kind_of", "sphere_embedding", "sphere_embedding_hd",
-           "round_sphere_diag_hd", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
+           "chart_kind_of", "sphere_embedding_hd", "round_sphere_diag_hd",
+           "check_polar_domain", "coordinate_volume", "geodesic_radius",
+           "chart_radius", "decay_mode", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
 
 FLAT_KINDS = ("euclidean", "schwarzschild_conformal")
 HYPERBOLIC_KINDS = ("hyperbolic_polar", "hyperbolic_area", "kottler")
@@ -126,21 +131,9 @@ def background_of(spec: MetricSpec) -> MetricSpec:
 #   u_n     = sin theta_1 ... sin theta_{n-2} sin phi
 # Round metric: sigma = sum_j (prod_{k<j} sin^2 theta_k) d theta_j^2.
 
-def sphere_embedding(angles: np.ndarray) -> np.ndarray:
-    """Unit-sphere points from angles, shape ``(..., n-1) -> (..., n)``."""
-    angles = np.asarray(angles, dtype=float)
-    k = angles.shape[-1]            # number of angles = n - 1
-    out = np.empty(angles.shape[:-1] + (k + 1,))
-    sin_prod = np.ones(angles.shape[:-1])
-    for j in range(k):
-        out[..., j] = sin_prod * np.cos(angles[..., j])
-        sin_prod = sin_prod * np.sin(angles[..., j])
-    out[..., k] = sin_prod
-    return out
-
-
 def sphere_embedding_hd(angle_vars: list[HyperDual]) -> list[HyperDual]:
-    """Hyper-dual version of :func:`sphere_embedding` (for exact jets)."""
+    """Unit-sphere points ``u_1..u_n`` from the angle variables; seeded
+    without derivatives, the values of the quadrature nodes."""
     k = len(angle_vars)
     out = []
     sin_prod = 1.0
@@ -164,14 +157,52 @@ def round_sphere_diag_hd(angle_vars: list[HyperDual], one) -> list:
     return diag
 
 
-def round_sphere_det(angles: np.ndarray) -> np.ndarray:
-    """Determinant of the round metric at given angles."""
-    angles = np.asarray(angles, dtype=float)
+def coordinate_volume(points: np.ndarray, chart_kind: ChartKind,
+                      r=None) -> np.ndarray:
+    """Coordinate volume element relative to ``dr x (round sphere)``.
+
+    ``r^(n-1)`` in the cartesian chart, with ``r`` the sphere radius or, when
+    omitted, ``|x|`` at each point; ``1/sqrt(det sigma)`` of the angles in
+    the polar charts, whose coordinates already carry the radius.
+    """
+    if chart_kind == ChartKind.CARTESIAN:
+        radius = np.linalg.norm(points, axis=-1) if r is None else np.float64(r)
+        return radius ** (points.shape[-1] - 1)
+    angles = points[..., 1:]
     k = angles.shape[-1]
     det = np.ones(angles.shape[:-1])
     for j in range(k - 1):
         det = det * np.sin(angles[..., j]) ** (2 * (k - 1 - j))
-    return det
+    return 1.0 / np.sqrt(det)
+
+
+def check_polar_domain(coords: np.ndarray):
+    """Reject polar-chart points whose radial coordinate is not positive."""
+    if np.any(coords[..., 0] <= 0.0):
+        raise DomainError("polar radial coordinate must be positive")
+
+
+# ------------------------------------------------------------ radial scales
+#
+# Hyperbolic decay is exponential in the geodesic radius s; the area chart's
+# radius is rho = sinh s, the geodesic chart's is s itself, and flat charges
+# decay in powers of the cartesian radius.
+
+def geodesic_radius(chart_kind: ChartKind, radii):
+    """Radii in the variable of the chart's decay model: ``asinh rho`` in
+    the area chart, unchanged otherwise."""
+    return np.arcsinh(radii) if chart_kind == ChartKind.POLAR_AREA else radii
+
+
+def chart_radius(chart_kind: ChartKind, radii):
+    """Inverse of :func:`geodesic_radius`: ``sinh s`` in the area chart."""
+    return np.sinh(radii) if chart_kind == ChartKind.POLAR_AREA else radii
+
+
+def decay_mode(chart_kind: ChartKind) -> str:
+    """``"power"`` (``r^-sigma``) in the cartesian chart, ``"exp"``
+    (``e^{-sigma s}`` in the geodesic radius) in the polar charts."""
+    return "power" if chart_kind == ChartKind.CARTESIAN else "exp"
 
 
 # ------------------------------------------------------------- jet assembly
@@ -207,11 +238,6 @@ def _coords_of(p) -> np.ndarray:
     if isinstance(p, ChartPoint):
         return np.asarray(p.coords, dtype=float)
     return np.asarray(p, dtype=float)
-
-
-def _check_polar_domain(coords):
-    if np.any(coords[..., 0] <= 0.0):
-        raise DomainError("polar radial coordinate must be positive")
 
 
 def _schwarzschild_log_factor(spec, coords, derivatives):
@@ -322,14 +348,14 @@ def _jets(spec, p, derivatives):
                                     width))
 
     if spec.kind == "hyperbolic_polar":
-        _check_polar_domain(coords)
+        check_polar_domain(coords)
         g = _assemble(_hyperbolic_polar_components(coords, derivatives),
                       coords, kind, width)
         return g, g, zero
 
     if spec.kind in ("hyperbolic_area", "kottler"):
         # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
-        _check_polar_domain(coords)
+        check_polar_domain(coords)
         variables = seed_variables(coords, derivatives)
         rho, angles = variables[0], variables[1:]
         one = HyperDual.constant(1.0, width, shape)

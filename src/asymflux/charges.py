@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import MetricSpec, jet_values, jets, round_sphere_det
+from .catalog import (MetricSpec, coordinate_volume, decay_mode,
+                      geodesic_radius, jet_values, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import (basis_jets, conformal_killing, kernel_basis,
                      kernel_function, killing_basis)
@@ -58,7 +59,7 @@ __all__ = [
     "charge_series", "classical_mass",
     "classical_center", "ricci_mass", "ricci_center", "ah_mass",
     "ah_ricci_charge", "rt_diagnostics", "RTReport", "mass_normalization",
-    "ricci_mass_normalization", "fit_radii", "decay_mode",
+    "ricci_mass_normalization",
 ]
 
 _MASS_FLOOR = 1e-12
@@ -168,14 +169,14 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
 
     Without ``jet`` both belong to the background metric; with the metric
     jet (and optionally its inverse) to the metric, using
-    ``dA_g = sqrt(det g) |grad r|_g dV_coord/dr`` so that no embedding
+    ``dA_g = sqrt(det g) |grad r|_g dV_coord/dr`` (the last factor is
+    :func:`~asymflux.catalog.coordinate_volume`) so that no embedding
     Jacobian is needed.  The area element is relative to the round-sphere
     measure carried by the rule weights.
     """
     n = points.shape[-1]
-    cartesian = chart_kind == ChartKind.CARTESIAN
     w = np.zeros_like(points)                    # radial conormal dr
-    if cartesian:
+    if chart_kind == ChartKind.CARTESIAN:
         w[:] = points / r
     else:
         w[..., 0] = 1.0
@@ -191,11 +192,8 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
     raised = np.einsum("...ij,...j->...i", ginv, w)
     nu = raised / np.sqrt(np.einsum("...i,...i->...", w, raised))[..., None]
     gradnorm = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, w, w))
-    if cartesian:
-        coord_factor = np.float64(r) ** (n - 1)
-    else:
-        coord_factor = 1.0 / np.sqrt(round_sphere_det(points[..., 1:]))
-    area = np.sqrt(np.linalg.det(jet.g)) * gradnorm * coord_factor
+    area = (np.sqrt(np.linalg.det(jet.g)) * gradnorm
+            * coordinate_volume(points, chart_kind, r))
     return nu, _finite(area, "area element", r)
 
 
@@ -250,22 +248,6 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
 
 # --------------------------------------------------------------- radii tools
 
-def decay_mode(spec: MetricSpec) -> str:
-    return "power" if spec.is_flat_type else "exp"
-
-
-def fit_radii(spec: MetricSpec, radii) -> np.ndarray:
-    """Radii in the variable whose decay model the chart uses.
-
-    Area-chart radii are converted to geodesic scale (s = asinh rho) so the
-    exponential fit is exact.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if spec.chart_kind == ChartKind.POLAR_AREA:
-        return np.arcsinh(radii)
-    return radii
-
-
 def _check_radii(radii):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 3:
@@ -280,8 +262,9 @@ def _series(spec, radii, raw_fluxes, quad_errors, norm):
                           float(err) * abs(norm))
                for r, raw, err in zip(radii, raw_fluxes, quad_errors)]
     limit, limit_error, model = extrapolate(
-        fit_radii(spec, radii), [s.normalized for s in samples],
-        [s.quad_error for s in samples], decay_mode(spec))
+        geodesic_radius(spec.chart_kind, radii),
+        [s.normalized for s in samples], [s.quad_error for s in samples],
+        decay_mode(spec.chart_kind))
     return RadialSeries(samples, limit, limit_error, model)
 
 

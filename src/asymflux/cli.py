@@ -33,7 +33,7 @@ import numpy as np
 
 from . import charges as charges_mod
 from . import verify as verify_mod
-from .catalog import FLAT_KINDS, HYPERBOLIC_KINDS, MetricSpec
+from .catalog import FLAT_KINDS, HYPERBOLIC_KINDS, MetricSpec, chart_radius
 from .errors import AsymfluxError, ConfigError
 from .fields import killing_basis
 from .geometry import ChartKind
@@ -102,9 +102,10 @@ class RunConfig:
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if self.annulus and not (len(self.annulus) == 2
-                                 and self.annulus[0] < self.annulus[1]):
-            raise ConfigError(f"annulus must be r0,r1 with r0 < r1, got "
-                              f"{','.join(map(str, self.annulus))}")
+                                 and 0 < self.annulus[0] < self.annulus[1]
+                                 < np.inf):
+            raise ConfigError(f"annulus must be r0,r1 with finite 0 < r0 < r1, "
+                              f"got {','.join(map(str, self.annulus))}")
         return self
 
 
@@ -121,15 +122,20 @@ _SECTIONS = {
 
 _KEYMAP = {("schedule", k): f"schedule_{k}"
            for k in ("start", "ratio", "step", "kind", "count")}
+_FREE_SECTIONS = {"components": str, "params": float}   # any key, one type
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _convert(section, key, raw):
-    typ = _SECTIONS[section][key]
+    typ = _FREE_SECTIONS.get(section) or _SECTIONS[section][key]
     try:
         if typ == "floats":
             return tuple(float(t) for t in raw.replace(",", " ").split())
         if typ is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            word = raw.strip().lower()
+            if word not in _BOOLEANS:
+                raise ValueError(f"use one of {'/'.join(_BOOLEANS)}")
+            return _BOOLEANS[word]
         return typ(raw)
     except ValueError as exc:
         raise ConfigError(
@@ -145,13 +151,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
-            if section in ("components", "params"):
-                target = cfg.components if section == "components" else cfg.params
-                for key, raw in parser.items(section):
-                    if section == "params":
-                        target[key] = _convert("metric", "m", raw)  # float
-                    else:
-                        target[key] = raw
+            if section in _FREE_SECTIONS:
+                getattr(cfg, section).update(
+                    (key, _convert(section, key, raw))
+                    for key, raw in parser.items(section))
                 continue
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -220,8 +223,7 @@ def schedule_radii(cfg: RunConfig, spec: MetricSpec) -> np.ndarray:
         natural = start + cfg.schedule_step * k
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    return np.sinh(natural) if spec.chart_kind == ChartKind.POLAR_AREA \
-        else natural
+    return chart_radius(spec.chart_kind, natural)
 
 
 # ------------------------------------------------------------------ reporting
@@ -313,11 +315,10 @@ def cmd_mass(cfg: RunConfig) -> tuple[dict, int]:
     X = killing_basis(spec.n, ChartKind.CARTESIAN)[0]
     cls, ric = charges_mod.charge_series(
         spec, radii, rule, [X.kernel], [X], nthreads=cfg.threads)
-    timings = {"total_s": time.perf_counter() - t0}
     ok = _paired_entries(report, cfg, (
         "mass_classical", "mass_ricci", "mass_agreement"), [""], [X], cls, ric)
     report["diagnostics"].update(decay_rate(spec, radii).diagnostics)
-    return _finish(report, cfg, timings, ok)
+    return _finish(report, cfg, t0, ok)
 
 
 def cmd_center(cfg: RunConfig) -> tuple[dict, int]:
@@ -337,8 +338,7 @@ def cmd_center(cfg: RunConfig) -> tuple[dict, int]:
         range(spec.n), basis[1:], cls, ric)
     report["diagnostics"].update(
         charges_mod.rt_diagnostics(spec, radii, rule).diagnostics)
-    timings = {"total_s": time.perf_counter() - t0}
-    return _finish(report, cfg, timings, ok)
+    return _finish(report, cfg, t0, ok)
 
 
 def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
@@ -362,9 +362,8 @@ def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
         nthreads=cfg.threads)
     ok = _paired_entries(report, cfg, ("ah_mass_", "ah_ricci_", "ah_agreement_"),
                          indices, fields, am, ar)
-    timings = {"total_s": time.perf_counter() - t0}
     report["diagnostics"].update(decay_rate(spec, radii).diagnostics)
-    return _finish(report, cfg, timings, ok)
+    return _finish(report, cfg, t0, ok)
 
 
 def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
@@ -377,9 +376,8 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
         if cfg.annulus:
             r0, r1 = cfg.annulus
         else:
-            r0, r1 = (8.0, 16.0) if spec.is_flat_type else (1.0, 2.0)
-            if spec.chart_kind == ChartKind.POLAR_AREA:
-                r0, r1 = np.sinh(r0), np.sinh(r1)
+            r0, r1 = (chart_radius(spec.chart_kind, r) for r in
+                      ((8.0, 16.0) if spec.is_flat_type else (1.0, 2.0)))
         for rep in verify_mod.pohozaev_check(
                 spec, killing_basis(spec.n, spec.chart_kind), r0, r1, rule,
                 cfg.radial_degree, rel_tol=cfg.rel_tol, nthreads=cfg.threads):
@@ -416,8 +414,7 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
                  "warnings": list(row.warnings)})
     else:
         raise ConfigError(f"unknown verify target {which!r}")
-    timings = {"total_s": time.perf_counter() - t0}
-    return _finish(report, cfg, timings, ok)
+    return _finish(report, cfg, t0, ok)
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
@@ -433,12 +430,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
         spec, radii, rule, [X.kernel], [X], nthreads=cfg.threads)
     report["charges"] = [_series_entry(ids[0], cls), _series_entry(ids[1], ric)]
     report["verdicts"] = [{"id": "sweep", "passed": True}]
-    timings = {"total_s": time.perf_counter() - t0}
-    return _finish(report, cfg, timings, True)
+    return _finish(report, cfg, t0, True)
 
 
-def _finish(report, cfg, timings, ok):
-    _emit(report, cfg, timings)
+def _finish(report, cfg, t0, ok):
+    """Emit the report, timed from ``t0`` (after set-up) to here."""
+    _emit(report, cfg, {"total_s": time.perf_counter() - t0})
     return report, (0 if ok else 1)
 
 

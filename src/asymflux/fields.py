@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .catalog import round_sphere_diag_hd, sphere_embedding_hd
-from .errors import ChartMismatchError, DomainError
+from .catalog import (check_polar_domain, round_sphere_diag_hd,
+                      sphere_embedding_hd)
+from .errors import ChartMismatchError
 from .geometry import ChartKind, ChartPoint, ScalarJet, VectorJet
 from .hyperdual import HyperDual, seed_variables
 
@@ -104,8 +105,7 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
         return ([_flat_kernel(coords, V.index) for V in kernels],
                 [_flat_field(coords, X.kernel.index) for X in fields])
 
-    if np.any(coords[..., 0] <= 0.0):
-        raise DomainError("polar radial coordinate must be positive")
+    check_polar_domain(coords)
     shape = coords.shape[:-1]
     variables = seed_variables(coords)
     radial, angles = variables[0], variables[1:]

@@ -158,93 +158,68 @@ def seed_variables(coords, derivatives: bool = True):
 
 
 # --------------------------------------------------------- elementary functions
+#
+# Each takes a HyperDual and applies the chain rule with the function's first
+# and second derivative.
 
-def _dispatch(x, np_fn, hd_fn):
-    if isinstance(x, HyperDual):
-        return hd_fn(x)
-    return np_fn(x)
-
-
-def sqrt(x):
-    def hd(x):
-        if np.any(x.val <= 0.0):
-            raise DomainError("sqrt of non-positive value")
-        s = np.sqrt(x.val)
-        return x._unary(s, 0.5 / s, -0.25 / (s * x.val))
-    return _dispatch(x, np.sqrt, hd)
+def sqrt(x: HyperDual) -> HyperDual:
+    if np.any(x.val <= 0.0):
+        raise DomainError("sqrt of non-positive value")
+    s = np.sqrt(x.val)
+    return x._unary(s, 0.5 / s, -0.25 / (s * x.val))
 
 
-def exp(x):
-    def hd(x):
-        e = np.exp(x.val)
-        return x._unary(e, e, e)
-    return _dispatch(x, np.exp, hd)
+def exp(x: HyperDual) -> HyperDual:
+    e = np.exp(x.val)
+    return x._unary(e, e, e)
 
 
-def log(x):
-    def hd(x):
-        if np.any(x.val <= 0.0):
-            raise DomainError("log of non-positive value")
-        v = x.val
-        return x._unary(np.log(v), 1.0 / v, -1.0 / v**2)
-    return _dispatch(x, np.log, hd)
+def log(x: HyperDual) -> HyperDual:
+    if np.any(x.val <= 0.0):
+        raise DomainError("log of non-positive value")
+    v = x.val
+    return x._unary(np.log(v), 1.0 / v, -1.0 / v**2)
 
 
-def log1p(x):
-    def hd(x):
-        if np.any(x.val <= -1.0):
-            raise DomainError("log1p of value <= -1")
-        w = 1.0 + x.val
-        return x._unary(np.log1p(x.val), 1.0 / w, -1.0 / w**2)
-    return _dispatch(x, np.log1p, hd)
+def log1p(x: HyperDual) -> HyperDual:
+    if np.any(x.val <= -1.0):
+        raise DomainError("log1p of value <= -1")
+    w = 1.0 + x.val
+    return x._unary(np.log1p(x.val), 1.0 / w, -1.0 / w**2)
 
 
-def expm1(x):
-    def hd(x):
-        e = np.exp(x.val)
-        return x._unary(np.expm1(x.val), e, e)
-    return _dispatch(x, np.expm1, hd)
+def expm1(x: HyperDual) -> HyperDual:
+    e = np.exp(x.val)
+    return x._unary(np.expm1(x.val), e, e)
 
 
-def sin(x):
-    def hd(x):
-        s, c = np.sin(x.val), np.cos(x.val)
-        return x._unary(s, c, -s)
-    return _dispatch(x, np.sin, hd)
+def sin(x: HyperDual) -> HyperDual:
+    s, c = np.sin(x.val), np.cos(x.val)
+    return x._unary(s, c, -s)
 
 
-def cos(x):
-    def hd(x):
-        s, c = np.sin(x.val), np.cos(x.val)
-        return x._unary(c, -s, -c)
-    return _dispatch(x, np.cos, hd)
+def cos(x: HyperDual) -> HyperDual:
+    s, c = np.sin(x.val), np.cos(x.val)
+    return x._unary(c, -s, -c)
 
 
-def tan(x):
-    def hd(x):
-        t = np.tan(x.val)
-        sec2 = 1.0 + t**2
-        return x._unary(t, sec2, 2.0 * t * sec2)
-    return _dispatch(x, np.tan, hd)
+def tan(x: HyperDual) -> HyperDual:
+    t = np.tan(x.val)
+    sec2 = 1.0 + t**2
+    return x._unary(t, sec2, 2.0 * t * sec2)
 
 
-def sinh(x):
-    def hd(x):
-        s, c = np.sinh(x.val), np.cosh(x.val)
-        return x._unary(s, c, s)
-    return _dispatch(x, np.sinh, hd)
+def sinh(x: HyperDual) -> HyperDual:
+    s, c = np.sinh(x.val), np.cosh(x.val)
+    return x._unary(s, c, s)
 
 
-def cosh(x):
-    def hd(x):
-        s, c = np.sinh(x.val), np.cosh(x.val)
-        return x._unary(c, s, c)
-    return _dispatch(x, np.cosh, hd)
+def cosh(x: HyperDual) -> HyperDual:
+    s, c = np.sinh(x.val), np.cosh(x.val)
+    return x._unary(c, s, c)
 
 
-def tanh(x):
-    def hd(x):
-        t = np.tanh(x.val)
-        sech2 = 1.0 - t**2
-        return x._unary(t, sech2, -2.0 * t * sech2)
-    return _dispatch(x, np.tanh, hd)
+def tanh(x: HyperDual) -> HyperDual:
+    t = np.tanh(x.val)
+    sech2 = 1.0 - t**2
+    return x._unary(t, sech2, -2.0 * t * sech2)

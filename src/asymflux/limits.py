@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+# catalog functions are looked up on the module at call time, so that a
+# wrapper installed there (tracer, call-counting test) sees decay_rate's calls
+from . import catalog
 from .errors import ExtrapolationError
+from .quadrature import sphere_points, sphere_rule
 
 __all__ = ["FluxSample", "RadialSeries", "DecayReport", "extrapolate",
            "decay_rate", "fit_decay_exponent"]
@@ -180,27 +184,22 @@ def decay_rate(spec, radii) -> DecayReport:
     in the geodesic ``e^{-tau s}`` scale the definitions use.  Only values
     are read, so the metric is evaluated without derivatives.
     """
-    from .catalog import jet_values
-    from .geometry import ChartKind
-    from .quadrature import sphere_points, sphere_rule
-
     radii = np.asarray(radii, dtype=float)
     rule = sphere_rule(spec.n, _DECAY_DEGREE)
     chart = spec.chart_kind
     sups = np.empty(radii.size)
     for k, r in enumerate(radii):
         pts = sphere_points(rule, r, chart)
-        _, b_jet, eps = jet_values(spec, pts)
+        _, b_jet, eps = catalog.jet_values(spec, pts)
         bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         sups[k] = np.abs(frame).max()
-    flat = spec.is_flat_type
-    fit_r = np.arcsinh(radii) if chart == ChartKind.POLAR_AREA else radii
-    tau_hat = fit_decay_exponent(fit_r, sups, "power" if flat else "exp")
-    threshold = 0.5 * (spec.n - 2) if flat else 0.5 * spec.n
+    mode = catalog.decay_mode(chart)
+    tau_hat = fit_decay_exponent(catalog.geodesic_radius(chart, radii), sups,
+                                 mode)
+    threshold = 0.5 * (spec.n - 2) if spec.is_flat_type else 0.5 * spec.n
     satisfied = bool(tau_hat > threshold) if not np.isnan(tau_hat) else False
-    return DecayReport(float(tau_hat), threshold, satisfied,
-                       "power" if flat else "exp", radii, sups)
+    return DecayReport(float(tau_hat), threshold, satisfied, mode, radii, sups)
 
 
 def fit_decay_exponent(radii, sups, mode: str = "power"):

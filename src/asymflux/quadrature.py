@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .catalog import sphere_embedding
+from .catalog import sphere_embedding_hd
 from .errors import ConfigError, QuadratureError
 from .geometry import ChartKind
+from .hyperdual import HyperDual
 
 __all__ = ["SphereRule", "QuadratureResult", "sphere_rule", "omega",
            "integrate_sphere", "integrate_annulus", "pairwise_sum",
@@ -112,8 +113,13 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     weights = np.ones(angles.shape[0])
     for wm in wmesh:
         weights = weights * wm.ravel()
-    units = sphere_embedding(angles)
-    return SphereRule(n, degree, angles, units, weights)
+    # the embedding, without derivatives, on the axes of the product grid
+    axes = [HyperDual.constant(a, 0, a.shape)
+            for a in np.meshgrid(*grids, indexing="ij", sparse=True)]
+    units = np.empty(mesh[0].shape + (n,))
+    for j, u in enumerate(sphere_embedding_hd(axes)):
+        units[..., j] = u.val
+    return SphereRule(n, degree, angles, units.reshape(-1, n), weights)
 
 
 def pairwise_sum(values: np.ndarray):

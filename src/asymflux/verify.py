@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import MetricSpec, metric_jet, round_sphere_det
+from .catalog import (MetricSpec, coordinate_volume, geodesic_radius,
+                      metric_jet)
 from .charges import (charge_series, rt_diagnostics, sphere_integrand,
                       sphere_normal_area)
 from .errors import DomainError, ZeroMassError
@@ -148,10 +149,7 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
         jet = metric_jet(spec, points)
         bun = curvature(jet)
         detg = np.linalg.det(jet.g)
-        if chart == ChartKind.CARTESIAN:
-            coord = np.linalg.norm(points, axis=-1) ** (n - 1)
-        else:
-            coord = 1.0 / np.sqrt(round_sphere_det(points[..., 1:]))
+        coord = coordinate_volume(points, chart)
         _, vectors = basis_jets(points, (), fields)
         return np.stack([bun.scal * divergence_vector(jet, X, bun)
                          * np.sqrt(detg) * coord for X in vectors], axis=-1)
@@ -241,8 +239,8 @@ def kernel_check_lemma22(spec: MetricSpec, X: ConformalKilling,
 def hyperbolic_pohozaev_closed_form(n: int, r0: float, r1: float,
                                     geodesic: bool = True) -> float:
     """Closed-form boundary difference for the hyperbolic background with X^(0)."""
-    s0 = r0 if geodesic else np.arcsinh(r0)
-    s1 = r1 if geodesic else np.arcsinh(r1)
+    s0, s1 = (r0, r1) if geodesic else (
+        geodesic_radius(ChartKind.POLAR_AREA, r) for r in (r0, r1))
     return ((n - 1) * (n - 2) / 2.0) * omega(n) * (np.sinh(s1) ** n
                                                    - np.sinh(s0) ** n)
 

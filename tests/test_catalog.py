@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import (MetricSpec, background_of, jet_values, jets,
-                              metric_jet)
+from asymflux.catalog import (MetricSpec, background_of, chart_radius,
+                              coordinate_volume, decay_mode, geodesic_radius,
+                              jet_values, jets, metric_jet)
 from asymflux.errors import DomainError
 from asymflux.geometry import curvature
 
@@ -91,6 +92,35 @@ def test_polar_radial_domain():
     with pytest.raises(DomainError):
         metric_jet(MetricSpec("hyperbolic_polar", 3),
                    np.array([-1.0, 1.0, 1.0]))
+
+
+# --------------------------------------------------------------- chart facts
+
+def test_radial_scales_of_the_charts():
+    rho = np.array([0.5, 2.0, 40.0])
+    s = geodesic_radius("polar_area", rho)
+    assert np.allclose(s, np.log(rho + np.sqrt(1.0 + rho**2)), rtol=1e-15)
+    assert np.allclose(chart_radius("polar_area", s), rho, rtol=1e-15)
+    for chart in ("cartesian", "polar_geodesic"):
+        assert geodesic_radius(chart, rho) is rho
+        assert chart_radius(chart, rho) is rho
+    assert [decay_mode(c) for c in ("cartesian", "polar_geodesic",
+                                    "polar_area")] == ["power", "exp", "exp"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_coordinate_volume(n):
+    pts = polar_points(n, 5)
+    # det sigma = prod_j sin^{2(n-2-j)} theta_{j+1}
+    det = np.prod([np.sin(pts[:, 1 + j]) ** (2 * (n - 2 - j))
+                   for j in range(n - 2)], axis=0)
+    for chart in ("polar_geodesic", "polar_area"):
+        assert np.allclose(coordinate_volume(pts, chart), 1 / np.sqrt(det),
+                           rtol=1e-14)
+    x = RNG.normal(size=(5, n))
+    assert np.allclose(coordinate_volume(x, "cartesian"),
+                       np.linalg.norm(x, axis=-1) ** (n - 1), rtol=1e-15)
+    assert coordinate_volume(x, "cartesian", 2.0) == 2.0 ** (n - 1)
 
 
 # ------------------------------------------------------------- deviation jets

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -48,6 +49,31 @@ def test_config_errors():
         RunConfig(degree=99).validate()
     with pytest.raises(ConfigError):
         build_spec(RunConfig(kind="not_a_metric"))
+
+
+def test_bad_params_value_names_its_key(tmp_path):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(
+        "[metric]\nkind = expression\nn = 3\n"
+        "[components]\ng_1_1 = 1 + mm/r\ng_2_2 = 1\ng_3_3 = 1\n"
+        "[params]\nmm = two\n")
+    with pytest.raises(ConfigError, match=r"^bad value for \[params\] mm: 'two'"):
+        load_config(str(cfg_file))
+
+
+def test_boolean_keys_accept_only_boolean_words(tmp_path, capsys):
+    cfg_file = tmp_path / "run.ini"
+    for word, value in (("1", True), ("Yes", True), ("on", True),
+                        ("false", False), ("0", False), ("OFF", False)):
+        cfg_file.write_text(f"[run]\nno_timings = {word}\n")
+        assert load_config(str(cfg_file)).no_timings is value
+    for word in ("maybe", "2", ""):
+        cfg_file.write_text(f"[run]\nno_timings = {word}\n")
+        with pytest.raises(ConfigError, match=r"\[run\] no_timings"):
+            load_config(str(cfg_file))
+    assert main(["mass", "--kind", "euclidean", "--n", "3",
+                 "--config", str(cfg_file)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_expression_metric_from_config(tmp_path):
@@ -221,6 +247,15 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
     pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
                   "--which", "pohozaev", "--annulus", "2,1"],
                  id="annulus-reversed"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "pohozaev", "--annulus", "0,1"],
+                 id="annulus-zero-polar"),
+    pytest.param(["verify", "--kind", "euclidean", "--n", "3",
+                  "--which", "pohozaev", "--annulus", "0,1"],
+                 id="annulus-zero-flat"),
+    pytest.param(["verify", "--kind", "euclidean", "--n", "3",
+                  "--which", "pohozaev", "--annulus", "1,inf"],
+                 id="annulus-infinite"),
     pytest.param(["mass", *_SCHW3, "--center", "1,2"], id="center-length"),
     pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "3",
                   "--m", "nan"], id="m-nan"),
@@ -288,6 +323,28 @@ def test_huge_radius_is_a_computation_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["mass", *_SCHW3], id="mass"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1"],
+                 id="ah-mass"),
+])
+def test_total_time_covers_the_whole_command(monkeypatch, tmp_path, argv):
+    """``timings.total_s`` includes the decay diagnostic run after the charges."""
+    from asymflux import cli
+
+    decay_rate = cli.decay_rate
+
+    def slow_decay_rate(*args):
+        time.sleep(0.5)
+        return decay_rate(*args)
+
+    monkeypatch.setattr(cli, "decay_rate", slow_decay_rate)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--degree", "8", "--out-json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["diagnostics"]["timings"]["total_s"] >= 0.5
 
 
 # --------------------------------------------------------------- determinism

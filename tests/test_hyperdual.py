@@ -111,8 +111,3 @@ def test_log1p_accuracy_near_zero():
     assert out.val == pytest.approx(np.log1p(t), rel=1e-15)
     assert out.grad[0] == pytest.approx(1.0 / (1.0 + t), rel=1e-15)
 
-
-def test_dispatch_on_plain_arrays():
-    x = np.array([0.3, 0.7])
-    assert np.allclose(hd.sin(x), np.sin(x))
-    assert np.allclose(hd.expm1(x), np.expm1(x))

@@ -29,6 +29,29 @@ def test_weights_sum_to_sphere_volume(n):
     assert pairwise_sum(rule.weights) == pytest.approx(omega(n), rel=1e-14)
 
 
+def embedding_reference(angles):
+    """u_1 = cos theta_1, u_j = sin theta_1 ... sin theta_{j-1} cos theta_j,
+    u_n = sin theta_1 ... sin theta_{n-2} sin phi, evaluated in numpy."""
+    k = angles.shape[-1]
+    out = np.empty(angles.shape[:-1] + (k + 1,))
+    sin_prod = np.ones(angles.shape[:-1])
+    for j in range(k):
+        out[..., j] = sin_prod * np.cos(angles[..., j])
+        sin_prod = sin_prod * np.sin(angles[..., j])
+    out[..., k] = sin_prod
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rule_units_are_the_embedding_formula(n):
+    """The rule nodes come from the hyper-dual embedding, without
+    derivatives, on the axes of the product grid; they equal the plain
+    formula on every node bit for bit."""
+    for degree in (1, 4, 12, 16, 30):
+        rule = sphere_rule(n, degree)
+        assert np.array_equal(rule.units, embedding_reference(rule.angles))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_moment_exactness(n):
     """Every monomial up to the rule degree integrates exactly."""
