@@ -9,12 +9,10 @@ identity) that make the two families of definitions agree.
 """
 
 from .catalog import MetricSpec, background_of, jets, metric_jet
-from .charges import (ah_mass, ah_ricci_charge, charge_series,
-                      classical_center, classical_mass, michel_integrand,
-                      ricci_center, ricci_mass, rt_diagnostics)
+from .charges import charge_series, michel_integrand, rt_diagnostics
 from .errors import AsymfluxError
 from .fields import conformal_killing, kernel_basis, kernel_function, killing_basis
-from .geometry import ChartKind, ChartPoint, curvature
+from .geometry import ChartKind, curvature
 from .limits import FluxSample, RadialSeries, decay_rate, extrapolate
 from .quadrature import integrate_annulus, integrate_sphere, omega, sphere_rule
 from .verify import equivalence_report, kernel_check_lemma22, pohozaev_check
@@ -22,11 +20,9 @@ from .verify import equivalence_report, kernel_check_lemma22, pohozaev_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "MetricSpec", "background_of", "jets", "metric_jet",
-    "ah_mass", "ah_ricci_charge", "charge_series", "classical_center",
-    "classical_mass", "michel_integrand", "ricci_center", "ricci_mass",
-    "rt_diagnostics", "AsymfluxError", "conformal_killing", "kernel_basis",
-    "kernel_function", "killing_basis", "ChartKind", "ChartPoint", "curvature",
+    "MetricSpec", "background_of", "jets", "metric_jet", "charge_series",
+    "michel_integrand", "rt_diagnostics", "AsymfluxError", "conformal_killing",
+    "kernel_basis", "kernel_function", "killing_basis", "ChartKind", "curvature",
     "FluxSample", "RadialSeries", "decay_rate", "extrapolate",
     "integrate_annulus", "integrate_sphere", "omega", "sphere_rule",
     "equivalence_report", "kernel_check_lemma22", "pohozaev_check",

@@ -35,8 +35,7 @@ import numpy as np
 from . import expr as expr_mod
 from . import hyperdual as hd
 from .errors import ChartMismatchError, DomainError
-from .geometry import (ChartKind, ChartPoint, MetricJet, SymTensorJet,
-                       validate_dimension)
+from .geometry import ChartKind, MetricJet, SymTensorJet, validate_dimension
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "jets", "jet_values", "metric_jet", "background_of",
@@ -77,6 +76,10 @@ class MetricSpec:
             raise ValueError(f"mass parameter m must be finite, got {self.m}")
         if self.center and len(self.center) != self.n:
             raise ValueError(f"center needs {self.n} coordinates: {self.center}")
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"center coordinates must be finite: {self.center}")
+        if not np.isfinite(list((self.params or {}).values())).all():
+            raise ValueError(f"parameter values must be finite: {self.params}")
         if self.kind == "schwarzschild_conformal" and not self.center:
             object.__setattr__(self, "center", (0.0,) * self.n)
         if self.kind in ("perturbation", "expression"):
@@ -207,7 +210,7 @@ def decay_mode(chart_kind: ChartKind) -> str:
 
 # ------------------------------------------------------------- jet assembly
 
-def _assemble(components, coords, chart_kind, width) -> MetricJet:
+def _assemble(components, coords, width) -> MetricJet:
     """Pack an upper-triangular dict of HyperDual components into a MetricJet
     whose derivative axes have length ``width`` (``n``, or 0 for values)."""
     n = coords.shape[-1]
@@ -231,13 +234,7 @@ def _assemble(components, coords, chart_kind, width) -> MetricJet:
             g[..., j, i] = v
             dg[..., :, j, i] = gr
             ddg[..., :, :, j, i] = he
-    return MetricJet(g, dg, ddg, ChartPoint(coords, chart_kind))
-
-
-def _coords_of(p) -> np.ndarray:
-    if isinstance(p, ChartPoint):
-        return np.asarray(p.coords, dtype=float)
-    return np.asarray(p, dtype=float)
+    return MetricJet(g, dg, ddg)
 
 
 def _schwarzschild_log_factor(spec, coords, derivatives):
@@ -280,8 +277,7 @@ def _euclidean_jet(coords, width) -> MetricJet:
     n, shape = coords.shape[-1], coords.shape[:-1]
     return MetricJet(np.broadcast_to(np.eye(n), shape + (n, n)),
                      np.broadcast_to(0.0, shape + (width, n, n)),
-                     np.broadcast_to(0.0, shape + (width, width, n, n)),
-                     ChartPoint(coords, ChartKind.CARTESIAN))
+                     np.broadcast_to(0.0, shape + (width, width, n, n)))
 
 
 def _diagonal_deviation(components, shape, n, width) -> SymTensorJet:
@@ -321,7 +317,7 @@ def jet_values(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet,
 
 
 def _jets(spec, p, derivatives):
-    coords = _coords_of(p)
+    coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
         raise ChartMismatchError(
             f"point has {coords.shape[-1]} coordinates, spec has n={spec.n}")
@@ -342,7 +338,7 @@ def _jets(spec, p, derivatives):
         log_factor = _schwarzschild_log_factor(spec, coords, derivatives)
         conf = hd.exp(log_factor)
         w = hd.expm1(log_factor)
-        g = _assemble({(i, i): conf for i in range(n)}, coords, kind, width)
+        g = _assemble({(i, i): conf for i in range(n)}, coords, width)
         return (g, _euclidean_jet(coords, width),
                 _diagonal_deviation(dict.fromkeys(range(n), w), shape, n,
                                     width))
@@ -350,7 +346,7 @@ def _jets(spec, p, derivatives):
     if spec.kind == "hyperbolic_polar":
         check_polar_domain(coords)
         g = _assemble(_hyperbolic_polar_components(coords, derivatives),
-                      coords, kind, width)
+                      coords, width)
         return g, g, zero
 
     if spec.kind in ("hyperbolic_area", "kottler"):
@@ -363,14 +359,14 @@ def _jets(spec, p, derivatives):
         angular = {(1 + j, 1 + j): rho2 * sigma_jj for j, sigma_jj
                    in enumerate(round_sphere_diag_hd(angles, one))}
         f0 = 1.0 + rho2
-        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, kind, width)
+        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, width)
         if spec.kind == "hyperbolic_area":
             return b, b, zero
         mass_term = (2.0 * spec.m) * rho ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
-        g = _assemble({(0, 0): 1.0 / f, **angular}, coords, kind, width)
+        g = _assemble({(0, 0): 1.0 / f, **angular}, coords, width)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
         return g, b, _diagonal_deviation({0: mass_term / (f * f0)}, shape, n,
                                          width)
@@ -378,8 +374,7 @@ def _jets(spec, p, derivatives):
     if spec.kind == "perturbation":
         base, b, base_eps = nested(spec.base, coords)
         eps = _components_jet(spec, coords, kind, derivatives)
-        g = MetricJet(base.g + eps.g, base.dg + eps.dg, base.ddg + eps.ddg,
-                      base.point)
+        g = MetricJet(base.g + eps.g, base.dg + eps.dg, base.ddg + eps.ddg)
         return g, b, SymTensorJet(base_eps.value + eps.g, base_eps.d + eps.dg)
 
     # expression metrics: plain subtraction from the chart background
@@ -394,7 +389,8 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
 
 
 def _components_jet(spec, coords, chart_kind, derivatives) -> MetricJet:
-    """Evaluate the spec's expression components into a 2-jet tensor."""
+    """Evaluate the spec's expression components into a 2-jet tensor.  Equal
+    texts parse to equal ASTs, and each distinct AST is evaluated once."""
     n = spec.n
     width = n if derivatives else 0
     shape = coords.shape[:-1]
@@ -402,10 +398,14 @@ def _components_jet(spec, coords, chart_kind, derivatives) -> MetricJet:
     d = np.zeros(shape + (width, n, n))
     dd = np.zeros(shape + (width, width, n, n))
     params = dict(spec.params or {})
+    evaluated = {}
     for (i, j), ast in spec.asts.items():
-        jet = expr_mod.eval_jet(ast, coords, params, chart_kind, derivatives)
+        if ast not in evaluated:
+            evaluated[ast] = expr_mod.eval_jet(ast, coords, params, chart_kind,
+                                               derivatives)
+        jet = evaluated[ast]
         for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
             value[..., a, b] = jet.value
             d[..., :, a, b] = jet.grad
             dd[..., :, :, a, b] = jet.hess
-    return MetricJet(value, d, dd, ChartPoint(coords, chart_kind))
+    return MetricJet(value, d, dd)

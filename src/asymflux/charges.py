@@ -16,8 +16,7 @@ X, and both families integrate over the same sphere S_r.  So
 :func:`charge_series` makes one sphere pass per radius: its integrand
 evaluates the metric jet, the background jet, the deviation, the basis
 jets, the curvature, normal and area element once per node and contracts
-them with the whole kernel basis and Killing basis.  The single-charge
-fronts are thin wrappers around it.
+them with the whole kernel basis and Killing basis.
 
 On a flat-type metric the background is the Euclidean ``delta`` of the
 cartesian chart: its inverse is itself and its Christoffel symbols and
@@ -45,8 +44,7 @@ import numpy as np
 from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jet_values, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
-from .fields import (basis_jets, conformal_killing, kernel_basis,
-                     kernel_function, killing_basis)
+from .fields import basis_jets
 from .geometry import (ChartKind, MetricJet, ScalarJet, SymTensorJet,
                        curvature, divergence_symmetric2, inverse_derivative,
                        inverse_metric)
@@ -56,9 +54,7 @@ from .quadrature import SphereRule, integrate_sphere, omega
 __all__ = [
     "michel_integrand", "michel_integrand_deviation", "adm_integrand",
     "center_integrand", "sphere_normal_area", "sphere_integrand",
-    "charge_series", "classical_mass",
-    "classical_center", "ricci_mass", "ricci_center", "ah_mass",
-    "ah_ricci_charge", "rt_diagnostics", "RTReport", "mass_normalization",
+    "charge_series", "rt_diagnostics", "RTReport", "mass_normalization",
     "ricci_mass_normalization",
 ]
 
@@ -135,8 +131,6 @@ def _michel_contract(V: ScalarJet, eps: SymTensorJet, pieces,
 def michel_integrand(V: ScalarJet, g_jet: MetricJet, b_jet: MetricJet,
                      nu: np.ndarray) -> np.ndarray:
     """``U(V, g, b)(nu)`` from full metric jets (subtracts the jets)."""
-    if g_jet.point.chart_kind != b_jet.point.chart_kind:
-        raise ChartMismatchError("g and b jets live in different charts")
     eps = SymTensorJet(g_jet.g - b_jet.g, g_jet.dg - b_jet.dg)
     return michel_integrand_deviation(V, eps, b_jet, nu)
 
@@ -309,81 +303,6 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
             [q.error_estimate[k] for q in results],
             _NORMALIZATION[family](spec.n, mass)))
     return series[:len(kernels)], series[len(kernels):]
-
-
-# -------------------------------------------------------------- charge fronts
-
-def classical_mass(spec: MetricSpec, radii, rule: SphereRule,
-                   nthreads=None) -> RadialSeries:
-    """ADM-type mass series, normalized by ``1/(2(n-1) omega_{n-1})``."""
-    if not spec.is_flat_type:
-        raise ChartMismatchError("classical mass needs a flat-type metric")
-    (series,), _ = charge_series(spec, radii, rule,
-                                 kernels=[kernel_function("const_one", spec.n)],
-                                 nthreads=nthreads)
-    return series
-
-
-def classical_center(spec: MetricSpec, alpha: int, radii, rule: SphereRule,
-                     mass: float, nthreads=None) -> RadialSeries:
-    """Center-of-mass series for component ``alpha`` (0-based)."""
-    if not spec.is_flat_type:
-        raise ChartMismatchError("center of mass needs a flat-type metric")
-    V = kernel_function("coordinate", spec.n, alpha=alpha)
-    (series,), _ = charge_series(spec, radii, rule, kernels=[V], mass=mass,
-                                 nthreads=nthreads)
-    return series
-
-
-def ricci_mass(spec: MetricSpec, radii, rule: SphereRule,
-               nthreads=None) -> RadialSeries:
-    """Einstein-tensor mass: flux of ``G(r d_r, nu)``, Ricci normalization."""
-    if not spec.is_flat_type:
-        raise ChartMismatchError("Ricci mass needs a flat-type metric")
-    _, (series,) = charge_series(spec, radii, rule,
-                                 fields=[conformal_killing("dilation", spec.n)],
-                                 nthreads=nthreads)
-    return series
-
-
-def ricci_center(spec: MetricSpec, alpha: int, radii, rule: SphereRule,
-                 mass: float, nthreads=None) -> RadialSeries:
-    """Einstein-tensor center: flux of ``G(X^(alpha), nu)``; note the + sign."""
-    if not spec.is_flat_type:
-        raise ChartMismatchError("Ricci center needs a flat-type metric")
-    X = conformal_killing("inverted_translation", spec.n, alpha=alpha)
-    _, (series,) = charge_series(spec, radii, rule, fields=[X], mass=mass,
-                                 nthreads=nthreads)
-    return series
-
-
-def _check_index(spec: MetricSpec, index: int):
-    if not 0 <= index <= spec.n:
-        raise ValueError(f"basis index must be in 0..{spec.n}, got {index}")
-
-
-def ah_mass(spec: MetricSpec, index: int, radii, rule: SphereRule,
-            nthreads=None) -> RadialSeries:
-    """Hyperbolic mass functional evaluated on kernel element ``V^(index)``."""
-    if not spec.is_hyperbolic_type:
-        raise ChartMismatchError("hyperbolic mass needs a hyperbolic-type metric")
-    _check_index(spec, index)
-    V = kernel_basis(spec.n, spec.chart_kind)[index]
-    (series,), _ = charge_series(spec, radii, rule, kernels=[V],
-                                 nthreads=nthreads)
-    return series
-
-
-def ah_ricci_charge(spec: MetricSpec, index: int, radii, rule: SphereRule,
-                    nthreads=None) -> RadialSeries:
-    """Modified-Einstein-tensor flux against ``X^(index)``, Ricci normalization."""
-    if not spec.is_hyperbolic_type:
-        raise ChartMismatchError("hyperbolic Ricci charge needs a hyperbolic-type metric")
-    _check_index(spec, index)
-    X = killing_basis(spec.n, spec.chart_kind)[index]
-    _, (series,) = charge_series(spec, radii, rule, fields=[X],
-                                 nthreads=nthreads)
-    return series
 
 
 # ----------------------------------------------------------------- diagnostics

@@ -23,7 +23,7 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import (DomainError, ExprDomainError, ParseError,
                      UnknownIdentifierError)
-from .geometry import ChartKind, ChartPoint, ScalarJet
+from .geometry import ChartKind, ScalarJet
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["parse", "eval_jet", "to_text", "variable_names",
@@ -260,7 +260,7 @@ def _print(node, parent_prec):
 
 # ----------------------------------------------------------------- evaluator
 
-def eval_jet(ast, p: ChartPoint | np.ndarray, params: dict | None = None,
+def eval_jet(ast, p: np.ndarray, params: dict | None = None,
              chart_kind: ChartKind | str | None = None,
              derivatives: bool = True) -> ScalarJet:
     """Evaluate ``ast`` at ``p`` returning exact value/gradient/Hessian.
@@ -268,11 +268,8 @@ def eval_jet(ast, p: ChartPoint | np.ndarray, params: dict | None = None,
     Without ``derivatives`` the gradient and Hessian have width 0 and the
     value comes from the same operations.
     """
-    if isinstance(p, ChartPoint):
-        coords, chart_kind = p.coords, p.chart_kind
-    else:
-        coords = np.asarray(p, dtype=float)
-        chart_kind = ChartKind(chart_kind or ChartKind.CARTESIAN)
+    coords = np.asarray(p, dtype=float)
+    chart_kind = ChartKind(chart_kind or ChartKind.CARTESIAN)
     params = dict(params or {})
     n = coords.shape[-1]
     variables = seed_variables(coords, derivatives)

@@ -31,7 +31,7 @@ from . import hyperdual as hd
 from .catalog import (check_polar_domain, round_sphere_diag_hd,
                       sphere_embedding_hd)
 from .errors import ChartMismatchError
-from .geometry import ChartKind, ChartPoint, ScalarJet, VectorJet
+from .geometry import ChartKind, ScalarJet, VectorJet
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["KernelFunction", "ConformalKilling", "basis_jets",
@@ -72,19 +72,6 @@ class ConformalKilling:
         return self.kernel.scalar_jet(p).scaled(self.c)
 
 
-def _coords(p, chart_kind, n):
-    if isinstance(p, ChartPoint):
-        if p.chart_kind != chart_kind:
-            raise ChartMismatchError(
-                f"field defined in {chart_kind}, point in {p.chart_kind}")
-        coords = p.coords
-    else:
-        coords = np.asarray(p, dtype=float)
-    if coords.shape[-1] != n:
-        raise ChartMismatchError("coordinate count does not match dimension")
-    return coords
-
-
 def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
     """Exact jets of kernel functions and conformal Killing fields at ``p``.
 
@@ -100,7 +87,9 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
     n, chart_kind = elements[0].n, elements[0].chart_kind
     if any((e.n, e.chart_kind) != (n, chart_kind) for e in elements):
         raise ChartMismatchError("basis elements of different charts or dimensions")
-    coords = _coords(p, chart_kind, n)
+    coords = np.asarray(p, dtype=float)
+    if coords.shape[-1] != n:
+        raise ChartMismatchError("coordinate count does not match dimension")
     if chart_kind == ChartKind.CARTESIAN:
         return ([_flat_kernel(coords, V.index) for V in kernels],
                 [_flat_field(coords, X.kernel.index) for X in fields])

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DegenerateMetricError
 
 __all__ = [
-    "ChartKind", "ChartPoint", "MetricJet", "ScalarJet", "VectorJet",
+    "ChartKind", "MetricJet", "ScalarJet", "VectorJet",
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
     "inverse_derivative", "christoffel", "christoffel_derivative",
     "curvature", "divergence_vector", "divergence_symmetric2",
@@ -58,21 +58,6 @@ def validate_dimension(n: int) -> int:
     if n < 3:
         raise ValueError(f"ambient dimension must be >= 3, got {n}")
     return n
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """Point(s) in a chart: ``coords`` has shape ``(..., n)``."""
-
-    coords: np.ndarray
-    chart_kind: ChartKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[-1]
 
 
 @dataclass
@@ -113,7 +98,6 @@ class MetricJet:
     g: np.ndarray       # (..., n, n)
     dg: np.ndarray      # (..., n, n, n);    dg[..., k, i, j] = d_k g_ij
     ddg: np.ndarray     # (..., n, n, n, n); ddg[..., k, l, i, j] = d_k d_l g_ij
-    point: ChartPoint
 
     @property
     def n(self) -> int:

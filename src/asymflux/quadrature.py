@@ -19,6 +19,7 @@ via the environment variable ``ASYMFLUX_THREADS``).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -137,7 +138,10 @@ def pairwise_sum(values: np.ndarray):
 
 def _evaluate(f, points, nthreads=None):
     """Chunked (optionally threaded) evaluation; chunking is thread-invariant."""
-    nthreads = thread_count() if nthreads is None else max(1, int(nthreads))
+    if nthreads is None:
+        nthreads = thread_count()
+    elif not isinstance(nthreads, numbers.Integral) or nthreads < 1:
+        raise ValueError(f"nthreads must be a positive integer, got {nthreads!r}")
     total = points.shape[0]
     chunks = [points[i:i + _CHUNK] for i in range(0, total, _CHUNK)]
     if nthreads == 1 or len(chunks) == 1:

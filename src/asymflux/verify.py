@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import (MetricSpec, coordinate_volume, geodesic_radius,
-                      metric_jet)
+from .catalog import MetricSpec, coordinate_volume, metric_jet
 from .charges import (charge_series, rt_diagnostics, sphere_integrand,
                       sphere_normal_area)
 from .errors import DomainError, ZeroMassError
@@ -236,13 +235,11 @@ def kernel_check_lemma22(spec: MetricSpec, X: ConformalKilling,
                     and trace_residual <= _KERNEL_TOL))
 
 
-def hyperbolic_pohozaev_closed_form(n: int, r0: float, r1: float,
-                                    geodesic: bool = True) -> float:
-    """Closed-form boundary difference for the hyperbolic background with X^(0)."""
-    s0, s1 = (r0, r1) if geodesic else (
-        geodesic_radius(ChartKind.POLAR_AREA, r) for r in (r0, r1))
-    return ((n - 1) * (n - 2) / 2.0) * omega(n) * (np.sinh(s1) ** n
-                                                   - np.sinh(s0) ** n)
+def hyperbolic_pohozaev_closed_form(n: int, r0: float, r1: float) -> float:
+    """Closed-form boundary difference for the hyperbolic background with
+    X^(0) on the annulus between geodesic radii ``r0`` and ``r1``."""
+    return ((n - 1) * (n - 2) / 2.0) * omega(n) * (np.sinh(r1) ** n
+                                                   - np.sinh(r0) ** n)
 
 
 # ------------------------------------------------------------- equivalence

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, background_of, metric_jet
-from asymflux.charges import (adm_integrand, ah_mass, ah_ricci_charge,
-                              center_integrand, classical_center,
-                              classical_mass, michel_integrand_deviation,
-                              ricci_center, ricci_mass, rt_diagnostics)
+from asymflux.charges import (adm_integrand, center_integrand, charge_series,
+                              michel_integrand_deviation, rt_diagnostics)
 from asymflux.expr import parse, eval_jet
-from asymflux.fields import kernel_basis, kernel_function, killing_basis
+from asymflux.fields import (conformal_killing, kernel_basis, kernel_function,
+                             killing_basis)
 from asymflux.geometry import ChartKind, SymTensorJet, divergence_vector, dscal_adjoint
 from asymflux.quadrature import pairwise_sum, sphere_rule
 from asymflux.verify import (hyperbolic_pohozaev_closed_form,
@@ -49,8 +48,10 @@ def test_acceptance_1_schwarzschild_mass(verdict):
         for m in (1.0, 2.5):
             spec = MetricSpec("schwarzschild_conformal", n, m=m)
             t0 = time.perf_counter()
-            cls = classical_mass(spec, FLAT_RADII, rule).limit
-            ric = ricci_mass(spec, FLAT_RADII, rule).limit
+            cls = charge_series(spec, FLAT_RADII, rule, kernels=[
+                kernel_function("const_one", n)])[0][0].limit
+            ric = charge_series(spec, FLAT_RADII, rule, fields=[
+                conformal_killing("dilation", n)])[1][0].limit
             elapsed = time.perf_counter() - t0
             ok &= abs(cls - m) <= 1e-3 * m
             ok &= abs(ric - m) <= 1e-2 * m
@@ -64,11 +65,15 @@ def test_acceptance_2_center_of_mass(verdict):
     c = (1.0, 0.5, 0.0)
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0, center=c)
     rule = sphere_rule(3, 12)
-    mass = classical_mass(spec, FLAT_RADII, rule).limit
+    mass = charge_series(spec, FLAT_RADII, rule, kernels=[
+        kernel_function("const_one", 3)])[0][0].limit
     ok = True
     for a in range(3):
-        cc = classical_center(spec, a, FLAT_RADII, rule, mass).limit
-        rc = ricci_center(spec, a, FLAT_RADII, rule, mass).limit
+        cc = charge_series(spec, FLAT_RADII, rule, kernels=[
+            kernel_function("coordinate", 3, alpha=a)], mass=mass)[0][0].limit
+        rc = charge_series(spec, FLAT_RADII, rule, fields=[
+            conformal_killing("inverted_translation", 3, alpha=a)],
+            mass=mass)[1][0].limit
         ok &= abs(cc - c[a]) <= 1e-2
         ok &= abs(rc - c[a]) <= 1e-2
     rt = rt_diagnostics(spec, FLAT_RADII, rule)
@@ -85,12 +90,16 @@ def test_acceptance_3_hyperbolic_mass(verdict):
         rule = sphere_rule(n, 14)
         for m in (1.0, 2.0):
             spec = MetricSpec("kottler", n, m=m)
-            ok &= abs(ah_mass(spec, 0, radii, rule).limit - m) <= 1e-3 * m
-            ok &= abs(ah_ricci_charge(spec, 0, radii, rule).limit
-                      - m) <= 1e-2 * m
-            for i in range(1, n + 1):
-                ok &= abs(ah_mass(spec, i, radii, rule).limit) < 1e-6
-                ok &= abs(ah_ricci_charge(spec, i, radii, rule).limit) < 1e-6
+            limits = [(charge_series(spec, radii, rule, [X.kernel])[0][0].limit,
+                       charge_series(spec, radii, rule,
+                                     fields=[X])[1][0].limit)
+                      for X in killing_basis(n, spec.chart_kind)]
+            (am, ar), vectors = limits[0], limits[1:]
+            ok &= abs(am - m) <= 1e-3 * m
+            ok &= abs(ar - m) <= 1e-2 * m
+            for am, ar in vectors:
+                ok &= abs(am) < 1e-6
+                ok &= abs(ar) < 1e-6
     verdict(3, "Kottler hyperbolic charges, n=3,4", ok)
 
 

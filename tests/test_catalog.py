@@ -243,6 +243,32 @@ def test_expression_metric_jet():
     assert np.allclose(eps.value, jet.g - np.eye(3), atol=1e-14)
 
 
+def test_equal_components_evaluated_once(monkeypatch):
+    """The four diagonal components of a translated conformal Schwarzschild
+    expression metric are one text, evaluated once per jets call."""
+    from asymflux import expr
+
+    calls = {"eval": 0}
+    original = expr.eval_jet
+
+    def counting(*args, **kwargs):
+        calls["eval"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expr, "eval_jet", counting)
+    factor = "(1 + mm/(2*((x1-c1)^2 + (x2-c2)^2 + (x3-c3)^2 + (x4-c4)^2)))^2"
+    spec = MetricSpec("expression", 4,
+                      components={(i, i): factor for i in range(4)},
+                      params={"mm": 1.3, "c1": 0.5, "c2": -0.6, "c3": 0.45,
+                              "c4": 0.7})
+    x = 8.0 * np.random.default_rng(4).normal(size=(50, 4))
+    for evaluate in (jets, jet_values):
+        calls["eval"] = 0
+        g = evaluate(spec, x)[0].g
+        assert calls["eval"] == 1
+        assert np.array_equal(g, g[..., :1, :1] * np.eye(4))
+
+
 def test_perturbation_metric():
     base = MetricSpec("euclidean", 3)
     spec = MetricSpec("perturbation", 3, base=base,

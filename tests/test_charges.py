@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
-from asymflux.charges import (adm_integrand, ah_mass, ah_ricci_charge,
-                              center_integrand, charge_series,
-                              classical_center, classical_mass,
+from asymflux.charges import (adm_integrand, center_integrand, charge_series,
                               michel_integrand, michel_integrand_deviation,
-                              ricci_center, ricci_mass, rt_diagnostics,
-                              sphere_integrand)
+                              rt_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import (conformal_killing, kernel_basis, kernel_function,
                              killing_basis)
@@ -156,7 +153,8 @@ def test_classical_flux_closed_form(n, m):
     m (1 + m/(2 r^{n-2}))^{(6-n)/(n-2)}."""
     spec = MetricSpec("schwarzschild_conformal", n, m=m)
     rule = sphere_rule(n, 12)
-    series = classical_mass(spec, FLAT_RADII, rule)
+    series = charge_series(spec, FLAT_RADII, rule,
+                           kernels=[kernel_function("const_one", n)])[0][0]
     q = 4.0 / (n - 2)
     for s in series.samples:
         u = 1.0 + m / (2.0 * s.r ** (n - 2))
@@ -167,7 +165,8 @@ def test_classical_flux_closed_form(n, m):
 @pytest.mark.parametrize("n,m", [(3, 1.0), (4, 2.5)])
 def test_ricci_mass_closed_form(n, m):
     spec = MetricSpec("schwarzschild_conformal", n, m=m)
-    series = ricci_mass(spec, FLAT_RADII, sphere_rule(n, 12))
+    series = charge_series(spec, FLAT_RADII, sphere_rule(n, 12),
+                           fields=[conformal_killing("dilation", n)])[1][0]
     assert series.limit == pytest.approx(m, rel=1e-10)
 
 
@@ -175,10 +174,16 @@ def test_centers_recover_translation():
     c = (1.0, -0.5, 0.25)
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0, center=c)
     rule = sphere_rule(3, 12)
-    mass = classical_mass(spec, FLAT_RADII, rule).limit
+    mass = charge_series(spec, FLAT_RADII, rule,
+                         kernels=[kernel_function("const_one", 3)])[0][0].limit
     for a in range(3):
-        cc = classical_center(spec, a, FLAT_RADII, rule, mass)
-        rc = ricci_center(spec, a, FLAT_RADII, rule, mass)
+        (cc,), _ = charge_series(
+            spec, FLAT_RADII, rule,
+            kernels=[kernel_function("coordinate", 3, alpha=a)], mass=mass)
+        _, (rc,) = charge_series(
+            spec, FLAT_RADII, rule,
+            fields=[conformal_killing("inverted_translation", 3, alpha=a)],
+            mass=mass)
         assert cc.limit == pytest.approx(c[a], abs=5e-3)
         assert rc.limit == pytest.approx(c[a], abs=5e-3)
 
@@ -186,44 +191,48 @@ def test_centers_recover_translation():
 def test_euclidean_charges_vanish():
     spec = MetricSpec("euclidean", 3)
     rule = sphere_rule(3, 8)
-    assert classical_mass(spec, FLAT_RADII, rule).limit == 0.0
-    assert ricci_mass(spec, FLAT_RADII, rule).limit == pytest.approx(0.0,
-                                                                     abs=1e-13)
+    (mass,), _ = charge_series(spec, FLAT_RADII, rule,
+                               kernels=[kernel_function("const_one", 3)])
+    _, (rmass,) = charge_series(spec, FLAT_RADII, rule,
+                                fields=[conformal_killing("dilation", 3)])
+    assert mass.limit == 0.0
+    assert rmass.limit == pytest.approx(0.0, abs=1e-13)
 
 
 def test_zero_mass_center_rejected():
     spec = MetricSpec("euclidean", 3)
     rule = sphere_rule(3, 8)
     with pytest.raises(ZeroMassError):
-        classical_center(spec, 0, FLAT_RADII, rule, mass=0.0)
+        charge_series(spec, FLAT_RADII, rule,
+                      kernels=[kernel_function("coordinate", 3, alpha=0)],
+                      mass=0.0)
     with pytest.raises(ZeroMassError):
-        ricci_center(spec, 0, FLAT_RADII, rule, mass=1e-14)
+        charge_series(
+            spec, FLAT_RADII, rule,
+            fields=[conformal_killing("inverted_translation", 3, alpha=0)],
+            mass=1e-14)
 
 
 def test_type_mismatches_rejected():
+    """A kernel of the other chart is rejected: cartesian on Kottler, polar
+    on Euclidean."""
     rule = sphere_rule(3, 8)
     with pytest.raises(ChartMismatchError):
-        classical_mass(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S), rule)
+        charge_series(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S), rule,
+                      kernels=[kernel_function("const_one", 3)])
     with pytest.raises(ChartMismatchError):
-        ah_mass(MetricSpec("euclidean", 3), 0, FLAT_RADII, rule)
-
-
-@pytest.mark.parametrize("index", [-1, 4])
-def test_basis_index_out_of_range(index):
-    spec = MetricSpec("kottler", 3, m=1.0)
-    rule = sphere_rule(3, 8)
-    for front in (ah_mass, ah_ricci_charge):
-        with pytest.raises(ValueError, match="0..3"):
-            front(spec, index, np.sinh(HYP_S), rule)
+        charge_series(MetricSpec("euclidean", 3), FLAT_RADII, rule,
+                      kernels=[kernel_basis(3, "polar_area")[0]])
 
 
 def test_radius_schedule_validation():
     spec = MetricSpec("euclidean", 3)
     rule = sphere_rule(3, 8)
+    kernels = [kernel_function("const_one", 3)]
     with pytest.raises(ValueError):
-        classical_mass(spec, [8.0, 16.0], rule)
+        charge_series(spec, [8.0, 16.0], rule, kernels)
     with pytest.raises(ValueError):
-        classical_mass(spec, [8.0, 4.0, 16.0], rule)
+        charge_series(spec, [8.0, 4.0, 16.0], rule, kernels)
 
 
 # ------------------------------------------------------- hyperbolic charges
@@ -232,7 +241,8 @@ def test_radius_schedule_validation():
 def test_kottler_mass(n, m):
     spec = MetricSpec("kottler", n, m=m)
     rule = sphere_rule(n, 14)
-    series = ah_mass(spec, 0, np.sinh(HYP_S), rule)
+    series = charge_series(spec, np.sinh(HYP_S), rule,
+                           kernels=[kernel_basis(n, "polar_area")[0]])[0][0]
     assert series.limit == pytest.approx(m, rel=1e-6)
     # the finite-radius correction decays monotonically
     gaps = np.abs(series.values - m)
@@ -241,16 +251,19 @@ def test_kottler_mass(n, m):
 
 def test_kottler_ricci_charge(n=3, m=1.0):
     spec = MetricSpec("kottler", n, m=m)
-    series = ah_ricci_charge(spec, 0, np.sinh(HYP_S), sphere_rule(n, 14))
+    series = charge_series(spec, np.sinh(HYP_S), sphere_rule(n, 14),
+                           fields=[killing_basis(n, "polar_area")[0]])[1][0]
     assert series.limit == pytest.approx(m, rel=1e-6)
 
 
 def test_kottler_vector_charges_vanish():
     spec = MetricSpec("kottler", 3, m=1.0)
     rule = sphere_rule(3, 14)
-    for i in (1, 2, 3):
-        assert abs(ah_mass(spec, i, np.sinh(HYP_S), rule).limit) < 1e-10
-        assert abs(ah_ricci_charge(spec, i, np.sinh(HYP_S), rule).limit) < 1e-8
+    for X in killing_basis(3, "polar_area")[1:]:
+        (am,), _ = charge_series(spec, np.sinh(HYP_S), rule, [X.kernel])
+        _, (ar,) = charge_series(spec, np.sinh(HYP_S), rule, fields=[X])
+        assert abs(am.limit) < 1e-10
+        assert abs(ar.limit) < 1e-8
 
 
 def test_geodesic_chart_agrees_with_area_chart():
@@ -260,12 +273,14 @@ def test_geodesic_chart_agrees_with_area_chart():
                     base=MetricSpec("hyperbolic_polar", 3),
                     components={(0, 0): pert})
     rule = sphere_rule(3, 12)
-    series = ah_mass(ga, 0, HYP_S, rule)
+    series = charge_series(ga, HYP_S, rule,
+                           [kernel_basis(3, "polar_geodesic")[0]])[0][0]
     pert_rho = "0.5 * exp(-3*log(r + sqrt(1 + r^2))) / (1 + r^2)"
     gb = MetricSpec("perturbation", 3,
                     base=MetricSpec("hyperbolic_area", 3),
                     components={(0, 0): pert_rho})
-    series_b = ah_mass(gb, 0, np.sinh(HYP_S), rule)
+    series_b = charge_series(gb, np.sinh(HYP_S), rule,
+                             [kernel_basis(3, "polar_area")[0]])[0][0]
     assert series_b.limit == pytest.approx(series.limit, rel=1e-8, abs=1e-10)
 
 
@@ -386,24 +401,26 @@ def test_basis_pass_matches_single_charges():
                             center=(1.0, 0.5, 0.0)),
                  MetricSpec("expression", 3,
                             components={(i, i): factor for i in range(3)})):
-        (mass, *cc), (rmass, *rc) = charge_series(
-            spec, FLAT_RADII, rule, kernel_basis(3, "cartesian"),
-            killing_basis(3, "cartesian"))
-        assert classical_mass(spec, FLAT_RADII, rule) == mass
-        assert ricci_mass(spec, FLAT_RADII, rule) == rmass
+        kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3, "cartesian")
+        (mass, *cc), (rmass, *rc) = charge_series(spec, FLAT_RADII, rule,
+                                                  kernels, fields)
+        assert charge_series(spec, FLAT_RADII, rule, kernels[:1])[0] == [mass]
+        assert charge_series(spec, FLAT_RADII, rule,
+                             fields=fields[:1])[1] == [rmass]
         for a in range(3):
-            assert classical_center(spec, a, FLAT_RADII, rule,
-                                    mass.limit) == cc[a]
-            assert ricci_center(spec, a, FLAT_RADII, rule,
-                                mass.limit) == rc[a]
+            assert charge_series(spec, FLAT_RADII, rule, [kernels[a + 1]],
+                                 mass=mass.limit)[0] == [cc[a]]
+            assert charge_series(spec, FLAT_RADII, rule,
+                                 fields=[fields[a + 1]],
+                                 mass=mass.limit)[1] == [rc[a]]
 
     spec = MetricSpec("kottler", 3, m=1.0)
     radii = np.sinh(HYP_S)
-    am, ar = charge_series(spec, radii, rule, kernel_basis(3, "polar_area"),
-                           killing_basis(3, "polar_area"))
+    kernels, fields = kernel_basis(3, "polar_area"), killing_basis(3, "polar_area")
+    am, ar = charge_series(spec, radii, rule, kernels, fields)
     for i in range(4):
-        assert ah_mass(spec, i, radii, rule) == am[i]
-        assert ah_ricci_charge(spec, i, radii, rule) == ar[i]
+        assert charge_series(spec, radii, rule, [kernels[i]])[0] == [am[i]]
+        assert charge_series(spec, radii, rule, fields=[fields[i]])[1] == [ar[i]]
 
     spec = MetricSpec("hyperbolic_polar", 3)
     fields = killing_basis(3, spec.chart_kind)

@@ -61,6 +61,22 @@ def test_bad_params_value_names_its_key(tmp_path):
         load_config(str(cfg_file))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_params_value_is_a_config_error(tmp_path, capsys, value):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(
+        "[metric]\nkind = expression\nn = 3\n"
+        "[components]\ng_1_1 = (1 + mm/(2*r))^4\ng_2_2 = (1 + mm/(2*r))^4\n"
+        "g_3_3 = (1 + mm/(2*r))^4\n"
+        f"[params]\nmm = {value}\n")
+    with pytest.raises(ConfigError, match="finite"):
+        build_spec(load_config(str(cfg_file)))
+    assert main(["center", "--config", str(cfg_file), "--degree", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_boolean_keys_accept_only_boolean_words(tmp_path, capsys):
     cfg_file = tmp_path / "run.ini"
     for word, value in (("1", True), ("Yes", True), ("on", True),
@@ -244,6 +260,8 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
     pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "6",
                   "--m", "1"], id="n-6"),
     pytest.param(["center", *_SCHW3, "--center", "1,x,0"], id="center-text"),
+    pytest.param(["center", *_SCHW3, "--center", "1,nan,0"], id="center-nan"),
+    pytest.param(["center", *_SCHW3, "--center", "1,inf,0"], id="center-inf"),
     pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
                   "--which", "pohozaev", "--annulus", "2,1"],
                  id="annulus-reversed"),

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, metric_jet
-from asymflux.errors import ChartMismatchError
 from asymflux.fields import (basis_jets, conformal_killing, kernel_basis,
                              kernel_function, killing_basis)
-from asymflux.geometry import (ChartKind, ChartPoint, divergence_vector,
-                               dscal_adjoint, killing_operator, tensor_norm)
+from asymflux.geometry import (ChartKind, divergence_vector, dscal_adjoint,
+                               killing_operator, tensor_norm)
 
 RNG = np.random.default_rng(23)
 
@@ -134,13 +133,6 @@ def test_basis_jets_match_single_elements(n, chart):
             alone = X.vector_jet(pts)
             assert np.array_equal(jet.comp, alone.comp)
             assert np.array_equal(jet.d, alone.d)
-
-
-def test_chart_mismatch_rejected():
-    V = kernel_function("ah_V0", 3, ChartKind.POLAR_GEODESIC)
-    p = ChartPoint(np.array([1.0, 1.0, 1.0]), ChartKind.POLAR_AREA)
-    with pytest.raises(ChartMismatchError):
-        V.scalar_jet(p)
 
 
 def test_basis_sizes_and_pairing_ids():

@@ -7,12 +7,12 @@ import sympy as sp
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DegenerateMetricError
 from asymflux.fields import conformal_killing, kernel_basis, killing_basis
-from asymflux.geometry import (ChartPoint, MetricJet, ScalarJet, SymTensorJet,
-                               VectorJet, christoffel, christoffel_derivative,
-                               curvature, divergence_symmetric2,
-                               divergence_vector, dscal_adjoint, hessian,
-                               inverse_derivative, inverse_metric,
-                               killing_operator, laplacian, tensor_norm)
+from asymflux.geometry import (MetricJet, ScalarJet, SymTensorJet, VectorJet,
+                               christoffel, christoffel_derivative, curvature,
+                               divergence_symmetric2, divergence_vector,
+                               dscal_adjoint, hessian, inverse_derivative,
+                               inverse_metric, killing_operator, laplacian,
+                               tensor_norm)
 
 RNG = np.random.default_rng(7)
 
@@ -23,8 +23,7 @@ def euclid_jet(x):
     shape = x.shape[:-1]
     return MetricJet(np.broadcast_to(np.eye(n), shape + (n, n)).copy(),
                      np.zeros(shape + (n, n, n)),
-                     np.zeros(shape + (n, n, n, n)),
-                     ChartPoint(x, "cartesian"))
+                     np.zeros(shape + (n, n, n, n)))
 
 
 # --------------------------------------------------------- curvature oracles
@@ -180,7 +179,7 @@ def _random_jet(shape, n, diagonal):
     if diagonal:
         eye = np.eye(n, dtype=bool)
         g, dg, ddg = g * eye, dg * eye, ddg * eye
-    return MetricJet(g, dg, ddg, ChartPoint(np.zeros(shape + (n,)), "cartesian"))
+    return MetricJet(g, dg, ddg)
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])

@@ -151,6 +151,15 @@ def test_thread_count_reads_the_environment(monkeypatch):
     assert thread_count() == 3
 
 
+@pytest.mark.parametrize("nthreads", [0, -3, 2.7])
+def test_bad_thread_count_rejected(nthreads):
+    """A library caller's thread count must be a positive integer, as
+    ``--threads`` and ``ASYMFLUX_THREADS`` must."""
+    with pytest.raises(ValueError, match="positive integer"):
+        integrate_sphere(lambda p: p[:, 0], 1.0, sphere_rule(3, 4),
+                         nthreads=nthreads)
+
+
 def test_thread_count_invariance():
     """Bit-identical integrals regardless of the worker count."""
     rule = sphere_rule(4, 30)   # enough nodes for several chunks
