@@ -11,7 +11,7 @@ identity) that make the two families of definitions agree.
 from .catalog import MetricSpec, background_of, jets, metric_jet
 from .charges import charge_series, michel_integrand, rt_diagnostics
 from .errors import AsymfluxError
-from .fields import conformal_killing, kernel_basis, kernel_function, killing_basis
+from .fields import kernel_basis, killing_basis
 from .geometry import ChartKind, curvature
 from .limits import FluxSample, RadialSeries, decay_rate, extrapolate
 from .quadrature import integrate_annulus, integrate_sphere, omega, sphere_rule
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MetricSpec", "background_of", "jets", "metric_jet", "charge_series",
-    "michel_integrand", "rt_diagnostics", "AsymfluxError", "conformal_killing",
-    "kernel_basis", "kernel_function", "killing_basis", "ChartKind", "curvature",
+    "michel_integrand", "rt_diagnostics", "AsymfluxError", "kernel_basis",
+    "killing_basis", "ChartKind", "curvature",
     "FluxSample", "RadialSeries", "decay_rate", "extrapolate",
     "integrate_annulus", "integrate_sphere", "omega", "sphere_rule",
     "equivalence_report", "kernel_check_lemma22", "pohozaev_check",

@@ -72,6 +72,16 @@ class MetricSpec:
             raise ValueError("perturbation spec requires a base spec")
         if self.kind == "expression" and self.components is None:
             raise ValueError("expression spec requires components")
+        unread = [name for name, value, readers in (
+            ("m", self.m, ("schwarzschild_conformal", "kottler")),
+            ("center", self.center, ("schwarzschild_conformal",)),
+            ("components", self.components, ("perturbation", "expression")),
+            ("params", self.params, ("perturbation", "expression")),
+            ("chart", self.chart, ("expression",)))
+            if value and self.kind not in readers]
+        if unread:
+            raise ValueError(f"a {self.kind} metric does not read "
+                             f"{', '.join(unread)}")
         if not np.isfinite(self.m):
             raise ValueError(f"mass parameter m must be finite, got {self.m}")
         if self.center and len(self.center) != self.n:

@@ -26,7 +26,9 @@ cartesian chart: its inverse is itself and its Christoffel symbols and
 which keeps every bit.  The public integrands keep the general formula for
 any background passed in.
 
-Charge normalizations (exact constants, see ``_NORMALIZATION``):
+Charge normalizations (exact constants, see ``_normalization``; a kernel
+function gives a classical charge and a field a Ricci one, and the centers,
+the elements of index > 0 in the cartesian chart, divide by the mass):
 
 * mass:              1 / (2 (n-1) omega_{n-1})
 * center of mass:    1 / (2 (n-1) omega_{n-1} m)
@@ -69,18 +71,15 @@ def ricci_mass_normalization(n: int) -> float:
     return -1.0 / ((n - 1) * (n - 2) * omega(n))
 
 
-# basis-element family (id without its index) -> normalization(n, mass); the
-# two center families divide by the mass
-_NORMALIZATION = {
-    "const_one": lambda n, m: mass_normalization(n),
-    "coordinate": lambda n, m: mass_normalization(n) / m,
-    "ah_V": lambda n, m: mass_normalization(n),
-    "dilation": lambda n, m: ricci_mass_normalization(n),
-    "inverted_translation":
-        lambda n, m: 1.0 / (2.0 * (n - 1) * (n - 2) * omega(n) * m),
-    "ah_X": lambda n, m: ricci_mass_normalization(n),
-}
-_CENTER_FAMILIES = ("coordinate", "inverted_translation")
+def _normalization(n: int, field: bool, mass: float | None) -> float:
+    """Exact normalization of a kernel function's charge (classical) or a
+    field's (Ricci); ``mass`` is given for the centers alone, which divide
+    by it."""
+    if mass is None:
+        return ricci_mass_normalization(n) if field else mass_normalization(n)
+    if field:
+        return 1.0 / (2.0 * (n - 1) * (n - 2) * omega(n) * mass)
+    return mass_normalization(n) / mass
 
 
 # --------------------------------------------------------------- integrands
@@ -265,16 +264,17 @@ def _series(spec, radii, raw_fluxes, quad_errors, norm):
 # ------------------------------------------------------- basis-wide series
 
 def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                  fields=(), mass: float | None = None, nthreads=None):
+                  fields=(), nthreads=None):
     """Normalized charge series for kernel functions and conformal Killing
     fields, with one sphere pass per radius (:func:`sphere_integrand`).
 
     Kernel functions V give the classical charges (flux of ``U(V, g, b)`` in
     the background measure); conformal Killing fields X give the Ricci
     charges (flux of ``G(X, nu)`` in the metric measure, with the modified
-    Einstein tensor on hyperbolic-type metrics).  Center charges divide by
-    ``mass``, which defaults to the limit of a leading ``const_one`` kernel;
-    a vanishing or missing mass raises ZeroMassError.  Returns
+    Einstein tensor on hyperbolic-type metrics).  The centers, the elements
+    of index > 0 in the cartesian chart, divide by the mass: the limit of
+    the ``const_one`` kernel (index 0) that must lead ``kernels``.  A missing
+    or vanishing mass raises ZeroMassError.  Returns
     ``(kernel_series, field_series)`` in the order requested.
     """
     radii = _check_radii(radii)
@@ -291,17 +291,22 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
                for r in radii] if elements else []
     series = []
     for k, element in enumerate(elements):
-        family = element.id.rstrip("0123456789_")
-        if family in _CENTER_FAMILIES:
-            if mass is None and kernels and kernels[0].id == "const_one":
-                mass = series[0].limit
-            if mass is None or abs(mass) < _MASS_FLOOR:
+        field = k >= len(kernels)
+        mass = None
+        if chart == ChartKind.CARTESIAN \
+                and (element.kernel if field else element).index > 0:
+            if not (kernels and kernels[0].index == 0):
+                raise ZeroMassError(
+                    f"center charge {element.id} needs the const_one kernel "
+                    f"first in the same call")
+            mass = series[0].limit
+            if abs(mass) < _MASS_FLOOR:
                 raise ZeroMassError(
                     "center of mass undefined for vanishing mass")
         series.append(_series(
             spec, radii, [q.value[k] for q in results],
             [q.error_estimate[k] for q in results],
-            _NORMALIZATION[family](spec.n, mass)))
+            _normalization(spec.n, field, mass)))
     return series[:len(kernels)], series[len(kernels):]
 
 

@@ -335,8 +335,9 @@ def _eval(node, env, params, width, shape):
                 return left / right
             if node.op == "^":
                 if not _reads_variables(node.right, env):
+                    # an empty batch has no node: any exponent will do
                     return left ** float(np.ravel(right.val)[0]) \
-                        if right.val.size else left ** float(right.val)
+                        if right.val.size else left ** 1.0
                 return left ** right
         except DomainError as exc:
             raise ExprDomainError(str(exc), node.pos) from exc

@@ -17,7 +17,9 @@ gradients, 2n for the inverted translations.  :func:`kernel_basis` is read
 off :func:`killing_basis`, and the analytic jet of ``delta^b X`` (used by
 the kernel-identity verifier) is the scaled jet of V.
 
-Kernel functions and fields are plain data, an id and a basis index;
+Kernel functions and fields are plain data: a basis index, which is the
+only handle on an element, and an id, which only labels it.
+:func:`killing_basis` builds every (V, X) pair from one table, and
 :func:`basis_jets` evaluates any set of them at once, with exact jets.
 """
 
@@ -34,8 +36,7 @@ from .errors import ChartMismatchError
 from .geometry import ChartKind, ScalarJet, VectorJet
 from .hyperdual import HyperDual, seed_variables
 
-__all__ = ["KernelFunction", "ConformalKilling", "basis_jets",
-           "kernel_function", "conformal_killing", "kernel_basis",
+__all__ = ["KernelFunction", "ConformalKilling", "basis_jets", "kernel_basis",
            "killing_basis"]
 
 
@@ -173,59 +174,7 @@ def _gradient_field(vjet: ScalarJet, binv) -> VectorJet:
     return VectorJet(comp, d)
 
 
-# ------------------------------------------------------------------ factories
-
-def _check_alpha(id, alpha, lo, hi):
-    if alpha is None or not lo <= alpha <= hi:
-        raise ValueError(f"{id} needs alpha in {lo}..{hi}, got {alpha!r}")
-
-
-def kernel_function(id: str, n: int, chart_kind: ChartKind | str = ChartKind.CARTESIAN,
-                    alpha: int | None = None) -> KernelFunction:
-    """Build a kernel function by id.
-
-    Flat chart ids: ``const_one``, ``coordinate`` (with ``alpha`` in 0..n-1).
-    Hyperbolic ids: ``ah_V0``, ``ah_Valpha`` (with ``alpha`` in 1..n picking
-    the sphere coordinate).
-    """
-    chart_kind = ChartKind(chart_kind)
-    flat = chart_kind == ChartKind.CARTESIAN
-    if id == "const_one" and flat:
-        return KernelFunction("const_one", n, chart_kind, 0)
-    if id == "coordinate" and flat:
-        _check_alpha(id, alpha, 0, n - 1)
-        return KernelFunction(f"coordinate_{alpha}", n, chart_kind, alpha + 1)
-    if id == "ah_V0" and not flat:
-        return KernelFunction("ah_V0", n, chart_kind, 0)
-    if id == "ah_Valpha" and not flat:
-        _check_alpha(id, alpha, 1, n)
-        return KernelFunction(f"ah_V{alpha}", n, chart_kind, alpha)
-    raise ValueError(
-        f"unknown kernel function id {id!r} in the {chart_kind.value} chart")
-
-
-def conformal_killing(id: str, n: int,
-                      chart_kind: ChartKind | str = ChartKind.CARTESIAN,
-                      alpha: int | None = None) -> ConformalKilling:
-    """Build a conformal Killing field by id: ``dilation``,
-    ``inverted_translation``, ``ah_X0`` and ``ah_Xalpha`` carry the kernel
-    functions ``const_one``, ``coordinate``, ``ah_V0`` and ``ah_Valpha`` (with
-    the same ``alpha`` and chart; see :func:`kernel_function`)."""
-    chart_kind = ChartKind(chart_kind)
-    if id == "dilation":
-        return ConformalKilling("dilation", n, chart_kind,
-                                kernel_function("const_one", n, chart_kind),
-                                -float(n))
-    if id == "inverted_translation":
-        V = kernel_function("coordinate", n, chart_kind, alpha)
-        return ConformalKilling(f"inverted_translation_{alpha}", n, chart_kind,
-                                V, 2.0 * n)
-    if id in ("ah_X0", "ah_Xalpha"):
-        V = kernel_function(id.replace("X", "V"), n, chart_kind, alpha)
-        return ConformalKilling(V.id.replace("V", "X"), n, chart_kind, V,
-                                -float(n))
-    raise ValueError(f"unknown conformal Killing id {id!r}")
-
+# --------------------------------------------------------------------- bases
 
 def kernel_basis(n: int, chart_kind: ChartKind | str) -> list[KernelFunction]:
     """The (n+1)-element kernel basis for the chart's background, paired
@@ -234,12 +183,16 @@ def kernel_basis(n: int, chart_kind: ChartKind | str) -> list[KernelFunction]:
 
 
 def killing_basis(n: int, chart_kind: ChartKind | str) -> list[ConformalKilling]:
-    """The (n+1) conformal Killing fields for the chart's background."""
+    """The (n+1) conformal Killing fields for the chart's background, each
+    carrying the kernel function of the same index and its constant c."""
     chart_kind = ChartKind(chart_kind)
     if chart_kind == ChartKind.CARTESIAN:
-        return ([conformal_killing("dilation", n)]
-                + [conformal_killing("inverted_translation", n, alpha=a)
-                   for a in range(n)])
-    return ([conformal_killing("ah_X0", n, chart_kind)]
-            + [conformal_killing("ah_Xalpha", n, chart_kind, alpha=a)
-               for a in range(1, n + 1)])
+        table = [("const_one", "dilation", -n)] + [
+            (f"coordinate_{a}", f"inverted_translation_{a}", 2 * n)
+            for a in range(n)]
+    else:
+        table = [(f"ah_V{i}", f"ah_X{i}", -n) for i in range(n + 1)]
+    return [ConformalKilling(x_id, n, chart_kind,
+                             KernelFunction(v_id, n, chart_kind, index),
+                             float(c))
+            for index, (v_id, x_id, c) in enumerate(table)]

@@ -68,9 +68,6 @@ class ScalarJet:
     grad: np.ndarray    # (..., n)
     hess: np.ndarray    # (..., n, n)
 
-    def __neg__(self):
-        return ScalarJet(-self.value, -self.grad, -self.hess)
-
     def scaled(self, c):
         return ScalarJet(c * self.value, c * self.grad, c * self.hess)
 

@@ -199,10 +199,8 @@ def _radial_nodes(r0, r1, radial_degree):
 
 
 def _annulus_value(f, rule, radii, rweights, chart_kind, nthreads):
-    shells = []
-    for r, w in zip(radii, rweights):
-        values = _evaluate(f, sphere_points(rule, r, chart_kind), nthreads)
-        shells.append(w * pairwise_sum((values.T * rule.weights).T))
+    shells = [w * _sphere_value(f, rule, r, chart_kind, nthreads)[0]
+              for r, w in zip(radii, rweights)]
     return pairwise_sum(np.array(shells)), rule.node_count * radii.size
 
 

@@ -251,13 +251,14 @@ def agreement(X: ConformalKilling, classical: RadialSeries,
     Returns ``(difference, budget, passed)``: the limits agree when their
     difference is at most ``max(10 (err_cls + err_ric), rel_tol * scale)``.
     """
-    # Relative floor (scale = max(|cls|, |ric|, 1)) for the flat mass, absolute
-    # (scale = 1) otherwise, as reports always had it; unifying moves budgets:
-    # a relative floor ah_agreement_0 on Kottler n=4, m=1.94 (1.04e-6 ->
-    # 1.94e-6), an absolute one mass_agreement on Schwarzschild n=5, m=1.2
-    # (1.2e-6 -> 1e-6).
+    # Relative floor (scale = max(|cls|, |ric|, 1)) for the flat mass (index 0
+    # in the cartesian chart), absolute (scale = 1) otherwise, as reports
+    # always had it; unifying moves budgets: a relative floor ah_agreement_0
+    # on Kottler n=4, m=1.94 (1.04e-6 -> 1.94e-6), an absolute one
+    # mass_agreement on Schwarzschild n=5, m=1.2 (1.2e-6 -> 1e-6).
     scale = max(abs(classical.limit), abs(ricci.limit), 1.0) \
-        if X.kernel.id == "const_one" else 1.0
+        if X.chart_kind == ChartKind.CARTESIAN and X.kernel.index == 0 \
+        else 1.0
     difference = abs(classical.limit - ricci.limit)
     budget = max(10.0 * (classical.limit_error + ricci.limit_error),
                  rel_tol * scale)

@@ -286,6 +286,26 @@ def test_perturbation_with_params():
     assert jet.g[0, 0] == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("kind,kwargs,unread", [
+    ("euclidean", {"m": 2.0}, "m"),
+    ("hyperbolic_area", {"m": 1.0}, "m"),
+    ("kottler", {"m": 1.0, "center": (5.0, 5.0, 5.0)}, "center"),
+    ("kottler", {"m": 1.0, "components": {(0, 0): "garbage("},
+                 "params": {"q": 1.0}, "chart": "cartesian"},
+     "components, params, chart"),
+    ("schwarzschild_conformal", {"m": 1.0, "chart": "cartesian"}, "chart"),
+    ("expression", {"m": 1.0, "components": {(0, 0): "1"}}, "m"),
+    ("perturbation", {"base": MetricSpec("euclidean", 3),
+                      "components": {(0, 0): "1/r"}, "chart": "cartesian"},
+     "chart"),
+], ids=["m-euclidean", "m-hyperbolic-area", "center-kottler",
+        "components-params-chart-kottler", "chart-schwarzschild",
+        "m-expression", "chart-perturbation"])
+def test_spec_rejects_values_its_kind_never_reads(kind, kwargs, unread):
+    with pytest.raises(ValueError, match=f"does not read {unread}$"):
+        MetricSpec(kind, 3, **kwargs)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         MetricSpec("no_such_metric", 3)

@@ -8,8 +8,7 @@ from asymflux.charges import (adm_integrand, center_integrand, charge_series,
                               michel_integrand, michel_integrand_deviation,
                               rt_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
-from asymflux.fields import (conformal_killing, kernel_basis, kernel_function,
-                             killing_basis)
+from asymflux.fields import kernel_basis, killing_basis
 from asymflux.geometry import ScalarJet, SymTensorJet
 from asymflux.limits import decay_rate
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
@@ -42,7 +41,7 @@ def test_michel_specializes_to_adm():
     nu = RNG.normal(size=(100, n))
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
     eps = random_deviation(100, n)
-    V = kernel_function("const_one", n).scalar_jet(x)
+    V = kernel_basis(n, "cartesian")[0].scalar_jet(x)
     general = michel_integrand_deviation(V, eps, flat_bjet(x), nu)
     classical = adm_integrand(eps, nu)
     scale = np.max(np.abs(classical)) + 1.0
@@ -56,7 +55,7 @@ def test_michel_specializes_to_center(alpha):
     nu = RNG.normal(size=(100, n))
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
     eps = random_deviation(100, n)
-    V = kernel_function("coordinate", n, alpha=alpha).scalar_jet(x)
+    V = kernel_basis(n, "cartesian")[alpha + 1].scalar_jet(x)
     general = michel_integrand_deviation(V, eps, flat_bjet(x), nu)
     classical = center_integrand(eps, alpha, x, nu)
     scale = np.max(np.abs(classical)) + 1.0
@@ -67,7 +66,7 @@ def test_full_jets_agree_with_deviation_path():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     x = RNG.normal(size=(20, 3)) * 2.0 + np.array([8.0, 0, 0])
     nu = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    V = kernel_function("const_one", 3).scalar_jet(x)
+    V = kernel_basis(3, "cartesian")[0].scalar_jet(x)
     a = michel_integrand(V, metric_jet(spec, x),
                          metric_jet(background_of(spec), x), nu)
     b = michel_integrand_deviation(V, jets(spec, x)[2],
@@ -154,7 +153,7 @@ def test_classical_flux_closed_form(n, m):
     spec = MetricSpec("schwarzschild_conformal", n, m=m)
     rule = sphere_rule(n, 12)
     series = charge_series(spec, FLAT_RADII, rule,
-                           kernels=[kernel_function("const_one", n)])[0][0]
+                           kernels=[kernel_basis(n, "cartesian")[0]])[0][0]
     q = 4.0 / (n - 2)
     for s in series.samples:
         u = 1.0 + m / (2.0 * s.r ** (n - 2))
@@ -166,7 +165,7 @@ def test_classical_flux_closed_form(n, m):
 def test_ricci_mass_closed_form(n, m):
     spec = MetricSpec("schwarzschild_conformal", n, m=m)
     series = charge_series(spec, FLAT_RADII, sphere_rule(n, 12),
-                           fields=[conformal_killing("dilation", n)])[1][0]
+                           fields=[killing_basis(n, "cartesian")[0]])[1][0]
     assert series.limit == pytest.approx(m, rel=1e-10)
 
 
@@ -174,16 +173,12 @@ def test_centers_recover_translation():
     c = (1.0, -0.5, 0.25)
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0, center=c)
     rule = sphere_rule(3, 12)
-    mass = charge_series(spec, FLAT_RADII, rule,
-                         kernels=[kernel_function("const_one", 3)])[0][0].limit
+    kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3, "cartesian")
     for a in range(3):
-        (cc,), _ = charge_series(
-            spec, FLAT_RADII, rule,
-            kernels=[kernel_function("coordinate", 3, alpha=a)], mass=mass)
-        _, (rc,) = charge_series(
-            spec, FLAT_RADII, rule,
-            fields=[conformal_killing("inverted_translation", 3, alpha=a)],
-            mass=mass)
+        (_, cc), _ = charge_series(spec, FLAT_RADII, rule,
+                                   kernels=[kernels[0], kernels[a + 1]])
+        _, (rc,) = charge_series(spec, FLAT_RADII, rule, kernels[:1],
+                                 [fields[a + 1]])
         assert cc.limit == pytest.approx(c[a], abs=5e-3)
         assert rc.limit == pytest.approx(c[a], abs=5e-3)
 
@@ -192,25 +187,28 @@ def test_euclidean_charges_vanish():
     spec = MetricSpec("euclidean", 3)
     rule = sphere_rule(3, 8)
     (mass,), _ = charge_series(spec, FLAT_RADII, rule,
-                               kernels=[kernel_function("const_one", 3)])
+                               kernels=[kernel_basis(3, "cartesian")[0]])
     _, (rmass,) = charge_series(spec, FLAT_RADII, rule,
-                                fields=[conformal_killing("dilation", 3)])
+                                fields=[killing_basis(3, "cartesian")[0]])
     assert mass.limit == 0.0
     assert rmass.limit == pytest.approx(0.0, abs=1e-13)
 
 
 def test_zero_mass_center_rejected():
-    spec = MetricSpec("euclidean", 3)
+    """A center divides by the const_one mass leading its call: a zero mass,
+    a missing const_one kernel and a mass below the floor are rejected."""
     rule = sphere_rule(3, 8)
-    with pytest.raises(ZeroMassError):
-        charge_series(spec, FLAT_RADII, rule,
-                      kernels=[kernel_function("coordinate", 3, alpha=0)],
-                      mass=0.0)
-    with pytest.raises(ZeroMassError):
-        charge_series(
-            spec, FLAT_RADII, rule,
-            fields=[conformal_killing("inverted_translation", 3, alpha=0)],
-            mass=1e-14)
+    kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3, "cartesian")
+    euclidean = MetricSpec("euclidean", 3)
+    with pytest.raises(ZeroMassError, match="vanishing mass"):
+        charge_series(euclidean, FLAT_RADII, rule, kernels[:2])
+    with pytest.raises(ZeroMassError, match="const_one"):
+        charge_series(euclidean, FLAT_RADII, rule, kernels[1:2])
+    with pytest.raises(ZeroMassError, match="const_one"):
+        charge_series(euclidean, FLAT_RADII, rule, fields=fields[1:2])
+    tiny = MetricSpec("schwarzschild_conformal", 3, m=1e-14)
+    with pytest.raises(ZeroMassError, match="vanishing mass"):
+        charge_series(tiny, FLAT_RADII, rule, kernels[:1], fields[1:2])
 
 
 def test_type_mismatches_rejected():
@@ -219,7 +217,7 @@ def test_type_mismatches_rejected():
     rule = sphere_rule(3, 8)
     with pytest.raises(ChartMismatchError):
         charge_series(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S), rule,
-                      kernels=[kernel_function("const_one", 3)])
+                      kernels=[kernel_basis(3, "cartesian")[0]])
     with pytest.raises(ChartMismatchError):
         charge_series(MetricSpec("euclidean", 3), FLAT_RADII, rule,
                       kernels=[kernel_basis(3, "polar_area")[0]])
@@ -228,7 +226,7 @@ def test_type_mismatches_rejected():
 def test_radius_schedule_validation():
     spec = MetricSpec("euclidean", 3)
     rule = sphere_rule(3, 8)
-    kernels = [kernel_function("const_one", 3)]
+    kernels = [kernel_basis(3, "cartesian")[0]]
     with pytest.raises(ValueError):
         charge_series(spec, [8.0, 16.0], rule, kernels)
     with pytest.raises(ValueError):
@@ -335,7 +333,7 @@ def test_diagnostics_evaluate_values_only(monkeypatch):
 
 def test_einstein_flux_orientation():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    X = conformal_killing("dilation", 3)
+    X = killing_basis(3, "cartesian")[0]
     rule = sphere_rule(3, 12)
     s = charge_series(spec, [16.0, 32.0, 64.0], rule, fields=[X])[1][0].samples[0]
     # normalization: raw flux = -(n-1)(n-2) omega m at leading order
@@ -344,7 +342,7 @@ def test_einstein_flux_orientation():
 
 def test_michel_flux_quad_error_is_small():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    V = kernel_function("const_one", 3)
+    V = kernel_basis(3, "cartesian")[0]
     flux = sphere_integrand(spec, [V], (), 16.0)
     res = integrate_sphere(lambda p: flux(p)[:, 0], 16.0, sphere_rule(3, 12))
     assert res.error_estimate < 1e-10 * max(abs(res.value), 1.0)
@@ -408,11 +406,10 @@ def test_basis_pass_matches_single_charges():
         assert charge_series(spec, FLAT_RADII, rule,
                              fields=fields[:1])[1] == [rmass]
         for a in range(3):
-            assert charge_series(spec, FLAT_RADII, rule, [kernels[a + 1]],
-                                 mass=mass.limit)[0] == [cc[a]]
-            assert charge_series(spec, FLAT_RADII, rule,
-                                 fields=[fields[a + 1]],
-                                 mass=mass.limit)[1] == [rc[a]]
+            assert charge_series(spec, FLAT_RADII, rule, [
+                kernels[0], kernels[a + 1]])[0] == [mass, cc[a]]
+            assert charge_series(spec, FLAT_RADII, rule, kernels[:1],
+                                 [fields[a + 1]])[1] == [rc[a]]
 
     spec = MetricSpec("kottler", 3, m=1.0)
     radii = np.sinh(HYP_S)

@@ -130,6 +130,20 @@ def test_bad_component_text_rejected(tmp_path, text):
                  "--out-json", str(tmp_path / "out.json")]) == 2
 
 
+def test_unread_metric_values_rejected(tmp_path, capsys):
+    """Components, params and a chart on a catalog kind, which never reads
+    them, are a configuration error naming them; the component is not
+    parsed."""
+    cfg_file = tmp_path / "kottler.ini"
+    cfg_file.write_text(
+        "[metric]\nkind = kottler\nn = 3\nm = 1\nchart = cartesian\n"
+        "[components]\ng_1_1 = garbage(\n[params]\nq = 1\n")
+    with pytest.raises(ConfigError, match="components, params, chart"):
+        build_spec(load_config(str(cfg_file)))
+    assert main(["ah-mass", "--config", str(cfg_file), "--degree", "6"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_echo_round_trip(tmp_path):
     code, report = run_cli(["mass", "--kind", "schwarzschild_conformal",
                             "--n", "3", "--m", "1", "--degree", "8"], tmp_path)
@@ -298,6 +312,12 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
                  id="threads-0"),
     pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--threads", "-3"],
                  id="threads-negative"),
+    pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--m", "2"],
+                 id="m-on-euclidean"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
+                  "--center", "5,5,5"], id="center-on-kottler"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3", "--m",
+                  "1", "--which", "kernel"], id="m-on-hyperbolic-polar"),
 ])
 def test_exit_code_config_error(capsys, argv):
     assert main(argv) == 2

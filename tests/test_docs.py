@@ -1,4 +1,5 @@
-"""The README's Python examples run, and every exported name resolves."""
+"""The README's Python and CLI examples run, and every exported name
+resolves."""
 
 import importlib
 import pkgutil
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 import asymflux
+from asymflux.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,6 +20,19 @@ def test_readme_python_blocks_run():
     namespace = {}
     for k, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {k}", "exec"), namespace)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    """Every ``asymflux`` line of the README's CLI block exits 0, run in a
+    scratch directory because ``sweep`` writes its CSVs."""
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(),
+                      flags=re.DOTALL | re.MULTILINE).group(1)
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("asymflux ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv + ["--no-timings"]) == 0, argv
 
 
 def test_all_exports_resolve():

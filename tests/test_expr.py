@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymflux.catalog import MetricSpec, jets
 from asymflux.errors import (ExprDomainError, ParseError,
                              UnknownIdentifierError)
 from asymflux.expr import Bin, Call, Name, Num, eval_jet, parse, to_text
@@ -137,6 +138,21 @@ def test_jets_match_finite_differences(text):
     g_fd, h_fd = fd(text, x)
     assert np.allclose(out.grad, g_fd, rtol=1e-6, atol=1e-8)
     assert np.allclose(out.hess, h_fd, rtol=1e-5, atol=1e-6)
+
+
+def test_empty_batch_gives_empty_jets():
+    """An empty batch has no node, so a constant exponent evaluates to empty
+    jets as every other expression does; the expression metric built on it
+    gives jets of shape ``(0, n, n)`` like every catalog kind."""
+    for text in ("1 + 1/r^2", "x1^3", "(x2 + 1)^(1/2)"):
+        out = jet(text, np.empty((0, 3)))
+        assert out.value.shape == (0,)
+        assert out.grad.shape == (0, 3) and out.hess.shape == (0, 3, 3)
+    spec = MetricSpec("expression", 3, components={
+        (0, 0): "1 + 1/r^2", (1, 1): "1", (2, 2): "1"})
+    g_jet, b_jet, eps = jets(spec, np.empty((0, 3)))
+    assert g_jet.g.shape == b_jet.g.shape == eps.value.shape == (0, 3, 3)
+    assert g_jet.ddg.shape == (0, 3, 3, 3, 3)
 
 
 def test_batched_matches_pointwise():

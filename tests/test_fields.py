@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, metric_jet
-from asymflux.fields import (basis_jets, conformal_killing, kernel_basis,
-                             kernel_function, killing_basis)
+from asymflux.fields import basis_jets, kernel_basis, killing_basis
 from asymflux.geometry import (ChartKind, divergence_vector, dscal_adjoint,
                                killing_operator, tensor_norm)
 
@@ -80,11 +79,11 @@ def test_kernel_functions_annihilated(n):
 
 def test_flat_field_jets():
     x = RNG.normal(size=(10, 3)) * 2.0
-    dil = conformal_killing("dilation", 3)
+    dil = killing_basis(3, "cartesian")[0]
     vj = dil.vector_jet(x)
     assert np.allclose(vj.comp, x)
     assert np.allclose(vj.d, np.eye(3))
-    X1 = conformal_killing("inverted_translation", 3, alpha=1)
+    X1 = killing_basis(3, "cartesian")[2]
     comp = X1.vector_jet(x).comp
     r2 = np.einsum("ij,ij->i", x, x)
     expected = r2[:, None] * np.eye(3)[1] - 2 * x[:, 1:2] * x
@@ -93,7 +92,7 @@ def test_flat_field_jets():
 
 def test_vector_jet_derivative_fd():
     x0 = np.array([1.0, -2.0, 0.5])
-    X = conformal_killing("inverted_translation", 3, alpha=0)
+    X = killing_basis(3, "cartesian")[1]
     d = X.vector_jet(x0).d
     h = 1e-6
     for j in range(3):
@@ -104,7 +103,7 @@ def test_vector_jet_derivative_fd():
 
 def test_hyperbolic_vector_jet_derivative_fd():
     pts = np.array([1.3, 0.9, 2.1])
-    X = conformal_killing("ah_Xalpha", 3, ChartKind.POLAR_GEODESIC, alpha=2)
+    X = killing_basis(3, ChartKind.POLAR_GEODESIC)[2]
     d = X.vector_jet(pts).d
     h = 1e-6
     for j in range(3):
@@ -136,6 +135,8 @@ def test_basis_jets_match_single_elements(n, chart):
 
 
 def test_basis_sizes_and_pairing_ids():
+    """The element at position k has index k; its ids, which label reports
+    and messages, and its constant c are those of the basis table."""
     for n in (3, 4, 5):
         assert len(kernel_basis(n, ChartKind.CARTESIAN)) == n + 1
         assert len(killing_basis(n, ChartKind.CARTESIAN)) == n + 1
@@ -143,21 +144,13 @@ def test_basis_sizes_and_pairing_ids():
             for i in range(n + 1):
                 assert (killing_basis(n, chart)[i].kernel.id
                         == kernel_basis(n, chart)[i].id)
+                assert kernel_basis(n, chart)[i].index == i
+    flat = killing_basis(3, ChartKind.CARTESIAN)
+    assert [(X.id, X.kernel.id, X.c) for X in flat] == [
+        ("dilation", "const_one", -3.0)] + [
+        (f"inverted_translation_{a}", f"coordinate_{a}", 6.0) for a in range(3)]
+    for chart in (ChartKind.POLAR_GEODESIC, ChartKind.POLAR_AREA):
+        assert [(X.id, X.kernel.id, X.c) for X in killing_basis(3, chart)] \
+            == [(f"ah_X{i}", f"ah_V{i}", -3.0) for i in range(4)]
 
 
-def test_unknown_ids():
-    with pytest.raises(ValueError):
-        kernel_function("nope", 3)
-    with pytest.raises(ValueError):
-        conformal_killing("nope", 3)
-    # indexed ids need an alpha in range: 0..n-1 flat, 1..n hyperbolic
-    for alpha in (None, -1, 3):
-        with pytest.raises(ValueError):
-            kernel_function("coordinate", 3, alpha=alpha)
-        with pytest.raises(ValueError):
-            conformal_killing("inverted_translation", 3, alpha=alpha)
-    for alpha in (None, 0, 4):
-        with pytest.raises(ValueError):
-            kernel_function("ah_Valpha", 3, "polar_geodesic", alpha=alpha)
-        with pytest.raises(ValueError):
-            conformal_killing("ah_Xalpha", 3, "polar_geodesic", alpha=alpha)

@@ -6,7 +6,7 @@ import sympy as sp
 
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DegenerateMetricError
-from asymflux.fields import conformal_killing, kernel_basis, killing_basis
+from asymflux.fields import kernel_basis, killing_basis
 from asymflux.geometry import (MetricJet, ScalarJet, SymTensorJet, VectorJet,
                                christoffel, christoffel_derivative, curvature,
                                divergence_symmetric2, divergence_vector,
@@ -229,10 +229,10 @@ def test_in_place_accumulation_keeps_bits(n):
 def test_divergence_vector_flat_examples():
     x = RNG.normal(size=(6, 3)) * 3.0
     jet = euclid_jet(x)
-    X = conformal_killing("dilation", 3)
+    X = killing_basis(3, "cartesian")[0]
     assert np.allclose(divergence_vector(jet, X.vector_jet(x)), -3.0)
     for a in range(3):
-        Xa = conformal_killing("inverted_translation", 3, alpha=a)
+        Xa = killing_basis(3, "cartesian")[a + 1]
         assert np.allclose(divergence_vector(jet, Xa.vector_jet(x)),
                            6.0 * x[:, a])
 
@@ -273,12 +273,12 @@ def test_divergence_conformal_perturbation():
 def test_killing_operator_flat():
     x = RNG.normal(size=(6, 3)) * 2.0
     jet = euclid_jet(x)
-    X = conformal_killing("dilation", 3)
+    X = killing_basis(3, "cartesian")[0]
     sym, tf = killing_operator(jet, X.vector_jet(x))
     assert np.allclose(sym, np.eye(3))
     assert np.allclose(tf, 0.0, atol=1e-14)
     for a in range(3):
-        Xa = conformal_killing("inverted_translation", 3, alpha=a)
+        Xa = killing_basis(3, "cartesian")[a + 1]
         _, tfa = killing_operator(jet, Xa.vector_jet(x))
         assert np.allclose(tfa, 0.0, atol=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 
 from asymflux.catalog import MetricSpec
 from asymflux.errors import DomainError
-from asymflux.fields import conformal_killing, killing_basis
+from asymflux.fields import killing_basis
 from asymflux.quadrature import omega, sphere_rule
 from asymflux.verify import (equivalence_report, hyperbolic_pohozaev_closed_form,
                              kernel_check_lemma22, pohozaev_check,
@@ -46,7 +46,7 @@ def test_pohozaev_scalar_flat_has_zero_bulk():
     """Conformal Schwarzschild is scalar-flat, so the flux through both
     spheres must coincide."""
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    X = conformal_killing("dilation", 3)
+    X = killing_basis(3, "cartesian")[0]
     rep = pohozaev_check(spec, [X], 10.0, 20.0, sphere_rule(3, 30))[0]
     assert abs(rep.rhs) < 1e-10 * max(abs(rep.context["outer_flux"]), 1.0)
     assert rep.context["outer_flux"] == pytest.approx(
@@ -59,7 +59,7 @@ def test_pohozaev_residual_bounded_by_quadrature():
     cases = [(MetricSpec("hyperbolic_area", 3),
               killing_basis(3, "polar_area")[0], np.sinh(1.0), np.sinh(2.0)),
              (MetricSpec("schwarzschild_conformal", 3, m=1.0),
-              conformal_killing("inverted_translation", 3, alpha=0),
+              killing_basis(3, "cartesian")[1],
               8.0, 16.0)]
     for spec, X, r0, r1 in cases:
         rep = pohozaev_check(spec, [X], r0, r1, sphere_rule(3, 30))[0]
@@ -95,7 +95,7 @@ def test_pohozaev_reports_killing_defect_context():
     conformal Killing; the report surfaces the measured defect."""
     spec = MetricSpec("perturbation", 3, base=MetricSpec("euclidean", 3),
                       components={(0, 0): "1/r"})
-    X = conformal_killing("dilation", 3)
+    X = killing_basis(3, "cartesian")[0]
     rep = pohozaev_check(spec, [X], 8.0, 16.0, sphere_rule(3, 20))[0]
     assert rep.context["killing_defect"] > 1e-4
 
@@ -128,7 +128,7 @@ def test_kernel_identity_rejects_non_einstein():
 
 def test_kernel_identity_unknown_lambda():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    X = conformal_killing("dilation", 3)
+    X = killing_basis(3, "cartesian")[0]
     with pytest.raises(DomainError):
         kernel_check_lemma22(spec, X)
 
