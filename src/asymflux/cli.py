@@ -191,7 +191,7 @@ def build_spec(cfg: RunConfig) -> MetricSpec:
         components = {}
         for key, text in cfg.components.items():
             name = key.lower().removeprefix("g_").replace("_", "")
-            if len(name) != 2 or not name.isdigit():
+            if len(name) != 2 or not (name.isascii() and name.isdigit()):
                 raise ConfigError(f"bad component key {key!r}; use g_i_j")
             i, j = int(name[0]) - 1, int(name[1]) - 1
             if not (0 <= i <= j < cfg.n):
@@ -217,13 +217,20 @@ def schedule_radii(cfg: RunConfig, spec: MetricSpec) -> np.ndarray:
         else (8.0 if flat else 3.0)
     kind = cfg.schedule_kind or ("geometric" if flat else "arithmetic")
     k = np.arange(cfg.schedule_count, dtype=float)
-    if kind == "geometric":
-        natural = start * cfg.schedule_ratio ** k
-    elif kind == "arithmetic":
-        natural = start + cfg.schedule_step * k
-    else:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-    return chart_radius(spec.chart_kind, natural)
+    with np.errstate(over="ignore"):
+        if kind == "geometric":
+            natural = start * cfg.schedule_ratio ** k
+        elif kind == "arithmetic":
+            natural = start + cfg.schedule_step * k
+        else:
+            raise ConfigError(f"unknown schedule kind {kind!r}")
+        radii = chart_radius(spec.chart_kind, natural)
+    # a step below the resolution of start repeats a radius; a huge start
+    # or ratio overflows
+    if not (np.isfinite(radii).all() and np.all(np.diff(radii) > 0)):
+        raise ConfigError(f"schedule radii must be finite and strictly "
+                          f"increasing, got {radii.tolist()}")
+    return radii
 
 
 # ------------------------------------------------------------------ reporting
@@ -348,7 +355,8 @@ def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
     report = _base_report(cfg)
     indices = range(spec.n + 1)
     if kernel is not None:
-        if not (kernel.startswith("V") and kernel[1:].isdigit()
+        if not (kernel.startswith("V") and kernel[1:].isascii()
+                and kernel[1:].isdigit()
                 and int(kernel[1:]) <= spec.n):
             raise ConfigError(f"unknown kernel selector {kernel!r}; "
                               f"use V0..V{spec.n}")

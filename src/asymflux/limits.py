@@ -6,7 +6,8 @@ the Aitken tail, the change when the smallest radius (or, times 1.1, the
 largest) is dropped, and the quadrature error.  A single-decay fit
 ``v_inf + c B(r)`` over the last four samples, with ``B = r^-sigma`` in flat
 charts or ``e^{-sigma r}`` in hyperbolic charts, supplies only the model
-metadata (``sigma``, ``coeff``, ``residual``).
+metadata (``sigma``, ``coeff``, ``residual``): linear least squares in closed
+form on a 41-point ``log sigma`` grid, narrowed around its best point to 1e-13.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # catalog functions are looked up on the module at call time, so that a
 # wrapper installed there (tracer, call-counting test) sees decay_rate's calls
@@ -61,35 +61,22 @@ def _basis(r, sigma, mode):
     return r ** (-sigma) if mode == "power" else np.exp(-sigma * r)
 
 
-def _fit_fixed_sigma(r, v, sigma, mode):
-    A = np.stack([np.ones_like(r), _basis(r, sigma, mode)], axis=-1)
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    resid = v - A @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(coef[0]), float(coef[1]), rms
-
-
-def _scan_sigma(r, v, mode):
-    lo, hi = _SIGMA_RANGE[mode]
-    # coarse scan in log sigma, then a local polish around the best cell
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), 41))
-    scans = [_fit_fixed_sigma(r, v, s, mode)[2] for s in grid]
-    k = int(np.argmin(scans))
-    blo = grid[max(k - 1, 0)]
-    bhi = grid[min(k + 1, grid.size - 1)]
-    if blo == bhi:
-        return float(grid[k])
-    res = minimize_scalar(
-        lambda ls: _fit_fixed_sigma(r, v, np.exp(ls), mode)[2],
-        bounds=(np.log(blo), np.log(bhi)), method="bounded",
-        options={"xatol": 1e-13})
-    return float(np.exp(res.x))
-
-
 def _fit(r, v, mode):
-    sigma = _scan_sigma(r, v, mode)
-    _, c, rms = _fit_fixed_sigma(r, v, sigma, mode)
-    return c, sigma, rms
+    """``(c, sigma, rms residual)`` of the best fit ``a + c B(r; sigma)``."""
+    lo, hi = np.log(_SIGMA_RANGE[mode])
+    vc = v - v.mean()
+    while True:
+        grid = np.linspace(lo, hi, 41)
+        B = _basis(r, np.exp(grid)[:, None], mode)
+        Bc = B - B.mean(axis=1, keepdims=True)
+        den = np.einsum("gi,gi->g", Bc, Bc)
+        # a basis that underflowed to a constant fits nothing: c = 0
+        c = np.divide(Bc @ vc, den, out=np.zeros_like(den), where=den > 0)
+        rms = np.sqrt(np.mean((vc - c[:, None] * Bc) ** 2, axis=1))
+        k = int(np.argmin(rms))
+        if hi - lo < 1e-13:
+            return float(c[k]), float(np.exp(grid[k])), float(rms[k])
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
 
 
 def _aitken_once(col):

@@ -4,7 +4,8 @@ The sphere rule is a product rule in our angular coordinates: Gauss-Jacobi
 nodes in the cosine of each polar angle (weight ``(1-c^2)^{(m-1)/2}`` for the
 angle carrying the measure ``sin^m``) tensored with a uniform midpoint rule
 in the azimuth.  The combination integrates every spherical polynomial up to
-the rule degree exactly.
+the rule degree exactly.  Each Gauss-Jacobi rule is the Golub-Welsch
+eigensolution of its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
 
 Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
 ``(N, K)`` columns, one per integrand of a family evaluated together, and
@@ -25,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .catalog import sphere_embedding_hd
 from .errors import ConfigError, QuadratureError
@@ -86,6 +86,18 @@ class QuadratureResult:
     nodes_used: int
 
 
+def _gauss_jacobi(k: int, a: float):
+    """``k``-point Gauss rule for the weight ``(1-c^2)^a`` on [-1, 1]: nodes
+    in ascending order, mirrored exactly about 0, and their weights."""
+    j = np.arange(1.0, k)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a) ** 2 - 1))
+    c, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+    w = mu0 * v[0] ** 2
+    # the weight is even: mirroring cancels the eigensolver's odd roundoff
+    return (c - c[::-1]) / 2, (w + w[::-1]) / 2
+
+
 def sphere_rule(n: int, degree: int) -> SphereRule:
     """Product rule exact for spherical polynomials up to ``degree``."""
     if n not in (3, 4, 5):
@@ -99,9 +111,8 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     for j in range(n - 2):
         # angle theta_{j+1} carries measure sin^{n-2-j}; Jacobi weight exponent
         alpha = (n - 3 - j) / 2.0
-        c, w = roots_jacobi(npolar, alpha, alpha)
-        order = np.argsort(c)
-        polar_nodes.append((np.arccos(c[order])[::-1], w[order][::-1]))
+        c, w = _gauss_jacobi(npolar, alpha)
+        polar_nodes.append((np.arccos(c)[::-1], w[::-1]))
 
     phi = (np.arange(nazim) + 0.5) * (2.0 * math.pi / nazim)
     wphi = np.full(nazim, 2.0 * math.pi / nazim)

@@ -109,11 +109,13 @@ def test_expression_metric_from_config(tmp_path):
 
 
 def test_bad_component_key_rejected(tmp_path):
+    """An index out of range, or a digit that is not ASCII."""
     cfg_file = tmp_path / "bad.ini"
-    cfg_file.write_text(
-        "[metric]\nkind = expression\nn = 3\n[components]\ng_1_9 = 1\n")
-    with pytest.raises(ConfigError):
-        build_spec(load_config(str(cfg_file)))
+    for key in ("g_1_9", "g_1_\u00b2"):
+        cfg_file.write_text(f"[metric]\nkind = expression\nn = 3\n"
+                            f"[components]\n{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            build_spec(load_config(str(cfg_file)))
 
 
 @pytest.mark.parametrize("text", ["1 + (x1", "1 + foo"],
@@ -271,6 +273,14 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
                   "--schedule", "arithmetic", "--step", "0"], id="step-0"),
     pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
                   "--kernel", "V9"], id="kernel-V9"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
+                  "--kernel", "V\u00b2"], id="kernel-superscript-digit"),
+    pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--schedule",
+                  "arithmetic", "--start", "8", "--step", "1e-300"],
+                 id="step-below-resolution"),
+    pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "3",
+                  "--m", "1", "--start", "1e300", "--ratio", "1e10"],
+                 id="schedule-overflow"),
     pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "6",
                   "--m", "1"], id="n-6"),
     pytest.param(["center", *_SCHW3, "--center", "1,x,0"], id="center-text"),
@@ -406,3 +416,24 @@ def test_reports_byte_identical_across_threads(tmp_path, args):
         assert res.returncode == 0
         outs.append(res.stdout)
     assert outs[0] == outs[1]
+
+
+# ------------------------------------------------------------- dependencies
+
+_WITHOUT_SCIPY = ("import sys; sys.modules['scipy'] = None; "
+                  "from asymflux.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
+                  "--degree", "8"], id="ah-mass"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "pohozaev", "--degree", "8"],
+                 id="verify-pohozaev"),
+])
+def test_runs_without_scipy(args):
+    """numpy is the only runtime dependency: with every ``import scipy``
+    failing, the sphere rules and the extrapolation still run."""
+    res = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *args,
+                          "--no-timings"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -1,5 +1,7 @@
 """Radial extrapolation and decay-rate regression on synthetic and catalog data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,20 @@ def test_pure_exponential_series():
     limit, err, model = extrapolate(r, v, mode="exp")
     assert limit == pytest.approx(2.0, abs=1e-9)
     assert model["sigma"] == pytest.approx(2.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("r0", [1e3, 3e4], ids=["part-of-grid", "whole-grid"])
+def test_exp_fit_with_underflowing_basis(r0):
+    """Far out in exp mode ``e^{-sigma r}`` underflows to 0 on part of the
+    sigma grid (r0 = 1e3) or on all of it (3e4): the fit stays finite and
+    warning-free."""
+    r = r0 + 0.75 * np.arange(5)
+    v = 1.0 + 1e-12 * np.array([0.0, 1.0, -1.0, 2.0, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        limit, err, model = extrapolate(r, v, mode="exp")
+    assert np.isfinite([limit, err, model["sigma"], model["coeff"],
+                        model["residual"]]).all()
 
 
 def test_constant_series():

@@ -1,17 +1,18 @@
 """Sphere/annulus quadrature: exactness, determinism, error estimates."""
 
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from scipy.special import gamma as sp_gamma
 
 from asymflux.errors import QuadratureError
 from asymflux.geometry import ChartKind
-from asymflux.quadrature import (integrate_annulus, integrate_sphere, omega,
-                                 pairwise_sum, sphere_rule, thread_count)
+from asymflux.quadrature import (_gauss_jacobi, integrate_annulus,
+                                 integrate_sphere, omega, pairwise_sum,
+                                 sphere_rule, thread_count)
 
 
 def monomial_sphere_integral(exponents):
@@ -20,13 +21,33 @@ def monomial_sphere_integral(exponents):
     if np.any(a % 2):
         return 0.0
     b = (a + 1) / 2.0
-    return 2.0 * np.prod(sp_gamma(b)) / sp_gamma(np.sum(b))
+    return 2.0 * math.prod(map(math.gamma, b)) / math.gamma(b.sum())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_weights_sum_to_sphere_volume(n):
     rule = sphere_rule(n, 20)
     assert pairwise_sum(rule.weights) == pytest.approx(omega(n), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+def test_gauss_jacobi_rule(a):
+    """Every polar rule the sphere rules use (k = 1..31 points, degrees
+    1..60): exact on even moments below 2k, mirrored exactly about 0, and
+    weights summing to the integral of the weight."""
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+    for k in range(1, 32):
+        c, w = _gauss_jacobi(k, a)
+        assert c.shape == w.shape == (k,)
+        assert np.all(np.diff(c) > 0)
+        assert np.array_equal(c, -c[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert pairwise_sum(w) == pytest.approx(mu0, rel=1e-14)
+        for p in range(k):
+            exact = (math.gamma(p + 0.5) * math.gamma(a + 1)
+                     / math.gamma(p + a + 1.5))
+            assert pairwise_sum(w * c ** (2 * p)) == pytest.approx(
+                exact, rel=1e-13), (k, p)
 
 
 def embedding_reference(angles):
