@@ -13,19 +13,25 @@ Conventions used throughout the package:
 Every operation accepts arbitrary leading batch dimensions and is a pure
 function of its inputs.
 
-The curvature hot path (:func:`inverse_derivative`, :func:`christoffel`,
-:func:`christoffel_derivative`) contracts with stacked matmuls: a trailing
-index pair ``(i, j)`` is reshaped into one axis of length ``n*n`` so that
-each contraction against ``g^{-1}`` or ``d g^{-1}`` is one ``@`` over the
-batch.  A rewrite of these contractions may reorder a sum but must never
-regroup a product or factor a sum (say, take a trace before contracting).
-On a metric that is diagonal in its chart every such sum has exactly one
-nonzero term, so the order of summation cannot change a bit and reports
-stay byte-identical; regrouping a product can.  Accumulating in place
-(``out += Q``, ``out *= 0.5``, ``dA -= ddg``) runs the same elementwise
-operations in the same order as ``0.5 * (P + Q)`` and keeps every bit
-while saving the temporaries; :func:`curvature` builds the first-kind
-symbols once and shares them between Gamma and dGamma.
+Contractions on the hot path are stacked matmuls: a trailing index pair
+``(i, j)`` is reshaped into one axis of length ``n*n`` so that each
+contraction against ``g^{-1}`` is one ``@`` over the batch.
+
+:func:`curvature` never builds ``dGamma`` (O(n^5) per node).  Ricci needs
+only two traces of it, and both come from the 2-jet at O(n^4) per node:
+``d_k Gamma^k_ij`` from the contractions ``g^{kl} d_k d_i g_jl`` and
+``g^{kl} d_k d_l g_ij`` and the trace ``d_k g^{kl}`` of ``d g^{-1}``, and
+``d_i Gamma^k_kj`` from ``g^{kl} d_i d_j g_kl`` and ``tr(g^{-1} d_i g
+g^{-1} d_j g)``.  Taking these traces before contracting factors the sums
+of the textbook formula, so Ricci differs from the trace of
+:func:`christoffel_derivative` by roundoff (a few 1e-16 of ``max|Ric|``),
+also on diagonal metrics.  Reports move only where the curvature enters:
+the Ricci-version (Einstein-flux) charges, the Pohozaev and lemma 2.2
+checks and the scalar-curvature proxy of ``verify``.  The classical charges
+never call :func:`curvature` and keep every bit.
+:func:`christoffel_derivative` stays as the reference for the full
+``dGamma``; it shares :func:`inverse_derivative` and the first-kind symbols
+with :func:`christoffel`.
 """
 
 from __future__ import annotations
@@ -188,16 +194,44 @@ def christoffel_derivative(jet: MetricJet, ginv: np.ndarray,
 
 
 def curvature(jet: MetricJet) -> CurvatureBundle:
-    """Ricci tensor, scalar curvature and (modified) Einstein tensor."""
+    """Ricci tensor, scalar curvature and (modified) Einstein tensor.
+
+    ``Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
+    - Gamma^k_il Gamma^l_kj`` needs only two traces of ``dGamma``, both
+    taken from the 2-jet at O(n^4) per node:
+
+    * ``d_k Gamma^k_ij = (v^l A_lij + B_ij + B_ji - C_ij) / 2`` with
+      ``v^l = d_k g^{kl}``, ``B_ij = g^{kl} d_k d_i g_jl`` and
+      ``C_ij = g^{kl} d_k d_l g_ij``;
+    * ``d_i Gamma^k_kj = (D_ij - tr(M_i M_j)) / 2`` with
+      ``D_ij = g^{kl} d_i d_j g_kl`` and ``M_m = g^{-1} d_m g``.
+    """
     n = jet.n
+    batch = jet.g.shape[:-2]
     ginv = inverse_metric(jet.g)
     A = _first_kind(jet.dg)
     Gamma = _christoffel(ginv, A)
-    dGamma = christoffel_derivative(jet, ginv, A)
-    ric = (np.einsum("...kkij->...ij", dGamma)
-           - np.einsum("...ikkj->...ij", dGamma)
-           + np.einsum("...kkl,...lij->...ij", Gamma, Gamma)
-           - np.einsum("...kil,...lkj->...ij", Gamma, Gamma))
+    g_row = ginv.reshape(*batch, 1, n * n)            # g^{kl} as one row
+
+    def square(T):                                    # n*n entries -> (n, n)
+        return T.reshape(*batch, n, n)
+
+    M = ginv[..., None, :, :] @ jet.dg                # [..., m, a, b]
+    v = -(np.einsum("...kka->...a", M)[..., None, :] @ ginv)
+    # ddg[..., i, k, l, j] = d_i d_k g_lj, with (k, l) as one matmul axis
+    B = square(g_row[..., None, :, :] @ jet.ddg.reshape(*batch, n, n * n, n))
+    pairs = jet.ddg.reshape(*batch, n * n, n * n)     # [..., (k, l), (i, j)]
+    M_t = M.swapaxes(-1, -2).reshape(*batch, n, n * n)
+    ric = square(v @ _pairs_flat(A) - g_row @ pairs)
+    ric += B
+    ric += B.swapaxes(-1, -2)
+    ric -= square(pairs @ g_row.swapaxes(-1, -2))
+    ric += _pairs_flat(M) @ M_t.swapaxes(-1, -2)
+    ric *= 0.5
+    trace = np.einsum("...kkl->...l", Gamma)[..., None, :]
+    ric += square(trace @ _pairs_flat(Gamma))
+    S = np.ascontiguousarray(Gamma.swapaxes(-3, -2))  # [..., i, k, l] = Gamma^k_il
+    ric -= S.reshape(*batch, n, n * n) @ S.reshape(*batch, n * n, n)
     scal = np.einsum("...ij,...ij->...", ginv, ric)
     einstein = ric - 0.5 * scal[..., None, None] * jet.g
     modified = einstein - 0.5 * (n - 1) * (n - 2) * jet.g

@@ -105,6 +105,48 @@ def test_conformal_metric_ricci_against_sympy():
     assert np.allclose(bun.ricci, expected, atol=1e-10)
 
 
+def test_non_diagonal_metric_ricci_against_sympy():
+    """Ricci of ``e^{2u} L L^T`` with a unit lower-triangular ``L``: every
+    component is nonzero, so the off-diagonal terms of the curvature's
+    2-jet traces are checked.  The factorization keeps the symbolic inverse
+    ``e^{-2u} L^{-T} L^{-1}`` small."""
+    xs = sp.symbols("x1 x2 x3")
+    coords = list(xs)
+    a, b, c = "(x1 - x2*x3)", "(sin(x3)/2)", "(x1^2 - x2)"
+    e = "exp(2*(x1*x3/5 + x2/7))"
+    comps = {(0, 0): e, (0, 1): f"{e}*{a}", (0, 2): f"{e}*{b}",
+             (1, 1): f"{e}*({a}^2 + 1)", (1, 2): f"{e}*({a}*{b} + {c})",
+             (2, 2): f"{e}*({b}^2 + {c}^2 + 1)"}
+
+    def sym(text):
+        return sp.sympify(text.replace("^", "**"),
+                          locals={str(x): x for x in xs})
+
+    g = sp.Matrix(3, 3, lambda i, j: sym(comps[min(i, j), max(i, j)]))
+    L = sp.Matrix([[1, 0, 0], [sym(a), 1, 0], [sym(b), sym(c), 1]])
+    ginv = L.inv().T * L.inv() / sym(e)
+    Gam = [[[sum(ginv[k, l] * (sp.diff(g[j, l], coords[i])
+                               + sp.diff(g[i, l], coords[j])
+                               - sp.diff(g[i, j], coords[l]))
+                 for l in range(3)) / 2 for j in range(3)] for i in range(3)]
+           for k in range(3)]
+    Ric = [[sum(sp.diff(Gam[k][i][j], coords[k]) for k in range(3))
+            - sum(sp.diff(Gam[k][k][j], coords[i]) for k in range(3))
+            + sum(Gam[k][k][l] * Gam[l][i][j] for k in range(3) for l in range(3))
+            - sum(Gam[k][i][l] * Gam[l][k][j] for k in range(3) for l in range(3))
+            for j in range(3)] for i in range(3)]
+    pt = {xs[0]: 0.4, xs[1]: -0.2, xs[2]: 0.7}
+    assert np.allclose(np.array((g * ginv).subs(pt), dtype=float), np.eye(3))
+    expected = np.array([[float(Ric[i][j].subs(pt)) for j in range(3)]
+                         for i in range(3)])
+    assert np.min(np.abs(expected)) > 1e-2
+
+    spec = MetricSpec("expression", 3, components=comps)
+    jet = metric_jet(spec, np.array([0.4, -0.2, 0.7]))
+    assert np.min(np.abs(jet.g)) > 1e-2
+    assert np.allclose(curvature(jet).ricci, expected, atol=1e-10)
+
+
 def test_contracted_bianchi_by_finite_differences():
     """delta^g(Ric - Scal/2 g) = 0, with the Einstein tensor's derivative
     obtained by central-differencing the curvature itself."""
@@ -222,6 +264,56 @@ def test_in_place_accumulation_keeps_bits(n):
     assert np.array_equal(christoffel_derivative(jet, ginv),
                           ref.reshape(ref.shape[:-1] + (n, n)))
     assert np.array_equal(curvature(jet).christoffel, christoffel(jet, ginv))
+
+
+def _reference_ricci(jet):
+    """Ricci as the textbook traces of the full dGamma, all in einsum."""
+    ginv = inverse_metric(jet.g)
+    Gamma = _einsum_christoffel(ginv, jet.dg)
+    dGamma = _einsum_christoffel_derivative(ginv, jet.dg, jet.ddg)
+    return (np.einsum("...kkij->...ij", dGamma)
+            - np.einsum("...ikkj->...ij", dGamma)
+            + np.einsum("...kkl,...lij->...ij", Gamma, Gamma)
+            - np.einsum("...kil,...lkj->...ij", Gamma, Gamma))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ricci_matches_christoffel_derivative_reference(n, shape):
+    """Ricci from the traces of the 2-jet against the traces of dGamma."""
+    jet = _random_jet(shape, n, diagonal=False)
+    ref = _reference_ricci(jet)
+    ric = curvature(jet).ricci
+    assert ric.shape == ref.shape
+    assert np.max(np.abs(ric - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_curvature_never_builds_dgamma(monkeypatch):
+    """The Ricci columns of the sphere pass and the Pohozaev bulk run with
+    ``christoffel_derivative`` unavailable."""
+    from asymflux import geometry
+    from asymflux.charges import charge_series
+    from asymflux.quadrature import sphere_rule
+    from asymflux.verify import pohozaev_check
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("christoffel_derivative called on the hot path")
+
+    monkeypatch.setattr(geometry, "christoffel_derivative", forbidden)
+    for spec, radii in [
+            (MetricSpec("schwarzschild_conformal", 5, m=1.0),
+             8.0 * 2.0 ** np.arange(5)),
+            (MetricSpec("kottler", 4, m=1.0),
+             np.sinh(3.0 + 0.75 * np.arange(5)))]:
+        X = killing_basis(spec.n, spec.chart_kind)[0]
+        (mass,), (ricci,) = charge_series(spec, radii, sphere_rule(spec.n, 8),
+                                          [X.kernel], [X])
+        assert mass.limit == pytest.approx(1.0, rel=1e-3)
+        assert ricci.limit == pytest.approx(1.0, rel=1e-3)
+    spec = MetricSpec("hyperbolic_polar", 4)
+    reports = pohozaev_check(spec, killing_basis(4, spec.chart_kind), 1.0, 2.0,
+                             sphere_rule(4, 8))
+    assert all(rep.passed for rep in reports)
 
 
 # ------------------------------------------------------------- divergences
