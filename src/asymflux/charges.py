@@ -47,9 +47,9 @@ from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jet_values, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import basis_jets
-from .geometry import (ChartKind, MetricJet, ScalarJet, SymTensorJet,
-                       curvature, divergence_symmetric2, inverse_derivative,
-                       inverse_metric)
+from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
+                       SymTensorJet, curvature, divergence_symmetric2,
+                       inverse_derivative, inverse_metric)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import SphereRule, integrate_sphere, omega
 
@@ -156,12 +156,11 @@ def center_integrand(eps: SymTensorJet, alpha: int, points: np.ndarray,
 # ------------------------------------------------- sphere integrands
 
 def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
-                       jet: MetricJet | None = None,
-                       ginv: np.ndarray | None = None):
+                       bundle: CurvatureBundle | None = None):
     """Unit normal ``nu`` and area element of the coordinate sphere S_r.
 
-    Without ``jet`` both belong to the background metric; with the metric
-    jet (and optionally its inverse) to the metric, using
+    Without ``bundle`` both belong to the background metric; with the
+    metric's curvature bundle to the metric, using
     ``dA_g = sqrt(det g) |grad r|_g dV_coord/dr`` (the last factor is
     :func:`~asymflux.catalog.coordinate_volume`) so that no embedding
     Jacobian is needed.  The area element is relative to the round-sphere
@@ -173,19 +172,18 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
         w[:] = points / r
     else:
         w[..., 0] = 1.0
-    if jet is None:
+    if bundle is None:
         if chart_kind == ChartKind.POLAR_AREA:   # b_rr = 1/(1+rho^2)
             w[..., 0] = np.sqrt(1.0 + points[..., 0] ** 2)
         radial = np.sinh(r) if chart_kind == ChartKind.POLAR_GEODESIC \
             else np.float64(r)
         area = np.full(points.shape[:-1], radial ** (n - 1))
         return w, _finite(area, "area element", r)
-    if ginv is None:
-        ginv = inverse_metric(jet.g)
+    ginv = bundle.ginv
     raised = np.einsum("...ij,...j->...i", ginv, w)
     nu = raised / np.sqrt(np.einsum("...i,...i->...", w, raised))[..., None]
     gradnorm = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, w, w))
-    area = (np.sqrt(np.linalg.det(jet.g)) * gradnorm
+    area = (bundle.sqrt_det * gradnorm
             * coordinate_volume(points, chart_kind, r))
     return nu, _finite(area, "area element", r)
 
@@ -231,7 +229,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
         if fields:
             bun = curvature(jet)
             G = bun.modified_einstein if modified else bun.einstein
-            nu, area = sphere_normal_area(points, chart, r, jet, bun.ginv)
+            nu, area = sphere_normal_area(points, chart, r, bun)
             columns += [np.einsum("...ij,...i,...j->...", G, comp, nu) * area
                         for comp in comps]
         return np.stack(columns, axis=-1)

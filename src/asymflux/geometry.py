@@ -32,6 +32,11 @@ never call :func:`curvature` and keep every bit.
 :func:`christoffel_derivative` stays as the reference for the full
 ``dGamma``; it shares :func:`inverse_derivative` and the first-kind symbols
 with :func:`christoffel`.
+
+One Cholesky factorization per node checks that the metric is positive
+definite and gives ``sqrt(det g)`` as the product of the factor's
+diagonal; :func:`curvature` carries it on the bundle for the metric area
+and volume elements, which therefore differ from an LU determinant by ulps.
 """
 
 from __future__ import annotations
@@ -120,23 +125,31 @@ class CurvatureBundle:
     einstein: np.ndarray            # Ric - Scal/2 g
     modified_einstein: np.ndarray   # einstein - (n-1)(n-2)/2 g
     ginv: np.ndarray                # (..., n, n)
+    sqrt_det: np.ndarray            # (...,); sqrt(det g)
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
-    """Inverse of a batch of metric matrices, which must be positive definite.
+    """Inverse of a batch of metric matrices, which must be positive definite."""
+    return _factor(g)[0]
 
-    The check is a Cholesky factorization.  ``cholesky`` raises for
-    indefinite matrices but passes non-finite entries through as NaN
-    factors, hence the finiteness test.
+
+def _factor(g):
+    """``(g^{-1}, sqrt(det g))`` from one Cholesky factorization ``g = L L^T``.
+
+    The factorization is the definiteness check and ``sqrt(det g)`` is the
+    product of the diagonal of ``L``.  ``cholesky`` raises for indefinite
+    matrices but passes non-finite entries through as NaN factors, hence
+    the finiteness test.
     """
     g = np.asarray(g, dtype=float)
     try:
-        definite = bool(np.all(np.isfinite(np.linalg.cholesky(g))))
+        L = np.linalg.cholesky(g)
+        definite = bool(np.all(np.isfinite(L)))
     except np.linalg.LinAlgError:
         definite = False
     if not definite:
         raise DegenerateMetricError("metric matrix is singular or not positive definite")
-    return np.linalg.inv(g)
+    return np.linalg.inv(g), np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
 
 
 def inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -208,7 +221,7 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
     """
     n = jet.n
     batch = jet.g.shape[:-2]
-    ginv = inverse_metric(jet.g)
+    ginv, sqrt_det = _factor(jet.g)
     A = _first_kind(jet.dg)
     Gamma = _christoffel(ginv, A)
     g_row = ginv.reshape(*batch, 1, n * n)            # g^{kl} as one row
@@ -235,7 +248,8 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
     scal = np.einsum("...ij,...ij->...", ginv, ric)
     einstein = ric - 0.5 * scal[..., None, None] * jet.g
     modified = einstein - 0.5 * (n - 1) * (n - 2) * jet.g
-    return CurvatureBundle(Gamma, ric, scal, einstein, modified, ginv)
+    return CurvatureBundle(Gamma, ric, scal, einstein, modified, ginv,
+                           sqrt_det)
 
 
 def divergence_vector(jet: MetricJet, X: VectorJet,

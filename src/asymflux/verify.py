@@ -147,11 +147,10 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
     def bulk(points):
         jet = metric_jet(spec, points)
         bun = curvature(jet)
-        detg = np.linalg.det(jet.g)
         coord = coordinate_volume(points, chart)
         _, vectors = basis_jets(points, (), fields)
         return np.stack([bun.scal * divergence_vector(jet, X, bun)
-                         * np.sqrt(detg) * coord for X in vectors], axis=-1)
+                         * bun.sqrt_det * coord for X in vectors], axis=-1)
 
     bulk_res = integrate_annulus(bulk, r0, r1, rule, radial_degree, chart,
                                  nthreads=nthreads)

@@ -113,17 +113,24 @@ def test_flat_michel_pieces_equal_general_formula(spec):
 
 
 def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
-    """On a flat-type metric the sphere pass inverts g for the curvature and
-    leaves the identity background alone: one ``inverse_metric`` call per
-    chunk for the kernel and field columns together."""
+    """On a flat-type metric the sphere pass factors g once per chunk for
+    the curvature and the metric area element, and leaves the identity
+    background alone: one factorization (inverse, definiteness check and
+    ``sqrt(det g)``) per chunk for the kernel and field columns together,
+    and no determinant."""
     from asymflux import charges, geometry
 
-    counts = {"inverse": 0, "chunks": 0}
-    original, integrand = geometry.inverse_metric, charges.sphere_integrand
+    counts = {"inverse": 0, "chunks": 0, "det": 0}
+    original, integrand = geometry._factor, charges.sphere_integrand
+    det = np.linalg.det
 
     def counting(g):
         counts["inverse"] += 1
         return original(g)
+
+    def counting_det(a):
+        counts["det"] += 1
+        return det(a)
 
     def counting_integrand(*args, **kwargs):
         f = integrand(*args, **kwargs)
@@ -133,8 +140,9 @@ def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
             return f(points)
         return chunk
 
-    for module in (geometry, charges):
-        monkeypatch.setattr(module, "inverse_metric", counting)
+    # inverse_metric and curvature both factor through geometry._factor
+    monkeypatch.setattr(geometry, "_factor", counting)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
     monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0,
                       center=(1.0, 0.5, 0.0))
@@ -142,6 +150,7 @@ def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
                   kernel_basis(3, "cartesian"), killing_basis(3, "cartesian"))
     assert counts["chunks"] > 0
     assert counts["inverse"] == counts["chunks"]
+    assert counts["det"] == 0
 
 
 # ------------------------------------------------------------ flat charges

@@ -288,6 +288,17 @@ def test_ricci_matches_christoffel_derivative_reference(n, shape):
     assert np.max(np.abs(ric - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sqrt_det_from_the_cholesky_factor(n):
+    """The bundle's ``sqrt(det g)`` comes from the factorization that checks
+    definiteness and agrees with the LU determinant to roundoff."""
+    jet = _random_jet((2, 3), n, diagonal=False)
+    sqrt_det = curvature(jet).sqrt_det
+    assert sqrt_det.shape == (2, 3)
+    assert np.allclose(sqrt_det, np.sqrt(np.linalg.det(jet.g)),
+                       rtol=1e-14, atol=0)
+
+
 def test_curvature_never_builds_dgamma(monkeypatch):
     """The Ricci columns of the sphere pass and the Pohozaev bulk run with
     ``christoffel_derivative`` unavailable."""
