@@ -229,18 +229,25 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
     def square(T):                                    # n*n entries -> (n, n)
         return T.reshape(*batch, n, n)
 
-    M = ginv[..., None, :, :] @ jet.dg                # [..., m, a, b]
+    M = ginv[..., None, :, :] @ jet.dg                # [..., m] = M_m
     v = -(np.einsum("...kka->...a", M)[..., None, :] @ ginv)
-    # ddg[..., i, k, l, j] = d_i d_k g_lj, with (k, l) as one matmul axis
+    # both derivative pairs of ddg are symmetric, so ddg[..., i, k, l, j] is
+    # d_k d_i g_jl and B contracts g^{kl} with (k, l) as one matmul axis
     B = square(g_row[..., None, :, :] @ jet.ddg.reshape(*batch, n, n * n, n))
     pairs = jet.ddg.reshape(*batch, n * n, n * n)     # [..., (k, l), (i, j)]
+    C = square(g_row @ pairs)
+    D = square(pairs @ g_row.swapaxes(-1, -2))
     M_t = M.swapaxes(-1, -2).reshape(*batch, n, n * n)
-    ric = square(v @ _pairs_flat(A) - g_row @ pairs)
+    trMM = _pairs_flat(M) @ M_t.swapaxes(-1, -2)     # tr(M_i M_j)
+    # d_k Gamma^k_ij - d_i Gamma^k_kj
+    ric = square(v @ _pairs_flat(A))
     ric += B
     ric += B.swapaxes(-1, -2)
-    ric -= square(pairs @ g_row.swapaxes(-1, -2))
-    ric += _pairs_flat(M) @ M_t.swapaxes(-1, -2)
+    ric -= C
+    ric -= D
+    ric += trMM
     ric *= 0.5
+    # + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj
     trace = np.einsum("...kkl->...l", Gamma)[..., None, :]
     ric += square(trace @ _pairs_flat(Gamma))
     S = np.ascontiguousarray(Gamma.swapaxes(-3, -2))  # [..., i, k, l] = Gamma^k_il
