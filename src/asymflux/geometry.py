@@ -186,15 +186,10 @@ def _pairs_last(T):
     return T.reshape(*T.shape[:-1], n, n)
 
 
-def christoffel_derivative(jet: MetricJet, ginv: np.ndarray,
-                           A: np.ndarray | None = None) -> np.ndarray:
-    """``dGamma[..., m, k, i, j] = d_m Gamma^k_ij`` from the exact 2-jet.
-
-    ``A`` are the first-kind symbols of ``jet.dg`` if the caller has them.
-    """
+def christoffel_derivative(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
+    """``dGamma[..., m, k, i, j] = d_m Gamma^k_ij`` from the exact 2-jet."""
     dg, ddg = jet.dg, jet.ddg
-    if A is None:
-        A = _first_kind(dg)
+    A = _first_kind(dg)
     dginv = inverse_derivative(ginv, dg)
     # d_m A[..., l, i, j] = dd_{mi} g_jl + dd_{mj} g_il - dd_{ml} g_ij
     dd_mi_gjl = np.moveaxis(ddg, -1, -3)
