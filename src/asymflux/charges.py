@@ -51,35 +51,27 @@ from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
                        SymTensorJet, curvature, divergence_symmetric2,
                        inverse_derivative, inverse_metric)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
-from .quadrature import SphereRule, integrate_sphere, omega
+from .quadrature import SphereRule, integrate_sphere, omega, sphere_values
 
 __all__ = [
     "michel_integrand", "michel_integrand_deviation", "adm_integrand",
     "center_integrand", "sphere_normal_area", "sphere_integrand",
-    "charge_series", "rt_diagnostics", "RTReport", "mass_normalization",
-    "ricci_mass_normalization",
+    "charge_series", "rt_diagnostics", "RTReport",
 ]
 
 _MASS_FLOOR = 1e-12
-
-
-def mass_normalization(n: int) -> float:
-    return 1.0 / (2.0 * (n - 1) * omega(n))
-
-
-def ricci_mass_normalization(n: int) -> float:
-    return -1.0 / ((n - 1) * (n - 2) * omega(n))
 
 
 def _normalization(n: int, field: bool, mass: float | None) -> float:
     """Exact normalization of a kernel function's charge (classical) or a
     field's (Ricci); ``mass`` is given for the centers alone, which divide
     by it."""
-    if mass is None:
-        return ricci_mass_normalization(n) if field else mass_normalization(n)
     if field:
+        if mass is None:
+            return -1.0 / ((n - 1) * (n - 2) * omega(n))
         return 1.0 / (2.0 * (n - 1) * (n - 2) * omega(n) * mass)
-    return mass_normalization(n) / mass
+    classical = 1.0 / (2.0 * (n - 1) * omega(n))
+    return classical if mass is None else classical / mass
 
 
 # --------------------------------------------------------------- integrands
@@ -334,11 +326,13 @@ def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule) -> RTReport:
     if not spec.is_flat_type:
         raise ChartMismatchError("RT diagnostics apply to flat-type metrics")
     radii = _check_radii(radii)
-    sups = np.empty(radii.size)
-    for k, r in enumerate(radii):
-        pts = r * rule.units
-        godd = 0.5 * (jet_values(spec, pts)[0].g - jet_values(spec, -pts)[0].g)
-        sups[k] = np.abs(godd).max()
+
+    def odd_sup(points):
+        godd = 0.5 * (jet_values(spec, points)[0].g
+                      - jet_values(spec, -points)[0].g)
+        return np.abs(godd).max(axis=(-2, -1))
+
+    sups = np.array([sphere_values(odd_sup, r, rule).max() for r in radii])
     exponent = fit_decay_exponent(radii, sups, "power")
     even = bool(np.all(sups <= 1e-14))
     expected = float(spec.n - 1)     # tau + 1 for the decay rate tau = n - 2

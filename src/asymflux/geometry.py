@@ -7,11 +7,13 @@ Conventions used throughout the package:
 * ``dg[..., k, i, j]`` is the coordinate derivative ``d_k g_ij`` and
   ``ddg[..., k, l, i, j]`` is ``d_k d_l g_ij``,
 * the divergence ``delta`` on vectors and symmetric 2-tensors is MINUS the
-  covariant divergence (so the Euclidean dilation field has divergence -n),
-* the Laplacian is the trace of the Hessian.
+  covariant divergence (so the Euclidean dilation field has divergence -n).
 
 Every operation accepts arbitrary leading batch dimensions and is a pure
-function of its inputs.
+function of its inputs.  The operators on a metric read the node's
+:class:`CurvatureBundle` (or, for a background without one, its inverse),
+which the caller computes once per node; none of them re-derives ``g^{-1}``
+or the Christoffel symbols.
 
 Contractions on the hot path are stacked matmuls: a trailing index pair
 ``(i, j)`` is reshaped into one axis of length ``n*n`` so that each
@@ -53,7 +55,7 @@ __all__ = [
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
     "inverse_derivative", "christoffel", "christoffel_derivative",
     "curvature", "divergence_vector", "divergence_symmetric2",
-    "killing_operator", "hessian", "laplacian", "dscal_adjoint",
+    "killing_operator", "hessian", "dscal_adjoint",
     "tensor_norm",
 ]
 
@@ -158,10 +160,8 @@ def inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return -((gi @ dg) @ gi)
 
 
-def christoffel(jet: MetricJet, ginv: np.ndarray | None = None) -> np.ndarray:
+def christoffel(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols ``Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2``."""
-    if ginv is None:
-        ginv = inverse_metric(jet.g)
     return _christoffel(ginv, _first_kind(jet.dg))
 
 
@@ -254,19 +254,15 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
                            sqrt_det)
 
 
-def divergence_vector(jet: MetricJet, X: VectorJet,
-                      bundle: CurvatureBundle | None = None) -> np.ndarray:
+def divergence_vector(X: VectorJet, bundle: CurvatureBundle) -> np.ndarray:
     """``delta^g X = -(d_i X^i + Gamma^i_ik X^k)`` (minus the covariant divergence)."""
-    Gamma = bundle.christoffel if bundle is not None else christoffel(jet)
     return -(np.einsum("...ii->...", X.d)
-             + np.einsum("...iik,...k->...", Gamma, X.comp))
+             + np.einsum("...iik,...k->...", bundle.christoffel, X.comp))
 
 
 def divergence_symmetric2(jet: MetricJet, T: SymTensorJet,
-                          ginv: np.ndarray | None = None) -> np.ndarray:
+                          ginv: np.ndarray) -> np.ndarray:
     """One-form ``(delta^g T)_j = -grad^i T_ij`` (with the paper-side minus sign)."""
-    if ginv is None:
-        ginv = inverse_metric(jet.g)
     Gamma = christoffel(jet, ginv)
     covd = (T.d
             - np.einsum("...lki,...lj->...kij", Gamma, T.value)
@@ -274,51 +270,29 @@ def divergence_symmetric2(jet: MetricJet, T: SymTensorJet,
     return -np.einsum("...ik,...kij->...j", ginv, covd)
 
 
-def killing_operator(jet: MetricJet, X: VectorJet,
-                     bundle: CurvatureBundle | None = None):
+def killing_operator(jet: MetricJet, X: VectorJet, bundle: CurvatureBundle):
     """Symmetrized covariant derivative of ``X`` and its trace-free part.
 
     Returns ``(sym, tracefree)`` with ``sym_ij = (grad_i X_j + grad_j X_i)/2``
     and ``tracefree = sym + (delta^g X / n) g``.
     """
-    n = jet.n
-    if bundle is None:
-        ginv = inverse_metric(jet.g)
-        Gamma = christoffel(jet, ginv)
-    else:
-        ginv, Gamma = bundle.ginv, bundle.christoffel
     Xcov = np.einsum("...jk,...k->...j", jet.g, X.comp)
     dXcov = (np.einsum("...ijk,...k->...ij", jet.dg, X.comp)
              + np.einsum("...jk,...ik->...ij", jet.g, X.d))
-    nabla = dXcov - np.einsum("...kij,...k->...ij", Gamma, Xcov)
+    nabla = dXcov - np.einsum("...kij,...k->...ij", bundle.christoffel, Xcov)
     sym = 0.5 * (nabla + np.einsum("...ij->...ji", nabla))
-    divX = -(np.einsum("...ii->...", X.d)
-             + np.einsum("...iik,...k->...", Gamma, X.comp))
-    tracefree = sym + (divX / n)[..., None, None] * jet.g
+    divX = divergence_vector(X, bundle)
+    tracefree = sym + (divX / jet.n)[..., None, None] * jet.g
     return sym, tracefree
 
 
-def hessian(jet: MetricJet, V: ScalarJet,
-            bundle: CurvatureBundle | None = None) -> np.ndarray:
+def hessian(V: ScalarJet, bundle: CurvatureBundle) -> np.ndarray:
     """Covariant Hessian ``Hess V_ij = d_i d_j V - Gamma^k_ij d_k V``."""
-    Gamma = bundle.christoffel if bundle is not None else christoffel(jet)
-    return V.hess - np.einsum("...kij,...k->...ij", Gamma, V.grad)
-
-
-def laplacian(jet: MetricJet, V: ScalarJet,
-              bundle: CurvatureBundle | None = None) -> np.ndarray:
-    """Trace-of-Hessian Laplacian (negative spectrum)."""
-    if bundle is None:
-        ginv = inverse_metric(jet.g)
-        hess = hessian(jet, V)
-    else:
-        ginv = bundle.ginv
-        hess = hessian(jet, V, bundle)
-    return np.einsum("...ij,...ij->...", ginv, hess)
+    return V.hess - np.einsum("...kij,...k->...ij", bundle.christoffel, V.grad)
 
 
 def dscal_adjoint(jet: MetricJet, V: ScalarJet,
-                  bundle: CurvatureBundle | None = None) -> np.ndarray:
+                  bundle: CurvatureBundle) -> np.ndarray:
     """Adjoint linearized scalar curvature: ``Hess V + (Lap V) g - V Ric``.
 
     The Laplacian inside this operator carries the geometer's sign
@@ -326,9 +300,7 @@ def dscal_adjoint(jet: MetricJet, V: ScalarJet,
     constants/affine functions (flat) and ``cosh r`` (hyperbolic) span the
     kernel, as required by the charge definitions.
     """
-    if bundle is None:
-        bundle = curvature(jet)
-    hess = hessian(jet, V, bundle)
+    hess = hessian(V, bundle)
     lap = -np.einsum("...ij,...ij->...", bundle.ginv, hess)
     return (hess + lap[..., None, None] * jet.g
             - V.value[..., None, None] * bundle.ricci)

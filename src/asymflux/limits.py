@@ -20,7 +20,7 @@ import numpy as np
 # wrapper installed there (tracer, call-counting test) sees decay_rate's calls
 from . import catalog
 from .errors import ExtrapolationError
-from .quadrature import sphere_points, sphere_rule
+from .quadrature import sphere_rule, sphere_values
 
 __all__ = ["FluxSample", "RadialSeries", "DecayReport", "extrapolate",
            "decay_rate", "fit_decay_exponent"]
@@ -174,13 +174,15 @@ def decay_rate(spec, radii) -> DecayReport:
     radii = np.asarray(radii, dtype=float)
     rule = sphere_rule(spec.n, _DECAY_DEGREE)
     chart = spec.chart_kind
-    sups = np.empty(radii.size)
-    for k, r in enumerate(radii):
-        pts = sphere_points(rule, r, chart)
-        _, b_jet, eps = catalog.jet_values(spec, pts)
+
+    def frame_sup(points):
+        _, b_jet, eps = catalog.jet_values(spec, points)
         bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
-        sups[k] = np.abs(frame).max()
+        return np.abs(frame).max(axis=(-2, -1))
+
+    sups = np.array([sphere_values(frame_sup, r, rule, chart).max()
+                     for r in radii])
     mode = catalog.decay_mode(chart)
     tau_hat = fit_decay_exponent(catalog.geodesic_radius(chart, radii), sups,
                                  mode)

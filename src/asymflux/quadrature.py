@@ -12,9 +12,11 @@ Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
 carry their own measure: the rule weights are those of the unit round sphere
 (times ``dr`` on annuli).  Reductions use a fixed-order pairwise summation
 tree along the node axis, which sums each column exactly as it would sum it
-alone, and node evaluation is chunked with a fixed chunk size, so results
-are bit-for-bit identical regardless of the worker-thread count (override
-via the environment variable ``ASYMFLUX_THREADS``).
+alone.  Every per-node pass, an integral or the maximum of a diagnostic
+(:func:`sphere_values`), evaluates its nodes in chunks of a fixed size and
+rejects non-finite values, so results are bit-for-bit identical regardless
+of the worker-thread count (override via the environment variable
+``ASYMFLUX_THREADS``) and memory does not grow with the rule.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .hyperdual import HyperDual
 
 __all__ = ["SphereRule", "QuadratureResult", "sphere_rule", "omega",
            "integrate_sphere", "integrate_annulus", "pairwise_sum",
-           "sphere_points", "thread_count"]
+           "sphere_values", "thread_count"]
 
 _CHUNK = 4096
 _EMBEDDED_STEP = 4
@@ -167,22 +169,27 @@ def _evaluate(f, points, nthreads=None):
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise QuadratureError(
-            f"integrand not finite at node {idx} (coords {points[idx]})")
+            f"values not finite at node {idx} (coords {points[idx]})")
     return out
 
 
-def sphere_points(rule: SphereRule, r: float, chart_kind: ChartKind) -> np.ndarray:
-    """Chart coordinates of the rule nodes placed on the coordinate sphere S_r."""
-    chart_kind = ChartKind(chart_kind)
-    if chart_kind == ChartKind.CARTESIAN:
-        return r * rule.units
-    return np.concatenate(
-        [np.full(rule.angles.shape[:-1] + (1,), float(r)), rule.angles], axis=-1)
+def sphere_values(f, r: float, rule: SphereRule,
+                  chart_kind: ChartKind = ChartKind.CARTESIAN,
+                  nthreads=None) -> np.ndarray:
+    """``f`` on the rule nodes placed on the coordinate sphere S_r: ``(N,)``
+    values or ``(N, K)`` columns, evaluated in fixed chunks and checked to
+    be finite."""
+    if ChartKind(chart_kind) == ChartKind.CARTESIAN:
+        points = r * rule.units
+    else:
+        points = np.concatenate(
+            [np.full(rule.angles.shape[:-1] + (1,), float(r)), rule.angles],
+            axis=-1)
+    return _evaluate(f, points, nthreads)
 
 
 def _sphere_value(f, rule, r, chart_kind, nthreads):
-    points = sphere_points(rule, r, chart_kind)
-    values = _evaluate(f, points, nthreads)
+    values = sphere_values(f, r, rule, chart_kind, nthreads)
     return pairwise_sum((values.T * rule.weights).T), rule.node_count
 
 

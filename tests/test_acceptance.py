@@ -19,7 +19,8 @@ from asymflux.charges import (adm_integrand, center_integrand, charge_series,
                               michel_integrand_deviation, rt_diagnostics)
 from asymflux.expr import parse, eval_jet
 from asymflux.fields import kernel_basis, killing_basis
-from asymflux.geometry import ChartKind, SymTensorJet, divergence_vector, dscal_adjoint
+from asymflux.geometry import (ChartKind, SymTensorJet, curvature,
+                               divergence_vector, dscal_adjoint)
 from asymflux.quadrature import pairwise_sum, sphere_rule
 from asymflux.verify import (hyperbolic_pohozaev_closed_form,
                              kernel_check_lemma22, pohozaev_check,
@@ -148,11 +149,12 @@ def test_acceptance_6_pairing(verdict):
             spec = MetricSpec(kind, n)
             pts = sample_points(n, chart, 50, rng)
             jet = metric_jet(spec, pts)
+            bun = curvature(jet)
             for V, X in zip(kernel_basis(n, chart), killing_basis(n, chart)):
                 vj = V.scalar_jet(pts)
-                ok &= np.max(np.abs(dscal_adjoint(jet, vj))) < 1e-8
+                ok &= np.max(np.abs(dscal_adjoint(jet, vj, bun))) < 1e-8
                 if kind == "hyperbolic_polar":
-                    div = divergence_vector(jet, X.vector_jet(pts))
+                    div = divergence_vector(X.vector_jet(pts), bun)
                     ok &= np.max(np.abs(div + n * vj.value)) < 1e-8
     verdict(6, "kernel/divergence pairing, i=0..n, n=3,4", ok)
 

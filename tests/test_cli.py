@@ -240,10 +240,14 @@ def test_equivalence_verdicts_match_commands(tmp_path, rel_tol):
     as the pair's own command does, with the same --rel-tol."""
     schw = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1",
             "--center", "1,0.5,0"]
+    # a small mass that charge_series still divides by: centers are reported
+    tiny = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "5e-11",
+            "--center", "1,0.5,0"]
     kottler = ["--kind", "kottler", "--n", "3", "--m", "1"]
-    cases = [(schw, ("mass", "center"),
-              {"mass": "mass_agreement",
-               **{f"center[{a}]": f"center_agreement_{a}" for a in range(3)}}),
+    centers = {"mass": "mass_agreement",
+               **{f"center[{a}]": f"center_agreement_{a}" for a in range(3)}}
+    cases = [(schw, ("mass", "center"), centers),
+             (tiny, ("mass", "center"), centers),
              (kottler, ("ah-mass",),
               {f"ah_charge[{i}]": f"ah_agreement_{i}" for i in range(4)})]
     for metric, commands, pairs in cases:
@@ -406,6 +410,8 @@ def test_total_time_covers_the_whole_command(monkeypatch, tmp_path, argv):
     pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
                   "--which", "pohozaev", "--degree", "8"],
                  id="verify-pohozaev"),
+    pytest.param(["verify", *_SCHW3, "--center", "1,0.5,0", "--which",
+                  "equivalence", "--degree", "8"], id="verify-equivalence"),
 ])
 def test_reports_byte_identical_across_threads(tmp_path, args):
     cmd = [sys.executable, "-m", "asymflux.cli", *args, "--no-timings"]

@@ -11,8 +11,7 @@ from asymflux.geometry import (MetricJet, ScalarJet, SymTensorJet, VectorJet,
                                christoffel, christoffel_derivative, curvature,
                                divergence_symmetric2, divergence_vector,
                                dscal_adjoint, hessian, inverse_derivative,
-                               inverse_metric, killing_operator, laplacian,
-                               tensor_norm)
+                               inverse_metric, killing_operator, tensor_norm)
 
 RNG = np.random.default_rng(7)
 
@@ -73,7 +72,8 @@ def test_hyperbolic_christoffel_against_sympy():
     expected = np.array([[[float(Gamma[k][i][j].subs(pt)) for j in range(3)]
                           for i in range(3)] for k in range(3)])
     jet = metric_jet(MetricSpec("hyperbolic_polar", 3), np.array([1.3, 0.8, 2.0]))
-    assert np.allclose(christoffel(jet), expected, atol=1e-12)
+    assert np.allclose(christoffel(jet, inverse_metric(jet.g)), expected,
+                       atol=1e-12)
 
 
 def test_conformal_metric_ricci_against_sympy():
@@ -162,7 +162,8 @@ def test_contracted_bianchi_by_finite_differences():
         e = np.zeros(3); e[k] = h
         dG[k] = (G(x0 + e) - G(x0 - e)) / (2 * h)
     jet = metric_jet(spec, x0)
-    div = divergence_symmetric2(jet, SymTensorJet(G(x0), dG))
+    div = divergence_symmetric2(jet, SymTensorJet(G(x0), dG),
+                                inverse_metric(jet.g))
     assert np.max(np.abs(div)) < 1e-8
 
 
@@ -179,7 +180,8 @@ def test_christoffel_derivative_matches_fd():
         e = np.zeros(3); e[m] = h
         jp = metric_jet(spec, x0 + e)
         jm = metric_jet(spec, x0 - e)
-        fd = (christoffel(jp) - christoffel(jm)) / (2 * h)
+        fd = (christoffel(jp, inverse_metric(jp.g))
+              - christoffel(jm, inverse_metric(jm.g))) / (2 * h)
         assert np.allclose(analytic[m], fd, rtol=1e-6, atol=1e-6)
 
 
@@ -331,21 +333,21 @@ def test_curvature_never_builds_dgamma(monkeypatch):
 
 def test_divergence_vector_flat_examples():
     x = RNG.normal(size=(6, 3)) * 3.0
-    jet = euclid_jet(x)
+    bun = curvature(euclid_jet(x))
     X = killing_basis(3, "cartesian")[0]
-    assert np.allclose(divergence_vector(jet, X.vector_jet(x)), -3.0)
+    assert np.allclose(divergence_vector(X.vector_jet(x), bun), -3.0)
     for a in range(3):
         Xa = killing_basis(3, "cartesian")[a + 1]
-        assert np.allclose(divergence_vector(jet, Xa.vector_jet(x)),
+        assert np.allclose(divergence_vector(Xa.vector_jet(x), bun),
                            6.0 * x[:, a])
 
 
 def test_divergence_vector_hyperbolic_example():
     spec = MetricSpec("hyperbolic_polar", 3)
     pts = np.array([[1.0, 1.2, 0.3], [2.0, 0.7, 4.0]])
-    jet = metric_jet(spec, pts)
+    bun = curvature(metric_jet(spec, pts))
     X = killing_basis(3, "polar_geodesic")[0]
-    div = divergence_vector(jet, X.vector_jet(pts))
+    div = divergence_vector(X.vector_jet(pts), bun)
     assert np.allclose(div, -3.0 * np.cosh(pts[:, 0]), atol=1e-12)
 
 
@@ -353,7 +355,7 @@ def test_divergence_of_metric_vanishes():
     spec = MetricSpec("kottler", 3, m=0.7)
     pts = np.array([[3.0, 1.0, 0.5], [5.0, 2.0, 2.5]])
     jet = metric_jet(spec, pts)
-    div = divergence_symmetric2(jet, jet.as_sym_tensor())
+    div = divergence_symmetric2(jet, jet.as_sym_tensor(), inverse_metric(jet.g))
     assert np.max(np.abs(div)) < 1e-12
 
 
@@ -367,7 +369,7 @@ def test_divergence_conformal_perturbation():
     df[:, 1] = x[:, 0]
     T = np.eye(3) + f[:, None, None] * np.eye(3)
     dT = df[:, :, None, None] * np.eye(3)
-    div = divergence_symmetric2(jet, SymTensorJet(T, dT))
+    div = divergence_symmetric2(jet, SymTensorJet(T, dT), inverse_metric(jet.g))
     assert np.allclose(div, -df, atol=1e-13)
 
 
@@ -377,12 +379,13 @@ def test_killing_operator_flat():
     x = RNG.normal(size=(6, 3)) * 2.0
     jet = euclid_jet(x)
     X = killing_basis(3, "cartesian")[0]
-    sym, tf = killing_operator(jet, X.vector_jet(x))
+    bun = curvature(jet)
+    sym, tf = killing_operator(jet, X.vector_jet(x), bun)
     assert np.allclose(sym, np.eye(3))
     assert np.allclose(tf, 0.0, atol=1e-14)
     for a in range(3):
         Xa = killing_basis(3, "cartesian")[a + 1]
-        _, tfa = killing_operator(jet, Xa.vector_jet(x))
+        _, tfa = killing_operator(jet, Xa.vector_jet(x), bun)
         assert np.allclose(tfa, 0.0, atol=1e-12)
 
 
@@ -391,7 +394,7 @@ def test_killing_operator_detects_non_killing():
     jet = euclid_jet(x)
     comp = np.zeros((1, 3)); comp[:, 0] = x[:, 0] ** 2
     d = np.zeros((1, 3, 3)); d[:, 0, 0] = 2 * x[:, 0]
-    _, tf = killing_operator(jet, VectorJet(comp, d))
+    _, tf = killing_operator(jet, VectorJet(comp, d), curvature(jet))
     assert np.max(np.abs(tf)) > 0.1
 
 
@@ -402,10 +405,12 @@ def test_hessian_cosh_r_hyperbolic():
     spec = MetricSpec("hyperbolic_polar", 4)
     pts = np.array([[1.5, 1.0, 0.8, 2.0], [0.7, 2.0, 1.4, 5.0]])
     jet = metric_jet(spec, pts)
+    bun = curvature(jet)
     V = kernel_basis(4, "polar_geodesic")[0].scalar_jet(pts)
-    H = hessian(jet, V)
+    H = hessian(V, bun)
     assert np.allclose(H, V.value[:, None, None] * jet.g, atol=1e-11)
-    assert np.allclose(laplacian(jet, V), 4.0 * V.value, atol=1e-11)
+    assert np.allclose(np.einsum("...ij,...ij->...", bun.ginv, H),
+                       4.0 * V.value, atol=1e-11)
 
 
 def test_dscal_adjoint_kernels():
@@ -413,13 +418,14 @@ def test_dscal_adjoint_kernels():
     x = RNG.normal(size=(8, 3)) * 2.0
     jet = euclid_jet(x)
     one = ScalarJet(np.ones(8), np.zeros((8, 3)), np.zeros((8, 3, 3)))
-    assert np.allclose(dscal_adjoint(jet, one), 0.0)
+    assert np.allclose(dscal_adjoint(jet, one, curvature(jet)), 0.0)
 
     spec = MetricSpec("hyperbolic_polar", 3)
     pts = np.array([[1.1, 0.9, 0.4], [2.2, 1.9, 3.3]])
     hjet = metric_jet(spec, pts)
+    hbun = curvature(hjet)
     for V in kernel_basis(3, "polar_geodesic"):
-        resid = dscal_adjoint(hjet, V.scalar_jet(pts))
+        resid = dscal_adjoint(hjet, V.scalar_jet(pts), hbun)
         assert np.max(np.abs(resid)) < 1e-11
 
 
@@ -433,7 +439,7 @@ def test_dscal_adjoint_nonkernel():
     bad = ScalarJet(vj.value**2, 2 * vj.value[..., None] * vj.grad,
                     2 * (np.einsum("...i,...j->...ij", vj.grad, vj.grad)
                          + vj.value[..., None, None] * vj.hess))
-    assert np.max(np.abs(dscal_adjoint(jet, bad))) > 0.1
+    assert np.max(np.abs(dscal_adjoint(jet, bad, curvature(jet)))) > 0.1
 
 
 # ------------------------------------------------------------------- misc

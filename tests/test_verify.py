@@ -5,7 +5,9 @@ import pytest
 
 from asymflux.catalog import MetricSpec
 from asymflux.errors import DomainError
+from asymflux.charges import rt_diagnostics
 from asymflux.fields import killing_basis
+from asymflux.limits import decay_rate
 from asymflux.quadrature import omega, sphere_rule
 from asymflux.verify import (equivalence_report, hyperbolic_pohozaev_closed_form,
                              kernel_check_lemma22, pohozaev_check,
@@ -176,3 +178,57 @@ def test_equivalence_backgrounds_are_zero(kind, radii):
         assert abs(row.ricci) < 1e-10
     if kind == "euclidean":
         assert "center_skipped" in rep.diagnostics
+
+
+# ------------------------------------------------------------------ chunking
+
+_SMALL_CHUNK = 16     # fewer nodes than any rule below
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: equivalence_report(
+        MetricSpec("schwarzschild_conformal", 3, m=1.0, center=(1.0, 0.5, 0.0)),
+        FLAT_RADII, sphere_rule(3, 8)), id="equivalence-schwarzschild"),
+    pytest.param(lambda: equivalence_report(
+        MetricSpec("kottler", 3, m=1.0), HYP_RADII, sphere_rule(3, 8)),
+        id="equivalence-kottler"),
+    pytest.param(lambda: pohozaev_check(
+        MetricSpec("hyperbolic_polar", 3), killing_basis(3, "polar_geodesic"),
+        1.0, 2.0, sphere_rule(3, 8), radial_degree=4), id="pohozaev"),
+    pytest.param(lambda: rt_diagnostics(
+        MetricSpec("schwarzschild_conformal", 3, m=1.0, center=(1.0, 0.5, 0.0)),
+        FLAT_RADII, sphere_rule(3, 8)), id="rt"),
+    pytest.param(lambda: decay_rate(MetricSpec("kottler", 3, m=1.0), HYP_RADII),
+                 id="decay"),
+])
+def test_sphere_passes_evaluate_in_chunks(monkeypatch, run):
+    """Every per-node pass, the diagnostics included, runs on the chunked
+    evaluator: no metric, jet or curvature call sees more than ``_CHUNK``
+    nodes.  Each name is patched where its caller looks it up."""
+    from asymflux import catalog, charges, quadrature, verify
+
+    monkeypatch.setattr(quadrature, "_CHUNK", _SMALL_CHUNK)
+    seen = []
+
+    def recording(fn, nodes):
+        def wrapper(*args):
+            seen.append(nodes(*args))
+            return fn(*args)
+        return wrapper
+
+    def points(spec, p):
+        return int(np.prod(np.shape(p)[:-1]))
+
+    def matrices(jet):
+        return int(np.prod(jet.g.shape[:-2]))
+
+    for module, name, nodes in [
+            (verify, "metric_jet", points), (verify, "curvature", matrices),
+            (charges, "jets", points), (charges, "jet_values", points),
+            (charges, "curvature", matrices),
+            (catalog, "jet_values", points)]:
+        monkeypatch.setattr(module, name,
+                            recording(getattr(module, name), nodes))
+    run()
+    assert seen
+    assert max(seen) <= _SMALL_CHUNK
