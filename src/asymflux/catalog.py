@@ -14,7 +14,9 @@ numbers, so first and second derivatives carry no truncation error.
 spec is built, so a bad component fails before any computation starts.
 :func:`jets` returns the metric jet, the background jet and the deviation
 ``g - b`` from one evaluation; catalog kinds give the deviation in stable
-closed form, expression metrics subtract the jets.  :func:`jet_values` runs
+closed form, expression metrics subtract the jets.  :func:`metric_jet` runs
+the same kind switch and stops at the metric jet, bit-identical to that of
+:func:`jets`, for the checks that read ``g`` alone.  :func:`jet_values` runs
 the same kind switch with hyper-duals seeded without derivatives (gradient
 and Hessian axes of width 0), so its values are bit-identical to those of
 :func:`jets` at a fraction of the cost; the diagnostics that read only
@@ -326,7 +328,17 @@ def jet_values(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet,
     return _jets(spec, p, derivatives=False)
 
 
-def _jets(spec, p, derivatives):
+def metric_jet(spec: MetricSpec, p) -> MetricJet:
+    """Exact analytic 2-jet of the spec's metric at point(s) ``p``: the
+    metric jet of :func:`jets`, bit for bit, without the background and the
+    deviation."""
+    return _jets(spec, p, derivatives=True, metric_only=True)[0]
+
+
+def _jets(spec, p, derivatives, metric_only=False):
+    """The kind switch of :func:`jets`, or of :func:`jet_values` without
+    ``derivatives``.  With ``metric_only`` (and ``derivatives``) it returns
+    ``(g, None, None)`` and skips the background and the deviation."""
     coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
         raise ChartMismatchError(
@@ -347,8 +359,10 @@ def _jets(spec, p, derivatives):
     if spec.kind == "schwarzschild_conformal":
         log_factor = _schwarzschild_log_factor(spec, coords, derivatives)
         conf = hd.exp(log_factor)
-        w = hd.expm1(log_factor)
         g = _assemble({(i, i): conf for i in range(n)}, coords, width)
+        if metric_only:
+            return g, None, None
+        w = hd.expm1(log_factor)
         return (g, _euclidean_jet(coords, width),
                 _diagonal_deviation(dict.fromkeys(range(n), w), shape, n,
                                     width))
@@ -369,33 +383,36 @@ def _jets(spec, p, derivatives):
         angular = {(1 + j, 1 + j): rho2 * sigma_jj for j, sigma_jj
                    in enumerate(round_sphere_diag_hd(angles, one))}
         f0 = 1.0 + rho2
-        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, width)
         if spec.kind == "hyperbolic_area":
+            b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, width)
             return b, b, zero
         mass_term = (2.0 * spec.m) * rho ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
         g = _assemble({(0, 0): 1.0 / f, **angular}, coords, width)
+        if metric_only:
+            return g, None, None
+        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, width)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
         return g, b, _diagonal_deviation({0: mass_term / (f * f0)}, shape, n,
                                          width)
 
     if spec.kind == "perturbation":
-        base, b, base_eps = nested(spec.base, coords)
+        base, b, base_eps = (metric_jet(spec.base, coords), None, None) \
+            if metric_only else nested(spec.base, coords)
         eps = _components_jet(spec, coords, kind, derivatives)
         g = MetricJet(base.g + eps.g, base.dg + eps.dg, base.ddg + eps.ddg)
+        if metric_only:
+            return g, None, None
         return g, b, SymTensorJet(base_eps.value + eps.g, base_eps.d + eps.dg)
 
     # expression metrics: plain subtraction from the chart background
     g = _components_jet(spec, coords, kind, derivatives)
+    if metric_only:
+        return g, None, None
     b = nested(background_of(spec), coords)[0]
     return g, b, SymTensorJet(g.g - b.g, g.dg - b.dg)
-
-
-def metric_jet(spec: MetricSpec, p) -> MetricJet:
-    """Exact analytic 2-jet of the spec's metric at point(s) ``p``."""
-    return jets(spec, p)[0]
 
 
 def _components_jet(spec, coords, chart_kind, derivatives) -> MetricJet:

@@ -56,7 +56,8 @@ from .quadrature import SphereRule, integrate_sphere, omega, sphere_values
 __all__ = [
     "michel_integrand", "michel_integrand_deviation", "adm_integrand",
     "center_integrand", "sphere_normal_area", "sphere_integrand",
-    "charge_series", "rt_diagnostics", "RTReport",
+    "charge_series", "sphere_fluxes", "normalized_series", "rt_diagnostics",
+    "RTReport",
 ]
 
 _MASS_FLOOR = 1e-12
@@ -265,8 +266,19 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     of index > 0 in the cartesian chart, divide by the mass: the limit of
     the ``const_one`` kernel (index 0) that must lead ``kernels``.  A missing
     or vanishing mass raises ZeroMassError.  Returns
-    ``(kernel_series, field_series)`` in the order requested.
+    ``(kernel_series, field_series)`` in the order requested.  It is
+    :func:`sphere_fluxes` followed by :func:`normalized_series`.
     """
+    return normalized_series(
+        spec, radii, *sphere_fluxes(spec, radii, rule, kernels, fields,
+                                    nthreads), kernels, fields)
+
+
+def sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
+                  fields=(), nthreads=None):
+    """The sphere pass of :func:`charge_series`: raw fluxes and their
+    quadrature errors, two ``(R, K)`` arrays with one row per radius and one
+    column per kernel, then per field."""
     radii = _check_radii(radii)
     chart = spec.chart_kind
     elements = (*kernels, *fields)
@@ -275,15 +287,27 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
             raise ChartMismatchError(
                 f"{element.id} is defined in the {element.chart_kind.value} "
                 f"chart, the metric in the {chart.value} chart")
+    if not elements:
+        return np.zeros((radii.size, 0)), np.zeros((radii.size, 0))
     results = [integrate_sphere(sphere_integrand(
                    spec, kernels, fields, r, modified=spec.is_hyperbolic_type),
-                   r, rule, chart, nthreads=nthreads)
-               for r in radii] if elements else []
+                   r, rule, chart, nthreads=nthreads) for r in radii]
+    return (np.array([q.value for q in results]),
+            np.array([q.error_estimate for q in results]))
+
+
+def normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
+                      fields=()):
+    """The normalization of :func:`charge_series`: one extrapolated series
+    per column of the :func:`sphere_fluxes` arrays ``values`` and
+    ``errors``, whose columns are ``kernels``, then ``fields``.  Centers
+    raise ZeroMassError as in :func:`charge_series`."""
+    radii = _check_radii(radii)
     series = []
-    for k, element in enumerate(elements):
+    for k, element in enumerate((*kernels, *fields)):
         field = k >= len(kernels)
         mass = None
-        if chart == ChartKind.CARTESIAN \
+        if spec.chart_kind == ChartKind.CARTESIAN \
                 and (element.kernel if field else element).index > 0:
             if not (kernels and kernels[0].index == 0):
                 raise ZeroMassError(
@@ -293,10 +317,8 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
             if abs(mass) < _MASS_FLOOR:
                 raise ZeroMassError(
                     "center of mass undefined for vanishing mass")
-        series.append(_series(
-            spec, radii, [q.value[k] for q in results],
-            [q.error_estimate[k] for q in results],
-            _normalization(spec.n, field, mass)))
+        series.append(_series(spec, radii, values[:, k], errors[:, k],
+                              _normalization(spec.n, field, mass)))
     return series[:len(kernels)], series[len(kernels):]
 
 

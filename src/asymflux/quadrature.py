@@ -13,10 +13,19 @@ carry their own measure: the rule weights are those of the unit round sphere
 (times ``dr`` on annuli).  Reductions use a fixed-order pairwise summation
 tree along the node axis, which sums each column exactly as it would sum it
 alone.  Every per-node pass, an integral or the maximum of a diagnostic
-(:func:`sphere_values`), evaluates its nodes in chunks of a fixed size and
-rejects non-finite values, so results are bit-for-bit identical regardless
-of the worker-thread count (override via the environment variable
-``ASYMFLUX_THREADS``) and memory does not grow with the rule.
+(:func:`sphere_values`), evaluates its nodes in chunks and rejects
+non-finite values.  The chunk size depends on the dimension n of the points
+alone, so results are bit-for-bit identical regardless of the worker-thread
+count (override via the environment variable ``ASYMFLUX_THREADS``) and
+memory does not grow with the rule.
+
+A chunk holds the largest power of two of nodes whose metric second
+derivatives, n^4 doubles per node, fit in 2^20 entries (8 MiB): 8192 nodes
+at n=3, 4096 at n=4 and 1024 at n=5.  The 2-jet and the curvature arrays
+built from it scale with n^4, so this bounds the per-chunk working set at
+every n.  One node count for all n would either bloat the n=5 passes or
+split the n=4 spheres (1458 nodes at degree 16); splitting them was seen
+to move an n=4 flux by an ulp.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ __all__ = ["SphereRule", "QuadratureResult", "sphere_rule", "omega",
            "integrate_sphere", "integrate_annulus", "pairwise_sum",
            "sphere_values", "thread_count"]
 
-_CHUNK = 4096
+_CHUNK_ENTRIES = 2 ** 20    # metric second-derivative entries per chunk
 _EMBEDDED_STEP = 4
 
 
@@ -156,7 +165,9 @@ def _evaluate(f, points, nthreads=None):
     elif not isinstance(nthreads, numbers.Integral) or nthreads < 1:
         raise ValueError(f"nthreads must be a positive integer, got {nthreads!r}")
     total = points.shape[0]
-    chunks = [points[i:i + _CHUNK] for i in range(0, total, _CHUNK)]
+    per_node = points.shape[-1] ** 4
+    size = 1 << (max(_CHUNK_ENTRIES // per_node, 1).bit_length() - 1)
+    chunks = [points[i:i + size] for i in range(0, total, size)]
     if nthreads == 1 or len(chunks) == 1:
         parts = [np.asarray(f(c), dtype=float) for c in chunks]
     else:
@@ -177,8 +188,8 @@ def sphere_values(f, r: float, rule: SphereRule,
                   chart_kind: ChartKind = ChartKind.CARTESIAN,
                   nthreads=None) -> np.ndarray:
     """``f`` on the rule nodes placed on the coordinate sphere S_r: ``(N,)``
-    values or ``(N, K)`` columns, evaluated in fixed chunks and checked to
-    be finite."""
+    values or ``(N, K)`` columns, evaluated in chunks of a size fixed by n
+    and checked to be finite."""
     if ChartKind(chart_kind) == ChartKind.CARTESIAN:
         points = r * rule.units
     else:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import MetricSpec, coordinate_volume, metric_jet
-from .charges import (charge_series, rt_diagnostics, sphere_integrand,
-                      sphere_normal_area)
+from .charges import (normalized_series, rt_diagnostics, sphere_fluxes,
+                      sphere_integrand, sphere_normal_area)
 from .errors import DomainError, ZeroMassError
 from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
@@ -290,12 +290,16 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
 
     fields = killing_basis(n, spec.chart_kind)
     kernels = [X.kernel for X in fields]
+    values, errors = sphere_fluxes(spec, radii, rule, kernels, fields,
+                                   nthreads)
     try:
-        classical, ricci = charge_series(spec, radii, rule, kernels, fields,
-                                         nthreads=nthreads)
+        classical, ricci = normalized_series(spec, radii, values, errors,
+                                             kernels, fields)
     except ZeroMassError:   # flat, vanishing mass: report the mass alone
-        classical, ricci = charge_series(spec, radii, rule, kernels[:1],
-                                         fields[:1], nthreads=nthreads)
+        mass = [0, len(kernels)]
+        classical, ricci = normalized_series(spec, radii, values[:, mass],
+                                             errors[:, mass], kernels[:1],
+                                             fields[:1])
 
     def row(name, k, warnings):
         cls, ric = classical[k], ricci[k]

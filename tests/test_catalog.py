@@ -152,7 +152,7 @@ def test_deviation_matches_subtraction(kind, n, pts_fn):
 _VARIABLE_EXPONENT = "1 + 2^(-r/(1 + x1^2))"
 
 
-@pytest.mark.parametrize("spec,pts_fn", [
+_EVERY_KIND = [
     pytest.param(MetricSpec("euclidean", 3),
                  lambda: RNG.normal(size=(6, 3)) * 3 + 9, id="euclidean"),
     pytest.param(MetricSpec("schwarzschild_conformal", 4, m=1.3,
@@ -178,7 +178,10 @@ _VARIABLE_EXPONENT = "1 + 2^(-r/(1 + x1^2))"
                      (0, 0): "1/(1 + r^2) + r^(-3)", (1, 1): "r^2",
                      (2, 2): "r^2*sin(theta1)^2"}),
                  lambda: polar_points(3, 6, 3.0, 8.0), id="expression-polar"),
-])
+]
+
+
+@pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
 def test_jet_values_equal_jets(spec, pts_fn):
     """The value-only evaluation gives g, b and g - b bit for bit, with
     derivative axes of length 0, for every kind (a variable exponent too)."""
@@ -192,6 +195,17 @@ def test_jet_values_equal_jets(spec, pts_fn):
         else:
             assert np.array_equal(values.value, full.value)
             assert values.d.shape == shape + (0, n, n)
+
+
+@pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
+def test_metric_jet_equals_jets(spec, pts_fn):
+    """The metric-only evaluation gives the metric jet of :func:`jets` bit
+    for bit, for every kind."""
+    pts = pts_fn()
+    full = jets(spec, pts)[0]
+    alone = metric_jet(spec, pts)
+    for name in ("g", "dg", "ddg"):
+        assert np.array_equal(getattr(alone, name), getattr(full, name))
 
 
 def test_variable_exponent_is_not_taken_for_a_constant():

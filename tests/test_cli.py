@@ -403,6 +403,9 @@ def test_total_time_covers_the_whole_command(monkeypatch, tmp_path, argv):
 
 @pytest.mark.parametrize("args", [
     pytest.param(["mass", *_SCHW3, "--degree", "16"], id="mass"),
+    # 1250 nodes: two 1024-node chunks of n=5, so four threads share them
+    pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "5",
+                  "--m", "1", "--degree", "8"], id="mass-n5"),
     pytest.param(["center", *_SCHW3, "--center", "1,0.5,0", "--degree", "8"],
                  id="center"),
     pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",

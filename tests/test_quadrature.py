@@ -10,9 +10,9 @@ import pytest
 
 from asymflux.errors import QuadratureError
 from asymflux.geometry import ChartKind
-from asymflux.quadrature import (_gauss_jacobi, integrate_annulus,
+from asymflux.quadrature import (SphereRule, _gauss_jacobi, integrate_annulus,
                                  integrate_sphere, omega, pairwise_sum,
-                                 sphere_rule, thread_count)
+                                 sphere_rule, sphere_values, thread_count)
 
 
 def monomial_sphere_integral(exponents):
@@ -194,6 +194,27 @@ def test_thread_count_invariance():
     res4 = integrate_sphere(cols, 1.0, rule, nthreads=4)
     assert np.array_equal(res1.value, res4.value)
     assert res1.value[0] == integrate_sphere(f, 1.0, rule).value
+
+
+@pytest.mark.parametrize("n,chunk", [(3, 8192), (4, 4096), (5, 1024)])
+@pytest.mark.parametrize("nthreads", [1, 2])
+def test_chunk_follows_jet_footprint(n, chunk, nthreads):
+    """A chunk holds the largest power of two of nodes whose n^4 metric
+    second derivatives fit in 2^20 entries; every chunk but the last is
+    full, and the values come back in node order."""
+    count = 2 * chunk + 3     # more nodes than one chunk (no n=3 rule has)
+    units = np.zeros((count, n))
+    units[:, 0] = np.arange(count)
+    rule = SphereRule(n, 1, np.zeros((count, n - 1)), units, np.ones(count))
+    seen = []
+
+    def f(points):
+        seen.append(points.shape[0])
+        return points[:, 0]
+
+    values = sphere_values(f, 1.0, rule, nthreads=nthreads)
+    assert sorted(seen) == [3, chunk, chunk]
+    assert np.array_equal(values, np.arange(count))
 
 
 def test_thread_env_var():

@@ -5,7 +5,7 @@ import pytest
 
 from asymflux.catalog import MetricSpec
 from asymflux.errors import DomainError
-from asymflux.charges import rt_diagnostics
+from asymflux.charges import charge_series, rt_diagnostics
 from asymflux.fields import killing_basis
 from asymflux.limits import decay_rate
 from asymflux.quadrature import omega, sphere_rule
@@ -182,7 +182,7 @@ def test_equivalence_backgrounds_are_zero(kind, radii):
 
 # ------------------------------------------------------------------ chunking
 
-_SMALL_CHUNK = 16     # fewer nodes than any rule below
+_SMALL_CHUNK = 16     # fewer nodes than any rule below (all n=3)
 
 
 @pytest.mark.parametrize("run", [
@@ -203,11 +203,13 @@ _SMALL_CHUNK = 16     # fewer nodes than any rule below
 ])
 def test_sphere_passes_evaluate_in_chunks(monkeypatch, run):
     """Every per-node pass, the diagnostics included, runs on the chunked
-    evaluator: no metric, jet or curvature call sees more than ``_CHUNK``
+    evaluator: no metric, jet or curvature call sees more than one chunk of
     nodes.  Each name is patched where its caller looks it up."""
     from asymflux import catalog, charges, quadrature, verify
 
-    monkeypatch.setattr(quadrature, "_CHUNK", _SMALL_CHUNK)
+    # the budget of n^4 second-derivative entries that makes n=3 chunks of
+    # _SMALL_CHUNK nodes
+    monkeypatch.setattr(quadrature, "_CHUNK_ENTRIES", _SMALL_CHUNK * 3 ** 4)
     seen = []
 
     def recording(fn, nodes):
@@ -232,3 +234,34 @@ def test_sphere_passes_evaluate_in_chunks(monkeypatch, run):
     run()
     assert seen
     assert max(seen) <= _SMALL_CHUNK
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(MetricSpec("euclidean", 5), id="euclidean-n5"),
+    pytest.param(MetricSpec("schwarzschild_conformal", 3, m=1e-13),
+                 id="schwarzschild-below-mass-floor"),
+])
+def test_zero_mass_equivalence_makes_one_sphere_pass(monkeypatch, spec):
+    """A vanishing mass drops the center rows from the same sphere pass: one
+    ``integrate_sphere`` call per radius, and the mass row a pass over the
+    mass pair alone gives."""
+    from asymflux import charges
+
+    rule = sphere_rule(spec.n, 4)
+    calls = []
+    integrate = charges.integrate_sphere
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(charges, "integrate_sphere", counting)
+    rep = equivalence_report(spec, FLAT_RADII, rule)
+    assert calls == list(FLAT_RADII)
+    assert rep.diagnostics["center_skipped"] == "mass vanishes"
+    (row,) = rep.rows
+    X = killing_basis(spec.n, spec.chart_kind)[0]
+    (cls,), (ric,) = charge_series(spec, FLAT_RADII, rule, [X.kernel], [X])
+    assert (row.charge, row.classical, row.classical_error, row.ricci,
+            row.ricci_error) == ("mass", cls.limit, cls.limit_error,
+                                 ric.limit, ric.limit_error)
