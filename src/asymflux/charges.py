@@ -56,8 +56,7 @@ from .quadrature import SphereRule, integrate_sphere, omega, sphere_values
 __all__ = [
     "michel_integrand", "michel_integrand_deviation", "adm_integrand",
     "center_integrand", "sphere_normal_area", "sphere_integrand",
-    "charge_series", "sphere_fluxes", "normalized_series", "rt_diagnostics",
-    "RTReport",
+    "charge_series", "rt_diagnostics", "RTReport",
 ]
 
 _MASS_FLOOR = 1e-12
@@ -267,15 +266,16 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     the ``const_one`` kernel (index 0) that must lead ``kernels``.  A missing
     or vanishing mass raises ZeroMassError.  Returns
     ``(kernel_series, field_series)`` in the order requested.  It is
-    :func:`sphere_fluxes` followed by :func:`normalized_series`.
+    ``_sphere_fluxes`` followed by ``_normalized_series``, the two halves
+    :func:`asymflux.verify.charge_pairs` calls apart.
     """
-    return normalized_series(
-        spec, radii, *sphere_fluxes(spec, radii, rule, kernels, fields,
-                                    nthreads), kernels, fields)
+    return _normalized_series(
+        spec, radii, *_sphere_fluxes(spec, radii, rule, kernels, fields,
+                                     nthreads), kernels, fields)
 
 
-def sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                  fields=(), nthreads=None):
+def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
+                   fields=(), nthreads=None):
     """The sphere pass of :func:`charge_series`: raw fluxes and their
     quadrature errors, two ``(R, K)`` arrays with one row per radius and one
     column per kernel, then per field."""
@@ -296,10 +296,10 @@ def sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
             np.array([q.error_estimate for q in results]))
 
 
-def normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
-                      fields=()):
+def _normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
+                       fields=()):
     """The normalization of :func:`charge_series`: one extrapolated series
-    per column of the :func:`sphere_fluxes` arrays ``values`` and
+    per column of the :func:`_sphere_fluxes` arrays ``values`` and
     ``errors``, whose columns are ``kernels``, then ``fields``.  Centers
     raise ZeroMassError as in :func:`charge_series`."""
     radii = _check_radii(radii)
@@ -342,7 +342,8 @@ class RTReport:
                 "rt_status": self.status}
 
 
-def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule) -> RTReport:
+def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule,
+                   nthreads=None) -> RTReport:
     """Sample the parity-odd part of g over antipodal node pairs and fit its
     decay; g is evaluated without derivatives."""
     if not spec.is_flat_type:
@@ -354,7 +355,8 @@ def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule) -> RTReport:
                       - jet_values(spec, -points)[0].g)
         return np.abs(godd).max(axis=(-2, -1))
 
-    sups = np.array([sphere_values(odd_sup, r, rule).max() for r in radii])
+    sups = np.array([sphere_values(odd_sup, r, rule, nthreads=nthreads).max()
+                     for r in radii])
     exponent = fit_decay_exponent(radii, sups, "power")
     even = bool(np.all(sups <= 1e-14))
     expected = float(spec.n - 1)     # tau + 1 for the decay rate tau = n - 2

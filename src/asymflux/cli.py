@@ -9,6 +9,10 @@ Subcommands
 * ``verify``  — pohozaev / kernel / equivalence checks
 * ``sweep``   — per-radius normalized flux series as plot-ready CSV
 
+The four charge commands are one function, :func:`cmd_charges`, over
+:func:`asymflux.verify.charge_pairs`: they differ only in the basis indices
+they ask for, the report ids and the diagnostic they attach.
+
 Runs are driven by an INI config file; every command-line flag overrides the
 corresponding config key.  Reports are JSON (``schema_version`` 1, keys
 sorted, timings removable with ``--no-timings`` so identical runs are
@@ -101,6 +105,8 @@ class RunConfig:
             raise ConfigError(f"rel_tol must be in [0, inf), got {self.rel_tol}")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.annulus and not (len(self.annulus) == 2
                                  and 0 < self.annulus[0] < self.annulus[1]
                                  < np.inf):
@@ -270,15 +276,19 @@ def _emit(report: dict, cfg: RunConfig, timings: dict):
     if not cfg.no_timings:
         report["diagnostics"]["timings"] = timings
     text = json.dumps(report, sort_keys=True, indent=2, cls=_Json)
-    if cfg.out_json:
-        Path(cfg.out_json).write_text(text + "\n")
-    else:
+    try:
+        if cfg.out_json:
+            Path(cfg.out_json).write_text(text + "\n")
+        if cfg.csv_dir:
+            outdir = Path(cfg.csv_dir)
+            outdir.mkdir(parents=True, exist_ok=True)
+            for entry in report.get("charges", []):
+                _write_csv(outdir / f"{entry['id']}.csv", entry["samples"])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename!r}: {exc.strerror}") \
+            from exc
+    if not cfg.out_json:    # after the files, so a failed write prints nothing
         print(text)
-    if cfg.csv_dir:
-        outdir = Path(cfg.csv_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for entry in report.get("charges", []):
-            _write_csv(outdir / f"{entry['id']}.csv", entry["samples"])
 
 
 def _base_report(cfg: RunConfig) -> dict:
@@ -299,79 +309,59 @@ def _require_family(spec: MetricSpec, command: str, flat: bool):
             f"{spec.kind} in the {spec.chart_kind.value} chart")
 
 
-def _paired_entries(report, cfg, labels, suffixes, fields, classical, ricci):
-    """Append each classical/Ricci pair of series and its agreement verdict
-    (ids: ``labels`` plus the pair's suffix); True if all verdicts passed."""
-    for suffix, X, cls, ric in zip(suffixes, fields, classical, ricci):
-        cls_id, ric_id, verdict_id = (f"{label}{suffix}" for label in labels)
-        report["charges"] += [_series_entry(cls_id, cls),
-                              _series_entry(ric_id, ric)]
-        diff, budget, ok = verify_mod.agreement(X, cls, ric, cfg.rel_tol)
-        report["verdicts"].append({"id": verdict_id, "passed": ok,
-                                   "difference": diff, "budget": budget})
-    return all(v["passed"] for v in report["verdicts"])
+def _pair_ids(X) -> tuple[str, str, str]:
+    """Report ids of the classical and Ricci series and the verdict of X."""
+    i = X.kernel.index
+    if X.chart_kind != ChartKind.CARTESIAN:
+        return f"ah_mass_{i}", f"ah_ricci_{i}", f"ah_agreement_{i}"
+    if i == 0:
+        return "mass_classical", "mass_ricci", "mass_agreement"
+    return tuple(f"center_{part}_{i - 1}"
+                 for part in ("classical", "ricci", "agreement"))
 
 
-def cmd_mass(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_charges(cfg: RunConfig, command: str,
+                kernel: str | None = None) -> tuple[dict, int]:
+    """A charge command: one report entry per series and one verdict per
+    pair (``sweep``: one passing verdict), then the command's diagnostic."""
     spec = build_spec(cfg)
-    _require_family(spec, "mass", flat=True)
+    n = spec.n
+    if command in ("mass", "center"):
+        _require_family(spec, command, flat=True)
     radii = schedule_radii(cfg, spec)
-    rule = sphere_rule(spec.n, cfg.degree)
+    rule = sphere_rule(n, cfg.degree)
+    indices = {"mass": [0], "sweep": [0], "center": range(1, n + 1),
+               "ah-mass": range(n + 1)}[command]
+    if command == "ah-mass":
+        if kernel is not None:
+            if not (kernel.startswith("V") and kernel[1:].isascii()
+                    and kernel[1:].isdigit() and int(kernel[1:]) <= n):
+                raise ConfigError(f"unknown kernel selector {kernel!r}; "
+                                  f"use V0..V{n}")
+            indices = [int(kernel[1:])]
+        _require_family(spec, command, flat=False)
     report = _base_report(cfg)
     t0 = time.perf_counter()
-    X = killing_basis(spec.n, ChartKind.CARTESIAN)[0]
-    cls, ric = charges_mod.charge_series(
-        spec, radii, rule, [X.kernel], [X], nthreads=cfg.threads)
-    ok = _paired_entries(report, cfg, (
-        "mass_classical", "mass_ricci", "mass_agreement"), [""], [X], cls, ric)
-    report["diagnostics"].update(decay_rate(spec, radii).diagnostics)
-    return _finish(report, cfg, t0, ok)
-
-
-def cmd_center(cfg: RunConfig) -> tuple[dict, int]:
-    spec = build_spec(cfg)
-    _require_family(spec, "center", flat=True)
-    radii = schedule_radii(cfg, spec)
-    rule = sphere_rule(spec.n, cfg.degree)
-    report = _base_report(cfg)
-    t0 = time.perf_counter()
-    basis = killing_basis(spec.n, ChartKind.CARTESIAN)
-    (mass_series, *cls), ric = charges_mod.charge_series(
-        spec, radii, rule, [X.kernel for X in basis], basis[1:],
-        nthreads=cfg.threads)
-    report["charges"].append(_series_entry("mass_classical", mass_series))
-    ok = _paired_entries(report, cfg, (
-        "center_classical_", "center_ricci_", "center_agreement_"),
-        range(spec.n), basis[1:], cls, ric)
-    report["diagnostics"].update(
-        charges_mod.rt_diagnostics(spec, radii, rule).diagnostics)
-    return _finish(report, cfg, t0, ok)
-
-
-def cmd_ah_mass(cfg: RunConfig, kernel: str | None = None) -> tuple[dict, int]:
-    spec = build_spec(cfg)
-    radii = schedule_radii(cfg, spec)
-    rule = sphere_rule(spec.n, cfg.degree)
-    report = _base_report(cfg)
-    indices = range(spec.n + 1)
-    if kernel is not None:
-        if not (kernel.startswith("V") and kernel[1:].isascii()
-                and kernel[1:].isdigit()
-                and int(kernel[1:]) <= spec.n):
-            raise ConfigError(f"unknown kernel selector {kernel!r}; "
-                              f"use V0..V{spec.n}")
-        indices = [int(kernel[1:])]
-    _require_family(spec, "ah-mass", flat=False)
-    t0 = time.perf_counter()
-    basis = killing_basis(spec.n, spec.chart_kind)
-    fields = [basis[i] for i in indices]
-    am, ar = charges_mod.charge_series(
-        spec, radii, rule, [X.kernel for X in fields], fields,
-        nthreads=cfg.threads)
-    ok = _paired_entries(report, cfg, ("ah_mass_", "ah_ricci_", "ah_agreement_"),
-                         indices, fields, am, ar)
-    report["diagnostics"].update(decay_rate(spec, radii).diagnostics)
-    return _finish(report, cfg, t0, ok)
+    mass, rows = verify_mod.charge_pairs(spec, radii, rule, indices,
+                                         cfg.rel_tol, nthreads=cfg.threads)
+    if command == "center":
+        report["charges"].append(_series_entry("mass_classical", mass))
+    for row in rows:
+        cls_id, ric_id, verdict_id = _pair_ids(row.field)
+        report["charges"] += [_series_entry(cls_id, row.classical_series),
+                              _series_entry(ric_id, row.ricci_series)]
+        report["verdicts"].append({"id": verdict_id, "passed": row.passed,
+                                   "difference": row.difference,
+                                   "budget": row.budget})
+    if command == "sweep":
+        report["verdicts"] = [{"id": "sweep", "passed": True}]
+    elif command == "center":
+        report["diagnostics"].update(charges_mod.rt_diagnostics(
+            spec, radii, rule, nthreads=cfg.threads).diagnostics)
+    else:
+        report["diagnostics"].update(
+            decay_rate(spec, radii, nthreads=cfg.threads).diagnostics)
+    return _finish(report, cfg, t0, all(v["passed"] for v in report["verdicts"]))
 
 
 def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
@@ -423,22 +413,6 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
     else:
         raise ConfigError(f"unknown verify target {which!r}")
     return _finish(report, cfg, t0, ok)
-
-
-def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
-    spec = build_spec(cfg)
-    radii = schedule_radii(cfg, spec)
-    rule = sphere_rule(spec.n, cfg.degree)
-    report = _base_report(cfg)
-    t0 = time.perf_counter()
-    ids = ("mass_classical", "mass_ricci") if spec.is_flat_type \
-        else ("ah_mass_0", "ah_ricci_0")
-    X = killing_basis(spec.n, spec.chart_kind)[0]
-    (cls,), (ric,) = charges_mod.charge_series(
-        spec, radii, rule, [X.kernel], [X], nthreads=cfg.threads)
-    report["charges"] = [_series_entry(ids[0], cls), _series_entry(ids[1], ric)]
-    report["verdicts"] = [{"id": "sweep", "passed": True}]
-    return _finish(report, cfg, t0, True)
 
 
 def _finish(report, cfg, t0, ok):
@@ -504,16 +478,11 @@ def main(argv=None) -> int:
             if overrides.get(key) is not None:
                 overrides[key] = _convert(section, key, overrides[key])
         cfg = load_config(args.config, overrides)
-        if args.command == "mass":
-            _, code = cmd_mass(cfg)
-        elif args.command == "center":
-            _, code = cmd_center(cfg)
-        elif args.command == "ah-mass":
-            _, code = cmd_ah_mass(cfg, args.kernel)
-        elif args.command == "verify":
+        if args.command == "verify":
             _, code = cmd_verify(cfg, args.which)
         else:
-            _, code = cmd_sweep(cfg)
+            _, code = cmd_charges(cfg, args.command,
+                                  getattr(args, "kernel", None))
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

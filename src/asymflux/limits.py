@@ -163,7 +163,7 @@ class DecayReport:
                 "tau_ok": self.satisfied}
 
 
-def decay_rate(spec, radii) -> DecayReport:
+def decay_rate(spec, radii, nthreads=None) -> DecayReport:
     """Regress the sup of the frame-rescaled deviation over coordinate spheres.
 
     Components are measured in a background-orthonormal frame
@@ -181,7 +181,7 @@ def decay_rate(spec, radii) -> DecayReport:
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         return np.abs(frame).max(axis=(-2, -1))
 
-    sups = np.array([sphere_values(frame_sup, r, rule, chart).max()
+    sups = np.array([sphere_values(frame_sup, r, rule, chart, nthreads).max()
                      for r in radii])
     mode = catalog.decay_mode(chart)
     tau_hat = fit_decay_exponent(catalog.geodesic_radius(chart, radii), sups,

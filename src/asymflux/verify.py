@@ -10,19 +10,20 @@ Three families of checks:
 * equivalence reports comparing the classical charge limits with their
   Einstein-tensor versions on the same metric, with hypothesis diagnostics.
 
-:func:`agreement` is the one rule for a classical charge and its Ricci
-version; the CLI commands use it too.  All integral checks reuse the
-deterministic quadrature stack, so reports are reproducible bit-for-bit.
+:func:`charge_pairs` builds every classical/Ricci pair, for the CLI charge
+commands and the equivalence reports alike, and judges each with
+:func:`agreement`.  All integral checks reuse the deterministic quadrature
+stack, so reports are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .catalog import MetricSpec, coordinate_volume, metric_jet
-from .charges import (normalized_series, rt_diagnostics, sphere_fluxes,
+from .charges import (_normalized_series, _sphere_fluxes, rt_diagnostics,
                       sphere_integrand, sphere_normal_area)
 from .errors import DomainError, ZeroMassError
 from .fields import ConformalKilling, basis_jets, killing_basis
@@ -34,7 +35,7 @@ from .quadrature import (SphereRule, integrate_annulus, integrate_sphere,
 
 __all__ = ["IdentityReport", "KernelReport", "EquivalenceRow",
            "EquivalenceReport", "pohozaev_check", "kernel_check_lemma22",
-           "agreement", "equivalence_report", "sample_points",
+           "agreement", "charge_pairs", "equivalence_report", "sample_points",
            "EINSTEIN_LAMBDA"]
 
 _POHOZAEV_FLOOR = 1e-10        # absolute tolerance floor of pohozaev_check
@@ -72,15 +73,23 @@ class KernelReport:
 
 @dataclass(frozen=True)
 class EquivalenceRow:
-    charge: str
-    classical: float
-    classical_error: float
-    ricci: float
-    ricci_error: float
+    """A classical charge and its Ricci version, the pair of ``field``, with
+    the :func:`agreement` verdict on their limits and, in equivalence
+    reports, the hypothesis warnings that apply to them."""
+
+    charge: str                  # mass, center[a] or ah_charge[i]
+    field: ConformalKilling
+    classical_series: RadialSeries
+    ricci_series: RadialSeries
     difference: float
     budget: float
     passed: bool
     warnings: tuple = ()
+
+    classical = property(lambda self: self.classical_series.limit)
+    classical_error = property(lambda self: self.classical_series.limit_error)
+    ricci = property(lambda self: self.ricci_series.limit)
+    ricci_error = property(lambda self: self.ricci_series.limit_error)
 
 
 @dataclass(frozen=True)
@@ -268,61 +277,78 @@ def agreement(X: ConformalKilling, classical: RadialSeries,
     return difference, budget, bool(difference <= budget)
 
 
+def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
+                 rel_tol: float = 1e-6, nthreads=None):
+    """The classical/Ricci charge pairs of the basis elements ``indices``,
+    from one sphere pass per radius, each judged by :func:`agreement`.
+
+    Returns ``(mass, rows)``: ``mass`` is the series of the ``const_one``
+    kernel in the cartesian chart (None in a polar chart), ``rows`` one
+    :class:`EquivalenceRow` per index, in order.  The centers divide by that
+    mass.  Without the mass pair (index 0, which then comes first) the
+    kernel leads the pass alone and a vanishing mass raises ZeroMassError;
+    with it, a vanishing mass leaves the mass row alone, from the same pass.
+    """
+    basis = killing_basis(spec.n, spec.chart_kind)
+    fields = [basis[i] for i in indices]
+    lead = [basis[0].kernel] if spec.is_flat_type and indices[0] != 0 else []
+    kernels = lead + [X.kernel for X in fields]
+    values, errors = _sphere_fluxes(spec, radii, rule, kernels, fields,
+                                    nthreads)
+    try:
+        classical, ricci = _normalized_series(spec, radii, values, errors,
+                                              kernels, fields)
+    except ZeroMassError:
+        if lead:
+            raise
+        columns = [0, len(kernels)]
+        fields, kernels = fields[:1], kernels[:1]
+        classical, ricci = _normalized_series(
+            spec, radii, values[:, columns], errors[:, columns], kernels, fields)
+    mass = classical[0] if spec.is_flat_type else None
+    rows = [EquivalenceRow(_pair_name(X), X, cls, ric,
+                           *agreement(X, cls, ric, rel_tol))
+            for X, cls, ric in zip(fields, classical[len(lead):], ricci)]
+    return mass, rows
+
+
+def _pair_name(X: ConformalKilling) -> str:
+    index = X.kernel.index
+    if X.chart_kind != ChartKind.CARTESIAN:
+        return f"ah_charge[{index}]"
+    return "mass" if index == 0 else f"center[{index - 1}]"
+
+
 def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
                        rel_tol: float = 1e-6, nthreads=None) -> EquivalenceReport:
-    """Classical-versus-Ricci comparison for every applicable charge.
+    """Classical-versus-Ricci comparison for every applicable charge: the
+    :func:`charge_pairs` of the whole basis.
 
-    Each row is judged by :func:`agreement` with ``rel_tol``, as its own CLI
-    command judges it.  Hypothesis diagnostics (decay rate, scalar-curvature
-    integrability proxy, parity decay for centers, nonvanishing mass) are
-    attached as warnings on the affected rows; the computation is still
-    attempted.
+    Hypothesis diagnostics (decay rate, scalar-curvature integrability
+    proxy, parity decay for centers, nonvanishing mass) are attached as
+    warnings on the affected rows; the computation is still attempted.
     """
     radii = np.asarray(radii, dtype=float)
-    n = spec.n
-    decay = decay_rate(spec, radii)
+    decay = decay_rate(spec, radii, nthreads=nthreads)
     diagnostics = {**decay.diagnostics, "scal_integrable": _scal_integrable(
         spec, radii, rule, nthreads)}
-    warn_common = [] if decay.satisfied else \
-        [f"decay rate {decay.tau_hat:.3g} below threshold {decay.threshold:.3g}"]
+    warnings = () if decay.satisfied else \
+        (f"decay rate {decay.tau_hat:.3g} below threshold {decay.threshold:.3g}",)
     if not diagnostics["scal_integrable"]:
-        warn_common.append("scalar curvature integrability proxy failed")
+        warnings += ("scalar curvature integrability proxy failed",)
 
-    fields = killing_basis(n, spec.chart_kind)
-    kernels = [X.kernel for X in fields]
-    values, errors = sphere_fluxes(spec, radii, rule, kernels, fields,
-                                   nthreads)
-    try:
-        classical, ricci = normalized_series(spec, radii, values, errors,
-                                             kernels, fields)
-    except ZeroMassError:   # flat, vanishing mass: report the mass alone
-        mass = [0, len(kernels)]
-        classical, ricci = normalized_series(spec, radii, values[:, mass],
-                                             errors[:, mass], kernels[:1],
-                                             fields[:1])
-
-    def row(name, k, warnings):
-        cls, ric = classical[k], ricci[k]
-        return EquivalenceRow(name, cls.limit, cls.limit_error, ric.limit,
-                              ric.limit_error,
-                              *agreement(fields[k], cls, ric, rel_tol),
-                              tuple(warnings))
-
-    rows = []
+    _, rows = charge_pairs(spec, radii, rule, range(spec.n + 1), rel_tol,
+                           nthreads)
+    rows = [replace(row, warnings=warnings) for row in rows]
     if spec.is_flat_type:
-        rows.append(row("mass", 0, warn_common))
-        rt = rt_diagnostics(spec, radii, rule)
+        rt = rt_diagnostics(spec, radii, rule, nthreads=nthreads)
         diagnostics.update(rt.diagnostics)
-        if len(classical) > 1:
-            warn_center = list(warn_common)
-            if rt.status != "pass":
-                warn_center.append("parity decay (RT) diagnostic failed")
-            rows += [row(f"center[{a}]", a + 1, warn_center) for a in range(n)]
-        else:
+        if len(rows) == 1:
             diagnostics["center_skipped"] = "mass vanishes"
-    else:
-        rows += [row(f"ah_charge[{i}]", i, warn_common) for i in range(n + 1)]
-    return EquivalenceReport(spec.kind, n, tuple(rows), diagnostics)
+        elif rt.status != "pass":
+            rows[1:] = [replace(row, warnings=warnings + (
+                "parity decay (RT) diagnostic failed",)) for row in rows[1:]]
+    return EquivalenceReport(spec.kind, spec.n, tuple(rows), diagnostics)
 
 
 def _scal_integrable(spec, radii, rule, nthreads):

@@ -332,6 +332,8 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
                   "--center", "5,5,5"], id="center-on-kottler"),
     pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3", "--m",
                   "1", "--which", "kernel"], id="m-on-hyperbolic-polar"),
+    pytest.param(["verify", "--kind", "euclidean", "--n", "3", "--which",
+                  "kernel", "--seed", "-1"], id="seed-negative"),
 ])
 def test_exit_code_config_error(capsys, argv):
     assert main(argv) == 2
@@ -356,6 +358,23 @@ def test_threads_environment_variable(monkeypatch, capsys, value, code):
     err = capsys.readouterr().err
     assert ("config error" in err) == (code == 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,option,target", [
+    pytest.param("mass", "--out-json", "missing/x.json", id="out-json-no-dir"),
+    pytest.param("sweep", "--csv-dir", "a-file", id="csv-dir-is-a-file"),
+])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command,
+                                             option, target):
+    """An output path that cannot be written exits 2 with one line and
+    prints no report."""
+    (tmp_path / "a-file").write_text("")
+    assert main([command, "--kind", "euclidean", "--n", "3", "--degree", "6",
+                 option, str(tmp_path / target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: cannot write ")
+    assert err.count("\n") == 1
 
 
 def test_exit_code_computation_error(capsys):
@@ -388,15 +407,69 @@ def test_total_time_covers_the_whole_command(monkeypatch, tmp_path, argv):
 
     decay_rate = cli.decay_rate
 
-    def slow_decay_rate(*args):
+    def slow_decay_rate(*args, **kwargs):
         time.sleep(0.5)
-        return decay_rate(*args)
+        return decay_rate(*args, **kwargs)
 
     monkeypatch.setattr(cli, "decay_rate", slow_decay_rate)
     out = tmp_path / "out.json"
     assert main(argv + ["--degree", "8", "--out-json", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["diagnostics"]["timings"]["total_s"] >= 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["mass", *_SCHW3], id="mass"),
+    pytest.param(["center", *_SCHW3, "--center", "1,0.5,0"], id="center"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1"],
+                 id="ah-mass"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
+                  "--kernel", "V1"], id="ah-mass-V1"),
+    pytest.param(["sweep", *_SCHW3], id="sweep"),
+])
+def test_charge_commands_make_one_sphere_pass(monkeypatch, tmp_path, argv):
+    """Every charge command integrates each of the five scheduled spheres
+    once."""
+    from asymflux import charges
+
+    calls = []
+    integrate = charges.integrate_sphere
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(charges, "integrate_sphere", counting)
+    code, report = run_cli(argv + ["--degree", "4"], tmp_path)
+    assert code == 0
+    radii = [s["r"] for s in report["charges"][0]["samples"]]
+    assert len(radii) == 5
+    assert calls == radii
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["center", *_SCHW3, "--center", "1,0.5,0"], id="center"),
+    pytest.param(["verify", *_SCHW3, "--which", "equivalence"],
+                 id="verify-equivalence"),
+])
+def test_threads_reach_every_sphere_pass(monkeypatch, tmp_path, argv):
+    """``--threads`` is the thread count of every node evaluation, the
+    diagnostic passes included."""
+    from asymflux import quadrature
+
+    monkeypatch.delenv("ASYMFLUX_THREADS", raising=False)
+    seen = []
+    evaluate = quadrature._evaluate
+
+    def recording(f, points, nthreads=None):
+        seen.append(nthreads)
+        return evaluate(f, points, nthreads)
+
+    monkeypatch.setattr(quadrature, "_evaluate", recording)
+    code, _ = run_cli(argv + ["--degree", "4", "--threads", "2"], tmp_path)
+    assert code == 0
+    assert seen
+    assert set(seen) == {2}
 
 
 # --------------------------------------------------------------- determinism
