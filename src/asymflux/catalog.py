@@ -29,6 +29,7 @@ the polar-domain check, the area/geodesic radius map and the decay model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -222,14 +223,31 @@ def decay_mode(chart_kind: ChartKind) -> str:
 
 # ------------------------------------------------------------- jet assembly
 
+def _zeros(*shapes) -> list[np.ndarray]:
+    """Zeroed C-contiguous arrays of the given shapes, consecutive views of
+    one allocation.  A whole jet in one block is the largest block a chunk
+    frees, so glibc's trim threshold, twice that block, stays above the
+    chunk's peak (quadrature module notes)."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block = np.zeros(sum(sizes))
+    ends = np.cumsum(sizes)
+    return [block[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
+
+
+def _zero_jet(shape, n, width) -> MetricJet:
+    """A zeroed 2-jet whose ``g``, ``dg`` and ``ddg`` share one block."""
+    return MetricJet(*_zeros(shape + (n, n), shape + (width, n, n),
+                             shape + (width, width, n, n)))
+
+
 def _assemble(components, coords, width) -> MetricJet:
     """Pack an upper-triangular dict of HyperDual components into a MetricJet
     whose derivative axes have length ``width`` (``n``, or 0 for values)."""
     n = coords.shape[-1]
     shape = coords.shape[:-1]
-    g = np.zeros(shape + (n, n))
-    dg = np.zeros(shape + (width, n, n))
-    ddg = np.zeros(shape + (width, width, n, n))
+    jet = _zero_jet(shape, n, width)
+    g, dg, ddg = jet.g, jet.dg, jet.ddg
     for (i, j), comp in components.items():
         if isinstance(comp, HyperDual):
             v = np.broadcast_to(comp.val, shape)
@@ -246,7 +264,7 @@ def _assemble(components, coords, width) -> MetricJet:
             g[..., j, i] = v
             dg[..., :, j, i] = gr
             ddg[..., :, :, j, i] = he
-    return MetricJet(g, dg, ddg)
+    return jet
 
 
 def _schwarzschild_log_factor(spec, coords, derivatives):
@@ -298,8 +316,7 @@ def _diagonal_deviation(components, shape, n, width) -> SymTensorJet:
     if not components:
         return SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
                             np.broadcast_to(0.0, shape + (width, n, n)))
-    value = np.zeros(shape + (n, n))
-    d = np.zeros(shape + (width, n, n))
+    value, d = _zeros(shape + (n, n), shape + (width, n, n))
     for i, e in components.items():
         value[..., i, i] = e.val
         d[..., :, i, i] = e.grad
@@ -402,7 +419,10 @@ def _jets(spec, p, derivatives, metric_only=False):
         base, b, base_eps = (metric_jet(spec.base, coords), None, None) \
             if metric_only else nested(spec.base, coords)
         eps = _components_jet(spec, coords, kind, derivatives)
-        g = MetricJet(base.g + eps.g, base.dg + eps.dg, base.ddg + eps.ddg)
+        g = _zero_jet(shape, n, width)
+        for out, x, y in zip((g.g, g.dg, g.ddg), (base.g, base.dg, base.ddg),
+                             (eps.g, eps.dg, eps.ddg)):
+            np.add(x, y, out=out)
         if metric_only:
             return g, None, None
         return g, b, SymTensorJet(base_eps.value + eps.g, base_eps.d + eps.dg)
@@ -421,9 +441,7 @@ def _components_jet(spec, coords, chart_kind, derivatives) -> MetricJet:
     n = spec.n
     width = n if derivatives else 0
     shape = coords.shape[:-1]
-    value = np.zeros(shape + (n, n))
-    d = np.zeros(shape + (width, n, n))
-    dd = np.zeros(shape + (width, width, n, n))
+    out = _zero_jet(shape, n, width)
     params = dict(spec.params or {})
     evaluated = {}
     for (i, j), ast in spec.asts.items():
@@ -432,7 +450,7 @@ def _components_jet(spec, coords, chart_kind, derivatives) -> MetricJet:
                                                derivatives)
         jet = evaluated[ast]
         for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
-            value[..., a, b] = jet.value
-            d[..., :, a, b] = jet.grad
-            dd[..., :, :, a, b] = jet.hess
-    return MetricJet(value, d, dd)
+            out.g[..., a, b] = jet.value
+            out.dg[..., :, a, b] = jet.grad
+            out.ddg[..., :, :, a, b] = jet.hess
+    return out

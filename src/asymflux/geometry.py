@@ -166,13 +166,17 @@ def christoffel(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
 
 
 def _christoffel(ginv, A):
-    return 0.5 * _pairs_last(ginv @ _pairs_flat(A))
+    out = ginv @ _pairs_flat(A)
+    out *= 0.5
+    return _pairs_last(out)
 
 
 def _first_kind(dg):
     # A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     di_gjl = np.moveaxis(dg, -1, -3)
-    return di_gjl + di_gjl.swapaxes(-1, -2) - dg
+    A = di_gjl + di_gjl.swapaxes(-1, -2)
+    A -= dg
+    return A
 
 
 def _pairs_flat(T):
@@ -213,12 +217,17 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
       ``C_ij = g^{kl} d_k d_l g_ij``;
     * ``d_i Gamma^k_kj = (D_ij - tr(M_i M_j)) / 2`` with
       ``D_ij = g^{kl} d_i d_j g_kl`` and ``M_m = g^{-1} d_m g``.
+
+    Memory: ``ddg`` is read through reshaped views, so it must be
+    C-contiguous, as the one-block jets of ``catalog`` are.  The O(n^3)
+    temporaries live one group at a time (``M``, then ``A``), so a chunk
+    peaks below twice its jet block, under glibc's dynamic trim threshold;
+    above it every chunk faults its memory in again (quadrature module
+    notes).
     """
     n = jet.n
     batch = jet.g.shape[:-2]
     ginv, sqrt_det = _factor(jet.g)
-    A = _first_kind(jet.dg)
-    Gamma = _christoffel(ginv, A)
     g_row = ginv.reshape(*batch, 1, n * n)            # g^{kl} as one row
 
     def square(T):                                    # n*n entries -> (n, n)
@@ -226,16 +235,20 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
 
     M = ginv[..., None, :, :] @ jet.dg                # [..., m] = M_m
     v = -(np.einsum("...kka->...a", M)[..., None, :] @ ginv)
+    M_t = M.swapaxes(-1, -2).reshape(*batch, n, n * n)
+    trMM = _pairs_flat(M) @ M_t.swapaxes(-1, -2)     # tr(M_i M_j)
+    del M, M_t
     # both derivative pairs of ddg are symmetric, so ddg[..., i, k, l, j] is
     # d_k d_i g_jl and B contracts g^{kl} with (k, l) as one matmul axis
     B = square(g_row[..., None, :, :] @ jet.ddg.reshape(*batch, n, n * n, n))
     pairs = jet.ddg.reshape(*batch, n * n, n * n)     # [..., (k, l), (i, j)]
     C = square(g_row @ pairs)
     D = square(pairs @ g_row.swapaxes(-1, -2))
-    M_t = M.swapaxes(-1, -2).reshape(*batch, n, n * n)
-    trMM = _pairs_flat(M) @ M_t.swapaxes(-1, -2)     # tr(M_i M_j)
+    A = _first_kind(jet.dg)
+    Gamma = _christoffel(ginv, A)
     # d_k Gamma^k_ij - d_i Gamma^k_kj
     ric = square(v @ _pairs_flat(A))
+    del A
     ric += B
     ric += B.swapaxes(-1, -2)
     ric -= C

@@ -208,6 +208,27 @@ def test_metric_jet_equals_jets(spec, pts_fn):
         assert np.array_equal(getattr(alone, name), getattr(full, name))
 
 
+@pytest.mark.parametrize("spec,pts_fn", [
+    param for param in _EVERY_KIND if param.id != "euclidean"])
+def test_metric_jet_is_one_block(spec, pts_fn):
+    """A computed 2-jet is one allocation: ``g``, ``dg`` and ``ddg`` are
+    C-contiguous views of one owning base, so :func:`curvature` reshapes
+    ``ddg`` as a view, not a copy, and no later call returns the same
+    memory (``rt_diagnostics`` holds two jets at once).  The Euclidean jet
+    is a read-only broadcast of the identity instead."""
+    pts = pts_fn()
+    batch, n = pts.shape[:-1], spec.n
+    first, second = jets(spec, pts)[0], metric_jet(spec, pts)
+    for jet in (first, second):
+        base = jet.g.base
+        assert base is not None and base.flags.owndata
+        for part in (jet.g, jet.dg, jet.ddg):
+            assert part.base is base and part.flags.c_contiguous
+        assert np.shares_memory(jet.ddg.reshape(*batch, n * n, n * n),
+                                jet.ddg)
+    assert not np.shares_memory(first.g.base, second.g.base)
+
+
 def test_variable_exponent_is_not_taken_for_a_constant():
     """Whether ``a^b`` takes the constant-exponent path is read from the
     expression, not from the derivative width: at width 0 a variable

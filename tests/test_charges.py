@@ -1,5 +1,7 @@
 """Charge integrands and normalized invariants against closed-form oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,28 @@ def test_sphere_pass_evaluates_node_data_once_per_chunk(
                   killing_basis(3, chart)[:count])
     assert counts["chunks"] > 0
     assert counts[name] == counts["chunks"]
+
+
+def test_chunk_peak_below_twice_the_jet_block():
+    """One 1024-node n=5 chunk of the flat mass integrand (the ``const_one``
+    kernel and the dilation field, as ``charge_pairs`` builds it) peaks
+    below 1.8 times the bytes of its 2-jet.  glibc trims the heap top above
+    twice the largest block freed so far, the jet's, so a higher peak is
+    handed back to the kernel and faulted in again on every chunk."""
+    spec = MetricSpec("schwarzschild_conformal", 5, m=1.0)
+    X = killing_basis(5, spec.chart_kind)[0]
+    f = sphere_integrand(spec, [X.kernel], [X], 10.0)
+    points = 10.0 * sphere_rule(5, 16).units[:1024]
+    jet = jets(spec, points)[0]
+    block = jet.g.nbytes + jet.dg.nbytes + jet.ddg.nbytes
+    del jet
+    tracemalloc.start()
+    try:
+        f(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * block
 
 
 def test_basis_pass_matches_single_charges():
