@@ -9,7 +9,7 @@ identity) that make the two families of definitions agree.
 """
 
 from .catalog import MetricSpec, background_of, jets, metric_jet
-from .charges import charge_series, michel_integrand, rt_diagnostics
+from .charges import charge_series, rt_diagnostics
 from .errors import AsymfluxError
 from .fields import kernel_basis, killing_basis
 from .geometry import ChartKind, curvature
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MetricSpec", "background_of", "jets", "metric_jet", "charge_series",
-    "michel_integrand", "rt_diagnostics", "AsymfluxError", "kernel_basis",
+    "rt_diagnostics", "AsymfluxError", "kernel_basis",
     "killing_basis", "ChartKind", "curvature",
     "FluxSample", "RadialSeries", "decay_rate", "extrapolate",
     "integrate_annulus", "integrate_sphere", "omega", "sphere_rule",

@@ -9,7 +9,14 @@ of two polar charts over ``R x S^{n-1}``:
   ``b = (1+rho^2)^{-1} drho^2 + rho^2 * round_sphere``  (rho = sinh r).
 
 Jets are produced by evaluating closed-form components with hyper-dual
-numbers, so first and second derivatives carry no truncation error.
+numbers, so first and second derivatives carry no truncation error.  A
+radial profile is a width-1 hyper-dual in its own variable, lifted to the
+chart by one chain-rule step (:func:`hyperdual.lift`): Schwarzschild's
+conformal factor in ``t = |x - c|^2``, whose jet is exact, and the
+hyperbolic and Kottler entries in the radial coordinate, where the lift
+gives the numbers of the full-width chain bit for bit.  Angular products
+stay at full width.  Every catalog metric is diagonal, and its jet is
+written through the diagonal view of each array's ``(i, j)`` pair.
 ``expression`` and ``perturbation`` components are parsed once, when the
 spec is built, so a bad component fails before any computation starts.
 :func:`jets` returns the metric jet, the background jet and the deviation
@@ -241,65 +248,57 @@ def _zero_jet(shape, n, width) -> MetricJet:
                              shape + (width, width, n, n)))
 
 
-def _assemble(components, coords, width) -> MetricJet:
-    """Pack an upper-triangular dict of HyperDual components into a MetricJet
-    whose derivative axes have length ``width`` (``n``, or 0 for values)."""
-    n = coords.shape[-1]
-    shape = coords.shape[:-1]
-    jet = _zero_jet(shape, n, width)
-    g, dg, ddg = jet.g, jet.dg, jet.ddg
-    for (i, j), comp in components.items():
-        if isinstance(comp, HyperDual):
-            v = np.broadcast_to(comp.val, shape)
-            gr = np.broadcast_to(comp.grad, shape + (width,))
-            he = np.broadcast_to(comp.hess, shape + (width, width))
+def _write_diagonal(arrays, diagonal, shape, width):
+    """Write diagonal entries (HyperDuals or constants) into zeroed jet
+    arrays ``(value, d[, dd])``, one assignment per array through the
+    ``::n+1`` view of its trailing ``(i, j)`` pair."""
+    n = len(diagonal)
+    parts = [(e.val, e.grad, e.hess) if isinstance(e, HyperDual)
+             else (e, 0.0, 0.0) for e in diagonal]
+    for out, entries, tail in zip(arrays, zip(*parts),
+                                  ((), (width,), (width, width))):
+        # a view: out is contiguous
+        diag = out.reshape(*out.shape[:-2], n * n)[..., ::n + 1]
+        if all(e is entries[0] for e in entries):    # one entry everywhere
+            diag[...] = np.broadcast_to(entries[0], shape + tail)[..., None]
         else:
-            v = np.broadcast_to(np.asarray(comp, dtype=float), shape)
-            gr = np.zeros(shape + (width,))
-            he = np.zeros(shape + (width, width))
-        g[..., i, j] = v
-        dg[..., :, i, j] = gr
-        ddg[..., :, :, i, j] = he
-        if i != j:
-            g[..., j, i] = v
-            dg[..., :, j, i] = gr
-            ddg[..., :, :, j, i] = he
+            np.stack([np.broadcast_to(e, shape + tail) for e in entries],
+                     axis=-1, out=diag)
+
+
+def _assemble(diagonal, shape, width) -> MetricJet:
+    """A diagonal MetricJet from its entries ``g_ii`` (HyperDuals or
+    constants), with derivative axes of length ``width`` (``n``, or 0 for
+    values).  Every catalog metric is diagonal."""
+    jet = _zero_jet(shape, len(diagonal), width)
+    _write_diagonal((jet.g, jet.dg, jet.ddg), diagonal, shape, width)
     return jet
 
 
 def _schwarzschild_log_factor(spec, coords, derivatives):
-    """log of the conformal factor, as ``p * log1p(s)`` with ``s = m/(2 rho^{n-2})``.
+    """The jet of ``t = |x - c|^2`` and the log of the conformal factor,
+    ``p * log1p(s)`` with ``s = m/(2 rho^{n-2})``, as a width-1 jet in ``t``.
 
-    Computed in log form so that the deviation ``g - e`` stays accurate at
-    large radii.
+    ``t``'s jet is exact (``2(x - c)`` and ``2I``), and :func:`hd.lift`
+    carries a profile in ``t`` to the chart.  Computed in log form so that
+    the deviation ``g - e`` stays accurate at large radii.
     """
     n = spec.n
-    x = seed_variables(coords, derivatives)
-    center = spec.center or (0.0,) * n
-    rho2 = None
-    for i in range(n):
-        d = x[i] - float(center[i])
-        rho2 = d * d if rho2 is None else rho2 + d * d
-    if np.any(rho2.val <= 0.0):
+    diff = coords - np.asarray(spec.center or (0.0,) * n, dtype=float)
+    rho2 = diff[..., 0] * diff[..., 0]
+    for i in range(1, n):
+        rho2 = rho2 + diff[..., i] * diff[..., i]
+    if np.any(rho2 <= 0.0):
         raise DomainError("schwarzschild_conformal: point at the center")
-    rho = hd.sqrt(rho2)
+    width = n if derivatives else 0
+    t = HyperDual(rho2, 2.0 * diff[..., :width],
+                  np.broadcast_to(2.0 * np.eye(width),
+                                  rho2.shape + (width, width)))
+    rho = hd.sqrt(seed_variables(rho2[..., None], derivatives)[0])
     s = (0.5 * spec.m) * rho ** (-(n - 2))
     if np.any(s.val <= -1.0):
         raise DomainError("schwarzschild_conformal: point inside excised region")
-    return (4.0 / (n - 2)) * hd.log1p(s)
-
-
-def _hyperbolic_polar_components(coords, derivatives):
-    variables = seed_variables(coords, derivatives)
-    r, angles = variables[0], variables[1:]
-    sh = hd.sinh(r)
-    sh2 = sh * sh
-    one = HyperDual.constant(1.0, r.nvars, coords.shape[:-1])
-    diag = round_sphere_diag_hd(angles, one)
-    comps = {(0, 0): 1.0}
-    for j, sigma_jj in enumerate(diag):
-        comps[(1 + j, 1 + j)] = sh2 * sigma_jj
-    return comps
+    return t, (4.0 / (n - 2)) * hd.log1p(s)
 
 
 def _euclidean_jet(coords, width) -> MetricJet:
@@ -310,16 +309,15 @@ def _euclidean_jet(coords, width) -> MetricJet:
                      np.broadcast_to(0.0, shape + (width, width, n, n)))
 
 
-def _diagonal_deviation(components, shape, n, width) -> SymTensorJet:
-    """Deviation jet from hyper-dual diagonal entries ``{i: eps_ii}``; an
-    empty dict gives the zero deviation as read-only broadcast views."""
-    if not components:
+def _diagonal_deviation(diagonal, shape, n, width) -> SymTensorJet:
+    """Deviation jet from its diagonal entries ``eps_ii`` (HyperDuals or
+    constants); an empty list gives the zero deviation as read-only
+    broadcast views."""
+    if not diagonal:
         return SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
                             np.broadcast_to(0.0, shape + (width, n, n)))
     value, d = _zeros(shape + (n, n), shape + (width, n, n))
-    for i, e in components.items():
-        value[..., i, i] = e.val
-        d[..., :, i, i] = e.grad
+    _write_diagonal((value, d), diagonal, shape, width)
     return SymTensorJet(value, d)
 
 
@@ -367,52 +365,53 @@ def _jets(spec, p, derivatives, metric_only=False):
     n = spec.n
     width = n if derivatives else 0
     shape = coords.shape[:-1]
-    zero = _diagonal_deviation({}, shape, n, width)
+    zero = _diagonal_deviation([], shape, n, width)
 
     if spec.kind == "euclidean":
         g = _euclidean_jet(coords, width)
         return g, g, zero
 
     if spec.kind == "schwarzschild_conformal":
-        log_factor = _schwarzschild_log_factor(spec, coords, derivatives)
-        conf = hd.exp(log_factor)
-        g = _assemble({(i, i): conf for i in range(n)}, coords, width)
+        t, log_factor = _schwarzschild_log_factor(spec, coords, derivatives)
+        g = _assemble([hd.lift(t, hd.exp(log_factor))] * n, shape, width)
         if metric_only:
             return g, None, None
-        w = hd.expm1(log_factor)
+        w = hd.lift(t, hd.expm1(log_factor))
         return (g, _euclidean_jet(coords, width),
-                _diagonal_deviation(dict.fromkeys(range(n), w), shape, n,
-                                    width))
+                _diagonal_deviation([w] * n, shape, n, width))
 
-    if spec.kind == "hyperbolic_polar":
+    if spec.kind in HYPERBOLIC_KINDS:
+        # radial profiles in the radial coordinate alone (width 1), lifted;
+        # angular products stay at the chart's width
         check_polar_domain(coords)
-        g = _assemble(_hyperbolic_polar_components(coords, derivatives),
-                      coords, width)
-        return g, g, zero
-
-    if spec.kind in ("hyperbolic_area", "kottler"):
+        radial, *angles = seed_variables(coords, derivatives)
+        r = seed_variables(coords[..., :1], derivatives)[0]
+        sigma = round_sphere_diag_hd(angles,
+                                     HyperDual.constant(1.0, width, shape))
+        if spec.kind == "hyperbolic_polar":
+            sh = hd.sinh(r)
+            sh2 = hd.lift(radial, sh * sh)
+            g = _assemble([1.0] + [sh2 * s for s in sigma], shape, width)
+            return g, g, zero
         # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
-        check_polar_domain(coords)
-        variables = seed_variables(coords, derivatives)
-        rho, angles = variables[0], variables[1:]
-        one = HyperDual.constant(1.0, width, shape)
-        rho2 = rho * rho
-        angular = {(1 + j, 1 + j): rho2 * sigma_jj for j, sigma_jj
-                   in enumerate(round_sphere_diag_hd(angles, one))}
-        f0 = 1.0 + rho2
+        r2 = r * r
+        rho2 = hd.lift(radial, r2)
+        angular = [rho2 * s for s in sigma]
+        f0 = 1.0 + r2
         if spec.kind == "hyperbolic_area":
-            b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, width)
+            b = _assemble([hd.lift(radial, 1.0 / f0), *angular], shape, width)
             return b, b, zero
-        mass_term = (2.0 * spec.m) * rho ** (-(n - 2))
+        mass_term = (2.0 * spec.m) * r ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
-        g = _assemble({(0, 0): 1.0 / f, **angular}, coords, width)
+        g = _assemble([hd.lift(radial, 1.0 / f), *angular], shape, width)
         if metric_only:
             return g, None, None
-        b = _assemble({(0, 0): 1.0 / f0, **angular}, coords, width)
+        b = _assemble([hd.lift(radial, 1.0 / f0), *angular], shape, width)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
-        return g, b, _diagonal_deviation({0: mass_term / (f * f0)}, shape, n,
+        eps = hd.lift(radial, mass_term / (f * f0))
+        return g, b, _diagonal_deviation([eps] + [0.0] * (n - 1), shape, n,
                                          width)
 
     if spec.kind == "perturbation":

@@ -54,8 +54,7 @@ from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import SphereRule, integrate_sphere, omega, sphere_values
 
 __all__ = [
-    "michel_integrand", "michel_integrand_deviation", "adm_integrand",
-    "center_integrand", "sphere_normal_area", "sphere_integrand",
+    "michel_integrand_deviation", "sphere_normal_area", "sphere_integrand",
     "charge_series", "rt_diagnostics", "RTReport",
 ]
 
@@ -117,32 +116,6 @@ def _michel_contract(V: ScalarJet, eps: SymTensorJet, pieces,
                 + tr_eps[..., None] * V.grad
                 - np.einsum("...ij,...i->...j", eps.value, gradV))
     return np.einsum("...j,...j->...", one_form, nu)
-
-
-def michel_integrand(V: ScalarJet, g_jet: MetricJet, b_jet: MetricJet,
-                     nu: np.ndarray) -> np.ndarray:
-    """``U(V, g, b)(nu)`` from full metric jets (subtracts the jets)."""
-    eps = SymTensorJet(g_jet.g - b_jet.g, g_jet.dg - b_jet.dg)
-    return michel_integrand_deviation(V, eps, b_jet, nu)
-
-
-def adm_integrand(eps: SymTensorJet, nu: np.ndarray) -> np.ndarray:
-    """Flat-chart mass integrand ``(d_i eps_ij - d_j eps_ii) nu^j``."""
-    div = np.einsum("...iij->...j", eps.d)
-    dtr = np.einsum("...jii->...j", eps.d)
-    return np.einsum("...j,...j->...", div - dtr, nu)
-
-
-def center_integrand(eps: SymTensorJet, alpha: int, points: np.ndarray,
-                     nu: np.ndarray) -> np.ndarray:
-    """Flat-chart center integrand for the coordinate function x^alpha."""
-    div = np.einsum("...iij->...j", eps.d)
-    dtr = np.einsum("...jii->...j", eps.d)
-    xa = points[..., alpha]
-    one_form = xa[..., None] * (div - dtr) - eps.value[..., alpha, :]
-    tr = np.einsum("...ii->...", eps.value)
-    contr = np.einsum("...j,...j->...", one_form, nu)
-    return contr + tr * nu[..., alpha]
 
 
 # ------------------------------------------------- sphere integrands

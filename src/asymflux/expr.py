@@ -26,7 +26,7 @@ from .errors import (DomainError, ExprDomainError, ParseError,
 from .geometry import ChartKind, ScalarJet
 from .hyperdual import HyperDual, seed_variables
 
-__all__ = ["parse", "eval_jet", "to_text", "variable_names",
+__all__ = ["parse", "eval_jet", "variable_names",
            "Num", "Name", "Unary", "Bin", "Call"]
 
 _FUNCTIONS = {
@@ -220,42 +220,6 @@ def _parse_atom(toks):
     if kind == "end":
         raise ParseError("unexpected end of expression", pos)
     raise ParseError(f"unexpected token {text!r}", pos)
-
-
-# ------------------------------------------------------------------- printer
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_text(node) -> str:
-    """Print an AST; ``parse(to_text(ast))`` is structurally identical to ``ast``."""
-    return _print(node, 0)
-
-
-def _print(node, parent_prec):
-    if isinstance(node, Num):
-        text = repr(node.value)
-        return text
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Call):
-        return f"{node.fn}({_print(node.arg, 0)})"
-    if isinstance(node, Unary):
-        inner = _print(node.arg, _PREC["neg"])
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PREC["neg"] else text
-    if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            left = _print(node.left, prec + 1)
-            right = _print(node.right, prec)
-        else:
-            left = _print(node.left, prec)
-            # - and / are left-associative: force parens on same-prec right child
-            right = _print(node.right, prec + 1)
-        text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # ----------------------------------------------------------------- evaluator

@@ -97,17 +97,20 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
 
     check_polar_domain(coords)
     shape = coords.shape[:-1]
-    variables = seed_variables(coords)
-    radial, angles = variables[0], variables[1:]
+    radial, *angles = seed_variables(coords)
+    r = seed_variables(coords[..., :1])[0]     # the radial profiles' variable
     one = HyperDual.constant(1.0, n, shape)
-    # V^(0), the radial factor of V^(i), and the radial parts of b^{-1}
+    # V^(0), the radial factor of V^(i), and the radial parts of b^{-1}, as
+    # profiles in the radial coordinate lifted to the chart
     if chart_kind == ChartKind.POLAR_GEODESIC:
-        v0, radial_factor = hd.cosh(radial), hd.sinh(radial)
-        radial_inv, sph2 = one, radial_factor ** 2
+        sh = hd.sinh(r)
+        v0, radial_factor = hd.lift(radial, hd.cosh(r)), hd.lift(radial, sh)
+        radial_inv, sph2 = one, hd.lift(radial, sh ** 2)
     else:  # area chart: rho = sinh r
-        sph2 = radial * radial
-        radial_inv = 1.0 + sph2
-        v0, radial_factor = hd.sqrt(radial_inv), radial
+        r2 = r * r
+        f0 = 1.0 + r2
+        sph2, radial_inv = hd.lift(radial, r2), hd.lift(radial, f0)
+        v0, radial_factor = hd.lift(radial, hd.sqrt(f0)), radial
     indices = {V.index for V in kernels} | {X.kernel.index for X in fields}
     u = sphere_embedding_hd(angles) if indices - {0} else None
     vjets = {}

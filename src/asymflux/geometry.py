@@ -25,15 +25,10 @@ only two traces of it, and both come from the 2-jet at O(n^4) per node:
 ``g^{kl} d_k d_l g_ij`` and the trace ``d_k g^{kl}`` of ``d g^{-1}``, and
 ``d_i Gamma^k_kj`` from ``g^{kl} d_i d_j g_kl`` and ``tr(g^{-1} d_i g
 g^{-1} d_j g)``.  Taking these traces before contracting factors the sums
-of the textbook formula, so Ricci differs from the trace of
-:func:`christoffel_derivative` by roundoff (a few 1e-16 of ``max|Ric|``),
-also on diagonal metrics.  Reports move only where the curvature enters:
-the Ricci-version (Einstein-flux) charges, the Pohozaev and lemma 2.2
-checks and the scalar-curvature proxy of ``verify``.  The classical charges
-never call :func:`curvature` and keep every bit.
-:func:`christoffel_derivative` stays as the reference for the full
-``dGamma``; it shares :func:`inverse_derivative` and the first-kind symbols
-with :func:`christoffel`.
+of the textbook formula, so Ricci differs from the traces of the full
+``dGamma`` by roundoff (a few 1e-16 of ``max|Ric|``), also on diagonal
+metrics.  The package has no full ``dGamma``; the tests keep one as an
+oracle.  The classical charges never call :func:`curvature`.
 
 One Cholesky factorization per node checks that the metric is positive
 definite and gives ``sqrt(det g)`` as the product of the factor's
@@ -53,10 +48,8 @@ from .errors import DegenerateMetricError
 __all__ = [
     "ChartKind", "MetricJet", "ScalarJet", "VectorJet",
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
-    "inverse_derivative", "christoffel", "christoffel_derivative",
-    "curvature", "divergence_vector", "divergence_symmetric2",
-    "killing_operator", "hessian", "dscal_adjoint",
-    "tensor_norm",
+    "inverse_derivative", "christoffel", "curvature", "divergence_vector",
+    "divergence_symmetric2", "killing_operator", "hessian", "tensor_norm",
 ]
 
 
@@ -112,9 +105,6 @@ class MetricJet:
     @property
     def n(self) -> int:
         return self.g.shape[-1]
-
-    def as_sym_tensor(self) -> SymTensorJet:
-        return SymTensorJet(self.g, self.dg)
 
 
 @dataclass
@@ -188,21 +178,6 @@ def _pairs_last(T):
     # inverse of _pairs_flat: [..., k, i*j] -> [..., k, i, j]
     n = T.shape[-2]
     return T.reshape(*T.shape[:-1], n, n)
-
-
-def christoffel_derivative(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
-    """``dGamma[..., m, k, i, j] = d_m Gamma^k_ij`` from the exact 2-jet."""
-    dg, ddg = jet.dg, jet.ddg
-    A = _first_kind(dg)
-    dginv = inverse_derivative(ginv, dg)
-    # d_m A[..., l, i, j] = dd_{mi} g_jl + dd_{mj} g_il - dd_{ml} g_ij
-    dd_mi_gjl = np.moveaxis(ddg, -1, -3)
-    dA = dd_mi_gjl + dd_mi_gjl.swapaxes(-1, -2)
-    dA -= ddg
-    out = dginv @ _pairs_flat(A)[..., None, :, :]
-    out += ginv[..., None, :, :] @ _pairs_flat(dA)
-    out *= 0.5
-    return _pairs_last(out)
 
 
 def curvature(jet: MetricJet) -> CurvatureBundle:
@@ -302,21 +277,6 @@ def killing_operator(jet: MetricJet, X: VectorJet, bundle: CurvatureBundle):
 def hessian(V: ScalarJet, bundle: CurvatureBundle) -> np.ndarray:
     """Covariant Hessian ``Hess V_ij = d_i d_j V - Gamma^k_ij d_k V``."""
     return V.hess - np.einsum("...kij,...k->...ij", bundle.christoffel, V.grad)
-
-
-def dscal_adjoint(jet: MetricJet, V: ScalarJet,
-                  bundle: CurvatureBundle) -> np.ndarray:
-    """Adjoint linearized scalar curvature: ``Hess V + (Lap V) g - V Ric``.
-
-    The Laplacian inside this operator carries the geometer's sign
-    (minus the trace of the Hessian); that is the convention under which
-    constants/affine functions (flat) and ``cosh r`` (hyperbolic) span the
-    kernel, as required by the charge definitions.
-    """
-    hess = hessian(V, bundle)
-    lap = -np.einsum("...ij,...ij->...", bundle.ginv, hess)
-    return (hess + lap[..., None, None] * jet.g
-            - V.value[..., None, None] * bundle.ricci)
 
 
 def tensor_norm(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -5,6 +5,13 @@ Hessian with respect to ``nvars`` seed variables.  All components are numpy
 arrays with a common batch shape, so a single arithmetic pass evaluates a
 whole grid of points at once.  There is no truncation error: the chain rule
 is applied exactly to second order.
+
+A function of one intermediate, such as a radial profile of a metric, is
+cheaper as a width-1 hyper-dual in that intermediate, lifted to the full
+width by :func:`lift` with one chain-rule step: the preaccumulation of a
+scalar intermediate's derivatives (Griewank & Walther, *Evaluating
+Derivatives*, SIAM 2008).  Every step of the profile then carries one
+derivative slot instead of ``nvars`` and an ``nvars x nvars`` Hessian.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["HyperDual", "seed_variables", "sqrt", "exp", "log", "log1p",
-           "expm1", "sin", "cos", "tan", "sinh", "cosh", "tanh"]
+__all__ = ["HyperDual", "seed_variables", "lift", "sqrt", "exp", "log",
+           "log1p", "expm1", "sin", "cos", "tan", "sinh", "cosh", "tanh"]
 
 
 def _outer(a, b):
@@ -155,6 +162,20 @@ def seed_variables(coords, derivatives: bool = True):
         out.append(HyperDual(coords[..., i], grad,
                              np.zeros(shape + (width, width))))
     return out
+
+
+def lift(inner: HyperDual, f: HyperDual) -> HyperDual:
+    """Jet of ``f`` in the variables of ``inner``: ``f`` is a width-1 jet in
+    the one variable whose jet is ``inner``, seeded as
+    ``seed_variables(inner.val[..., None], inner.nvars > 0)[0]``.
+
+    One chain-rule step.  When ``inner`` is a seed variable (unit gradient,
+    zero Hessian) it writes the numbers the full-width chain of ``f`` writes,
+    bit for bit.  Without derivatives (width 0) it passes the value.
+    """
+    if inner.nvars == 0:
+        return HyperDual(f.val, inner.grad, inner.hess)
+    return inner._unary(f.val, f.grad[..., 0], f.hess[..., 0, 0])
 
 
 # --------------------------------------------------------- elementary functions

@@ -74,6 +74,39 @@ def test_translated_schwarzschild():
     assert np.allclose(shifted.dg, centered.dg)
 
 
+@pytest.mark.parametrize("r", [2.0, 8.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_schwarzschild_jets_match_radial_derivatives(n, r):
+    """``g = phi(rho) delta`` with ``phi = (1 + m/(2 rho^(n-2)))^(4/(n-2))``
+    and ``rho = |x - c|``: every diagonal entry of ``g`` and of ``g - e``
+    has gradient ``phi' xhat`` and Hessian
+    ``phi'' xhat xhat + (phi'/rho)(I - xhat xhat)``."""
+    m, p = 1.0, 4.0 / (n - 2)
+    center = np.array([0.7, -0.4, 0.25, 0.1, -0.3][:n])
+    spec = MetricSpec("schwarzschild_conformal", n, m=m, center=tuple(center))
+    directions = RNG.normal(size=(8, n))
+    xhat = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
+    g, _, eps = jets(spec, center + r * xhat)
+    u = 1.0 + m / (2.0 * r ** (n - 2))
+    du = -(n - 2) * m / (2.0 * r ** (n - 1))
+    ddu = (n - 2) * (n - 1) * m / (2.0 * r ** n)
+    dphi = p * u ** (p - 1) * du
+    ddphi = p * (p - 1) * u ** (p - 2) * du ** 2 + p * u ** (p - 1) * ddu
+    outer = xhat[:, :, None] * xhat[:, None, :]
+    grad = dphi * xhat
+    hess = ddphi * outer + (dphi / r) * (np.eye(n) - outer)
+
+    def diagonal(entry):    # entry[..., None, None] on the (i, j) diagonal
+        return entry[..., None, None] * np.eye(n)
+
+    for got, want in ((g.g, diagonal(np.full(8, u ** p))),
+                      (g.dg, diagonal(grad)), (g.ddg, diagonal(hess)),
+                      (eps.d, diagonal(grad))):
+        scale = np.max(np.abs(want).reshape(8, -1), axis=1)
+        err = np.max(np.abs(got - want).reshape(8, -1), axis=1)
+        assert np.all(err <= 1e-14 * scale)
+
+
 # ------------------------------------------------------------------- domains
 
 def test_schwarzschild_excised_region():

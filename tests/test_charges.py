@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
-from asymflux.charges import (adm_integrand, center_integrand, charge_series,
-                              michel_integrand, michel_integrand_deviation,
+from asymflux.charges import (charge_series, michel_integrand_deviation,
                               rt_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import kernel_basis, killing_basis
 from asymflux.geometry import ScalarJet, SymTensorJet
 from asymflux.limits import decay_rate
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
+from oracles import adm_integrand, center_integrand, michel_integrand
 
 RNG = np.random.default_rng(42)
 FLAT_RADII = 8.0 * 2.0 ** np.arange(5)

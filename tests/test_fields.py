@@ -6,7 +6,8 @@ import pytest
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.fields import basis_jets, kernel_basis, killing_basis
 from asymflux.geometry import (ChartKind, curvature, divergence_vector,
-                               dscal_adjoint, killing_operator, tensor_norm)
+                               killing_operator, tensor_norm)
+from oracles import dscal_adjoint
 
 RNG = np.random.default_rng(23)
 

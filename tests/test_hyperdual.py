@@ -111,3 +111,86 @@ def test_log1p_accuracy_near_zero():
     assert out.val == pytest.approx(np.log1p(t), rel=1e-15)
     assert out.grad[0] == pytest.approx(1.0 / (1.0 + t), rel=1e-15)
 
+
+
+# ------------------------------------------------------------------ lift
+
+# one-variable chains of the radial profiles: sinh, cosh, sqrt, pow, the
+# reciprocal and the conformal factor's log1p/expm1
+PROFILES = {
+    "sinh2": lambda u: hd.sinh(u) * hd.sinh(u),
+    "cosh": lambda u: hd.cosh(u),
+    "sqrt": lambda u: hd.sqrt(1.0 + u * u),
+    "pow": lambda u: (2.0 * u) ** -3.0,
+    "reciprocal": lambda u: 1.0 / (1.0 + u * u - 0.5 * u ** -2.0),
+    "log1p_expm1": lambda u: hd.expm1(1.5 * hd.log1p(0.5 * hd.sqrt(u) ** -3.0)),
+}
+
+
+def _profile_variable(inner):
+    return seed_variables(inner.val[..., None], inner.nvars > 0)[0]
+
+
+def _lift_points(n):
+    rng = np.random.default_rng(n)
+    center = rng.normal(size=n) * 0.3
+    x = center + rng.normal(size=(64, n)) * rng.uniform(0.3, 2.0, (64, 1))
+    return x, center
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_lift_of_a_seed_variable_is_the_full_chain(name, n):
+    """On a seed variable the lift writes the numbers of the n-wide chain."""
+    f = PROFILES[name]
+    x, _ = _lift_points(n)
+    x[:, 0] = np.abs(x[:, 0]) + 0.5                 # a radial coordinate
+    radial = seed_variables(x)[0]
+    full = f(radial)
+    lifted = hd.lift(radial, f(_profile_variable(radial)))
+    for a, b in ((full.val, lifted.val), (full.grad, lifted.grad),
+                 (full.hess, lifted.hess)):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_lift_of_the_squared_distance_matches_the_full_chain(name, n):
+    """On ``t = |x - c|^2`` the lift and the n-wide chain agree to roundoff.
+
+    The error scale of each part is the size of its chain-rule terms:
+    ``|f'| |grad t|`` for the gradient and ``|f''| |grad t|^2 + 2 |f'|``
+    for the Hessian.  The chain rounds at every step, so the two differ by
+    up to about 5 ulps of that scale (reciprocal and sqrt Hessians); the
+    bound is 8.
+    """
+    f = PROFILES[name]
+    x, center = _lift_points(n)
+    seeds = seed_variables(x)
+    t = (seeds[0] - center[0]) * (seeds[0] - center[0])
+    for i in range(1, n):
+        t = t + (seeds[i] - center[i]) * (seeds[i] - center[i])
+    full = f(t)
+    profile = f(_profile_variable(t))
+    lifted = hd.lift(t, profile)
+    f1, f2 = np.abs(profile.grad[:, 0]), np.abs(profile.hess[:, 0, 0])
+    grad2 = np.sum(t.grad ** 2, axis=-1)
+    ulp = np.finfo(float).eps
+    assert np.array_equal(full.val, lifted.val)
+    for a, b, scale in ((full.grad, lifted.grad, f1 * np.sqrt(grad2)),
+                        (full.hess, lifted.hess, f2 * grad2 + 2.0 * f1)):
+        diff = np.max(np.abs(a - b).reshape(len(x), -1), axis=1)
+        assert np.all(diff <= 8.0 * ulp * scale)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_lift_without_derivatives_passes_the_value(name):
+    f = PROFILES[name]
+    x, _ = _lift_points(4)
+    x[:, 0] = np.abs(x[:, 0]) + 0.5
+    radial = seed_variables(x, derivatives=False)[0]
+    lifted = hd.lift(radial, f(_profile_variable(radial)))
+    assert lifted.grad.shape == (len(x), 0)
+    assert lifted.hess.shape == (len(x), 0, 0)
+    assert np.array_equal(lifted.val, f(seed_variables(x)[0]).val)
