@@ -11,10 +11,10 @@ of two polar charts over ``R x S^{n-1}``:
 Jets are produced by evaluating closed-form components with hyper-dual
 numbers, so first and second derivatives carry no truncation error.  A
 radial profile is a width-1 hyper-dual in its own variable, lifted to the
-chart by one chain-rule step (:func:`hyperdual.lift`): Schwarzschild's
-conformal factor in ``t = |x - c|^2``, whose jet is exact, and the
-hyperbolic and Kottler entries in the radial coordinate, where the lift
-gives the numbers of the full-width chain bit for bit.  Angular products
+chart by one chain-rule step (:func:`~asymflux.hyperdual.lift`):
+Schwarzschild's conformal factor in ``t = |x - c|^2``, whose jet is exact,
+and the hyperbolic and Kottler entries in the radial coordinate, where the
+lift gives the numbers of the full-width chain bit for bit.  Angular products
 stay at full width.  Every catalog metric is diagonal, and its jet is
 written through the diagonal view of each array's ``(i, j)`` pair.
 ``expression`` and ``perturbation`` components are parsed once, when the
@@ -279,9 +279,10 @@ def _schwarzschild_log_factor(spec, coords, derivatives):
     """The jet of ``t = |x - c|^2`` and the log of the conformal factor,
     ``p * log1p(s)`` with ``s = m/(2 rho^{n-2})``, as a width-1 jet in ``t``.
 
-    ``t``'s jet is exact (``2(x - c)`` and ``2I``), and :func:`hd.lift`
-    carries a profile in ``t`` to the chart.  Computed in log form so that
-    the deviation ``g - e`` stays accurate at large radii.
+    ``t``'s jet is exact (``2(x - c)`` and ``2I``), and
+    :func:`~asymflux.hyperdual.lift` carries a profile in ``t`` to the
+    chart.  Computed in log form so that the deviation ``g - e`` stays
+    accurate at large radii.
     """
     n = spec.n
     diff = coords - np.asarray(spec.center or (0.0,) * n, dtype=float)
@@ -290,7 +291,7 @@ def _schwarzschild_log_factor(spec, coords, derivatives):
         rho2 = rho2 + diff[..., i] * diff[..., i]
     if np.any(rho2 <= 0.0):
         raise DomainError("schwarzschild_conformal: point at the center")
-    width = n if derivatives else 0
+    width = n if derivatives else 0     # no derivative axes for values
     t = HyperDual(rho2, 2.0 * diff[..., :width],
                   np.broadcast_to(2.0 * np.eye(width),
                                   rho2.shape + (width, width)))
