@@ -9,13 +9,15 @@ of two polar charts over ``R x S^{n-1}``:
   ``b = (1+rho^2)^{-1} drho^2 + rho^2 * round_sphere``  (rho = sinh r).
 
 Jets are produced by evaluating closed-form components with hyper-dual
-numbers, so first and second derivatives carry no truncation error.  A
-radial profile is a width-1 hyper-dual in its own variable, lifted to the
-chart by one chain-rule step (:func:`~asymflux.hyperdual.lift`):
-Schwarzschild's conformal factor in ``t = |x - c|^2``, whose jet is exact,
-and the hyperbolic and Kottler entries in the radial coordinate, where the
-lift gives the numbers of the full-width chain bit for bit.  Angular products
-stay at full width.  Every catalog metric is diagonal, and its jet is
+numbers, so first and second derivatives carry no truncation error.
+Schwarzschild's conformal factor is a width-1 hyper-dual in ``t = |x -
+c|^2``, whose jet is exact, lifted to the chart by one chain-rule step
+(:func:`~asymflux.hyperdual.lift`).  A polar-chart entry is a separable
+product of functions of one coordinate each (``sinh^2 r * sin^2 theta_1
+...``, ``rho^2 sigma_j``, ``1/f(rho)``): every factor is a width-1 jet in its
+own coordinate, multiplied into the running product with one sparse step
+(:func:`~asymflux.hyperdual.mul_factor`), which writes the numbers of the
+full-width product.  Every catalog metric is diagonal, and its jet is
 written through the diagonal view of each array's ``(i, j)`` pair.
 ``expression`` and ``perturbation`` components are parsed once, when the
 spec is built, so a bad component fails before any computation starts.
@@ -154,29 +156,33 @@ def background_of(spec: MetricSpec) -> MetricSpec:
 #   u_n     = sin theta_1 ... sin theta_{n-2} sin phi
 # Round metric: sigma = sum_j (prod_{k<j} sin^2 theta_k) d theta_j^2.
 
-def sphere_embedding_hd(angle_vars: list[HyperDual]) -> list[HyperDual]:
-    """Unit-sphere points ``u_1..u_n`` from the angle variables; seeded
-    without derivatives, the values of the quadrature nodes."""
-    k = len(angle_vars)
+# Both products below take the angles as one-variable jets
+# (``hyperdual.one_variable_seeds``) of the last seed variables of a chart
+# whose unit jet is ``one``; each factor enters by one sparse step.  Without
+# derivatives (``one`` of width 0) only the values are multiplied.
+
+def sphere_embedding_hd(angles: list[HyperDual],
+                        one: HyperDual) -> list[HyperDual]:
+    """Unit-sphere points ``u_1..u_n`` from the angles; seeded without
+    derivatives, the values of the quadrature nodes."""
+    *thetas, phi = angles
     out = []
-    sin_prod = 1.0
-    for j in range(k - 1):
-        out.append(sin_prod * hd.cos(angle_vars[j]))
-        sin_prod = sin_prod * hd.sin(angle_vars[j])
-    phi = angle_vars[k - 1]
-    out.append(sin_prod * hd.cos(phi))
-    out.append(sin_prod * hd.sin(phi))
+    sin_prod = one
+    for k, theta in enumerate(thetas, one.nvars - len(angles)):
+        out.append(hd.mul_factor(sin_prod, hd.cos(theta), k))
+        sin_prod = hd.mul_factor(sin_prod, hd.sin(theta), k)
+    out.append(hd.mul_factor(sin_prod, hd.cos(phi), one.nvars - 1))
+    out.append(hd.mul_factor(sin_prod, hd.sin(phi), one.nvars - 1))
     return out
 
 
-def round_sphere_diag_hd(angle_vars: list[HyperDual], one) -> list:
-    """Diagonal entries of the round metric in our angles (hyper-dual)."""
-    diag = []
-    sin2_prod = one
-    for j in range(len(angle_vars)):
-        diag.append(sin2_prod)
-        s = hd.sin(angle_vars[j])
-        sin2_prod = sin2_prod * (s * s)
+def round_sphere_diag_hd(angles: list[HyperDual],
+                         one: HyperDual) -> list[HyperDual]:
+    """Diagonal entries of the round metric in our angles."""
+    diag = [one]
+    for k, theta in enumerate(angles[:-1], one.nvars - len(angles)):
+        s = hd.sin(theta)
+        diag.append(hd.mul_factor(diag[-1], s * s, k))
     return diag
 
 
@@ -382,36 +388,37 @@ def _jets(spec, p, derivatives, metric_only=False):
                 _diagonal_deviation([w] * n, shape, n, width))
 
     if spec.kind in HYPERBOLIC_KINDS:
-        # radial profiles in the radial coordinate alone (width 1), lifted;
-        # angular products stay at the chart's width
+        # separable entries: each factor a one-variable jet in r or an
+        # angle, multiplied into the unit jet or the round-sphere product
         check_polar_domain(coords)
-        radial, *angles = seed_variables(coords, derivatives)
-        r = seed_variables(coords[..., :1], derivatives)[0]
-        sigma = round_sphere_diag_hd(angles,
-                                     HyperDual.constant(1.0, width, shape))
+        r, *angles = hd.one_variable_seeds(coords, derivatives)
+        one = HyperDual.constant(1.0, width, shape)
+        sigma = round_sphere_diag_hd(angles, one)
         if spec.kind == "hyperbolic_polar":
             sh = hd.sinh(r)
-            sh2 = hd.lift(radial, sh * sh)
-            g = _assemble([1.0] + [sh2 * s for s in sigma], shape, width)
+            sh2 = sh * sh
+            g = _assemble([1.0] + [hd.mul_factor(s, sh2, 0) for s in sigma],
+                          shape, width)
             return g, g, zero
         # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
         r2 = r * r
-        rho2 = hd.lift(radial, r2)
-        angular = [rho2 * s for s in sigma]
+        angular = [hd.mul_factor(s, r2, 0) for s in sigma]
         f0 = 1.0 + r2
         if spec.kind == "hyperbolic_area":
-            b = _assemble([hd.lift(radial, 1.0 / f0), *angular], shape, width)
+            b = _assemble([hd.mul_factor(one, 1.0 / f0, 0), *angular], shape,
+                          width)
             return b, b, zero
         mass_term = (2.0 * spec.m) * r ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
-        g = _assemble([hd.lift(radial, 1.0 / f), *angular], shape, width)
+        g = _assemble([hd.mul_factor(one, 1.0 / f, 0), *angular], shape, width)
         if metric_only:
             return g, None, None
-        b = _assemble([hd.lift(radial, 1.0 / f0), *angular], shape, width)
+        b = _assemble([hd.mul_factor(one, 1.0 / f0, 0), *angular], shape,
+                      width)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
-        eps = hd.lift(radial, mass_term / (f * f0))
+        eps = hd.mul_factor(one, mass_term / (f * f0), 0)
         return g, b, _diagonal_deviation([eps] + [0.0] * (n - 1), shape, n,
                                          width)
 

@@ -20,7 +20,11 @@ the kernel-identity verifier) is the scaled jet of V.
 Kernel functions and fields are plain data: a basis index, which is the
 only handle on an element, and an id, which only labels it.
 :func:`killing_basis` builds every (V, X) pair from one table, and
-:func:`basis_jets` evaluates any set of them at once, with exact jets.
+:func:`basis_jets` evaluates any set of them at once, with exact jets.  In
+the polar charts ``V^(i) = u_i * sinh r`` and the entries ``1/(sinh^2 r
+sigma_j)`` of ``b^{-1}`` are separable products: each factor is a width-1 jet
+in one coordinate, multiplied in by one sparse step
+(:func:`~asymflux.hyperdual.mul_factor`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .catalog import (check_polar_domain, round_sphere_diag_hd,
                       sphere_embedding_hd)
 from .errors import ChartMismatchError
 from .geometry import ChartKind, ScalarJet, VectorJet
-from .hyperdual import HyperDual, seed_variables
+from .hyperdual import HyperDual
 
 __all__ = ["KernelFunction", "ConformalKilling", "basis_jets", "kernel_basis",
            "killing_basis"]
@@ -97,31 +101,30 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
 
     check_polar_domain(coords)
     shape = coords.shape[:-1]
-    radial, *angles = seed_variables(coords)
-    r = seed_variables(coords[..., :1])[0]     # the radial profiles' variable
+    r, *angles = hd.one_variable_seeds(coords)
     one = HyperDual.constant(1.0, n, shape)
-    # V^(0), the radial factor of V^(i), and the radial parts of b^{-1}, as
-    # profiles in the radial coordinate lifted to the chart
+    # V^(0), the radial factor of V^(i) and the radial parts of b^{-1} are
+    # one-variable jets in r; every product takes one factor per sparse step
     if chart_kind == ChartKind.POLAR_GEODESIC:
         sh = hd.sinh(r)
-        v0, radial_factor = hd.lift(radial, hd.cosh(r)), hd.lift(radial, sh)
-        radial_inv, sph2 = one, hd.lift(radial, sh ** 2)
+        v0, radial_factor = hd.mul_factor(one, hd.cosh(r), 0), sh
+        radial_inv, sph2 = one, sh ** 2
     else:  # area chart: rho = sinh r
         r2 = r * r
         f0 = 1.0 + r2
-        sph2, radial_inv = hd.lift(radial, r2), hd.lift(radial, f0)
-        v0, radial_factor = hd.lift(radial, hd.sqrt(f0)), radial
+        sph2, radial_inv = r2, hd.mul_factor(one, f0, 0)
+        v0, radial_factor = hd.mul_factor(one, hd.sqrt(f0), 0), r
     indices = {V.index for V in kernels} | {X.kernel.index for X in fields}
-    u = sphere_embedding_hd(angles) if indices - {0} else None
+    u = sphere_embedding_hd(angles, one) if indices - {0} else None
     vjets = {}
     for i in indices:
-        x = v0 if i == 0 else u[i - 1] * radial_factor
+        x = v0 if i == 0 else hd.mul_factor(u[i - 1], radial_factor, 0)
         vjets[i] = ScalarJet(np.broadcast_to(x.val, shape),
                              np.broadcast_to(x.grad, shape + (n,)),
                              np.broadcast_to(x.hess, shape + (n, n)))
     vectors = []
     if fields:
-        binv = [radial_inv] + [one / (sph2 * s)
+        binv = [radial_inv] + [hd.reciprocal(hd.mul_factor(s, sph2, 0))
                                for s in round_sphere_diag_hd(angles, one)]
         vectors = [_gradient_field(vjets[X.kernel.index], binv)
                    for X in fields]

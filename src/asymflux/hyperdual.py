@@ -12,6 +12,12 @@ width by :func:`lift` with one chain-rule step: the preaccumulation of a
 scalar intermediate's derivatives (Griewank & Walther, *Evaluating
 Derivatives*, SIAM 2008).  Every step of the profile then carries one
 derivative slot instead of ``nvars`` and an ``nvars x nvars`` Hessian.
+
+A separable product, such as a polar-chart metric entry ``sinh^2 r *
+sin^2 theta_1 ...``, is built the same way: each factor is a width-1 jet in
+its own coordinate (:func:`one_variable_seeds`), and :func:`mul_factor`
+multiplies it into a product that does not depend on that coordinate with
+one sparse step, which writes the numbers of the full-width product.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["HyperDual", "seed_variables", "lift", "sqrt", "exp", "log",
-           "log1p", "expm1", "sin", "cos", "tan", "sinh", "cosh", "tanh"]
+__all__ = ["HyperDual", "seed_variables", "one_variable_seeds", "lift",
+           "mul_factor", "reciprocal", "sqrt", "exp", "log", "log1p", "expm1",
+           "sin", "cos", "tan", "sinh", "cosh", "tanh"]
 
 
 def _outer(a, b):
@@ -93,19 +100,10 @@ class HyperDual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if np.any(other.val == 0.0):
-            raise DomainError("division by zero")
-        return self * other._recip()
+        return self * reciprocal(self._lift(other))
 
     def __rtruediv__(self, other):
-        if np.any(self.val == 0.0):
-            raise DomainError("division by zero")
-        return self._recip() * other
-
-    def _recip(self):
-        v = self.val
-        return self._unary(1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return reciprocal(self) * other
 
     def __pow__(self, p):
         if isinstance(p, HyperDual):
@@ -164,6 +162,15 @@ def seed_variables(coords, derivatives: bool = True):
     return out
 
 
+def one_variable_seeds(coords, derivatives: bool = True):
+    """Each coordinate of ``coords`` ``(..., n)`` as a jet in itself alone:
+    width 1, or width 0 without ``derivatives``.  These are the factors that
+    :func:`mul_factor` multiplies into a product of the full width."""
+    coords = np.asarray(coords, dtype=float)
+    return [seed_variables(coords[..., i:i + 1], derivatives)[0]
+            for i in range(coords.shape[-1])]
+
+
 def lift(inner: HyperDual, f: HyperDual) -> HyperDual:
     """Jet of ``f`` in the variables of ``inner``: ``f`` is a width-1 jet in
     the one variable whose jet is ``inner``, seeded as
@@ -176,6 +183,39 @@ def lift(inner: HyperDual, f: HyperDual) -> HyperDual:
     if inner.nvars == 0:
         return HyperDual(f.val, inner.grad, inner.hess)
     return inner._unary(f.val, f.grad[..., 0], f.hess[..., 0, 0])
+
+
+def mul_factor(p: HyperDual, f: HyperDual, k: int) -> HyperDual:
+    """``p * f`` for a jet ``p`` that does not depend on seed variable ``k``
+    and a width-1 jet ``f`` in that variable alone (one of
+    :func:`one_variable_seeds`, or a function of it).
+
+    One sparse step: ``f``'s value scales ``p``'s gradient and Hessian,
+    ``f'`` times ``p`` is gradient slot ``k``, ``f'`` times ``p``'s gradient
+    is Hessian row and column ``k``, and ``f''`` times ``p`` is entry
+    ``(k, k)``.  It writes the numbers of the full-width product, bit for bit
+    up to the signs of zeros, with batch shapes broadcast as ``*`` does.
+    Without derivatives (width 0) it multiplies the values.
+    """
+    val = p.val * f.val
+    grad = p.grad * f.val[..., None]
+    hess = p.hess * f.val[..., None, None]
+    if p.nvars:
+        d1 = f.grad[..., 0]
+        cross = p.grad * d1[..., None]
+        grad[..., k] = d1 * p.val
+        hess[..., k, :] = cross
+        hess[..., :, k] = cross
+        hess[..., k, k] = f.hess[..., 0, 0] * p.val
+    return HyperDual(val, grad, hess)
+
+
+def reciprocal(x: HyperDual) -> HyperDual:
+    """``1 / x`` by one chain-rule step."""
+    v = x.val
+    if np.any(v == 0.0):
+        raise DomainError("division by zero")
+    return x._unary(1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
 
 # --------------------------------------------------------- elementary functions

@@ -147,7 +147,8 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     axes = [HyperDual.constant(a, 0, a.shape)
             for a in np.meshgrid(*grids, indexing="ij", sparse=True)]
     units = np.empty(mesh[0].shape + (n,))
-    for j, u in enumerate(sphere_embedding_hd(axes)):
+    one = HyperDual.constant(1.0, 0)
+    for j, u in enumerate(sphere_embedding_hd(axes, one)):
         units[..., j] = u.val
     return SphereRule(n, degree, angles, units.reshape(-1, n), weights)
 

@@ -143,6 +143,16 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
     lhs is the boundary flux with the outer normal of the annulus on both
     components (the inner sphere enters with a minus sign); rhs is
     ``(n-2)/(2n)`` times the bulk integral of ``Scal * delta X``.
+
+    The identity holds for conformal Killing fields of ``g`` itself, and
+    the bulk side has no term for the trace-free Killing operator.  A
+    background field that is not conformal Killing for ``g`` fails by
+    construction: on Kottler (n=3, m=0.5) ``ah_X0`` has a Killing defect of
+    0.19 on the annulus (``context["killing_defect"]``), and ``asymflux
+    verify --kind kottler --which pohozaev`` reports its relative residual
+    5.0e-3 and exits 1; the other fields pass only because both sides
+    vanish by parity.  The report's ``killing_defect`` says when a failure
+    is of this kind.
     """
     if not r0 < r1:
         raise ValueError(f"annulus needs r0 < r1, got ({r0}, {r1})")

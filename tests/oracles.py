@@ -4,16 +4,21 @@ The program never calls these.  They are the classical ADM and center
 integrands, the charge integrand from two full metric jets, the full
 derivative of the Christoffel symbols, the adjoint linearized scalar
 curvature, an expression printer whose text parses back to the same tree,
-and a metric jet read as a symmetric 2-tensor.
+a metric jet read as a symmetric 2-tensor, and the polar-chart jets and
+basis jets built with full-width products of full-width seeds.
 """
 
 import numpy as np
 
+from asymflux import hyperdual as hd
 from asymflux.charges import michel_integrand_deviation
 from asymflux.expr import Bin, Call, Name, Num, Unary
-from asymflux.geometry import (CurvatureBundle, MetricJet, ScalarJet,
-                               SymTensorJet, _first_kind, _pairs_flat,
-                               _pairs_last, hessian, inverse_derivative)
+from asymflux.fields import _gradient_field
+from asymflux.geometry import (ChartKind, CurvatureBundle, MetricJet,
+                               ScalarJet, SymTensorJet, _first_kind,
+                               _pairs_flat, _pairs_last, hessian,
+                               inverse_derivative)
+from asymflux.hyperdual import HyperDual, seed_variables
 
 
 # --------------------------------------------------------------- integrands
@@ -79,6 +84,104 @@ def dscal_adjoint(jet: MetricJet, V: ScalarJet,
     lap = -np.einsum("...ij,...ij->...", bundle.ginv, hess)
     return (hess + lap[..., None, None] * jet.g
             - V.value[..., None, None] * bundle.ricci)
+
+
+# ------------------------------------------------------- polar-chart jets
+#
+# Every product here is a full-width HyperDual product of jets in all n seed
+# variables; radial profiles are width-1 jets lifted by ``hyperdual.lift``.
+
+def sphere_embedding_chain(angle_vars: list[HyperDual]) -> list[HyperDual]:
+    """Unit-sphere points ``u_1..u_n`` from full-width angle variables."""
+    k = len(angle_vars)
+    out = []
+    sin_prod = 1.0
+    for j in range(k - 1):
+        out.append(sin_prod * hd.cos(angle_vars[j]))
+        sin_prod = sin_prod * hd.sin(angle_vars[j])
+    phi = angle_vars[k - 1]
+    out.append(sin_prod * hd.cos(phi))
+    out.append(sin_prod * hd.sin(phi))
+    return out
+
+
+def round_sphere_diag_chain(angle_vars: list[HyperDual], one) -> list:
+    """Diagonal entries of the round metric from full-width angle variables."""
+    diag = []
+    sin2_prod = one
+    for j in range(len(angle_vars)):
+        diag.append(sin2_prod)
+        s = hd.sin(angle_vars[j])
+        sin2_prod = sin2_prod * (s * s)
+    return diag
+
+
+def _diagonal_jet(entries, shape, width):
+    """A dense MetricJet whose diagonal holds ``entries`` (HyperDuals or
+    floats), derivative axes of length ``width``."""
+    n = len(entries)
+    g = np.zeros(shape + (n, n))
+    dg = np.zeros(shape + (width, n, n))
+    ddg = np.zeros(shape + (width, width, n, n))
+    for i, e in enumerate(entries):
+        if isinstance(e, HyperDual):
+            g[..., i, i], dg[..., i, i], ddg[..., i, i] = e.val, e.grad, e.hess
+        else:
+            g[..., i, i] = e
+    return MetricJet(g, dg, ddg)
+
+
+def polar_jets(spec, coords, derivatives=True):
+    """``(g, b, g - b)`` of a ``hyperbolic_polar``, ``hyperbolic_area`` or
+    ``kottler`` spec, as dense jets."""
+    n, shape = spec.n, coords.shape[:-1]
+    width = n if derivatives else 0
+    radial, *angles = seed_variables(coords, derivatives)
+    r = seed_variables(coords[..., :1], derivatives)[0]
+    sigma = round_sphere_diag_chain(angles,
+                                    HyperDual.constant(1.0, width, shape))
+    if spec.kind == "hyperbolic_polar":
+        sh = hd.sinh(r)
+        sh2 = hd.lift(radial, sh * sh)
+        g = _diagonal_jet([1.0] + [sh2 * s for s in sigma], shape, width)
+        return g, g, SymTensorJet(g.g * 0.0, g.dg * 0.0)
+    r2 = r * r
+    rho2 = hd.lift(radial, r2)
+    angular = [rho2 * s for s in sigma]
+    f0 = 1.0 + r2
+    b = _diagonal_jet([hd.lift(radial, 1.0 / f0), *angular], shape, width)
+    if spec.kind == "hyperbolic_area":
+        return b, b, SymTensorJet(b.g * 0.0, b.dg * 0.0)
+    mass_term = (2.0 * spec.m) * r ** (-(n - 2))
+    f = f0 - mass_term
+    g = _diagonal_jet([hd.lift(radial, 1.0 / f), *angular], shape, width)
+    eps = _diagonal_jet([hd.lift(radial, mass_term / (f * f0))]
+                        + [0.0] * (n - 1), shape, width)
+    return g, b, SymTensorJet(eps.g, eps.dg)
+
+
+def polar_basis_jets(coords, chart_kind):
+    """Jets of the full kernel basis ``V^(0..n)`` and of the conformal
+    Killing fields ``X^(i) = grad_b V^(i)`` in a polar chart."""
+    n, shape = coords.shape[-1], coords.shape[:-1]
+    radial, *angles = seed_variables(coords)
+    r = seed_variables(coords[..., :1])[0]
+    one = HyperDual.constant(1.0, n, shape)
+    if ChartKind(chart_kind) == ChartKind.POLAR_GEODESIC:
+        sh = hd.sinh(r)
+        v0, radial_factor = hd.lift(radial, hd.cosh(r)), hd.lift(radial, sh)
+        radial_inv, sph2 = one, hd.lift(radial, sh ** 2)
+    else:
+        r2 = r * r
+        f0 = 1.0 + r2
+        sph2, radial_inv = hd.lift(radial, r2), hd.lift(radial, f0)
+        v0, radial_factor = hd.lift(radial, hd.sqrt(f0)), radial
+    u = sphere_embedding_chain(angles)
+    scalars = [ScalarJet(x.val, x.grad, x.hess)
+               for x in [v0] + [ui * radial_factor for ui in u]]
+    binv = [radial_inv] + [one / (sph2 * s)
+                           for s in round_sphere_diag_chain(angles, one)]
+    return scalars, [_gradient_field(V, binv) for V in scalars]
 
 
 # ------------------------------------------------------------------ printer

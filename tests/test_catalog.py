@@ -8,15 +8,16 @@ from asymflux.catalog import (MetricSpec, background_of, chart_radius,
                               jet_values, jets, metric_jet)
 from asymflux.errors import DomainError
 from asymflux.geometry import curvature
+from oracles import polar_jets
 
 RNG = np.random.default_rng(11)
 
 
-def polar_points(n, count, rlo=0.5, rhi=3.0):
+def polar_points(n, count, rlo=0.5, rhi=3.0, rng=RNG):
     pts = np.empty((count, n))
-    pts[:, 0] = RNG.uniform(rlo, rhi, count)
-    pts[:, 1:n - 1] = RNG.uniform(0.4, np.pi - 0.4, (count, n - 2))
-    pts[:, n - 1] = RNG.uniform(0, 2 * np.pi, count)
+    pts[:, 0] = rng.uniform(rlo, rhi, count)
+    pts[:, 1:n - 1] = rng.uniform(0.4, np.pi - 0.4, (count, n - 2))
+    pts[:, n - 1] = rng.uniform(0, 2 * np.pi, count)
     return pts
 
 
@@ -180,6 +181,54 @@ def test_deviation_matches_subtraction(kind, n, pts_fn):
     for fused, alone in ((g_jet, g), (b_jet, b)):
         for key in ("g", "dg", "ddg"):
             assert np.array_equal(getattr(fused, key), getattr(alone, key))
+
+
+# ------------------------------------------------ separable polar products
+
+_POLAR_SPECS = [MetricSpec(kind, n, m=1.0 if kind == "kottler" else 0.0)
+                for kind in ("hyperbolic_polar", "hyperbolic_area", "kottler")
+                for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("spec", _POLAR_SPECS,
+                         ids=lambda spec: f"{spec.kind}-{spec.n}")
+def test_polar_jets_equal_the_full_width_products(spec):
+    """Built factor by factor with one sparse step each, the polar jets
+    (and their values without derivatives) equal the full-width products of
+    full-width seeds, including huge ``sinh^2 r`` entries."""
+    pts = polar_points(spec.n, 40, 1.5, 30.0, np.random.default_rng(spec.n))
+    for derivatives, computed in ((True, jets(spec, pts)),
+                                  (False, jet_values(spec, pts))):
+        reference = polar_jets(spec, pts, derivatives)
+        for ours, ref in zip(computed[:2], reference[:2]):
+            for key in ("g", "dg", "ddg"):
+                assert np.array_equal(getattr(ours, key), getattr(ref, key))
+        assert np.array_equal(computed[2].value, reference[2].value)
+        assert np.array_equal(computed[2].d, reference[2].d)
+
+
+def test_polar_jets_take_no_full_width_product(monkeypatch):
+    """Polar ``jets`` and ``basis_jets`` multiply no two jets of the chart's
+    width: every factor enters by ``mul_factor``."""
+    from asymflux.fields import basis_jets, kernel_basis, killing_basis
+    from asymflux.hyperdual import HyperDual
+
+    widths = []
+    product = HyperDual.__mul__
+
+    def counting(self, other):
+        widths.append(max(self.nvars, getattr(other, "nvars", 0)))
+        return product(self, other)
+
+    monkeypatch.setattr(HyperDual, "__mul__", counting)
+    monkeypatch.setattr(HyperDual, "__rmul__", counting)
+    for spec in _POLAR_SPECS:
+        pts = polar_points(spec.n, 8, 1.5, 6.0, np.random.default_rng(0))
+        jets(spec, pts)
+        basis_jets(pts, kernel_basis(spec.n, spec.chart_kind),
+                   killing_basis(spec.n, spec.chart_kind))
+        assert spec.n not in widths, spec
+    assert widths and max(widths) == 1    # the one-variable factors
 
 
 _VARIABLE_EXPONENT = "1 + 2^(-r/(1 + x1^2))"

@@ -7,16 +7,16 @@ from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.fields import basis_jets, kernel_basis, killing_basis
 from asymflux.geometry import (ChartKind, curvature, divergence_vector,
                                killing_operator, tensor_norm)
-from oracles import dscal_adjoint
+from oracles import dscal_adjoint, polar_basis_jets
 
 RNG = np.random.default_rng(23)
 
 
-def polar_points(n, count):
+def polar_points(n, count, rng=RNG):
     pts = np.empty((count, n))
-    pts[:, 0] = RNG.uniform(0.5, 2.0, count)
-    pts[:, 1:n - 1] = RNG.uniform(0.4, np.pi - 0.4, (count, n - 2))
-    pts[:, n - 1] = RNG.uniform(0, 2 * np.pi, count)
+    pts[:, 0] = rng.uniform(0.5, 2.0, count)
+    pts[:, 1:n - 1] = rng.uniform(0.4, np.pi - 0.4, (count, n - 2))
+    pts[:, n - 1] = rng.uniform(0, 2 * np.pi, count)
     return pts
 
 
@@ -134,6 +134,25 @@ def test_basis_jets_match_single_elements(n, chart):
             alone = X.vector_jet(pts)
             assert np.array_equal(jet.comp, alone.comp)
             assert np.array_equal(jet.d, alone.d)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("chart", [ChartKind.POLAR_GEODESIC,
+                                   ChartKind.POLAR_AREA])
+def test_basis_jets_equal_the_full_width_products(n, chart):
+    """The full polar basis, built factor by factor with one sparse step
+    each, equals the full-width products of full-width seeds."""
+    pts = polar_points(n, 40, np.random.default_rng(n))
+    pts[:, 0] *= 10.0
+    scalars, vectors = basis_jets(pts, kernel_basis(n, chart),
+                                  killing_basis(n, chart))
+    ref_scalars, ref_vectors = polar_basis_jets(pts, chart)
+    for jet, ref in zip(scalars, ref_scalars, strict=True):
+        for key in ("value", "grad", "hess"):
+            assert np.array_equal(getattr(jet, key), getattr(ref, key))
+    for jet, ref in zip(vectors, ref_vectors, strict=True):
+        assert np.array_equal(jet.comp, ref.comp)
+        assert np.array_equal(jet.d, ref.d)
 
 
 def test_basis_sizes_and_pairing_ids():

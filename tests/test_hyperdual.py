@@ -194,3 +194,115 @@ def test_lift_without_derivatives_passes_the_value(name):
     assert lifted.grad.shape == (len(x), 0)
     assert lifted.hess.shape == (len(x), 0, 0)
     assert np.array_equal(lifted.val, f(seed_variables(x)[0]).val)
+
+
+# ------------------------------------------------------------ mul_factor
+
+# one-variable factors of the polar charts: sin, cos, sin^2, sinh^2, r^2,
+# the reciprocal of Kottler's metric function and a sqrt
+FACTORS = {
+    "sin": lambda u: hd.sin(u),
+    "cos": lambda u: hd.cos(u),
+    "sin2": lambda u: hd.sin(u) * hd.sin(u),
+    "sinh2": lambda u: hd.sinh(u) * hd.sinh(u),
+    "square": lambda u: u * u,
+    "kottler": lambda u: 1.0 / (1.0 + u * u - 2.0 * u ** -2.0),
+    "sqrt": lambda u: hd.sqrt(1.0 + u * u),
+}
+
+
+def _product_of_the_others(seeds, k):
+    """A full-width jet of every seed variable but ``k``, with nonzero
+    gradient, Hessian and cross terms."""
+    others = [s for i, s in enumerate(seeds) if i != k]
+    p = hd.cos(others[0]) + 2.0
+    for j, s in enumerate(others[1:], 1):
+        p = p * hd.sin(s + 0.3 * j) + others[0] * s
+    return p
+
+
+def _factor_points(n, shape=(40,)):
+    rng = np.random.default_rng(100 + n)
+    return rng.uniform(0.6, 2.5, shape + (n,))
+
+
+def _assert_same_jet(a, b):
+    for x, y in ((a.val, b.val), (a.grad, b.grad), (a.hess, b.hess)):
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_mul_factor_is_the_full_width_product(name, n):
+    """For every axis k, ``mul_factor(P, f, k)`` writes the value, gradient
+    and Hessian of ``P * f(x_k)`` computed at full width, either order."""
+    f = FACTORS[name]
+    x = _factor_points(n)
+    seeds = seed_variables(x)
+    factors = hd.one_variable_seeds(x)
+    for k in range(n):
+        p = _product_of_the_others(seeds, k)
+        sparse = hd.mul_factor(p, f(factors[k]), k)
+        _assert_same_jet(sparse, p * f(seeds[k]))
+        _assert_same_jet(sparse, f(seeds[k]) * p)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mul_factor_on_the_unit_jet_is_the_seed_chain(n):
+    """Into the constant 1, the factor becomes its full-width jet."""
+    x = _factor_points(n)
+    seeds, factors = seed_variables(x), hd.one_variable_seeds(x)
+    one = hd.HyperDual.constant(1.0, n, x.shape[:-1])
+    for k in range(n):
+        for f in FACTORS.values():
+            _assert_same_jet(hd.mul_factor(one, f(factors[k]), k),
+                             f(seeds[k]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mul_factor_without_derivatives_multiplies_values(n):
+    x = _factor_points(n)
+    seeds = seed_variables(x, derivatives=False)
+    factors = hd.one_variable_seeds(x, derivatives=False)
+    assert all(s.nvars == 0 for s in factors)
+    for k in range(n):
+        p = _product_of_the_others(seeds, k)
+        for f in FACTORS.values():
+            _assert_same_jet(hd.mul_factor(p, f(factors[k]), k),
+                             p * f(seeds[k]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mul_factor_broadcasts_like_the_product(n):
+    """Batch shapes broadcast as ``*`` does: the sparse meshgrid axes of the
+    sphere rule (width 0), and a full-width product over crossed axes."""
+    grids = [np.linspace(0.3, 2.8, 3 + j) for j in range(n)]
+    axes = [hd.HyperDual.constant(a, 0, a.shape)
+            for a in np.meshgrid(*grids, indexing="ij", sparse=True)]
+    product = hd.HyperDual.constant(1.0, 0)
+    chain = 1.0
+    for k, axis in enumerate(axes):
+        product = hd.mul_factor(product, hd.cos(axis), k)
+        chain = chain * hd.cos(axis)
+        _assert_same_jet(product, chain)
+    assert product.val.shape == tuple(3 + j for j in range(n))
+
+    rows = _factor_points(n, (5, 1))
+    cols = _factor_points(n, (1, 4))
+    seeds = seed_variables(rows)
+    for k in range(n):
+        p = _product_of_the_others(seeds, k)
+        factor = hd.sinh(hd.one_variable_seeds(cols)[k])
+        full = hd.sinh(seed_variables(cols)[k])
+        sparse = hd.mul_factor(p, factor, k)
+        assert sparse.val.shape == (5, 4)
+        _assert_same_jet(sparse, p * full)
+
+
+def test_reciprocal_is_one_over():
+    x = _factor_points(4)
+    p = _product_of_the_others(seed_variables(x), 1)
+    _assert_same_jet(hd.reciprocal(p), 1.0 / p)
+    with pytest.raises(DomainError):
+        hd.reciprocal(p * 0.0)

@@ -10,9 +10,11 @@ import pytest
 
 from asymflux.errors import QuadratureError
 from asymflux.geometry import ChartKind
+from asymflux.hyperdual import HyperDual
 from asymflux.quadrature import (SphereRule, _gauss_jacobi, integrate_annulus,
                                  integrate_sphere, omega, pairwise_sum,
                                  sphere_rule, sphere_values, thread_count)
+from oracles import sphere_embedding_chain
 
 
 def monomial_sphere_integral(exponents):
@@ -66,11 +68,16 @@ def embedding_reference(angles):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rule_units_are_the_embedding_formula(n):
     """The rule nodes come from the hyper-dual embedding, without
-    derivatives, on the axes of the product grid; they equal the plain
-    formula on every node bit for bit."""
+    derivatives, on the axes of the product grid, one angle factor per
+    sparse step; they equal the plain formula and the running products of
+    the full-width embedding chain on every node bit for bit."""
     for degree in (1, 4, 12, 16, 30):
         rule = sphere_rule(n, degree)
         assert np.array_equal(rule.units, embedding_reference(rule.angles))
+        axes = [HyperDual.constant(a, 0, a.shape) for a in rule.angles.T]
+        chain = np.stack([u.val for u in sphere_embedding_chain(axes)],
+                         axis=-1)
+        assert np.array_equal(rule.units, chain)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
