@@ -7,17 +7,35 @@ in the azimuth.  The combination integrates every spherical polynomial up to
 the rule degree exactly.  Each Gauss-Jacobi rule is the Golub-Welsch
 eigensolution of its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
 
+The error estimate comes from the node values of the integral itself, with
+no second rule: a null-rule estimate on the rule's own nodes (Berntsen &
+Espelid, ACM TOMS 17, 1991) read as a coefficient tail (Trefethen, SIAM
+Review 50, 2008).  Each factor of the product resolves the coefficients of
+its node values up to about half the degree it integrates: the DFT of each
+azimuth ring, and the Gauss-Jacobi coefficients along each polar angle once
+the later angles are integrated out, from the orthonormal polynomials at
+the nodes that the Golub-Welsch eigenvectors give.  Integrating first keeps
+the odd powers of the later sines, which are not polynomials in the cosine,
+out of the polar coefficients.  The decay of the top coefficients is
+carried to the first degree the factor does not integrate; where they do
+not decay (roundoff) the top coefficients count as they are, with no
+safety factor.  The factors' errors add, each integrated over the earlier
+angles, plus a floor of a few ulps of ``sum |w f|`` for the roundoff of the
+sum.  An annulus adds the same tail over the Legendre coefficients of its
+shell integrals to the shell errors integrated in r.
+
 Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
 ``(N, K)`` columns, one per integrand of a family evaluated together, and
 carry their own measure: the rule weights are those of the unit round sphere
 (times ``dr`` on annuli).  Reductions use a fixed-order pairwise summation
-tree along the node axis, which sums each column exactly as it would sum it
-alone.  Every per-node pass, an integral or the maximum of a diagnostic
-(:func:`sphere_values`), evaluates its nodes in chunks and rejects
-non-finite values.  The chunk size depends on the dimension n of the points
-alone, so results are bit-for-bit identical regardless of the worker-thread
-count (override via the environment variable ``ASYMFLUX_THREADS``) and
-memory does not grow with the rule.
+tree along the node axis (along each factor's axis for the error estimate)
+and otherwise elementwise operations, no BLAS, so each column is summed and
+estimated exactly as it would be alone.  Every per-node pass, an integral or
+the maximum of a diagnostic (:func:`sphere_values`), evaluates its nodes in
+chunks and rejects non-finite values.  The chunk size depends on the
+dimension n of the points alone, so results are bit-for-bit identical
+regardless of the worker-thread count (override via the environment
+variable ``ASYMFLUX_THREADS``) and memory does not grow with the rule.
 
 A chunk holds the largest power of two of nodes whose metric second
 derivatives, n^4 doubles per node, fit in 2^20 entries (8 MiB): 8192 nodes
@@ -55,7 +73,8 @@ __all__ = ["SphereRule", "QuadratureResult", "sphere_rule", "omega",
            "sphere_values", "thread_count"]
 
 _CHUNK_ENTRIES = 2 ** 20    # metric second-derivative entries per chunk
-_EMBEDDED_STEP = 4
+_EMBEDDED_STEP = 4          # read only by the benchmark worker
+_FLOOR_ULPS = 8             # roundoff floor of an error estimate, ulps of sum |w f|
 
 
 def omega(n: int) -> float:
@@ -80,6 +99,19 @@ def thread_count() -> int:
 
 
 @dataclass(frozen=True)
+class RuleAxis:
+    """One factor of a product rule: its nodes' weights, and the rows that
+    map node values to the coefficients it resolves, in the units of the
+    integral and ascending in degree (``modes[k]`` is one row, or a cosine
+    and a sine row whose results combine in quadrature).  The factor
+    integrates every degree below ``missing`` exactly."""
+
+    weights: np.ndarray
+    modes: np.ndarray     # (top degree + 1, rows per degree, nodes)
+    missing: int
+
+
+@dataclass(frozen=True)
 class SphereRule:
     """Product quadrature rule on the unit sphere S^{n-1}."""
 
@@ -88,6 +120,7 @@ class SphereRule:
     angles: np.ndarray    # (N, n-1)
     units: np.ndarray     # (N, n) embedded unit vectors
     weights: np.ndarray   # (N,), sum to omega(n)
+    axes: tuple = ()      # RuleAxis per angle, in grid order (azimuth last)
 
     @property
     def node_count(self) -> int:
@@ -96,8 +129,9 @@ class SphereRule:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral and embedded-rule error: floats, or ``(K,)`` arrays for
-    ``(N, K)`` integrands."""
+    """Integral and its error estimate, from the rule's own nodes: floats,
+    or ``(K,)`` arrays for ``(N, K)`` integrands.  ``nodes_used`` counts
+    the nodes evaluated."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -106,14 +140,31 @@ class QuadratureResult:
 
 def _gauss_jacobi(k: int, a: float):
     """``k``-point Gauss rule for the weight ``(1-c^2)^a`` on [-1, 1]: nodes
-    in ascending order, mirrored exactly about 0, and their weights."""
+    in ascending order, mirrored exactly about 0, their weights, and the
+    discrete transform whose row j maps node values to ``sqrt(mu0)`` times
+    their coefficient on the j-th orthonormal Jacobi polynomial (``mu0`` the
+    integral of the weight; row 0 is the weights before mirroring)."""
     j = np.arange(1.0, k)
     off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a) ** 2 - 1))
     c, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     mu0 = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
     w = mu0 * v[0] ** 2
-    # the weight is even: mirroring cancels the eigensolver's odd roundoff
-    return (c - c[::-1]) / 2, (w + w[::-1]) / 2
+    # the weight is even: mirroring cancels the eigensolver's odd roundoff;
+    # column i of v holds the orthonormal polynomials at c_i over p_0
+    return (c - c[::-1]) / 2, (w + w[::-1]) / 2, mu0 * v[0] * v
+
+
+def _azimuth_axis(phi: np.ndarray) -> RuleAxis:
+    """The midpoint rule on an even number of azimuths ``phi``: its modes
+    are the real amplitudes of the DFT coefficients, times 2 pi."""
+    count = phi.size
+    k_phi = np.arange(count // 2 + 1)[:, None] * phi
+    modes = np.empty((k_phi.shape[0], 2, count))
+    modes[:, 0], modes[:, 1] = np.cos(k_phi), np.sin(k_phi)
+    modes *= 4.0 * math.pi / count
+    modes[0] /= 2.0     # the mean and the Nyquist mode have one coefficient
+    modes[-1] /= 2.0
+    return RuleAxis(np.full(count, 2.0 * math.pi / count), modes, count)
 
 
 def sphere_rule(n: int, degree: int) -> SphereRule:
@@ -125,18 +176,17 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     npolar = max(1, (degree + 2) // 2)          # exact through degree 2*npolar-1
     nazim = 2 * npolar
 
-    polar_nodes = []
+    grids, rule_axes = [], []
     for j in range(n - 2):
         # angle theta_{j+1} carries measure sin^{n-2-j}; Jacobi weight exponent
         alpha = (n - 3 - j) / 2.0
-        c, w = _gauss_jacobi(npolar, alpha)
-        polar_nodes.append((np.arccos(c)[::-1], w[::-1]))
+        c, w, t = _gauss_jacobi(npolar, alpha)
+        grids.append(np.arccos(c)[::-1])
+        rule_axes.append(RuleAxis(w[::-1], t[:, None, ::-1], 2 * npolar))
 
-    phi = (np.arange(nazim) + 0.5) * (2.0 * math.pi / nazim)
-    wphi = np.full(nazim, 2.0 * math.pi / nazim)
-
-    grids = [pn[0] for pn in polar_nodes] + [phi]
-    wgrids = [pn[1] for pn in polar_nodes] + [wphi]
+    grids.append((np.arange(nazim) + 0.5) * (2.0 * math.pi / nazim))
+    rule_axes.append(_azimuth_axis(grids[-1]))
+    wgrids = [a.weights for a in rule_axes]
     mesh = np.meshgrid(*grids, indexing="ij")
     wmesh = np.meshgrid(*wgrids, indexing="ij")
     angles = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -150,7 +200,8 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
     one = HyperDual.constant(1.0, 0)
     for j, u in enumerate(sphere_embedding_hd(axes, one)):
         units[..., j] = u.val
-    return SphereRule(n, degree, angles, units.reshape(-1, n), weights)
+    return SphereRule(n, degree, angles, units.reshape(-1, n), weights,
+                      tuple(rule_axes))
 
 
 def pairwise_sum(values: np.ndarray):
@@ -208,9 +259,51 @@ def sphere_values(f, r: float, rule: SphereRule,
     return _evaluate(f, points, nthreads)
 
 
+def _tail(amps, top: int, missing: int):
+    """Size of the coefficient of degree ``missing`` from the magnitudes
+    ``amps`` of the highest resolved degrees, ascending to ``top``: the
+    envelope of the top two degrees, carried to ``missing`` at the rate per
+    degree at which it fell from the two below them.  With fewer than four
+    degrees above the mean, or where the envelope does not fall (roundoff),
+    it is the top envelope itself."""
+    e1 = np.maximum(amps[-1], amps[-2]) if len(amps) > 1 else amps[-1]
+    if top < 4:
+        return e1
+    e2 = np.maximum(amps[-3], amps[-4])
+    rate = np.divide(e1, e2, out=np.ones_like(e1), where=e1 < e2)
+    return e1 * rate ** ((missing - top) / 2)
+
+
+def _integrate_axis(x, e, axis: RuleAxis):
+    """Integrate the node values ``x`` over their last axis before the
+    columns, the factor ``axis`` of the rule.  Returns that integral and its
+    error: the coefficient tail along ``axis``, plus the integral of the
+    errors ``e`` of the later factors (None where there are none)."""
+    x = np.moveaxis(x, -2, 0)
+    along = (-1,) + (1,) * (x.ndim - 1)
+    amps = [np.sqrt(sum(pairwise_sum(row.reshape(along) * x) ** 2
+                        for row in rows)) for rows in axis.modes[-4:]]
+    error = _tail(amps, axis.modes.shape[0] - 1, axis.missing)
+    w = axis.weights.reshape(along)
+    if e is not None:
+        error = error + pairwise_sum(w * np.moveaxis(e, -2, 0))
+    return pairwise_sum(w * x), error
+
+
 def _sphere_value(f, rule, r, chart_kind, nthreads):
+    """The rule's integral of ``f`` over S_r and its error estimate: the
+    coefficient tail of each angle, taken after integrating out the angles
+    after it, plus a roundoff floor of a few ulps of sum |w f|."""
     values = sphere_values(f, r, rule, chart_kind, nthreads)
-    return pairwise_sum((values.T * rule.weights).T), rule.node_count
+    value = pairwise_sum((values.T * rule.weights).T)
+    cols = values.reshape(values.shape[0], -1)
+    x = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
+    error = None
+    for axis in reversed(rule.axes):
+        x, error = _integrate_axis(x, error, axis)
+    error = error + _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
+        (np.abs(cols).T * rule.weights).T)
+    return value, (error if values.ndim > 1 else float(error[0]))
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
@@ -221,25 +314,23 @@ def integrate_sphere(f, r: float, rule: SphereRule,
     ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
     ``(N, K)`` columns and must be pure; it includes the area element of
     S_r relative to the round-sphere measure carried by the rule weights.
-    The error estimate compares against an embedded rule of lower degree.
+    ``f`` is evaluated once on each node of ``rule`` and on no other point.
+    The error estimate reads the decay of the discrete coefficients of
+    those values, per column: the DFT of each azimuth ring and the
+    Gauss-Jacobi coefficients along each polar angle, once the later angles
+    are integrated out, each carried at its decay rate to the first degree
+    the rule does not integrate (:func:`_tail`).
     """
-    hi, nodes_hi = _sphere_value(f, rule, r, chart_kind, nthreads)
-    lo_rule = sphere_rule(rule.n, max(rule.degree - _EMBEDDED_STEP, 1))
-    lo, nodes_lo = _sphere_value(f, lo_rule, r, chart_kind, nthreads)
-    return QuadratureResult(hi, abs(hi - lo), nodes_hi + nodes_lo)
+    value, error = _sphere_value(f, rule, r, chart_kind, nthreads)
+    return QuadratureResult(value, error, rule.node_count)
 
 
-def _radial_nodes(r0, r1, radial_degree):
+def _radial_axis(r0, r1, radial_degree):
     k = max(2, (int(radial_degree) + 2) // 2)
     c, w = np.polynomial.legendre.leggauss(k)
     mid, half = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
-    return mid + half * c, half * w
-
-
-def _annulus_value(f, rule, radii, rweights, chart_kind, nthreads):
-    shells = [w * _sphere_value(f, rule, r, chart_kind, nthreads)[0]
-              for r, w in zip(radii, rweights)]
-    return pairwise_sum(np.array(shells)), rule.node_count * radii.size
+    modes = half * _gauss_jacobi(k, 0.0)[2][:, None, :]
+    return mid + half * c, RuleAxis(half * w, modes, 2 * k)
 
 
 def integrate_annulus(f, r0: float, r1: float, rule: SphereRule,
@@ -250,15 +341,18 @@ def integrate_annulus(f, r0: float, r1: float, rule: SphereRule,
 
     Gauss-Legendre in the radial coordinate tensored with the sphere rule.
     ``f`` follows :func:`integrate_sphere` and includes the volume element
-    of its measure relative to ``dr x (round sphere)``.
+    of its measure relative to ``dr x (round sphere)``; it is evaluated once
+    on each node of the product.  The error estimate adds the shell errors,
+    integrated in r, to the tail of the Legendre coefficients of the shell
+    integrals.
     """
     if not r0 < r1:
         raise QuadratureError(f"annulus needs r0 < r1, got ({r0}, {r1})")
-    radii, rweights = _radial_nodes(r0, r1, radial_degree)
-    hi, nodes_hi = _annulus_value(f, rule, radii, rweights, chart_kind,
-                                  nthreads)
-    lo_rule = sphere_rule(rule.n, max(rule.degree - _EMBEDDED_STEP, 1))
-    lo_radii, lo_rw = _radial_nodes(r0, r1, max(radial_degree - 2, 2))
-    lo, nodes_lo = _annulus_value(f, lo_rule, lo_radii, lo_rw, chart_kind,
-                                  nthreads)
-    return QuadratureResult(hi, abs(hi - lo), nodes_hi + nodes_lo)
+    radii, radial = _radial_axis(r0, r1, radial_degree)
+    shells = [_sphere_value(f, rule, r, chart_kind, nthreads) for r in radii]
+    values, errors = (np.array(s).reshape(radii.size, -1)
+                      for s in zip(*shells))
+    value, error = _integrate_axis(values, errors, radial)
+    if np.ndim(shells[0][0]) == 0:
+        value, error = float(value[0]), float(error[0])
+    return QuadratureResult(value, error, rule.node_count * radii.size)

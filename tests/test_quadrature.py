@@ -36,11 +36,17 @@ def test_weights_sum_to_sphere_volume(n):
 def test_gauss_jacobi_rule(a):
     """Every polar rule the sphere rules use (k = 1..31 points, degrees
     1..60): exact on even moments below 2k, mirrored exactly about 0, and
-    weights summing to the integral of the weight."""
+    weights summing to the integral of the weight.  The coefficient
+    transform is discretely orthogonal (sum_i t_ji t_li / w_i = mu0 delta_jl)
+    and its row j annihilates every power below j."""
     mu0 = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
     for k in range(1, 32):
-        c, w = _gauss_jacobi(k, a)
-        assert c.shape == w.shape == (k,)
+        c, w, t = _gauss_jacobi(k, a)
+        assert c.shape == w.shape == (k,) and t.shape == (k, k)
+        assert np.allclose((t / w) @ t.T, mu0 * np.eye(k), rtol=0, atol=1e-13)
+        for j in range(k):
+            for p in range(j):
+                assert abs(pairwise_sum(t[j] * c ** p)) < 1e-13, (k, j, p)
         assert np.all(np.diff(c) > 0)
         assert np.array_equal(c, -c[::-1])
         assert np.array_equal(w, w[::-1])
@@ -145,6 +151,77 @@ def test_error_estimate_brackets_true_error():
     assert abs(res.value - truth) <= 10 * res.error_estimate + 1e-13
 
 
+# an off-axis direction: integrands along a polar axis hide the odd powers
+# of sin(theta) that a polar coefficient sees before the later angles are
+# integrated out
+OFF_AXIS = {3: [0.48, 0.6, 0.64], 4: [0.3, 0.5, 0.4, 0.7071],
+            5: [0.3, 0.4, 0.5, 0.45, 0.5449]}
+PROFILES = {"1/(1.3+t)": lambda t: 1.0 / (1.3 + t),
+            "1/(2+t)": lambda t: 1.0 / (2.0 + t),
+            "exp(3t)": lambda t: np.exp(3.0 * t)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_error_estimate_bounds_the_true_error(n):
+    """At every degree 1..24, on zonal integrands g(u.a) about an off-axis
+    unit vector a, the estimate bounds the true error wherever that error
+    is above roundoff (16 ulps of sum |w f|).  The truth is the Funk-Hecke
+    reduction to one variable: the volume of S^{n-2} times the integral of
+    g(t) in the weight (1-t^2)^{(n-3)/2}, by a 60-point Gauss-Jacobi rule."""
+    a = np.array(OFF_AXIS[n]) / np.linalg.norm(OFF_AXIS[n])
+    c, w, _ = _gauss_jacobi(60, (n - 3) / 2.0)
+    eps = np.finfo(float).eps
+    checked = 0
+    for name, g in PROFILES.items():
+        truth = omega(n - 1) * pairwise_sum(w * g(c))
+        for degree in range(1, 25):
+            rule = sphere_rule(n, degree)
+            res = integrate_sphere(lambda p: g(p @ a), 1.0, rule)
+            err = abs(res.value - truth)
+            l1 = pairwise_sum(np.abs(g(rule.units @ a)) * rule.weights)
+            if err > 16 * eps * l1:
+                checked += 1
+                assert err <= res.error_estimate, (name, degree, err,
+                                                   res.error_estimate)
+    assert checked >= 40
+
+
+def test_annulus_error_estimate_bounds_the_radial_error():
+    """A radial profile the Legendre rule does not resolve at low radial
+    degree: the annulus estimate bounds the true error at every radial
+    degree where that error is above roundoff."""
+    rule = sphere_rule(3, 4)
+    f = lambda p: np.exp(3.0 * p[:, 0])
+    exact = 4 * np.pi * (np.exp(4.5) - np.exp(1.5)) / 3.0
+    checked = 0
+    for radial_degree in range(2, 25):
+        res = integrate_annulus(f, 0.5, 1.5, rule, radial_degree,
+                                ChartKind.POLAR_GEODESIC)
+        err = abs(res.value - exact)
+        if err > 1e-13 * exact:
+            checked += 1
+            assert err <= res.error_estimate, (radial_degree, err,
+                                               res.error_estimate)
+    assert checked >= 4
+
+
+def test_one_evaluation_per_node():
+    """The integrand sees each node of the rule once and no other point,
+    and ``nodes_used`` counts exactly those nodes."""
+    seen = []
+
+    def f(points):
+        seen.append(points.shape[0])
+        return np.ones(points.shape[0])
+
+    rule = sphere_rule(4, 16)
+    res = integrate_sphere(f, 2.0, rule)
+    assert sum(seen) == res.nodes_used == rule.node_count
+    seen.clear()
+    res = integrate_annulus(f, 1.0, 2.0, rule, radial_degree=12)
+    assert sum(seen) == res.nodes_used == rule.node_count * 7
+
+
 def test_nan_integrand_rejected():
     rule = sphere_rule(3, 8)
     def bad(p):
@@ -190,18 +267,28 @@ def test_bad_thread_count_rejected(nthreads):
 
 
 def test_thread_count_invariance():
-    """Bit-identical integrals regardless of the worker count."""
+    """Bit-identical integrals and error estimates regardless of the worker
+    count; each column of a column integrand has the value and the
+    estimate of its own one-column integral, and an all-zero column an
+    estimate of exactly 0."""
     rule = sphere_rule(4, 30)   # enough nodes for several chunks
     f = lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 2] ** 3
     res1 = integrate_sphere(f, 1.0, rule, nthreads=1)
     res4 = integrate_sphere(f, 1.0, rule, nthreads=4)
     assert res1.value == res4.value  # exact equality, not approx
+    assert res1.error_estimate == res4.error_estimate
     # column integrands: each column equals its own one-column integral
-    cols = lambda p: np.stack([f(p), np.cos(p[:, 1])], axis=-1)
+    g = lambda p: np.cos(p[:, 1])
+    cols = lambda p: np.stack([f(p), g(p), np.zeros(p.shape[0])], axis=-1)
     res1 = integrate_sphere(cols, 1.0, rule, nthreads=1)
     res4 = integrate_sphere(cols, 1.0, rule, nthreads=4)
     assert np.array_equal(res1.value, res4.value)
-    assert res1.value[0] == integrate_sphere(f, 1.0, rule).value
+    assert np.array_equal(res1.error_estimate, res4.error_estimate)
+    for k, h in enumerate((f, g)):
+        alone = integrate_sphere(h, 1.0, rule)
+        assert res1.value[k] == alone.value
+        assert res1.error_estimate[k] == alone.error_estimate
+    assert res1.error_estimate[2] == 0.0
 
 
 @pytest.mark.parametrize("n,chunk", [(3, 8192), (4, 4096), (5, 1024)])
