@@ -236,8 +236,9 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     charges (flux of ``G(X, nu)`` in the metric measure, with the modified
     Einstein tensor on hyperbolic-type metrics).  The centers, the elements
     of index > 0 in the cartesian chart, divide by the mass: the limit of
-    the ``const_one`` kernel (index 0) that must lead ``kernels``.  A missing
-    or vanishing mass raises ZeroMassError.  Returns
+    the ``const_one`` kernel (index 0) that must lead ``kernels``, and their
+    ``limit_error`` adds the mass's relative error, ``|center| err_m / |m|``.
+    A missing or vanishing mass raises ZeroMassError.  Returns
     ``(kernel_series, field_series)`` in the order requested.  It is
     ``_sphere_fluxes`` followed by ``_normalized_series``, the two halves
     :func:`asymflux.verify.charge_pairs` calls apart.
@@ -290,8 +291,14 @@ def _normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
             if abs(mass) < _MASS_FLOOR:
                 raise ZeroMassError(
                     "center of mass undefined for vanishing mass")
-        series.append(_series(spec, radii, values[:, k], errors[:, k],
-                              _normalization(spec.n, field, mass)))
+        entry = _series(spec, radii, values[:, k], errors[:, k],
+                        _normalization(spec.n, field, mass))
+        if mass is not None:
+            # a center is a flux over the mass limit, so it carries the
+            # mass's relative error on top of its own
+            entry.limit_error += abs(entry.limit) \
+                * series[0].limit_error / abs(mass)
+        series.append(entry)
     return series[:len(kernels)], series[len(kernels):]
 
 
