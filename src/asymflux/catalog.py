@@ -23,13 +23,8 @@ written through the diagonal view of each array's ``(i, j)`` pair.
 spec is built, so a bad component fails before any computation starts.
 :func:`jets` returns the metric jet, the background jet and the deviation
 ``g - b`` from one evaluation; catalog kinds give the deviation in stable
-closed form, expression metrics subtract the jets.  :func:`metric_jet` runs
-the same kind switch and stops at the metric jet, bit-identical to that of
-:func:`jets`, for the checks that read ``g`` alone.  :func:`jet_values` runs
-the same kind switch with hyper-duals seeded without derivatives (gradient
-and Hessian axes of width 0), so its values are bit-identical to those of
-:func:`jets` at a fraction of the cost; the diagnostics that read only
-``g``, ``b`` and ``g - b`` use it.
+closed form, expression metrics subtract the jets.  :func:`metric_jet` is
+the metric jet of :func:`jets`, for the checks that read ``g`` alone.
 
 The formulas that depend on the chart alone are written here once: the
 sphere embedding (the quadrature nodes too), the coordinate volume factor,
@@ -50,7 +45,7 @@ from .errors import ChartMismatchError, DomainError
 from .geometry import ChartKind, MetricJet, SymTensorJet, validate_dimension
 from .hyperdual import HyperDual, seed_variables
 
-__all__ = ["MetricSpec", "jets", "jet_values", "metric_jet", "background_of",
+__all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
            "chart_kind_of", "sphere_embedding_hd", "round_sphere_diag_hd",
            "check_polar_domain", "coordinate_volume", "geodesic_radius",
            "chart_radius", "decay_mode", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
@@ -158,8 +153,8 @@ def background_of(spec: MetricSpec) -> MetricSpec:
 
 # Both products below take the angles as one-variable jets
 # (``hyperdual.one_variable_seeds``) of the last seed variables of a chart
-# whose unit jet is ``one``; each factor enters by one sparse step.  Without
-# derivatives (``one`` of width 0) only the values are multiplied.
+# whose unit jet is ``one``; each factor enters by one sparse step.  With
+# ``one`` of width 0 only the values are multiplied (the quadrature nodes).
 
 def sphere_embedding_hd(angles: list[HyperDual],
                         one: HyperDual) -> list[HyperDual]:
@@ -248,21 +243,20 @@ def _zeros(*shapes) -> list[np.ndarray]:
             for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def _zero_jet(shape, n, width) -> MetricJet:
+def _zero_jet(shape, n) -> MetricJet:
     """A zeroed 2-jet whose ``g``, ``dg`` and ``ddg`` share one block."""
-    return MetricJet(*_zeros(shape + (n, n), shape + (width, n, n),
-                             shape + (width, width, n, n)))
+    return MetricJet(*_zeros(shape + (n, n), shape + (n, n, n),
+                             shape + (n, n, n, n)))
 
 
-def _write_diagonal(arrays, diagonal, shape, width):
+def _write_diagonal(arrays, diagonal, shape):
     """Write diagonal entries (HyperDuals or constants) into zeroed jet
     arrays ``(value, d[, dd])``, one assignment per array through the
     ``::n+1`` view of its trailing ``(i, j)`` pair."""
     n = len(diagonal)
     parts = [(e.val, e.grad, e.hess) if isinstance(e, HyperDual)
              else (e, 0.0, 0.0) for e in diagonal]
-    for out, entries, tail in zip(arrays, zip(*parts),
-                                  ((), (width,), (width, width))):
+    for out, entries, tail in zip(arrays, zip(*parts), ((), (n,), (n, n))):
         # a view: out is contiguous
         diag = out.reshape(*out.shape[:-2], n * n)[..., ::n + 1]
         if all(e is entries[0] for e in entries):    # one entry everywhere
@@ -272,16 +266,15 @@ def _write_diagonal(arrays, diagonal, shape, width):
                      axis=-1, out=diag)
 
 
-def _assemble(diagonal, shape, width) -> MetricJet:
+def _assemble(diagonal, shape) -> MetricJet:
     """A diagonal MetricJet from its entries ``g_ii`` (HyperDuals or
-    constants), with derivative axes of length ``width`` (``n``, or 0 for
-    values).  Every catalog metric is diagonal."""
-    jet = _zero_jet(shape, len(diagonal), width)
-    _write_diagonal((jet.g, jet.dg, jet.ddg), diagonal, shape, width)
+    constants).  Every catalog metric is diagonal."""
+    jet = _zero_jet(shape, len(diagonal))
+    _write_diagonal((jet.g, jet.dg, jet.ddg), diagonal, shape)
     return jet
 
 
-def _schwarzschild_log_factor(spec, coords, derivatives):
+def _schwarzschild_log_factor(spec, coords):
     """The jet of ``t = |x - c|^2`` and the log of the conformal factor,
     ``p * log1p(s)`` with ``s = m/(2 rho^{n-2})``, as a width-1 jet in ``t``.
 
@@ -297,34 +290,32 @@ def _schwarzschild_log_factor(spec, coords, derivatives):
         rho2 = rho2 + diff[..., i] * diff[..., i]
     if np.any(rho2 <= 0.0):
         raise DomainError("schwarzschild_conformal: point at the center")
-    width = n if derivatives else 0     # no derivative axes for values
-    t = HyperDual(rho2, 2.0 * diff[..., :width],
-                  np.broadcast_to(2.0 * np.eye(width),
-                                  rho2.shape + (width, width)))
-    rho = hd.sqrt(seed_variables(rho2[..., None], derivatives)[0])
+    t = HyperDual(rho2, 2.0 * diff,
+                  np.broadcast_to(2.0 * np.eye(n), rho2.shape + (n, n)))
+    rho = hd.sqrt(seed_variables(rho2[..., None])[0])
     s = (0.5 * spec.m) * rho ** (-(n - 2))
     if np.any(s.val <= -1.0):
         raise DomainError("schwarzschild_conformal: point inside excised region")
     return t, (4.0 / (n - 2)) * hd.log1p(s)
 
 
-def _euclidean_jet(coords, width) -> MetricJet:
+def _euclidean_jet(coords) -> MetricJet:
     """The identity with zero derivatives, as read-only broadcast views."""
     n, shape = coords.shape[-1], coords.shape[:-1]
     return MetricJet(np.broadcast_to(np.eye(n), shape + (n, n)),
-                     np.broadcast_to(0.0, shape + (width, n, n)),
-                     np.broadcast_to(0.0, shape + (width, width, n, n)))
+                     np.broadcast_to(0.0, shape + (n, n, n)),
+                     np.broadcast_to(0.0, shape + (n, n, n, n)))
 
 
-def _diagonal_deviation(diagonal, shape, n, width) -> SymTensorJet:
+def _diagonal_deviation(diagonal, shape, n) -> SymTensorJet:
     """Deviation jet from its diagonal entries ``eps_ii`` (HyperDuals or
     constants); an empty list gives the zero deviation as read-only
     broadcast views."""
     if not diagonal:
         return SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
-                            np.broadcast_to(0.0, shape + (width, n, n)))
-    value, d = _zeros(shape + (n, n), shape + (width, n, n))
-    _write_diagonal((value, d), diagonal, shape, width)
+                            np.broadcast_to(0.0, shape + (n, n, n)))
+    value, d = _zeros(shape + (n, n), shape + (n, n, n))
+    _write_diagonal((value, d), diagonal, shape)
     return SymTensorJet(value, d)
 
 
@@ -337,124 +328,85 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
     their intermediates.  The Euclidean background and a zero deviation are
     read-only broadcast views.
     """
-    return _jets(spec, p, derivatives=True)
-
-
-def jet_values(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet,
-                                            SymTensorJet]:
-    """``(g, b, g - b)`` as :func:`jets` gives them, without derivatives.
-
-    The derivative axes (``dg``, ``ddg``, ``d``) have length 0; ``g``, ``b``
-    and the deviation value are bit-identical to those of :func:`jets`.
-    """
-    return _jets(spec, p, derivatives=False)
-
-
-def metric_jet(spec: MetricSpec, p) -> MetricJet:
-    """Exact analytic 2-jet of the spec's metric at point(s) ``p``: the
-    metric jet of :func:`jets`, bit for bit, without the background and the
-    deviation."""
-    return _jets(spec, p, derivatives=True, metric_only=True)[0]
-
-
-def _jets(spec, p, derivatives, metric_only=False):
-    """The kind switch of :func:`jets`, or of :func:`jet_values` without
-    ``derivatives``.  With ``metric_only`` (and ``derivatives``) it returns
-    ``(g, None, None)`` and skips the background and the deviation."""
     coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
         raise ChartMismatchError(
             f"point has {coords.shape[-1]} coordinates, spec has n={spec.n}")
-    # base and background evaluations call the public function of this
-    # mode, so that a wrapper around it (tracer, call-counting test) sees them
-    nested = jets if derivatives else jet_values
     kind = chart_kind_of(spec)
     n = spec.n
-    width = n if derivatives else 0
     shape = coords.shape[:-1]
-    zero = _diagonal_deviation([], shape, n, width)
+    zero = _diagonal_deviation([], shape, n)
 
     if spec.kind == "euclidean":
-        g = _euclidean_jet(coords, width)
+        g = _euclidean_jet(coords)
         return g, g, zero
 
     if spec.kind == "schwarzschild_conformal":
-        t, log_factor = _schwarzschild_log_factor(spec, coords, derivatives)
-        g = _assemble([hd.lift(t, hd.exp(log_factor))] * n, shape, width)
-        if metric_only:
-            return g, None, None
+        t, log_factor = _schwarzschild_log_factor(spec, coords)
+        g = _assemble([hd.lift(t, hd.exp(log_factor))] * n, shape)
         w = hd.lift(t, hd.expm1(log_factor))
-        return (g, _euclidean_jet(coords, width),
-                _diagonal_deviation([w] * n, shape, n, width))
+        return (g, _euclidean_jet(coords),
+                _diagonal_deviation([w] * n, shape, n))
 
     if spec.kind in HYPERBOLIC_KINDS:
         # separable entries: each factor a one-variable jet in r or an
         # angle, multiplied into the unit jet or the round-sphere product
         check_polar_domain(coords)
-        r, *angles = hd.one_variable_seeds(coords, derivatives)
-        one = HyperDual.constant(1.0, width, shape)
+        r, *angles = hd.one_variable_seeds(coords)
+        one = HyperDual.constant(1.0, n, shape)
         sigma = round_sphere_diag_hd(angles, one)
         if spec.kind == "hyperbolic_polar":
             sh = hd.sinh(r)
             sh2 = sh * sh
             g = _assemble([1.0] + [hd.mul_factor(s, sh2, 0) for s in sigma],
-                          shape, width)
+                          shape)
             return g, g, zero
         # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
         r2 = r * r
         angular = [hd.mul_factor(s, r2, 0) for s in sigma]
         f0 = 1.0 + r2
+        b = _assemble([hd.mul_factor(one, 1.0 / f0, 0), *angular], shape)
         if spec.kind == "hyperbolic_area":
-            b = _assemble([hd.mul_factor(one, 1.0 / f0, 0), *angular], shape,
-                          width)
             return b, b, zero
         mass_term = (2.0 * spec.m) * r ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
-        g = _assemble([hd.mul_factor(one, 1.0 / f, 0), *angular], shape, width)
-        if metric_only:
-            return g, None, None
-        b = _assemble([hd.mul_factor(one, 1.0 / f0, 0), *angular], shape,
-                      width)
+        g = _assemble([hd.mul_factor(one, 1.0 / f, 0), *angular], shape)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
         eps = hd.mul_factor(one, mass_term / (f * f0), 0)
-        return g, b, _diagonal_deviation([eps] + [0.0] * (n - 1), shape, n,
-                                         width)
+        return g, b, _diagonal_deviation([eps] + [0.0] * (n - 1), shape, n)
 
     if spec.kind == "perturbation":
-        base, b, base_eps = (metric_jet(spec.base, coords), None, None) \
-            if metric_only else nested(spec.base, coords)
-        eps = _components_jet(spec, coords, kind, derivatives)
-        g = _zero_jet(shape, n, width)
+        base, b, base_eps = jets(spec.base, coords)
+        eps = _components_jet(spec, coords, kind)
+        g = _zero_jet(shape, n)
         for out, x, y in zip((g.g, g.dg, g.ddg), (base.g, base.dg, base.ddg),
                              (eps.g, eps.dg, eps.ddg)):
             np.add(x, y, out=out)
-        if metric_only:
-            return g, None, None
         return g, b, SymTensorJet(base_eps.value + eps.g, base_eps.d + eps.dg)
 
     # expression metrics: plain subtraction from the chart background
-    g = _components_jet(spec, coords, kind, derivatives)
-    if metric_only:
-        return g, None, None
-    b = nested(background_of(spec), coords)[0]
+    g = _components_jet(spec, coords, kind)
+    b = jets(background_of(spec), coords)[0]
     return g, b, SymTensorJet(g.g - b.g, g.dg - b.dg)
 
 
-def _components_jet(spec, coords, chart_kind, derivatives) -> MetricJet:
+def metric_jet(spec: MetricSpec, p) -> MetricJet:
+    """Exact analytic 2-jet of the spec's metric at point(s) ``p``: the
+    metric jet of :func:`jets`."""
+    return jets(spec, p)[0]
+
+
+def _components_jet(spec, coords, chart_kind) -> MetricJet:
     """Evaluate the spec's expression components into a 2-jet tensor.  Equal
     texts parse to equal ASTs, and each distinct AST is evaluated once."""
-    n = spec.n
-    width = n if derivatives else 0
-    shape = coords.shape[:-1]
-    out = _zero_jet(shape, n, width)
+    out = _zero_jet(coords.shape[:-1], spec.n)
     params = dict(spec.params or {})
     evaluated = {}
     for (i, j), ast in spec.asts.items():
         if ast not in evaluated:
-            evaluated[ast] = expr_mod.eval_jet(ast, coords, params, chart_kind,
-                                               derivatives)
+            evaluated[ast] = expr_mod.eval_jet(ast, coords, params, chart_kind)
         jet = evaluated[ast]
         for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
             out.g[..., a, b] = jet.value

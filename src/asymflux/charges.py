@@ -16,7 +16,9 @@ X, and both families integrate over the same sphere S_r.  So
 :func:`charge_series` makes one sphere pass per radius: its integrand
 evaluates the metric jet, the background jet, the deviation, the basis
 jets, the curvature, normal and area element once per node and contracts
-them with the whole kernel basis and Killing basis.
+them with the whole kernel basis and Killing basis.  The same pass reduces
+the node data of the hypothesis diagnostics to one sup per radius, which
+the decay, scalar-curvature and parity (RT) reports fit.
 
 On a flat-type metric the background is the Euclidean ``delta`` of the
 cartesian chart: its inverse is itself and its Christoffel symbols and
@@ -44,19 +46,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (MetricSpec, coordinate_volume, decay_mode,
-                      geodesic_radius, jet_values, jets)
+                      geodesic_radius, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import basis_jets
 from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
                        SymTensorJet, curvature, divergence_symmetric2,
                        inverse_derivative, inverse_metric)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
-from .quadrature import SphereRule, integrate_sphere, omega, sphere_values
+from .quadrature import SphereRule, integrate_sphere, omega
 
-__all__ = [
-    "michel_integrand_deviation", "sphere_normal_area", "sphere_integrand",
-    "charge_series", "rt_diagnostics", "RTReport",
-]
+__all__ = ["sphere_normal_area", "sphere_integrand", "charge_series",
+           "rt_diagnostics", "RTReport"]
 
 _MASS_FLOOR = 1e-12
 
@@ -74,17 +74,6 @@ def _normalization(n: int, field: bool, mass: float | None) -> float:
 
 
 # --------------------------------------------------------------- integrands
-
-def michel_integrand_deviation(V: ScalarJet, eps: SymTensorJet,
-                               b_jet: MetricJet, nu: np.ndarray) -> np.ndarray:
-    """Charge integrand ``U(V, g, b)(nu)`` from the deviation ``eps = g - b``.
-
-    ``U`` is linear in the deviation, so passing the closed-form jet of
-    ``g - b`` avoids the catastrophic cancellation of subtracting two nearly
-    equal metrics at large radii.
-    """
-    return _michel_contract(V, eps, _michel_pieces(eps, b_jet), nu)
-
 
 def _michel_pieces(eps: SymTensorJet, b_jet: MetricJet):
     """The V-independent parts of ``U``: ``(binv, -delta eps - d tr eps, tr eps)``."""
@@ -161,7 +150,8 @@ def _finite(values: np.ndarray, what: str, r: float) -> np.ndarray:
 
 def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
                      modified: bool = False):
-    """Integrand over S_r with one column per kernel V, then one per field X.
+    """Integrand over S_r with one column per kernel V, then one per field X,
+    and the node data of the hypothesis diagnostics.
 
     Kernel columns are ``U(V, g, b)(nu) dA`` with the background normal and
     area element; field columns are ``G(X, nu) dA_g`` with the metric's,
@@ -169,10 +159,19 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
     ``modified``.  Each chunk makes one :func:`~asymflux.catalog.jets` call
     for the metric jet, the background jet and the deviation, and one
     :func:`~asymflux.fields.basis_jets` call for every kernel and field jet.
+
+    It returns ``(columns, node_data)``, the node data being the largest
+    entry of the frame-rescaled deviation ``|eps_ij| / sqrt(b_ii b_jj)``;
+    with fields, ``|Scal - Scal_b| dA_b``; with a center (cartesian chart,
+    index > 0), the upper triangle of the rescaled deviation.
     """
     chart = spec.chart_kind
     michel_pieces = _flat_michel_pieces if spec.is_flat_type \
         else _michel_pieces
+    odd = chart == ChartKind.CARTESIAN and any(
+        V.index > 0 for V in (*kernels, *(X.kernel for X in fields)))
+    scal_b = 0.0 if spec.is_flat_type else -spec.n * (spec.n - 1)
+    upper_i, upper_j = np.triu_indices(spec.n)
 
     def kernel_columns(points, b_jet, eps, scalars):
         nu, area = sphere_normal_area(points, chart, r)
@@ -185,6 +184,11 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
             # g is inverted below; a non-finite dg or ddg reaches the
             # integrand, which integrate_sphere rejects with the same error
             _finite(jet.g, "metric jet", r)
+        bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
+        frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
+        data = [np.abs(frame).max(axis=(-2, -1))]
+        upper = frame[..., upper_i, upper_j] if odd else None
+        del frame
         scalars, vectors = basis_jets(points, kernels, fields)
         columns = kernel_columns(points, b_jet, eps, scalars) if kernels else []
         # the background jet, the deviation and the kernel jets die here,
@@ -197,7 +201,11 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
             nu, area = sphere_normal_area(points, chart, r, bun)
             columns += [np.einsum("...ij,...i,...j->...", G, comp, nu) * area
                         for comp in comps]
-        return np.stack(columns, axis=-1)
+            data.append(np.abs(bun.scal - scal_b)
+                        * sphere_normal_area(points, chart, r)[1])
+        if odd:
+            data.append(upper)
+        return np.stack(columns, axis=-1), np.column_stack(data)
 
     return f
 
@@ -243,16 +251,17 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     ``_sphere_fluxes`` followed by ``_normalized_series``, the two halves
     :func:`asymflux.verify.charge_pairs` calls apart.
     """
-    return _normalized_series(
-        spec, radii, *_sphere_fluxes(spec, radii, rule, kernels, fields,
-                                     nthreads), kernels, fields)
+    values, errors, _ = _sphere_fluxes(spec, radii, rule, kernels, fields,
+                                       nthreads)
+    return _normalized_series(spec, radii, values, errors, kernels, fields)
 
 
 def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
                    fields=(), nthreads=None):
     """The sphere pass of :func:`charge_series`: raw fluxes and their
     quadrature errors, two ``(R, K)`` arrays with one row per radius and one
-    column per kernel, then per field."""
+    column per kernel, then per field, and a dict of ``(R,)`` sups of the
+    node data, each radius's reduced before the next starts."""
     radii = _check_radii(radii)
     chart = spec.chart_kind
     elements = (*kernels, *fields)
@@ -262,12 +271,34 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
                 f"{element.id} is defined in the {element.chart_kind.value} "
                 f"chart, the metric in the {chart.value} chart")
     if not elements:
-        return np.zeros((radii.size, 0)), np.zeros((radii.size, 0))
-    results = [integrate_sphere(sphere_integrand(
-                   spec, kernels, fields, r, modified=spec.is_hyperbolic_type),
-                   r, rule, chart, nthreads=nthreads) for r in radii]
-    return (np.array([q.value for q in results]),
-            np.array([q.error_estimate for q in results]))
+        return np.zeros((radii.size, 0)), np.zeros((radii.size, 0)), {}
+
+    def sphere(r):
+        q = integrate_sphere(sphere_integrand(
+                spec, kernels, fields, r, modified=spec.is_hyperbolic_type),
+            r, rule, chart, nthreads=nthreads)
+        return (q.value, q.error_estimate,
+                _node_sups(q.node_data, rule, bool(fields)))
+
+    values, errors, sups = zip(*[sphere(r) for r in radii])
+    return (np.array(values), np.array(errors),
+            {key: np.array([s[key] for s in sups]) for key in sups[0]})
+
+
+def _node_sups(data, rule: SphereRule, scal: bool) -> dict:
+    """One sphere's node data (:func:`sphere_integrand`) reduced to the sups
+    ``decay``, ``scal`` (with fields) and ``odd``, half the largest change
+    of a deviation entry between antipodal nodes (with a center)."""
+    sups = {"decay": data[:, 0].max()}
+    if scal:
+        sups["scal"] = data[:, 1].max()
+    upper = data[:, 1 + scal:]
+    if upper.shape[1]:
+        antipode = rule.antipode
+        # one entry at a time: the temporaries stay at one node vector
+        sups["odd"] = 0.5 * max(np.abs(entry - entry[antipode]).max()
+                                for entry in upper.T)
+    return sups
 
 
 def _normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
@@ -322,23 +353,18 @@ class RTReport:
                 "rt_status": self.status}
 
 
-def rt_diagnostics(spec: MetricSpec, radii, rule: SphereRule,
-                   nthreads=None) -> RTReport:
-    """Sample the parity-odd part of g over antipodal node pairs and fit its
-    decay; g is evaluated without derivatives."""
+def rt_diagnostics(spec: MetricSpec, radii, sup_odd) -> RTReport:
+    """Fit the decay of the parity-odd part of g from its per-radius sups
+    over antipodal node pairs, the ``odd`` sups of the charge pass
+    (:func:`_sphere_fluxes`).  A metric that reads even (every sup at most
+    1e-14) has exponent inf."""
     if not spec.is_flat_type:
         raise ChartMismatchError("RT diagnostics apply to flat-type metrics")
     radii = _check_radii(radii)
-
-    def odd_sup(points):
-        godd = 0.5 * (jet_values(spec, points)[0].g
-                      - jet_values(spec, -points)[0].g)
-        return np.abs(godd).max(axis=(-2, -1))
-
-    sups = np.array([sphere_values(odd_sup, r, rule, nthreads=nthreads).max()
-                     for r in radii])
-    exponent = fit_decay_exponent(radii, sups, "power")
+    sups = np.asarray(sup_odd, dtype=float)
     even = bool(np.all(sups <= 1e-14))
+    exponent = float("inf") if even else fit_decay_exponent(radii, sups,
+                                                             "power")
     expected = float(spec.n - 1)     # tau + 1 for the decay rate tau = n - 2
     ok = even or (np.isfinite(exponent) and exponent > expected - 0.5)
     return RTReport(radii, sups, exponent, expected, even,

@@ -342,8 +342,8 @@ def cmd_charges(cfg: RunConfig, command: str,
         _require_family(spec, command, flat=False)
     report = _base_report(cfg)
     t0 = time.perf_counter()
-    mass, rows = verify_mod.charge_pairs(spec, radii, rule, indices,
-                                         cfg.rel_tol, nthreads=cfg.threads)
+    mass, rows, sups = verify_mod.charge_pairs(
+        spec, radii, rule, indices, cfg.rel_tol, nthreads=cfg.threads)
     if command == "center":
         report["charges"].append(_series_entry("mass_classical", mass))
     for row in rows:
@@ -357,10 +357,10 @@ def cmd_charges(cfg: RunConfig, command: str,
         report["verdicts"] = [{"id": "sweep", "passed": True}]
     elif command == "center":
         report["diagnostics"].update(charges_mod.rt_diagnostics(
-            spec, radii, rule, nthreads=cfg.threads).diagnostics)
+            spec, radii, sups["odd"]).diagnostics)
     else:
         report["diagnostics"].update(
-            decay_rate(spec, radii, nthreads=cfg.threads).diagnostics)
+            decay_rate(spec, radii, sups["decay"]).diagnostics)
     return _finish(report, cfg, t0, all(v["passed"] for v in report["verdicts"]))
 
 
@@ -371,11 +371,13 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
     t0 = time.perf_counter()
     ok = True
     if which == "pohozaev":
-        if cfg.annulus:
-            r0, r1 = cfg.annulus
-        else:
-            r0, r1 = (chart_radius(spec.chart_kind, r) for r in
-                      ((8.0, 16.0) if spec.is_flat_type else (1.0, 2.0)))
+        # cartesian or geodesic radii, to the chart as in schedule_radii
+        with np.errstate(over="ignore"):
+            r0, r1 = chart_radius(spec.chart_kind, np.array(cfg.annulus or (
+                (8.0, 16.0) if spec.is_flat_type else (1.0, 2.0)))).tolist()
+        if not np.isfinite(r1):
+            raise ConfigError(f"annulus {','.join(map(str, cfg.annulus))} "
+                              f"overflows the {spec.chart_kind.value} chart")
         for rep in verify_mod.pohozaev_check(
                 spec, killing_basis(spec.n, spec.chart_kind), r0, r1, rule,
                 cfg.radial_degree, rel_tol=cfg.rel_tol, nthreads=cfg.threads):
@@ -464,7 +466,8 @@ def _build_parser():
             p.add_argument("--which", required=True,
                            choices=["pohozaev", "kernel", "equivalence"])
             p.add_argument("--annulus", default=None,
-                           help="r0,r1 for the pohozaev annulus")
+                           help="r0,r1 for the pohozaev annulus (geodesic "
+                                "radii on hyperbolic metrics)")
     return parser
 
 

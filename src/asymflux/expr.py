@@ -225,32 +225,26 @@ def _parse_atom(toks):
 # ----------------------------------------------------------------- evaluator
 
 def eval_jet(ast, p: np.ndarray, params: dict | None = None,
-             chart_kind: ChartKind | str | None = None,
-             derivatives: bool = True) -> ScalarJet:
-    """Evaluate ``ast`` at ``p`` returning exact value/gradient/Hessian.
-
-    Without ``derivatives`` the gradient and Hessian have width 0 and the
-    value comes from the same operations.
-    """
+             chart_kind: ChartKind | str | None = None) -> ScalarJet:
+    """Evaluate ``ast`` at ``p`` returning exact value/gradient/Hessian."""
     coords = np.asarray(p, dtype=float)
     chart_kind = ChartKind(chart_kind or ChartKind.CARTESIAN)
     params = dict(params or {})
     n = coords.shape[-1]
-    variables = seed_variables(coords, derivatives)
-    width = variables[0].nvars
+    variables = seed_variables(coords)
     env: dict[str, HyperDual] = dict(zip(variable_names(n, chart_kind), variables))
     if chart_kind == ChartKind.CARTESIAN:
         env["__cartesian_vars__"] = variables  # for lazy r
-    out = _eval(ast, env, params, width, coords.shape[:-1])
+    out = _eval(ast, env, params, n, coords.shape[:-1])
     if not isinstance(out, HyperDual):
-        out = HyperDual.constant(out, width, coords.shape[:-1])
+        out = HyperDual.constant(out, n, coords.shape[:-1])
     return ScalarJet(out.val, out.grad, out.hess)
 
 
 def _reads_variables(node, env) -> bool:
     """Whether ``node`` reads a chart variable or ``r``; parameters and
-    numbers are constants.  Decided from the AST, so the answer does not
-    depend on the derivative width."""
+    numbers are constants.  Decided from the AST, not from a gradient that
+    may vanish at every node of a batch."""
     if isinstance(node, Name):
         return node.ident in env or node.ident == "r"
     if isinstance(node, (Unary, Call)):
@@ -261,9 +255,9 @@ def _reads_variables(node, env) -> bool:
     return False
 
 
-def _eval(node, env, params, width, shape):
+def _eval(node, env, params, n, shape):
     if isinstance(node, Num):
-        return HyperDual.constant(node.value, width, shape)
+        return HyperDual.constant(node.value, n, shape)
     if isinstance(node, Name):
         ident = node.ident
         if ident in env:
@@ -281,13 +275,13 @@ def _eval(node, env, params, width, shape):
             env["r"] = r
             return r
         if ident in params:
-            return HyperDual.constant(float(params[ident]), width, shape)
+            return HyperDual.constant(float(params[ident]), n, shape)
         raise UnknownIdentifierError(f"undeclared parameter {ident!r}", node.pos)
     if isinstance(node, Unary):
-        return -_eval(node.arg, env, params, width, shape)
+        return -_eval(node.arg, env, params, n, shape)
     if isinstance(node, Bin):
-        left = _eval(node.left, env, params, width, shape)
-        right = _eval(node.right, env, params, width, shape)
+        left = _eval(node.left, env, params, n, shape)
+        right = _eval(node.right, env, params, n, shape)
         try:
             if node.op == "+":
                 return left + right
@@ -307,7 +301,7 @@ def _eval(node, env, params, width, shape):
             raise ExprDomainError(str(exc), node.pos) from exc
         raise ValueError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
-        arg = _eval(node.arg, env, params, width, shape)
+        arg = _eval(node.arg, env, params, n, shape)
         try:
             return _FUNCTIONS[node.fn](arg)
         except DomainError as exc:

@@ -140,48 +140,41 @@ class HyperDual:
         return HyperDual(fv, grad, hess)
 
 
-def seed_variables(coords, derivatives: bool = True):
+def seed_variables(coords):
     """Seed coordinates ``coords`` of shape ``(..., n)`` as hyper-dual variables.
 
     Returns a list of ``n`` HyperDuals, the i-th being the i-th coordinate with
-    unit gradient seed ``e_i``.  Without ``derivatives`` the gradient and
-    Hessian axes have width 0: every value is computed by the same
-    operations, and no derivative is.
+    unit gradient seed ``e_i``.
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[-1]
-    width = n if derivatives else 0
     shape = coords.shape[:-1]
     out = []
     for i in range(n):
-        grad = np.zeros(shape + (width,))
-        if derivatives:
-            grad[..., i] = 1.0
-        out.append(HyperDual(coords[..., i], grad,
-                             np.zeros(shape + (width, width))))
+        grad = np.zeros(shape + (n,))
+        grad[..., i] = 1.0
+        out.append(HyperDual(coords[..., i], grad, np.zeros(shape + (n, n))))
     return out
 
 
-def one_variable_seeds(coords, derivatives: bool = True):
-    """Each coordinate of ``coords`` ``(..., n)`` as a jet in itself alone:
-    width 1, or width 0 without ``derivatives``.  These are the factors that
-    :func:`mul_factor` multiplies into a product of the full width."""
+def one_variable_seeds(coords):
+    """Each coordinate of ``coords`` ``(..., n)`` as a width-1 jet in itself
+    alone.  These are the factors that :func:`mul_factor` multiplies into a
+    product of the full width."""
     coords = np.asarray(coords, dtype=float)
-    return [seed_variables(coords[..., i:i + 1], derivatives)[0]
+    return [seed_variables(coords[..., i:i + 1])[0]
             for i in range(coords.shape[-1])]
 
 
 def lift(inner: HyperDual, f: HyperDual) -> HyperDual:
     """Jet of ``f`` in the variables of ``inner``: ``f`` is a width-1 jet in
     the one variable whose jet is ``inner``, seeded as
-    ``seed_variables(inner.val[..., None], inner.nvars > 0)[0]``.
+    ``seed_variables(inner.val[..., None])[0]``.
 
     One chain-rule step.  When ``inner`` is a seed variable (unit gradient,
     zero Hessian) it writes the numbers the full-width chain of ``f`` writes,
-    bit for bit.  Without derivatives (width 0) it passes the value.
+    bit for bit.
     """
-    if inner.nvars == 0:
-        return HyperDual(f.val, inner.grad, inner.hess)
     return inner._unary(f.val, f.grad[..., 0], f.hess[..., 0, 0])
 
 
@@ -195,7 +188,8 @@ def mul_factor(p: HyperDual, f: HyperDual, k: int) -> HyperDual:
     is Hessian row and column ``k``, and ``f''`` times ``p`` is entry
     ``(k, k)``.  It writes the numbers of the full-width product, bit for bit
     up to the signs of zeros, with batch shapes broadcast as ``*`` does.
-    Without derivatives (width 0) it multiplies the values.
+    On jets without derivatives (width 0, the embedding of the quadrature
+    nodes) it multiplies the values.
     """
     val = p.val * f.val
     grad = p.grad * f.val[..., None]

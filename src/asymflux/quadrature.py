@@ -27,12 +27,14 @@ shell integrals to the shell errors integrated in r.
 Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
 ``(N, K)`` columns, one per integrand of a family evaluated together, and
 carry their own measure: the rule weights are those of the unit round sphere
-(times ``dr`` on annuli).  Reductions use a fixed-order pairwise summation
+(times ``dr`` on annuli).  A sphere integrand may return ``(columns,
+node_data)``: the node data come back unreduced, for the caller to reduce,
+and cost no coefficient tail.  Reductions use a fixed-order pairwise summation
 tree along the node axis (along each factor's axis for the error estimate)
 and otherwise elementwise operations, no BLAS, so each column is summed and
 estimated exactly as it would be alone.  Every per-node pass, an integral or
-the maximum of a diagnostic (:func:`sphere_values`), evaluates its nodes in
-chunks and rejects non-finite values.  The chunk size depends on the
+the values of :func:`sphere_values`, evaluates its nodes in chunks and
+rejects non-finite values and node data.  The chunk size depends on the
 dimension n of the points alone, so results are bit-for-bit identical
 regardless of the worker-thread count (override via the environment
 variable ``ASYMFLUX_THREADS``) and memory does not grow with the rule.
@@ -126,16 +128,27 @@ class SphereRule:
     def node_count(self) -> int:
         return self.weights.shape[0]
 
+    @property
+    def antipode(self) -> np.ndarray:
+        """Index of each node's antipode: every polar index mirrored (the
+        Gauss-Jacobi nodes are mirrored exactly about the equator) and the
+        azimuth index shifted by half a turn.  The map is its own inverse."""
+        index = np.arange(self.node_count).reshape(
+            tuple(a.weights.size for a in self.axes))
+        index = index[(slice(None, None, -1),) * (index.ndim - 1)]
+        return np.roll(index, index.shape[-1] // 2, axis=-1).ravel()
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Integral and its error estimate, from the rule's own nodes: floats,
     or ``(K,)`` arrays for ``(N, K)`` integrands.  ``nodes_used`` counts
-    the nodes evaluated."""
+    the nodes evaluated; ``node_data`` is None or the integrand's."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     nodes_used: int
+    node_data: np.ndarray | None = None
 
 
 def _gauss_jacobi(k: int, a: float):
@@ -218,7 +231,8 @@ def pairwise_sum(values: np.ndarray):
 
 
 def _evaluate(f, points, nthreads=None):
-    """Chunked (optionally threaded) evaluation; chunking is thread-invariant."""
+    """Chunked (optionally threaded) evaluation; chunking is thread-invariant.
+    Returns the values and the node data of ``f``, or None."""
     if nthreads is None:
         nthreads = thread_count()
     elif (isinstance(nthreads, bool)
@@ -228,20 +242,27 @@ def _evaluate(f, points, nthreads=None):
     per_node = points.shape[-1] ** 4
     size = 1 << (max(_CHUNK_ENTRIES // per_node, 1).bit_length() - 1)
     chunks = [points[i:i + size] for i in range(0, total, size)]
+
+    def call(c):
+        out = f(c)
+        return tuple(np.asarray(part, dtype=float) for part in
+                     (out if isinstance(out, tuple) else (out,)))
+
     if nthreads == 1 or len(chunks) == 1:
-        parts = [np.asarray(f(c), dtype=float) for c in chunks]
+        parts = [call(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [pool.submit(lambda c: np.asarray(f(c), dtype=float), c)
-                       for c in chunks]
-            parts = [fut.result() for fut in futures]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    bad = ~np.isfinite(out).reshape(total, -1).all(axis=1)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise QuadratureError(
-            f"values not finite at node {idx} (coords {points[idx]})")
-    return out
+            parts = [fut.result() for fut in
+                     [pool.submit(call, c) for c in chunks]]
+    outs = [arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            for arrays in zip(*parts)]
+    for what, out in zip(("values", "node data"), outs):
+        bad = ~np.isfinite(out).reshape(total, -1).all(axis=1)
+        if np.any(bad):
+            idx = int(np.argmax(bad))
+            raise QuadratureError(
+                f"{what} not finite at node {idx} (coords {points[idx]})")
+    return outs[0], (outs[1] if len(outs) > 1 else None)
 
 
 def sphere_values(f, r: float, rule: SphereRule,
@@ -250,13 +271,14 @@ def sphere_values(f, r: float, rule: SphereRule,
     """``f`` on the rule nodes placed on the coordinate sphere S_r: ``(N,)``
     values or ``(N, K)`` columns, evaluated in chunks of a size fixed by n
     and checked to be finite."""
+    return _evaluate(f, _sphere_points(r, rule, chart_kind), nthreads)[0]
+
+
+def _sphere_points(r, rule, chart_kind):
     if ChartKind(chart_kind) == ChartKind.CARTESIAN:
-        points = r * rule.units
-    else:
-        points = np.concatenate(
-            [np.full(rule.angles.shape[:-1] + (1,), float(r)), rule.angles],
-            axis=-1)
-    return _evaluate(f, points, nthreads)
+        return r * rule.units
+    return np.concatenate(
+        [np.full(rule.angles.shape[:-1] + (1,), float(r)), rule.angles], axis=-1)
 
 
 def _tail(amps, top: int, missing: int):
@@ -291,10 +313,12 @@ def _integrate_axis(x, e, axis: RuleAxis):
 
 
 def _sphere_value(f, rule, r, chart_kind, nthreads):
-    """The rule's integral of ``f`` over S_r and its error estimate: the
-    coefficient tail of each angle, taken after integrating out the angles
-    after it, plus a roundoff floor of a few ulps of sum |w f|."""
-    values = sphere_values(f, r, rule, chart_kind, nthreads)
+    """The rule's integral of ``f`` over S_r, its error estimate and the
+    node data: the error is the coefficient tail of each angle, taken after
+    integrating out the angles after it, plus a roundoff floor of a few ulps
+    of sum |w f|."""
+    values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind),
+                                  nthreads)
     value = pairwise_sum((values.T * rule.weights).T)
     cols = values.reshape(values.shape[0], -1)
     x = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
@@ -303,7 +327,7 @@ def _sphere_value(f, rule, r, chart_kind, nthreads):
         x, error = _integrate_axis(x, error, axis)
     error = error + _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
         (np.abs(cols).T * rule.weights).T)
-    return value, (error if values.ndim > 1 else float(error[0]))
+    return value, (error if values.ndim > 1 else float(error[0])), node_data
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
@@ -315,14 +339,15 @@ def integrate_sphere(f, r: float, rule: SphereRule,
     ``(N, K)`` columns and must be pure; it includes the area element of
     S_r relative to the round-sphere measure carried by the rule weights.
     ``f`` is evaluated once on each node of ``rule`` and on no other point.
+    It may return ``(columns, node_data)``; the node data are not integrated.
     The error estimate reads the decay of the discrete coefficients of
     those values, per column: the DFT of each azimuth ring and the
     Gauss-Jacobi coefficients along each polar angle, once the later angles
     are integrated out, each carried at its decay rate to the first degree
     the rule does not integrate (:func:`_tail`).
     """
-    value, error = _sphere_value(f, rule, r, chart_kind, nthreads)
-    return QuadratureResult(value, error, rule.node_count)
+    value, error, node_data = _sphere_value(f, rule, r, chart_kind, nthreads)
+    return QuadratureResult(value, error, rule.node_count, node_data)
 
 
 def _radial_axis(r0, r1, radial_degree):
@@ -349,7 +374,8 @@ def integrate_annulus(f, r0: float, r1: float, rule: SphereRule,
     if not r0 < r1:
         raise QuadratureError(f"annulus needs r0 < r1, got ({r0}, {r1})")
     radii, radial = _radial_axis(r0, r1, radial_degree)
-    shells = [_sphere_value(f, rule, r, chart_kind, nthreads) for r in radii]
+    shells = [_sphere_value(f, rule, r, chart_kind, nthreads)[:2]
+              for r in radii]
     values, errors = (np.array(s).reshape(radii.size, -1)
                       for s in zip(*shells))
     value, error = _integrate_axis(values, errors, radial)

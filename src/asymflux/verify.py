@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import MetricSpec, coordinate_volume, metric_jet
 from .charges import (_normalized_series, _sphere_fluxes, rt_diagnostics,
-                      sphere_integrand, sphere_normal_area)
+                      sphere_integrand)
 from .errors import DomainError, ZeroMassError
 from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
@@ -127,7 +127,7 @@ def _sphere_flux(spec, fields, r, rule, nthreads):
     flux = sphere_integrand(spec, (), fields, r)
 
     def f(points):
-        signed = flux(points)
+        signed = flux(points)[0]
         return np.concatenate([signed, np.abs(signed)], axis=-1)
 
     return integrate_sphere(f, r, rule, spec.chart_kind, nthreads=nthreads)
@@ -292,19 +292,22 @@ def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
     """The classical/Ricci charge pairs of the basis elements ``indices``,
     from one sphere pass per radius, each judged by :func:`agreement`.
 
-    Returns ``(mass, rows)``: ``mass`` is the series of the ``const_one``
-    kernel in the cartesian chart (None in a polar chart), ``rows`` one
-    :class:`EquivalenceRow` per index, in order.  The centers divide by that
-    mass.  Without the mass pair (index 0, which then comes first) the
-    kernel leads the pass alone and a vanishing mass raises ZeroMassError;
-    with it, a vanishing mass leaves the mass row alone, from the same pass.
+    Returns ``(mass, rows, sups)``: ``mass`` is the series of the
+    ``const_one`` kernel in the cartesian chart (None in a polar chart),
+    ``rows`` one :class:`EquivalenceRow` per index, in order, and ``sups``
+    the per-radius sups of the pass's node data that the diagnostics fit
+    (``decay``, ``scal``, and ``odd`` where a center is computed).  The
+    centers divide by that mass.  Without the mass pair (index 0, which
+    then comes first) the kernel leads the pass alone and a vanishing mass
+    raises ZeroMassError; with it, a vanishing mass leaves the mass row
+    alone, from the same pass.
     """
     basis = killing_basis(spec.n, spec.chart_kind)
     fields = [basis[i] for i in indices]
     lead = [basis[0].kernel] if spec.is_flat_type and indices[0] != 0 else []
     kernels = lead + [X.kernel for X in fields]
-    values, errors = _sphere_fluxes(spec, radii, rule, kernels, fields,
-                                    nthreads)
+    values, errors, sups = _sphere_fluxes(spec, radii, rule, kernels, fields,
+                                          nthreads)
     try:
         classical, ricci = _normalized_series(spec, radii, values, errors,
                                               kernels, fields)
@@ -319,7 +322,7 @@ def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
     rows = [EquivalenceRow(_pair_name(X), X, cls, ric,
                            *agreement(X, cls, ric, rel_tol))
             for X, cls, ric in zip(fields, classical[len(lead):], ricci)]
-    return mass, rows
+    return mass, rows, sups
 
 
 def _pair_name(X: ConformalKilling) -> str:
@@ -335,23 +338,23 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
     :func:`charge_pairs` of the whole basis.
 
     Hypothesis diagnostics (decay rate, scalar-curvature integrability
-    proxy, parity decay for centers, nonvanishing mass) are attached as
-    warnings on the affected rows; the computation is still attempted.
+    proxy, parity decay for centers, nonvanishing mass) come from the sups
+    of the same sphere pass and are attached as warnings on the affected
+    rows; the computation is still attempted.
     """
     radii = np.asarray(radii, dtype=float)
-    decay = decay_rate(spec, radii, nthreads=nthreads)
-    diagnostics = {**decay.diagnostics, "scal_integrable": _scal_integrable(
-        spec, radii, rule, nthreads)}
+    _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1),
+                                 rel_tol, nthreads)
+    decay = decay_rate(spec, radii, sups["decay"])
+    diagnostics = {**decay.diagnostics,
+                   "scal_integrable": _scal_integrable(sups["scal"])}
     warnings = () if decay.satisfied else \
         (f"decay rate {decay.tau_hat:.3g} below threshold {decay.threshold:.3g}",)
     if not diagnostics["scal_integrable"]:
         warnings += ("scalar curvature integrability proxy failed",)
-
-    _, rows = charge_pairs(spec, radii, rule, range(spec.n + 1), rel_tol,
-                           nthreads)
     rows = [replace(row, warnings=warnings) for row in rows]
     if spec.is_flat_type:
-        rt = rt_diagnostics(spec, radii, rule, nthreads=nthreads)
+        rt = rt_diagnostics(spec, radii, sups["odd"])
         diagnostics.update(rt.diagnostics)
         if len(rows) == 1:
             diagnostics["center_skipped"] = "mass vanishes"
@@ -361,18 +364,10 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
     return EquivalenceReport(spec.kind, spec.n, tuple(rows), diagnostics)
 
 
-def _scal_integrable(spec, radii, rule, nthreads):
-    """Proxy for integrable scalar curvature: sup|Scal - Scal_b| r^{n-1} decays."""
-    chart = spec.chart_kind
-    scal_b = 0.0 if spec.is_flat_type else -spec.n * (spec.n - 1)
-
-    def weighted_sup(r):
-        def f(points):
-            scal = curvature(metric_jet(spec, points)).scal
-            return np.abs(scal - scal_b) * sphere_normal_area(points, chart, r)[1]
-        return sphere_values(f, r, rule, chart, nthreads).max()
-
-    weighted = np.array([weighted_sup(r) for r in radii])
+def _scal_integrable(weighted) -> bool:
+    """Proxy for integrable scalar curvature: ``sup |Scal - Scal_b| dA_b``
+    per radius, the ``scal`` sups of the charge pass, decays."""
+    weighted = np.asarray(weighted, dtype=float)
     floor = 1e-8 * max(weighted.max(), 1.0)
     if weighted[-1] <= floor:
         return True

@@ -1,27 +1,38 @@
 """Reference formulas the tests compare the program against.
 
 The program never calls these.  They are the classical ADM and center
-integrands, the charge integrand from two full metric jets, the full
-derivative of the Christoffel symbols, the adjoint linearized scalar
-curvature, an expression printer whose text parses back to the same tree,
-a metric jet read as a symmetric 2-tensor, and the polar-chart jets and
-basis jets built with full-width products of full-width seeds.
+integrands, the charge integrand from the deviation and from two full
+metric jets, the full derivative of the Christoffel symbols, the adjoint
+linearized scalar curvature, an expression printer whose text parses back
+to the same tree, a metric jet read as a symmetric 2-tensor, the
+polar-chart jets and basis jets built with full-width products of
+full-width seeds, and the per-radius sups of the hypothesis diagnostics,
+each sampled on a node pass of its own.
 """
 
 import numpy as np
 
 from asymflux import hyperdual as hd
-from asymflux.charges import michel_integrand_deviation
+from asymflux.catalog import jets
+from asymflux.charges import _michel_contract, _michel_pieces, sphere_normal_area
 from asymflux.expr import Bin, Call, Name, Num, Unary
 from asymflux.fields import _gradient_field
 from asymflux.geometry import (ChartKind, CurvatureBundle, MetricJet,
                                ScalarJet, SymTensorJet, _first_kind,
-                               _pairs_flat, _pairs_last, hessian,
+                               _pairs_flat, _pairs_last, curvature, hessian,
                                inverse_derivative)
 from asymflux.hyperdual import HyperDual, seed_variables
+from asymflux.quadrature import sphere_values
 
 
 # --------------------------------------------------------------- integrands
+
+def michel_integrand_deviation(V: ScalarJet, eps: SymTensorJet,
+                               b_jet: MetricJet, nu: np.ndarray) -> np.ndarray:
+    """Charge integrand ``U(V, g, b)(nu)`` from the deviation ``eps = g - b``
+    and the general formula, for any background jet."""
+    return _michel_contract(V, eps, _michel_pieces(eps, b_jet), nu)
+
 
 def michel_integrand(V: ScalarJet, g_jet: MetricJet, b_jet: MetricJet,
                      nu: np.ndarray) -> np.ndarray:
@@ -131,13 +142,13 @@ def _diagonal_jet(entries, shape, width):
     return MetricJet(g, dg, ddg)
 
 
-def polar_jets(spec, coords, derivatives=True):
+def polar_jets(spec, coords):
     """``(g, b, g - b)`` of a ``hyperbolic_polar``, ``hyperbolic_area`` or
     ``kottler`` spec, as dense jets."""
     n, shape = spec.n, coords.shape[:-1]
-    width = n if derivatives else 0
-    radial, *angles = seed_variables(coords, derivatives)
-    r = seed_variables(coords[..., :1], derivatives)[0]
+    width = n
+    radial, *angles = seed_variables(coords)
+    r = seed_variables(coords[..., :1])[0]
     sigma = round_sphere_diag_chain(angles,
                                     HyperDual.constant(1.0, width, shape))
     if spec.kind == "hyperbolic_polar":
@@ -182,6 +193,42 @@ def polar_basis_jets(coords, chart_kind):
     binv = [radial_inv] + [one / (sph2 * s)
                            for s in round_sphere_diag_chain(angles, one)]
     return scalars, [_gradient_field(V, binv) for V in scalars]
+
+
+# ------------------------------------------------------ diagnostic sups
+#
+# Each reads the values of ``jets`` on a node pass of its own over the rule
+# placed on S_r, as the diagnostics did before the charge pass returned them.
+
+def decay_sup(spec, r, rule):
+    """Sup over S_r of the frame-rescaled deviation ``|eps_ij| / sqrt(b_ii
+    b_jj)``."""
+    def frame_sup(points):
+        _, b_jet, eps = jets(spec, points)
+        bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
+        frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
+        return np.abs(frame).max(axis=(-2, -1))
+    return sphere_values(frame_sup, r, rule, spec.chart_kind).max()
+
+
+def scal_sup(spec, r, rule):
+    """Sup over S_r of ``|Scal - Scal_b| dA_b``."""
+    chart = spec.chart_kind
+    scal_b = 0.0 if spec.is_flat_type else -spec.n * (spec.n - 1)
+
+    def weighted(points):
+        scal = curvature(jets(spec, points)[0]).scal
+        return np.abs(scal - scal_b) * sphere_normal_area(points, chart, r)[1]
+    return sphere_values(weighted, r, rule, chart).max()
+
+
+def odd_sup(spec, r, rule):
+    """Sup over S_r of the odd part ``(g(x) - g(-x)) / 2`` of a cartesian
+    metric, entry by entry."""
+    def odd(points):
+        godd = 0.5 * (jets(spec, points)[0].g - jets(spec, -points)[0].g)
+        return np.abs(godd).max(axis=(-2, -1))
+    return sphere_values(odd, r, rule).max()
 
 
 # ------------------------------------------------------------------ printer

@@ -5,7 +5,7 @@ import pytest
 
 from asymflux.catalog import (MetricSpec, background_of, chart_radius,
                               coordinate_volume, decay_mode, geodesic_radius,
-                              jet_values, jets, metric_jet)
+                              jets, metric_jet)
 from asymflux.errors import DomainError
 from asymflux.geometry import curvature
 from oracles import polar_jets
@@ -194,17 +194,15 @@ _POLAR_SPECS = [MetricSpec(kind, n, m=1.0 if kind == "kottler" else 0.0)
                          ids=lambda spec: f"{spec.kind}-{spec.n}")
 def test_polar_jets_equal_the_full_width_products(spec):
     """Built factor by factor with one sparse step each, the polar jets
-    (and their values without derivatives) equal the full-width products of
-    full-width seeds, including huge ``sinh^2 r`` entries."""
+    equal the full-width products of full-width seeds, including huge
+    ``sinh^2 r`` entries."""
     pts = polar_points(spec.n, 40, 1.5, 30.0, np.random.default_rng(spec.n))
-    for derivatives, computed in ((True, jets(spec, pts)),
-                                  (False, jet_values(spec, pts))):
-        reference = polar_jets(spec, pts, derivatives)
-        for ours, ref in zip(computed[:2], reference[:2]):
-            for key in ("g", "dg", "ddg"):
-                assert np.array_equal(getattr(ours, key), getattr(ref, key))
-        assert np.array_equal(computed[2].value, reference[2].value)
-        assert np.array_equal(computed[2].d, reference[2].d)
+    computed, reference = jets(spec, pts), polar_jets(spec, pts)
+    for ours, ref in zip(computed[:2], reference[:2]):
+        for key in ("g", "dg", "ddg"):
+            assert np.array_equal(getattr(ours, key), getattr(ref, key))
+    assert np.array_equal(computed[2].value, reference[2].value)
+    assert np.array_equal(computed[2].d, reference[2].d)
 
 
 def test_polar_jets_take_no_full_width_product(monkeypatch):
@@ -264,19 +262,26 @@ _EVERY_KIND = [
 
 
 @pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
-def test_jet_values_equal_jets(spec, pts_fn):
-    """The value-only evaluation gives g, b and g - b bit for bit, with
-    derivative axes of length 0, for every kind (a variable exponent too)."""
-    pts = pts_fn()
-    shape, n = pts.shape[:-1], spec.n
-    for full, values in zip(jets(spec, pts), jet_values(spec, pts)):
-        if hasattr(full, "g"):
-            assert np.array_equal(values.g, full.g)
-            assert values.dg.shape == shape + (0, n, n)
-            assert values.ddg.shape == shape + (0, 0, n, n)
-        else:
-            assert np.array_equal(values.value, full.value)
-            assert values.d.shape == shape + (0, n, n)
+def test_diagnostic_node_data_equal_jets(spec, pts_fn):
+    """The node data of the kernel-basis integrand are the values of
+    ``jets`` at its nodes, for every kind (a variable exponent too): the
+    largest frame-rescaled deviation entry, and in the cartesian chart the
+    upper triangle of the deviation."""
+    from asymflux.charges import sphere_integrand
+    from asymflux.fields import kernel_basis
+
+    pts = pts_fn().reshape(-1, spec.n)
+    n = spec.n
+    _, data = sphere_integrand(spec, kernel_basis(n, spec.chart_kind), (),
+                               9.0)(pts)
+    _, b, eps = jets(spec, pts)
+    bdiag = np.sqrt(np.einsum("...ii->...i", b.g))
+    frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
+    expected = [np.abs(frame).max(axis=(-2, -1))]
+    if spec.is_flat_type:
+        rows, cols = np.triu_indices(n)
+        expected += list(eps.value[:, rows, cols].T)
+    assert np.array_equal(data, np.stack(expected, axis=-1))
 
 
 @pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
@@ -296,7 +301,8 @@ def test_metric_jet_is_one_block(spec, pts_fn):
     """A computed 2-jet is one allocation: ``g``, ``dg`` and ``ddg`` are
     C-contiguous views of one owning base, so :func:`curvature` reshapes
     ``ddg`` as a view, not a copy, and no later call returns the same
-    memory (``rt_diagnostics`` holds two jets at once).  The Euclidean jet
+    memory (a perturbation holds its base jet and its own at once).  The
+    Euclidean jet
     is a read-only broadcast of the identity instead."""
     pts = pts_fn()
     batch, n = pts.shape[:-1], spec.n
@@ -313,17 +319,16 @@ def test_metric_jet_is_one_block(spec, pts_fn):
 
 def test_variable_exponent_is_not_taken_for_a_constant():
     """Whether ``a^b`` takes the constant-exponent path is read from the
-    expression, not from the derivative width: at width 0 a variable
-    exponent must not collapse to its value at the first node."""
+    expression: a variable exponent must not collapse to its value at the
+    first node."""
     from asymflux.expr import eval_jet, parse
 
     ast = parse(_VARIABLE_EXPONENT, 3)
     pts = np.array([[9.0, 1.0, 2.0], [0.5, 7.0, -3.0]])
-    values = eval_jet(ast, pts, derivatives=False).value
+    values = eval_jet(ast, pts).value
     r = np.linalg.norm(pts, axis=-1)
     assert np.allclose(values, 1 + 2.0 ** (-r / (1 + pts[:, 0] ** 2)),
                        rtol=1e-14)
-    assert np.array_equal(values, eval_jet(ast, pts).value)
 
 
 def test_deviation_stable_at_huge_radius():
@@ -379,11 +384,9 @@ def test_equal_components_evaluated_once(monkeypatch):
                       params={"mm": 1.3, "c1": 0.5, "c2": -0.6, "c3": 0.45,
                               "c4": 0.7})
     x = 8.0 * np.random.default_rng(4).normal(size=(50, 4))
-    for evaluate in (jets, jet_values):
-        calls["eval"] = 0
-        g = evaluate(spec, x)[0].g
-        assert calls["eval"] == 1
-        assert np.array_equal(g, g[..., :1, :1] * np.eye(4))
+    g = jets(spec, x)[0].g
+    assert calls["eval"] == 1
+    assert np.array_equal(g, g[..., :1, :1] * np.eye(4))
 
 
 def test_perturbation_metric():

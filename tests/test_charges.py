@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
-from asymflux.charges import (charge_series, michel_integrand_deviation,
-                              rt_diagnostics, sphere_integrand)
+from asymflux.charges import (_sphere_fluxes, charge_series, rt_diagnostics,
+                              sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import kernel_basis, killing_basis
 from asymflux.geometry import ScalarJet, SymTensorJet
 from asymflux.limits import decay_rate
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
-from oracles import adm_integrand, center_integrand, michel_integrand
+from oracles import (adm_integrand, center_integrand, decay_sup,
+                     michel_integrand, michel_integrand_deviation, odd_sup,
+                     scal_sup)
 
 RNG = np.random.default_rng(42)
 FLAT_RADII = 8.0 * 2.0 ** np.arange(5)
@@ -313,10 +315,17 @@ def test_geodesic_chart_agrees_with_area_chart():
 
 # -------------------------------------------------------------- diagnostics
 
+def _odd_sups(spec, rule):
+    """The ``odd`` sups of a center pass over the whole kernel basis."""
+    return _sphere_fluxes(spec, FLAT_RADII, rule,
+                          kernel_basis(spec.n, "cartesian"))[2]["odd"]
+
+
 def test_rt_diagnostics_translated():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0,
                       center=(1.0, 0.5, 0.0))
-    rep = rt_diagnostics(spec, FLAT_RADII, sphere_rule(3, 10))
+    rule = sphere_rule(3, 10)
+    rep = rt_diagnostics(spec, FLAT_RADII, _odd_sups(spec, rule))
     assert not rep.even
     assert rep.expected == pytest.approx(2.0)
     assert rep.exponent == pytest.approx(2.0, abs=0.3)
@@ -324,38 +333,105 @@ def test_rt_diagnostics_translated():
 
 
 def test_rt_diagnostics_even_metric():
-    rep = rt_diagnostics(MetricSpec("schwarzschild_conformal", 3, m=1.0),
-                         FLAT_RADII, sphere_rule(3, 10))
+    spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
+    rep = rt_diagnostics(spec, FLAT_RADII, _odd_sups(spec, sphere_rule(3, 10)))
     assert rep.even
+    assert rep.exponent == np.inf
     assert rep.status == "pass"
 
 
-def test_diagnostics_evaluate_values_only(monkeypatch):
-    """``rt_diagnostics`` and ``decay_rate`` read only g, b and g - b: they
-    go through ``jet_values`` and make no full 2-jet call."""
-    from asymflux import catalog, charges
+def test_rt_exponent_matches_a_high_precision_reference():
+    """The odd sups come from the closed-form deviation, not from ``g``
+    near 1: on translated Schwarzschild n=5 the fitted exponent agrees with
+    a 40-digit evaluation of ``(g(x) - g(-x)) / 2`` at the same nodes to
+    1e-12.  Subtracting two ``g`` values loses about 1e-8 of the last sup
+    (parity part 6e-9 against roundoff 1e-16), and the exponent 1e-9."""
+    mp = pytest.importorskip("mpmath")
+    c = (0.6, -0.5, 0.4, 0.0, 0.0)
+    spec = MetricSpec("schwarzschild_conformal", 5, m=1.0, center=c)
+    rule = sphere_rule(5, 6)
 
-    calls = {"values": 0}
-    original = catalog.jet_values
+    def g(x):
+        rho2 = sum((mp.mpf(xi) - ci) ** 2 for xi, ci in zip(x, c))
+        return (1 + 1 / (2 * rho2 ** mp.mpf(1.5))) ** (mp.mpf(4) / 3)
 
-    def counting(spec, p):
-        calls["values"] += 1
-        return original(spec, p)
+    with mp.workdps(40):
+        reference = [float(max(abs(g(x) - g(-x)) / 2 for x in r * rule.units))
+                     for r in FLAT_RADII]
+    exact = rt_diagnostics(spec, FLAT_RADII, reference).exponent
+    rep = rt_diagnostics(spec, FLAT_RADII, _odd_sups(spec, rule))
+    assert rep.exponent == pytest.approx(exact, rel=1e-12)
 
-    def full_jet(*args):
-        raise AssertionError("a diagnostic evaluated a full 2-jet")
+
+def test_diagnostics_evaluate_no_metric(monkeypatch):
+    """``rt_diagnostics`` and ``decay_rate`` fit the sups the charge pass
+    hands them: they make no jet call and no node pass of their own."""
+    from asymflux import catalog, charges, quadrature
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diagnostic evaluated the metric")
 
     for module in (catalog, charges):
-        monkeypatch.setattr(module, "jets", full_jet)
-        monkeypatch.setattr(module, "jet_values", counting)
-    monkeypatch.setattr(catalog, "metric_jet", full_jet)
-    spec = MetricSpec("expression", 3, components={
-        (0, 0): "1 + 2/r", (0, 1): "x1*x2/r^3", (1, 1): "1", (2, 2): "1"})
-    rt_diagnostics(spec, FLAT_RADII, sphere_rule(3, 8))
-    decay_rate(spec, FLAT_RADII)
-    decay_rate(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S))
-    # rt: two metric and two background calls per radius; decay: one each
-    assert calls["values"] == 4 * 5 + 2 * 5 + 5
+        monkeypatch.setattr(module, "jets", forbidden)
+    monkeypatch.setattr(quadrature, "_evaluate", forbidden)
+    sups = FLAT_RADII ** -2.0
+    assert rt_diagnostics(MetricSpec("expression", 3, components={
+        (0, 0): "1 + 2/r", (1, 1): "1", (2, 2): "1"}), FLAT_RADII,
+        sups).exponent == pytest.approx(2.0)
+    assert decay_rate(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
+                      np.exp(-3.0 * HYP_S)).tau_hat == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("spec,radii", [
+    pytest.param(MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                            center=(1.0, 0.5, 0.0)), FLAT_RADII,
+                 id="translated-schwarzschild"),
+    pytest.param(MetricSpec("schwarzschild_conformal", 4, m=1.0), FLAT_RADII,
+                 id="schwarzschild-n4"),
+    pytest.param(MetricSpec("expression", 3, components={
+                     (0, 0): "1 + 2/r + x1/r^3", (0, 1): "x1*x2/r^4",
+                     (1, 1): "1 + 2/r", (2, 2): "1 + 2/r"}), FLAT_RADII,
+                 id="expression-odd"),
+    pytest.param(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
+                 id="kottler"),
+    pytest.param(MetricSpec("perturbation", 3,
+                            base=MetricSpec("hyperbolic_polar", 3),
+                            components={(0, 0): "0.5*exp(-3*r)"}), HYP_S,
+                 id="perturbation-polar"),
+])
+def test_node_sups_equal_the_sampled_sups(spec, radii):
+    """The sups the charge pass reduces from its node data equal those of a
+    node pass of their own on the same rule (``oracles``): the decay and
+    scalar-curvature sups bit for bit, the odd part within 1e-15 (antipodal
+    nodes are ``-x`` up to roundoff, and the deviation is ``g - b``)."""
+    rule = sphere_rule(spec.n, 8)
+    basis = killing_basis(spec.n, spec.chart_kind)
+    sups = _sphere_fluxes(spec, radii, rule, [X.kernel for X in basis],
+                          basis)[2]
+    assert np.array_equal(sups["decay"],
+                          [decay_sup(spec, r, rule) for r in radii])
+    assert np.array_equal(sups["scal"],
+                          [scal_sup(spec, r, rule) for r in radii])
+    if spec.is_flat_type:
+        assert np.abs(sups["odd"] - [odd_sup(spec, r, rule)
+                                     for r in radii]).max() <= 1e-15
+    else:
+        assert "odd" not in sups
+
+
+def test_odd_sups_only_with_a_center():
+    """The node data carry the deviation entries for the odd part only when
+    the pass computes a center; the scalar curvature only with fields."""
+    spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
+    rule = sphere_rule(3, 4)
+    kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3,
+                                                                  "cartesian")
+    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, kernels[:1],
+                              fields[:1])[2]) == {"decay", "scal"}
+    assert set(_sphere_fluxes(spec, FLAT_RADII, rule,
+                              kernels[:2])[2]) == {"decay", "odd"}
+    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, (),
+                              fields[1:2])[2]) == {"decay", "scal", "odd"}
 
 
 # --------------------------------------------------------------- raw fluxes
@@ -373,7 +449,8 @@ def test_michel_flux_quad_error_is_small():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     V = kernel_basis(3, "cartesian")[0]
     flux = sphere_integrand(spec, [V], (), 16.0)
-    res = integrate_sphere(lambda p: flux(p)[:, 0], 16.0, sphere_rule(3, 12))
+    res = integrate_sphere(lambda p: flux(p)[0][:, 0], 16.0,
+                           sphere_rule(3, 12))
     assert res.error_estimate < 1e-10 * max(abs(res.value), 1.0)
 
 

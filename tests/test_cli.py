@@ -6,11 +6,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from asymflux.cli import (RunConfig, build_spec, config_from_echo, load_config,
                           main)
 from asymflux.errors import ConfigError
+from asymflux.quadrature import sphere_rule
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -217,6 +219,22 @@ def test_verify_commands(tmp_path, which, kind):
     assert all(v["passed"] for v in report["verdicts"])
 
 
+def test_explicit_annulus_equals_the_default(tmp_path):
+    """``--annulus`` is read in the units of its default, geodesic radii on
+    a hyperbolic metric: on the area chart an explicit ``1,2`` is the
+    default annulus, rho in (sinh 1, sinh 2)."""
+    args = ["verify", "--kind", "hyperbolic_area", "--n", "3", "--which",
+            "pohozaev", "--degree", "8"]
+    _, default = run_cli(args, tmp_path, "default.json")
+    _, explicit = run_cli(args + ["--annulus", "1,2"], tmp_path,
+                          "explicit.json")
+    assert (default.pop("config")["annulus"],
+            explicit.pop("config")["annulus"]) == ([], [1.0, 2.0])
+    assert explicit == default
+    assert default["verdicts"][0]["id"].endswith(
+        f":{float(np.sinh(1.0))}:{float(np.sinh(2.0))}")
+
+
 def test_sweep_writes_csv(tmp_path):
     csv_dir = tmp_path / "csv"
     out = tmp_path / "sweep.json"
@@ -267,6 +285,8 @@ def test_equivalence_verdicts_match_commands(tmp_path, rel_tol):
 # ----------------------------------------------------------------- exit codes
 
 _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
+_SCHW5_TRANSLATED = ["--kind", "schwarzschild_conformal", "--n", "5", "--m",
+                     "1", "--center", "0.6,-0.5,0.4,0,0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,6 +322,9 @@ _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
     pytest.param(["verify", "--kind", "euclidean", "--n", "3",
                   "--which", "pohozaev", "--annulus", "1,inf"],
                  id="annulus-infinite"),
+    pytest.param(["verify", "--kind", "hyperbolic_area", "--n", "3",
+                  "--which", "pohozaev", "--annulus", "1,1000"],
+                 id="annulus-overflows-the-area-chart"),
     pytest.param(["mass", *_SCHW3, "--center", "1,2"], id="center-length"),
     pytest.param(["mass", "--kind", "schwarzschild_conformal", "--n", "3",
                   "--m", "nan"], id="m-nan"),
@@ -447,6 +470,45 @@ def test_charge_commands_make_one_sphere_pass(monkeypatch, tmp_path, argv):
     assert calls == radii
 
 
+_FLAT_SCHEDULE = 8.0 * 2.0 ** np.arange(5)
+
+
+@pytest.mark.parametrize("argv,radii", [
+    pytest.param(["mass", *_SCHW3, "--center", "1,0.5,0"], _FLAT_SCHEDULE,
+                 id="mass"),
+    pytest.param(["center", *_SCHW3, "--center", "1,0.5,0"], _FLAT_SCHEDULE,
+                 id="center"),
+    pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1"],
+                 np.sinh(3.0 + 0.75 * np.arange(5)), id="ah-mass"),
+    pytest.param(["sweep", *_SCHW3], _FLAT_SCHEDULE, id="sweep"),
+    pytest.param(["verify", *_SCHW3, "--center", "1,0.5,0", "--which",
+                  "equivalence"], _FLAT_SCHEDULE, id="verify-equivalence"),
+])
+def test_commands_evaluate_each_sphere_once(monkeypatch, tmp_path, argv,
+                                            radii):
+    """The charges and every diagnostic of a command come from one node
+    pass per scheduled sphere: the nodes of each sphere are evaluated once,
+    in schedule order, and no other point is."""
+    from asymflux import quadrature
+
+    spheres = []
+    evaluate = quadrature._evaluate
+
+    def recording(f, points, nthreads=None):
+        polar = argv[2] == "kottler"
+        spheres.append(points[:, 0] if polar
+                       else np.linalg.norm(points, axis=-1))
+        return evaluate(f, points, nthreads)
+
+    monkeypatch.setattr(quadrature, "_evaluate", recording)
+    code, _ = run_cli(argv + ["--degree", "4"], tmp_path)
+    assert code == 0
+    assert len(spheres) == len(radii)
+    for r, sphere in zip(radii, spheres):
+        assert sphere.size == sphere_rule(3, 4).node_count
+        assert np.allclose(sphere, r, rtol=1e-14)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["center", *_SCHW3, "--center", "1,0.5,0"], id="center"),
     pytest.param(["verify", *_SCHW3, "--which", "equivalence"],
@@ -488,6 +550,12 @@ def test_threads_reach_every_sphere_pass(monkeypatch, tmp_path, argv):
                  id="verify-pohozaev"),
     pytest.param(["verify", *_SCHW3, "--center", "1,0.5,0", "--which",
                   "equivalence", "--degree", "8"], id="verify-equivalence"),
+    # two n=5 chunks: the node data of the charge pass (the parity entries
+    # and the decay and scalar-curvature sups) cross the threaded branch
+    pytest.param(["center", *_SCHW5_TRANSLATED, "--degree", "8"],
+                 id="center-n5"),
+    pytest.param(["verify", *_SCHW5_TRANSLATED, "--which", "equivalence",
+                  "--degree", "8"], id="verify-equivalence-n5"),
 ])
 def test_reports_byte_identical_across_threads(tmp_path, args):
     cmd = [sys.executable, "-m", "asymflux.cli", *args, "--no-timings"]

@@ -128,7 +128,7 @@ PROFILES = {
 
 
 def _profile_variable(inner):
-    return seed_variables(inner.val[..., None], inner.nvars > 0)[0]
+    return seed_variables(inner.val[..., None])[0]
 
 
 def _lift_points(n):
@@ -182,18 +182,6 @@ def test_lift_of_the_squared_distance_matches_the_full_chain(name, n):
                         (full.hess, lifted.hess, f2 * grad2 + 2.0 * f1)):
         diff = np.max(np.abs(a - b).reshape(len(x), -1), axis=1)
         assert np.all(diff <= 8.0 * ulp * scale)
-
-
-@pytest.mark.parametrize("name", sorted(PROFILES))
-def test_lift_without_derivatives_passes_the_value(name):
-    f = PROFILES[name]
-    x, _ = _lift_points(4)
-    x[:, 0] = np.abs(x[:, 0]) + 0.5
-    radial = seed_variables(x, derivatives=False)[0]
-    lifted = hd.lift(radial, f(_profile_variable(radial)))
-    assert lifted.grad.shape == (len(x), 0)
-    assert lifted.hess.shape == (len(x), 0, 0)
-    assert np.array_equal(lifted.val, f(seed_variables(x)[0]).val)
 
 
 # ------------------------------------------------------------ mul_factor
@@ -262,10 +250,11 @@ def test_mul_factor_on_the_unit_jet_is_the_seed_chain(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_mul_factor_without_derivatives_multiplies_values(n):
+    """On jets of width 0, as the sphere rule builds its nodes, the sparse
+    step multiplies the values."""
     x = _factor_points(n)
-    seeds = seed_variables(x, derivatives=False)
-    factors = hd.one_variable_seeds(x, derivatives=False)
-    assert all(s.nvars == 0 for s in factors)
+    seeds = factors = [hd.HyperDual.constant(x[..., i], 0, x.shape[:-1])
+                       for i in range(n)]
     for k in range(n):
         p = _product_of_the_others(seeds, k)
         for f in FACTORS.values():

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec
+from asymflux.charges import _sphere_fluxes
 from asymflux.errors import ExtrapolationError
+from asymflux.fields import kernel_basis
 from asymflux.limits import decay_rate, extrapolate, fit_decay_exponent
+from asymflux.quadrature import sphere_rule
 
 
 def test_pure_power_series():
@@ -93,9 +96,17 @@ def test_fit_decay_exponent():
 
 # ----------------------------------------------------------- catalog decay
 
+def _decay_rate(spec, radii, degree=10):
+    """The decay report from the ``decay`` sups of a mass pass."""
+    kernel = kernel_basis(spec.n, spec.chart_kind)[:1]
+    sups = _sphere_fluxes(spec, radii, sphere_rule(spec.n, degree),
+                          kernel)[2]["decay"]
+    return decay_rate(spec, radii, sups)
+
+
 def test_decay_rate_schwarzschild():
     radii = 8.0 * 2.0 ** np.arange(5)
-    rep = decay_rate(MetricSpec("schwarzschild_conformal", 3, m=1.0), radii)
+    rep = _decay_rate(MetricSpec("schwarzschild_conformal", 3, m=1.0), radii)
     assert rep.tau_hat == pytest.approx(1.0, abs=0.1)
     assert rep.threshold == 0.5
     assert rep.satisfied
@@ -103,33 +114,35 @@ def test_decay_rate_schwarzschild():
 
 def test_decay_rate_kottler_geodesic_scale():
     s = 3.0 + 0.75 * np.arange(5)
-    rep = decay_rate(MetricSpec("kottler", 3, m=1.0), np.sinh(s))
+    rep = _decay_rate(MetricSpec("kottler", 3, m=1.0), np.sinh(s))
     assert rep.scale == "exp"
     assert rep.tau_hat == pytest.approx(3.0, abs=0.05)
     assert rep.threshold == 1.5
 
 
 def test_decay_rate_background_is_infinite():
-    rep = decay_rate(MetricSpec("euclidean", 3), [8.0, 16.0, 32.0])
+    rep = _decay_rate(MetricSpec("euclidean", 3), [8.0, 16.0, 32.0])
     assert rep.tau_hat == np.inf
     assert rep.satisfied
 
 
-def test_decay_rate_evaluates_the_background_once_per_radius(monkeypatch):
-    """On an expression metric the background values serve both the
-    deviation and the frame rescaling: one value-only ``jet_values`` call
-    per radius, which evaluates the background once."""
-    from asymflux import catalog
+def test_decay_sups_evaluate_the_background_once_per_chunk(monkeypatch):
+    """On an expression metric the background jet of the charge pass serves
+    the charges, the deviation and the frame rescaling of the decay sups:
+    one background evaluation per chunk, here one chunk per radius."""
+    from asymflux import catalog, charges
 
     calls = {}
-    original = catalog.jet_values
+    original = catalog.jets
 
     def counting(spec, p):
         calls[spec.kind] = calls.get(spec.kind, 0) + 1
         return original(spec, p)
 
-    monkeypatch.setattr(catalog, "jet_values", counting)
+    for module in (catalog, charges):
+        monkeypatch.setattr(module, "jets", counting)
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r", (1, 1): "1", (2, 2): "1"})
-    decay_rate(spec, 8.0 * 2.0 ** np.arange(5))
-    assert calls == {"euclidean": 5, "expression": 5}
+    _sphere_fluxes(spec, 8.0 * 2.0 ** np.arange(5), sphere_rule(3, 10),
+                   kernel_basis(3, spec.chart_kind)[:1])
+    assert calls == {"expression": 5, "euclidean": 5}

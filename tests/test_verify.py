@@ -5,11 +5,11 @@ import pytest
 
 from asymflux.catalog import MetricSpec
 from asymflux.errors import DomainError
-from asymflux.charges import charge_series, rt_diagnostics
+from asymflux.charges import charge_series
 from asymflux.fields import killing_basis
-from asymflux.limits import decay_rate
 from asymflux.quadrature import omega, sphere_rule
-from asymflux.verify import (equivalence_report, hyperbolic_pohozaev_closed_form,
+from asymflux.verify import (charge_pairs, equivalence_report,
+                             hyperbolic_pohozaev_closed_form,
                              kernel_check_lemma22, pohozaev_check,
                              sample_points)
 
@@ -195,16 +195,19 @@ _SMALL_CHUNK = 16     # fewer nodes than any rule below (all n=3)
     pytest.param(lambda: pohozaev_check(
         MetricSpec("hyperbolic_polar", 3), killing_basis(3, "polar_geodesic"),
         1.0, 2.0, sphere_rule(3, 8), radial_degree=4), id="pohozaev"),
-    pytest.param(lambda: rt_diagnostics(
+    # the center pass, whose node data carry the parity (RT) entries
+    pytest.param(lambda: charge_pairs(
         MetricSpec("schwarzschild_conformal", 3, m=1.0, center=(1.0, 0.5, 0.0)),
-        FLAT_RADII, sphere_rule(3, 8)), id="rt"),
-    pytest.param(lambda: decay_rate(MetricSpec("kottler", 3, m=1.0), HYP_RADII),
+        FLAT_RADII, sphere_rule(3, 8), range(1, 4)), id="rt"),
+    # the mass pass, whose node data carry the decay sups
+    pytest.param(lambda: charge_pairs(MetricSpec("kottler", 3, m=1.0),
+                                      HYP_RADII, sphere_rule(3, 8), [0]),
                  id="decay"),
 ])
 def test_sphere_passes_evaluate_in_chunks(monkeypatch, run):
-    """Every per-node pass, the diagnostics included, runs on the chunked
-    evaluator: no metric, jet or curvature call sees more than one chunk of
-    nodes.  Each name is patched where its caller looks it up."""
+    """Every per-node pass, the diagnostics' node data included, runs on the
+    chunked evaluator: no metric, jet or curvature call sees more than one
+    chunk of nodes.  Each name is patched where its caller looks it up."""
     from asymflux import catalog, charges, quadrature, verify
 
     # the budget of n^4 second-derivative entries that makes n=3 chunks of
@@ -226,9 +229,8 @@ def test_sphere_passes_evaluate_in_chunks(monkeypatch, run):
 
     for module, name, nodes in [
             (verify, "metric_jet", points), (verify, "curvature", matrices),
-            (charges, "jets", points), (charges, "jet_values", points),
-            (charges, "curvature", matrices),
-            (catalog, "jet_values", points)]:
+            (charges, "jets", points), (charges, "curvature", matrices),
+            (catalog, "jets", points)]:
         monkeypatch.setattr(module, name,
                             recording(getattr(module, name), nodes))
     run()
