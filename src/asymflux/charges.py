@@ -51,7 +51,8 @@ from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import basis_jets
 from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
                        SymTensorJet, curvature, divergence_symmetric2,
-                       inverse_derivative, inverse_metric)
+                       diagonal_sum, inverse_derivative, inverse_metric,
+                       sum_last, trace_product)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import SphereRule, integrate_sphere, omega
 
@@ -79,32 +80,33 @@ def _michel_pieces(eps: SymTensorJet, b_jet: MetricJet):
     """The V-independent parts of ``U``: ``(binv, -delta eps - d tr eps, tr eps)``."""
     binv = inverse_metric(b_jet.g)
     delta_eps = divergence_symmetric2(b_jet, eps, binv)       # paper-sign delta
-    tr_eps = np.einsum("...ij,...ij->...", binv, eps.value)
+    tr_eps = trace_product(binv, eps.value)
     dbinv = inverse_derivative(binv, b_jet.dg)
-    dtr = (np.einsum("...kij,...ij->...k", dbinv, eps.value)
-           + np.einsum("...ij,...kij->...k", binv, eps.d))
+    dtr = (trace_product(dbinv, eps.value[..., None, :, :])
+           + trace_product(binv[..., None, :, :], eps.d))
     return binv, -delta_eps - dtr, tr_eps
 
 
 def _flat_michel_pieces(eps: SymTensorJet, b_jet: MetricJet):
     """:func:`_michel_pieces` on the Euclidean background, whose jet is the
-    identity with zero derivatives: ``binv`` is ``b`` itself, and the
-    Christoffel and ``d b^{-1}`` terms, exact zeros, are left out."""
-    binv = b_jet.g
-    div_eps = np.einsum("...ik,...kij->...j", binv, eps.d)
-    dtr = np.einsum("...ij,...kij->...k", binv, eps.d)
-    tr_eps = np.einsum("...ij,...ij->...", binv, eps.value)
-    return binv, div_eps - dtr, tr_eps
+    identity with zero derivatives: ``binv`` is ``b`` itself, the
+    Christoffel and ``d b^{-1}`` terms, exact zeros, are left out, and the
+    contractions with ``delta`` are diagonal sums in the general formula's
+    index order."""
+    div_eps = diagonal_sum(eps.d, -3, -2)
+    dtr = diagonal_sum(eps.d, -2, -1)
+    tr_eps = diagonal_sum(eps.value, -2, -1)
+    return b_jet.g, div_eps - dtr, tr_eps
 
 
 def _michel_contract(V: ScalarJet, eps: SymTensorJet, pieces,
                      nu: np.ndarray) -> np.ndarray:
     binv, source, tr_eps = pieces
-    gradV = np.einsum("...ij,...j->...i", binv, V.grad)
+    gradV = binv @ V.grad[..., None]
     one_form = (V.value[..., None] * source
                 + tr_eps[..., None] * V.grad
-                - np.einsum("...ij,...i->...j", eps.value, gradV))
-    return np.einsum("...j,...j->...", one_form, nu)
+                - (gradV.swapaxes(-1, -2) @ eps.value)[..., 0, :])
+    return sum_last(one_form * nu)
 
 
 # ------------------------------------------------- sphere integrands
@@ -133,10 +135,9 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
             else np.float64(r)
         area = np.full(points.shape[:-1], radial ** (n - 1))
         return w, _finite(area, "area element", r)
-    ginv = bundle.ginv
-    raised = np.einsum("...ij,...j->...i", ginv, w)
-    nu = raised / np.sqrt(np.einsum("...i,...i->...", w, raised))[..., None]
-    gradnorm = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, w, w))
+    raised = (bundle.ginv @ w[..., None])[..., 0]      # grad r = g^{-1} dr
+    gradnorm = np.sqrt(sum_last(w * raised))
+    nu = raised / gradnorm[..., None]
     area = (bundle.sqrt_det * gradnorm
             * coordinate_volume(points, chart_kind, r))
     return nu, _finite(area, "area element", r)
@@ -184,7 +185,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
             # g is inverted below; a non-finite dg or ddg reaches the
             # integrand, which integrate_sphere rejects with the same error
             _finite(jet.g, "metric jet", r)
-        bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
+        bdiag = np.sqrt(np.diagonal(b_jet.g, axis1=-2, axis2=-1))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         data = [np.abs(frame).max(axis=(-2, -1))]
         upper = frame[..., upper_i, upper_j] if odd else None
@@ -199,8 +200,8 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
             bun = curvature(jet)
             G = bun.modified_einstein if modified else bun.einstein
             nu, area = sphere_normal_area(points, chart, r, bun)
-            columns += [np.einsum("...ij,...i,...j->...", G, comp, nu) * area
-                        for comp in comps]
+            G_nu = (G @ nu[..., None])[..., 0]
+            columns += [sum_last(comp * G_nu) * area for comp in comps]
             data.append(np.abs(bun.scal - scal_b)
                         * sphere_normal_area(points, chart, r)[1])
         if odd:

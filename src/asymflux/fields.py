@@ -37,7 +37,7 @@ from . import hyperdual as hd
 from .catalog import (check_polar_domain, round_sphere_diag_hd,
                       sphere_embedding_hd)
 from .errors import ChartMismatchError
-from .geometry import ChartKind, ScalarJet, VectorJet
+from .geometry import ChartKind, ScalarJet, VectorJet, sum_last
 from .hyperdual import HyperDual
 
 __all__ = ["KernelFunction", "ConformalKilling", "basis_jets", "kernel_basis",
@@ -154,14 +154,14 @@ def _flat_field(coords, index):
         return VectorJet(coords.copy(), d)
     alpha = index - 1
     e_alpha = np.eye(n)[alpha]
-    r2 = np.einsum("...i,...i->...", coords, coords)
+    r2 = sum_last(coords * coords)
     xa = coords[..., alpha]
     comp = r2[..., None] * e_alpha - 2.0 * xa[..., None] * coords
     # d[..., j, i] = d_j X^i = 2 x_j delta_i^alpha - 2 delta_j^alpha x^i
     #                - 2 x^alpha delta_ij
-    d = (2.0 * np.einsum("...j,i->...ji", coords, e_alpha)
-         - 2.0 * np.einsum("j,...i->...ji", e_alpha, coords)
-         - 2.0 * xa[..., None, None] * np.eye(n))
+    d = -2.0 * xa[..., None, None] * np.eye(n)
+    d[..., :, alpha] += 2.0 * coords
+    d[..., alpha, :] -= 2.0 * coords
     return VectorJet(comp, d)
 
 

@@ -15,9 +15,17 @@ function of its inputs.  The operators on a metric read the node's
 which the caller computes once per node; none of them re-derives ``g^{-1}``
 or the Christoffel symbols.
 
-Contractions on the hot path are stacked matmuls: a trailing index pair
-``(i, j)`` is reshaped into one axis of length ``n*n`` so that each
-contraction against ``g^{-1}`` is one ``@`` over the batch.
+Per-node linear algebra is laid out along the node axis, by one rule:
+
+* scalar recurrences over matrix entries (the factorization of ``g``) run
+  with the node axis innermost, one vector operation over all nodes per
+  entry;
+* contractions run as stacked matmuls: a trailing index pair ``(i, j)`` is
+  reshaped into one axis of length ``n*n`` so that each contraction against
+  ``g^{-1}`` is one ``@`` over the batch, and traces and short sums add
+  one entry at a time (:func:`sum_last`, :func:`diagonal_sum`);
+* no ``np.einsum`` and no batched LAPACK call on the sphere pass, whose
+  small matrices would pay a call or a loop setup per node.
 
 :func:`curvature` never builds ``dGamma`` (O(n^5) per node).  Ricci needs
 only two traces of it, and both come from the 2-jet at O(n^4) per node:
@@ -30,10 +38,12 @@ of the textbook formula, so Ricci differs from the traces of the full
 metrics.  The package has no full ``dGamma``; the tests keep one as an
 oracle.  The classical charges never call :func:`curvature`.
 
-One Cholesky factorization per node checks that the metric is positive
-definite and gives ``sqrt(det g)`` as the product of the factor's
-diagonal; :func:`curvature` carries it on the bundle for the metric area
-and volume elements, which therefore differ from an LU determinant by ulps.
+One Cholesky factorization ``g = l D l^T`` per node, run on the node axis
+(:func:`_factor`), checks that the metric is positive definite and gives
+``g^{-1}`` and ``sqrt(det g)``, the product of the Cholesky factor's
+diagonal ``sqrt(D_j)``; :func:`curvature` carries both on the bundle, the
+latter for the metric area and volume elements, which therefore differ
+from an LU determinant by ulps.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ __all__ = [
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
     "inverse_derivative", "christoffel", "curvature", "divergence_vector",
     "divergence_symmetric2", "killing_operator", "hessian", "tensor_norm",
+    "sum_last", "diagonal_sum", "trace_product",
 ]
 
 
@@ -126,22 +137,47 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 
 def _factor(g):
-    """``(g^{-1}, sqrt(det g))`` from one Cholesky factorization ``g = L L^T``.
+    """``(g^{-1}, sqrt(det g))`` from one Cholesky factorization per node.
 
-    The factorization is the definiteness check and ``sqrt(det g)`` is the
-    product of the diagonal of ``L``.  ``cholesky`` raises for indefinite
-    matrices but passes non-finite entries through as NaN factors, hence
-    the finiteness test.
+    The factorization is the square-root-free one, ``g = l D l^T`` with
+    ``l`` unit lower triangular, whose Cholesky factor is ``L = l D^{1/2}``.
+    Its recurrences run over the matrix entries with the node axis
+    innermost: one contiguous ``(n, n, N)`` copy of ``g`` becomes ``l`` and
+    ``D`` column by column, then ``W = l^{-1}`` row by row and ``g^{-1} =
+    W^T D^{-1} W``, each step one vector operation over all N nodes.  A
+    pivot ``D_j`` that is not a positive finite number (NaN included)
+    raises, so the factorization is the definiteness check, and
+    ``sqrt(det g)`` is the product of the diagonal of ``L``,
+    ``sqrt(D_j)``.  ``g^{-1}`` is exactly symmetric, and on a diagonal
+    metric it is ``1/g_jj`` correctly rounded.
     """
     g = np.asarray(g, dtype=float)
-    try:
-        L = np.linalg.cholesky(g)
-        definite = bool(np.all(np.isfinite(L)))
-    except np.linalg.LinAlgError:
-        definite = False
-    if not definite:
-        raise DegenerateMetricError("metric matrix is singular or not positive definite")
-    return np.linalg.inv(g), np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+    n, batch = g.shape[-1], g.shape[:-2]
+    a = np.moveaxis(g.reshape(-1, n, n), 0, -1).copy()    # a[i, j] = g_ij
+    for j in range(n):                  # a[j, j] = D_j, a[i > j, j] = l_ij
+        for k in range(j):
+            a[j:, j] -= a[j:, k] * (a[j, k] * a[k, k])
+        pivot = a[j, j]
+        if not np.all((pivot > 0) & (pivot < np.inf)):
+            raise DegenerateMetricError(
+                "metric matrix is singular or not positive definite")
+        a[j + 1:, j] /= pivot
+    sqrt_det = np.sqrt(a[0, 0])
+    for j in range(1, n):
+        sqrt_det *= np.sqrt(a[j, j])
+    W = np.zeros_like(a)                # unit lower triangular l^{-1}
+    for i in range(n):
+        W[i, i] = 1.0
+        for k in range(i):
+            W[i, :i] -= a[i, k] * W[k, :i]
+    inv = np.empty_like(a)
+    for j in range(n):
+        inv[:j + 1, j] = W[j, :j + 1] / a[j, j]
+        for k in range(j + 1, n):
+            inv[:j + 1, j] += W[k, :j + 1] * (W[k, j] / a[k, k])
+        inv[j, :j] = inv[:j, j]
+    ginv = np.ascontiguousarray(np.moveaxis(inv, -1, 0)).reshape(*batch, n, n)
+    return ginv, sqrt_det.reshape(batch)
 
 
 def inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -193,6 +229,10 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
     * ``d_i Gamma^k_kj = (D_ij - tr(M_i M_j)) / 2`` with
       ``D_ij = g^{kl} d_i d_j g_kl`` and ``M_m = g^{-1} d_m g``.
 
+    Every contraction is a stacked matmul over the batch and the traces
+    are :func:`diagonal_sum`; ``g^{-1}`` and ``sqrt(det g)`` come from
+    :func:`_factor`.
+
     Memory: ``ddg`` is read through reshaped views, so it must be
     C-contiguous, as the one-block jets of ``catalog`` are.  The O(n^3)
     temporaries live one group at a time (``M``, then ``A``), so a chunk
@@ -209,7 +249,7 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
         return T.reshape(*batch, n, n)
 
     M = ginv[..., None, :, :] @ jet.dg                # [..., m] = M_m
-    v = -(np.einsum("...kka->...a", M)[..., None, :] @ ginv)
+    v = -(diagonal_sum(M, -3, -2)[..., None, :] @ ginv)
     M_t = M.swapaxes(-1, -2).reshape(*batch, n, n * n)
     trMM = _pairs_flat(M) @ M_t.swapaxes(-1, -2)     # tr(M_i M_j)
     del M, M_t
@@ -231,31 +271,61 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
     ric += trMM
     ric *= 0.5
     # + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj
-    trace = np.einsum("...kkl->...l", Gamma)[..., None, :]
+    trace = diagonal_sum(Gamma, -3, -2)[..., None, :]
     ric += square(trace @ _pairs_flat(Gamma))
     S = np.ascontiguousarray(Gamma.swapaxes(-3, -2))  # [..., i, k, l] = Gamma^k_il
     ric -= S.reshape(*batch, n, n * n) @ S.reshape(*batch, n * n, n)
-    scal = np.einsum("...ij,...ij->...", ginv, ric)
+    scal = trace_product(ginv, ric)
     einstein = ric - 0.5 * scal[..., None, None] * jet.g
     modified = einstein - 0.5 * (n - 1) * (n - 2) * jet.g
     return CurvatureBundle(Gamma, ric, scal, einstein, modified, ginv,
                            sqrt_det)
 
 
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, one vector add per entry in index order (a
+    numpy reduction over a short axis pays a loop call per node)."""
+    total = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        total += x[..., k]
+    return total
+
+
+def diagonal_sum(T: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
+    """The trace of ``T`` over two axes, by :func:`sum_last`."""
+    return sum_last(np.diagonal(T, axis1=axis1, axis2=axis2))
+
+
+def trace_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A_ij B_ij`` summed over both indices (``g^{ij} T_ij`` with ``A =
+    g^{-1}``): each row's sum, then the sum of the rows, in index order."""
+    return sum_last(sum_last(A * B))
+
+
+def _first_index(v, T):
+    """``v_k T[..., k, i, j]``: ``v`` against the first of three indices."""
+    n = T.shape[-1]
+    return (v[..., None, :] @ _pairs_flat(T)).reshape(*v.shape[:-1], n, n)
+
+
 def divergence_vector(X: VectorJet, bundle: CurvatureBundle) -> np.ndarray:
     """``delta^g X = -(d_i X^i + Gamma^i_ik X^k)`` (minus the covariant divergence)."""
-    return -(np.einsum("...ii->...", X.d)
-             + np.einsum("...iik,...k->...", bundle.christoffel, X.comp))
+    trace = diagonal_sum(bundle.christoffel, -3, -2)     # Gamma^i_ik
+    return -(diagonal_sum(X.d, -2, -1) + sum_last(trace * X.comp))
 
 
 def divergence_symmetric2(jet: MetricJet, T: SymTensorJet,
                           ginv: np.ndarray) -> np.ndarray:
     """One-form ``(delta^g T)_j = -grad^i T_ij`` (with the paper-side minus sign)."""
+    n = jet.n
     Gamma = christoffel(jet, ginv)
-    covd = (T.d
-            - np.einsum("...lki,...lj->...kij", Gamma, T.value)
-            - np.einsum("...lkj,...il->...kij", Gamma, T.value))
-    return -np.einsum("...ik,...kij->...j", ginv, covd)
+    # grad_k T_ij = d_k T_ij - Gamma^l_ki T_lj - Gamma^l_kj T_il
+    covd = T.d - (_pairs_flat(Gamma).swapaxes(-1, -2)
+                  @ T.value).reshape(T.d.shape)
+    covd -= T.value[..., None, :, :] @ Gamma.swapaxes(-3, -2)
+    # g^{ik} grad_k T_ij: k contracted by one matmul, then the (i, i) trace
+    raised = ginv @ covd.reshape(*covd.shape[:-3], n, n * n)
+    return -diagonal_sum(_pairs_last(raised), -3, -2)
 
 
 def killing_operator(jet: MetricJet, X: VectorJet, bundle: CurvatureBundle):
@@ -264,11 +334,12 @@ def killing_operator(jet: MetricJet, X: VectorJet, bundle: CurvatureBundle):
     Returns ``(sym, tracefree)`` with ``sym_ij = (grad_i X_j + grad_j X_i)/2``
     and ``tracefree = sym + (delta^g X / n) g``.
     """
-    Xcov = np.einsum("...jk,...k->...j", jet.g, X.comp)
-    dXcov = (np.einsum("...ijk,...k->...ij", jet.dg, X.comp)
-             + np.einsum("...jk,...ik->...ij", jet.g, X.d))
-    nabla = dXcov - np.einsum("...kij,...k->...ij", bundle.christoffel, Xcov)
-    sym = 0.5 * (nabla + np.einsum("...ij->...ji", nabla))
+    Xcov = (jet.g @ X.comp[..., None])[..., 0]
+    # d_i X_j = d_i g_jk X^k + g_jk d_i X^k, minus Gamma^k_ij X_k
+    nabla = (jet.dg @ X.comp[..., None, :, None])[..., 0]
+    nabla += X.d @ jet.g.swapaxes(-1, -2)
+    nabla -= _first_index(Xcov, bundle.christoffel)
+    sym = 0.5 * (nabla + nabla.swapaxes(-1, -2))
     divX = divergence_vector(X, bundle)
     tracefree = sym + (divX / jet.n)[..., None, None] * jet.g
     return sym, tracefree
@@ -276,10 +347,11 @@ def killing_operator(jet: MetricJet, X: VectorJet, bundle: CurvatureBundle):
 
 def hessian(V: ScalarJet, bundle: CurvatureBundle) -> np.ndarray:
     """Covariant Hessian ``Hess V_ij = d_i d_j V - Gamma^k_ij d_k V``."""
-    return V.hess - np.einsum("...kij,...k->...ij", bundle.christoffel, V.grad)
+    return V.hess - _first_index(V.grad, bundle.christoffel)
 
 
 def tensor_norm(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Metric norm of a covariant symmetric 2-tensor."""
-    sq = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, T, T)
+    """Metric norm ``sqrt(g^{ik} g^{jl} T_ij T_kl)`` of a covariant 2-tensor:
+    ``T`` raised on both indices by two matmuls, then summed against ``T``."""
+    sq = trace_product(ginv @ T @ ginv, T)
     return np.sqrt(np.maximum(sq, 0.0))

@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -241,21 +242,36 @@ def _evaluate(f, points, nthreads=None):
     total = points.shape[0]
     per_node = points.shape[-1] ** 4
     size = 1 << (max(_CHUNK_ENTRIES // per_node, 1).bit_length() - 1)
-    chunks = [points[i:i + size] for i in range(0, total, size)]
+    starts = range(0, total, size)
 
-    def call(c):
-        out = f(c)
-        return tuple(np.asarray(part, dtype=float) for part in
-                     (out if isinstance(out, tuple) else (out,)))
+    def parts(start):
+        out = f(points[start:start + size])
+        return [np.asarray(part, dtype=float) for part in
+                (out if isinstance(out, tuple) else (out,))]
 
-    if nthreads == 1 or len(chunks) == 1:
-        parts = [call(c) for c in chunks]
+    outs = []
+    lock = threading.Lock()
+
+    def store(start):
+        # each chunk's parts go into arrays shaped by the first chunk done
+        # and die here: one copy of the values and node data, not two
+        chunk = parts(start)
+        with lock:
+            if not outs:
+                outs.extend(np.empty((total,) + part.shape[1:])
+                            for part in chunk)
+        for out, part in zip(outs, chunk):
+            out[start:start + size] = part
+
+    if len(starts) == 1:
+        outs = parts(0)
+    elif nthreads == 1:
+        for start in starts:
+            store(start)
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = [fut.result() for fut in
-                     [pool.submit(call, c) for c in chunks]]
-    outs = [arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-            for arrays in zip(*parts)]
+            for fut in [pool.submit(store, start) for start in starts]:
+                fut.result()
     for what, out in zip(("values", "node data"), outs):
         bad = ~np.isfinite(out).reshape(total, -1).all(axis=1)
         if np.any(bad):

@@ -28,7 +28,7 @@ from .charges import (_normalized_series, _sphere_fluxes, rt_diagnostics,
 from .errors import DomainError, ZeroMassError
 from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
-                       killing_operator, tensor_norm)
+                       killing_operator, tensor_norm, trace_product)
 from .limits import RadialSeries, decay_rate
 from .quadrature import (SphereRule, integrate_annulus, integrate_sphere,
                          omega, sphere_values)
@@ -247,7 +247,7 @@ def kernel_check_lemma22(spec: MetricSpec, X: ConformalKilling,
     hess = hessian(divjet, bun)
     resid = hess + lam * divjet.value[..., None, None] * jet.g
     max_residual = float(np.max(tensor_norm(bun.ginv, resid)))
-    trace = np.einsum("...ij,...ij->...", bun.ginv, hess)
+    trace = trace_product(bun.ginv, hess)
     trace_residual = float(np.max(np.abs(trace + n * lam * divjet.value)))
     return KernelReport(
         check_id=f"lemma22:{spec.kind}:{X.id}",

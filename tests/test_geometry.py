@@ -301,34 +301,57 @@ def test_sqrt_det_from_the_cholesky_factor(n):
 
 
 def test_curvature_never_builds_dgamma(monkeypatch):
-    """The Ricci columns of the sphere pass and the Pohozaev bulk run with
-    ``christoffel_derivative`` unavailable."""
+    """The sphere passes (Ricci columns, Michel pieces, normal and area,
+    flat and translated-center fields) and the Pohozaev check run with
+    ``christoffel_derivative`` unavailable, and with no ``np.einsum``,
+    ``np.linalg.inv`` or ``np.linalg.cholesky`` call."""
     from asymflux import geometry
-    from asymflux.charges import charge_series
+    from asymflux.charges import _normalized_series, _sphere_fluxes
     from asymflux.quadrature import sphere_rule
     from asymflux.verify import pohozaev_check
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("christoffel_derivative called on the hot path")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on the hot path")
+        return call
 
     # the full dGamma lives with the test oracles; should geometry define
     # it again, a call to it from the hot path fails here
-    monkeypatch.setattr(geometry, "christoffel_derivative", forbidden,
-                        raising=False)
-    for spec, radii in [
-            (MetricSpec("schwarzschild_conformal", 5, m=1.0),
-             8.0 * 2.0 ** np.arange(5)),
-            (MetricSpec("kottler", 4, m=1.0),
-             np.sinh(3.0 + 0.75 * np.arange(5)))]:
-        X = killing_basis(spec.n, spec.chart_kind)[0]
-        (mass,), (ricci,) = charge_series(spec, radii, sphere_rule(spec.n, 8),
-                                          [X.kernel], [X])
-        assert mass.limit == pytest.approx(1.0, rel=1e-3)
-        assert ricci.limit == pytest.approx(1.0, rel=1e-3)
-    spec = MetricSpec("hyperbolic_polar", 4)
-    reports = pohozaev_check(spec, killing_basis(4, spec.chart_kind), 1.0, 2.0,
-                             sphere_rule(4, 8))
+    monkeypatch.setattr(geometry, "christoffel_derivative",
+                        forbidden("christoffel_derivative"), raising=False)
+    center = (0.7, 0.5, -0.3)
+    flat_radii = 8.0 * 2.0 ** np.arange(5)
+    cases = [(MetricSpec("schwarzschild_conformal", 5, m=1.0), flat_radii,
+              [0]),
+             (MetricSpec("kottler", 4, m=1.0),
+              np.sinh(3.0 + 0.75 * np.arange(5)), [0]),
+             (MetricSpec("schwarzschild_conformal", 3, m=1.0, center=center),
+              flat_radii, [0, 1, 2, 3])]
+    rules = {n: sphere_rule(n, 8) for n in (3, 4, 5)}
+    passes = []
+    with monkeypatch.context() as hot:
+        hot.setattr(np, "einsum", forbidden("np.einsum"))
+        hot.setattr(np.linalg, "inv", forbidden("np.linalg.inv"))
+        hot.setattr(np.linalg, "cholesky", forbidden("np.linalg.cholesky"))
+        for spec, radii, indices in cases:
+            basis = killing_basis(spec.n, spec.chart_kind)
+            kernels = [basis[i].kernel for i in indices]
+            fields = [basis[i] for i in indices]
+            passes.append(_sphere_fluxes(spec, radii, rules[spec.n], kernels,
+                                         fields)[:2])
+        spec = MetricSpec("hyperbolic_polar", 4)
+        reports = pohozaev_check(spec, killing_basis(4, spec.chart_kind),
+                                 1.0, 2.0, rules[4])
     assert all(rep.passed for rep in reports)
+    for (spec, radii, indices), (values, errors) in zip(cases, passes):
+        basis = killing_basis(spec.n, spec.chart_kind)
+        classical, ricci = _normalized_series(
+            spec, radii, values, errors, [basis[i].kernel for i in indices],
+            [basis[i] for i in indices])
+        exact = [1.0] + list(center[:len(indices) - 1])
+        for cls, ric, want in zip(classical, ricci, exact):
+            assert cls.limit == pytest.approx(want, rel=1e-3)
+            assert ric.limit == pytest.approx(want, rel=1e-3)
 
 
 # ------------------------------------------------------------- divergences
@@ -454,6 +477,35 @@ def test_inverse_metric_rejects_degenerate():
         inverse_metric(-np.eye(3))
     with pytest.raises(DegenerateMetricError):
         inverse_metric(np.diag([-1.0, -1.0, 1.0]))
+    # one bad node among good ones, not the first: indefinite, singular,
+    # a NaN entry and an infinite one
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    nan = 2.0 * np.eye(3)
+    nan[2, 1] = nan[1, 2] = np.nan
+    inf = 2.0 * np.eye(3)
+    inf[2, 2] = np.inf
+    for bad in (np.diag([-1.0, -1.0, 1.0]), singular, nan, inf):
+        for shape, node in (((5,), (3,)), ((2, 3), (1, 2))):
+            batch = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
+            batch[node] = bad
+            with pytest.raises(DegenerateMetricError):
+                inverse_metric(batch)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inverse_metric_matches_lapack(n, shape):
+    """The node-axis Cholesky inverse of random non-diagonal SPD matrices
+    agrees with LAPACK's to 1e-14 relative and is exactly symmetric."""
+    rng = np.random.default_rng(100 * n + len(shape))
+    a = rng.normal(size=shape + (n, n))
+    g = a @ a.swapaxes(-1, -2) + 0.5 * np.eye(n)
+    ginv = inverse_metric(g)
+    ref = np.linalg.inv(g)
+    assert ginv.shape == ref.shape
+    assert np.array_equal(ginv, ginv.swapaxes(-1, -2))
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    assert np.max(np.abs(ginv - ref) / scale) <= 1e-14
 
 
 def test_tensor_norm_euclidean():

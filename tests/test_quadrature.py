@@ -11,9 +11,10 @@ import pytest
 from asymflux.errors import QuadratureError
 from asymflux.geometry import ChartKind
 from asymflux.hyperdual import HyperDual
-from asymflux.quadrature import (SphereRule, _gauss_jacobi, integrate_annulus,
-                                 integrate_sphere, omega, pairwise_sum,
-                                 sphere_rule, sphere_values, thread_count)
+from asymflux.quadrature import (SphereRule, _evaluate, _gauss_jacobi,
+                                 integrate_annulus, integrate_sphere, omega,
+                                 pairwise_sum, sphere_rule, sphere_values,
+                                 thread_count)
 from oracles import sphere_embedding_chain
 
 
@@ -339,9 +340,7 @@ def test_chunk_follows_jet_footprint(n, chunk, nthreads):
     second derivatives fit in 2^20 entries; every chunk but the last is
     full, and the values come back in node order."""
     count = 2 * chunk + 3     # more nodes than one chunk (no n=3 rule has)
-    units = np.zeros((count, n))
-    units[:, 0] = np.arange(count)
-    rule = SphereRule(n, 1, np.zeros((count, n - 1)), units, np.ones(count))
+    rule = _line_rule(n, count)
     seen = []
 
     def f(points):
@@ -351,6 +350,58 @@ def test_chunk_follows_jet_footprint(n, chunk, nthreads):
     values = sphere_values(f, 1.0, rule, nthreads=nthreads)
     assert sorted(seen) == [3, chunk, chunk]
     assert np.array_equal(values, np.arange(count))
+
+
+def _line_rule(n, count):
+    """A rule whose node k sits at x_1 = k, for chunking tests."""
+    units = np.zeros((count, n))
+    units[:, 0] = np.arange(count)
+    return SphereRule(n, 1, np.zeros((count, n - 1)), units, np.ones(count))
+
+
+def test_chunks_land_in_node_order_under_thread_contention():
+    """More workers than cores and a short switch interval: every chunk's
+    values and node data land in their own rows of the one output array."""
+    count = 24 * 1024 + 5                     # 25 chunks at n=5
+    points = _line_rule(5, count).units
+    k = np.arange(count, dtype=float)
+
+    def f(p):
+        return p[:, 0], np.stack([2.0 * p[:, 0], -p[:, 0]], axis=-1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            values, data = _evaluate(f, points, nthreads=8)
+            assert np.array_equal(values, k)
+            assert np.array_equal(data, np.stack([2.0 * k, -k], axis=-1))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("nthreads", [1, 2])
+def test_node_data_held_once(nthreads):
+    """Each chunk's values and node data go into one preallocated array and
+    die with the chunk: a pass peaks near one copy of them, not the two
+    that concatenating the held chunk parts took."""
+    import tracemalloc
+
+    count = 16 * 1024                          # 16 chunks at n=5
+    points = _line_rule(5, count).units
+    columns = 64                               # 8 MiB of node data
+
+    def f(p):
+        return p[:, 0], np.repeat(p[:, :1], columns, axis=-1)
+
+    tracemalloc.start()
+    try:
+        data = _evaluate(f, points, nthreads)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (count, columns)
+    assert peak < 1.25 * data.nbytes
 
 
 def test_thread_env_var():
