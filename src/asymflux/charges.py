@@ -143,6 +143,13 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
     return nu, _finite(area, "area element", r)
 
 
+def _einstein_fluxes(G, comps, points, chart_kind, r, bundle) -> list:
+    """``G(X, nu) dA_g`` on S_r for the components ``comps`` of each X."""
+    nu, area = sphere_normal_area(points, chart_kind, r, bundle)
+    G_nu = (G @ nu[..., None])[..., 0]
+    return [sum_last(comp * G_nu) * area for comp in comps]
+
+
 def _finite(values: np.ndarray, what: str, r: float) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise QuadratureError(f"{what} not finite on S_r at r = {r}")
@@ -199,9 +206,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
         if fields:
             bun = curvature(jet)
             G = bun.modified_einstein if modified else bun.einstein
-            nu, area = sphere_normal_area(points, chart, r, bun)
-            G_nu = (G @ nu[..., None])[..., 0]
-            columns += [sum_last(comp * G_nu) * area for comp in comps]
+            columns += _einstein_fluxes(G, comps, points, chart, r, bun)
             data.append(np.abs(bun.scal - scal_b)
                         * sphere_normal_area(points, chart, r)[1])
         if odd:

@@ -21,8 +21,9 @@ carried to the first degree the factor does not integrate; where they do
 not decay (roundoff) the top coefficients count as they are, with no
 safety factor.  The factors' errors add, each integrated over the earlier
 angles, plus a floor of a few ulps of ``sum |w f|`` for the roundoff of the
-sum.  An annulus adds the same tail over the Legendre coefficients of its
-shell integrals to the shell errors integrated in r.
+sum.  An annulus, Gauss-Lobatto in r with the boundary spheres for end
+shells (Golub, SIAM Review 15, 1973), adds the same tail over the Legendre
+coefficients of its shell integrals to the shell errors integrated in r.
 
 Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
 ``(N, K)`` columns, one per integrand of a family evaluated together, and
@@ -32,12 +33,12 @@ node_data)``: the node data come back unreduced, for the caller to reduce,
 and cost no coefficient tail.  Reductions use a fixed-order pairwise summation
 tree along the node axis (along each factor's axis for the error estimate)
 and otherwise elementwise operations, no BLAS, so each column is summed and
-estimated exactly as it would be alone.  Every per-node pass, an integral or
-the values of :func:`sphere_values`, evaluates its nodes in chunks and
-rejects non-finite values and node data.  The chunk size depends on the
-dimension n of the points alone, so results are bit-for-bit identical
-regardless of the worker-thread count (override via the environment
-variable ``ASYMFLUX_THREADS``) and memory does not grow with the rule.
+estimated exactly as it would be alone.  Every per-node pass evaluates its
+nodes in chunks and rejects non-finite values and node data.  The chunk
+size depends on the dimension n of the points alone, so results are
+bit-for-bit identical regardless of the worker-thread count (override via
+the environment variable ``ASYMFLUX_THREADS``) and memory does not grow
+with the rule.
 
 A chunk holds the largest power of two of nodes whose metric second
 derivatives, n^4 doubles per node, fit in 2^20 entries (8 MiB): 8192 nodes
@@ -73,7 +74,7 @@ from .hyperdual import HyperDual
 
 __all__ = ["SphereRule", "QuadratureResult", "sphere_rule", "omega",
            "integrate_sphere", "integrate_annulus", "pairwise_sum",
-           "sphere_values", "thread_count"]
+           "thread_count"]
 
 _CHUNK_ENTRIES = 2 ** 20    # metric second-derivative entries per chunk
 _EMBEDDED_STEP = 4          # read only by the benchmark worker
@@ -144,12 +145,14 @@ class SphereRule:
 class QuadratureResult:
     """Integral and its error estimate, from the rule's own nodes: floats,
     or ``(K,)`` arrays for ``(N, K)`` integrands.  ``nodes_used`` counts
-    the nodes evaluated; ``node_data`` is None or the integrand's."""
+    the nodes evaluated; ``node_data`` is None or the integrand's; an
+    annulus's ``shells`` are its per-shell results, innermost first."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     nodes_used: int
     node_data: np.ndarray | None = None
+    shells: tuple = ()
 
 
 def _gauss_jacobi(k: int, a: float):
@@ -281,15 +284,6 @@ def _evaluate(f, points, nthreads=None):
     return outs[0], (outs[1] if len(outs) > 1 else None)
 
 
-def sphere_values(f, r: float, rule: SphereRule,
-                  chart_kind: ChartKind = ChartKind.CARTESIAN,
-                  nthreads=None) -> np.ndarray:
-    """``f`` on the rule nodes placed on the coordinate sphere S_r: ``(N,)``
-    values or ``(N, K)`` columns, evaluated in chunks of a size fixed by n
-    and checked to be finite."""
-    return _evaluate(f, _sphere_points(r, rule, chart_kind), nthreads)[0]
-
-
 def _sphere_points(r, rule, chart_kind):
     if ChartKind(chart_kind) == ChartKind.CARTESIAN:
         return r * rule.units
@@ -329,10 +323,10 @@ def _integrate_axis(x, e, axis: RuleAxis):
 
 
 def _sphere_value(f, rule, r, chart_kind, nthreads):
-    """The rule's integral of ``f`` over S_r, its error estimate and the
-    node data: the error is the coefficient tail of each angle, taken after
-    integrating out the angles after it, plus a roundoff floor of a few ulps
-    of sum |w f|."""
+    """The result of :func:`integrate_sphere`: the rule's integral of ``f``
+    over S_r, its node data and its error, the coefficient tail of each
+    angle, taken after integrating out the angles after it, plus a roundoff
+    floor of a few ulps of sum |w f|."""
     values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind),
                                   nthreads)
     value = pairwise_sum((values.T * rule.weights).T)
@@ -343,7 +337,8 @@ def _sphere_value(f, rule, r, chart_kind, nthreads):
         x, error = _integrate_axis(x, error, axis)
     error = error + _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
         (np.abs(cols).T * rule.weights).T)
-    return value, (error if values.ndim > 1 else float(error[0])), node_data
+    return QuadratureResult(value, error if values.ndim > 1
+                            else float(error[0]), rule.node_count, node_data)
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
@@ -362,39 +357,48 @@ def integrate_sphere(f, r: float, rule: SphereRule,
     are integrated out, each carried at its decay rate to the first degree
     the rule does not integrate (:func:`_tail`).
     """
-    value, error, node_data = _sphere_value(f, rule, r, chart_kind, nthreads)
-    return QuadratureResult(value, error, rule.node_count, node_data)
+    return _sphere_value(f, rule, r, chart_kind, nthreads)
 
 
 def _radial_axis(r0, r1, radial_degree):
-    k = max(2, (int(radial_degree) + 2) // 2)
-    c, w = np.polynomial.legendre.leggauss(k)
+    """Gauss-Lobatto in r: ``k`` shells, r0 and r1 as given first and last,
+    exact through degree ``2k - 3``; the interior nodes are the Gauss nodes
+    of the weight ``1 - c^2``, the modes ``sqrt(2)`` times the orthonormal
+    Legendre polynomials through degree ``k - 2``, times the weights."""
+    k = (int(radial_degree) + 2) // 2 + 1
+    c, w = _gauss_jacobi(k - 2, 1.0)[:2] if k > 2 else np.zeros((2, 0))
+    w = np.pad(w / (1.0 - c * c), 1, constant_values=2.0 / (k * (k - 1)))
     mid, half = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
-    modes = half * _gauss_jacobi(k, 0.0)[2][:, None, :]
-    return mid + half * c, RuleAxis(half * w, modes, 2 * k)
+    radii = [r0, *(mid + half * c).tolist(), r1]
+    c = np.pad(c, 1, constant_values=(-1.0, 1.0))
+    rows = np.polynomial.legendre.legvander(c, k - 2).T * w
+    modes = half * np.sqrt(2.0 * np.arange(k - 1) + 1.0)[:, None] * rows
+    return radii, RuleAxis(half * w, modes[:, None, :], 2 * k - 2)
 
 
-def integrate_annulus(f, r0: float, r1: float, rule: SphereRule,
+def integrate_annulus(shell, r0: float, r1: float, rule: SphereRule,
                       radial_degree: int = 16,
                       chart_kind: ChartKind = ChartKind.CARTESIAN,
                       nthreads=None) -> QuadratureResult:
-    """Integrate ``f`` over the annulus A(r0, r1).
+    """Integrate over the annulus A(r0, r1) the integrands ``shell(r)``.
 
-    Gauss-Legendre in the radial coordinate tensored with the sphere rule.
-    ``f`` follows :func:`integrate_sphere` and includes the volume element
-    of its measure relative to ``dr x (round sphere)``; it is evaluated once
-    on each node of the product.  The error estimate adds the shell errors,
-    integrated in r, to the tail of the Legendre coefficients of the shell
-    integrals.
+    Gauss-Lobatto in the radial coordinate tensored with the sphere rule.
+    ``shell(r)`` is an integrand over S_r as in :func:`integrate_sphere`,
+    including the volume element relative to ``dr x (round sphere)``.  The
+    result's ``shells`` hold each shell's result, r0 first and r1 last: the
+    end shells equal :func:`integrate_sphere` on S_r0 and S_r1 bit for bit.
+    The error estimate adds the shell errors, integrated in r, to the tail
+    of the Legendre coefficients of the shell integrals.
     """
     if not r0 < r1:
         raise QuadratureError(f"annulus needs r0 < r1, got ({r0}, {r1})")
     radii, radial = _radial_axis(r0, r1, radial_degree)
-    shells = [_sphere_value(f, rule, r, chart_kind, nthreads)[:2]
-              for r in radii]
-    values, errors = (np.array(s).reshape(radii.size, -1)
-                      for s in zip(*shells))
+    shells = tuple(_sphere_value(shell(r), rule, r, chart_kind, nthreads)
+                   for r in radii)
+    values = np.reshape([s.value for s in shells], (len(shells), -1))
+    errors = np.reshape([s.error_estimate for s in shells], (len(shells), -1))
     value, error = _integrate_axis(values, errors, radial)
-    if np.ndim(shells[0][0]) == 0:
+    if np.ndim(shells[0].value) == 0:
         value, error = float(value[0]), float(error[0])
-    return QuadratureResult(value, error, rule.node_count * radii.size)
+    return QuadratureResult(value, error, rule.node_count * len(shells),
+                            shells=shells)

@@ -23,15 +23,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .catalog import MetricSpec, coordinate_volume, metric_jet
-from .charges import (_normalized_series, _sphere_fluxes, rt_diagnostics,
-                      sphere_integrand)
+from .charges import (_einstein_fluxes, _normalized_series, _sphere_fluxes,
+                      rt_diagnostics)
 from .errors import DomainError, ZeroMassError
 from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
                        killing_operator, tensor_norm, trace_product)
 from .limits import RadialSeries, decay_rate
-from .quadrature import (SphereRule, integrate_annulus, integrate_sphere,
-                         omega, sphere_values)
+from .quadrature import SphereRule, integrate_annulus, omega
 
 __all__ = ["IdentityReport", "KernelReport", "EquivalenceRow",
            "EquivalenceReport", "pohozaev_check", "kernel_check_lemma22",
@@ -121,18 +120,6 @@ def sample_points(n: int, chart_kind: ChartKind, count: int,
 
 # ------------------------------------------------------------------ Pohozaev
 
-def _sphere_flux(spec, fields, r, rule, nthreads):
-    """Signed fluxes of G(X, nu) over S_r in the metric measure, then the
-    fluxes of |G(X, nu)|, from the same per-node values."""
-    flux = sphere_integrand(spec, (), fields, r)
-
-    def f(points):
-        signed = flux(points)[0]
-        return np.concatenate([signed, np.abs(signed)], axis=-1)
-
-    return integrate_sphere(f, r, rule, spec.chart_kind, nthreads=nthreads)
-
-
 def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
                    rule: SphereRule, radial_degree: int = 16,
                    rel_tol: float = 1e-6,
@@ -142,56 +129,59 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
 
     lhs is the boundary flux with the outer normal of the annulus on both
     components (the inner sphere enters with a minus sign); rhs is
-    ``(n-2)/(2n)`` times the bulk integral of ``Scal * delta X``.
+    ``(n-2)/(2n)`` times the bulk integral of ``Scal * delta X``.  Both come
+    from one :func:`~asymflux.quadrature.integrate_annulus` pass whose end
+    shells, the boundary spheres, give the boundary fluxes.
 
     The identity holds for conformal Killing fields of ``g`` itself, and
     the bulk side has no term for the trace-free Killing operator.  A
     background field that is not conformal Killing for ``g`` fails by
     construction: on Kottler (n=3, m=0.5) ``ah_X0`` has a Killing defect of
-    0.19 on the annulus (``context["killing_defect"]``), and ``asymflux
-    verify --kind kottler --which pohozaev`` reports its relative residual
-    5.0e-3 and exits 1; the other fields pass only because both sides
-    vanish by parity.  The report's ``killing_defect`` says when a failure
-    is of this kind.
+    0.76 on the boundary spheres (``context["killing_defect"]``), and
+    ``asymflux verify --kind kottler --which pohozaev`` reports its relative
+    residual 5.0e-3 and exits 1; the other fields pass only because both
+    sides vanish by parity.  The report's ``killing_defect`` says when a
+    failure is of this kind.
     """
     if not r0 < r1:
         raise ValueError(f"annulus needs r0 < r1, got ({r0}, {r1})")
-    n = spec.n
-    chart = spec.chart_kind
-    count = len(fields)
+    n, chart, count = spec.n, spec.chart_kind, len(fields)
 
-    outer = _sphere_flux(spec, fields, r1, rule, nthreads)
-    inner = _sphere_flux(spec, fields, r0, rule, nthreads)
+    def shell(r):
+        def f(points):
+            jet = metric_jet(spec, points)
+            bun = curvature(jet)
+            coord = coordinate_volume(points, chart)
+            _, vectors = basis_jets(points, (), fields)
+            bulk = [bun.scal * divergence_vector(X, bun) * bun.sqrt_det * coord
+                    for X in vectors]
+            signed = _einstein_fluxes(bun.einstein, [X.comp for X in vectors],
+                                      points, chart, r, bun)
+            columns = np.stack(bulk + signed + [np.abs(s) for s in signed],
+                               axis=-1)
+            if r not in (r0, r1):
+                return columns
+            # trace-free Killing-operator norm of each X for this metric
+            return columns, np.stack(
+                [tensor_norm(bun.ginv, killing_operator(jet, X, bun)[1])
+                 for X in vectors], axis=-1)
+        return f
 
-    def bulk(points):
-        jet = metric_jet(spec, points)
-        bun = curvature(jet)
-        coord = coordinate_volume(points, chart)
-        _, vectors = basis_jets(points, (), fields)
-        return np.stack([bun.scal * divergence_vector(X, bun)
-                         * bun.sqrt_det * coord for X in vectors], axis=-1)
-
-    bulk_res = integrate_annulus(bulk, r0, r1, rule, radial_degree, chart,
-                                 nthreads=nthreads)
-    # trace-free Killing-operator norm of each X for this metric, mid annulus
-    def defect(points):
-        jet = metric_jet(spec, points)
-        bun = curvature(jet)
-        _, vectors = basis_jets(points, (), fields)
-        return np.stack([tensor_norm(bun.ginv, killing_operator(jet, X, bun)[1])
-                         for X in vectors], axis=-1)
-
-    defects = sphere_values(defect, 0.5 * (r0 + r1), rule, chart,
-                            nthreads).max(axis=0)
+    annulus = integrate_annulus(shell, r0, r1, rule, radial_degree, chart,
+                                nthreads=nthreads)
+    inner, outer = annulus.shells[0], annulus.shells[-1]
+    defects = np.maximum(inner.node_data.max(axis=0),
+                         outer.node_data.max(axis=0))
 
     reports = []
     for k, X in enumerate(fields):
-        lhs = outer.value[k] - inner.value[k]
-        rhs = (n - 2) / (2.0 * n) * bulk_res.value[k]
+        flux, size = count + k, 2 * count + k     # signed and absolute columns
+        lhs = outer.value[flux] - inner.value[flux]
+        rhs = (n - 2) / (2.0 * n) * annulus.value[k]
         residual = abs(lhs - rhs)
-        quad_error = (outer.error_estimate[k] + inner.error_estimate[k]
-                      + (n - 2) / (2.0 * n) * bulk_res.error_estimate[k])
-        magnitude = abs(outer.value[count + k]) + abs(inner.value[count + k])
+        quad_error = (outer.error_estimate[flux] + inner.error_estimate[flux]
+                      + (n - 2) / (2.0 * n) * annulus.error_estimate[k])
+        magnitude = abs(outer.value[size]) + abs(inner.value[size])
         scale = max(abs(lhs), abs(rhs), magnitude)
         rel = residual / scale if scale > 0 else 0.0
         tol = max(_POHOZAEV_FLOOR, rel_tol * max(scale, 1.0))
@@ -202,8 +192,8 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
             tolerance=float(tol), passed=bool(residual <= tol),
             context={"killing_defect": float(defects[k]),
                      "flux_scale": float(scale),
-                     "outer_flux": float(outer.value[k]),
-                     "inner_flux": float(inner.value[k])}))
+                     "outer_flux": float(outer.value[flux]),
+                     "inner_flux": float(inner.value[flux])}))
     return reports
 
 

@@ -22,7 +22,7 @@ from asymflux.geometry import (ChartKind, CurvatureBundle, MetricJet,
                                _pairs_flat, _pairs_last, curvature, hessian,
                                inverse_derivative)
 from asymflux.hyperdual import HyperDual, seed_variables
-from asymflux.quadrature import sphere_values
+from asymflux.quadrature import _evaluate, _sphere_points
 
 
 # --------------------------------------------------------------- integrands
@@ -208,7 +208,8 @@ def decay_sup(spec, r, rule):
         bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         return np.abs(frame).max(axis=(-2, -1))
-    return sphere_values(frame_sup, r, rule, spec.chart_kind).max()
+    points = _sphere_points(r, rule, spec.chart_kind)
+    return _evaluate(frame_sup, points)[0].max()
 
 
 def scal_sup(spec, r, rule):
@@ -219,7 +220,7 @@ def scal_sup(spec, r, rule):
     def weighted(points):
         scal = curvature(jets(spec, points)[0]).scal
         return np.abs(scal - scal_b) * sphere_normal_area(points, chart, r)[1]
-    return sphere_values(weighted, r, rule, chart).max()
+    return _evaluate(weighted, _sphere_points(r, rule, chart))[0].max()
 
 
 def odd_sup(spec, r, rule):
@@ -228,7 +229,8 @@ def odd_sup(spec, r, rule):
     def odd(points):
         godd = 0.5 * (jets(spec, points)[0].g - jets(spec, -points)[0].g)
         return np.abs(godd).max(axis=(-2, -1))
-    return sphere_values(odd, r, rule).max()
+    points = _sphere_points(r, rule, ChartKind.CARTESIAN)
+    return _evaluate(odd, points)[0].max()
 
 
 # ------------------------------------------------------------------ printer

@@ -13,8 +13,7 @@ from asymflux.geometry import ChartKind
 from asymflux.hyperdual import HyperDual
 from asymflux.quadrature import (SphereRule, _evaluate, _gauss_jacobi,
                                  integrate_annulus, integrate_sphere, omega,
-                                 pairwise_sum, sphere_rule, sphere_values,
-                                 thread_count)
+                                 pairwise_sum, sphere_rule, thread_count)
 from oracles import sphere_embedding_chain
 
 
@@ -121,16 +120,16 @@ def test_hyperbolic_sphere_area():
 
 def test_annulus_volume():
     rule = sphere_rule(3, 10)
-    res = integrate_annulus(lambda p: np.linalg.norm(p, axis=-1) ** 2, 1.0,
-                            2.0, rule, radial_degree=12,
+    f = lambda p: np.linalg.norm(p, axis=-1) ** 2
+    res = integrate_annulus(lambda r: f, 1.0, 2.0, rule, radial_degree=12,
                             chart_kind=ChartKind.CARTESIAN)
     assert res.value == pytest.approx(4 * np.pi / 3 * (8 - 1), rel=1e-12)
 
 
 def test_annulus_hyperbolic_volume():
     rule = sphere_rule(3, 10)
-    res = integrate_annulus(lambda p: np.sinh(p[:, 0]) ** 2, 0.5, 1.5, rule,
-                            radial_degree=20,
+    f = lambda p: np.sinh(p[:, 0]) ** 2
+    res = integrate_annulus(lambda r: f, 0.5, 1.5, rule, radial_degree=20,
                             chart_kind=ChartKind.POLAR_GEODESIC)
     exact = 4 * np.pi * (np.sinh(2 * 1.5) / 4 - 1.5 / 2
                          - (np.sinh(2 * 0.5) / 4 - 0.5 / 2))
@@ -196,7 +195,7 @@ def test_annulus_error_estimate_bounds_the_radial_error():
     exact = 4 * np.pi * (np.exp(4.5) - np.exp(1.5)) / 3.0
     checked = 0
     for radial_degree in range(2, 25):
-        res = integrate_annulus(f, 0.5, 1.5, rule, radial_degree,
+        res = integrate_annulus(lambda r: f, 0.5, 1.5, rule, radial_degree,
                                 ChartKind.POLAR_GEODESIC)
         err = abs(res.value - exact)
         if err > 1e-13 * exact:
@@ -204,6 +203,54 @@ def test_annulus_error_estimate_bounds_the_radial_error():
             assert err <= res.error_estimate, (radial_degree, err,
                                                res.error_estimate)
     assert checked >= 4
+
+
+@pytest.mark.parametrize("radial_degree", [1, 8, 16, 60])
+def test_annulus_lobatto_rule_is_exact(radial_degree):
+    """The radial rule has ``(radial_degree + 2) // 2 + 1`` shells, r0 and
+    r1 exactly first and last, and integrates every power of r through its
+    degree, ``2k - 3`` for k shells, which is at least ``radial_degree``."""
+    rule = sphere_rule(3, 2)
+    r0, r1 = 0.3, 1.7          # 1.0 - 0.7 rounds above 0.3
+    k = (radial_degree + 2) // 2 + 1
+    powers = np.arange(2 * k - 2)
+    radii = []
+
+    def shell(r):
+        radii.append(r)
+        return lambda p: p[:, :1] ** powers
+
+    res = integrate_annulus(shell, r0, r1, rule, radial_degree,
+                            ChartKind.POLAR_GEODESIC)
+    assert len(radii) == len(res.shells) == k
+    assert radii[0] == r0 and radii[-1] == r1
+    assert np.all(np.diff(radii) > 0)
+    assert 2 * k - 3 >= radial_degree
+    exact = omega(3) * (r1 ** (powers + 1) - r0 ** (powers + 1)) / (powers + 1)
+    np.testing.assert_allclose(res.value, exact, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("chart_kind,r0,r1", [
+    (ChartKind.CARTESIAN, 0.3, 1.7),
+    (ChartKind.POLAR_GEODESIC, np.sinh(1.0), np.sinh(2.0))])
+def test_annulus_end_shells_are_the_boundary_spheres(chart_kind, r0, r1):
+    """``shells[0]`` and ``shells[-1]`` are :func:`integrate_sphere` of
+    ``shell(r0)`` on S_r0 and of ``shell(r1)`` on S_r1: value, error
+    estimate and node data, bit for bit."""
+    rule = sphere_rule(3, 8)
+
+    def shell(r):
+        def f(p):
+            x = p[:, 0] / r + p[:, -1] * r
+            return np.stack([np.exp(x), r * np.cos(x)], axis=-1), np.abs(p)
+        return f
+
+    res = integrate_annulus(shell, r0, r1, rule, 8, chart_kind)
+    for got, r in ((res.shells[0], r0), (res.shells[-1], r1)):
+        want = integrate_sphere(shell(r), r, rule, chart_kind)
+        for name in ("value", "error_estimate", "node_data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.nodes_used == want.nodes_used == rule.node_count
 
 
 def test_one_evaluation_per_node():
@@ -219,8 +266,8 @@ def test_one_evaluation_per_node():
     res = integrate_sphere(f, 2.0, rule)
     assert sum(seen) == res.nodes_used == rule.node_count
     seen.clear()
-    res = integrate_annulus(f, 1.0, 2.0, rule, radial_degree=12)
-    assert sum(seen) == res.nodes_used == rule.node_count * 7
+    res = integrate_annulus(lambda r: f, 1.0, 2.0, rule, radial_degree=12)
+    assert sum(seen) == res.nodes_used == rule.node_count * 8
 
 
 def test_nan_integrand_rejected():
@@ -239,7 +286,7 @@ def test_rule_validation():
     with pytest.raises(QuadratureError):
         sphere_rule(3, 0)
     with pytest.raises(QuadratureError):
-        integrate_annulus(lambda p: np.ones(p.shape[0]), 2.0, 1.0,
+        integrate_annulus(lambda r: lambda p: np.ones(p.shape[0]), 2.0, 1.0,
                           sphere_rule(3, 8))
 
 
@@ -347,7 +394,7 @@ def test_chunk_follows_jet_footprint(n, chunk, nthreads):
         seen.append(points.shape[0])
         return points[:, 0]
 
-    values = sphere_values(f, 1.0, rule, nthreads=nthreads)
+    values = _evaluate(f, rule.units, nthreads=nthreads)[0]
     assert sorted(seen) == [3, chunk, chunk]
     assert np.array_equal(values, np.arange(count))
 

@@ -5,9 +5,9 @@ import pytest
 
 from asymflux.catalog import MetricSpec
 from asymflux.errors import DomainError
-from asymflux.charges import charge_series
+from asymflux.charges import charge_series, sphere_integrand
 from asymflux.fields import killing_basis
-from asymflux.quadrature import omega, sphere_rule
+from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from asymflux.verify import (charge_pairs, equivalence_report,
                              hyperbolic_pohozaev_closed_form,
                              kernel_check_lemma22, pohozaev_check,
@@ -42,6 +42,27 @@ def test_pohozaev_hyperbolic_closed_form():
     assert exact == pytest.approx(omega(3) * (np.sinh(2.0) ** 3 - np.sinh(1.0) ** 3))
     assert rep.lhs == pytest.approx(exact, rel=1e-8)
     assert rep.rhs == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("spec,annulus", [
+    pytest.param(MetricSpec("hyperbolic_polar", 4), (1.0, 2.0), id="hyp-n4"),
+    pytest.param(MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                            center=(1.0, 0.5, 0.0)), (8.0, 16.0),
+                 id="schw-translated-n3")])
+def test_pohozaev_boundary_fluxes_are_the_sphere_fluxes(spec, annulus):
+    """The annulus pass's end shells are the boundary spheres: each report's
+    ``outer_flux`` and ``inner_flux`` are the Einstein-flux columns of the
+    charge integrand over S_r1 and S_r0, bit for bit."""
+    rule = sphere_rule(spec.n, 8)
+    fields = killing_basis(spec.n, spec.chart_kind)
+    r0, r1 = annulus
+    reports = pohozaev_check(spec, fields, r0, r1, rule, radial_degree=8)
+    outer, inner = (integrate_sphere(sphere_integrand(spec, (), fields, r),
+                                     r, rule, spec.chart_kind).value
+                    for r in (r1, r0))
+    for k, rep in enumerate(reports):
+        assert rep.context["outer_flux"] == outer[k]
+        assert rep.context["inner_flux"] == inner[k]
 
 
 def test_pohozaev_scalar_flat_has_zero_bulk():
