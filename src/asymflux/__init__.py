@@ -9,11 +9,11 @@ identity) that make the two families of definitions agree.
 """
 
 from .catalog import MetricSpec, background_of, jets, metric_jet
-from .charges import charge_series, rt_diagnostics
+from .charges import charge_series, hypothesis_diagnostics
 from .errors import AsymfluxError
 from .fields import kernel_basis, killing_basis
 from .geometry import ChartKind, curvature
-from .limits import FluxSample, RadialSeries, decay_rate, extrapolate
+from .limits import FluxSample, RadialSeries, extrapolate
 from .quadrature import integrate_annulus, integrate_sphere, omega, sphere_rule
 from .verify import equivalence_report, kernel_check_lemma22, pohozaev_check
 
@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MetricSpec", "background_of", "jets", "metric_jet", "charge_series",
-    "rt_diagnostics", "AsymfluxError", "kernel_basis",
+    "hypothesis_diagnostics", "AsymfluxError", "kernel_basis",
     "killing_basis", "ChartKind", "curvature",
-    "FluxSample", "RadialSeries", "decay_rate", "extrapolate",
+    "FluxSample", "RadialSeries", "extrapolate",
     "integrate_annulus", "integrate_sphere", "omega", "sphere_rule",
     "equivalence_report", "kernel_check_lemma22", "pohozaev_check",
     "__version__",

@@ -18,7 +18,7 @@ evaluates the metric jet, the background jet, the deviation, the basis
 jets, the curvature, normal and area element once per node and contracts
 them with the whole kernel basis and Killing basis.  The same pass reduces
 the node data of the hypothesis diagnostics to one sup per radius, which
-the decay, scalar-curvature and parity (RT) reports fit.
+:func:`hypothesis_diagnostics` judges.
 
 On a flat-type metric the background is the Euclidean ``delta`` of the
 cartesian chart: its inverse is itself and its Christoffel symbols and
@@ -41,8 +41,6 @@ the elements of index > 0 in the cartesian chart, divide by the mass):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .catalog import (MetricSpec, coordinate_volume, decay_mode,
@@ -57,7 +55,7 @@ from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import SphereRule, integrate_sphere, omega
 
 __all__ = ["sphere_normal_area", "sphere_integrand", "charge_series",
-           "rt_diagnostics", "RTReport"]
+           "hypothesis_diagnostics"]
 
 _MASS_FLOOR = 1e-12
 
@@ -307,6 +305,53 @@ def _node_sups(data, rule: SphereRule, scal: bool) -> dict:
     return sups
 
 
+def hypothesis_diagnostics(spec: MetricSpec, radii, sups) -> dict:
+    """The report diagnostics of the hypotheses behind the equality of the
+    classical and Ricci charges, judged from the per-radius sups of the
+    charge pass (:func:`_node_sups`) without evaluating the metric.  Each
+    hypothesis whose sups ``sups`` holds is judged:
+
+    * ``decay``: ``tau_hat``, the fitted decay exponent of the sup of the
+      deviation in a background-orthonormal frame (``eps_ij / sqrt(b_ii
+      b_jj)``), which makes the hyperbolic rate come out in the geodesic
+      ``e^{-tau s}`` scale the definitions use (inf when the deviation
+      vanishes); ``tau_ok`` when it exceeds ``tau_threshold``, ``(n-2)/2``
+      on flat-type metrics and ``n/2`` on hyperbolic ones.
+    * ``scal``: ``scal_integrable``, the proxy for integrable scalar
+      curvature: the sup of ``|Scal - Scal_b| dA_b`` at the last radius is
+      at most ``1e-8 max(largest, 1)`` or below 0.9 times the first.
+    * ``odd`` (flat-type metrics only, else ChartMismatchError):
+      ``rt_exponent``, the fitted power decay of the parity-odd part of
+      ``g`` (inf when it reads even, every sup at most 1e-14), against
+      ``rt_expected``, ``tau + 1 = n - 1``; ``rt_status`` passes above
+      ``n - 1.5``.
+    """
+    radii = _check_radii(radii)
+    chart = spec.chart_kind
+    report = {}
+    if "decay" in sups:
+        tau = fit_decay_exponent(geodesic_radius(chart, radii), sups["decay"],
+                                 decay_mode(chart))
+        threshold = 0.5 * (spec.n - 2) if spec.is_flat_type else 0.5 * spec.n
+        report.update(tau_hat=tau, tau_threshold=threshold,
+                      tau_ok=bool(tau > threshold))
+    if "scal" in sups:
+        scal = np.asarray(sups["scal"], dtype=float)
+        report["scal_integrable"] = bool(
+            scal[-1] <= 1e-8 * max(scal.max(), 1.0) or scal[-1] < 0.9 * scal[0])
+    if "odd" in sups:
+        if not spec.is_flat_type:
+            raise ChartMismatchError("RT diagnostics apply to flat-type metrics")
+        odd = np.asarray(sups["odd"], dtype=float)
+        even = bool(np.all(odd <= 1e-14))
+        exponent = np.inf if even else fit_decay_exponent(radii, odd, "power")
+        expected = float(spec.n - 1)
+        report.update(rt_exponent=exponent, rt_expected=expected,
+                      rt_status="pass" if even or exponent > expected - 0.5
+                      else "warn")
+    return report
+
+
 def _normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
                        fields=()):
     """The normalization of :func:`charge_series`: one extrapolated series
@@ -337,41 +382,3 @@ def _normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
                 * series[0].limit_error / abs(mass)
         series.append(entry)
     return series[:len(kernels)], series[len(kernels):]
-
-
-# ----------------------------------------------------------------- diagnostics
-
-@dataclass
-class RTReport:
-    """Regge-Teitelboim parity diagnostics for a flat-type metric."""
-
-    radii: np.ndarray
-    sup_odd: np.ndarray       # per-radius sup of the odd metric part
-    exponent: float           # fitted decay exponent of sup_odd (inf if even)
-    expected: float           # tau + 1
-    even: bool
-    status: str               # "pass" or "warn"
-
-    @property
-    def diagnostics(self) -> dict:
-        """The report diagnostics of the parity (RT) condition."""
-        return {"rt_exponent": self.exponent, "rt_expected": self.expected,
-                "rt_status": self.status}
-
-
-def rt_diagnostics(spec: MetricSpec, radii, sup_odd) -> RTReport:
-    """Fit the decay of the parity-odd part of g from its per-radius sups
-    over antipodal node pairs, the ``odd`` sups of the charge pass
-    (:func:`_sphere_fluxes`).  A metric that reads even (every sup at most
-    1e-14) has exponent inf."""
-    if not spec.is_flat_type:
-        raise ChartMismatchError("RT diagnostics apply to flat-type metrics")
-    radii = _check_radii(radii)
-    sups = np.asarray(sup_odd, dtype=float)
-    even = bool(np.all(sups <= 1e-14))
-    exponent = float("inf") if even else fit_decay_exponent(radii, sups,
-                                                             "power")
-    expected = float(spec.n - 1)     # tau + 1 for the decay rate tau = n - 2
-    ok = even or (np.isfinite(exponent) and exponent > expected - 0.5)
-    return RTReport(radii, sups, exponent, expected, even,
-                    "pass" if ok else "warn")

@@ -14,10 +14,11 @@ The four charge commands are one function, :func:`cmd_charges`, over
 they ask for, the report ids and the diagnostic they attach.
 
 Runs are driven by an INI config file; every command-line flag overrides the
-corresponding config key.  Reports are JSON (``schema_version`` 1, keys
-sorted, timings removable with ``--no-timings`` so identical runs are
-byte-identical) plus one CSV per charge with header
-``r,raw_flux,normalized,quad_error`` at 17 significant digits.
+corresponding config key.  Reports are strict JSON (``schema_version`` 1,
+keys sorted, a non-finite number written as ``null``, timings removable
+with ``--no-timings`` so identical runs are byte-identical) plus one CSV
+per charge with header ``r,raw_flux,normalized,quad_error`` at 17
+significant digits.
 
 Exit codes: 0 all charges/checks succeeded, 1 computation or verification
 failure, 2 configuration error.
@@ -40,8 +41,7 @@ from . import verify as verify_mod
 from .catalog import FLAT_KINDS, HYPERBOLIC_KINDS, MetricSpec, chart_radius
 from .errors import AsymfluxError, ConfigError
 from .fields import killing_basis
-from .geometry import ChartKind
-from .limits import RadialSeries, decay_rate
+from .limits import RadialSeries
 from .quadrature import sphere_rule
 
 __all__ = ["main", "RunConfig", "load_config", "config_from_echo"]
@@ -261,21 +261,25 @@ def _write_csv(path: Path, samples: list[dict]):
     path.write_text("\n".join(lines) + "\n")
 
 
-class _Json(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        return super().default(o)
+def _strict(o):
+    """``o`` with numpy values made Python ones and every non-finite float
+    made None, which JSON writes as null: RFC 8259 has no inf or NaN."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        o = o.tolist()
+    if isinstance(o, dict):
+        return {key: _strict(value) for key, value in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_strict(value) for value in o]
+    if isinstance(o, float) and not np.isfinite(o):
+        return None
+    return o
 
 
 def _emit(report: dict, cfg: RunConfig, timings: dict):
     if not cfg.no_timings:
         report["diagnostics"]["timings"] = timings
-    text = json.dumps(report, sort_keys=True, indent=2, cls=_Json)
+    text = json.dumps(_strict(report), sort_keys=True, indent=2,
+                      allow_nan=False)
     try:
         if cfg.out_json:
             Path(cfg.out_json).write_text(text + "\n")
@@ -309,17 +313,6 @@ def _require_family(spec: MetricSpec, command: str, flat: bool):
             f"{spec.kind} in the {spec.chart_kind.value} chart")
 
 
-def _pair_ids(X) -> tuple[str, str, str]:
-    """Report ids of the classical and Ricci series and the verdict of X."""
-    i = X.kernel.index
-    if X.chart_kind != ChartKind.CARTESIAN:
-        return f"ah_mass_{i}", f"ah_ricci_{i}", f"ah_agreement_{i}"
-    if i == 0:
-        return "mass_classical", "mass_ricci", "mass_agreement"
-    return tuple(f"center_{part}_{i - 1}"
-                 for part in ("classical", "ricci", "agreement"))
-
-
 def cmd_charges(cfg: RunConfig, command: str,
                 kernel: str | None = None) -> tuple[dict, int]:
     """A charge command: one report entry per series and one verdict per
@@ -330,8 +323,10 @@ def cmd_charges(cfg: RunConfig, command: str,
         _require_family(spec, command, flat=True)
     radii = schedule_radii(cfg, spec)
     rule = sphere_rule(n, cfg.degree)
-    indices = {"mass": [0], "sweep": [0], "center": range(1, n + 1),
-               "ah-mass": range(n + 1)}[command]
+    # the basis indices and the hypotheses whose diagnostics are reported
+    indices, judged = {"mass": ([0], ["decay"]), "sweep": ([0], []),
+                       "center": (range(1, n + 1), ["odd"]),
+                       "ah-mass": (range(n + 1), ["decay"])}[command]
     if command == "ah-mass":
         if kernel is not None:
             if not (kernel.startswith("V") and kernel[1:].isascii()
@@ -347,7 +342,7 @@ def cmd_charges(cfg: RunConfig, command: str,
     if command == "center":
         report["charges"].append(_series_entry("mass_classical", mass))
     for row in rows:
-        cls_id, ric_id, verdict_id = _pair_ids(row.field)
+        _, cls_id, ric_id, verdict_id = verify_mod.pair_names(row.field)
         report["charges"] += [_series_entry(cls_id, row.classical_series),
                               _series_entry(ric_id, row.ricci_series)]
         report["verdicts"].append({"id": verdict_id, "passed": row.passed,
@@ -355,12 +350,8 @@ def cmd_charges(cfg: RunConfig, command: str,
                                    "budget": row.budget})
     if command == "sweep":
         report["verdicts"] = [{"id": "sweep", "passed": True}]
-    elif command == "center":
-        report["diagnostics"].update(charges_mod.rt_diagnostics(
-            spec, radii, sups["odd"]).diagnostics)
-    else:
-        report["diagnostics"].update(
-            decay_rate(spec, radii, sups["decay"]).diagnostics)
+    report["diagnostics"].update(charges_mod.hypothesis_diagnostics(
+        spec, radii, {key: sups[key] for key in judged}))
     return _finish(report, cfg, t0, all(v["passed"] for v in report["verdicts"]))
 
 

@@ -8,8 +8,8 @@ largest) is dropped, and the quadrature error.  A single-decay fit
 charts or ``e^{-sigma r}`` in hyperbolic charts, supplies only the model
 metadata (``sigma``, ``coeff``, ``residual``): linear least squares in closed
 form on a 41-point ``log sigma`` grid, narrowed around its best point to 1e-13.
-The decay rate of ``g - b`` is a least-squares fit of the per-radius sups
-that the charge pass hands over; it evaluates no metric.
+A decay exponent (:func:`fit_decay_exponent`) is a least-squares fit of
+the logarithm of a per-radius sup series.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import decay_mode, geodesic_radius
 from .errors import ExtrapolationError
 
-__all__ = ["FluxSample", "RadialSeries", "DecayReport", "extrapolate",
-           "decay_rate", "fit_decay_exponent"]
+__all__ = ["FluxSample", "RadialSeries", "extrapolate", "fit_decay_exponent"]
 
 _SIGMA_RANGE = {"power": (0.05, 12.0), "exp": (0.05, 16.0)}
 
@@ -141,43 +139,6 @@ def extrapolate(radii, values, quad_errors=None, mode: str = "power"):
     model = {"mode": mode, "sigma": sigma, "coeff": c, "residual": rms,
              "window": window, "accel": "aitken", "depth": depth}
     return float(limit), float(error), model
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Measured decay rate of ``g - b`` against the hypothesis threshold."""
-
-    tau_hat: float
-    threshold: float
-    satisfied: bool
-    scale: str              # "power" (flat) or "exp" (hyperbolic, geodesic radius)
-    radii: np.ndarray
-    sups: np.ndarray
-
-    @property
-    def diagnostics(self) -> dict:
-        """The report diagnostics of the decay hypothesis."""
-        return {"tau_hat": self.tau_hat, "tau_threshold": self.threshold,
-                "tau_ok": self.satisfied}
-
-
-def decay_rate(spec, radii, sups) -> DecayReport:
-    """Regress the per-radius sups of the frame-rescaled deviation over the
-    coordinate spheres, the ``decay`` sups of the charge pass
-    (:func:`asymflux.charges.sphere_integrand`).
-
-    Components are measured in a background-orthonormal frame
-    (``eps_ij / sqrt(b_ii b_jj)``), which makes the hyperbolic rate come out
-    in the geodesic ``e^{-tau s}`` scale the definitions use.
-    """
-    radii = np.asarray(radii, dtype=float)
-    sups = np.asarray(sups, dtype=float)
-    chart = spec.chart_kind
-    mode = decay_mode(chart)
-    tau_hat = fit_decay_exponent(geodesic_radius(chart, radii), sups, mode)
-    threshold = 0.5 * (spec.n - 2) if spec.is_flat_type else 0.5 * spec.n
-    satisfied = bool(tau_hat > threshold) if not np.isnan(tau_hat) else False
-    return DecayReport(float(tau_hat), threshold, satisfied, mode, radii, sups)
 
 
 def fit_decay_exponent(radii, sups, mode: str = "power"):

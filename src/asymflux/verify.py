@@ -24,18 +24,18 @@ import numpy as np
 
 from .catalog import MetricSpec, coordinate_volume, metric_jet
 from .charges import (_einstein_fluxes, _normalized_series, _sphere_fluxes,
-                      rt_diagnostics)
+                      hypothesis_diagnostics)
 from .errors import DomainError, ZeroMassError
 from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
                        killing_operator, tensor_norm, trace_product)
-from .limits import RadialSeries, decay_rate
+from .limits import RadialSeries
 from .quadrature import SphereRule, integrate_annulus, omega
 
 __all__ = ["IdentityReport", "KernelReport", "EquivalenceRow",
            "EquivalenceReport", "pohozaev_check", "kernel_check_lemma22",
-           "agreement", "charge_pairs", "equivalence_report", "sample_points",
-           "EINSTEIN_LAMBDA"]
+           "agreement", "charge_pairs", "pair_names", "equivalence_report",
+           "sample_points", "EINSTEIN_LAMBDA"]
 
 _POHOZAEV_FLOOR = 1e-10        # absolute tolerance floor of pohozaev_check
 _EINSTEIN_DEFECT_TOL = 1e-8    # kernel_check_lemma22 rejects larger defects
@@ -309,17 +309,24 @@ def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
         classical, ricci = _normalized_series(
             spec, radii, values[:, columns], errors[:, columns], kernels, fields)
     mass = classical[0] if spec.is_flat_type else None
-    rows = [EquivalenceRow(_pair_name(X), X, cls, ric,
+    rows = [EquivalenceRow(pair_names(X)[0], X, cls, ric,
                            *agreement(X, cls, ric, rel_tol))
             for X, cls, ric in zip(fields, classical[len(lead):], ricci)]
     return mass, rows, sups
 
 
-def _pair_name(X: ConformalKilling) -> str:
-    index = X.kernel.index
+def pair_names(X: ConformalKilling) -> tuple[str, str, str, str]:
+    """The names of the pair of X: its row name (``mass``, ``center[a]`` or
+    ``ah_charge[i]``) and the report ids of its classical series, its Ricci
+    series and its verdict."""
+    i = X.kernel.index
     if X.chart_kind != ChartKind.CARTESIAN:
-        return f"ah_charge[{index}]"
-    return "mass" if index == 0 else f"center[{index - 1}]"
+        return (f"ah_charge[{i}]", f"ah_mass_{i}", f"ah_ricci_{i}",
+                f"ah_agreement_{i}")
+    if i == 0:
+        return "mass", "mass_classical", "mass_ricci", "mass_agreement"
+    return (f"center[{i - 1}]", *(f"center_{part}_{i - 1}" for part
+                                  in ("classical", "ricci", "agreement")))
 
 
 def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
@@ -327,38 +334,25 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
     """Classical-versus-Ricci comparison for every applicable charge: the
     :func:`charge_pairs` of the whole basis.
 
-    Hypothesis diagnostics (decay rate, scalar-curvature integrability
-    proxy, parity decay for centers, nonvanishing mass) come from the sups
-    of the same sphere pass and are attached as warnings on the affected
-    rows; the computation is still attempted.
+    The hypothesis diagnostics
+    (:func:`~asymflux.charges.hypothesis_diagnostics`: decay rate,
+    scalar-curvature integrability proxy and, on flat-type metrics, parity
+    decay for centers) and the nonvanishing mass come from the sups of the
+    same sphere pass and are attached as warnings on the affected rows; the
+    computation is still attempted.
     """
-    radii = np.asarray(radii, dtype=float)
     _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1),
                                  rel_tol, nthreads)
-    decay = decay_rate(spec, radii, sups["decay"])
-    diagnostics = {**decay.diagnostics,
-                   "scal_integrable": _scal_integrable(sups["scal"])}
-    warnings = () if decay.satisfied else \
-        (f"decay rate {decay.tau_hat:.3g} below threshold {decay.threshold:.3g}",)
+    diagnostics = hypothesis_diagnostics(spec, radii, sups)
+    warnings = () if diagnostics["tau_ok"] else (
+        f"decay rate {diagnostics['tau_hat']:.3g} below threshold "
+        f"{diagnostics['tau_threshold']:.3g}",)
     if not diagnostics["scal_integrable"]:
         warnings += ("scalar curvature integrability proxy failed",)
     rows = [replace(row, warnings=warnings) for row in rows]
-    if spec.is_flat_type:
-        rt = rt_diagnostics(spec, radii, sups["odd"])
-        diagnostics.update(rt.diagnostics)
-        if len(rows) == 1:
-            diagnostics["center_skipped"] = "mass vanishes"
-        elif rt.status != "pass":
-            rows[1:] = [replace(row, warnings=warnings + (
-                "parity decay (RT) diagnostic failed",)) for row in rows[1:]]
+    if spec.is_flat_type and len(rows) == 1:
+        diagnostics["center_skipped"] = "mass vanishes"
+    elif diagnostics.get("rt_status", "pass") != "pass":
+        rows[1:] = [replace(row, warnings=warnings + (
+            "parity decay (RT) diagnostic failed",)) for row in rows[1:]]
     return EquivalenceReport(spec.kind, spec.n, tuple(rows), diagnostics)
-
-
-def _scal_integrable(weighted) -> bool:
-    """Proxy for integrable scalar curvature: ``sup |Scal - Scal_b| dA_b``
-    per radius, the ``scal`` sups of the charge pass, decays."""
-    weighted = np.asarray(weighted, dtype=float)
-    floor = 1e-8 * max(weighted.max(), 1.0)
-    if weighted[-1] <= floor:
-        return True
-    return bool(weighted[-1] < 0.9 * weighted[0])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, background_of, metric_jet
-from asymflux.charges import charge_series, rt_diagnostics
+from asymflux.charges import charge_series, hypothesis_diagnostics
 from asymflux.expr import parse, eval_jet
 from asymflux.fields import kernel_basis, killing_basis
 from asymflux.geometry import (ChartKind, SymTensorJet, curvature,
@@ -79,8 +79,8 @@ def test_acceptance_2_center_of_mass(verdict):
         ok &= abs(rc - c[a]) <= 1e-2
     # the parity sups of the center pass
     sups = charge_pairs(spec, FLAT_RADII, rule, range(1, 4))[2]
-    rt = rt_diagnostics(spec, FLAT_RADII, sups["odd"])
-    ok &= abs(rt.exponent - 2.0) <= 0.3
+    rt = hypothesis_diagnostics(spec, FLAT_RADII, {"odd": sups["odd"]})
+    ok &= abs(rt["rt_exponent"] - 2.0) <= 0.3
     verdict(2, "center of mass, both versions, RT exponent", ok)
 
 

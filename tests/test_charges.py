@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
-from asymflux.charges import (_sphere_fluxes, charge_series, rt_diagnostics,
-                              sphere_integrand)
+from asymflux.charges import (_sphere_fluxes, charge_series,
+                              hypothesis_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import kernel_basis, killing_basis
 from asymflux.geometry import ScalarJet, SymTensorJet
-from asymflux.limits import decay_rate
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from oracles import (adm_integrand, center_integrand, decay_sup,
                      michel_integrand, michel_integrand_deviation, odd_sup,
@@ -321,23 +320,53 @@ def _odd_sups(spec, rule):
                           kernel_basis(spec.n, "cartesian"))[2]["odd"]
 
 
+def _rt(spec, sups):
+    """The parity (RT) diagnostics of the ``odd`` sups ``sups``."""
+    return hypothesis_diagnostics(spec, FLAT_RADII, {"odd": sups})
+
+
 def test_rt_diagnostics_translated():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0,
                       center=(1.0, 0.5, 0.0))
     rule = sphere_rule(3, 10)
-    rep = rt_diagnostics(spec, FLAT_RADII, _odd_sups(spec, rule))
-    assert not rep.even
-    assert rep.expected == pytest.approx(2.0)
-    assert rep.exponent == pytest.approx(2.0, abs=0.3)
-    assert rep.status == "pass"
+    rep = _rt(spec, _odd_sups(spec, rule))
+    assert rep["rt_expected"] == pytest.approx(2.0)
+    assert rep["rt_exponent"] == pytest.approx(2.0, abs=0.3)
+    assert rep["rt_status"] == "pass"
 
 
 def test_rt_diagnostics_even_metric():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    rep = rt_diagnostics(spec, FLAT_RADII, _odd_sups(spec, sphere_rule(3, 10)))
-    assert rep.even
-    assert rep.exponent == np.inf
-    assert rep.status == "pass"
+    rep = _rt(spec, _odd_sups(spec, sphere_rule(3, 10)))
+    assert rep["rt_exponent"] == np.inf
+    assert rep["rt_status"] == "pass"
+
+
+def test_parity_diagnostics_warn_on_slow_decay_and_need_a_flat_metric():
+    """An odd part decaying as ``r^-1`` fails the parity condition at n=3
+    (it needs an exponent above ``n - 1.5``), and the condition is a
+    flat-type hypothesis: ``odd`` sups on a hyperbolic-type metric are a
+    chart mismatch."""
+    rep = _rt(MetricSpec("euclidean", 3), 0.1 / FLAT_RADII)
+    assert rep["rt_exponent"] == pytest.approx(1.0)
+    assert rep["rt_status"] == "warn"
+    with pytest.raises(ChartMismatchError):
+        hypothesis_diagnostics(MetricSpec("kottler", 3, m=1.0),
+                               np.sinh(HYP_S), {"odd": np.exp(-HYP_S)})
+
+
+def test_scal_proxy_needs_the_weighted_sups_to_fall():
+    """``scal_integrable`` holds when the last ``scal`` sup is below 0.9
+    times the first or under the floor ``1e-8 max(largest, 1)``."""
+    spec, radii = MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S)
+
+    def judge(sups):
+        return hypothesis_diagnostics(spec, radii, {"scal": np.array(sups)})[
+            "scal_integrable"]
+
+    assert not judge([2.0, 2.0, 2.0, 2.0, 1.9])
+    assert judge([2.0, 1.5, 1.2, 1.0, 1.7])
+    assert judge([0.0, 0.0, 0.0, 0.0, 1e-9])
 
 
 def test_rt_exponent_matches_a_high_precision_reference():
@@ -358,14 +387,14 @@ def test_rt_exponent_matches_a_high_precision_reference():
     with mp.workdps(40):
         reference = [float(max(abs(g(x) - g(-x)) / 2 for x in r * rule.units))
                      for r in FLAT_RADII]
-    exact = rt_diagnostics(spec, FLAT_RADII, reference).exponent
-    rep = rt_diagnostics(spec, FLAT_RADII, _odd_sups(spec, rule))
-    assert rep.exponent == pytest.approx(exact, rel=1e-12)
+    exact = _rt(spec, reference)["rt_exponent"]
+    rep = _rt(spec, _odd_sups(spec, rule))
+    assert rep["rt_exponent"] == pytest.approx(exact, rel=1e-12)
 
 
 def test_diagnostics_evaluate_no_metric(monkeypatch):
-    """``rt_diagnostics`` and ``decay_rate`` fit the sups the charge pass
-    hands them: they make no jet call and no node pass of their own."""
+    """``hypothesis_diagnostics`` fits the sups the charge pass hands it:
+    it makes no jet call and no node pass of its own."""
     from asymflux import catalog, charges, quadrature
 
     def forbidden(*args, **kwargs):
@@ -375,11 +404,12 @@ def test_diagnostics_evaluate_no_metric(monkeypatch):
         monkeypatch.setattr(module, "jets", forbidden)
     monkeypatch.setattr(quadrature, "_evaluate", forbidden)
     sups = FLAT_RADII ** -2.0
-    assert rt_diagnostics(MetricSpec("expression", 3, components={
-        (0, 0): "1 + 2/r", (1, 1): "1", (2, 2): "1"}), FLAT_RADII,
-        sups).exponent == pytest.approx(2.0)
-    assert decay_rate(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
-                      np.exp(-3.0 * HYP_S)).tau_hat == pytest.approx(3.0)
+    assert _rt(MetricSpec("expression", 3, components={
+        (0, 0): "1 + 2/r", (1, 1): "1", (2, 2): "1"}),
+        sups)["rt_exponent"] == pytest.approx(2.0)
+    assert hypothesis_diagnostics(
+        MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
+        {"decay": np.exp(-3.0 * HYP_S)})["tau_hat"] == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("spec,radii", [

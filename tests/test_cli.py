@@ -282,11 +282,67 @@ def test_equivalence_verdicts_match_commands(tmp_path, rel_tol):
                 assert verdict[key] == match[key], (verdict["id"], key)
 
 
-# ----------------------------------------------------------------- exit codes
-
 _SCHW3 = ["--kind", "schwarzschild_conformal", "--n", "3", "--m", "1"]
 _SCHW5_TRANSLATED = ["--kind", "schwarzschild_conformal", "--n", "5", "--m",
                      "1", "--center", "0.6,-0.5,0.4,0,0"]
+_KOTTLER3 = ["--kind", "kottler", "--n", "3", "--m", "1"]
+_TAU = {"tau_hat", "tau_threshold", "tau_ok"}
+_RT = {"rt_exponent", "rt_expected", "rt_status"}
+
+
+@pytest.mark.parametrize("argv,keys", [
+    pytest.param(["mass", *_SCHW3], _TAU, id="mass"),
+    pytest.param(["ah-mass", *_KOTTLER3], _TAU, id="ah-mass"),
+    pytest.param(["ah-mass", *_KOTTLER3, "--kernel", "V1"], _TAU,
+                 id="ah-mass-V1"),
+    pytest.param(["center", *_SCHW3, "--center", "1,0.5,0"], _RT, id="center"),
+    pytest.param(["sweep", *_SCHW3], set(), id="sweep"),
+    pytest.param(["verify", *_SCHW3, "--center", "1,0.5,0", "--which",
+                  "equivalence"], _TAU | _RT | {"scal_integrable"},
+                 id="equivalence-flat"),
+    pytest.param(["verify", "--kind", "schwarzschild_conformal", "--n", "3",
+                  "--m", "0", "--which", "equivalence"],
+                 _TAU | _RT | {"scal_integrable", "center_skipped"},
+                 id="equivalence-massless"),
+    pytest.param(["verify", *_KOTTLER3, "--which", "equivalence"],
+                 _TAU | {"scal_integrable"}, id="equivalence-hyperbolic"),
+])
+def test_diagnostic_keys_of_each_command(tmp_path, argv, keys):
+    """Each command reports the diagnostics of the hypotheses its charges
+    rest on: decay for the masses, parity for the centers, none for
+    ``sweep``, and all of them in equivalence reports (parity on flat-type
+    metrics only)."""
+    code, report = run_cli(argv + ["--degree", "8"], tmp_path)
+    assert code == 0
+    assert set(report["diagnostics"]) == keys
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("argv,key", [
+    pytest.param(["mass", "--kind", "euclidean", "--n", "3"], "tau_hat",
+                 id="mass-euclidean"),
+    pytest.param(["center", *_SCHW3], "rt_exponent", id="center-even"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "equivalence"], "tau_hat",
+                 id="equivalence-background"),
+    pytest.param(["verify", "--kind", "schwarzschild_conformal", "--n", "3",
+                  "--m", "0", "--which", "equivalence"], "rt_exponent",
+                 id="equivalence-massless"),
+])
+def test_reports_are_strict_json(tmp_path, argv, key):
+    """A diagnostic that is inf in the library (an exact background, an
+    even metric) is written as null, so a strict parser reads the report."""
+    out = tmp_path / "out.json"
+    assert main(argv + ["--degree", "8", "--out-json", str(out),
+                        "--no-timings"]) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["diagnostics"][key] is None
+
+
+# ----------------------------------------------------------------- exit codes
 
 
 @pytest.mark.parametrize("argv", [
@@ -426,15 +482,15 @@ def test_huge_radius_is_a_computation_error(capsys):
 ])
 def test_total_time_covers_the_whole_command(monkeypatch, tmp_path, argv):
     """``timings.total_s`` includes the decay diagnostic run after the charges."""
-    from asymflux import cli
+    from asymflux import charges
 
-    decay_rate = cli.decay_rate
+    diagnostics = charges.hypothesis_diagnostics
 
-    def slow_decay_rate(*args, **kwargs):
+    def slow_diagnostics(*args, **kwargs):
         time.sleep(0.5)
-        return decay_rate(*args, **kwargs)
+        return diagnostics(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "decay_rate", slow_decay_rate)
+    monkeypatch.setattr(charges, "hypothesis_diagnostics", slow_diagnostics)
     out = tmp_path / "out.json"
     assert main(argv + ["--degree", "8", "--out-json", str(out)]) == 0
     report = json.loads(out.read_text())
