@@ -154,15 +154,14 @@ def _finite(values: np.ndarray, what: str, r: float) -> np.ndarray:
     return values
 
 
-def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
-                     modified: bool = False):
+def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
     """Integrand over S_r with one column per kernel V, then one per field X,
     and the node data of the hypothesis diagnostics.
 
     Kernel columns are ``U(V, g, b)(nu) dA`` with the background normal and
     area element; field columns are ``G(X, nu) dA_g`` with the metric's,
-    where ``G`` is the Einstein tensor, or the modified one with
-    ``modified``.  Each chunk makes one :func:`~asymflux.catalog.jets` call
+    where ``G`` is the Einstein tensor, the modified one on hyperbolic-type
+    metrics.  Each chunk makes one :func:`~asymflux.catalog.jets` call
     for the metric jet, the background jet and the deviation, and one
     :func:`~asymflux.fields.basis_jets` call for every kernel and field jet.
 
@@ -203,7 +202,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
         del b_jet, eps, scalars, vectors
         if fields:
             bun = curvature(jet)
-            G = bun.modified_einstein if modified else bun.einstein
+            G = bun.einstein if spec.is_flat_type else bun.modified_einstein
             columns += _einstein_fluxes(G, comps, points, chart, r, bun)
             data.append(np.abs(bun.scal - scal_b)
                         * sphere_normal_area(points, chart, r)[1])
@@ -239,7 +238,7 @@ def _series(spec, radii, raw_fluxes, quad_errors, norm):
 # ------------------------------------------------------- basis-wide series
 
 def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                  fields=(), nthreads=None):
+                  fields=()):
     """Normalized charge series for kernel functions and conformal Killing
     fields, with one sphere pass per radius (:func:`sphere_integrand`).
 
@@ -255,13 +254,12 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     ``_sphere_fluxes`` followed by ``_normalized_series``, the two halves
     :func:`asymflux.verify.charge_pairs` calls apart.
     """
-    values, errors, _ = _sphere_fluxes(spec, radii, rule, kernels, fields,
-                                       nthreads)
+    values, errors, _ = _sphere_fluxes(spec, radii, rule, kernels, fields)
     return _normalized_series(spec, radii, values, errors, kernels, fields)
 
 
 def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                   fields=(), nthreads=None):
+                   fields=()):
     """The sphere pass of :func:`charge_series`: raw fluxes and their
     quadrature errors, two ``(R, K)`` arrays with one row per radius and one
     column per kernel, then per field, and a dict of ``(R,)`` sups of the
@@ -278,9 +276,8 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
         return np.zeros((radii.size, 0)), np.zeros((radii.size, 0)), {}
 
     def sphere(r):
-        q = integrate_sphere(sphere_integrand(
-                spec, kernels, fields, r, modified=spec.is_hyperbolic_type),
-            r, rule, chart, nthreads=nthreads)
+        q = integrate_sphere(sphere_integrand(spec, kernels, fields, r),
+                             r, rule, chart)
         return (q.value, q.error_estimate,
                 _node_sups(q.node_data, rule, bool(fields)))
 

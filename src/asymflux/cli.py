@@ -14,11 +14,13 @@ The four charge commands are one function, :func:`cmd_charges`, over
 they ask for, the report ids and the diagnostic they attach.
 
 Runs are driven by an INI config file; every command-line flag overrides the
-corresponding config key.  Reports are strict JSON (``schema_version`` 1,
-keys sorted, a non-finite number written as ``null``, timings removable
-with ``--no-timings`` so identical runs are byte-identical) plus one CSV
-per charge with header ``r,raw_flux,normalized,quad_error`` at 17
-significant digits.
+corresponding config key.  The worker-thread count is not part of the config:
+it is the environment variable ``ASYMFLUX_THREADS`` alone.  Reports are
+strict JSON (``schema_version`` 1, keys sorted, a non-finite number written
+as ``null``, timings and the thread count removable with ``--no-timings`` so
+identical runs are byte-identical at any thread count) plus one CSV per
+charge with header ``r,raw_flux,normalized,quad_error`` at 17 significant
+digits.
 
 Exit codes: 0 all charges/checks succeeded, 1 computation or verification
 failure, 2 configuration error.
@@ -31,7 +33,7 @@ import configparser
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,7 @@ from .catalog import FLAT_KINDS, HYPERBOLIC_KINDS, MetricSpec, chart_radius
 from .errors import AsymfluxError, ConfigError
 from .fields import killing_basis
 from .limits import RadialSeries
-from .quadrature import sphere_rule
+from .quadrature import sphere_rule, thread_count
 
 __all__ = ["main", "RunConfig", "load_config", "config_from_echo"]
 
@@ -74,7 +76,6 @@ class RunConfig:
     out_json: str | None = None
     csv_dir: str | None = None
     no_timings: bool = False
-    threads: int | None = None
 
     def validate(self):
         """Reject values no run can use.  The default schedule kind depends
@@ -103,8 +104,6 @@ class RunConfig:
                 f"radial quadrature degree out of range: {self.radial_degree}")
         if not 0 <= self.rel_tol < np.inf:
             raise ConfigError(f"rel_tol must be in [0, inf), got {self.rel_tol}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.annulus and not (len(self.annulus) == 2
@@ -122,8 +121,7 @@ _SECTIONS = {
                  "kind": str, "count": int},
     "quadrature": {"degree": int, "radial_degree": int},
     "run": {"rel_tol": float, "annulus": "floats", "seed": int,
-            "out_json": str, "csv_dir": str, "no_timings": bool,
-            "threads": int},
+            "out_json": str, "csv_dir": str, "no_timings": bool},
 }
 
 _KEYMAP = {("schedule", k): f"schedule_{k}"
@@ -184,8 +182,15 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 def config_from_echo(echo: dict) -> RunConfig:
-    """Rebuild a RunConfig from a report's config echo (round-trip contract)."""
+    """Rebuild a RunConfig from a report's config echo (round-trip contract);
+    a key RunConfig does not have is a ConfigError."""
     data = dict(echo)
+    # echoes from before ASYMFLUX_THREADS became the only thread setting
+    # carry a thread count, which never changed a reported number
+    data.pop("threads", None)
+    unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config echo key(s): {', '.join(unknown)}")
     data["center"] = tuple(data.get("center", ()))
     data["annulus"] = tuple(data.get("annulus", ()))
     return RunConfig(**data).validate()
@@ -338,7 +343,7 @@ def cmd_charges(cfg: RunConfig, command: str,
     report = _base_report(cfg)
     t0 = time.perf_counter()
     mass, rows, sups = verify_mod.charge_pairs(
-        spec, radii, rule, indices, cfg.rel_tol, nthreads=cfg.threads)
+        spec, radii, rule, indices, cfg.rel_tol)
     if command == "center":
         report["charges"].append(_series_entry("mass_classical", mass))
     for row in rows:
@@ -371,7 +376,7 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
                               f"overflows the {spec.chart_kind.value} chart")
         for rep in verify_mod.pohozaev_check(
                 spec, killing_basis(spec.n, spec.chart_kind), r0, r1, rule,
-                cfg.radial_degree, rel_tol=cfg.rel_tol, nthreads=cfg.threads):
+                cfg.radial_degree, rel_tol=cfg.rel_tol):
             ok = ok and rep.passed
             report["verdicts"].append(
                 {"id": rep.check_id, "passed": rep.passed, "lhs": rep.lhs,
@@ -393,8 +398,7 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
                  "einstein_defect": rep.einstein_defect})
     elif which == "equivalence":
         rep = verify_mod.equivalence_report(spec, schedule_radii(cfg, spec),
-                                            rule, rel_tol=cfg.rel_tol,
-                                            nthreads=cfg.threads)
+                                            rule, rel_tol=cfg.rel_tol)
         ok = rep.passed
         report["diagnostics"].update(rep.diagnostics)
         for row in rep.rows:
@@ -409,8 +413,10 @@ def cmd_verify(cfg: RunConfig, which: str) -> tuple[dict, int]:
 
 
 def _finish(report, cfg, t0, ok):
-    """Emit the report, timed from ``t0`` (after set-up) to here."""
-    _emit(report, cfg, {"total_s": time.perf_counter() - t0})
+    """Emit the report, timed from ``t0`` (after set-up) to here, with the
+    thread count it ran on."""
+    _emit(report, cfg, {"total_s": time.perf_counter() - t0,
+                        "threads": thread_count()})
     return report, (0 if ok else 1)
 
 
@@ -438,7 +444,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--csv-dir", dest="csv_dir", default=None)
     p.add_argument("--no-timings", dest="no_timings", action="store_true",
                    default=None)
-    p.add_argument("--threads", dest="threads", type=int, default=None)
 
 
 def _build_parser():

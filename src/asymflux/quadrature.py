@@ -36,9 +36,9 @@ and otherwise elementwise operations, no BLAS, so each column is summed and
 estimated exactly as it would be alone.  Every per-node pass evaluates its
 nodes in chunks and rejects non-finite values and node data.  The chunk
 size depends on the dimension n of the points alone, so results are
-bit-for-bit identical regardless of the worker-thread count (override via
-the environment variable ``ASYMFLUX_THREADS``) and memory does not grow
-with the rule.
+bit-for-bit identical regardless of the worker-thread count (the
+environment variable ``ASYMFLUX_THREADS``, the only thread setting) and
+memory does not grow with the rule.
 
 A chunk holds the largest power of two of nodes whose metric second
 derivatives, n^4 doubles per node, fit in 2^20 entries (8 MiB): 8192 nodes
@@ -59,7 +59,6 @@ minor faults per chunk, a third of the pass).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -223,25 +222,24 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
 
 def pairwise_sum(values: np.ndarray):
     """Fixed-order pairwise reduction along the first axis; deterministic for
-    a given input order.  Returns a float for 1-d input, else an array."""
-    x = np.array(values, dtype=float)
+    a given input order.  Returns a float for 1-d input, else an array that
+    shares no memory with the input, which is read but never copied whole."""
+    x = np.asarray(values, dtype=float)
     while x.shape[0] > 1:
         m = x.shape[0] // 2
         head = x[: 2 * m : 2] + x[1 : 2 * m : 2]
         x = np.concatenate([head, x[2 * m:]]) if x.shape[0] % 2 else head
     if x.ndim > 1:
-        return x[0] if x.shape[0] else np.zeros(x.shape[1:])
+        # a copy: a one-row input would otherwise come back as its view
+        return x[0].copy() if x.shape[0] else np.zeros(x.shape[1:])
     return float(x[0]) if x.size else 0.0
 
 
-def _evaluate(f, points, nthreads=None):
-    """Chunked (optionally threaded) evaluation; chunking is thread-invariant.
-    Returns the values and the node data of ``f``, or None."""
-    if nthreads is None:
-        nthreads = thread_count()
-    elif (isinstance(nthreads, bool)
-          or not isinstance(nthreads, numbers.Integral) or nthreads < 1):
-        raise ValueError(f"nthreads must be a positive integer, got {nthreads!r}")
+def _evaluate(f, points):
+    """Chunked evaluation, threaded over :func:`thread_count` workers, read
+    once per pass; chunking is thread-invariant.  Returns the values and the
+    node data of ``f``, or None."""
+    workers = thread_count()
     total = points.shape[0]
     per_node = points.shape[-1] ** 4
     size = 1 << (max(_CHUNK_ENTRIES // per_node, 1).bit_length() - 1)
@@ -268,11 +266,11 @@ def _evaluate(f, points, nthreads=None):
 
     if len(starts) == 1:
         outs = parts(0)
-    elif nthreads == 1:
+    elif workers == 1:
         for start in starts:
             store(start)
     else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for fut in [pool.submit(store, start) for start in starts]:
                 fut.result()
     for what, out in zip(("values", "node data"), outs):
@@ -322,13 +320,12 @@ def _integrate_axis(x, e, axis: RuleAxis):
     return pairwise_sum(w * x), error
 
 
-def _sphere_value(f, rule, r, chart_kind, nthreads):
+def _sphere_value(f, rule, r, chart_kind):
     """The result of :func:`integrate_sphere`: the rule's integral of ``f``
     over S_r, its node data and its error, the coefficient tail of each
     angle, taken after integrating out the angles after it, plus a roundoff
     floor of a few ulps of sum |w f|."""
-    values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind),
-                                  nthreads)
+    values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind))
     value = pairwise_sum((values.T * rule.weights).T)
     cols = values.reshape(values.shape[0], -1)
     x = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
@@ -342,8 +339,8 @@ def _sphere_value(f, rule, r, chart_kind, nthreads):
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
-                     chart_kind: ChartKind = ChartKind.CARTESIAN,
-                     nthreads=None) -> QuadratureResult:
+                     chart_kind: ChartKind = ChartKind.CARTESIAN
+                     ) -> QuadratureResult:
     """Integrate ``f`` over the coordinate sphere S_r.
 
     ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
@@ -357,7 +354,7 @@ def integrate_sphere(f, r: float, rule: SphereRule,
     are integrated out, each carried at its decay rate to the first degree
     the rule does not integrate (:func:`_tail`).
     """
-    return _sphere_value(f, rule, r, chart_kind, nthreads)
+    return _sphere_value(f, rule, r, chart_kind)
 
 
 def _radial_axis(r0, r1, radial_degree):
@@ -378,8 +375,8 @@ def _radial_axis(r0, r1, radial_degree):
 
 def integrate_annulus(shell, r0: float, r1: float, rule: SphereRule,
                       radial_degree: int = 16,
-                      chart_kind: ChartKind = ChartKind.CARTESIAN,
-                      nthreads=None) -> QuadratureResult:
+                      chart_kind: ChartKind = ChartKind.CARTESIAN
+                      ) -> QuadratureResult:
     """Integrate over the annulus A(r0, r1) the integrands ``shell(r)``.
 
     Gauss-Lobatto in the radial coordinate tensored with the sphere rule.
@@ -393,8 +390,7 @@ def integrate_annulus(shell, r0: float, r1: float, rule: SphereRule,
     if not r0 < r1:
         raise QuadratureError(f"annulus needs r0 < r1, got ({r0}, {r1})")
     radii, radial = _radial_axis(r0, r1, radial_degree)
-    shells = tuple(_sphere_value(shell(r), rule, r, chart_kind, nthreads)
-                   for r in radii)
+    shells = tuple(_sphere_value(shell(r), rule, r, chart_kind) for r in radii)
     values = np.reshape([s.value for s in shells], (len(shells), -1))
     errors = np.reshape([s.error_estimate for s in shells], (len(shells), -1))
     value, error = _integrate_axis(values, errors, radial)

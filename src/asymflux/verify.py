@@ -122,8 +122,7 @@ def sample_points(n: int, chart_kind: ChartKind, count: int,
 
 def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
                    rule: SphereRule, radial_degree: int = 16,
-                   rel_tol: float = 1e-6,
-                   nthreads=None) -> list[IdentityReport]:
+                   rel_tol: float = 1e-6) -> list[IdentityReport]:
     """Integrated Bianchi identity on the annulus A(r0, r1), metric measure,
     for each conformal Killing field in ``fields`` (one report each).
 
@@ -167,8 +166,7 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
                  for X in vectors], axis=-1)
         return f
 
-    annulus = integrate_annulus(shell, r0, r1, rule, radial_degree, chart,
-                                nthreads=nthreads)
+    annulus = integrate_annulus(shell, r0, r1, rule, radial_degree, chart)
     inner, outer = annulus.shells[0], annulus.shells[-1]
     defects = np.maximum(inner.node_data.max(axis=0),
                          outer.node_data.max(axis=0))
@@ -278,7 +276,7 @@ def agreement(X: ConformalKilling, classical: RadialSeries,
 
 
 def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
-                 rel_tol: float = 1e-6, nthreads=None):
+                 rel_tol: float = 1e-6):
     """The classical/Ricci charge pairs of the basis elements ``indices``,
     from one sphere pass per radius, each judged by :func:`agreement`.
 
@@ -296,8 +294,7 @@ def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
     fields = [basis[i] for i in indices]
     lead = [basis[0].kernel] if spec.is_flat_type and indices[0] != 0 else []
     kernels = lead + [X.kernel for X in fields]
-    values, errors, sups = _sphere_fluxes(spec, radii, rule, kernels, fields,
-                                          nthreads)
+    values, errors, sups = _sphere_fluxes(spec, radii, rule, kernels, fields)
     try:
         classical, ricci = _normalized_series(spec, radii, values, errors,
                                               kernels, fields)
@@ -330,7 +327,7 @@ def pair_names(X: ConformalKilling) -> tuple[str, str, str, str]:
 
 
 def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
-                       rel_tol: float = 1e-6, nthreads=None) -> EquivalenceReport:
+                       rel_tol: float = 1e-6) -> EquivalenceReport:
     """Classical-versus-Ricci comparison for every applicable charge: the
     :func:`charge_pairs` of the whole basis.
 
@@ -341,8 +338,7 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
     same sphere pass and are attached as warnings on the affected rows; the
     computation is still attempted.
     """
-    _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1),
-                                 rel_tol, nthreads)
+    _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1), rel_tol)
     diagnostics = hypothesis_diagnostics(spec, radii, sups)
     warnings = () if diagnostics["tau_ok"] else (
         f"decay rate {diagnostics['tau_hat']:.3g} below threshold "

@@ -484,6 +484,29 @@ def test_michel_flux_quad_error_is_small():
     assert res.error_estimate < 1e-10 * max(abs(res.value), 1.0)
 
 
+@pytest.mark.parametrize("kind,radii", [
+    pytest.param("kottler", np.sinh(4.0 + 0.75 * np.arange(3)), id="kottler"),
+    pytest.param("schwarzschild_conformal", FLAT_RADII[:3],
+                 id="schwarzschild")])
+def test_sphere_integrand_is_the_charge_pass(kind, radii):
+    """A direct :func:`sphere_integrand` integrates every column exactly as
+    the charge pass does, bit for bit: the modified Einstein tensor on
+    Kottler (``ah_X0`` at rho = sinh 4 reads -25.13, not the plain
+    tensor's 255384.8), the Einstein tensor on Schwarzschild."""
+    spec = MetricSpec(kind, 3, m=1.0)
+    chart = spec.chart_kind
+    kernels, fields = kernel_basis(3, chart), killing_basis(3, chart)
+    rule = sphere_rule(3, 12)
+    values, errors, _ = _sphere_fluxes(spec, radii, rule, kernels, fields)
+    for r, value, error in zip(radii, values, errors):
+        q = integrate_sphere(sphere_integrand(spec, kernels, fields, r), r,
+                             rule, chart)
+        assert np.array_equal(q.value, value)
+        assert np.array_equal(q.error_estimate, error)
+    if kind == "kottler":
+        assert values[0, len(kernels)] == pytest.approx(-25.13, abs=5e-3)
+
+
 @pytest.mark.parametrize("kind,chart,module,name,count", [
     ("kottler", "polar_area", "fields", "sphere_embedding_hd", 4),
     ("schwarzschild_conformal", "cartesian", "catalog",

@@ -160,6 +160,21 @@ def test_config_echo_round_trip(tmp_path):
     assert build_spec(rebuilt) == build_spec(rebuilt)
 
 
+def test_config_echo_rejects_unknown_keys(tmp_path):
+    """An echo key RunConfig does not have is a ConfigError naming it, but
+    the ``threads`` of echoes written while it was a config key is dropped,
+    so those reports still rebuild their run."""
+    code, report = run_cli(["mass", *_SCHW3, "--degree", "8"], tmp_path)
+    assert code == 0
+    assert "threads" not in report["config"]
+    with pytest.raises(ConfigError, match="bogus"):
+        config_from_echo({**report["config"], "bogus": 1})
+    with pytest.raises(ConfigError, match="bogus"):
+        config_from_echo({"bogus": 1})
+    old = {**report["config"], "threads": 2}
+    assert config_from_echo(old) == config_from_echo(report["config"])
+
+
 # ------------------------------------------------------------------ commands
 
 def test_mass_schwarzschild(tmp_path):
@@ -401,10 +416,6 @@ def test_reports_are_strict_json(tmp_path, argv, key):
                  id="ah-mass-on-flat"),
     pytest.param(["verify", *_SCHW3, "--which", "kernel"],
                  id="kernel-non-einstein"),
-    pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--threads", "0"],
-                 id="threads-0"),
-    pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--threads", "-3"],
-                 id="threads-negative"),
     pytest.param(["mass", "--kind", "euclidean", "--n", "3", "--m", "2"],
                  id="m-on-euclidean"),
     pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
@@ -430,7 +441,7 @@ def test_exit_code_config_error(capsys, argv):
 ])
 def test_threads_environment_variable(monkeypatch, capsys, value, code):
     """An ``ASYMFLUX_THREADS`` that is not a positive integer is a
-    configuration error, as ``--threads 0`` is; empty means one thread."""
+    configuration error; empty means one thread."""
     monkeypatch.setenv("ASYMFLUX_THREADS", value)
     assert main(["mass", "--kind", "euclidean", "--n", "3",
                  "--degree", "6"]) == code
@@ -497,6 +508,34 @@ def test_total_time_covers_the_whole_command(monkeypatch, tmp_path, argv):
     assert report["diagnostics"]["timings"]["total_s"] >= 0.5
 
 
+def _keys(o):
+    """Every key of the nested dicts and lists ``o``."""
+    if isinstance(o, dict):
+        return set(o).union(*map(_keys, o.values()))
+    if isinstance(o, list):
+        return set().union(*map(_keys, o))
+    return set()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["mass", *_SCHW3], id="mass"),
+    pytest.param(["verify", "--kind", "hyperbolic_polar", "--n", "3",
+                  "--which", "pohozaev"], id="verify-pohozaev"),
+])
+def test_thread_count_is_timed_not_configured(monkeypatch, tmp_path, argv):
+    """A timed report records ``ASYMFLUX_THREADS`` next to ``total_s``; a
+    ``--no-timings`` report holds no thread count anywhere."""
+    monkeypatch.setenv("ASYMFLUX_THREADS", "2")
+    out = tmp_path / "out.json"
+    assert main(argv + ["--degree", "8", "--out-json", str(out)]) == 0
+    timings = json.loads(out.read_text())["diagnostics"]["timings"]
+    assert set(timings) == {"total_s", "threads"}
+    assert timings["threads"] == 2
+    code, report = run_cli(argv + ["--degree", "8"], tmp_path)
+    assert code == 0
+    assert "threads" not in _keys(report)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["mass", *_SCHW3], id="mass"),
     pytest.param(["center", *_SCHW3, "--center", "1,0.5,0"], id="center"),
@@ -550,11 +589,11 @@ def test_commands_evaluate_each_sphere_once(monkeypatch, tmp_path, argv,
     spheres = []
     evaluate = quadrature._evaluate
 
-    def recording(f, points, nthreads=None):
+    def recording(f, points):
         polar = argv[2] == "kottler"
         spheres.append(points[:, 0] if polar
                        else np.linalg.norm(points, axis=-1))
-        return evaluate(f, points, nthreads)
+        return evaluate(f, points)
 
     monkeypatch.setattr(quadrature, "_evaluate", recording)
     code, _ = run_cli(argv + ["--degree", "4"], tmp_path)
@@ -571,23 +610,46 @@ def test_commands_evaluate_each_sphere_once(monkeypatch, tmp_path, argv,
                  id="verify-equivalence"),
 ])
 def test_threads_reach_every_sphere_pass(monkeypatch, tmp_path, argv):
-    """``--threads`` is the thread count of every node evaluation, the
-    diagnostic passes included."""
+    """``ASYMFLUX_THREADS`` is the thread count of every node evaluation,
+    the diagnostic passes included, read once per pass."""
     from asymflux import quadrature
 
-    monkeypatch.delenv("ASYMFLUX_THREADS", raising=False)
-    seen = []
-    evaluate = quadrature._evaluate
+    monkeypatch.setenv("ASYMFLUX_THREADS", "2")
+    passes, seen = [], []
+    evaluate, count = quadrature._evaluate, quadrature.thread_count
 
-    def recording(f, points, nthreads=None):
-        seen.append(nthreads)
-        return evaluate(f, points, nthreads)
+    def recording(f, points):
+        passes.append(points.shape[0])
+        return evaluate(f, points)
+
+    def counting():
+        seen.append(count())
+        return seen[-1]
 
     monkeypatch.setattr(quadrature, "_evaluate", recording)
-    code, _ = run_cli(argv + ["--degree", "4", "--threads", "2"], tmp_path)
+    monkeypatch.setattr(quadrature, "thread_count", counting)
+    code, _ = run_cli(argv + ["--degree", "4"], tmp_path)
     assert code == 0
-    assert seen
-    assert set(seen) == {2}
+    assert passes
+    assert seen == [2] * len(passes)
+
+
+def test_thread_count_is_no_config_setting(tmp_path, capsys):
+    """``ASYMFLUX_THREADS`` is the one thread setting: ``--help`` lists no
+    ``--threads``, which argparse rejects with exit 2, and ``threads`` in
+    ``[run]`` is an unknown key, a configuration error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["mass", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["mass", "--kind", "euclidean", "--n", "3", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text("[metric]\nkind = euclidean\n[run]\nthreads = 2\n")
+    assert main(["mass", "--config", str(cfg_file)]) == 2
+    assert "unknown key 'threads' in [run]" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- determinism

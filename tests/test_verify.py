@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import MetricSpec
+from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DomainError
-from asymflux.charges import charge_series, sphere_integrand
-from asymflux.fields import killing_basis
+from asymflux.charges import _einstein_fluxes, charge_series, sphere_integrand
+from asymflux.fields import basis_jets, killing_basis
+from asymflux.geometry import curvature
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from asymflux.verify import (charge_pairs, equivalence_report,
                              hyperbolic_pohozaev_closed_form,
@@ -51,18 +52,34 @@ def test_pohozaev_hyperbolic_closed_form():
                  id="schw-translated-n3")])
 def test_pohozaev_boundary_fluxes_are_the_sphere_fluxes(spec, annulus):
     """The annulus pass's end shells are the boundary spheres: each report's
-    ``outer_flux`` and ``inner_flux`` are the Einstein-flux columns of the
-    charge integrand over S_r1 and S_r0, bit for bit."""
+    ``outer_flux`` and ``inner_flux`` are the Einstein-tensor fluxes over
+    S_r1 and S_r0, bit for bit, which on a flat-type metric are the field
+    columns of the charge integrand (a hyperbolic-type one's integrate the
+    modified tensor)."""
     rule = sphere_rule(spec.n, 8)
-    fields = killing_basis(spec.n, spec.chart_kind)
+    chart = spec.chart_kind
+    fields = killing_basis(spec.n, chart)
     r0, r1 = annulus
     reports = pohozaev_check(spec, fields, r0, r1, rule, radial_degree=8)
-    outer, inner = (integrate_sphere(sphere_integrand(spec, (), fields, r),
-                                     r, rule, spec.chart_kind).value
+
+    def einstein_fluxes(r):
+        def f(points):
+            bun = curvature(metric_jet(spec, points))
+            comps = [X.comp for X in basis_jets(points, (), fields)[1]]
+            return np.stack(_einstein_fluxes(bun.einstein, comps, points,
+                                             chart, r, bun), axis=-1)
+        return f
+
+    outer, inner = (integrate_sphere(einstein_fluxes(r), r, rule, chart).value
                     for r in (r1, r0))
     for k, rep in enumerate(reports):
         assert rep.context["outer_flux"] == outer[k]
         assert rep.context["inner_flux"] == inner[k]
+    if spec.is_flat_type:
+        for r, fluxes in ((r1, outer), (r0, inner)):
+            q = integrate_sphere(sphere_integrand(spec, (), fields, r), r,
+                                 rule, chart)
+            assert np.array_equal(q.value, fluxes)
 
 
 def test_pohozaev_scalar_flat_has_zero_bulk():
