@@ -20,6 +20,18 @@ them with the whole kernel basis and Killing basis.  The same pass reduces
 the node data of the hypothesis diagnostics to one sup per radius, which
 :func:`hypothesis_diagnostics` judges.
 
+On a flat-type metric the angular content of every flux fades toward its
+leading harmonic as r grows, so each radius takes its own sphere rule.  The
+first takes the rule it is given (``--degree``); each later one the lowest
+degree whose estimate, read from the sphere before on its own nodes, is no
+larger than the estimate that sphere reported, one rule step higher for
+the degree-1 kernels and fields, at least degree 8 and never above the rule
+before.  The pick reads the ``const_one`` flux alone, computed in every
+pass, so a charge computed alone gets the rules, and the bits, it gets
+inside the full basis.  Hyperbolic-type metrics keep one rule: at their
+outer radii the Ricci fluxes are set by the roundoff of the modified
+Einstein tensor, which a different node set changes by more than the bars.
+
 On a flat-type metric the background is the Euclidean ``delta`` of the
 cartesian chart: its inverse is itself and its Christoffel symbols and
 ``d b^{-1}`` vanish, so the sphere pass takes the V-independent parts of
@@ -46,18 +58,21 @@ import numpy as np
 from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
-from .fields import basis_jets
+from .fields import basis_jets, kernel_basis
 from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
                        SymTensorJet, curvature, divergence_symmetric2,
                        diagonal_sum, inverse_derivative, inverse_metric,
                        sum_last, trace_product)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
-from .quadrature import SphereRule, integrate_sphere, omega
+from .quadrature import SphereRule, integrate_sphere, omega, sphere_rule
 
 __all__ = ["sphere_normal_area", "sphere_integrand", "charge_series",
            "hypothesis_diagnostics"]
 
 _MASS_FLOOR = 1e-12
+_PICK_FLOOR = 8     # the lowest degree whose every factor's tail reads a
+                    # decay: four resolved degrees above the mean
+_PICK_STEP = 2      # one rule step: one more node on every polar angle
 
 
 def _normalization(n: int, field: bool, mass: float | None) -> float:
@@ -154,7 +169,8 @@ def _finite(values: np.ndarray, what: str, r: float) -> np.ndarray:
     return values
 
 
-def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
+def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
+                     scal: bool = False):
     """Integrand over S_r with one column per kernel V, then one per field X,
     and the node data of the hypothesis diagnostics.
 
@@ -167,8 +183,9 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
 
     It returns ``(columns, node_data)``, the node data being the largest
     entry of the frame-rescaled deviation ``|eps_ij| / sqrt(b_ii b_jj)``;
-    with fields, ``|Scal - Scal_b| dA_b``; with a center (cartesian chart,
-    index > 0), the upper triangle of the rescaled deviation.
+    with fields and ``scal``, ``|Scal - Scal_b| dA_b``; with a center
+    (cartesian chart, index > 0), the upper triangle of the rescaled
+    deviation.
     """
     chart = spec.chart_kind
     michel_pieces = _flat_michel_pieces if spec.is_flat_type \
@@ -204,8 +221,9 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
             bun = curvature(jet)
             G = bun.einstein if spec.is_flat_type else bun.modified_einstein
             columns += _einstein_fluxes(G, comps, points, chart, r, bun)
-            data.append(np.abs(bun.scal - scal_b)
-                        * sphere_normal_area(points, chart, r)[1])
+            if scal:
+                data.append(np.abs(bun.scal - scal_b)
+                            * sphere_normal_area(points, chart, r)[1])
         if odd:
             data.append(upper)
         return np.stack(columns, axis=-1), np.column_stack(data)
@@ -224,10 +242,11 @@ def _check_radii(radii):
     return radii
 
 
-def _series(spec, radii, raw_fluxes, quad_errors, norm):
+def _series(spec, radii, rules, raw_fluxes, quad_errors, norm):
     samples = [FluxSample(float(r), float(raw), float(raw) * norm,
-                          float(err) * abs(norm))
-               for r, raw, err in zip(radii, raw_fluxes, quad_errors)]
+                          float(err) * abs(norm), rule.degree, rule.node_count)
+               for r, rule, raw, err in zip(radii, rules, raw_fluxes,
+                                            quad_errors)]
     limit, limit_error, model = extrapolate(
         geodesic_radius(spec.chart_kind, radii),
         [s.normalized for s in samples], [s.quad_error for s in samples],
@@ -249,21 +268,32 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     of index > 0 in the cartesian chart, divide by the mass: the limit of
     the ``const_one`` kernel (index 0) that must lead ``kernels``, and their
     ``limit_error`` adds the mass's relative error, ``|center| err_m / |m|``.
-    A missing or vanishing mass raises ZeroMassError.  Returns
-    ``(kernel_series, field_series)`` in the order requested.  It is
+    A missing or vanishing mass raises ZeroMassError.  ``rule`` integrates
+    the first radius and caps the rules of the others (:func:`_next_rule`).
+    Returns ``(kernel_series, field_series)`` in the order requested.  It is
     ``_sphere_fluxes`` followed by ``_normalized_series``, the two halves
     :func:`asymflux.verify.charge_pairs` calls apart.
     """
-    values, errors, _ = _sphere_fluxes(spec, radii, rule, kernels, fields)
-    return _normalized_series(spec, radii, values, errors, kernels, fields)
+    values, errors, _, rules = _sphere_fluxes(spec, radii, rule, kernels,
+                                              fields)
+    return _normalized_series(spec, radii, rules, values, errors, kernels,
+                              fields)
 
 
 def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                   fields=()):
+                   fields=(), scal: bool = False):
     """The sphere pass of :func:`charge_series`: raw fluxes and their
     quadrature errors, two ``(R, K)`` arrays with one row per radius and one
-    column per kernel, then per field, and a dict of ``(R,)`` sups of the
-    node data, each radius's reduced before the next starts."""
+    column per kernel, then per field, a dict of ``(R,)`` sups of the node
+    data, each radius's reduced on its own rule before the next starts
+    (``scal`` with fields only where ``scal`` asks for it), and the rule of
+    each radius: ``rule`` first, then, on flat-type metrics, what
+    :func:`_next_rule` picks from the sphere before.  The pick reads the
+    ``const_one`` flux, integrated as an unreported column where
+    ``kernels`` lacks it, so a charge gets the same rules alone as inside
+    the full basis.  Hyperbolic-type metrics keep ``rule``: the roundoff of
+    their modified Einstein tensor sets their Ricci fluxes at the outer
+    radii, and a different node set moves those by more than their bars."""
     radii = _check_radii(radii)
     chart = spec.chart_kind
     elements = (*kernels, *fields)
@@ -273,23 +303,56 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
                 f"{element.id} is defined in the {element.chart_kind.value} "
                 f"chart, the metric in the {chart.value} chart")
     if not elements:
-        return np.zeros((radii.size, 0)), np.zeros((radii.size, 0)), {}
+        return (np.zeros((radii.size, 0)), np.zeros((radii.size, 0)), {},
+                [rule] * radii.size)
+    pick, passed, keep = None, kernels, slice(None)
+    indices = [V.index for V in kernels]
+    if spec.is_flat_type and 0 in indices:
+        pick = indices.index(0)
+    elif spec.is_flat_type:
+        pick = len(kernels)
+        passed = (*kernels, kernel_basis(spec.n, chart)[0])
+        keep = np.delete(np.arange(len(passed) + len(fields)), pick)
+    scal = scal and bool(fields)
 
-    def sphere(r):
-        q = integrate_sphere(sphere_integrand(spec, kernels, fields, r),
-                             r, rule, chart)
-        return (q.value, q.error_estimate,
-                _node_sups(q.node_data, rule, bool(fields)))
+    def sphere(r, rule):
+        # the node data die here, before the next sphere's pass
+        q = integrate_sphere(sphere_integrand(spec, passed, fields, r, scal),
+                             r, rule, chart, lower=pick)
+        return ((q.value[keep], q.error_estimate[keep],
+                 _node_sups(q.node_data, rule, scal)),
+                rule if pick is None else _next_rule(rule, q, pick))
 
-    values, errors, sups = zip(*[sphere(r) for r in radii])
+    rules, rows = [], []
+    for r in radii:
+        rules.append(rule)
+        row, rule = sphere(r, rule)
+        rows.append(row)
+    values, errors, sups = zip(*rows)
     return (np.array(values), np.array(errors),
-            {key: np.array([s[key] for s in sups]) for key in sups[0]})
+            {key: np.array([s[key] for s in sups]) for key in sups[0]}, rules)
+
+
+def _next_rule(rule: SphereRule, q, column: int) -> SphereRule:
+    """The rule of the sphere after the one ``q`` integrated on ``rule``:
+    the lowest degree whose estimate of ``column`` from ``q``'s nodes
+    (``q.lower_errors``) is no larger than the estimate ``q`` reports, one
+    rule step higher (``_PICK_STEP``) for the degree-1 kernels and fields,
+    at least ``_PICK_FLOOR`` and never above ``rule``."""
+    bar = q.error_estimate[column]
+    degree = min((d for d, e in q.lower_errors.items() if e <= bar),
+                 default=rule.degree)
+    degree = max(degree + _PICK_STEP, _PICK_FLOOR)
+    if degree >= rule.degree - rule.degree % 2:
+        return rule     # the same nodes
+    return sphere_rule(rule.n, degree)
 
 
 def _node_sups(data, rule: SphereRule, scal: bool) -> dict:
     """One sphere's node data (:func:`sphere_integrand`) reduced to the sups
-    ``decay``, ``scal`` (with fields) and ``odd``, half the largest change
-    of a deviation entry between antipodal nodes (with a center)."""
+    ``decay``, ``scal`` (with its column) and ``odd``, half the largest
+    change of a deviation entry between antipodal nodes of ``rule`` (with
+    a center)."""
     sups = {"decay": data[:, 0].max()}
     if scal:
         sups["scal"] = data[:, 1].max()
@@ -349,12 +412,13 @@ def hypothesis_diagnostics(spec: MetricSpec, radii, sups) -> dict:
     return report
 
 
-def _normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
-                       fields=()):
+def _normalized_series(spec: MetricSpec, radii, rules, values, errors,
+                       kernels=(), fields=()):
     """The normalization of :func:`charge_series`: one extrapolated series
     per column of the :func:`_sphere_fluxes` arrays ``values`` and
-    ``errors``, whose columns are ``kernels``, then ``fields``.  Centers
-    raise ZeroMassError as in :func:`charge_series`."""
+    ``errors``, whose columns are ``kernels``, then ``fields``, integrated
+    on ``rules``, one per radius.  Centers raise ZeroMassError as in
+    :func:`charge_series`."""
     radii = _check_radii(radii)
     series = []
     for k, element in enumerate((*kernels, *fields)):
@@ -370,7 +434,7 @@ def _normalized_series(spec: MetricSpec, radii, values, errors, kernels=(),
             if abs(mass) < _MASS_FLOOR:
                 raise ZeroMassError(
                     "center of mass undefined for vanishing mass")
-        entry = _series(spec, radii, values[:, k], errors[:, k],
+        entry = _series(spec, radii, rules, values[:, k], errors[:, k],
                         _normalization(spec.n, field, mass))
         if mass is not None:
             # a center is a flux over the mass limit, so it carries the

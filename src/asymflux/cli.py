@@ -250,7 +250,8 @@ def _series_entry(charge_id: str, series: RadialSeries) -> dict:
     return {
         "id": charge_id,
         "samples": [{"r": s.r, "raw_flux": s.raw_flux,
-                     "normalized": s.normalized, "quad_error": s.quad_error}
+                     "normalized": s.normalized, "quad_error": s.quad_error,
+                     "degree": s.degree, "nodes": s.nodes}
                     for s in series.samples],
         "limit": series.limit,
         "limit_error": series.limit_error,
@@ -435,7 +436,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--schedule", dest="schedule_kind", default=None,
                    choices=["geometric", "arithmetic"])
     p.add_argument("--count", dest="schedule_count", type=int, default=None)
-    p.add_argument("--degree", dest="degree", type=int, default=None)
+    p.add_argument("--degree", dest="degree", type=int, default=None,
+                   help="sphere rule degree of the first radius (default "
+                        "16); on flat-type metrics each later radius picks "
+                        "its own rule, never above the one before")
     p.add_argument("--radial-degree", dest="radial_degree", type=int,
                    default=None)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)

@@ -27,12 +27,15 @@ _SIGMA_RANGE = {"power": (0.05, 12.0), "exp": (0.05, 16.0)}
 
 @dataclass(frozen=True)
 class FluxSample:
-    """One sphere integral: radius, raw flux, normalized value, quadrature error."""
+    """One sphere integral: radius, raw flux, normalized value, quadrature
+    error, and the degree and node count of the rule it was integrated on."""
 
     r: float
     raw_flux: float
     normalized: float
     quad_error: float
+    degree: int
+    nodes: int
 
 
 @dataclass

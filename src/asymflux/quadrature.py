@@ -25,6 +25,14 @@ sum.  An annulus, Gauss-Lobatto in r with the boundary spheres for end
 shells (Golub, SIAM Review 15, 1973), adds the same tail over the Legendre
 coefficients of its shell integrals to the shell errors integrated in r.
 
+The same coefficients give, for one column, an estimate for each lower
+rule: the coefficients truncated to the degrees the lower rule resolves and
+carried by the same tail to the first degree it does not integrate, or,
+where larger, the largest coefficient the rule resolves at a degree the
+lower rule does not integrate.  A caller that integrates a sequence of
+spheres picks the next sphere's rule from these, with no node evaluated
+twice.
+
 Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
 ``(N, K)`` columns, one per integrand of a family evaluated together, and
 carry their own measure: the rule weights are those of the unit round sphere
@@ -53,7 +61,13 @@ peak stays below twice that block (``geometry.curvature``).  glibc raises
 its mmap threshold to the largest block freed so far and trims the heap top
 above twice that size; a chunk that peaks higher returns its memory to the
 kernel and the next chunk faults it in again (at n=5, degree 16, about 2400
-minor faults per chunk, a third of the pass).
+minor faults per chunk, a third of the pass).  Which block was the largest
+freed so far depends on what the process allocated before the pass, down
+to the length of its module paths, so every pass first allocates and frees
+an untouched block the size of a full chunk's 2-jet.  Without it an n=4
+Kottler ``ah-mass`` took 21k-24k minor faults in every checkout tried, and
+an n=4 Pohozaev check 27.6k in some checkouts and 9.4k in others, against
+9.0k and 7.8k with it (the peak rose 0.8 MB on the first, 1.7%).
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,13 +159,16 @@ class QuadratureResult:
     """Integral and its error estimate, from the rule's own nodes: floats,
     or ``(K,)`` arrays for ``(N, K)`` integrands.  ``nodes_used`` counts
     the nodes evaluated; ``node_data`` is None or the integrand's; an
-    annulus's ``shells`` are its per-shell results, innermost first."""
+    annulus's ``shells`` are its per-shell results, innermost first;
+    ``lower_errors`` maps lower rule degrees to error estimates of one
+    column (:func:`integrate_sphere`)."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     nodes_used: int
     node_data: np.ndarray | None = None
     shells: tuple = ()
+    lower_errors: dict = field(default_factory=dict)
 
 
 def _gauss_jacobi(k: int, a: float):
@@ -240,10 +257,13 @@ def _evaluate(f, points):
     once per pass; chunking is thread-invariant.  Returns the values and the
     node data of ``f``, or None."""
     workers = thread_count()
-    total = points.shape[0]
-    per_node = points.shape[-1] ** 4
+    total, n = points.shape
+    per_node = n ** 4
     size = 1 << (max(_CHUNK_ENTRIES // per_node, 1).bit_length() - 1)
     starts = range(0, total, size)
+    # an untouched block the size of a full chunk's 2-jet, freed at once,
+    # sets glibc's thresholds for the pass whatever the process did before
+    np.empty(size * (n ** 2 + n ** 3 + per_node))
 
     def parts(start):
         out = f(points[start:start + size])
@@ -320,7 +340,41 @@ def _integrate_axis(x, e, axis: RuleAxis):
     return pairwise_sum(w * x), error
 
 
-def _sphere_value(f, rule, r, chart_kind):
+def _lower_errors(x, rule: SphereRule) -> dict:
+    """What the node values ``x`` of one column on the grid of ``rule`` say
+    of each lower rule, keyed by degree (``2k - 2`` for the rule of
+    ``k >= 2`` nodes per polar angle): its estimate without the roundoff
+    floor, the reduction of :func:`_sphere_value` with the coefficients
+    truncated to what the lower rule resolves and carried by :func:`_tail`
+    to the first degree it does not integrate, and the largest coefficient
+    that this rule resolves at a degree the lower rule does not integrate.
+    Both are integrated over the earlier angles with this rule's weights."""
+    polar = rule.axes[0].weights.size
+    steps = range(1, polar - 1)             # rule steps below this rule
+    tails, unseen = [None] * len(steps), [None] * len(steps)
+    for axis in reversed(rule.axes):
+        x = np.moveaxis(x, -1, 0)
+        along = (-1,) + (1,) * (x.ndim - 1)
+        amps = [np.sqrt(sum(pairwise_sum(row.reshape(along) * x) ** 2
+                            for row in rows)) for rows in axis.modes]
+        w = axis.weights.reshape(along)
+        for i, step in enumerate(steps):
+            top, missing = len(amps) - 1 - step, axis.missing - 2 * step
+            tail = _tail(amps[max(top - 3, 0):top + 1], top, missing)
+            seen = np.zeros_like(tail)
+            for amp in amps[missing:]:
+                seen = np.maximum(seen, amp)
+            if tails[i] is not None:
+                tail = tail + pairwise_sum(w * np.moveaxis(tails[i], -1, 0))
+                seen = np.maximum(seen, pairwise_sum(
+                    w * np.moveaxis(unseen[i], -1, 0)))
+            tails[i], unseen[i] = tail, seen
+        x = pairwise_sum(w * x)
+    return {2 * (polar - step) - 2: (float(tail), float(seen))
+            for step, tail, seen in zip(steps, tails, unseen)}
+
+
+def _sphere_value(f, rule, r, chart_kind, lower=None):
     """The result of :func:`integrate_sphere`: the rule's integral of ``f``
     over S_r, its node data and its error, the coefficient tail of each
     angle, taken after integrating out the angles after it, plus a roundoff
@@ -328,19 +382,25 @@ def _sphere_value(f, rule, r, chart_kind):
     values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind))
     value = pairwise_sum((values.T * rule.weights).T)
     cols = values.reshape(values.shape[0], -1)
-    x = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
-    error = None
+    grid = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
+    x, error = grid, None
     for axis in reversed(rule.axes):
         x, error = _integrate_axis(x, error, axis)
-    error = error + _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
+    floor = _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
         (np.abs(cols).T * rule.weights).T)
+    error = error + floor
+    lower_errors = {} if lower is None else {
+        degree: max(tail + floor[lower], seen)
+        for degree, (tail, seen) in _lower_errors(grid[..., lower],
+                                                  rule).items()}
     return QuadratureResult(value, error if values.ndim > 1
-                            else float(error[0]), rule.node_count, node_data)
+                            else float(error[0]), rule.node_count, node_data,
+                            lower_errors=lower_errors)
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
-                     chart_kind: ChartKind = ChartKind.CARTESIAN
-                     ) -> QuadratureResult:
+                     chart_kind: ChartKind = ChartKind.CARTESIAN,
+                     lower: int | None = None) -> QuadratureResult:
     """Integrate ``f`` over the coordinate sphere S_r.
 
     ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
@@ -352,9 +412,13 @@ def integrate_sphere(f, r: float, rule: SphereRule,
     those values, per column: the DFT of each azimuth ring and the
     Gauss-Jacobi coefficients along each polar angle, once the later angles
     are integrated out, each carried at its decay rate to the first degree
-    the rule does not integrate (:func:`_tail`).
+    the rule does not integrate (:func:`_tail`).  With ``lower``, a column
+    index, the result's ``lower_errors`` maps the degree of each lower rule
+    to an estimate of that column under it, from the same coefficients
+    (:func:`_lower_errors`): the larger of its truncated tail plus the
+    roundoff floor and the largest coefficient it does not integrate.
     """
-    return _sphere_value(f, rule, r, chart_kind)
+    return _sphere_value(f, rule, r, chart_kind, lower)
 
 
 def _radial_axis(r0, r1, radial_degree):

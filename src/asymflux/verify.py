@@ -276,7 +276,7 @@ def agreement(X: ConformalKilling, classical: RadialSeries,
 
 
 def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
-                 rel_tol: float = 1e-6):
+                 rel_tol: float = 1e-6, scal: bool = False):
     """The classical/Ricci charge pairs of the basis elements ``indices``,
     from one sphere pass per radius, each judged by :func:`agreement`.
 
@@ -284,7 +284,8 @@ def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
     ``const_one`` kernel in the cartesian chart (None in a polar chart),
     ``rows`` one :class:`EquivalenceRow` per index, in order, and ``sups``
     the per-radius sups of the pass's node data that the diagnostics fit
-    (``decay``, ``scal``, and ``odd`` where a center is computed).  The
+    (``decay``, ``scal`` when ``scal`` asks for it, and ``odd`` where a
+    center is computed), each from its radius's own rule.  The
     centers divide by that mass.  Without the mass pair (index 0, which
     then comes first) the kernel leads the pass alone and a vanishing mass
     raises ZeroMassError; with it, a vanishing mass leaves the mass row
@@ -294,17 +295,19 @@ def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
     fields = [basis[i] for i in indices]
     lead = [basis[0].kernel] if spec.is_flat_type and indices[0] != 0 else []
     kernels = lead + [X.kernel for X in fields]
-    values, errors, sups = _sphere_fluxes(spec, radii, rule, kernels, fields)
+    values, errors, sups, rules = _sphere_fluxes(spec, radii, rule, kernels,
+                                                 fields, scal)
     try:
-        classical, ricci = _normalized_series(spec, radii, values, errors,
-                                              kernels, fields)
+        classical, ricci = _normalized_series(spec, radii, rules, values,
+                                              errors, kernels, fields)
     except ZeroMassError:
         if lead:
             raise
         columns = [0, len(kernels)]
         fields, kernels = fields[:1], kernels[:1]
         classical, ricci = _normalized_series(
-            spec, radii, values[:, columns], errors[:, columns], kernels, fields)
+            spec, radii, rules, values[:, columns], errors[:, columns],
+            kernels, fields)
     mass = classical[0] if spec.is_flat_type else None
     rows = [EquivalenceRow(pair_names(X)[0], X, cls, ric,
                            *agreement(X, cls, ric, rel_tol))
@@ -338,7 +341,8 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
     same sphere pass and are attached as warnings on the affected rows; the
     computation is still attempted.
     """
-    _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1), rel_tol)
+    _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1), rel_tol,
+                                 scal=True)
     diagnostics = hypothesis_diagnostics(spec, radii, sups)
     warnings = () if diagnostics["tau_ok"] else (
         f"decay rate {diagnostics['tau_hat']:.3g} below threshold "

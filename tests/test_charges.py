@@ -431,37 +431,41 @@ def test_diagnostics_evaluate_no_metric(monkeypatch):
 ])
 def test_node_sups_equal_the_sampled_sups(spec, radii):
     """The sups the charge pass reduces from its node data equal those of a
-    node pass of their own on the same rule (``oracles``): the decay and
-    scalar-curvature sups bit for bit, the odd part within 1e-15 (antipodal
-    nodes are ``-x`` up to roundoff, and the deviation is ``g - b``)."""
-    rule = sphere_rule(spec.n, 8)
+    node pass of their own on the same rule, each radius's own
+    (``oracles``): the decay and scalar-curvature sups bit for bit, the odd
+    part within 1e-15 (antipodal nodes are ``-x`` up to roundoff, and the
+    deviation is ``g - b``)."""
     basis = killing_basis(spec.n, spec.chart_kind)
-    sups = _sphere_fluxes(spec, radii, rule, [X.kernel for X in basis],
-                          basis)[2]
+    _, _, sups, rules = _sphere_fluxes(spec, radii, sphere_rule(spec.n, 8),
+                                       [X.kernel for X in basis], basis,
+                                       scal=True)
     assert np.array_equal(sups["decay"],
-                          [decay_sup(spec, r, rule) for r in radii])
+                          [decay_sup(spec, r, q) for r, q in zip(radii, rules)])
     assert np.array_equal(sups["scal"],
-                          [scal_sup(spec, r, rule) for r in radii])
+                          [scal_sup(spec, r, q) for r, q in zip(radii, rules)])
     if spec.is_flat_type:
-        assert np.abs(sups["odd"] - [odd_sup(spec, r, rule)
-                                     for r in radii]).max() <= 1e-15
+        assert np.abs(sups["odd"] - [odd_sup(spec, r, q) for r, q
+                                     in zip(radii, rules)]).max() <= 1e-15
     else:
         assert "odd" not in sups
 
 
 def test_odd_sups_only_with_a_center():
     """The node data carry the deviation entries for the odd part only when
-    the pass computes a center; the scalar curvature only with fields."""
+    the pass computes a center; the scalar curvature only with fields, and
+    only when the caller judges it."""
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     rule = sphere_rule(3, 4)
     kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3,
                                                                   "cartesian")
     assert set(_sphere_fluxes(spec, FLAT_RADII, rule, kernels[:1],
-                              fields[:1])[2]) == {"decay", "scal"}
-    assert set(_sphere_fluxes(spec, FLAT_RADII, rule,
-                              kernels[:2])[2]) == {"decay", "odd"}
-    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, (),
-                              fields[1:2])[2]) == {"decay", "scal", "odd"}
+                              fields[:1], scal=True)[2]) == {"decay", "scal"}
+    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, kernels[:1],
+                              fields[:1])[2]) == {"decay"}
+    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, kernels[:2],
+                              scal=True)[2]) == {"decay", "odd"}
+    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, (), fields[1:2],
+                              scal=True)[2]) == {"decay", "scal", "odd"}
 
 
 # --------------------------------------------------------------- raw fluxes
@@ -496,9 +500,9 @@ def test_sphere_integrand_is_the_charge_pass(kind, radii):
     spec = MetricSpec(kind, 3, m=1.0)
     chart = spec.chart_kind
     kernels, fields = kernel_basis(3, chart), killing_basis(3, chart)
-    rule = sphere_rule(3, 12)
-    values, errors, _ = _sphere_fluxes(spec, radii, rule, kernels, fields)
-    for r, value, error in zip(radii, values, errors):
+    values, errors, _, rules = _sphere_fluxes(spec, radii, sphere_rule(3, 12),
+                                              kernels, fields)
+    for r, rule, value, error in zip(radii, rules, values, errors):
         q = integrate_sphere(sphere_integrand(spec, kernels, fields, r), r,
                              rule, chart)
         assert np.array_equal(q.value, value)
@@ -630,3 +634,120 @@ def test_basis_pass_matches_single_charges():
     reports = pohozaev_check(spec, fields, 1.0, 2.0, rule, radial_degree=8)
     for X, rep in zip(fields, reports):
         assert pohozaev_check(spec, [X], 1.0, 2.0, rule, radial_degree=8) == [rep]
+
+
+# ------------------------------------------------------ one rule per radius
+
+def _degrees(series):
+    return [s.degree for s in series.samples]
+
+
+@pytest.mark.parametrize("kind", ["schwarzschild_conformal", "kottler"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_centered_charges_drop_the_degree(kind, n):
+    """On a centered Schwarzschild metric the angular content of every flux
+    is a constant, so every radius after the first takes a lower rule than
+    ``--degree``; Kottler, a hyperbolic-type metric, keeps ``--degree`` on
+    every radius.  Both versions of the mass stay within their bars of m.
+    (At m = 0.7 the n=3 Kottler Ricci bar under-covers with one rule for
+    all radii; that is the extrapolation, not the rule.)"""
+    m = 1.3
+    spec = MetricSpec(kind, n, m=m)
+    radii = FLAT_RADII if spec.is_flat_type else np.sinh(HYP_S)
+    X = killing_basis(n, spec.chart_kind)[0]
+    (cls,), (ric,) = charge_series(spec, radii, sphere_rule(n, 16),
+                                   [X.kernel], [X])
+    for series in (cls, ric):
+        degrees = _degrees(series)
+        assert degrees[0] == 16
+        assert max(degrees[1:]) < 16 if spec.is_flat_type else \
+            degrees == [16] * 5
+        assert [s.nodes for s in series.samples] == [
+            sphere_rule(n, d).node_count for d in degrees]
+        assert abs(series.limit - m) <= series.limit_error
+
+
+def test_unfading_angular_content_keeps_its_degree():
+    """A degree-6 angular factor at leading order does not fade with r: no
+    radius drops below the degree it needs, and every limit matches a
+    degree-30 run within its bar."""
+    factor = "1 + 2*(1 + 0.5*(x1/r)^6)/r"
+    spec = MetricSpec("expression", 3,
+                      components={(i, i): factor for i in range(3)})
+    basis = killing_basis(3, "cartesian")
+    kernels = [X.kernel for X in basis]
+    picked = charge_series(spec, FLAT_RADII, sphere_rule(3, 16), kernels,
+                           basis)
+    fine = charge_series(spec, FLAT_RADII, sphere_rule(3, 30), kernels,
+                         basis)
+    for got, want in zip(picked[0] + picked[1], fine[0] + fine[1]):
+        assert min(_degrees(got)) >= 6
+        assert abs(got.limit - want.limit) <= got.limit_error
+
+
+def test_resolved_content_a_lower_rule_misses_blocks_it():
+    """A degree-10 azimuthal harmonic at leading order, which the ten
+    azimuths of a degree-8 rule read as a constant: from degree 30, whose
+    coefficients resolve it, no radius drops below degree 10, and the mass
+    (1 at every radius: the harmonic integrates to 0) is within its bar.
+    The truncated coefficients of a lower rule alone do not see it; the
+    coefficients at the degrees it does not integrate do."""
+    x2, x3 = "x2", "x3"
+    harmonic = (f"({x2}^10 - 45*{x2}^8*{x3}^2 + 210*{x2}^6*{x3}^4"
+                f" - 210*{x2}^4*{x3}^6 + 45*{x2}^2*{x3}^8 - {x3}^10)")
+    factor = f"1 + 2*(1 + 0.5*{harmonic}/r^10)/r"
+    spec = MetricSpec("expression", 3,
+                      components={(i, i): factor for i in range(3)})
+    V = kernel_basis(3, "cartesian")[0]
+    (mass,), _ = charge_series(spec, FLAT_RADII, sphere_rule(3, 30), [V])
+    assert min(_degrees(mass)) >= 10
+    assert abs(mass.limit - 1.0) <= mass.limit_error
+
+
+@pytest.mark.parametrize("spec,radii", [
+    pytest.param(MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                            center=(1.0, 0.5, 0.0)), FLAT_RADII,
+                 id="translated-schwarzschild"),
+    pytest.param(MetricSpec("schwarzschild_conformal", 4, m=1.3,
+                            center=(0.7, 0.5, 0.0, 0.0)), FLAT_RADII,
+                 id="translated-schwarzschild-n4"),
+    pytest.param(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
+                 id="kottler"),
+])
+@pytest.mark.parametrize("degree", [9, 12, 16])
+def test_degrees_never_increase(spec, radii, degree):
+    """The rule degrees of a pass never increase along the schedule and
+    never exceed the first radius's."""
+    _, _, _, rules = _sphere_fluxes(spec, radii, sphere_rule(spec.n, degree),
+                                    kernel_basis(spec.n, spec.chart_kind))
+    degrees = [rule.degree for rule in rules]
+    assert degrees[0] == degree
+    assert all(a >= b for a, b in zip(degrees, degrees[1:]))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                            center=(1.0, 0.5, 0.0)),
+                 id="translated-schwarzschild"),
+    pytest.param(MetricSpec("expression", 3, components={
+        (i, i): "(1 + 1/(2*((x1-1)^2 + (x2-0.5)^2 + x3^2)^(1/2)))^4"
+        for i in range(3)}), id="expression"),
+])
+def test_fields_alone_pick_the_full_basis_degrees(spec):
+    """The pick reads the ``const_one`` flux whichever charges are
+    requested: a field computed alone (the mass field without any kernel,
+    a center field after the mass kernel) or a center kernel gets the
+    degrees, and the series, it gets inside the full basis, also where
+    those degrees drop."""
+    basis = killing_basis(3, "cartesian")
+    rule = sphere_rule(3, 16)
+    kernels = [X.kernel for X in basis]
+    classical, ricci = charge_series(spec, FLAT_RADII, rule, kernels, basis)
+    assert min(_degrees(classical[0])) < 16
+    for X, series in zip(basis, ricci):
+        alone = kernels[:1] if X.kernel.index else []
+        assert charge_series(spec, FLAT_RADII, rule, alone, [X])[1] == [series]
+        assert _degrees(series) == _degrees(classical[0])
+    for V, series in zip(kernels[1:], classical[1:]):
+        assert charge_series(spec, FLAT_RADII, rule,
+                             [kernels[0], V])[0][-1] == series

@@ -266,6 +266,27 @@ def test_sweep_writes_csv(tmp_path):
     assert vals[-1] == pytest.approx(1.0, abs=2e-2)
 
 
+@pytest.mark.parametrize("degree,want", [
+    pytest.param("4", [4] * 5, id="degree-4"),
+    pytest.param("16", [16] + [8] * 4, id="degree-16"),
+])
+def test_samples_name_their_rule(tmp_path, degree, want):
+    """Every report sample carries the degree and node count of its
+    sphere's rule: ``--degree`` is the first radius's degree and the cap of
+    the others, which drop on a centered mass unless the cap is already
+    the lowest the pick takes; the CSV keeps its four columns."""
+    csv_dir = tmp_path / "csv"
+    code, report = run_cli(["sweep", *_SCHW3, "--degree", degree,
+                            "--csv-dir", str(csv_dir)], tmp_path)
+    assert code == 0
+    samples = report["charges"][0]["samples"]
+    assert [s["degree"] for s in samples] == want
+    assert [s["nodes"] for s in samples] == [sphere_rule(3, d).node_count
+                                             for d in want]
+    csv = (csv_dir / "mass_classical.csv").read_text().splitlines()
+    assert csv[0] == "r,raw_flux,normalized,quad_error"
+
+
 @pytest.mark.parametrize("rel_tol", [[], ["--rel-tol", "1e-3"]],
                          ids=["default-rel-tol", "rel-tol-1e-3"])
 def test_equivalence_verdicts_match_commands(tmp_path, rel_tol):

@@ -337,16 +337,18 @@ def test_curvature_never_builds_dgamma(monkeypatch):
             basis = killing_basis(spec.n, spec.chart_kind)
             kernels = [basis[i].kernel for i in indices]
             fields = [basis[i] for i in indices]
-            passes.append(_sphere_fluxes(spec, radii, rules[spec.n], kernels,
-                                         fields)[:2])
+            values, errors, _, used = _sphere_fluxes(
+                spec, radii, rules[spec.n], kernels, fields)
+            passes.append((values, errors, used))
         spec = MetricSpec("hyperbolic_polar", 4)
         reports = pohozaev_check(spec, killing_basis(4, spec.chart_kind),
                                  1.0, 2.0, rules[4])
     assert all(rep.passed for rep in reports)
-    for (spec, radii, indices), (values, errors) in zip(cases, passes):
+    for (spec, radii, indices), (values, errors, used) in zip(cases, passes):
         basis = killing_basis(spec.n, spec.chart_kind)
         classical, ricci = _normalized_series(
-            spec, radii, values, errors, [basis[i].kernel for i in indices],
+            spec, radii, used, values, errors,
+            [basis[i].kernel for i in indices],
             [basis[i] for i in indices])
         exact = [1.0] + list(center[:len(indices) - 1])
         for cls, ric, want in zip(classical, ricci, exact):
