@@ -22,15 +22,18 @@ the node data of the hypothesis diagnostics to one sup per radius, which
 
 On a flat-type metric the angular content of every flux fades toward its
 leading harmonic as r grows, so each radius takes its own sphere rule.  The
-first takes the rule it is given (``--degree``); each later one the lowest
-degree whose estimate, read from the sphere before on its own nodes, is no
-larger than the estimate that sphere reported, one rule step higher for
-the degree-1 kernels and fields, at least degree 8 and never above the rule
-before.  The pick reads the ``const_one`` flux alone, computed in every
-pass, so a charge computed alone gets the rules, and the bits, it gets
-inside the full basis.  Hyperbolic-type metrics keep one rule: at their
-outer radii the Ricci fluxes are set by the roundoff of the modified
-Einstein tensor, which a different node set changes by more than the bars.
+first takes the rule it is given (``--degree``).  Where the sphere before
+reported an estimate at its roundoff floor, the next takes one rule step
+above (for the degree-1 kernels and fields) the lowest degree whose
+estimate, and that of every degree above it, read from that sphere's own
+nodes, is roundoff too, at least degree 8; else, or where the sphere
+before could not see the azimuthal harmonic the lower rule misses, it
+keeps the rule before.  The pick reads the ``const_one`` flux alone,
+computed in every pass, so a charge computed alone gets the rules, and the
+bits, it gets inside the full basis.  Hyperbolic-type metrics keep one
+rule: at their outer radii the Ricci fluxes are set by the roundoff of the
+modified Einstein tensor, which a different node set changes by more than
+the bars.
 
 On a flat-type metric the background is the Euclidean ``delta`` of the
 cartesian chart: its inverse is itself and its Christoffel symbols and
@@ -73,6 +76,7 @@ _MASS_FLOOR = 1e-12
 _PICK_FLOOR = 8     # the lowest degree whose every factor's tail reads a
                     # decay: four resolved degrees above the mean
 _PICK_STEP = 2      # one rule step: one more node on every polar angle
+_PICK_ROUNDOFF = 4  # estimates up to this many roundoff floors are roundoff
 
 
 def _normalization(n: int, field: bool, mass: float | None) -> float:
@@ -318,7 +322,8 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     def sphere(r, rule):
         # the node data die here, before the next sphere's pass
         q = integrate_sphere(sphere_integrand(spec, passed, fields, r, scal),
-                             r, rule, chart, lower=pick)
+                             r, rule, chart, lower=None if pick is None
+                             else (pick, _PICK_FLOOR - _PICK_STEP))
         return ((q.value[keep], q.error_estimate[keep],
                  _node_sups(q.node_data, rule, scal)),
                 rule if pick is None else _next_rule(rule, q, pick))
@@ -334,17 +339,30 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
 
 
 def _next_rule(rule: SphereRule, q, column: int) -> SphereRule:
-    """The rule of the sphere after the one ``q`` integrated on ``rule``:
-    the lowest degree whose estimate of ``column`` from ``q``'s nodes
-    (``q.lower_errors``) is no larger than the estimate ``q`` reports, one
-    rule step higher (``_PICK_STEP``) for the degree-1 kernels and fields,
-    at least ``_PICK_FLOOR`` and never above ``rule``."""
-    bar = q.error_estimate[column]
-    degree = min((d for d, e in q.lower_errors.items() if e <= bar),
-                 default=rule.degree)
-    degree = max(degree + _PICK_STEP, _PICK_FLOOR)
-    if degree >= rule.degree - rule.degree % 2:
-        return rule     # the same nodes
+    """The rule of the sphere after the one ``q`` integrated on ``rule``.
+    Unless the estimate ``q`` reports for ``column`` is roundoff, at most
+    ``_PICK_ROUNDOFF`` times its floor, ``rule`` itself; else one rule step
+    (``_PICK_STEP``, for the degree-1 kernels and fields) above the lowest
+    degree at which it and every degree above it read roundoff too, from
+    ``q``'s nodes (``q.lower_errors``, down to ``_PICK_FLOOR - _PICK_STEP``),
+    where ``rule``'s coefficients see the azimuthal harmonic that this
+    lower rule misses and ``rule`` integrates."""
+    roundoff = _PICK_ROUNDOFF * q.floor[column]
+    degree = rule.degree
+    if q.error_estimate[column] <= roundoff:
+        for lower in sorted(q.lower_errors, reverse=True):
+            if q.lower_errors[lower] > roundoff:
+                break
+            degree = lower
+    degree += _PICK_STEP
+    # the new rule's ``degree + 2`` azimuths first miss the harmonic of
+    # that degree: ``rule``'s ``az`` azimuths read it below their Nyquist
+    # degree, at it only as a sine, and above it at ``az - missed``, which
+    # the estimates above saw down to degree ``degree / 2 - 1``
+    az, missed = rule.axes[-1].weights.size, degree + 2
+    if degree >= rule.degree - rule.degree % 2 or 2 * missed == az or (
+            2 * missed > az and 2 * (az - missed) < degree - 2):
+        return rule
     return sphere_rule(rule.n, degree)
 
 

@@ -26,9 +26,9 @@ shells (Golub, SIAM Review 15, 1973), adds the same tail over the Legendre
 coefficients of its shell integrals to the shell errors integrated in r.
 
 The same coefficients give, for one column, an estimate for each lower
-rule: the coefficients truncated to the degrees the lower rule resolves and
-carried by the same tail to the first degree it does not integrate, or,
-where larger, the largest coefficient the rule resolves at a degree the
+rule: along each angle, the coefficients truncated to the degrees the lower
+rule resolves and carried by the same tail to the first degree it does not
+integrate or, where larger, a coefficient the rule resolves at a degree the
 lower rule does not integrate.  A caller that integrates a sequence of
 spheres picks the next sphere's rule from these, with no node evaluated
 twice.
@@ -61,13 +61,7 @@ peak stays below twice that block (``geometry.curvature``).  glibc raises
 its mmap threshold to the largest block freed so far and trims the heap top
 above twice that size; a chunk that peaks higher returns its memory to the
 kernel and the next chunk faults it in again (at n=5, degree 16, about 2400
-minor faults per chunk, a third of the pass).  Which block was the largest
-freed so far depends on what the process allocated before the pass, down
-to the length of its module paths, so every pass first allocates and frees
-an untouched block the size of a full chunk's 2-jet.  Without it an n=4
-Kottler ``ah-mass`` took 21k-24k minor faults in every checkout tried, and
-an n=4 Pohozaev check 27.6k in some checkouts and 9.4k in others, against
-9.0k and 7.8k with it (the peak rose 0.8 MB on the first, 1.7%).
+minor faults per chunk, a third of the pass).
 """
 
 from __future__ import annotations
@@ -159,8 +153,9 @@ class QuadratureResult:
     """Integral and its error estimate, from the rule's own nodes: floats,
     or ``(K,)`` arrays for ``(N, K)`` integrands.  ``nodes_used`` counts
     the nodes evaluated; ``node_data`` is None or the integrand's; an
-    annulus's ``shells`` are its per-shell results, innermost first;
-    ``lower_errors`` maps lower rule degrees to error estimates of one
+    annulus's ``shells`` are its per-shell results, innermost first; a
+    sphere's ``floor`` is the roundoff floor in its error estimate, and its
+    ``lower_errors`` map lower rule degrees to error estimates of one
     column (:func:`integrate_sphere`)."""
 
     value: float | np.ndarray
@@ -168,6 +163,7 @@ class QuadratureResult:
     nodes_used: int
     node_data: np.ndarray | None = None
     shells: tuple = ()
+    floor: float | np.ndarray | None = None
     lower_errors: dict = field(default_factory=dict)
 
 
@@ -257,13 +253,10 @@ def _evaluate(f, points):
     once per pass; chunking is thread-invariant.  Returns the values and the
     node data of ``f``, or None."""
     workers = thread_count()
-    total, n = points.shape
-    per_node = n ** 4
+    total = points.shape[0]
+    per_node = points.shape[-1] ** 4
     size = 1 << (max(_CHUNK_ENTRIES // per_node, 1).bit_length() - 1)
     starts = range(0, total, size)
-    # an untouched block the size of a full chunk's 2-jet, freed at once,
-    # sets glibc's thresholds for the pass whatever the process did before
-    np.empty(size * (n ** 2 + n ** 3 + per_node))
 
     def parts(start):
         out = f(points[start:start + size])
@@ -324,83 +317,66 @@ def _tail(amps, top: int, missing: int):
     return e1 * rate ** ((missing - top) / 2)
 
 
-def _integrate_axis(x, e, axis: RuleAxis):
+def _integrate_axis(x, e, axis: RuleAxis, steps=(0,)):
     """Integrate the node values ``x`` over their last axis before the
-    columns, the factor ``axis`` of the rule.  Returns that integral and its
-    error: the coefficient tail along ``axis``, plus the integral of the
-    errors ``e`` of the later factors (None where there are none)."""
+    columns, the factor ``axis`` of the rule.  Returns that integral and,
+    for each of ``steps``, the error of the rule that many steps lower
+    (``0``: this one): the tail of the coefficients along ``axis`` that
+    rule resolves or, where larger, a coefficient resolved here at a degree
+    it does not integrate, plus the integral of its errors ``e`` of the
+    later factors (None where there are none)."""
     x = np.moveaxis(x, -2, 0)
     along = (-1,) + (1,) * (x.ndim - 1)
+    top = axis.modes.shape[0] - 1
+    low = max(top - max(steps) - 3, 0)
     amps = [np.sqrt(sum(pairwise_sum(row.reshape(along) * x) ** 2
-                        for row in rows)) for rows in axis.modes[-4:]]
-    error = _tail(amps, axis.modes.shape[0] - 1, axis.missing)
+                        for row in rows)) for rows in axis.modes[low:]]
     w = axis.weights.reshape(along)
-    if e is not None:
-        error = error + pairwise_sum(w * np.moveaxis(e, -2, 0))
-    return pairwise_sum(w * x), error
-
-
-def _lower_errors(x, rule: SphereRule) -> dict:
-    """What the node values ``x`` of one column on the grid of ``rule`` say
-    of each lower rule, keyed by degree (``2k - 2`` for the rule of
-    ``k >= 2`` nodes per polar angle): its estimate without the roundoff
-    floor, the reduction of :func:`_sphere_value` with the coefficients
-    truncated to what the lower rule resolves and carried by :func:`_tail`
-    to the first degree it does not integrate, and the largest coefficient
-    that this rule resolves at a degree the lower rule does not integrate.
-    Both are integrated over the earlier angles with this rule's weights."""
-    polar = rule.axes[0].weights.size
-    steps = range(1, polar - 1)             # rule steps below this rule
-    tails, unseen = [None] * len(steps), [None] * len(steps)
-    for axis in reversed(rule.axes):
-        x = np.moveaxis(x, -1, 0)
-        along = (-1,) + (1,) * (x.ndim - 1)
-        amps = [np.sqrt(sum(pairwise_sum(row.reshape(along) * x) ** 2
-                            for row in rows)) for rows in axis.modes]
-        w = axis.weights.reshape(along)
-        for i, step in enumerate(steps):
-            top, missing = len(amps) - 1 - step, axis.missing - 2 * step
-            tail = _tail(amps[max(top - 3, 0):top + 1], top, missing)
-            seen = np.zeros_like(tail)
-            for amp in amps[missing:]:
-                seen = np.maximum(seen, amp)
-            if tails[i] is not None:
-                tail = tail + pairwise_sum(w * np.moveaxis(tails[i], -1, 0))
-                seen = np.maximum(seen, pairwise_sum(
-                    w * np.moveaxis(unseen[i], -1, 0)))
-            tails[i], unseen[i] = tail, seen
-        x = pairwise_sum(w * x)
-    return {2 * (polar - step) - 2: (float(tail), float(seen))
-            for step, tail, seen in zip(steps, tails, unseen)}
+    errors = []
+    for i, step in enumerate(steps):
+        last, missing = top - step, axis.missing - 2 * step
+        error = _tail(amps[max(last - 3, 0) - low:last + 1 - low], last,
+                      missing)
+        for amp in amps[missing - low:]:
+            error = np.maximum(error, amp)
+        if e is not None:
+            error = error + pairwise_sum(w * np.moveaxis(e[i], -2, 0))
+        errors.append(error)
+    return pairwise_sum(w * x), errors
 
 
 def _sphere_value(f, rule, r, chart_kind, lower=None):
     """The result of :func:`integrate_sphere`: the rule's integral of ``f``
     over S_r, its node data and its error, the coefficient tail of each
     angle, taken after integrating out the angles after it, plus a roundoff
-    floor of a few ulps of sum |w f|."""
+    floor of a few ulps of sum |w f|; with ``lower``, the same error of
+    each lower rule it asks for."""
     values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind))
     value = pairwise_sum((values.T * rule.weights).T)
     cols = values.reshape(values.shape[0], -1)
-    grid = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
-    x, error = grid, None
+    x = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
+    # step i: the rule of degree 2 (polar - i) - 2, polar - i polar nodes
+    polar = rule.axes[0].weights.size
+    steps = range(1 if lower is None else max(polar - lower[1] // 2, 1))
+    errors = None
     for axis in reversed(rule.axes):
-        x, error = _integrate_axis(x, error, axis)
+        x, errors = _integrate_axis(x, errors, axis, steps)
     floor = _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
         (np.abs(cols).T * rule.weights).T)
-    error = error + floor
-    lower_errors = {} if lower is None else {
-        degree: max(tail + floor[lower], seen)
-        for degree, (tail, seen) in _lower_errors(grid[..., lower],
-                                                  rule).items()}
-    return QuadratureResult(value, error if values.ndim > 1
-                            else float(error[0]), rule.node_count, node_data,
-                            lower_errors=lower_errors)
+    lower_errors = {2 * (polar - step) - 2:
+                    float(e[lower[0]] + floor[lower[0]])
+                    for step, e in zip(steps[1:], errors[1:])}
+    error = errors[0] + floor
+    if values.ndim == 1:
+        error, floor = float(error[0]), float(floor[0])
+    return QuadratureResult(value, error, rule.node_count, node_data,
+                            floor=floor, lower_errors=lower_errors)
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
                      chart_kind: ChartKind = ChartKind.CARTESIAN,
-                     lower: int | None = None) -> QuadratureResult:
+                     lower: tuple[int, int] | None = None
+                     ) -> QuadratureResult:
     """Integrate ``f`` over the coordinate sphere S_r.
 
     ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
@@ -412,11 +388,12 @@ def integrate_sphere(f, r: float, rule: SphereRule,
     those values, per column: the DFT of each azimuth ring and the
     Gauss-Jacobi coefficients along each polar angle, once the later angles
     are integrated out, each carried at its decay rate to the first degree
-    the rule does not integrate (:func:`_tail`).  With ``lower``, a column
-    index, the result's ``lower_errors`` maps the degree of each lower rule
-    to an estimate of that column under it, from the same coefficients
-    (:func:`_lower_errors`): the larger of its truncated tail plus the
-    roundoff floor and the largest coefficient it does not integrate.
+    the rule does not integrate (:func:`_tail`), plus the roundoff floor
+    that the result's ``floor`` holds.  With ``lower``, a column index and
+    a degree of at least 2, the result's ``lower_errors`` maps each lower
+    rule's degree down to that one to an estimate of that column under it
+    from the same coefficients, truncated to those it resolves
+    (:func:`_integrate_axis`).
     """
     return _sphere_value(f, rule, r, chart_kind, lower)
 
@@ -457,7 +434,7 @@ def integrate_annulus(shell, r0: float, r1: float, rule: SphereRule,
     shells = tuple(_sphere_value(shell(r), rule, r, chart_kind) for r in radii)
     values = np.reshape([s.value for s in shells], (len(shells), -1))
     errors = np.reshape([s.error_estimate for s in shells], (len(shells), -1))
-    value, error = _integrate_axis(values, errors, radial)
+    value, (error,) = _integrate_axis(values, [errors], radial)
     if np.ndim(shells[0].value) == 0:
         value, error = float(value[0]), float(error[0])
     return QuadratureResult(value, error, rule.node_count * len(shells),

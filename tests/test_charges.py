@@ -685,22 +685,40 @@ def test_unfading_angular_content_keeps_its_degree():
         assert abs(got.limit - want.limit) <= got.limit_error
 
 
-def test_resolved_content_a_lower_rule_misses_blocks_it():
-    """A degree-10 azimuthal harmonic at leading order, which the ten
-    azimuths of a degree-8 rule read as a constant: from degree 30, whose
-    coefficients resolve it, no radius drops below degree 10, and the mass
-    (1 at every radius: the harmonic integrates to 0) is within its bar.
-    The truncated coefficients of a lower rule alone do not see it; the
-    coefficients at the degrees it does not integrate do."""
-    x2, x3 = "x2", "x3"
-    harmonic = (f"({x2}^10 - 45*{x2}^8*{x3}^2 + 210*{x2}^6*{x3}^4"
-                f" - 210*{x2}^4*{x3}^6 + 45*{x2}^2*{x3}^8 - {x3}^10)")
+@pytest.mark.parametrize("degree", [10, 16, 18, 30])
+def test_resolved_content_a_lower_rule_misses_blocks_it(degree):
+    """A degree-10 azimuthal harmonic at leading order, which every rule
+    here integrates and the ten azimuths of a degree-8 rule do not: no
+    radius drops below degree 10, and the mass (1 at every radius: the
+    harmonic integrates to 0) is within its bar.  Degree 30 resolves it;
+    the 18 azimuths of degree 16 read it at degree 8, where the estimate is
+    no longer roundoff; the 12 of degree 10 read it at degree 2, where the
+    coefficients of every lower rule read a steep decay; and at the Nyquist
+    degree of degree 18 it vanishes on every node."""
+    harmonic = ("(x2^10 - 45*x2^8*x3^2 + 210*x2^6*x3^4 - 210*x2^4*x3^6"
+                " + 45*x2^2*x3^8 - x3^10)")
     factor = f"1 + 2*(1 + 0.5*{harmonic}/r^10)/r"
     spec = MetricSpec("expression", 3,
                       components={(i, i): factor for i in range(3)})
     V = kernel_basis(3, "cartesian")[0]
-    (mass,), _ = charge_series(spec, FLAT_RADII, sphere_rule(3, 30), [V])
+    (mass,), _ = charge_series(spec, FLAT_RADII, sphere_rule(3, degree), [V])
     assert min(_degrees(mass)) >= 10
+    assert abs(mass.limit - 1.0) <= mass.limit_error
+
+
+def test_estimate_above_roundoff_keeps_the_rule():
+    """A degree-9 azimuthal sine at leading order sits at the Nyquist
+    degree of the 18 azimuths of degree 16, so the reported estimate is
+    not roundoff and every radius keeps degree 16, although the
+    coefficients of each lower rule from degree 8 up read roundoff."""
+    harmonic = ("(9*x2^8*x3 - 84*x2^6*x3^3 + 126*x2^4*x3^5 - 36*x2^2*x3^7"
+                " + x3^9)")
+    factor = f"1 + 2*(1 + 0.5*{harmonic}/r^9)/r"
+    spec = MetricSpec("expression", 3,
+                      components={(i, i): factor for i in range(3)})
+    V = kernel_basis(3, "cartesian")[0]
+    (mass,), _ = charge_series(spec, FLAT_RADII, sphere_rule(3, 16), [V])
+    assert _degrees(mass) == [16] * 5
     assert abs(mass.limit - 1.0) <= mass.limit_error
 
 

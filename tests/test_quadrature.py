@@ -189,12 +189,12 @@ def test_error_estimate_bounds_the_true_error(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lower_errors_read_the_lower_rules(n):
     """The estimates a rule reads for each lower rule from its own nodes
-    (``lower_errors``, one per lower rule step) are, on the zonal
-    integrands above, within a factor 2.5 either way of the estimate that
-    lower rule reports on its own nodes, wherever that is above roundoff
-    (measured: 0.45 to 1.43 at n = 3..5 from degrees 8, 12, 16 and 24).
-    They leave the integral and its estimate as they are, and read the
-    requested column as it would be read alone."""
+    (``lower_errors``, one per lower rule step down to the degree asked
+    for) are, on the zonal integrands above, within a factor 2.5 either way
+    of the estimate that lower rule reports on its own nodes, wherever that
+    is above roundoff (measured: 0.45 to 1.43 at n = 3..5 from degrees 8,
+    12, 16 and 24).  They leave the integral, its estimate and its floor as
+    they are, and read the requested column as it would be read alone."""
     a = np.array(OFF_AXIS[n]) / np.linalg.norm(OFF_AXIS[n])
     eps = np.finfo(float).eps
     checked = 0
@@ -202,23 +202,26 @@ def test_lower_errors_read_the_lower_rules(n):
         f = lambda p: g(p @ a)
         for degree in (8, 12, 16, 24):
             rule = sphere_rule(n, degree)
-            res = integrate_sphere(f, 1.0, rule, lower=0)
+            res = integrate_sphere(f, 1.0, rule, lower=(0, 4))
             plain = integrate_sphere(f, 1.0, rule)
-            assert (res.value, res.error_estimate) == (plain.value,
-                                                       plain.error_estimate)
-            assert sorted(res.lower_errors) == list(range(2, degree - 1, 2))
+            assert (res.value, res.error_estimate, res.floor) == (
+                plain.value, plain.error_estimate, plain.floor)
+            assert plain.lower_errors == {}
+            assert sorted(res.lower_errors) == list(range(4, degree - 1, 2))
             for lower, estimate in res.lower_errors.items():
                 low = sphere_rule(n, lower)
                 own = integrate_sphere(f, 1.0, low).error_estimate
                 l1 = pairwise_sum(np.abs(f(low.units)) * low.weights)
-                if lower >= 4 and own > 64 * eps * l1:
+                if own > 64 * eps * l1:
                     checked += 1
                     assert 0.4 <= estimate / own <= 2.5, (degree, lower)
     assert checked >= 40
     cols = lambda p: np.stack([np.cos(p[:, 1]), f(p)], axis=-1)
-    assert integrate_sphere(cols, 1.0, rule, lower=1).lower_errors == \
-        integrate_sphere(f, 1.0, rule, lower=0).lower_errors
-    assert integrate_sphere(f, 1.0, sphere_rule(n, 3), lower=0) \
+    assert integrate_sphere(cols, 1.0, rule, lower=(1, 6)).lower_errors == \
+        integrate_sphere(f, 1.0, rule, lower=(0, 6)).lower_errors
+    assert sorted(integrate_sphere(f, 1.0, rule, lower=(0, 6))
+                  .lower_errors) == list(range(6, 23, 2))
+    assert integrate_sphere(f, 1.0, sphere_rule(n, 5), lower=(0, 6)) \
         .lower_errors == {}
 
 
