@@ -18,13 +18,17 @@ product of functions of one coordinate each (``sinh^2 r * sin^2 theta_1
 own coordinate, multiplied into the running product with one sparse step
 (:func:`~asymflux.hyperdual.mul_factor`), which writes the numbers of the
 full-width product.  Every catalog metric is diagonal, and its jet is
-written through the diagonal view of each array's ``(i, j)`` pair.
-``expression`` and ``perturbation`` components are parsed once, when the
-spec is built, so a bad component fails before any computation starts.
-:func:`jets` returns the metric jet, the background jet and the deviation
-``g - b`` from one evaluation; catalog kinds give the deviation in stable
-closed form, expression metrics subtract the jets.  :func:`metric_jet` is
-the metric jet of :func:`jets`, for the checks that read ``g`` alone.
+written through the diagonal view of each array's ``(i, j)`` pair, one
+entry at a time.  ``expression`` and ``perturbation`` components are
+parsed once, when the spec is built, so a bad component fails before any
+computation starts.  :func:`jets` returns the metric's 2-jet, the
+background as a first-order jet (value and first derivatives: the charge
+integrand reads no second derivative of ``b``) and the deviation ``g - b``
+from one evaluation; catalog kinds give the deviation in stable closed
+form, expression metrics subtract the jets.  Every background is diagonal,
+so its inverse and Christoffel symbols are closed forms in ``b_ii`` and
+``d_k b_ii``.  :func:`metric_jet` is the metric jet of :func:`jets`, for
+the checks that read ``g`` alone.
 
 The formulas that depend on the chart alone are written here once: the
 sphere embedding (the quadrature nodes too), the coordinate volume factor,
@@ -251,19 +255,23 @@ def _zero_jet(shape, n) -> MetricJet:
 
 def _write_diagonal(arrays, diagonal, shape):
     """Write diagonal entries (HyperDuals or constants) into zeroed jet
-    arrays ``(value, d[, dd])``, one assignment per array through the
-    ``::n+1`` view of its trailing ``(i, j)`` pair."""
+    arrays ``(value, d[, dd])`` through the ``::n+1`` view of each array's
+    trailing ``(i, j)`` pair: one assignment per array where every entry is
+    the same, else one per entry; constants leave the zero derivatives."""
     n = len(diagonal)
     parts = [(e.val, e.grad, e.hess) if isinstance(e, HyperDual)
-             else (e, 0.0, 0.0) for e in diagonal]
+             else (e, None, None) for e in diagonal]
     for out, entries, tail in zip(arrays, zip(*parts), ((), (n,), (n, n))):
         # a view: out is contiguous
         diag = out.reshape(*out.shape[:-2], n * n)[..., ::n + 1]
         if all(e is entries[0] for e in entries):    # one entry everywhere
-            diag[...] = np.broadcast_to(entries[0], shape + tail)[..., None]
-        else:
-            np.stack([np.broadcast_to(e, shape + tail) for e in entries],
-                     axis=-1, out=diag)
+            if entries[0] is not None:
+                diag[...] = np.broadcast_to(entries[0],
+                                            shape + tail)[..., None]
+            continue
+        for i, e in enumerate(entries):
+            if e is not None:
+                diag[..., i] = e
 
 
 def _assemble(diagonal, shape) -> MetricJet:
@@ -307,10 +315,15 @@ def _euclidean_jet(coords) -> MetricJet:
                      np.broadcast_to(0.0, shape + (n, n, n, n)))
 
 
-def _diagonal_deviation(diagonal, shape, n) -> SymTensorJet:
-    """Deviation jet from its diagonal entries ``eps_ii`` (HyperDuals or
-    constants); an empty list gives the zero deviation as read-only
-    broadcast views."""
+def _first_order(jet: MetricJet) -> SymTensorJet:
+    """A 2-jet's value and first derivatives, as views."""
+    return SymTensorJet(jet.g, jet.dg)
+
+
+def _diagonal_first_order(diagonal, shape, n) -> SymTensorJet:
+    """A first-order jet (the background, the deviation) from its diagonal
+    entries (HyperDuals or constants); an empty list gives the zero tensor
+    as read-only broadcast views."""
     if not diagonal:
         return SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
                             np.broadcast_to(0.0, shape + (n, n, n)))
@@ -319,14 +332,19 @@ def _diagonal_deviation(diagonal, shape, n) -> SymTensorJet:
     return SymTensorJet(value, d)
 
 
-def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
-    """Exact 2-jets ``(g, b)`` of the spec's metric and of its background at
-    point(s) ``p``, and the jet of the deviation ``g - b``.
+def jets(spec: MetricSpec, p) -> tuple[MetricJet, SymTensorJet, SymTensorJet]:
+    """The exact 2-jet of the spec's metric at point(s) ``p``, the
+    first-order jet of its background ``b`` (value and first derivatives,
+    the two the charge integrand reads) and the jet of the deviation
+    ``g - b``.
 
-    Catalog kinds give the deviation in stable closed form (no large-radius
-    cancellation); expression metrics subtract the jets.  The three share
-    their intermediates.  The Euclidean background and a zero deviation are
-    read-only broadcast views.
+    Every background is diagonal: the Euclidean ``delta`` or a polar
+    background, whose diagonal ``b_ii`` and ``d_k b_ii`` give ``b^{-1}``
+    and ``Gamma(b)`` in closed form.  Catalog kinds give the deviation in
+    stable closed form (no large-radius cancellation); expression metrics
+    subtract the jets.  The three share their intermediates: where ``g``
+    is the background, ``b`` views its arrays.  The Euclidean background
+    and a zero deviation are read-only broadcast views.
     """
     coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
@@ -335,18 +353,18 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
     kind = chart_kind_of(spec)
     n = spec.n
     shape = coords.shape[:-1]
-    zero = _diagonal_deviation([], shape, n)
+    zero = _diagonal_first_order([], shape, n)
 
     if spec.kind == "euclidean":
         g = _euclidean_jet(coords)
-        return g, g, zero
+        return g, _first_order(g), zero
 
     if spec.kind == "schwarzschild_conformal":
         t, log_factor = _schwarzschild_log_factor(spec, coords)
         g = _assemble([hd.lift(t, hd.exp(log_factor))] * n, shape)
         w = hd.lift(t, hd.expm1(log_factor))
-        return (g, _euclidean_jet(coords),
-                _diagonal_deviation([w] * n, shape, n))
+        return (g, _first_order(_euclidean_jet(coords)),
+                _diagonal_first_order([w] * n, shape, n))
 
     if spec.kind in HYPERBOLIC_KINDS:
         # separable entries: each factor a one-variable jet in r or an
@@ -360,14 +378,15 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
             sh2 = sh * sh
             g = _assemble([1.0] + [hd.mul_factor(s, sh2, 0) for s in sigma],
                           shape)
-            return g, g, zero
+            return g, _first_order(g), zero
         # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
         r2 = r * r
         angular = [hd.mul_factor(s, r2, 0) for s in sigma]
         f0 = 1.0 + r2
-        b = _assemble([hd.mul_factor(one, 1.0 / f0, 0), *angular], shape)
+        b_diag = [hd.mul_factor(one, 1.0 / f0, 0), *angular]
         if spec.kind == "hyperbolic_area":
-            return b, b, zero
+            g = _assemble(b_diag, shape)
+            return g, _first_order(g), zero
         mass_term = (2.0 * spec.m) * r ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
@@ -375,7 +394,8 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
         g = _assemble([hd.mul_factor(one, 1.0 / f, 0), *angular], shape)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
         eps = hd.mul_factor(one, mass_term / (f * f0), 0)
-        return g, b, _diagonal_deviation([eps] + [0.0] * (n - 1), shape, n)
+        return (g, _diagonal_first_order(b_diag, shape, n),
+                _diagonal_first_order([eps] + [0.0] * (n - 1), shape, n))
 
     if spec.kind == "perturbation":
         base, b, base_eps = jets(spec.base, coords)
@@ -388,8 +408,8 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, MetricJet, SymTensorJet]:
 
     # expression metrics: plain subtraction from the chart background
     g = _components_jet(spec, coords, kind)
-    b = jets(background_of(spec), coords)[0]
-    return g, b, SymTensorJet(g.g - b.g, g.dg - b.dg)
+    b = jets(background_of(spec), coords)[1]
+    return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
 
 
 def metric_jet(spec: MetricSpec, p) -> MetricJet:

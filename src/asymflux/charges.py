@@ -35,13 +35,16 @@ rule: at their outer radii the Ricci fluxes are set by the roundoff of the
 modified Einstein tensor, which a different node set changes by more than
 the bars.
 
-On a flat-type metric the background is the Euclidean ``delta`` of the
-cartesian chart: its inverse is itself and its Christoffel symbols and
-``d b^{-1}`` vanish, so the sphere pass takes the V-independent parts of
-``U`` in closed form (the ADM flux ``d_i eps_ij - d_j tr eps`` and
-``tr eps``) with the same ``delta``-contractions as the general formula,
-which keeps every bit.  The public integrands keep the general formula for
-any background passed in.
+Every background is diagonal, so the V-independent parts of ``U`` are
+closed forms in ``b_ii``, ``d_k b_ii`` and the deviation, at O(n^2) per
+node: ``b^{-1}`` is ``1/b_ii``, and ``Gamma(b)`` enters through the
+log-derivatives ``d_k b_ii / b_ii`` (:func:`_michel_pieces`); no
+factorization, Christoffel array or ``d b^{-1}`` of the background is
+built.  On a flat-type metric the background is the Euclidean ``delta`` of
+the cartesian chart, whose inverse is itself and whose symbols vanish, so
+the pass takes the ADM flux ``d_i eps_ij - d_j tr eps`` and ``tr eps``
+(:func:`_flat_michel_pieces`) with the ``delta``-contractions of the
+general formula, which the tests keep as their oracle, bit for bit.
 
 Charge normalizations (exact constants, see ``_normalization``; a kernel
 function gives a classical charge and a field a Ricci one, and the centers,
@@ -62,10 +65,8 @@ from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import basis_jets, kernel_basis
-from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
-                       SymTensorJet, curvature, divergence_symmetric2,
-                       diagonal_sum, inverse_derivative, inverse_metric,
-                       sum_last, trace_product)
+from .geometry import (ChartKind, CurvatureBundle, ScalarJet, SymTensorJet,
+                       curvature, diagonal_sum, sum_last)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import SphereRule, integrate_sphere, omega, sphere_rule
 
@@ -93,27 +94,47 @@ def _normalization(n: int, field: bool, mass: float | None) -> float:
 
 # --------------------------------------------------------------- integrands
 
-def _michel_pieces(eps: SymTensorJet, b_jet: MetricJet):
-    """The V-independent parts of ``U``: ``(binv, -delta eps - d tr eps, tr eps)``."""
-    binv = inverse_metric(b_jet.g)
-    delta_eps = divergence_symmetric2(b_jet, eps, binv)       # paper-sign delta
-    tr_eps = trace_product(binv, eps.value)
-    dbinv = inverse_derivative(binv, b_jet.dg)
-    dtr = (trace_product(dbinv, eps.value[..., None, :, :])
-           + trace_product(binv[..., None, :, :], eps.d))
-    return binv, -delta_eps - dtr, tr_eps
+def _michel_pieces(eps: SymTensorJet, b: SymTensorJet):
+    """The V-independent parts of ``U``, ``(binv, -delta eps - d tr eps,
+    tr eps)``, on a diagonal background, in closed form at O(n^2) per node.
+
+    With ``L_ki = d_k b_ii / b_ii`` the symbols of ``b`` are ``Gamma^i_ki =
+    L_ki / 2`` and, for ``l != i``, ``Gamma^l_ii = -L_li b_ii / (2 b_ll)``;
+    every other vanishes.  So ``b^{ii} Gamma^l_ii = c^l = b^{ll} (L_ll -
+    sum_i L_li / 2)``, the symbols ``Gamma^m_ij`` with ``i != j`` contract
+    against ``b^{ii} eps_im`` to ``sum_i L_ji e_i / 2`` (``e_i = b^{ii}
+    eps_ii``), and with ``d_j tr eps = sum_i (b^{ii} d_j eps_ii - L_ji
+    e_i)``::
+
+        -delta eps - d tr eps = sum_i b^{ii} (d_i eps_ij - d_j eps_ii)
+                                - c^l eps_lj + sum_i L_ji e_i / 2
+
+    where the ``i = j`` term of the first sum is an exact zero."""
+    n = b.value.shape[-1]
+    bii = np.diagonal(b.value, axis1=-2, axis2=-1)
+    inv = 1.0 / bii
+    L = np.diagonal(b.d, axis1=-2, axis2=-1) / bii[..., None, :]
+    e = inv * np.diagonal(eps.value, axis1=-2, axis2=-1)
+    c = inv * (np.diagonal(L, axis1=-2, axis2=-1) - 0.5 * sum_last(L))
+    # [..., j, i] = d_i eps_ij - d_j eps_ii
+    d_eps = (np.diagonal(eps.d, axis1=-3, axis2=-2)
+             - np.diagonal(eps.d, axis1=-2, axis2=-1))
+    source = sum_last(inv[..., None, :] * d_eps)
+    source -= sum_last(c[..., None, :] * eps.value)   # eps is symmetric
+    source += 0.5 * sum_last(L * e[..., None, :])
+    return inv[..., :, None] * np.eye(n), source, sum_last(e)
 
 
-def _flat_michel_pieces(eps: SymTensorJet, b_jet: MetricJet):
+def _flat_michel_pieces(eps: SymTensorJet, b: SymTensorJet):
     """:func:`_michel_pieces` on the Euclidean background, whose jet is the
     identity with zero derivatives: ``binv`` is ``b`` itself, the
     Christoffel and ``d b^{-1}`` terms, exact zeros, are left out, and the
-    contractions with ``delta`` are diagonal sums in the general formula's
-    index order."""
+    contractions with ``delta`` are diagonal sums in the index order of the
+    general formula (the test oracle)."""
     div_eps = diagonal_sum(eps.d, -3, -2)
     dtr = diagonal_sum(eps.d, -2, -1)
     tr_eps = diagonal_sum(eps.value, -2, -1)
-    return b_jet.g, div_eps - dtr, tr_eps
+    return b.value, div_eps - dtr, tr_eps
 
 
 def _michel_contract(V: ScalarJet, eps: SymTensorJet, pieces,
@@ -199,28 +220,28 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
     scal_b = 0.0 if spec.is_flat_type else -spec.n * (spec.n - 1)
     upper_i, upper_j = np.triu_indices(spec.n)
 
-    def kernel_columns(points, b_jet, eps, scalars):
+    def kernel_columns(points, b, eps, scalars):
         nu, area = sphere_normal_area(points, chart, r)
-        pieces = michel_pieces(eps, b_jet)
+        pieces = michel_pieces(eps, b)
         return [_michel_contract(V, eps, pieces, nu) * area for V in scalars]
 
     def f(points):
-        jet, b_jet, eps = jets(spec, points)
+        jet, b, eps = jets(spec, points)
         if fields:
             # g is inverted below; a non-finite dg or ddg reaches the
             # integrand, which integrate_sphere rejects with the same error
             _finite(jet.g, "metric jet", r)
-        bdiag = np.sqrt(np.diagonal(b_jet.g, axis1=-2, axis2=-1))
+        bdiag = np.sqrt(np.diagonal(b.value, axis1=-2, axis2=-1))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         data = [np.abs(frame).max(axis=(-2, -1))]
         upper = frame[..., upper_i, upper_j] if odd else None
         del frame
         scalars, vectors = basis_jets(points, kernels, fields)
-        columns = kernel_columns(points, b_jet, eps, scalars) if kernels else []
+        columns = kernel_columns(points, b, eps, scalars) if kernels else []
         # the background jet, the deviation and the kernel jets die here,
         # before curvature runs; of the field jets only the components stay
         comps = [X.comp for X in vectors]
-        del b_jet, eps, scalars, vectors
+        del b, eps, scalars, vectors
         if fields:
             bun = curvature(jet)
             G = bun.einstein if spec.is_flat_type else bun.modified_einstein

@@ -36,7 +36,7 @@ import numpy as np
 from . import hyperdual as hd
 from .catalog import (check_polar_domain, round_sphere_diag_hd,
                       sphere_embedding_hd)
-from .errors import ChartMismatchError
+from .errors import ChartMismatchError, DomainError
 from .geometry import ChartKind, ScalarJet, VectorJet, sum_last
 from .hyperdual import HyperDual
 
@@ -83,8 +83,9 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
     One call evaluates the coordinates, the hyper-dual seeds, the sphere
     embedding and the background inverse once for every element, and each
     kernel jet once: the hyperbolic field ``X^(i) = grad_b V^(i)`` reads the
-    jet of its paired ``V^(i)``.  Returns ``(kernel jets, field jets)`` in
-    the order given.
+    jet of its paired ``V^(i)`` and the values and gradients of the
+    ``b^{-1}`` entries, which take no Hessian.  Returns ``(kernel jets,
+    field jets)`` in the order given.
     """
     elements = (*kernels, *fields)
     if not elements:
@@ -124,11 +125,22 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
                              np.broadcast_to(x.hess, shape + (n, n)))
     vectors = []
     if fields:
-        binv = [radial_inv] + [hd.reciprocal(hd.mul_factor(s, sph2, 0))
-                               for s in round_sphere_diag_hd(angles, one)]
+        binv = [(radial_inv.val, radial_inv.grad)] + [
+            _reciprocal_gradient(hd.mul_factor(s, sph2, 0))
+            for s in round_sphere_diag_hd(angles, one)]
         vectors = [_gradient_field(vjets[X.kernel.index], binv)
                    for X in fields]
     return [vjets[V.index] for V in kernels], vectors
+
+
+def _reciprocal_gradient(x: HyperDual):
+    """The value and gradient of ``1 / x``, the numbers of
+    :func:`~asymflux.hyperdual.reciprocal` without its Hessian, which
+    :func:`_gradient_field` does not read."""
+    v = x.val
+    if np.any(v == 0.0):
+        raise DomainError("division by zero")
+    return 1.0 / v, (-1.0 / v**2)[..., None] * x.grad
 
 
 # --------------------------------------------------------------- flat fields
@@ -168,15 +180,16 @@ def _flat_field(coords, index):
 # --------------------------------------------------------- hyperbolic fields
 
 def _gradient_field(vjet: ScalarJet, binv) -> VectorJet:
-    """``X = grad_b V`` from the jet of V and the diagonal of ``b^{-1}``."""
+    """``X = grad_b V`` from the jet of V and the diagonal of ``b^{-1}``,
+    one ``(value, gradient)`` pair per entry."""
     shape, n = vjet.grad.shape[:-1], len(binv)
     comp = np.zeros(shape + (n,))
     d = np.zeros(shape + (n, n))
-    for j, bj in enumerate(binv):
-        comp[..., j] = bj.val * vjet.grad[..., j]
+    for j, (value, grad) in enumerate(binv):
+        comp[..., j] = value * vjet.grad[..., j]
         # d_k X^j = (d_k binv_jj) dV_j + binv_jj Hess^{coord}_kj V
-        d[..., :, j] = (bj.grad * vjet.grad[..., j][..., None]
-                        + bj.val[..., None] * vjet.hess[..., :, j])
+        d[..., :, j] = (grad * vjet.grad[..., j][..., None]
+                        + value[..., None] * vjet.hess[..., :, j])
     return VectorJet(comp, d)
 
 

@@ -6,14 +6,15 @@ Conventions used throughout the package:
   the inverse metric,
 * ``dg[..., k, i, j]`` is the coordinate derivative ``d_k g_ij`` and
   ``ddg[..., k, l, i, j]`` is ``d_k d_l g_ij``,
-* the divergence ``delta`` on vectors and symmetric 2-tensors is MINUS the
-  covariant divergence (so the Euclidean dilation field has divergence -n).
+* the divergence ``delta`` on vectors is MINUS the covariant divergence
+  (so the Euclidean dilation field has divergence -n).
 
 Every operation accepts arbitrary leading batch dimensions and is a pure
 function of its inputs.  The operators on a metric read the node's
-:class:`CurvatureBundle` (or, for a background without one, its inverse),
-which the caller computes once per node; none of them re-derives ``g^{-1}``
-or the Christoffel symbols.
+:class:`CurvatureBundle`, which the caller computes once per node; none of
+them re-derives ``g^{-1}`` or the Christoffel symbols.  The backgrounds of
+the charge integrand are diagonal and take their own closed forms
+(``charges._michel_pieces``).
 
 Per-node linear algebra is laid out along the node axis, by one rule:
 
@@ -58,9 +59,8 @@ from .errors import DegenerateMetricError
 __all__ = [
     "ChartKind", "MetricJet", "ScalarJet", "VectorJet",
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
-    "inverse_derivative", "christoffel", "curvature", "divergence_vector",
-    "divergence_symmetric2", "killing_operator", "hessian", "tensor_norm",
-    "sum_last", "diagonal_sum", "trace_product",
+    "christoffel", "curvature", "divergence_vector", "killing_operator",
+    "hessian", "tensor_norm", "sum_last", "diagonal_sum", "trace_product",
 ]
 
 
@@ -178,12 +178,6 @@ def _factor(g):
         inv[j, :j] = inv[:j, j]
     ginv = np.ascontiguousarray(np.moveaxis(inv, -1, 0)).reshape(*batch, n, n)
     return ginv, sqrt_det.reshape(batch)
-
-
-def inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """``d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}`` as ``[..., m, k, l]``."""
-    gi = ginv[..., None, :, :]
-    return -((gi @ dg) @ gi)
 
 
 def christoffel(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
@@ -312,20 +306,6 @@ def divergence_vector(X: VectorJet, bundle: CurvatureBundle) -> np.ndarray:
     """``delta^g X = -(d_i X^i + Gamma^i_ik X^k)`` (minus the covariant divergence)."""
     trace = diagonal_sum(bundle.christoffel, -3, -2)     # Gamma^i_ik
     return -(diagonal_sum(X.d, -2, -1) + sum_last(trace * X.comp))
-
-
-def divergence_symmetric2(jet: MetricJet, T: SymTensorJet,
-                          ginv: np.ndarray) -> np.ndarray:
-    """One-form ``(delta^g T)_j = -grad^i T_ij`` (with the paper-side minus sign)."""
-    n = jet.n
-    Gamma = christoffel(jet, ginv)
-    # grad_k T_ij = d_k T_ij - Gamma^l_ki T_lj - Gamma^l_kj T_il
-    covd = T.d - (_pairs_flat(Gamma).swapaxes(-1, -2)
-                  @ T.value).reshape(T.d.shape)
-    covd -= T.value[..., None, :, :] @ Gamma.swapaxes(-3, -2)
-    # g^{ik} grad_k T_ij: k contracted by one matmul, then the (i, i) trace
-    raised = ginv @ covd.reshape(*covd.shape[:-3], n, n * n)
-    return -diagonal_sum(_pairs_last(raised), -3, -2)
 
 
 def killing_operator(jet: MetricJet, X: VectorJet, bundle: CurvatureBundle):

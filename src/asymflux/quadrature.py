@@ -352,7 +352,8 @@ def _sphere_value(f, rule, r, chart_kind, lower=None):
     floor of a few ulps of sum |w f|; with ``lower``, the same error of
     each lower rule it asks for."""
     values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind))
-    value = pairwise_sum((values.T * rule.weights).T)
+    weighted = (values.T * rule.weights).T
+    value = pairwise_sum(weighted)
     cols = values.reshape(values.shape[0], -1)
     x = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
     # step i: the rule of degree 2 (polar - i) - 2, polar - i polar nodes
@@ -361,8 +362,9 @@ def _sphere_value(f, rule, r, chart_kind, lower=None):
     errors = None
     for axis in reversed(rule.axes):
         x, errors = _integrate_axis(x, errors, axis, steps)
+    # the weights are positive, so |f w| is |f| w bit for bit
     floor = _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
-        (np.abs(cols).T * rule.weights).T)
+        np.abs(weighted, out=weighted).reshape(cols.shape))
     lower_errors = {2 * (polar - step) - 2:
                     float(e[lower[0]] + floor[lower[0]])
                     for step, e in zip(steps[1:], errors[1:])}

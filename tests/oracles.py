@@ -2,36 +2,54 @@
 
 The program never calls these.  They are the classical ADM and center
 integrands, the charge integrand from the deviation and from two full
-metric jets, the full derivative of the Christoffel symbols, the adjoint
-linearized scalar curvature, an expression printer whose text parses back
-to the same tree, a metric jet read as a symmetric 2-tensor, the
-polar-chart jets and basis jets built with full-width products of
-full-width seeds, and the per-radius sups of the hypothesis diagnostics,
-each sampled on a node pass of its own.
+metric jets with the general formula for any background (its Cholesky
+inverse, Christoffel symbols, covariant divergence and ``d b^{-1}``), the
+full derivative of the Christoffel symbols, the adjoint linearized scalar
+curvature, an expression printer whose text parses back to the same tree,
+a metric jet read as a symmetric 2-tensor, the polar-chart jets and basis
+jets built with full-width products of full-width seeds, and the
+per-radius sups of the hypothesis diagnostics, each sampled on a node pass
+of its own.
 """
 
 import numpy as np
 
 from asymflux import hyperdual as hd
 from asymflux.catalog import jets
-from asymflux.charges import _michel_contract, _michel_pieces, sphere_normal_area
+from asymflux.charges import _michel_contract, sphere_normal_area
 from asymflux.expr import Bin, Call, Name, Num, Unary
 from asymflux.fields import _gradient_field
 from asymflux.geometry import (ChartKind, CurvatureBundle, MetricJet,
-                               ScalarJet, SymTensorJet, _first_kind,
-                               _pairs_flat, _pairs_last, curvature, hessian,
-                               inverse_derivative)
+                               ScalarJet, SymTensorJet, _christoffel,
+                               _first_kind, _pairs_flat, _pairs_last,
+                               christoffel, curvature, diagonal_sum, hessian,
+                               inverse_metric, trace_product)
 from asymflux.hyperdual import HyperDual, seed_variables
 from asymflux.quadrature import _evaluate, _sphere_points
 
 
 # --------------------------------------------------------------- integrands
 
-def michel_integrand_deviation(V: ScalarJet, eps: SymTensorJet,
-                               b_jet: MetricJet, nu: np.ndarray) -> np.ndarray:
+def michel_pieces(eps: SymTensorJet, b) -> tuple:
+    """The V-independent parts of ``U``, ``(binv, -delta eps - d tr eps,
+    tr eps)``, by the general formula for any background ``b`` with value
+    and first derivatives (a SymTensorJet, or a MetricJet read as one)."""
+    b = as_sym_tensor(b) if isinstance(b, MetricJet) else b
+    binv = inverse_metric(b.value)
+    gamma = _christoffel(binv, _first_kind(b.d))
+    delta_eps = _divergence_symmetric2(gamma, eps, binv)    # paper-sign delta
+    tr_eps = trace_product(binv, eps.value)
+    dbinv = inverse_derivative(binv, b.d)
+    dtr = (trace_product(dbinv, eps.value[..., None, :, :])
+           + trace_product(binv[..., None, :, :], eps.d))
+    return binv, -delta_eps - dtr, tr_eps
+
+
+def michel_integrand_deviation(V: ScalarJet, eps: SymTensorJet, b,
+                               nu: np.ndarray) -> np.ndarray:
     """Charge integrand ``U(V, g, b)(nu)`` from the deviation ``eps = g - b``
-    and the general formula, for any background jet."""
-    return _michel_contract(V, eps, _michel_pieces(eps, b_jet), nu)
+    and the general formula (:func:`michel_pieces`), for any background."""
+    return _michel_contract(V, eps, michel_pieces(eps, b), nu)
 
 
 def michel_integrand(V: ScalarJet, g_jet: MetricJet, b_jet: MetricJet,
@@ -65,6 +83,29 @@ def center_integrand(eps: SymTensorJet, alpha: int, points: np.ndarray,
 def as_sym_tensor(jet: MetricJet) -> SymTensorJet:
     """The metric jet's value and first derivatives as a symmetric 2-tensor."""
     return SymTensorJet(jet.g, jet.dg)
+
+
+def inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """``d_m g^{kl} = -(g^{-1} d_m g g^{-1})^{kl}`` as ``[..., m, k, l]``."""
+    gi = ginv[..., None, :, :]
+    return -((gi @ dg) @ gi)
+
+
+def divergence_symmetric2(jet: MetricJet, T: SymTensorJet,
+                          ginv: np.ndarray) -> np.ndarray:
+    """One-form ``(delta^g T)_j = -grad^i T_ij`` (with the paper-side minus sign)."""
+    return _divergence_symmetric2(christoffel(jet, ginv), T, ginv)
+
+
+def _divergence_symmetric2(gamma, T, ginv):
+    n = T.value.shape[-1]
+    # grad_k T_ij = d_k T_ij - Gamma^l_ki T_lj - Gamma^l_kj T_il
+    covd = T.d - (_pairs_flat(gamma).swapaxes(-1, -2)
+                  @ T.value).reshape(T.d.shape)
+    covd -= T.value[..., None, :, :] @ gamma.swapaxes(-3, -2)
+    # g^{ik} grad_k T_ij: k contracted by one matmul, then the (i, i) trace
+    raised = ginv @ covd.reshape(*covd.shape[:-3], n, n * n)
+    return -diagonal_sum(_pairs_last(raised), -3, -2)
 
 
 def christoffel_derivative(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
@@ -144,7 +185,8 @@ def _diagonal_jet(entries, shape, width):
 
 def polar_jets(spec, coords):
     """``(g, b, g - b)`` of a ``hyperbolic_polar``, ``hyperbolic_area`` or
-    ``kottler`` spec, as dense jets."""
+    ``kottler`` spec, as dense jets: the metric's 2-jet, the background's
+    and the deviation's first-order jets."""
     n, shape = spec.n, coords.shape[:-1]
     width = n
     radial, *angles = seed_variables(coords)
@@ -155,20 +197,20 @@ def polar_jets(spec, coords):
         sh = hd.sinh(r)
         sh2 = hd.lift(radial, sh * sh)
         g = _diagonal_jet([1.0] + [sh2 * s for s in sigma], shape, width)
-        return g, g, SymTensorJet(g.g * 0.0, g.dg * 0.0)
+        return g, as_sym_tensor(g), SymTensorJet(g.g * 0.0, g.dg * 0.0)
     r2 = r * r
     rho2 = hd.lift(radial, r2)
     angular = [rho2 * s for s in sigma]
     f0 = 1.0 + r2
     b = _diagonal_jet([hd.lift(radial, 1.0 / f0), *angular], shape, width)
     if spec.kind == "hyperbolic_area":
-        return b, b, SymTensorJet(b.g * 0.0, b.dg * 0.0)
+        return b, as_sym_tensor(b), SymTensorJet(b.g * 0.0, b.dg * 0.0)
     mass_term = (2.0 * spec.m) * r ** (-(n - 2))
     f = f0 - mass_term
     g = _diagonal_jet([hd.lift(radial, 1.0 / f), *angular], shape, width)
     eps = _diagonal_jet([hd.lift(radial, mass_term / (f * f0))]
                         + [0.0] * (n - 1), shape, width)
-    return g, b, SymTensorJet(eps.g, eps.dg)
+    return g, as_sym_tensor(b), SymTensorJet(eps.g, eps.dg)
 
 
 def polar_basis_jets(coords, chart_kind):
@@ -192,6 +234,7 @@ def polar_basis_jets(coords, chart_kind):
                for x in [v0] + [ui * radial_factor for ui in u]]
     binv = [radial_inv] + [one / (sph2 * s)
                            for s in round_sphere_diag_chain(angles, one)]
+    binv = [(entry.val, entry.grad) for entry in binv]
     return scalars, [_gradient_field(V, binv) for V in scalars]
 
 
@@ -204,8 +247,8 @@ def decay_sup(spec, r, rule):
     """Sup over S_r of the frame-rescaled deviation ``|eps_ij| / sqrt(b_ii
     b_jj)``."""
     def frame_sup(points):
-        _, b_jet, eps = jets(spec, points)
-        bdiag = np.sqrt(np.einsum("...ii->...i", b_jet.g))
+        _, b, eps = jets(spec, points)
+        bdiag = np.sqrt(np.einsum("...ii->...i", b.value))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         return np.abs(frame).max(axis=(-2, -1))
     points = _sphere_points(r, rule, spec.chart_kind)

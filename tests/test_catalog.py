@@ -7,7 +7,7 @@ from asymflux.catalog import (MetricSpec, background_of, chart_radius,
                               coordinate_volume, decay_mode, geodesic_radius,
                               jets, metric_jet)
 from asymflux.errors import DomainError
-from asymflux.geometry import curvature
+from asymflux.geometry import SymTensorJet, curvature
 from oracles import polar_jets
 
 RNG = np.random.default_rng(11)
@@ -177,10 +177,12 @@ def test_deviation_matches_subtraction(kind, n, pts_fn):
     b = metric_jet(background_of(spec), pts)
     assert np.allclose(eps.value, g.g - b.g, atol=1e-12)
     assert np.allclose(eps.d, g.dg - b.dg, atol=1e-12)
-    # the fused call gives the metric and background jets bit for bit
-    for fused, alone in ((g_jet, g), (b_jet, b)):
-        for key in ("g", "dg", "ddg"):
-            assert np.array_equal(getattr(fused, key), getattr(alone, key))
+    # the fused call gives the metric jet and the background's value and
+    # first derivatives bit for bit
+    for key in ("g", "dg", "ddg"):
+        assert np.array_equal(getattr(g_jet, key), getattr(g, key))
+    assert np.array_equal(b_jet.value, b.g)
+    assert np.array_equal(b_jet.d, b.dg)
 
 
 # ------------------------------------------------ separable polar products
@@ -198,11 +200,12 @@ def test_polar_jets_equal_the_full_width_products(spec):
     ``sinh^2 r`` entries."""
     pts = polar_points(spec.n, 40, 1.5, 30.0, np.random.default_rng(spec.n))
     computed, reference = jets(spec, pts), polar_jets(spec, pts)
-    for ours, ref in zip(computed[:2], reference[:2]):
-        for key in ("g", "dg", "ddg"):
-            assert np.array_equal(getattr(ours, key), getattr(ref, key))
-    assert np.array_equal(computed[2].value, reference[2].value)
-    assert np.array_equal(computed[2].d, reference[2].d)
+    for key in ("g", "dg", "ddg"):
+        assert np.array_equal(getattr(computed[0], key),
+                              getattr(reference[0], key))
+    for ours, ref in zip(computed[1:], reference[1:]):
+        assert np.array_equal(ours.value, ref.value)
+        assert np.array_equal(ours.d, ref.d)
 
 
 def test_polar_jets_take_no_full_width_product(monkeypatch):
@@ -275,13 +278,30 @@ def test_diagnostic_node_data_equal_jets(spec, pts_fn):
     _, data = sphere_integrand(spec, kernel_basis(n, spec.chart_kind), (),
                                9.0)(pts)
     _, b, eps = jets(spec, pts)
-    bdiag = np.sqrt(np.einsum("...ii->...i", b.g))
+    bdiag = np.sqrt(np.einsum("...ii->...i", b.value))
     frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
     expected = [np.abs(frame).max(axis=(-2, -1))]
     if spec.is_flat_type:
         rows, cols = np.triu_indices(n)
         expected += list(eps.value[:, rows, cols].T)
     assert np.array_equal(data, np.stack(expected, axis=-1))
+
+
+@pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
+def test_backgrounds_are_diagonal_first_order_jets(spec, pts_fn):
+    """The background from :func:`jets` is a first-order jet, value and
+    first derivatives with no second ones, and exactly diagonal, which
+    the closed-form charge integrand assumes; its diagonal is that of the
+    background spec's metric jet, bit for bit."""
+    pts = pts_fn()
+    b = jets(spec, pts)[1]
+    assert isinstance(b, SymTensorJet)
+    n = spec.n
+    off = ~np.eye(n, dtype=bool)
+    assert not np.any(b.value[..., off]) and not np.any(b.d[..., off])
+    reference = metric_jet(background_of(spec), pts)
+    assert np.array_equal(b.value, reference.g)
+    assert np.array_equal(b.d, reference.dg)
 
 
 @pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)

@@ -152,7 +152,7 @@ def test_empty_batch_gives_empty_jets():
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r^2", (1, 1): "1", (2, 2): "1"})
     g_jet, b_jet, eps = jets(spec, np.empty((0, 3)))
-    assert g_jet.g.shape == b_jet.g.shape == eps.value.shape == (0, 3, 3)
+    assert g_jet.g.shape == b_jet.value.shape == eps.value.shape == (0, 3, 3)
     assert g_jet.ddg.shape == (0, 3, 3, 3, 3)
 
 

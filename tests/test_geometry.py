@@ -8,10 +8,11 @@ from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DegenerateMetricError
 from asymflux.fields import kernel_basis, killing_basis
 from asymflux.geometry import (MetricJet, ScalarJet, SymTensorJet, VectorJet,
-                               christoffel, curvature, divergence_symmetric2,
-                               divergence_vector, hessian, inverse_derivative,
-                               inverse_metric, killing_operator, tensor_norm)
-from oracles import as_sym_tensor, christoffel_derivative, dscal_adjoint
+                               christoffel, curvature, divergence_vector,
+                               hessian, inverse_metric, killing_operator,
+                               tensor_norm)
+from oracles import (as_sym_tensor, christoffel_derivative,
+                     divergence_symmetric2, dscal_adjoint, inverse_derivative)
 
 RNG = np.random.default_rng(7)
 
