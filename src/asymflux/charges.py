@@ -22,18 +22,16 @@ the node data of the hypothesis diagnostics to one sup per radius, which
 
 On a flat-type metric the angular content of every flux fades toward its
 leading harmonic as r grows, so each radius takes its own sphere rule.  The
-first takes the rule it is given (``--degree``).  Where the sphere before
-reported an estimate at its roundoff floor, the next takes one rule step
-above (for the degree-1 kernels and fields) the lowest degree whose
-estimate, and that of every degree above it, read from that sphere's own
-nodes, is roundoff too, at least degree 8; else, or where the sphere
-before could not see the azimuthal harmonic the lower rule misses, it
-keeps the rule before.  The pick reads the ``const_one`` flux alone,
-computed in every pass, so a charge computed alone gets the rules, and the
-bits, it gets inside the full basis.  Hyperbolic-type metrics keep one
-rule: at their outer radii the Ricci fluxes are set by the roundoff of the
-modified Einstein tensor, which a different node set changes by more than
-the bars.
+first takes the rule it is given (``--degree``); each later one takes the
+rule that :func:`asymflux.quadrature._next_rule`, the one pick of every
+sequence of spheres, reads from the sphere before: a lower one only where
+that sphere's estimate, and its estimate of every degree down to the
+lower one, read from its own nodes, is roundoff.  The pick reads the
+``const_one`` flux alone, computed in every pass, so a charge computed
+alone gets the rules, and the bits, it gets inside the full basis.
+Hyperbolic-type metrics keep one rule: at their outer radii the Ricci
+fluxes are set by the roundoff of the modified Einstein tensor, which a
+different node set changes by more than the bars.
 
 Every background is diagonal, so the V-independent parts of ``U`` are
 closed forms in ``b_ii``, ``d_k b_ii`` and the deviation, at O(n^2) per
@@ -68,16 +66,13 @@ from .fields import basis_jets, kernel_basis
 from .geometry import (ChartKind, CurvatureBundle, ScalarJet, SymTensorJet,
                        curvature, diagonal_sum, sum_last)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
-from .quadrature import SphereRule, integrate_sphere, omega, sphere_rule
+from .quadrature import (_PICK_LOWER, SphereRule, _next_rule,
+                         integrate_sphere, omega)
 
 __all__ = ["sphere_normal_area", "sphere_integrand", "charge_series",
            "hypothesis_diagnostics"]
 
 _MASS_FLOOR = 1e-12
-_PICK_FLOOR = 8     # the lowest degree whose every factor's tail reads a
-                    # decay: four resolved degrees above the mean
-_PICK_STEP = 2      # one rule step: one more node on every polar angle
-_PICK_ROUNDOFF = 4  # estimates up to this many roundoff floors are roundoff
 
 
 def _normalization(n: int, field: bool, mass: float | None) -> float:
@@ -294,7 +289,8 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     the ``const_one`` kernel (index 0) that must lead ``kernels``, and their
     ``limit_error`` adds the mass's relative error, ``|center| err_m / |m|``.
     A missing or vanishing mass raises ZeroMassError.  ``rule`` integrates
-    the first radius and caps the rules of the others (:func:`_next_rule`).
+    the first radius and caps the rules of the others
+    (:func:`asymflux.quadrature._next_rule`).
     Returns ``(kernel_series, field_series)`` in the order requested.  It is
     ``_sphere_fluxes`` followed by ``_normalized_series``, the two halves
     :func:`asymflux.verify.charge_pairs` calls apart.
@@ -313,7 +309,8 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     data, each radius's reduced on its own rule before the next starts
     (``scal`` with fields only where ``scal`` asks for it), and the rule of
     each radius: ``rule`` first, then, on flat-type metrics, what
-    :func:`_next_rule` picks from the sphere before.  The pick reads the
+    :func:`asymflux.quadrature._next_rule` picks from the ``const_one``
+    column of the sphere before.  The pick reads the
     ``const_one`` flux, integrated as an unreported column where
     ``kernels`` lacks it, so a charge gets the same rules alone as inside
     the full basis.  Hyperbolic-type metrics keep ``rule``: the roundoff of
@@ -343,8 +340,8 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     def sphere(r, rule):
         # the node data die here, before the next sphere's pass
         q = integrate_sphere(sphere_integrand(spec, passed, fields, r, scal),
-                             r, rule, chart, lower=None if pick is None
-                             else (pick, _PICK_FLOOR - _PICK_STEP))
+                             r, rule, chart,
+                             lower=None if pick is None else _PICK_LOWER)
         return ((q.value[keep], q.error_estimate[keep],
                  _node_sups(q.node_data, rule, scal)),
                 rule if pick is None else _next_rule(rule, q, pick))
@@ -357,34 +354,6 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
     values, errors, sups = zip(*rows)
     return (np.array(values), np.array(errors),
             {key: np.array([s[key] for s in sups]) for key in sups[0]}, rules)
-
-
-def _next_rule(rule: SphereRule, q, column: int) -> SphereRule:
-    """The rule of the sphere after the one ``q`` integrated on ``rule``.
-    Unless the estimate ``q`` reports for ``column`` is roundoff, at most
-    ``_PICK_ROUNDOFF`` times its floor, ``rule`` itself; else one rule step
-    (``_PICK_STEP``, for the degree-1 kernels and fields) above the lowest
-    degree at which it and every degree above it read roundoff too, from
-    ``q``'s nodes (``q.lower_errors``, down to ``_PICK_FLOOR - _PICK_STEP``),
-    where ``rule``'s coefficients see the azimuthal harmonic that this
-    lower rule misses and ``rule`` integrates."""
-    roundoff = _PICK_ROUNDOFF * q.floor[column]
-    degree = rule.degree
-    if q.error_estimate[column] <= roundoff:
-        for lower in sorted(q.lower_errors, reverse=True):
-            if q.lower_errors[lower] > roundoff:
-                break
-            degree = lower
-    degree += _PICK_STEP
-    # the new rule's ``degree + 2`` azimuths first miss the harmonic of
-    # that degree: ``rule``'s ``az`` azimuths read it below their Nyquist
-    # degree, at it only as a sine, and above it at ``az - missed``, which
-    # the estimates above saw down to degree ``degree / 2 - 1``
-    az, missed = rule.axes[-1].weights.size, degree + 2
-    if degree >= rule.degree - rule.degree % 2 or 2 * missed == az or (
-            2 * missed > az and 2 * (az - missed) < degree - 2):
-        return rule
-    return sphere_rule(rule.n, degree)
 
 
 def _node_sups(data, rule: SphereRule, scal: bool) -> dict:

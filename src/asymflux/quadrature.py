@@ -24,14 +24,17 @@ angles, plus a floor of a few ulps of ``sum |w f|`` for the roundoff of the
 sum.  An annulus, Gauss-Lobatto in r with the boundary spheres for end
 shells (Golub, SIAM Review 15, 1973), adds the same tail over the Legendre
 coefficients of its shell integrals to the shell errors integrated in r.
+Its radial rule combines the shell integrals, not their node values, so
+each interior shell takes the rule picked from the shell before it; the end
+shells keep the rule they are given.
 
-The same coefficients give, for one column, an estimate for each lower
+The same coefficients give, for every column, an estimate for each lower
 rule: along each angle, the coefficients truncated to the degrees the lower
 rule resolves and carried by the same tail to the first degree it does not
 integrate or, where larger, a coefficient the rule resolves at a degree the
-lower rule does not integrate.  A caller that integrates a sequence of
-spheres picks the next sphere's rule from these, with no node evaluated
-twice.
+lower rule does not integrate.  Every sequence of spheres, the radii of a
+charge pass and the shells of an annulus, picks the next sphere's rule from
+these with one pick (:func:`_next_rule`), with no node evaluated twice.
 
 Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
 ``(N, K)`` columns, one per integrand of a family evaluated together, and
@@ -69,7 +72,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +88,11 @@ __all__ = ["SphereRule", "QuadratureResult", "sphere_rule", "omega",
 _CHUNK_ENTRIES = 2 ** 20    # metric second-derivative entries per chunk
 _EMBEDDED_STEP = 4          # read only by the benchmark worker
 _FLOOR_ULPS = 8             # roundoff floor of an error estimate, ulps of sum |w f|
+_PICK_FLOOR = 8     # the lowest degree whose every factor's tail reads a
+                    # decay: four resolved degrees above the mean
+_PICK_STEP = 2      # one rule step: one more node on every polar angle
+_PICK_ROUNDOFF = 4  # estimates up to this many roundoff floors are roundoff
+_PICK_LOWER = _PICK_FLOOR - _PICK_STEP  # the lowest degree the pick reads
 
 
 def omega(n: int) -> float:
@@ -154,9 +161,9 @@ class QuadratureResult:
     or ``(K,)`` arrays for ``(N, K)`` integrands.  ``nodes_used`` counts
     the nodes evaluated; ``node_data`` is None or the integrand's; an
     annulus's ``shells`` are its per-shell results, innermost first; a
-    sphere's ``floor`` is the roundoff floor in its error estimate, and its
-    ``lower_errors`` map lower rule degrees to error estimates of one
-    column (:func:`integrate_sphere`)."""
+    sphere's ``degree`` is its rule's, its ``floor`` the roundoff floor in
+    its error estimate, and its ``lower_errors`` map lower rule degrees to
+    error estimates shaped as ``error_estimate`` (:func:`integrate_sphere`)."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -165,6 +172,7 @@ class QuadratureResult:
     shells: tuple = ()
     floor: float | np.ndarray | None = None
     lower_errors: dict = field(default_factory=dict)
+    degree: int | None = None
 
 
 def _gauss_jacobi(k: int, a: float):
@@ -283,6 +291,7 @@ def _evaluate(f, points):
         for start in starts:
             store(start)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for fut in [pool.submit(store, start) for start in starts]:
                 fut.result()
@@ -350,7 +359,7 @@ def _sphere_value(f, rule, r, chart_kind, lower=None):
     over S_r, its node data and its error, the coefficient tail of each
     angle, taken after integrating out the angles after it, plus a roundoff
     floor of a few ulps of sum |w f|; with ``lower``, the same error of
-    each lower rule it asks for."""
+    each lower rule down to that degree."""
     values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind))
     weighted = (values.T * rule.weights).T
     value = pairwise_sum(weighted)
@@ -358,27 +367,26 @@ def _sphere_value(f, rule, r, chart_kind, lower=None):
     x = cols.reshape(tuple(a.weights.size for a in rule.axes) + (-1,))
     # step i: the rule of degree 2 (polar - i) - 2, polar - i polar nodes
     polar = rule.axes[0].weights.size
-    steps = range(1 if lower is None else max(polar - lower[1] // 2, 1))
+    steps = range(1 if lower is None else max(polar - lower // 2, 1))
     errors = None
     for axis in reversed(rule.axes):
         x, errors = _integrate_axis(x, errors, axis, steps)
     # the weights are positive, so |f w| is |f| w bit for bit
     floor = _FLOOR_ULPS * np.finfo(float).eps * pairwise_sum(
         np.abs(weighted, out=weighted).reshape(cols.shape))
-    lower_errors = {2 * (polar - step) - 2:
-                    float(e[lower[0]] + floor[lower[0]])
-                    for step, e in zip(steps[1:], errors[1:])}
-    error = errors[0] + floor
+    errors = [e + floor for e in errors]
     if values.ndim == 1:
-        error, floor = float(error[0]), float(floor[0])
-    return QuadratureResult(value, error, rule.node_count, node_data,
-                            floor=floor, lower_errors=lower_errors)
+        errors, floor = [float(e[0]) for e in errors], float(floor[0])
+    lower_errors = {2 * (polar - step) - 2: e
+                    for step, e in zip(steps[1:], errors[1:])}
+    return QuadratureResult(value, errors[0], rule.node_count, node_data,
+                            floor=floor, lower_errors=lower_errors,
+                            degree=rule.degree)
 
 
 def integrate_sphere(f, r: float, rule: SphereRule,
                      chart_kind: ChartKind = ChartKind.CARTESIAN,
-                     lower: tuple[int, int] | None = None
-                     ) -> QuadratureResult:
+                     lower: int | None = None) -> QuadratureResult:
     """Integrate ``f`` over the coordinate sphere S_r.
 
     ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
@@ -391,13 +399,47 @@ def integrate_sphere(f, r: float, rule: SphereRule,
     Gauss-Jacobi coefficients along each polar angle, once the later angles
     are integrated out, each carried at its decay rate to the first degree
     the rule does not integrate (:func:`_tail`), plus the roundoff floor
-    that the result's ``floor`` holds.  With ``lower``, a column index and
-    a degree of at least 2, the result's ``lower_errors`` maps each lower
-    rule's degree down to that one to an estimate of that column under it
-    from the same coefficients, truncated to those it resolves
-    (:func:`_integrate_axis`).
+    that the result's ``floor`` holds.  With ``lower``, a degree of at
+    least 2, the result's ``lower_errors`` maps each lower rule's degree
+    down to that one to an estimate of every column under it, shaped as
+    ``error_estimate``, from the same coefficients truncated to those it
+    resolves (:func:`_integrate_axis`).
     """
     return _sphere_value(f, rule, r, chart_kind, lower)
+
+
+def _next_rule(rule: SphereRule, q: QuadratureResult,
+               columns=slice(None)) -> SphereRule:
+    """The rule of the sphere after the one ``q`` integrated on ``rule``,
+    read from ``columns`` of ``q`` (all of them by default).  Unless the
+    estimate ``q`` reports for every one of them is roundoff, at most
+    ``_PICK_ROUNDOFF`` times its column's floor, ``rule`` itself; else one
+    rule step (``_PICK_STEP``, for the degree-1 kernels and fields) above
+    the lowest degree at which every column reads roundoff, and so at every
+    degree above it, from ``q``'s nodes (``q.lower_errors``, asked down to
+    ``_PICK_LOWER``), where ``rule``'s coefficients see the azimuthal
+    harmonic that this lower rule misses and ``rule`` integrates.  It never
+    returns a rule above ``rule``."""
+    def read(estimate):
+        return np.atleast_1d(estimate)[columns]
+
+    roundoff = _PICK_ROUNDOFF * read(q.floor)
+    degree = rule.degree
+    if np.all(read(q.error_estimate) <= roundoff):
+        for lower in sorted(q.lower_errors, reverse=True):
+            if np.any(read(q.lower_errors[lower]) > roundoff):
+                break
+            degree = lower
+    degree += _PICK_STEP
+    # the new rule's ``degree + 2`` azimuths first miss the harmonic of
+    # that degree: ``rule``'s ``az`` azimuths read it below their Nyquist
+    # degree, at it only as a sine, and above it at ``az - missed``, which
+    # the estimates above saw down to degree ``degree / 2 - 1``
+    az, missed = rule.axes[-1].weights.size, degree + 2
+    if degree >= rule.degree - rule.degree % 2 or 2 * missed == az or (
+            2 * missed > az and 2 * (az - missed) < degree - 2):
+        return rule
+    return sphere_rule(rule.n, degree)
 
 
 def _radial_axis(r0, r1, radial_degree):
@@ -422,22 +464,32 @@ def integrate_annulus(shell, r0: float, r1: float, rule: SphereRule,
                       ) -> QuadratureResult:
     """Integrate over the annulus A(r0, r1) the integrands ``shell(r)``.
 
-    Gauss-Lobatto in the radial coordinate tensored with the sphere rule.
+    Gauss-Lobatto in the radial coordinate tensored with sphere rules.
     ``shell(r)`` is an integrand over S_r as in :func:`integrate_sphere`,
     including the volume element relative to ``dr x (round sphere)``.  The
     result's ``shells`` hold each shell's result, r0 first and r1 last: the
-    end shells equal :func:`integrate_sphere` on S_r0 and S_r1 bit for bit.
-    The error estimate adds the shell errors, integrated in r, to the tail
-    of the Legendre coefficients of the shell integrals.
+    end shells are integrated on ``rule`` and equal :func:`integrate_sphere`
+    on S_r0 and S_r1 bit for bit; each interior shell takes the rule that
+    :func:`_next_rule` picks from every column of the shell before it, so
+    the degrees never rise before r1.  ``nodes_used`` is the sum of the
+    shells'.  The error estimate adds the shell errors, integrated in r, to
+    the tail of the Legendre coefficients of the shell integrals.
     """
     if not r0 < r1:
         raise QuadratureError(f"annulus needs r0 < r1, got ({r0}, {r1})")
     radii, radial = _radial_axis(r0, r1, radial_degree)
-    shells = tuple(_sphere_value(shell(r), rule, r, chart_kind) for r in radii)
+    shells, picked = [], rule
+    for i, r in enumerate(radii):
+        picks = i < len(radii) - 2      # the next shell is an interior one
+        q = _sphere_value(shell(r), rule if i == len(radii) - 1 else picked,
+                          r, chart_kind, _PICK_LOWER if picks else None)
+        if picks:
+            picked = _next_rule(picked, q)
+        shells.append(q)
     values = np.reshape([s.value for s in shells], (len(shells), -1))
     errors = np.reshape([s.error_estimate for s in shells], (len(shells), -1))
     value, (error,) = _integrate_axis(values, [errors], radial)
     if np.ndim(shells[0].value) == 0:
         value, error = float(value[0]), float(error[0])
-    return QuadratureResult(value, error, rule.node_count * len(shells),
-                            shells=shells)
+    return QuadratureResult(value, error, sum(s.nodes_used for s in shells),
+                            shells=tuple(shells))

@@ -30,7 +30,7 @@ from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
                        killing_operator, tensor_norm, trace_product)
 from .limits import RadialSeries
-from .quadrature import SphereRule, integrate_annulus, omega
+from .quadrature import SphereRule, integrate_annulus, omega, pairwise_sum
 
 __all__ = ["IdentityReport", "KernelReport", "EquivalenceRow",
            "EquivalenceReport", "pohozaev_check", "kernel_check_lemma22",
@@ -130,7 +130,18 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
     components (the inner sphere enters with a minus sign); rhs is
     ``(n-2)/(2n)`` times the bulk integral of ``Scal * delta X``.  Both come
     from one :func:`~asymflux.quadrature.integrate_annulus` pass whose end
-    shells, the boundary spheres, give the boundary fluxes.
+    shells, the boundary spheres, give the boundary fluxes on ``rule``.
+    The bulk and signed-flux columns are integrated on every shell, each
+    interior shell on the rule the shell before it reads as enough for all
+    of them (``context["shell_degrees"]``, one degree per shell, r0 first),
+    so a field checked alone can take other interior rules than inside a
+    larger ``fields``, and its ``rhs`` differ at roundoff.
+    The end shells also return, as node data, each field's Killing defect
+    and its absolute flux ``|G(X, nu)| dA_g``.  The rule's sum of that
+    flux over both boundary spheres is ``context["flux_scale"]`` unless
+    ``|lhs|`` or ``|rhs|`` is larger, and scales the tolerance.  Kinked, it
+    never reads roundoff at a lower degree, so as an integrated column it
+    would hold every interior shell at ``rule``.
 
     The identity holds for conformal Killing fields of ``g`` itself, and
     the bulk side has no term for the trace-free Killing operator.  A
@@ -156,30 +167,34 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
                     for X in vectors]
             signed = _einstein_fluxes(bun.einstein, [X.comp for X in vectors],
                                       points, chart, r, bun)
-            columns = np.stack(bulk + signed + [np.abs(s) for s in signed],
-                               axis=-1)
+            columns = np.stack(bulk + signed, axis=-1)
             if r not in (r0, r1):
                 return columns
-            # trace-free Killing-operator norm of each X for this metric
+            # trace-free Killing-operator norm of each X for this metric,
+            # then the absolute flux of each X
             return columns, np.stack(
                 [tensor_norm(bun.ginv, killing_operator(jet, X, bun)[1])
-                 for X in vectors], axis=-1)
+                 for X in vectors] + [np.abs(s) for s in signed], axis=-1)
         return f
 
     annulus = integrate_annulus(shell, r0, r1, rule, radial_degree, chart)
     inner, outer = annulus.shells[0], annulus.shells[-1]
-    defects = np.maximum(inner.node_data.max(axis=0),
-                         outer.node_data.max(axis=0))
+    defects = np.maximum(inner.node_data[:, :count].max(axis=0),
+                         outer.node_data[:, :count].max(axis=0))
+    # the weights are positive, so each sum is that of |G(X, nu)| dA_g
+    sizes = [pairwise_sum(rule.weights[:, None] * s.node_data[:, count:])
+             for s in (outer, inner)]
+    degrees = [s.degree for s in annulus.shells]
 
     reports = []
     for k, X in enumerate(fields):
-        flux, size = count + k, 2 * count + k     # signed and absolute columns
+        flux = count + k                           # the signed column
         lhs = outer.value[flux] - inner.value[flux]
         rhs = (n - 2) / (2.0 * n) * annulus.value[k]
         residual = abs(lhs - rhs)
         quad_error = (outer.error_estimate[flux] + inner.error_estimate[flux]
                       + (n - 2) / (2.0 * n) * annulus.error_estimate[k])
-        magnitude = abs(outer.value[size]) + abs(inner.value[size])
+        magnitude = sizes[0][k] + sizes[1][k]
         scale = max(abs(lhs), abs(rhs), magnitude)
         rel = residual / scale if scale > 0 else 0.0
         tol = max(_POHOZAEV_FLOOR, rel_tol * max(scale, 1.0))
@@ -191,7 +206,8 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
             context={"killing_defect": float(defects[k]),
                      "flux_scale": float(scale),
                      "outer_flux": float(outer.value[flux]),
-                     "inner_flux": float(inner.value[flux])}))
+                     "inner_flux": float(inner.value[flux]),
+                     "shell_degrees": list(degrees)}))
     return reports
 
 

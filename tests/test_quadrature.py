@@ -194,7 +194,7 @@ def test_lower_errors_read_the_lower_rules(n):
     of the estimate that lower rule reports on its own nodes, wherever that
     is above roundoff (measured: 0.45 to 1.43 at n = 3..5 from degrees 8,
     12, 16 and 24).  They leave the integral, its estimate and its floor as
-    they are, and read the requested column as it would be read alone."""
+    they are, and read each column as it would be read alone."""
     a = np.array(OFF_AXIS[n]) / np.linalg.norm(OFF_AXIS[n])
     eps = np.finfo(float).eps
     checked = 0
@@ -202,7 +202,7 @@ def test_lower_errors_read_the_lower_rules(n):
         f = lambda p: g(p @ a)
         for degree in (8, 12, 16, 24):
             rule = sphere_rule(n, degree)
-            res = integrate_sphere(f, 1.0, rule, lower=(0, 4))
+            res = integrate_sphere(f, 1.0, rule, lower=4)
             plain = integrate_sphere(f, 1.0, rule)
             assert (res.value, res.error_estimate, res.floor) == (
                 plain.value, plain.error_estimate, plain.floor)
@@ -216,12 +216,17 @@ def test_lower_errors_read_the_lower_rules(n):
                     checked += 1
                     assert 0.4 <= estimate / own <= 2.5, (degree, lower)
     assert checked >= 40
-    cols = lambda p: np.stack([np.cos(p[:, 1]), f(p)], axis=-1)
-    assert integrate_sphere(cols, 1.0, rule, lower=(1, 6)).lower_errors == \
-        integrate_sphere(f, 1.0, rule, lower=(0, 6)).lower_errors
-    assert sorted(integrate_sphere(f, 1.0, rule, lower=(0, 6))
-                  .lower_errors) == list(range(6, 23, 2))
-    assert integrate_sphere(f, 1.0, sphere_rule(n, 5), lower=(0, 6)) \
+    cos = lambda p: np.cos(p[:, 1])
+    both = integrate_sphere(lambda p: np.stack([cos(p), f(p)], axis=-1),
+                            1.0, rule, lower=6).lower_errors
+    assert sorted(both) == list(range(6, 23, 2))
+    for column, h in enumerate((cos, f)):
+        alone = integrate_sphere(h, 1.0, rule, lower=6).lower_errors
+        assert sorted(alone) == sorted(both)
+        for lower, estimate in alone.items():
+            assert both[lower].shape == (2,)
+            assert both[lower][column] == estimate
+    assert integrate_sphere(f, 1.0, sphere_rule(n, 5), lower=6) \
         .lower_errors == {}
 
 
@@ -294,7 +299,9 @@ def test_annulus_end_shells_are_the_boundary_spheres(chart_kind, r0, r1):
 
 def test_one_evaluation_per_node():
     """The integrand sees each node of the rule once and no other point,
-    and ``nodes_used`` counts exactly those nodes."""
+    and ``nodes_used`` counts exactly those nodes; an annulus counts the
+    nodes of each shell's rule, the given one on the end shells and, for a
+    constant, the lowest the pick takes on the interior ones."""
     seen = []
 
     def f(points):
@@ -306,7 +313,8 @@ def test_one_evaluation_per_node():
     assert sum(seen) == res.nodes_used == rule.node_count
     seen.clear()
     res = integrate_annulus(lambda r: f, 1.0, 2.0, rule, radial_degree=12)
-    assert sum(seen) == res.nodes_used == rule.node_count * 8
+    assert sum(seen) == res.nodes_used == sum(s.nodes_used for s in res.shells)
+    assert [s.degree for s in res.shells] == [16] + [8] * 6 + [16]
 
 
 def test_nan_integrand_rejected():

@@ -140,6 +140,63 @@ def test_pohozaev_reports_killing_defect_context():
     assert rep.context["killing_defect"] > 1e-4
 
 
+def _one_rule(monkeypatch):
+    """Every interior shell of an annulus keeps the rule it is given."""
+    from asymflux import quadrature
+    monkeypatch.setattr(quadrature, "_next_rule",
+                        lambda rule, q, columns=None: rule)
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic_polar", "kottler"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pohozaev_interior_shells_drop(monkeypatch, kind, n):
+    """On hyperbolic_polar and Kottler the angular content of the bulk and
+    signed-flux columns reads roundoff below degree 16 from the first shell
+    on: the interior shells drop below ``--degree``, the degrees never rise
+    before r1, which is back on ``--degree``.  Every verdict keeps the
+    ``passed``, ``lhs``, boundary fluxes, flux scale, Killing defect and
+    tolerance of a pass with one rule for every shell, bit for bit; only
+    ``rhs`` moves, at roundoff (at most 7.4e-16 of the flux scale
+    measured).  n=5 runs on four shells, to keep its one-rule pass short."""
+    spec = MetricSpec(kind, n, m=1.0 if kind == "kottler" else 0.0)
+    annulus = (1.0, 2.0) if kind == "hyperbolic_polar" else \
+        tuple(np.sinh([1.0, 2.0]))
+    fields = killing_basis(n, spec.chart_kind)
+    rule, radial_degree = sphere_rule(n, 16), 16 if n < 5 else 4
+    picked = pohozaev_check(spec, fields, *annulus, rule, radial_degree)
+    degrees = picked[0].context["shell_degrees"]
+    assert degrees[0] == degrees[-1] == 16
+    assert min(degrees[1:-1]) < 16
+    assert all(a >= b for a, b in zip(degrees, degrees[1:-1]))
+    _one_rule(monkeypatch)
+    one = pohozaev_check(spec, fields, *annulus, rule, radial_degree)
+    assert one[0].context["shell_degrees"] == [16] * len(degrees)
+    keys = ("inner_flux", "outer_flux", "flux_scale", "killing_defect")
+    for got, want in zip(picked, one):
+        assert got.context["shell_degrees"] == degrees
+        assert (got.passed, got.lhs, got.tolerance) == \
+            (want.passed, want.lhs, want.tolerance)
+        assert [got.context[k] for k in keys] == [want.context[k] for k in keys]
+        assert abs(got.rhs - want.rhs) <= 1e-14 * want.context["flux_scale"]
+
+
+def test_pohozaev_unfading_angular_content_keeps_the_degree(monkeypatch):
+    """A polar-chart expression metric whose round factor carries a
+    degree-3 harmonic at every r: its angular content does not fade, so no
+    shell drops below ``--degree`` and every report is the one-rule
+    pass's."""
+    factor = "(1 + 0.2*sin(theta1)^3*cos(3*phi))"
+    spec = MetricSpec("expression", 3, chart="polar_geodesic", components={
+        (0, 0): "1", (1, 1): f"sinh(r)^2*{factor}",
+        (2, 2): f"sinh(r)^2*sin(theta1)^2*{factor}"})
+    fields = killing_basis(3, spec.chart_kind)
+    rule = sphere_rule(3, 16)
+    reports = pohozaev_check(spec, fields, 1.0, 2.0, rule)
+    assert reports[0].context["shell_degrees"] == [16] * 10
+    _one_rule(monkeypatch)
+    assert pohozaev_check(spec, fields, 1.0, 2.0, rule) == reports
+
+
 # ------------------------------------------------------------------ Lemma 2.2
 
 @pytest.mark.parametrize("kind,n", [("euclidean", 3), ("euclidean", 4),
