@@ -1,4 +1,4 @@
-"""Analytic 2-jets of the reference geometries and structured perturbations.
+"""Analytic 2-jets of the reference geometries and of expression metrics.
 
 Flat-type metrics live in a cartesian chart; hyperbolic-type metrics in one
 of two polar charts over ``R x S^{n-1}``:
@@ -9,26 +9,31 @@ of two polar charts over ``R x S^{n-1}``:
   ``b = (1+rho^2)^{-1} drho^2 + rho^2 * round_sphere``  (rho = sinh r).
 
 Jets are produced by evaluating closed-form components with hyper-dual
-numbers, so first and second derivatives carry no truncation error.
-Schwarzschild's conformal factor is a width-1 hyper-dual in ``t = |x -
-c|^2``, whose jet is exact, lifted to the chart by one chain-rule step
-(:func:`~asymflux.hyperdual.lift`).  A polar-chart entry is a separable
+numbers, so first and second derivatives carry no truncation error.  The
+flat catalog kinds are conformally flat, ``g = e^{2 phi} delta``, and come
+as a :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi``
+alone: ``0`` for ``euclidean``, and for ``schwarzschild_conformal`` the
+log of its conformal factor, a width-1 hyper-dual in ``t = |x - c|^2``,
+whose jet is exact, lifted to the chart by one chain-rule step
+(:func:`~asymflux.hyperdual.lift`).  Every other metric is a dense
+:class:`~asymflux.geometry.MetricJet`.  A polar-chart entry is a separable
 product of functions of one coordinate each (``sinh^2 r * sin^2 theta_1
 ...``, ``rho^2 sigma_j``, ``1/f(rho)``): every factor is a width-1 jet in its
 own coordinate, multiplied into the running product with one sparse step
 (:func:`~asymflux.hyperdual.mul_factor`), which writes the numbers of the
-full-width product.  Every catalog metric is diagonal, and its jet is
+full-width product.  Every catalog metric is diagonal, and its dense jet is
 written through the diagonal view of each array's ``(i, j)`` pair, one
-entry at a time.  ``expression`` and ``perturbation`` components are
-parsed once, when the spec is built, so a bad component fails before any
-computation starts.  :func:`jets` returns the metric's 2-jet, the
-background as a first-order jet (value and first derivatives: the charge
-integrand reads no second derivative of ``b``) and the deviation ``g - b``
-from one evaluation; catalog kinds give the deviation in stable closed
-form, expression metrics subtract the jets.  Every background is diagonal,
-so its inverse and Christoffel symbols are closed forms in ``b_ii`` and
-``d_k b_ii``.  :func:`metric_jet` is the metric jet of :func:`jets`, for
-the checks that read ``g`` alone.
+entry at a time.  ``expression`` components are parsed once, when the
+spec is built, so a bad component fails before any computation starts; the
+expression language is imported only to parse and evaluate them.
+:func:`jets` returns the metric's 2-jet, the background as a first-order
+jet (value and first derivatives: the charge integrand reads no second
+derivative of ``b``) and the deviation ``g - b`` from one evaluation;
+catalog kinds give the deviation in stable closed form, expression metrics
+subtract the jets.  Every background is diagonal, so its inverse and
+Christoffel symbols are closed forms in ``b_ii`` and ``d_k b_ii``.
+:func:`metric_jet` is the metric jet of :func:`jets`, for the checks that
+read ``g`` alone.
 
 The formulas that depend on the chart alone are written here once: the
 sphere embedding (the quadrature nodes too), the coordinate volume factor,
@@ -43,10 +48,10 @@ from typing import Mapping
 
 import numpy as np
 
-from . import expr as expr_mod
 from . import hyperdual as hd
 from .errors import ChartMismatchError, DomainError
-from .geometry import ChartKind, MetricJet, SymTensorJet, validate_dimension
+from .geometry import (ChartKind, ConformalJet, MetricJet, ScalarJet,
+                       SymTensorJet, validate_dimension)
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
@@ -66,7 +71,6 @@ class MetricSpec:
     n: int
     m: float = 0.0
     center: tuple = ()
-    base: "MetricSpec | None" = None
     components: Mapping | None = None   # {(i, j): AST or str}, upper triangle
     params: Mapping | None = None       # parameter values for expressions
     chart: str | None = None            # expression metrics only
@@ -76,18 +80,15 @@ class MetricSpec:
 
     def __post_init__(self):
         validate_dimension(self.n)
-        kinds = FLAT_KINDS + HYPERBOLIC_KINDS + ("perturbation", "expression")
-        if self.kind not in kinds:
+        if self.kind not in FLAT_KINDS + HYPERBOLIC_KINDS + ("expression",):
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "perturbation" and self.base is None:
-            raise ValueError("perturbation spec requires a base spec")
         if self.kind == "expression" and self.components is None:
             raise ValueError("expression spec requires components")
         unread = [name for name, value, readers in (
             ("m", self.m, ("schwarzschild_conformal", "kottler")),
             ("center", self.center, ("schwarzschild_conformal",)),
-            ("components", self.components, ("perturbation", "expression")),
-            ("params", self.params, ("perturbation", "expression")),
+            ("components", self.components, ("expression",)),
+            ("params", self.params, ("expression",)),
             ("chart", self.chart, ("expression",)))
             if value and self.kind not in readers]
         if unread:
@@ -103,7 +104,8 @@ class MetricSpec:
             raise ValueError(f"parameter values must be finite: {self.params}")
         if self.kind == "schwarzschild_conformal" and not self.center:
             object.__setattr__(self, "center", (0.0,) * self.n)
-        if self.kind in ("perturbation", "expression"):
+        if self.kind == "expression":
+            from . import expr as expr_mod
             chart, params = chart_kind_of(self), tuple(self.params or {})
             object.__setattr__(self, "asts", {
                 key: expr_mod.parse(ast, self.n, chart, params)
@@ -130,8 +132,6 @@ def chart_kind_of(spec: MetricSpec) -> ChartKind:
         return ChartKind.POLAR_GEODESIC
     if spec.kind in ("hyperbolic_area", "kottler"):
         return ChartKind.POLAR_AREA
-    if spec.kind == "perturbation":
-        return chart_kind_of(spec.base)
     # expression metric: explicit chart, default cartesian
     return ChartKind(spec.chart or ChartKind.CARTESIAN)
 
@@ -307,12 +307,10 @@ def _schwarzschild_log_factor(spec, coords):
     return t, (4.0 / (n - 2)) * hd.log1p(s)
 
 
-def _euclidean_jet(coords) -> MetricJet:
+def _euclidean_background(shape, n) -> SymTensorJet:
     """The identity with zero derivatives, as read-only broadcast views."""
-    n, shape = coords.shape[-1], coords.shape[:-1]
-    return MetricJet(np.broadcast_to(np.eye(n), shape + (n, n)),
-                     np.broadcast_to(0.0, shape + (n, n, n)),
-                     np.broadcast_to(0.0, shape + (n, n, n, n)))
+    return SymTensorJet(np.broadcast_to(np.eye(n), shape + (n, n)),
+                        np.broadcast_to(0.0, shape + (n, n, n)))
 
 
 def _first_order(jet: MetricJet) -> SymTensorJet:
@@ -332,11 +330,17 @@ def _diagonal_first_order(diagonal, shape, n) -> SymTensorJet:
     return SymTensorJet(value, d)
 
 
-def jets(spec: MetricSpec, p) -> tuple[MetricJet, SymTensorJet, SymTensorJet]:
+def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
+                                        SymTensorJet, SymTensorJet]:
     """The exact 2-jet of the spec's metric at point(s) ``p``, the
     first-order jet of its background ``b`` (value and first derivatives,
     the two the charge integrand reads) and the jet of the deviation
     ``g - b``.
+
+    The flat catalog kinds give their metric as a
+    :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi`` for
+    ``g = e^{2 phi} delta`` and no dense array; every other kind as a dense
+    :class:`~asymflux.geometry.MetricJet` in one block.
 
     Every background is diagonal: the Euclidean ``delta`` or a polar
     background, whose diagonal ``b_ii`` and ``d_k b_ii`` give ``b^{-1}``
@@ -356,14 +360,17 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, SymTensorJet, SymTensorJet]:
     zero = _diagonal_first_order([], shape, n)
 
     if spec.kind == "euclidean":
-        g = _euclidean_jet(coords)
-        return g, _first_order(g), zero
+        flat = ScalarJet(*(np.broadcast_to(0.0, shape + (n,) * k)
+                           for k in range(3)))
+        return ConformalJet(flat), _euclidean_background(shape, n), zero
 
     if spec.kind == "schwarzschild_conformal":
         t, log_factor = _schwarzschild_log_factor(spec, coords)
-        g = _assemble([hd.lift(t, hd.exp(log_factor))] * n, shape)
+        two_phi = hd.lift(t, log_factor)
         w = hd.lift(t, hd.expm1(log_factor))
-        return (g, _first_order(_euclidean_jet(coords)),
+        return (ConformalJet(ScalarJet(two_phi.val, two_phi.grad,
+                                       two_phi.hess)),
+                _euclidean_background(shape, n),
                 _diagonal_first_order([w] * n, shape, n))
 
     if spec.kind in HYPERBOLIC_KINDS:
@@ -397,22 +404,13 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet, SymTensorJet, SymTensorJet]:
         return (g, _diagonal_first_order(b_diag, shape, n),
                 _diagonal_first_order([eps] + [0.0] * (n - 1), shape, n))
 
-    if spec.kind == "perturbation":
-        base, b, base_eps = jets(spec.base, coords)
-        eps = _components_jet(spec, coords, kind)
-        g = _zero_jet(shape, n)
-        for out, x, y in zip((g.g, g.dg, g.ddg), (base.g, base.dg, base.ddg),
-                             (eps.g, eps.dg, eps.ddg)):
-            np.add(x, y, out=out)
-        return g, b, SymTensorJet(base_eps.value + eps.g, base_eps.d + eps.dg)
-
     # expression metrics: plain subtraction from the chart background
     g = _components_jet(spec, coords, kind)
     b = jets(background_of(spec), coords)[1]
     return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
 
 
-def metric_jet(spec: MetricSpec, p) -> MetricJet:
+def metric_jet(spec: MetricSpec, p) -> MetricJet | ConformalJet:
     """Exact analytic 2-jet of the spec's metric at point(s) ``p``: the
     metric jet of :func:`jets`."""
     return jets(spec, p)[0]
@@ -421,6 +419,8 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
 def _components_jet(spec, coords, chart_kind) -> MetricJet:
     """Evaluate the spec's expression components into a 2-jet tensor.  Equal
     texts parse to equal ASTs, and each distinct AST is evaluated once."""
+    from . import expr as expr_mod
+
     out = _zero_jet(coords.shape[:-1], spec.n)
     params = dict(spec.params or {})
     evaluated = {}

@@ -63,8 +63,8 @@ from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import basis_jets, kernel_basis
-from .geometry import (ChartKind, CurvatureBundle, ScalarJet, SymTensorJet,
-                       curvature, diagonal_sum, sum_last)
+from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
+                       SymTensorJet, curvature, diagonal_sum, sum_last)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import (_PICK_LOWER, SphereRule, _next_rule,
                          integrate_sphere, omega)
@@ -222,9 +222,10 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
 
     def f(points):
         jet, b, eps = jets(spec, points)
-        if fields:
+        if fields and isinstance(jet, MetricJet):
             # g is inverted below; a non-finite dg or ddg reaches the
             # integrand, which integrate_sphere rejects with the same error
+            # (a conformal jet's factor is checked by curvature)
             _finite(jet.g, "metric jet", r)
         bdiag = np.sqrt(np.diagonal(b.value, axis1=-2, axis2=-1))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])

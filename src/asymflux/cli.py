@@ -315,7 +315,7 @@ def _require_family(spec: MetricSpec, command: str, flat: bool):
             if flat else ("hyperbolic", HYPERBOLIC_KINDS, "a polar chart")
         raise ConfigError(
             f"{command} needs a {family}-type metric ({', '.join(kinds)}, or "
-            f"an expression or perturbation metric in {chart}), got "
+            f"an expression metric in {chart}), got "
             f"{spec.kind} in the {spec.chart_kind.value} chart")
 
 

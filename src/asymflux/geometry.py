@@ -16,6 +16,18 @@ them re-derives ``g^{-1}`` or the Christoffel symbols.  The backgrounds of
 the charge integrand are diagonal and take their own closed forms
 (``charges._michel_pieces``).
 
+A metric comes as one of two jets, and :func:`curvature` takes each its
+own way:
+
+* a :class:`ConformalJet`, ``g = e^{2 phi} delta`` in the cartesian chart
+  (the flat catalog kinds, ``euclidean`` and ``schwarzschild_conformal``),
+  holds only the 2-jet of ``2 phi``.  Its curvature is the closed form of
+  the conformal change (Besse, *Einstein Manifolds*, 1987, section 1.J;
+  Lee & Parker, Bull. AMS 17, 1987) at O(n^2) per node: no factorization,
+  no n^4 array, and Christoffel symbols only where a check reads them;
+* a dense :class:`MetricJet` (expression metrics, the hyperbolic kinds)
+  is factored and takes the general formula below at O(n^4) per node.
+
 Per-node linear algebra is laid out along the node axis, by one rule:
 
 * scalar recurrences over matrix entries (the factorization of ``g``) run
@@ -28,36 +40,39 @@ Per-node linear algebra is laid out along the node axis, by one rule:
 * no ``np.einsum`` and no batched LAPACK call on the sphere pass, whose
   small matrices would pay a call or a loop setup per node.
 
-:func:`curvature` never builds ``dGamma`` (O(n^5) per node).  Ricci needs
-only two traces of it, and both come from the 2-jet at O(n^4) per node:
-``d_k Gamma^k_ij`` from the contractions ``g^{kl} d_k d_i g_jl`` and
-``g^{kl} d_k d_l g_ij`` and the trace ``d_k g^{kl}`` of ``d g^{-1}``, and
-``d_i Gamma^k_kj`` from ``g^{kl} d_i d_j g_kl`` and ``tr(g^{-1} d_i g
+On a dense jet :func:`curvature` never builds ``dGamma`` (O(n^5) per node).
+Ricci needs only two traces of it, and both come from the 2-jet at O(n^4)
+per node: ``d_k Gamma^k_ij`` from the contractions ``g^{kl} d_k d_i g_jl``
+and ``g^{kl} d_k d_l g_ij`` and the trace ``d_k g^{kl}`` of ``d g^{-1}``,
+and ``d_i Gamma^k_kj`` from ``g^{kl} d_i d_j g_kl`` and ``tr(g^{-1} d_i g
 g^{-1} d_j g)``.  Taking these traces before contracting factors the sums
 of the textbook formula, so Ricci differs from the traces of the full
 ``dGamma`` by roundoff (a few 1e-16 of ``max|Ric|``), also on diagonal
 metrics.  The package has no full ``dGamma``; the tests keep one as an
 oracle.  The classical charges never call :func:`curvature`.
 
-One Cholesky factorization ``g = l D l^T`` per node, run on the node axis
-(:func:`_factor`), checks that the metric is positive definite and gives
-``g^{-1}`` and ``sqrt(det g)``, the product of the Cholesky factor's
-diagonal ``sqrt(D_j)``; :func:`curvature` carries both on the bundle, the
-latter for the metric area and volume elements, which therefore differ
-from an LU determinant by ulps.
+One Cholesky factorization ``g = l D l^T`` per node of a dense jet, run on
+the node axis (:func:`_factor`), checks that the metric is positive
+definite and gives ``g^{-1}`` and ``sqrt(det g)``, the product of the
+Cholesky factor's diagonal ``sqrt(D_j)``; :func:`curvature` carries both on
+the bundle, the latter for the metric area and volume elements, which
+therefore differ from an LU determinant by ulps.  A conformal jet's check
+is on ``e^{2 phi}``, with ``g^{-1} = e^{-2 phi} delta`` and ``sqrt(det g)
+= e^{n phi}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateMetricError
 
 __all__ = [
-    "ChartKind", "MetricJet", "ScalarJet", "VectorJet",
+    "ChartKind", "MetricJet", "ConformalJet", "ScalarJet", "VectorJet",
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
     "christoffel", "curvature", "divergence_vector", "killing_operator",
     "hessian", "tensor_norm", "sum_last", "diagonal_sum", "trace_product",
@@ -119,16 +134,70 @@ class MetricJet:
 
 
 @dataclass
-class CurvatureBundle:
-    """Christoffel symbols and Ricci-level curvature at a point."""
+class ConformalJet:
+    """A conformally flat metric ``g = e^{2 phi} delta`` of the cartesian
+    chart, held as the 2-jet of ``2 phi = log g_11``.
 
-    christoffel: np.ndarray         # (..., n, n, n); [..., k, i, j] = Gamma^k_ij
+    :func:`curvature` reads ``log_factor`` alone.  The dense ``g``, ``dg``
+    and ``ddg`` of a :class:`MetricJet` are built on first read: ``verify``
+    reads ``g`` and ``dg``, and all three give the dense jet on which the
+    general formula can be compared; the charge pass reads none of them."""
+
+    log_factor: ScalarJet       # 2 phi: value (...,), grad (..., n), hess
+
+    @property
+    def n(self) -> int:
+        return self.log_factor.grad.shape[-1]
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _on_diagonal(np.exp(self.log_factor.value), self.n)
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        # d_k g_ii = e^{2 phi} d_k (2 phi)
+        two_phi = self.log_factor
+        return _on_diagonal(np.exp(two_phi.value)[..., None] * two_phi.grad,
+                            self.n)
+
+    @cached_property
+    def ddg(self) -> np.ndarray:
+        # d_k d_l g_ii = e^{2 phi} (d_k d_l (2 phi) + d_k (2 phi) d_l (2 phi))
+        two_phi = self.log_factor
+        second = two_phi.hess + (two_phi.grad[..., :, None]
+                                 * two_phi.grad[..., None, :])
+        return _on_diagonal(np.exp(two_phi.value)[..., None, None] * second,
+                            self.n)
+
+
+def _on_diagonal(entry: np.ndarray, n: int) -> np.ndarray:
+    """``entry[..., None, None] * delta``: one value on the diagonal of a
+    trailing ``(i, j)`` pair."""
+    return entry[..., None, None] * np.eye(n)
+
+
+@dataclass
+class CurvatureBundle:
+    """Christoffel symbols and Ricci-level curvature at a point.
+
+    ``symbols`` holds the Christoffel array or, for a conformal jet, a
+    function that builds it: :attr:`christoffel` calls it on first read,
+    so a pass that reads no symbols (the charge pass) allocates none."""
+
+    symbols: object                 # Gamma, or a function returning it
     ricci: np.ndarray               # (..., n, n)
     scal: np.ndarray                # (...,)
     einstein: np.ndarray            # Ric - Scal/2 g
     modified_einstein: np.ndarray   # einstein - (n-1)(n-2)/2 g
     ginv: np.ndarray                # (..., n, n)
     sqrt_det: np.ndarray            # (...,); sqrt(det g)
+
+    @property
+    def christoffel(self) -> np.ndarray:
+        """(..., n, n, n); ``[..., k, i, j] = Gamma^k_ij``."""
+        if callable(self.symbols):
+            self.symbols = self.symbols()
+        return self.symbols
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
@@ -210,10 +279,11 @@ def _pairs_last(T):
     return T.reshape(*T.shape[:-1], n, n)
 
 
-def curvature(jet: MetricJet) -> CurvatureBundle:
+def curvature(jet: MetricJet | ConformalJet) -> CurvatureBundle:
     """Ricci tensor, scalar curvature and (modified) Einstein tensor.
 
-    ``Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
+    A :class:`ConformalJet` takes its closed form
+    (:func:`_conformal_curvature`).  On a dense jet, ``Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
     - Gamma^k_il Gamma^l_kj`` needs only two traces of ``dGamma``, both
     taken from the 2-jet at O(n^4) per node:
 
@@ -234,6 +304,8 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
     above it every chunk faults its memory in again (quadrature module
     notes).
     """
+    if isinstance(jet, ConformalJet):
+        return _conformal_curvature(jet)
     n = jet.n
     batch = jet.g.shape[:-2]
     ginv, sqrt_det = _factor(jet.g)
@@ -274,6 +346,48 @@ def curvature(jet: MetricJet) -> CurvatureBundle:
     modified = einstein - 0.5 * (n - 1) * (n - 2) * jet.g
     return CurvatureBundle(Gamma, ric, scal, einstein, modified, ginv,
                            sqrt_det)
+
+
+def _conformal_curvature(jet: ConformalJet) -> CurvatureBundle:
+    """The curvature of ``g = e^{2 phi} delta`` from the 2-jet of ``phi``,
+    at O(n^2) per node.  With ``P = d^2 phi - d phi (x) d phi``::
+
+        Ric  = -(n-2) P - (lap phi + (n-2) |d phi|^2) delta
+        Scal = -e^{-2 phi} (2(n-1) lap phi + (n-1)(n-2) |d phi|^2)
+        G    = -(n-2) (P - (lap phi + (n-3)/2 |d phi|^2) delta)
+
+    (``lap`` and ``| |`` Euclidean), ``g^{-1} = e^{-2 phi} delta`` and
+    ``sqrt(det g) = e^{n phi}``.  A factor ``e^{2 phi}`` that is not a
+    positive finite number raises, as a failed factorization does.  The
+    Christoffel symbols are left to :func:`_conformal_christoffel`, on
+    first read."""
+    n = jet.n
+    two_phi = jet.log_factor
+    factor = np.exp(two_phi.value)
+    if not np.all((factor > 0) & (factor < np.inf)):
+        raise DegenerateMetricError(
+            "conformal factor is not a positive finite number")
+    dphi = 0.5 * two_phi.grad
+    lap = 0.5 * diagonal_sum(two_phi.hess, -2, -1)
+    norm2 = sum_last(dphi * dphi)
+    P = 0.5 * two_phi.hess - dphi[..., :, None] * dphi[..., None, :]
+    ric = -(n - 2) * P - _on_diagonal(lap + (n - 2) * norm2, n)
+    scal = -(2 * (n - 1) * lap + (n - 1) * (n - 2) * norm2) / factor
+    einstein = -(n - 2) * (P - _on_diagonal(lap + 0.5 * (n - 3) * norm2, n))
+    modified = einstein - _on_diagonal(0.5 * (n - 1) * (n - 2) * factor, n)
+    return CurvatureBundle(lambda: _conformal_christoffel(dphi), ric, scal,
+                           einstein, modified, _on_diagonal(1.0 / factor, n),
+                           np.exp((0.5 * n) * two_phi.value))
+
+
+def _conformal_christoffel(dphi: np.ndarray) -> np.ndarray:
+    """``Gamma^k_ij = delta_ki d_j phi + delta_kj d_i phi - delta_ij d_k
+    phi`` of ``g = e^{2 phi} delta``."""
+    eye = np.eye(dphi.shape[-1])
+    gamma = eye[:, :, None] * dphi[..., None, None, :]
+    gamma += eye[:, None, :] * dphi[..., None, :, None]
+    gamma -= eye * dphi[..., :, None, None]
+    return gamma
 
 
 def sum_last(x: np.ndarray) -> np.ndarray:

@@ -59,12 +59,17 @@ every n.  One node count for all n would either bloat the n=5 passes or
 split the n=4 spheres (1458 nodes at degree 16); splitting them was seen
 to move an n=4 flux by an ulp.
 
-Within a chunk, each 2-jet is one allocation (``catalog``) and the chunk's
-peak stays below twice that block (``geometry.curvature``).  glibc raises
-its mmap threshold to the largest block freed so far and trims the heap top
-above twice that size; a chunk that peaks higher returns its memory to the
-kernel and the next chunk faults it in again (at n=5, degree 16, about 2400
-minor faults per chunk, a third of the pass).
+Within a chunk, each dense 2-jet is one allocation (``catalog``) and the
+chunk's peak stays below twice that block (``geometry.curvature``).  glibc
+raises its mmap threshold to the largest block freed so far and trims the
+heap top above twice that size; a chunk that peaks higher returns its
+memory to the kernel and the next chunk faults it in again (at n=5, degree
+16, about 2400 minor faults per chunk, a third of the pass).  The rule
+covers the dense jets only.  A conformal jet (the flat catalog kinds) has
+no n^4 array, so its chunks peak lower but free smaller blocks too: the
+trim threshold sits below the peak of a translated n=5 ``center`` chunk,
+whose heap top is faulted in again chunk by chunk (about 78k minor faults
+at degree 24), which costs less than the n^4 arrays did.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ from asymflux.quadrature import _evaluate, _sphere_points
 def michel_pieces(eps: SymTensorJet, b) -> tuple:
     """The V-independent parts of ``U``, ``(binv, -delta eps - d tr eps,
     tr eps)``, by the general formula for any background ``b`` with value
-    and first derivatives (a SymTensorJet, or a MetricJet read as one)."""
-    b = as_sym_tensor(b) if isinstance(b, MetricJet) else b
+    and first derivatives (a SymTensorJet, or a metric jet, dense or
+    conformal, read as one)."""
+    b = b if isinstance(b, SymTensorJet) else as_sym_tensor(b)
     binv = inverse_metric(b.value)
     gamma = _christoffel(binv, _first_kind(b.d))
     delta_eps = _divergence_symmetric2(gamma, eps, binv)    # paper-sign delta

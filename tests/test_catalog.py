@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import (MetricSpec, background_of, chart_radius,
-                              coordinate_volume, decay_mode, geodesic_radius,
-                              jets, metric_jet)
+from asymflux.catalog import (FLAT_KINDS, MetricSpec, background_of,
+                              chart_radius, coordinate_volume, decay_mode,
+                              geodesic_radius, jets, metric_jet)
 from asymflux.errors import DomainError
-from asymflux.geometry import SymTensorJet, curvature
+from asymflux.geometry import ConformalJet, SymTensorJet, curvature
 from oracles import polar_jets
 
 RNG = np.random.default_rng(11)
@@ -247,10 +247,12 @@ _EVERY_KIND = [
                  id="hyperbolic_area"),
     pytest.param(MetricSpec("kottler", 3, m=1.0),
                  lambda: polar_points(3, 6, 3.0, 8.0), id="kottler"),
-    pytest.param(MetricSpec("perturbation", 3,
-                            base=MetricSpec("kottler", 3, m=0.5),
-                            components={(0, 2): "a*exp(-r)*sin(phi)"},
-                            params={"a": 0.3}),
+    # Kottler (m = 0.5) plus an off-diagonal perturbation, b + h in the
+    # polar area chart
+    pytest.param(MetricSpec("expression", 3, chart="polar_area", components={
+                     (0, 0): "1/(1 + r^2 - 1/r)", (1, 1): "r^2",
+                     (2, 2): "r^2*sin(theta1)^2",
+                     (0, 2): "a*exp(-r)*sin(phi)"}, params={"a": 0.3}),
                  lambda: polar_points(3, 6, 3.0, 8.0), id="perturbation"),
     pytest.param(MetricSpec("expression", 3, components={
                      (0, 0): _VARIABLE_EXPONENT, (0, 1): "x1*x2/r^4",
@@ -318,15 +320,27 @@ def test_metric_jet_equals_jets(spec, pts_fn):
 @pytest.mark.parametrize("spec,pts_fn", [
     param for param in _EVERY_KIND if param.id != "euclidean"])
 def test_metric_jet_is_one_block(spec, pts_fn):
-    """A computed 2-jet is one allocation: ``g``, ``dg`` and ``ddg`` are
-    C-contiguous views of one owning base, so :func:`curvature` reshapes
-    ``ddg`` as a view, not a copy, and no later call returns the same
-    memory (a perturbation holds its base jet and its own at once).  The
-    Euclidean jet
-    is a read-only broadcast of the identity instead."""
+    """A computed dense 2-jet is one allocation: ``g``, ``dg`` and ``ddg``
+    are C-contiguous views of one owning base, so :func:`curvature`
+    reshapes ``ddg`` as a view, not a copy, and no later call returns the
+    same memory.  A conformal jet (the flat catalog kinds) is not dense: it
+    holds the 2-jet of ``2 phi`` alone, a value, gradient and Hessian per
+    node, and builds no ``g``, ``dg`` or ``ddg`` unless one is read; the
+    Euclidean one is read-only broadcast zeros."""
     pts = pts_fn()
     batch, n = pts.shape[:-1], spec.n
     first, second = jets(spec, pts)[0], metric_jet(spec, pts)
+    if spec.kind in FLAT_KINDS:
+        for jet in (first, second):
+            assert isinstance(jet, ConformalJet)
+            assert set(vars(jet)) == {"log_factor"}
+            two_phi = jet.log_factor
+            assert [part.shape for part in (two_phi.value, two_phi.grad,
+                                            two_phi.hess)] \
+                == [batch, batch + (n,), batch + (n, n)]
+        assert not np.shares_memory(first.log_factor.hess,
+                                    second.log_factor.hess)
+        return
     for jet in (first, second):
         base = jet.g.base
         assert base is not None and base.flags.owndata
@@ -371,7 +385,7 @@ def test_decay_scaling_property():
         assert abs(eps.value[0, 0] * r / 2.0 - 1.0) < 4.0 / r
 
 
-# ------------------------------------------- perturbation/expression metrics
+# --------------------------------------------------------- expression metrics
 
 def test_expression_metric_jet():
     comps = {(i, j): "1 + 1/r^2" if i == j else "0"
@@ -410,9 +424,10 @@ def test_equal_components_evaluated_once(monkeypatch):
 
 
 def test_perturbation_metric():
-    base = MetricSpec("euclidean", 3)
-    spec = MetricSpec("perturbation", 3, base=base,
-                      components={(0, 0): "2/r"})
+    """A perturbation ``delta + h`` of the flat metric is an expression
+    metric."""
+    spec = MetricSpec("expression", 3, components={
+        (0, 0): "1 + 2/r", (1, 1): "1", (2, 2): "1"})
     x = np.array([4.0, 0.0, 3.0])
     jet = metric_jet(spec, x)
     assert jet.g[0, 0] == pytest.approx(1.0 + 2.0 / 5.0)
@@ -420,8 +435,8 @@ def test_perturbation_metric():
 
 
 def test_perturbation_with_params():
-    spec = MetricSpec("perturbation", 3, base=MetricSpec("euclidean", 3),
-                      components={(0, 0): "aa/r"}, params={"aa": 3.0})
+    spec = MetricSpec("expression", 3, components={
+        (0, 0): "1 + aa/r", (1, 1): "1", (2, 2): "1"}, params={"aa": 3.0})
     jet = metric_jet(spec, np.array([2.0, 0.0, 0.0]))
     assert jet.g[0, 0] == pytest.approx(2.5)
 
@@ -435,12 +450,9 @@ def test_perturbation_with_params():
      "components, params, chart"),
     ("schwarzschild_conformal", {"m": 1.0, "chart": "cartesian"}, "chart"),
     ("expression", {"m": 1.0, "components": {(0, 0): "1"}}, "m"),
-    ("perturbation", {"base": MetricSpec("euclidean", 3),
-                      "components": {(0, 0): "1/r"}, "chart": "cartesian"},
-     "chart"),
 ], ids=["m-euclidean", "m-hyperbolic-area", "center-kottler",
         "components-params-chart-kottler", "chart-schwarzschild",
-        "m-expression", "chart-perturbation"])
+        "m-expression"])
 def test_spec_rejects_values_its_kind_never_reads(kind, kwargs, unread):
     with pytest.raises(ValueError, match=f"does not read {unread}$"):
         MetricSpec(kind, 3, **kwargs)
@@ -451,5 +463,3 @@ def test_spec_validation():
         MetricSpec("no_such_metric", 3)
     with pytest.raises(ValueError):
         MetricSpec("euclidean", 2)
-    with pytest.raises(ValueError):
-        MetricSpec("perturbation", 3)  # missing base

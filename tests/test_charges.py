@@ -79,17 +79,19 @@ def test_full_jets_agree_with_deviation_path():
 
 # ------------------------------------------ flat background in closed form
 
+_SCHWARZSCHILD_3 = "(1 + 1/(2*r))^4"     # the n=3 factor at m = 1
+
 @pytest.mark.parametrize("spec", [
     pytest.param(MetricSpec("schwarzschild_conformal", 3, m=1.3),
                  id="schwarzschild"),
     pytest.param(MetricSpec("schwarzschild_conformal", 4, m=0.7,
                             center=(1.0, 0.5, -0.3, 0.2)),
                  id="translated-schwarzschild"),
-    pytest.param(MetricSpec("perturbation", 3,
-                            base=MetricSpec("schwarzschild_conformal", 3,
-                                            m=1.0),
-                            components={(0, 1): "x1*x3/r^4",
-                                        (2, 2): "-1/r^2"}),
+    # Schwarzschild (m = 1) plus a perturbation, delta + h
+    pytest.param(MetricSpec("expression", 3, components={
+                     (0, 0): _SCHWARZSCHILD_3, (1, 1): _SCHWARZSCHILD_3,
+                     (2, 2): f"{_SCHWARZSCHILD_3} - 1/r^2",
+                     (0, 1): "x1*x3/r^4"}),
                  id="perturbation"),
     pytest.param(MetricSpec("expression", 3, components={
                      (0, 0): "1 + 2/r", (0, 1): "x1*x2/r^3",
@@ -115,24 +117,25 @@ def test_flat_michel_pieces_equal_general_formula(spec):
 
 
 def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
-    """On a flat-type metric the sphere pass factors g once per chunk for
-    the curvature and the metric area element, and leaves the identity
-    background alone: one factorization (inverse, definiteness check and
-    ``sqrt(det g)``) per chunk for the kernel and field columns together,
-    and no determinant."""
+    """On a flat-type metric the sphere pass leaves the identity background
+    alone and takes no determinant.  A dense metric (an expression) is
+    factored once per chunk for the curvature and the metric area element,
+    with one Christoffel array: one factorization (inverse, definiteness
+    check and ``sqrt(det g)``) per chunk for the kernel and field columns
+    together.  A conformal one (``schwarzschild_conformal``, here the
+    same metric) takes its closed form: no factorization and no
+    Christoffel array at all."""
     from asymflux import charges, geometry
 
-    counts = {"inverse": 0, "chunks": 0, "det": 0}
-    original, integrand = geometry._factor, charges.sphere_integrand
+    counts = {}
+    integrand = charges.sphere_integrand
     det = np.linalg.det
 
-    def counting(g):
-        counts["inverse"] += 1
-        return original(g)
-
-    def counting_det(a):
-        counts["det"] += 1
-        return det(a)
+    def counting(name, original):
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        return call
 
     def counting_integrand(*args, **kwargs):
         f = integrand(*args, **kwargs)
@@ -143,16 +146,27 @@ def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
         return chunk
 
     # inverse_metric and curvature both factor through geometry._factor
-    monkeypatch.setattr(geometry, "_factor", counting)
-    monkeypatch.setattr(np.linalg, "det", counting_det)
+    for name in ("_factor", "_christoffel", "_conformal_christoffel"):
+        monkeypatch.setattr(geometry, name,
+                            counting(name, getattr(geometry, name)))
+    monkeypatch.setattr(np.linalg, "det", counting("det", det))
     monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
-    spec = MetricSpec("schwarzschild_conformal", 3, m=1.0,
-                      center=(1.0, 0.5, 0.0))
-    charge_series(spec, FLAT_RADII, sphere_rule(3, 8),
-                  kernel_basis(3, "cartesian"), killing_basis(3, "cartesian"))
-    assert counts["chunks"] > 0
-    assert counts["inverse"] == counts["chunks"]
-    assert counts["det"] == 0
+    factor = "(1 + 1/(2*sqrt((x1 - 1)^2 + (x2 - 0.5)^2 + x3^2)))^4"
+    dense = MetricSpec("expression", 3,
+                       components={(i, i): factor for i in range(3)})
+    conformal = MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                           center=(1.0, 0.5, 0.0))
+    for spec, per_chunk in ((dense, 1), (conformal, 0)):
+        counts.update(dict.fromkeys(
+            ("chunks", "_factor", "_christoffel", "_conformal_christoffel",
+             "det"), 0))
+        charge_series(spec, FLAT_RADII, sphere_rule(3, 8),
+                      kernel_basis(3, "cartesian"),
+                      killing_basis(3, "cartesian"))
+        assert counts["chunks"] > 0
+        assert counts["_factor"] == counts["_christoffel"] \
+            == per_chunk * counts["chunks"]
+        assert counts["_conformal_christoffel"] == counts["det"] == 0
 
 
 # --------------------------------------- polar backgrounds in closed form
@@ -390,17 +404,18 @@ def test_kottler_vector_charges_vanish():
 
 def test_geodesic_chart_agrees_with_area_chart():
     """The same hyperbolic-background charge in both polar charts."""
-    pert = "0.5 * exp(-3*r)"
-    ga = MetricSpec("perturbation", 3,
-                    base=MetricSpec("hyperbolic_polar", 3),
-                    components={(0, 0): pert})
+    # mass 1: the expression's deviation g - b is a subtraction, which
+    # keeps the digits of a deviation as large as this one
+    ga = MetricSpec("expression", 3, chart="polar_geodesic", components={
+        (0, 0): "1 + 16 * exp(-3*r)", (1, 1): "sinh(r)^2",
+        (2, 2): "sinh(r)^2*sin(theta1)^2"})
     rule = sphere_rule(3, 12)
     series = charge_series(ga, HYP_S, rule,
                            [kernel_basis(3, "polar_geodesic")[0]])[0][0]
-    pert_rho = "0.5 * exp(-3*log(r + sqrt(1 + r^2))) / (1 + r^2)"
-    gb = MetricSpec("perturbation", 3,
-                    base=MetricSpec("hyperbolic_area", 3),
-                    components={(0, 0): pert_rho})
+    pert_rho = "16 * exp(-3*log(r + sqrt(1 + r^2))) / (1 + r^2)"
+    gb = MetricSpec("expression", 3, chart="polar_area", components={
+        (0, 0): f"1/(1 + r^2) + {pert_rho}", (1, 1): "r^2",
+        (2, 2): "r^2*sin(theta1)^2"})
     series_b = charge_series(gb, np.sinh(HYP_S), rule,
                              [kernel_basis(3, "polar_area")[0]])[0][0]
     assert series_b.limit == pytest.approx(series.limit, rel=1e-8, abs=1e-10)
@@ -518,10 +533,11 @@ def test_diagnostics_evaluate_no_metric(monkeypatch):
                  id="expression-odd"),
     pytest.param(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
                  id="kottler"),
-    pytest.param(MetricSpec("perturbation", 3,
-                            base=MetricSpec("hyperbolic_polar", 3),
-                            components={(0, 0): "0.5*exp(-3*r)"}), HYP_S,
-                 id="perturbation-polar"),
+    pytest.param(MetricSpec("expression", 3, chart="polar_geodesic",
+                            components={(0, 0): "1 + 0.5*exp(-3*r)",
+                                        (1, 1): "sinh(r)^2",
+                                        (2, 2): "sinh(r)^2*sin(theta1)^2"}),
+                 HYP_S, id="perturbation-polar"),
 ])
 def test_node_sups_equal_the_sampled_sups(spec, radii):
     """The sups the charge pass reduces from its node data equal those of a
@@ -647,24 +663,31 @@ def test_sphere_pass_evaluates_node_data_once_per_chunk(
 
 def test_chunk_peak_below_twice_the_jet_block():
     """One 1024-node n=5 chunk of the flat mass integrand (the ``const_one``
-    kernel and the dilation field, as ``charge_pairs`` builds it) peaks
-    below 1.8 times the bytes of its 2-jet.  glibc trims the heap top above
-    twice the largest block freed so far, the jet's, so a higher peak is
-    handed back to the kernel and faulted in again on every chunk."""
-    spec = MetricSpec("schwarzschild_conformal", 5, m=1.0)
-    X = killing_basis(5, spec.chart_kind)[0]
-    f = sphere_integrand(spec, [X.kernel], [X], 10.0)
+    kernel and the dilation field, as ``charge_pairs`` builds it) on a
+    dense 2-jet, Schwarzschild written as an expression, peaks below 1.8
+    times the bytes of that jet (1.64 measured).  glibc trims the heap top
+    above twice the largest block freed so far, the jet's, so a higher
+    peak is handed back to the kernel and faulted in again on every chunk.
+    The catalog kind's conformal jet holds no n^4 array: the same chunk
+    peaks below half the dense jet's bytes (0.36 measured)."""
+    factor = "(1 + 1/(2*(x1^2 + x2^2 + x3^2 + x4^2 + x5^2)^1.5))^(4/3)"
+    dense = MetricSpec("expression", 5,
+                       components={(i, i): factor for i in range(5)})
+    conformal = MetricSpec("schwarzschild_conformal", 5, m=1.0)
+    X = killing_basis(5, "cartesian")[0]
     points = 10.0 * sphere_rule(5, 16).units[:1024]
-    jet = jets(spec, points)[0]
+    jet = jets(dense, points)[0]
     block = jet.g.nbytes + jet.dg.nbytes + jet.ddg.nbytes
     del jet
-    tracemalloc.start()
-    try:
-        f(points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.8 * block
+    for spec, bound in ((dense, 1.8), (conformal, 0.5)):
+        f = sphere_integrand(spec, [X.kernel], [X], 10.0)
+        tracemalloc.start()
+        try:
+            f(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * block, spec.kind
 
 
 @pytest.mark.parametrize("n,count,bound_mib", [(4, 1458, 14.12),

@@ -726,3 +726,26 @@ def test_runs_without_scipy(args):
     res = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *args,
                           "--no-timings"], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+_EXPR_AFTER = ("import sys; from asymflux.cli import main; "
+               "code = main(sys.argv[1:]); "
+               "print('asymflux.expr' in sys.modules, file=sys.stderr); "
+               "sys.exit(code)")
+
+
+@pytest.mark.parametrize("kind", ["schwarzschild_conformal", "expression"])
+def test_expression_language_imported_only_for_expressions(tmp_path, kind):
+    """A catalog metric runs without importing the expression language:
+    only an expression metric parses and evaluates components."""
+    args = ["mass", *_SCHW3, "--degree", "8"]
+    if kind == "expression":
+        config = tmp_path / "run.ini"
+        config.write_text("[metric]\nkind = expression\nn = 3\n"
+                          "[components]\ng_1_1 = 1 + 2/r\ng_2_2 = 1\n"
+                          "g_3_3 = 1\n")
+        args = ["mass", "--config", str(config), "--degree", "8"]
+    res = subprocess.run([sys.executable, "-c", _EXPR_AFTER, *args,
+                          "--no-timings"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip() == str(kind == "expression")
