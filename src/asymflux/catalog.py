@@ -120,10 +120,6 @@ class MetricSpec:
     def is_flat_type(self) -> bool:
         return chart_kind_of(self) == ChartKind.CARTESIAN
 
-    @property
-    def is_hyperbolic_type(self) -> bool:
-        return not self.is_flat_type
-
 
 def chart_kind_of(spec: MetricSpec) -> ChartKind:
     if spec.kind in ("euclidean", "schwarzschild_conformal"):
@@ -367,7 +363,11 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     if spec.kind == "schwarzschild_conformal":
         t, log_factor = _schwarzschild_log_factor(spec, coords)
         two_phi = hd.lift(t, log_factor)
-        w = hd.lift(t, hd.expm1(log_factor))
+        # the deviation e^{2 phi} - 1 to first order: the value and gradient
+        # of hd.lift(t, hd.expm1(log_factor)), by the same operations,
+        # without the Hessian the deviation never reads
+        d1 = np.exp(log_factor.val) * log_factor.grad[..., 0]
+        w = HyperDual(np.expm1(log_factor.val), d1[..., None] * t.grad, 0.0)
         return (ConformalJet(ScalarJet(two_phi.val, two_phi.grad,
                                        two_phi.hess)),
                 _euclidean_background(shape, n),

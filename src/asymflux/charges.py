@@ -11,12 +11,14 @@ fields, and the hyperbolic-mass functional.  The deviation is evaluated by
 the catalog's stable closed forms so that fluxes remain accurate at radii
 where ``g - b`` underflows a naive subtraction.
 
-Every charge is linear in its kernel function V or conformal Killing field
-X, and both families integrate over the same sphere S_r.  So
-:func:`charge_series` makes one sphere pass per radius: its integrand
+Each charge belongs to one element i of the paired basis (V^(i), X^(i)),
+and its basis index is its only handle: the classical charge is linear in
+V^(i), the Ricci one in X^(i), and both integrate over the same sphere S_r.
+So :func:`charge_series`, the one function that computes charges, takes
+basis indices and makes one sphere pass per radius: its integrand
 evaluates the metric jet, the background jet, the deviation, the basis
 jets, the curvature, normal and area element once per node and contracts
-them with the whole kernel basis and Killing basis.  The same pass reduces
+them with every requested kernel function and field.  The same pass reduces
 the node data of the hypothesis diagnostics to one sup per radius, which
 :func:`hypothesis_diagnostics` judges.
 
@@ -62,15 +64,15 @@ import numpy as np
 from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
-from .fields import basis_jets, kernel_basis
+from .fields import basis_jets, killing_basis
 from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
                        SymTensorJet, curvature, diagonal_sum, sum_last)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import (_PICK_LOWER, SphereRule, _next_rule,
                          integrate_sphere, omega)
 
-__all__ = ["sphere_normal_area", "sphere_integrand", "charge_series",
-           "hypothesis_diagnostics"]
+__all__ = ["sphere_normal_area", "einstein_fluxes", "sphere_integrand",
+           "charge_series", "hypothesis_diagnostics"]
 
 _MASS_FLOOR = 1e-12
 
@@ -176,8 +178,11 @@ def sphere_normal_area(points: np.ndarray, chart_kind: ChartKind, r: float,
     return nu, _finite(area, "area element", r)
 
 
-def _einstein_fluxes(G, comps, points, chart_kind, r, bundle) -> list:
-    """``G(X, nu) dA_g`` on S_r for the components ``comps`` of each X."""
+def einstein_fluxes(G, comps, points, chart_kind, r, bundle) -> list:
+    """``G(X, nu) dA_g`` on S_r for the components ``comps`` of each X, with
+    the metric's normal and area element from its curvature ``bundle``: the
+    Ricci columns of :func:`sphere_integrand` and the boundary fluxes of
+    :func:`asymflux.verify.pohozaev_check`."""
     nu, area = sphere_normal_area(points, chart_kind, r, bundle)
     G_nu = (G @ nu[..., None])[..., 0]
     return [sum_last(comp * G_nu) * area for comp in comps]
@@ -241,7 +246,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
         if fields:
             bun = curvature(jet)
             G = bun.einstein if spec.is_flat_type else bun.modified_einstein
-            columns += _einstein_fluxes(G, comps, points, chart, r, bun)
+            columns += einstein_fluxes(G, comps, points, chart, r, bun)
             if scal:
                 data.append(np.abs(bun.scal - scal_b)
                             * sphere_normal_area(points, chart, r)[1])
@@ -277,75 +282,91 @@ def _series(spec, radii, rules, raw_fluxes, quad_errors, norm):
 
 # ------------------------------------------------------- basis-wide series
 
-def charge_series(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                  fields=()):
-    """Normalized charge series for kernel functions and conformal Killing
-    fields, with one sphere pass per radius (:func:`sphere_integrand`).
+def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices,
+                  scal: bool = False):
+    """The classical and Ricci charges of the basis elements ``indices``
+    (non-empty, strictly increasing, within ``0..n``; anything else is a
+    ValueError), with one sphere pass per radius (:func:`sphere_integrand`).
 
-    Kernel functions V give the classical charges (flux of ``U(V, g, b)`` in
-    the background measure); conformal Killing fields X give the Ricci
-    charges (flux of ``G(X, nu)`` in the metric measure, with the modified
-    Einstein tensor on hyperbolic-type metrics).  The centers, the elements
-    of index > 0 in the cartesian chart, divide by the mass: the limit of
-    the ``const_one`` kernel (index 0) that must lead ``kernels``, and their
-    ``limit_error`` adds the mass's relative error, ``|center| err_m / |m|``.
-    A missing or vanishing mass raises ZeroMassError.  ``rule`` integrates
-    the first radius and caps the rules of the others
-    (:func:`asymflux.quadrature._next_rule`).
-    Returns ``(kernel_series, field_series)`` in the order requested.  It is
-    ``_sphere_fluxes`` followed by ``_normalized_series``, the two halves
-    :func:`asymflux.verify.charge_pairs` calls apart.
+    The classical charge of element i is the flux of ``U(V^(i), g, b)`` in
+    the background measure, its Ricci charge the flux of ``G(X^(i), nu)``
+    in the metric measure, with the modified Einstein tensor on
+    hyperbolic-type metrics (``killing_basis``).  On flat-type metrics the
+    ``const_one`` kernel leads the pass, requested or not: its flux picks
+    each later radius's rule (:func:`_sphere_fluxes`) and its limit is the
+    mass the centers, the elements of index > 0, divide by.  A center's
+    ``limit_error`` adds the mass's relative error, ``|center| err_m /
+    |m|``.  On a vanishing mass the centers raise ZeroMassError, unless
+    index 0 was requested: then the call returns the mass pair alone, from
+    the same pass.
+
+    Returns ``(mass, classical, ricci, sups)``: the ``const_one`` series
+    (None in a polar chart), one classical and one Ricci series per index,
+    in order, and the per-radius sups of the node data
+    (:func:`_node_sups`; ``scal`` only where ``scal`` asks for it).
     """
-    values, errors, _, rules = _sphere_fluxes(spec, radii, rule, kernels,
-                                              fields)
-    return _normalized_series(spec, radii, rules, values, errors, kernels,
-                              fields)
+    indices, n = list(indices), spec.n
+    if not indices or indices[0] < 0 or indices[-1] > n \
+            or any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"basis indices must be non-empty, strictly "
+                         f"increasing and within 0..{n}, got {indices}")
+    radii = _check_radii(radii)
+    flat = spec.is_flat_type
+    basis = killing_basis(n, spec.chart_kind)
+    fields = [basis[i] for i in indices]
+    lead = int(flat and indices[0] != 0)
+    kernels = [basis[0].kernel] * lead + [X.kernel for X in fields]
+    values, errors, sups, rules = _sphere_fluxes(spec, radii, rule, kernels,
+                                                 fields, scal)
+
+    def normalized(column, field, center=False):
+        entry = _series(spec, radii, rules, values[:, column],
+                        errors[:, column], _normalization(
+                            n, field, mass.limit if center else None))
+        if center:
+            # a center is a flux over the mass limit, so it carries the
+            # mass's relative error on top of its own
+            entry.limit_error += abs(entry.limit) * mass.limit_error \
+                / abs(mass.limit)
+        return entry
+
+    mass = normalized(0, False) if flat else None
+    if flat and indices != [0] and abs(mass.limit) < _MASS_FLOOR:
+        if lead:
+            raise ZeroMassError("center of mass undefined for vanishing mass")
+        indices = [0]                   # the mass pair alone
+    classical, ricci = [], []
+    for k, i in enumerate(indices):
+        center = flat and i > 0
+        classical.append(mass if flat and i == 0
+                         else normalized(lead + k, False, center))
+        ricci.append(normalized(len(kernels) + k, True, center))
+    return mass, classical, ricci, sups
 
 
-def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels=(),
-                   fields=(), scal: bool = False):
+def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels,
+                   fields, scal: bool):
     """The sphere pass of :func:`charge_series`: raw fluxes and their
     quadrature errors, two ``(R, K)`` arrays with one row per radius and one
     column per kernel, then per field, a dict of ``(R,)`` sups of the node
-    data, each radius's reduced on its own rule before the next starts
-    (``scal`` with fields only where ``scal`` asks for it), and the rule of
-    each radius: ``rule`` first, then, on flat-type metrics, what
-    :func:`asymflux.quadrature._next_rule` picks from the ``const_one``
-    column of the sphere before.  The pick reads the
-    ``const_one`` flux, integrated as an unreported column where
-    ``kernels`` lacks it, so a charge gets the same rules alone as inside
-    the full basis.  Hyperbolic-type metrics keep ``rule``: the roundoff of
-    their modified Einstein tensor sets their Ricci fluxes at the outer
-    radii, and a different node set moves those by more than their bars."""
-    radii = _check_radii(radii)
-    chart = spec.chart_kind
-    elements = (*kernels, *fields)
-    for element in elements:
-        if element.chart_kind != chart:
-            raise ChartMismatchError(
-                f"{element.id} is defined in the {element.chart_kind.value} "
-                f"chart, the metric in the {chart.value} chart")
-    if not elements:
-        return (np.zeros((radii.size, 0)), np.zeros((radii.size, 0)), {},
-                [rule] * radii.size)
-    pick, passed, keep = None, kernels, slice(None)
-    indices = [V.index for V in kernels]
-    if spec.is_flat_type and 0 in indices:
-        pick = indices.index(0)
-    elif spec.is_flat_type:
-        pick = len(kernels)
-        passed = (*kernels, kernel_basis(spec.n, chart)[0])
-        keep = np.delete(np.arange(len(passed) + len(fields)), pick)
-    scal = scal and bool(fields)
+    data, each radius's reduced on its own rule before the next starts,
+    and the rule of each radius: ``rule`` first, then, on flat-type
+    metrics, what :func:`asymflux.quadrature._next_rule` picks from column
+    0, the ``const_one`` flux, of the sphere before.  So a charge gets the
+    same rules alone as inside the full basis.  Hyperbolic-type metrics
+    keep ``rule``: the roundoff of their modified Einstein tensor sets
+    their Ricci fluxes at the outer radii, and a different node set moves
+    those by more than their bars."""
+    chart, flat = spec.chart_kind, spec.is_flat_type
 
     def sphere(r, rule):
         # the node data die here, before the next sphere's pass
-        q = integrate_sphere(sphere_integrand(spec, passed, fields, r, scal),
+        q = integrate_sphere(sphere_integrand(spec, kernels, fields, r, scal),
                              r, rule, chart,
-                             lower=None if pick is None else _PICK_LOWER)
-        return ((q.value[keep], q.error_estimate[keep],
+                             lower=_PICK_LOWER if flat else None)
+        return ((q.value, q.error_estimate,
                  _node_sups(q.node_data, rule, scal)),
-                rule if pick is None else _next_rule(rule, q, pick))
+                _next_rule(rule, q, 0) if flat else rule)
 
     rules, rows = [], []
     for r in radii:
@@ -419,36 +440,3 @@ def hypothesis_diagnostics(spec: MetricSpec, radii, sups) -> dict:
                       rt_status="pass" if even or exponent > expected - 0.5
                       else "warn")
     return report
-
-
-def _normalized_series(spec: MetricSpec, radii, rules, values, errors,
-                       kernels=(), fields=()):
-    """The normalization of :func:`charge_series`: one extrapolated series
-    per column of the :func:`_sphere_fluxes` arrays ``values`` and
-    ``errors``, whose columns are ``kernels``, then ``fields``, integrated
-    on ``rules``, one per radius.  Centers raise ZeroMassError as in
-    :func:`charge_series`."""
-    radii = _check_radii(radii)
-    series = []
-    for k, element in enumerate((*kernels, *fields)):
-        field = k >= len(kernels)
-        mass = None
-        if spec.chart_kind == ChartKind.CARTESIAN \
-                and (element.kernel if field else element).index > 0:
-            if not (kernels and kernels[0].index == 0):
-                raise ZeroMassError(
-                    f"center charge {element.id} needs the const_one kernel "
-                    f"first in the same call")
-            mass = series[0].limit
-            if abs(mass) < _MASS_FLOOR:
-                raise ZeroMassError(
-                    "center of mass undefined for vanishing mass")
-        entry = _series(spec, radii, rules, values[:, k], errors[:, k],
-                        _normalization(spec.n, field, mass))
-        if mass is not None:
-            # a center is a flux over the mass limit, so it carries the
-            # mass's relative error on top of its own
-            entry.limit_error += abs(entry.limit) \
-                * series[0].limit_error / abs(mass)
-        series.append(entry)
-    return series[:len(kernels)], series[len(kernels):]

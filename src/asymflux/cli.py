@@ -7,11 +7,11 @@ Subcommands
 * ``center``  — both center-of-mass versions (needs nonvanishing mass)
 * ``ah-mass`` — hyperbolic charges over the kernel basis
 * ``verify``  — pohozaev / kernel / equivalence checks
-* ``sweep``   — per-radius normalized flux series as plot-ready CSV
 
-The four charge commands are one function, :func:`cmd_charges`, over
+The three charge commands are one function, :func:`cmd_charges`, over
 :func:`asymflux.verify.charge_pairs`: they differ only in the basis indices
-they ask for, the report ids and the diagnostic they attach.
+they ask for, the report ids and the diagnostic they attach.  Any of them
+writes its per-radius series as plot-ready CSV with ``--csv-dir``.
 
 Runs are driven by an INI config file; every command-line flag overrides the
 corresponding config key.  The worker-thread count is not part of the config:
@@ -322,7 +322,7 @@ def _require_family(spec: MetricSpec, command: str, flat: bool):
 def cmd_charges(cfg: RunConfig, command: str,
                 kernel: str | None = None) -> tuple[dict, int]:
     """A charge command: one report entry per series and one verdict per
-    pair (``sweep``: one passing verdict), then the command's diagnostic."""
+    pair, then the command's diagnostic."""
     spec = build_spec(cfg)
     n = spec.n
     if command in ("mass", "center"):
@@ -330,7 +330,7 @@ def cmd_charges(cfg: RunConfig, command: str,
     radii = schedule_radii(cfg, spec)
     rule = sphere_rule(n, cfg.degree)
     # the basis indices and the hypotheses whose diagnostics are reported
-    indices, judged = {"mass": ([0], ["decay"]), "sweep": ([0], []),
+    indices, judged = {"mass": ([0], ["decay"]),
                        "center": (range(1, n + 1), ["odd"]),
                        "ah-mass": (range(n + 1), ["decay"])}[command]
     if command == "ah-mass":
@@ -354,8 +354,6 @@ def cmd_charges(cfg: RunConfig, command: str,
         report["verdicts"].append({"id": verdict_id, "passed": row.passed,
                                    "difference": row.difference,
                                    "budget": row.budget})
-    if command == "sweep":
-        report["verdicts"] = [{"id": "sweep", "passed": True}]
     report["diagnostics"].update(charges_mod.hypothesis_diagnostics(
         spec, radii, {key: sups[key] for key in judged}))
     return _finish(report, cfg, t0, all(v["passed"] for v in report["verdicts"]))
@@ -456,7 +454,7 @@ def _build_parser():
         description="Asymptotic invariants of asymptotically flat and "
                     "hyperbolic metrics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("mass", "center", "ah-mass", "verify", "sweep"):
+    for name in ("mass", "center", "ah-mass", "verify"):
         p = sub.add_parser(name)
         _add_common(p)
         if name == "ah-mass":

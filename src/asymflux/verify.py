@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .catalog import MetricSpec, coordinate_volume, metric_jet
-from .charges import (_einstein_fluxes, _normalized_series, _sphere_fluxes,
-                      hypothesis_diagnostics)
-from .errors import DomainError, ZeroMassError
+from .charges import charge_series, einstein_fluxes, hypothesis_diagnostics
+from .errors import DomainError
 from .fields import ConformalKilling, basis_jets, killing_basis
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
                        killing_operator, tensor_norm, trace_product)
@@ -165,8 +164,8 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
             _, vectors = basis_jets(points, (), fields)
             bulk = [bun.scal * divergence_vector(X, bun) * bun.sqrt_det * coord
                     for X in vectors]
-            signed = _einstein_fluxes(bun.einstein, [X.comp for X in vectors],
-                                      points, chart, r, bun)
+            signed = einstein_fluxes(bun.einstein, [X.comp for X in vectors],
+                                     points, chart, r, bun)
             columns = np.stack(bulk + signed, axis=-1)
             if r not in (r0, r1):
                 return columns
@@ -293,41 +292,23 @@ def agreement(X: ConformalKilling, classical: RadialSeries,
 
 def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
                  rel_tol: float = 1e-6, scal: bool = False):
-    """The classical/Ricci charge pairs of the basis elements ``indices``,
-    from one sphere pass per radius, each judged by :func:`agreement`.
+    """The classical/Ricci charge pairs of the basis elements ``indices``
+    (:func:`~asymflux.charges.charge_series`, which owns the sphere pass
+    and the zero-mass rule), each judged by :func:`agreement`.
 
-    Returns ``(mass, rows, sups)``: ``mass`` is the series of the
-    ``const_one`` kernel in the cartesian chart (None in a polar chart),
-    ``rows`` one :class:`EquivalenceRow` per index, in order, and ``sups``
-    the per-radius sups of the pass's node data that the diagnostics fit
-    (``decay``, ``scal`` when ``scal`` asks for it, and ``odd`` where a
-    center is computed), each from its radius's own rule.  The
-    centers divide by that mass.  Without the mass pair (index 0, which
-    then comes first) the kernel leads the pass alone and a vanishing mass
-    raises ZeroMassError; with it, a vanishing mass leaves the mass row
-    alone, from the same pass.
+    Returns ``(mass, rows, sups)``: the ``const_one`` series (None in a
+    polar chart), one :class:`EquivalenceRow` per pair that
+    ``charge_series`` returns, in order, and the per-radius sups of the
+    pass's node data that the diagnostics fit.
     """
+    indices = list(indices)
+    mass, classical, ricci, sups = charge_series(spec, radii, rule, indices,
+                                                 scal)
     basis = killing_basis(spec.n, spec.chart_kind)
-    fields = [basis[i] for i in indices]
-    lead = [basis[0].kernel] if spec.is_flat_type and indices[0] != 0 else []
-    kernels = lead + [X.kernel for X in fields]
-    values, errors, sups, rules = _sphere_fluxes(spec, radii, rule, kernels,
-                                                 fields, scal)
-    try:
-        classical, ricci = _normalized_series(spec, radii, rules, values,
-                                              errors, kernels, fields)
-    except ZeroMassError:
-        if lead:
-            raise
-        columns = [0, len(kernels)]
-        fields, kernels = fields[:1], kernels[:1]
-        classical, ricci = _normalized_series(
-            spec, radii, rules, values[:, columns], errors[:, columns],
-            kernels, fields)
-    mass = classical[0] if spec.is_flat_type else None
     rows = [EquivalenceRow(pair_names(X)[0], X, cls, ric,
                            *agreement(X, cls, ric, rel_tol))
-            for X, cls, ric in zip(fields, classical[len(lead):], ricci)]
+            for X, cls, ric in zip((basis[i] for i in indices), classical,
+                                   ricci)]
     return mass, rows, sups
 
 

@@ -50,10 +50,8 @@ def test_acceptance_1_schwarzschild_mass(verdict):
         for m in (1.0, 2.5):
             spec = MetricSpec("schwarzschild_conformal", n, m=m)
             t0 = time.perf_counter()
-            cls = charge_series(spec, FLAT_RADII, rule, kernels=[
-                kernel_basis(n, "cartesian")[0]])[0][0].limit
-            ric = charge_series(spec, FLAT_RADII, rule, fields=[
-                killing_basis(n, "cartesian")[0]])[1][0].limit
+            _, (cls,), (ric,), _ = charge_series(spec, FLAT_RADII, rule, [0])
+            cls, ric = cls.limit, ric.limit
             elapsed = time.perf_counter() - t0
             ok &= abs(cls - m) <= 1e-3 * m
             ok &= abs(ric - m) <= 1e-2 * m
@@ -67,16 +65,12 @@ def test_acceptance_2_center_of_mass(verdict):
     c = (1.0, 0.5, 0.0)
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0, center=c)
     rule = sphere_rule(3, 12)
-    kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3, "cartesian")
     ok = True
     for a in range(3):
-        # a center divides by the mass of the const_one kernel leading its call
-        cc = charge_series(spec, FLAT_RADII, rule, kernels=[
-            kernels[0], kernels[a + 1]])[0][1].limit
-        rc = charge_series(spec, FLAT_RADII, rule, kernels[:1],
-                           [fields[a + 1]])[1][0].limit
-        ok &= abs(cc - c[a]) <= 1e-2
-        ok &= abs(rc - c[a]) <= 1e-2
+        # a center divides by the mass of the const_one kernel leading its pass
+        _, (cc,), (rc,), _ = charge_series(spec, FLAT_RADII, rule, [a + 1])
+        ok &= abs(cc.limit - c[a]) <= 1e-2
+        ok &= abs(rc.limit - c[a]) <= 1e-2
     # the parity sups of the center pass
     sups = charge_pairs(spec, FLAT_RADII, rule, range(1, 4))[2]
     rt = hypothesis_diagnostics(spec, FLAT_RADII, {"odd": sups["odd"]})
@@ -93,10 +87,10 @@ def test_acceptance_3_hyperbolic_mass(verdict):
         rule = sphere_rule(n, 14)
         for m in (1.0, 2.0):
             spec = MetricSpec("kottler", n, m=m)
-            limits = [(charge_series(spec, radii, rule, [X.kernel])[0][0].limit,
-                       charge_series(spec, radii, rule,
-                                     fields=[X])[1][0].limit)
-                      for X in killing_basis(n, spec.chart_kind)]
+            _, classical, ricci, _ = charge_series(spec, radii, rule,
+                                                   range(n + 1))
+            limits = [(cls.limit, ric.limit)
+                      for cls, ric in zip(classical, ricci)]
             (am, ar), vectors = limits[0], limits[1:]
             ok &= abs(am - m) <= 1e-3 * m
             ok &= abs(ar - m) <= 1e-2 * m

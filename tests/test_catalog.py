@@ -376,6 +376,29 @@ def test_deviation_stable_at_huge_radius():
     assert eps.value[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_schwarzschild_deviation_is_the_lifted_expm1(n):
+    """Every diagonal entry of the Schwarzschild deviation ``e^{2 phi} - 1``
+    is the value and gradient of ``lift(t, expm1(log_factor))`` bit for bit,
+    although the deviation builds no Hessian; off the diagonal it is
+    zero."""
+    from asymflux import hyperdual as hd
+    from asymflux.catalog import _schwarzschild_log_factor
+
+    spec = MetricSpec("schwarzschild_conformal", n, m=1.3,
+                      center=(0.6, -0.5, 0.4, 0.0, 0.0)[:n])
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(200, n)) * np.logspace(0.5, 6, 200)[:, None]
+    t, log_factor = _schwarzschild_log_factor(spec, pts)
+    lifted = hd.lift(t, hd.expm1(log_factor))
+    eps = jets(spec, pts)[2]
+    for i in range(n):
+        assert np.array_equal(eps.value[:, i, i], lifted.val)
+        assert np.array_equal(eps.d[:, :, i, i], lifted.grad)
+    off = ~np.eye(n, dtype=bool)
+    assert not eps.value[:, off].any() and not eps.d[:, :, off].any()
+
+
 def test_decay_scaling_property():
     # frame-rescaled schwarzschild deviation scales like 2m/r in n=3
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
-from asymflux.charges import (_sphere_fluxes, charge_series,
+from asymflux.charges import (_normalization, charge_series,
                               hypothesis_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import kernel_basis, killing_basis
@@ -160,9 +160,7 @@ def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
         counts.update(dict.fromkeys(
             ("chunks", "_factor", "_christoffel", "_conformal_christoffel",
              "det"), 0))
-        charge_series(spec, FLAT_RADII, sphere_rule(3, 8),
-                      kernel_basis(3, "cartesian"),
-                      killing_basis(3, "cartesian"))
+        charge_series(spec, FLAT_RADII, sphere_rule(3, 8), range(4))
         assert counts["chunks"] > 0
         assert counts["_factor"] == counts["_christoffel"] \
             == per_chunk * counts["chunks"]
@@ -229,9 +227,9 @@ def test_polar_michel_pieces_match_the_general_formula(spec):
 @pytest.mark.parametrize("fields", [False, True], ids=["kernels", "basis"])
 def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
     """On Kottler the sphere pass builds no factorization and no
-    Christoffel symbols of the background: a kernel-only pass factors
-    nothing, and the full basis factors g once per chunk, for the
-    curvature."""
+    Christoffel symbols of the background: the kernel columns of the
+    integrand alone factor nothing, and the full basis factors g once per
+    chunk, for the curvature."""
     from asymflux import charges, geometry
 
     counts = {"factor": 0, "christoffel": 0, "chunks": 0}
@@ -256,9 +254,14 @@ def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
     monkeypatch.setattr(geometry, "_christoffel",
                         counting("christoffel", symbols))
     monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
-    charge_series(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
-                  sphere_rule(3, 8), kernel_basis(3, "polar_area"),
-                  killing_basis(3, "polar_area") if fields else ())
+    spec, rule = MetricSpec("kottler", 3, m=1.0), sphere_rule(3, 8)
+    if fields:
+        charge_series(spec, np.sinh(HYP_S), rule, range(4))
+    else:
+        for r in np.sinh(HYP_S):
+            integrate_sphere(charges.sphere_integrand(
+                spec, kernel_basis(3, "polar_area"), (), r), r, rule,
+                spec.chart_kind)
     assert counts["chunks"] > 0
     per_chunk = counts["chunks"] if fields else 0
     assert counts["factor"] == counts["christoffel"] == per_chunk
@@ -272,8 +275,7 @@ def test_classical_flux_closed_form(n, m):
     m (1 + m/(2 r^{n-2}))^{(6-n)/(n-2)}."""
     spec = MetricSpec("schwarzschild_conformal", n, m=m)
     rule = sphere_rule(n, 12)
-    series = charge_series(spec, FLAT_RADII, rule,
-                           kernels=[kernel_basis(n, "cartesian")[0]])[0][0]
+    series = charge_series(spec, FLAT_RADII, rule, [0])[1][0]
     q = 4.0 / (n - 2)
     for s in series.samples:
         u = 1.0 + m / (2.0 * s.r ** (n - 2))
@@ -284,8 +286,7 @@ def test_classical_flux_closed_form(n, m):
 @pytest.mark.parametrize("n,m", [(3, 1.0), (4, 2.5)])
 def test_ricci_mass_closed_form(n, m):
     spec = MetricSpec("schwarzschild_conformal", n, m=m)
-    series = charge_series(spec, FLAT_RADII, sphere_rule(n, 12),
-                           fields=[killing_basis(n, "cartesian")[0]])[1][0]
+    series = charge_series(spec, FLAT_RADII, sphere_rule(n, 12), [0])[2][0]
     assert series.limit == pytest.approx(m, rel=1e-10)
 
 
@@ -293,12 +294,8 @@ def test_centers_recover_translation():
     c = (1.0, -0.5, 0.25)
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0, center=c)
     rule = sphere_rule(3, 12)
-    kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3, "cartesian")
     for a in range(3):
-        (_, cc), _ = charge_series(spec, FLAT_RADII, rule,
-                                   kernels=[kernels[0], kernels[a + 1]])
-        _, (rc,) = charge_series(spec, FLAT_RADII, rule, kernels[:1],
-                                 [fields[a + 1]])
+        _, (cc,), (rc,), _ = charge_series(spec, FLAT_RADII, rule, [a + 1])
         assert cc.limit == pytest.approx(c[a], abs=5e-3)
         assert rc.limit == pytest.approx(c[a], abs=5e-3)
 
@@ -309,10 +306,8 @@ def test_center_bars_carry_the_mass_error():
     about 20x (true error 1.8e-10 at a = 0)."""
     c = (1.0, 0.5, 0.0, 0.0)
     spec = MetricSpec("schwarzschild_conformal", 4, m=1.0, center=c)
-    kernels, fields = kernel_basis(4, "cartesian"), killing_basis(4, "cartesian")
-    (mass, *classical), ricci = charge_series(spec, FLAT_RADII,
-                                              sphere_rule(4, 16), kernels,
-                                              fields[1:])
+    mass, classical, ricci, _ = charge_series(spec, FLAT_RADII,
+                                              sphere_rule(4, 16), range(1, 5))
     assert abs(mass.limit - 1.0) <= mass.limit_error
     for a, (cc, rc) in enumerate(zip(classical, ricci)):
         for s in (cc, rc):
@@ -324,51 +319,37 @@ def test_center_bars_carry_the_mass_error():
 def test_euclidean_charges_vanish():
     spec = MetricSpec("euclidean", 3)
     rule = sphere_rule(3, 8)
-    (mass,), _ = charge_series(spec, FLAT_RADII, rule,
-                               kernels=[kernel_basis(3, "cartesian")[0]])
-    _, (rmass,) = charge_series(spec, FLAT_RADII, rule,
-                                fields=[killing_basis(3, "cartesian")[0]])
+    _, (mass,), (rmass,), _ = charge_series(spec, FLAT_RADII, rule, [0])
     assert mass.limit == 0.0
     assert rmass.limit == pytest.approx(0.0, abs=1e-13)
 
 
 def test_zero_mass_center_rejected():
-    """A center divides by the const_one mass leading its call: a zero mass,
-    a missing const_one kernel and a mass below the floor are rejected."""
+    """A center divides by the const_one mass leading its pass: a zero mass
+    and a mass below the floor are rejected, unless the mass was requested
+    too, which then comes back alone, as a pass over index 0 gives it."""
     rule = sphere_rule(3, 8)
-    kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3, "cartesian")
     euclidean = MetricSpec("euclidean", 3)
-    with pytest.raises(ZeroMassError, match="vanishing mass"):
-        charge_series(euclidean, FLAT_RADII, rule, kernels[:2])
-    with pytest.raises(ZeroMassError, match="const_one"):
-        charge_series(euclidean, FLAT_RADII, rule, kernels[1:2])
-    with pytest.raises(ZeroMassError, match="const_one"):
-        charge_series(euclidean, FLAT_RADII, rule, fields=fields[1:2])
     tiny = MetricSpec("schwarzschild_conformal", 3, m=1e-14)
-    with pytest.raises(ZeroMassError, match="vanishing mass"):
-        charge_series(tiny, FLAT_RADII, rule, kernels[:1], fields[1:2])
-
-
-def test_type_mismatches_rejected():
-    """A kernel of the other chart is rejected: cartesian on Kottler, polar
-    on Euclidean."""
-    rule = sphere_rule(3, 8)
-    with pytest.raises(ChartMismatchError):
-        charge_series(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S), rule,
-                      kernels=[kernel_basis(3, "cartesian")[0]])
-    with pytest.raises(ChartMismatchError):
-        charge_series(MetricSpec("euclidean", 3), FLAT_RADII, rule,
-                      kernels=[kernel_basis(3, "polar_area")[0]])
+    for spec in (euclidean, tiny):
+        with pytest.raises(ZeroMassError, match="vanishing mass"):
+            charge_series(spec, FLAT_RADII, rule, [1])
+        with pytest.raises(ZeroMassError, match="vanishing mass"):
+            charge_series(spec, FLAT_RADII, rule, range(1, 4))
+        mass, classical, ricci, _ = charge_series(spec, FLAT_RADII, rule,
+                                                  [0, 2])
+        assert charge_series(spec, FLAT_RADII, rule, [0])[:3] \
+            == (mass, classical, ricci)
+        assert classical == [mass]
 
 
 def test_radius_schedule_validation():
     spec = MetricSpec("euclidean", 3)
     rule = sphere_rule(3, 8)
-    kernels = [kernel_basis(3, "cartesian")[0]]
     with pytest.raises(ValueError):
-        charge_series(spec, [8.0, 16.0], rule, kernels)
+        charge_series(spec, [8.0, 16.0], rule, [0])
     with pytest.raises(ValueError):
-        charge_series(spec, [8.0, 4.0, 16.0], rule, kernels)
+        charge_series(spec, [8.0, 4.0, 16.0], rule, [0])
 
 
 # ------------------------------------------------------- hyperbolic charges
@@ -377,8 +358,7 @@ def test_radius_schedule_validation():
 def test_kottler_mass(n, m):
     spec = MetricSpec("kottler", n, m=m)
     rule = sphere_rule(n, 14)
-    series = charge_series(spec, np.sinh(HYP_S), rule,
-                           kernels=[kernel_basis(n, "polar_area")[0]])[0][0]
+    series = charge_series(spec, np.sinh(HYP_S), rule, [0])[1][0]
     assert series.limit == pytest.approx(m, rel=1e-6)
     # the finite-radius correction decays monotonically
     gaps = np.abs(series.values - m)
@@ -388,16 +368,15 @@ def test_kottler_mass(n, m):
 def test_kottler_ricci_charge(n=3, m=1.0):
     spec = MetricSpec("kottler", n, m=m)
     series = charge_series(spec, np.sinh(HYP_S), sphere_rule(n, 14),
-                           fields=[killing_basis(n, "polar_area")[0]])[1][0]
+                           [0])[2][0]
     assert series.limit == pytest.approx(m, rel=1e-6)
 
 
 def test_kottler_vector_charges_vanish():
     spec = MetricSpec("kottler", 3, m=1.0)
     rule = sphere_rule(3, 14)
-    for X in killing_basis(3, "polar_area")[1:]:
-        (am,), _ = charge_series(spec, np.sinh(HYP_S), rule, [X.kernel])
-        _, (ar,) = charge_series(spec, np.sinh(HYP_S), rule, fields=[X])
+    for i in range(1, 4):
+        _, (am,), (ar,), _ = charge_series(spec, np.sinh(HYP_S), rule, [i])
         assert abs(am.limit) < 1e-10
         assert abs(ar.limit) < 1e-8
 
@@ -410,23 +389,21 @@ def test_geodesic_chart_agrees_with_area_chart():
         (0, 0): "1 + 16 * exp(-3*r)", (1, 1): "sinh(r)^2",
         (2, 2): "sinh(r)^2*sin(theta1)^2"})
     rule = sphere_rule(3, 12)
-    series = charge_series(ga, HYP_S, rule,
-                           [kernel_basis(3, "polar_geodesic")[0]])[0][0]
+    series = charge_series(ga, HYP_S, rule, [0])[1][0]
     pert_rho = "16 * exp(-3*log(r + sqrt(1 + r^2))) / (1 + r^2)"
     gb = MetricSpec("expression", 3, chart="polar_area", components={
         (0, 0): f"1/(1 + r^2) + {pert_rho}", (1, 1): "r^2",
         (2, 2): "r^2*sin(theta1)^2"})
-    series_b = charge_series(gb, np.sinh(HYP_S), rule,
-                             [kernel_basis(3, "polar_area")[0]])[0][0]
+    series_b = charge_series(gb, np.sinh(HYP_S), rule, [0])[1][0]
     assert series_b.limit == pytest.approx(series.limit, rel=1e-8, abs=1e-10)
 
 
 # -------------------------------------------------------------- diagnostics
 
 def _odd_sups(spec, rule):
-    """The ``odd`` sups of a center pass over the whole kernel basis."""
-    return _sphere_fluxes(spec, FLAT_RADII, rule,
-                          kernel_basis(spec.n, "cartesian"))[2]["odd"]
+    """The ``odd`` sups of a center pass over the whole basis."""
+    return charge_series(spec, FLAT_RADII, rule,
+                         range(spec.n + 1))[3]["odd"]
 
 
 def _rt(spec, sups):
@@ -545,10 +522,9 @@ def test_node_sups_equal_the_sampled_sups(spec, radii):
     (``oracles``): the decay and scalar-curvature sups bit for bit, the odd
     part within 1e-15 (antipodal nodes are ``-x`` up to roundoff, and the
     deviation is ``g - b``)."""
-    basis = killing_basis(spec.n, spec.chart_kind)
-    _, _, sups, rules = _sphere_fluxes(spec, radii, sphere_rule(spec.n, 8),
-                                       [X.kernel for X in basis], basis,
-                                       scal=True)
+    _, (series, *_), _, sups = charge_series(
+        spec, radii, sphere_rule(spec.n, 8), range(spec.n + 1), scal=True)
+    rules = [sphere_rule(spec.n, s.degree) for s in series.samples]
     assert np.array_equal(sups["decay"],
                           [decay_sup(spec, r, q) for r, q in zip(radii, rules)])
     assert np.array_equal(sups["scal"],
@@ -562,29 +538,26 @@ def test_node_sups_equal_the_sampled_sups(spec, radii):
 
 def test_odd_sups_only_with_a_center():
     """The node data carry the deviation entries for the odd part only when
-    the pass computes a center; the scalar curvature only with fields, and
-    only when the caller judges it."""
+    the pass computes a center, and the scalar curvature only when the
+    caller judges it."""
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     rule = sphere_rule(3, 4)
-    kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3,
-                                                                  "cartesian")
-    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, kernels[:1],
-                              fields[:1], scal=True)[2]) == {"decay", "scal"}
-    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, kernels[:1],
-                              fields[:1])[2]) == {"decay"}
-    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, kernels[:2],
-                              scal=True)[2]) == {"decay", "odd"}
-    assert set(_sphere_fluxes(spec, FLAT_RADII, rule, (), fields[1:2],
-                              scal=True)[2]) == {"decay", "scal", "odd"}
+
+    def keys(indices, scal=False):
+        return set(charge_series(spec, FLAT_RADII, rule, indices, scal)[3])
+
+    assert keys([0], scal=True) == {"decay", "scal"}
+    assert keys([0]) == {"decay"}
+    assert keys([0, 1]) == {"decay", "odd"}
+    assert keys([1], scal=True) == {"decay", "scal", "odd"}
 
 
 # --------------------------------------------------------------- raw fluxes
 
 def test_einstein_flux_orientation():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    X = killing_basis(3, "cartesian")[0]
     rule = sphere_rule(3, 12)
-    s = charge_series(spec, [16.0, 32.0, 64.0], rule, fields=[X])[1][0].samples[0]
+    s = charge_series(spec, [16.0, 32.0, 64.0], rule, [0])[2][0].samples[0]
     # normalization: raw flux = -(n-1)(n-2) omega m at leading order
     assert s.raw_flux == pytest.approx(-2.0 * omega(3) * 1.0, rel=1e-6)
 
@@ -610,15 +583,23 @@ def test_sphere_integrand_is_the_charge_pass(kind, radii):
     spec = MetricSpec(kind, 3, m=1.0)
     chart = spec.chart_kind
     kernels, fields = kernel_basis(3, chart), killing_basis(3, chart)
-    values, errors, _, rules = _sphere_fluxes(spec, radii, sphere_rule(3, 12),
-                                              kernels, fields)
-    for r, rule, value, error in zip(radii, rules, values, errors):
+    mass, classical, ricci, _ = charge_series(spec, radii, sphere_rule(3, 12),
+                                              range(4))
+    # every column with its normalization, kernels first, then fields
+    columns = [(series, _normalization(
+                    3, field, mass.limit if i and spec.is_flat_type else None))
+               for field, family in ((False, classical), (True, ricci))
+               for i, series in enumerate(family)]
+    for j, r in enumerate(radii):
+        rule = sphere_rule(3, classical[0].samples[j].degree)
         q = integrate_sphere(sphere_integrand(spec, kernels, fields, r), r,
                              rule, chart)
-        assert np.array_equal(q.value, value)
-        assert np.array_equal(q.error_estimate, error)
+        for k, (series, norm) in enumerate(columns):
+            assert series.samples[j].raw_flux == q.value[k]
+            assert series.samples[j].quad_error \
+                == q.error_estimate[k] * abs(norm)
     if kind == "kottler":
-        assert values[0, len(kernels)] == pytest.approx(-25.13, abs=5e-3)
+        assert ricci[0].samples[0].raw_flux == pytest.approx(-25.13, abs=5e-3)
 
 
 @pytest.mark.parametrize("kind,chart,module,name,count", [
@@ -655,15 +636,14 @@ def test_sphere_pass_evaluates_node_data_once_per_chunk(
     monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
     radii = np.sinh(HYP_S) if chart == "polar_area" else FLAT_RADII
     charge_series(MetricSpec(kind, 3, m=1.0), radii, sphere_rule(3, 8),
-                  kernel_basis(3, chart)[:count],
-                  killing_basis(3, chart)[:count])
+                  range(count))
     assert counts["chunks"] > 0
     assert counts[name] == counts["chunks"]
 
 
 def test_chunk_peak_below_twice_the_jet_block():
     """One 1024-node n=5 chunk of the flat mass integrand (the ``const_one``
-    kernel and the dilation field, as ``charge_pairs`` builds it) on a
+    kernel and the dilation field, as ``charge_series`` builds it) on a
     dense 2-jet, Schwarzschild written as an expression, peaks below 1.8
     times the bytes of that jet (1.64 measured).  glibc trims the heap top
     above twice the largest block freed so far, the jet's, so a higher
@@ -722,29 +702,17 @@ def test_basis_pass_matches_single_charges():
 
     rule = sphere_rule(3, 8)
     factor = "(1 + 1/(2*((x1-1)^2 + (x2-0.5)^2 + x3^2)^(1/2)))^4"
-    for spec in (MetricSpec("schwarzschild_conformal", 3, m=1.0,
-                            center=(1.0, 0.5, 0.0)),
-                 MetricSpec("expression", 3,
-                            components={(i, i): factor for i in range(3)})):
-        kernels, fields = kernel_basis(3, "cartesian"), killing_basis(3, "cartesian")
-        (mass, *cc), (rmass, *rc) = charge_series(spec, FLAT_RADII, rule,
-                                                  kernels, fields)
-        assert charge_series(spec, FLAT_RADII, rule, kernels[:1])[0] == [mass]
-        assert charge_series(spec, FLAT_RADII, rule,
-                             fields=fields[:1])[1] == [rmass]
-        for a in range(3):
-            assert charge_series(spec, FLAT_RADII, rule, [
-                kernels[0], kernels[a + 1]])[0] == [mass, cc[a]]
-            assert charge_series(spec, FLAT_RADII, rule, kernels[:1],
-                                 [fields[a + 1]])[1] == [rc[a]]
-
-    spec = MetricSpec("kottler", 3, m=1.0)
-    radii = np.sinh(HYP_S)
-    kernels, fields = kernel_basis(3, "polar_area"), killing_basis(3, "polar_area")
-    am, ar = charge_series(spec, radii, rule, kernels, fields)
-    for i in range(4):
-        assert charge_series(spec, radii, rule, [kernels[i]])[0] == [am[i]]
-        assert charge_series(spec, radii, rule, fields=[fields[i]])[1] == [ar[i]]
+    for spec, radii in (
+            (MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                        center=(1.0, 0.5, 0.0)), FLAT_RADII),
+            (MetricSpec("expression", 3,
+                        components={(i, i): factor for i in range(3)}),
+             FLAT_RADII),
+            (MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S))):
+        mass, classical, ricci, _ = charge_series(spec, radii, rule, range(4))
+        for i in range(4):
+            assert charge_series(spec, radii, rule, [i])[:3] \
+                == (mass, [classical[i]], [ricci[i]])
 
     spec = MetricSpec("hyperbolic_polar", 3)
     fields = killing_basis(3, spec.chart_kind)
@@ -771,9 +739,7 @@ def test_centered_charges_drop_the_degree(kind, n):
     m = 1.3
     spec = MetricSpec(kind, n, m=m)
     radii = FLAT_RADII if spec.is_flat_type else np.sinh(HYP_S)
-    X = killing_basis(n, spec.chart_kind)[0]
-    (cls,), (ric,) = charge_series(spec, radii, sphere_rule(n, 16),
-                                   [X.kernel], [X])
+    _, (cls,), (ric,), _ = charge_series(spec, radii, sphere_rule(n, 16), [0])
     for series in (cls, ric):
         degrees = _degrees(series)
         assert degrees[0] == 16
@@ -791,13 +757,9 @@ def test_unfading_angular_content_keeps_its_degree():
     factor = "1 + 2*(1 + 0.5*(x1/r)^6)/r"
     spec = MetricSpec("expression", 3,
                       components={(i, i): factor for i in range(3)})
-    basis = killing_basis(3, "cartesian")
-    kernels = [X.kernel for X in basis]
-    picked = charge_series(spec, FLAT_RADII, sphere_rule(3, 16), kernels,
-                           basis)
-    fine = charge_series(spec, FLAT_RADII, sphere_rule(3, 30), kernels,
-                         basis)
-    for got, want in zip(picked[0] + picked[1], fine[0] + fine[1]):
+    picked = charge_series(spec, FLAT_RADII, sphere_rule(3, 16), range(4))
+    fine = charge_series(spec, FLAT_RADII, sphere_rule(3, 30), range(4))
+    for got, want in zip(picked[1] + picked[2], fine[1] + fine[2]):
         assert min(_degrees(got)) >= 6
         assert abs(got.limit - want.limit) <= got.limit_error
 
@@ -817,8 +779,7 @@ def test_resolved_content_a_lower_rule_misses_blocks_it(degree):
     factor = f"1 + 2*(1 + 0.5*{harmonic}/r^10)/r"
     spec = MetricSpec("expression", 3,
                       components={(i, i): factor for i in range(3)})
-    V = kernel_basis(3, "cartesian")[0]
-    (mass,), _ = charge_series(spec, FLAT_RADII, sphere_rule(3, degree), [V])
+    mass = charge_series(spec, FLAT_RADII, sphere_rule(3, degree), [0])[0]
     assert min(_degrees(mass)) >= 10
     assert abs(mass.limit - 1.0) <= mass.limit_error
 
@@ -833,8 +794,7 @@ def test_estimate_above_roundoff_keeps_the_rule():
     factor = f"1 + 2*(1 + 0.5*{harmonic}/r^9)/r"
     spec = MetricSpec("expression", 3,
                       components={(i, i): factor for i in range(3)})
-    V = kernel_basis(3, "cartesian")[0]
-    (mass,), _ = charge_series(spec, FLAT_RADII, sphere_rule(3, 16), [V])
+    mass = charge_series(spec, FLAT_RADII, sphere_rule(3, 16), [0])[0]
     assert _degrees(mass) == [16] * 5
     assert abs(mass.limit - 1.0) <= mass.limit_error
 
@@ -853,9 +813,8 @@ def test_estimate_above_roundoff_keeps_the_rule():
 def test_degrees_never_increase(spec, radii, degree):
     """The rule degrees of a pass never increase along the schedule and
     never exceed the first radius's."""
-    _, _, _, rules = _sphere_fluxes(spec, radii, sphere_rule(spec.n, degree),
-                                    kernel_basis(spec.n, spec.chart_kind))
-    degrees = [rule.degree for rule in rules]
+    degrees = [s.degree for s in charge_series(
+        spec, radii, sphere_rule(spec.n, degree), [0])[1][0].samples]
     assert degrees[0] == degree
     assert all(a >= b for a, b in zip(degrees, degrees[1:]))
 
@@ -869,20 +828,16 @@ def test_degrees_never_increase(spec, radii, degree):
         for i in range(3)}), id="expression"),
 ])
 def test_fields_alone_pick_the_full_basis_degrees(spec):
-    """The pick reads the ``const_one`` flux whichever charges are
-    requested: a field computed alone (the mass field without any kernel,
-    a center field after the mass kernel) or a center kernel gets the
-    degrees, and the series, it gets inside the full basis, also where
-    those degrees drop."""
-    basis = killing_basis(3, "cartesian")
+    """The pick reads the ``const_one`` flux whichever indices are
+    requested: a charge computed alone (the mass, or a center, after
+    which ``const_one`` leads the pass unreported) gets the degrees, and
+    the series, it gets inside the full basis, also where those degrees
+    drop."""
     rule = sphere_rule(3, 16)
-    kernels = [X.kernel for X in basis]
-    classical, ricci = charge_series(spec, FLAT_RADII, rule, kernels, basis)
-    assert min(_degrees(classical[0])) < 16
-    for X, series in zip(basis, ricci):
-        alone = kernels[:1] if X.kernel.index else []
-        assert charge_series(spec, FLAT_RADII, rule, alone, [X])[1] == [series]
-        assert _degrees(series) == _degrees(classical[0])
-    for V, series in zip(kernels[1:], classical[1:]):
-        assert charge_series(spec, FLAT_RADII, rule,
-                             [kernels[0], V])[0][-1] == series
+    mass, classical, ricci, _ = charge_series(spec, FLAT_RADII, rule,
+                                              range(4))
+    assert min(_degrees(mass)) < 16
+    for i in range(4):
+        _, (cls,), (ric,), _ = charge_series(spec, FLAT_RADII, rule, [i])
+        assert (cls, ric) == (classical[i], ricci[i])
+        assert _degrees(cls) == _degrees(ric) == _degrees(mass)

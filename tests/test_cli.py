@@ -250,13 +250,16 @@ def test_explicit_annulus_equals_the_default(tmp_path):
         f":{float(np.sinh(1.0))}:{float(np.sinh(2.0))}")
 
 
-def test_sweep_writes_csv(tmp_path):
+def test_mass_writes_csv(tmp_path):
+    """``--csv-dir`` writes one plot-ready CSV per reported series."""
     csv_dir = tmp_path / "csv"
-    out = tmp_path / "sweep.json"
-    code = main(["sweep", "--kind", "schwarzschild_conformal", "--n", "3",
+    out = tmp_path / "mass.json"
+    code = main(["mass", "--kind", "schwarzschild_conformal", "--n", "3",
                  "--m", "1", "--degree", "8", "--csv-dir", str(csv_dir),
                  "--out-json", str(out), "--no-timings"])
     assert code == 0
+    assert sorted(path.name for path in csv_dir.iterdir()) == [
+        "mass_classical.csv", "mass_ricci.csv"]
     csv = (csv_dir / "mass_classical.csv").read_text().splitlines()
     assert csv[0] == "r,raw_flux,normalized,quad_error"
     assert len(csv) == 6
@@ -276,7 +279,7 @@ def test_samples_name_their_rule(tmp_path, degree, want):
     the others, which drop on a centered mass unless the cap is already
     the lowest the pick takes; the CSV keeps its four columns."""
     csv_dir = tmp_path / "csv"
-    code, report = run_cli(["sweep", *_SCHW3, "--degree", degree,
+    code, report = run_cli(["mass", *_SCHW3, "--degree", degree,
                             "--csv-dir", str(csv_dir)], tmp_path)
     assert code == 0
     samples = report["charges"][0]["samples"]
@@ -332,7 +335,6 @@ _RT = {"rt_exponent", "rt_expected", "rt_status"}
     pytest.param(["ah-mass", *_KOTTLER3, "--kernel", "V1"], _TAU,
                  id="ah-mass-V1"),
     pytest.param(["center", *_SCHW3, "--center", "1,0.5,0"], _RT, id="center"),
-    pytest.param(["sweep", *_SCHW3], set(), id="sweep"),
     pytest.param(["verify", *_SCHW3, "--center", "1,0.5,0", "--which",
                   "equivalence"], _TAU | _RT | {"scal_integrable"},
                  id="equivalence-flat"),
@@ -345,9 +347,8 @@ _RT = {"rt_exponent", "rt_expected", "rt_status"}
 ])
 def test_diagnostic_keys_of_each_command(tmp_path, argv, keys):
     """Each command reports the diagnostics of the hypotheses its charges
-    rest on: decay for the masses, parity for the centers, none for
-    ``sweep``, and all of them in equivalence reports (parity on flat-type
-    metrics only)."""
+    rest on: decay for the masses, parity for the centers, and all of them
+    in equivalence reports (parity on flat-type metrics only)."""
     code, report = run_cli(argv + ["--degree", "8"], tmp_path)
     assert code == 0
     assert set(report["diagnostics"]) == keys
@@ -473,7 +474,7 @@ def test_threads_environment_variable(monkeypatch, capsys, value, code):
 
 @pytest.mark.parametrize("command,option,target", [
     pytest.param("mass", "--out-json", "missing/x.json", id="out-json-no-dir"),
-    pytest.param("sweep", "--csv-dir", "a-file", id="csv-dir-is-a-file"),
+    pytest.param("mass", "--csv-dir", "a-file", id="csv-dir-is-a-file"),
 ])
 def test_unwritable_output_is_a_config_error(tmp_path, capsys, command,
                                              option, target):
@@ -564,7 +565,6 @@ def test_thread_count_is_timed_not_configured(monkeypatch, tmp_path, argv):
                  id="ah-mass"),
     pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1",
                   "--kernel", "V1"], id="ah-mass-V1"),
-    pytest.param(["sweep", *_SCHW3], id="sweep"),
 ])
 def test_charge_commands_make_one_sphere_pass(monkeypatch, tmp_path, argv):
     """Every charge command integrates each of the five scheduled spheres
@@ -596,7 +596,6 @@ _FLAT_SCHEDULE = 8.0 * 2.0 ** np.arange(5)
                  id="center"),
     pytest.param(["ah-mass", "--kind", "kottler", "--n", "3", "--m", "1"],
                  np.sinh(3.0 + 0.75 * np.arange(5)), id="ah-mass"),
-    pytest.param(["sweep", *_SCHW3], _FLAT_SCHEDULE, id="sweep"),
     pytest.param(["verify", *_SCHW3, "--center", "1,0.5,0", "--which",
                   "equivalence"], _FLAT_SCHEDULE, id="verify-equivalence"),
 ])

@@ -24,7 +24,7 @@ def test_readme_python_blocks_run():
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     """Every ``asymflux`` line of the README's CLI block exits 0, run in a
-    scratch directory because ``sweep`` writes its CSVs."""
+    scratch directory because the ``--csv-dir`` example writes its CSVs."""
     block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(),
                       flags=re.DOTALL | re.MULTILINE).group(1)
     commands = [line.split()[1:] for line in block.splitlines()

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec
-from asymflux.charges import _sphere_fluxes, hypothesis_diagnostics
+from asymflux.charges import charge_series, hypothesis_diagnostics
 from asymflux.errors import ExtrapolationError
-from asymflux.fields import kernel_basis
 from asymflux.limits import extrapolate, fit_decay_exponent
 from asymflux.quadrature import sphere_rule
 
@@ -98,9 +97,8 @@ def test_fit_decay_exponent():
 
 def _decay_diagnostics(spec, radii, degree=10):
     """The decay diagnostics from the ``decay`` sups of a mass pass."""
-    kernel = kernel_basis(spec.n, spec.chart_kind)[:1]
-    sups = _sphere_fluxes(spec, radii, sphere_rule(spec.n, degree),
-                          kernel)[2]["decay"]
+    sups = charge_series(spec, radii, sphere_rule(spec.n, degree),
+                         [0])[3]["decay"]
     return hypothesis_diagnostics(spec, radii, {"decay": sups})
 
 
@@ -143,6 +141,5 @@ def test_decay_sups_evaluate_the_background_once_per_chunk(monkeypatch):
         monkeypatch.setattr(module, "jets", counting)
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r", (1, 1): "1", (2, 2): "1"})
-    _sphere_fluxes(spec, 8.0 * 2.0 ** np.arange(5), sphere_rule(3, 10),
-                   kernel_basis(3, spec.chart_kind)[:1])
+    charge_series(spec, 8.0 * 2.0 ** np.arange(5), sphere_rule(3, 10), [0])
     assert calls == {"expression": 5, "euclidean": 5}

@@ -1,11 +1,13 @@
 """Identity checks: integrated Bianchi, kernel identity, equivalence reports."""
 
+import re
+
 import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DomainError
-from asymflux.charges import _einstein_fluxes, charge_series, sphere_integrand
+from asymflux.charges import charge_series, einstein_fluxes, sphere_integrand
 from asymflux.fields import basis_jets, killing_basis
 from asymflux.geometry import curvature
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
@@ -62,15 +64,15 @@ def test_pohozaev_boundary_fluxes_are_the_sphere_fluxes(spec, annulus):
     r0, r1 = annulus
     reports = pohozaev_check(spec, fields, r0, r1, rule, radial_degree=8)
 
-    def einstein_fluxes(r):
+    def boundary_fluxes(r):
         def f(points):
             bun = curvature(metric_jet(spec, points))
             comps = [X.comp for X in basis_jets(points, (), fields)[1]]
-            return np.stack(_einstein_fluxes(bun.einstein, comps, points,
-                                             chart, r, bun), axis=-1)
+            return np.stack(einstein_fluxes(bun.einstein, comps, points,
+                                            chart, r, bun), axis=-1)
         return f
 
-    outer, inner = (integrate_sphere(einstein_fluxes(r), r, rule, chart).value
+    outer, inner = (integrate_sphere(boundary_fluxes(r), r, rule, chart).value
                     for r in (r1, r0))
     for k, rep in enumerate(reports):
         assert rep.context["outer_flux"] == outer[k]
@@ -357,8 +359,34 @@ def test_zero_mass_equivalence_makes_one_sphere_pass(monkeypatch, spec):
     assert calls == list(FLAT_RADII)
     assert rep.diagnostics["center_skipped"] == "mass vanishes"
     (row,) = rep.rows
-    X = killing_basis(spec.n, spec.chart_kind)[0]
-    (cls,), (ric,) = charge_series(spec, FLAT_RADII, rule, [X.kernel], [X])
+    _, (cls,), (ric,), _ = charge_series(spec, FLAT_RADII, rule, [0])
     assert (row.charge, row.classical, row.classical_error, row.ricci,
             row.ricci_error) == ("mass", cls.limit, cls.limit_error,
                                  ric.limit, ric.limit_error)
+
+
+@pytest.mark.parametrize("indices", [[], [4], [1, 1], [2, 1]],
+                         ids=["empty", "above-n", "repeated", "decreasing"])
+def test_charge_pairs_reject_bad_indices(monkeypatch, indices):
+    """Basis indices must be non-empty, strictly increasing and within
+    ``0..n``; anything else is a ValueError that names them, raised before
+    any sphere pass."""
+    from asymflux import charges
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sphere pass ran")
+
+    monkeypatch.setattr(charges, "integrate_sphere", forbidden)
+    spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
+    with pytest.raises(ValueError, match=re.escape(str(indices))):
+        charge_pairs(spec, FLAT_RADII, sphere_rule(3, 4), indices)
+
+
+def test_charge_pairs_take_indices_from_an_iterator():
+    """Indices read once, from an iterator, give the rows a list gives."""
+    spec = MetricSpec("schwarzschild_conformal", 3, m=1.0,
+                      center=(1.0, 0.5, 0.0))
+    rule = sphere_rule(3, 4)
+    rows = charge_pairs(spec, FLAT_RADII, rule, [0, 2])[1]
+    assert [row.field.kernel.index for row in rows] == [0, 2]
+    assert charge_pairs(spec, FLAT_RADII, rule, iter([0, 2]))[1] == rows
