@@ -55,7 +55,7 @@ from .geometry import (ChartKind, ConformalJet, MetricJet, ScalarJet,
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
-           "chart_kind_of", "sphere_embedding_hd", "round_sphere_diag_hd",
+           "sphere_embedding_hd", "round_sphere_diag_hd",
            "check_polar_domain", "coordinate_volume", "geodesic_radius",
            "chart_radius", "decay_mode", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
 
@@ -106,7 +106,7 @@ class MetricSpec:
             object.__setattr__(self, "center", (0.0,) * self.n)
         if self.kind == "expression":
             from . import expr as expr_mod
-            chart, params = chart_kind_of(self), tuple(self.params or {})
+            chart, params = self.chart_kind, tuple(self.params or {})
             object.__setattr__(self, "asts", {
                 key: expr_mod.parse(ast, self.n, chart, params)
                 if isinstance(ast, str) else ast
@@ -114,27 +114,23 @@ class MetricSpec:
 
     @property
     def chart_kind(self) -> ChartKind:
-        return chart_kind_of(self)
+        if self.kind in ("euclidean", "schwarzschild_conformal"):
+            return ChartKind.CARTESIAN
+        if self.kind == "hyperbolic_polar":
+            return ChartKind.POLAR_GEODESIC
+        if self.kind in ("hyperbolic_area", "kottler"):
+            return ChartKind.POLAR_AREA
+        # expression metric: explicit chart, default cartesian
+        return ChartKind(self.chart or ChartKind.CARTESIAN)
 
     @property
     def is_flat_type(self) -> bool:
-        return chart_kind_of(self) == ChartKind.CARTESIAN
-
-
-def chart_kind_of(spec: MetricSpec) -> ChartKind:
-    if spec.kind in ("euclidean", "schwarzschild_conformal"):
-        return ChartKind.CARTESIAN
-    if spec.kind == "hyperbolic_polar":
-        return ChartKind.POLAR_GEODESIC
-    if spec.kind in ("hyperbolic_area", "kottler"):
-        return ChartKind.POLAR_AREA
-    # expression metric: explicit chart, default cartesian
-    return ChartKind(spec.chart or ChartKind.CARTESIAN)
+        return self.chart_kind == ChartKind.CARTESIAN
 
 
 def background_of(spec: MetricSpec) -> MetricSpec:
     """Background (model) metric of an asymptotic-type spec, same chart."""
-    kind = chart_kind_of(spec)
+    kind = spec.chart_kind
     if kind == ChartKind.CARTESIAN:
         return MetricSpec("euclidean", spec.n)
     if kind == ChartKind.POLAR_GEODESIC:
@@ -350,7 +346,7 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     if coords.shape[-1] != spec.n:
         raise ChartMismatchError(
             f"point has {coords.shape[-1]} coordinates, spec has n={spec.n}")
-    kind = chart_kind_of(spec)
+    kind = spec.chart_kind
     n = spec.n
     shape = coords.shape[:-1]
     zero = _diagonal_first_order([], shape, n)

@@ -64,7 +64,7 @@ import numpy as np
 from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
-from .fields import basis_jets, killing_basis
+from .fields import basis_jets, check_indices
 from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
                        SymTensorJet, curvature, diagonal_sum, sum_last)
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
@@ -196,8 +196,11 @@ def _finite(values: np.ndarray, what: str, r: float) -> np.ndarray:
 
 def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
                      scal: bool = False):
-    """Integrand over S_r with one column per kernel V, then one per field X,
-    and the node data of the hypothesis diagnostics.
+    """Integrand over S_r with one column per kernel function ``V^(i)``, i
+    in ``kernels``, then one per field ``X^(i)``, i in ``fields``, and the
+    node data of the hypothesis diagnostics.  The basis indices name
+    elements of the chart of ``spec``; one outside ``0..n`` is a ValueError
+    (:func:`~asymflux.fields.check_indices`) before any node is evaluated.
 
     Kernel columns are ``U(V, g, b)(nu) dA`` with the background normal and
     area element; field columns are ``G(X, nu) dA_g`` with the metric's,
@@ -213,10 +216,12 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
     deviation.
     """
     chart = spec.chart_kind
+    kernels = check_indices(kernels, spec.n)
+    fields = check_indices(fields, spec.n)
     michel_pieces = _flat_michel_pieces if spec.is_flat_type \
         else _michel_pieces
     odd = chart == ChartKind.CARTESIAN and any(
-        V.index > 0 for V in (*kernels, *(X.kernel for X in fields)))
+        i > 0 for i in (*kernels, *fields))
     scal_b = 0.0 if spec.is_flat_type else -spec.n * (spec.n - 1)
     upper_i, upper_j = np.triu_indices(spec.n)
 
@@ -237,7 +242,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
         data = [np.abs(frame).max(axis=(-2, -1))]
         upper = frame[..., upper_i, upper_j] if odd else None
         del frame
-        scalars, vectors = basis_jets(points, kernels, fields)
+        scalars, vectors = basis_jets(points, chart, kernels, fields)
         columns = kernel_columns(points, b, eps, scalars) if kernels else []
         # the background jet, the deviation and the kernel jets die here,
         # before curvature runs; of the field jets only the components stay
@@ -312,12 +317,10 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices,
                          f"increasing and within 0..{n}, got {indices}")
     radii = _check_radii(radii)
     flat = spec.is_flat_type
-    basis = killing_basis(n, spec.chart_kind)
-    fields = [basis[i] for i in indices]
     lead = int(flat and indices[0] != 0)
-    kernels = [basis[0].kernel] * lead + [X.kernel for X in fields]
+    kernels = [0] * lead + indices
     values, errors, sups, rules = _sphere_fluxes(spec, radii, rule, kernels,
-                                                 fields, scal)
+                                                 indices, scal)
 
     def normalized(column, field, center=False):
         entry = _series(spec, radii, rules, values[:, column],

@@ -11,19 +11,19 @@ Hyperbolic charts: the kernel is spanned by ``cosh r`` and
 ``u^alpha sinh r`` (``u`` the unit-sphere embedding); the matching conformal
 Killing fields are the metric gradients of these functions.
 
-Each conformal Killing field X carries its paired kernel function V and the
-constant c in ``delta^b X = c V``: -n for the dilation and the hyperbolic
-gradients, 2n for the inverted translations.  :func:`kernel_basis` is read
-off :func:`killing_basis`, and the analytic jet of ``delta^b X`` (used by
-the kernel-identity verifier) is the scaled jet of V.
-
-Kernel functions and fields are plain data: a basis index, which is the
-only handle on an element, and an id, which only labels it.
-:func:`killing_basis` builds every (V, X) pair from one table, and
-:func:`basis_jets` evaluates any set of them at once, with exact jets.  In
-the polar charts ``V^(i) = u_i * sinh r`` and the entries ``1/(sinh^2 r
-sigma_j)`` of ``b^{-1}`` are separable products: each factor is a width-1 jet
-in one coordinate, multiplied in by one sparse step
+The basis index i is the only handle on an element: ``V^(i)`` is the
+kernel function and ``X^(i)`` the conformal Killing field of index i, with
+the constant c in ``delta^b X = c V``: -n for the dilation and the
+hyperbolic gradients, 2n for the inverted translations.
+:func:`basis_jets` takes the chart and two sequences of indices and
+evaluates any set of elements at once, with exact jets;
+:func:`check_indices` is the one range check of an index.
+:func:`killing_basis` is the table of the fields, one row per index with
+an id, which only labels it, and c; the analytic jet of ``delta^b X`` (used
+by the kernel-identity verifier) is the scaled jet of V.  In the polar
+charts ``V^(i) = u_i * sinh r`` and the entries ``1/(sinh^2 r sigma_j)`` of
+``b^{-1}`` are separable products: each factor is a width-1 jet in one
+coordinate, multiplied in by one sparse step
 (:func:`~asymflux.hyperdual.mul_factor`).
 """
 
@@ -36,69 +36,60 @@ import numpy as np
 from . import hyperdual as hd
 from .catalog import (check_polar_domain, round_sphere_diag_hd,
                       sphere_embedding_hd)
-from .errors import ChartMismatchError, DomainError
+from .errors import DomainError
 from .geometry import ChartKind, ScalarJet, VectorJet, sum_last
 from .hyperdual import HyperDual
 
-__all__ = ["KernelFunction", "ConformalKilling", "basis_jets", "kernel_basis",
-           "killing_basis"]
+__all__ = ["ConformalKilling", "basis_jets", "check_indices", "killing_basis"]
 
 
 @dataclass(frozen=True)
-class KernelFunction:
-    """Element ``V^(index)`` of ker (D Scal)*_b, ``index`` its position in
-    :func:`kernel_basis`: flat ``1, x^1, ..., x^n``, hyperbolic ``V^(0..n)``."""
+class ConformalKilling:
+    """Row ``index`` of :func:`killing_basis`: the background conformal
+    Killing field ``X^(index)`` of the chart, with ``delta^b X = c
+    V^(index)``; ``id`` only labels it."""
 
     id: str
     n: int
     chart_kind: ChartKind
     index: int
-
-    def scalar_jet(self, p) -> ScalarJet:
-        return basis_jets(p, [self], [])[0][0]
-
-
-@dataclass(frozen=True)
-class ConformalKilling:
-    """Background conformal Killing field X with ``delta^b X = c V``, V = ``kernel``;
-    the chart and ``kernel.index`` say which basis field X is."""
-
-    id: str
-    n: int
-    chart_kind: ChartKind
-    kernel: KernelFunction
     c: float
-
-    def vector_jet(self, p) -> VectorJet:
-        return basis_jets(p, [], [self])[1][0]
 
     def divergence_jet(self, p) -> ScalarJet:
         """Analytic jet of ``delta^b X`` (background divergence, paper sign)."""
-        return self.kernel.scalar_jet(p).scaled(self.c)
+        return basis_jets(p, self.chart_kind, [self.index], [])[0][0] \
+            .scaled(self.c)
 
 
-def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
-    """Exact jets of kernel functions and conformal Killing fields at ``p``.
+def check_indices(indices, n: int) -> list:
+    """``indices`` as a list of basis indices in dimension ``n``; an index
+    outside ``0..n`` is a ValueError that names it."""
+    indices = list(indices)
+    for i in indices:
+        if not 0 <= i <= n:
+            raise ValueError(f"basis index {i} outside 0..{n}")
+    return indices
+
+
+def basis_jets(p, chart_kind: ChartKind | str, kernels,
+               fields) -> tuple[list[ScalarJet], list[VectorJet]]:
+    """Exact jets at ``p`` of the kernel functions ``V^(i)``, i in
+    ``kernels``, and of the conformal Killing fields ``X^(i)``, i in
+    ``fields``, of the chart's background (:func:`check_indices`).
 
     One call evaluates the coordinates, the hyper-dual seeds, the sphere
     embedding and the background inverse once for every element, and each
     kernel jet once: the hyperbolic field ``X^(i) = grad_b V^(i)`` reads the
-    jet of its paired ``V^(i)`` and the values and gradients of the
-    ``b^{-1}`` entries, which take no Hessian.  Returns ``(kernel jets,
-    field jets)`` in the order given.
+    jet of ``V^(i)`` and the values and gradients of the ``b^{-1}`` entries,
+    which take no Hessian.  Returns ``(kernel jets, field jets)`` in the
+    order given.
     """
-    elements = (*kernels, *fields)
-    if not elements:
-        return [], []
-    n, chart_kind = elements[0].n, elements[0].chart_kind
-    if any((e.n, e.chart_kind) != (n, chart_kind) for e in elements):
-        raise ChartMismatchError("basis elements of different charts or dimensions")
     coords = np.asarray(p, dtype=float)
-    if coords.shape[-1] != n:
-        raise ChartMismatchError("coordinate count does not match dimension")
+    n, chart_kind = coords.shape[-1], ChartKind(chart_kind)
+    kernels, fields = check_indices(kernels, n), check_indices(fields, n)
     if chart_kind == ChartKind.CARTESIAN:
-        return ([_flat_kernel(coords, V.index) for V in kernels],
-                [_flat_field(coords, X.kernel.index) for X in fields])
+        return ([_flat_kernel(coords, i) for i in kernels],
+                [_flat_field(coords, i) for i in fields])
 
     check_polar_domain(coords)
     shape = coords.shape[:-1]
@@ -115,7 +106,7 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
         f0 = 1.0 + r2
         sph2, radial_inv = r2, hd.mul_factor(one, f0, 0)
         v0, radial_factor = hd.mul_factor(one, hd.sqrt(f0), 0), r
-    indices = {V.index for V in kernels} | {X.kernel.index for X in fields}
+    indices = {*kernels, *fields}
     u = sphere_embedding_hd(angles, one) if indices - {0} else None
     vjets = {}
     for i in indices:
@@ -128,9 +119,8 @@ def basis_jets(p, kernels, fields) -> tuple[list[ScalarJet], list[VectorJet]]:
         binv = [(radial_inv.val, radial_inv.grad)] + [
             _reciprocal_gradient(hd.mul_factor(s, sph2, 0))
             for s in round_sphere_diag_hd(angles, one)]
-        vectors = [_gradient_field(vjets[X.kernel.index], binv)
-                   for X in fields]
-    return [vjets[V.index] for V in kernels], vectors
+        vectors = [_gradient_field(vjets[i], binv) for i in fields]
+    return [vjets[i] for i in kernels], vectors
 
 
 def _reciprocal_gradient(x: HyperDual):
@@ -195,23 +185,14 @@ def _gradient_field(vjet: ScalarJet, binv) -> VectorJet:
 
 # --------------------------------------------------------------------- bases
 
-def kernel_basis(n: int, chart_kind: ChartKind | str) -> list[KernelFunction]:
-    """The (n+1)-element kernel basis for the chart's background, paired
-    index-by-index with :func:`killing_basis`."""
-    return [X.kernel for X in killing_basis(n, chart_kind)]
-
-
 def killing_basis(n: int, chart_kind: ChartKind | str) -> list[ConformalKilling]:
-    """The (n+1) conformal Killing fields for the chart's background, each
-    carrying the kernel function of the same index and its constant c."""
+    """The (n+1) conformal Killing fields for the chart's background, one
+    row per basis index, each with its constant c."""
     chart_kind = ChartKind(chart_kind)
     if chart_kind == ChartKind.CARTESIAN:
-        table = [("const_one", "dilation", -n)] + [
-            (f"coordinate_{a}", f"inverted_translation_{a}", 2 * n)
-            for a in range(n)]
+        table = [("dilation", -n)] + [
+            (f"inverted_translation_{a}", 2 * n) for a in range(n)]
     else:
-        table = [(f"ah_V{i}", f"ah_X{i}", -n) for i in range(n + 1)]
-    return [ConformalKilling(x_id, n, chart_kind,
-                             KernelFunction(v_id, n, chart_kind, index),
-                             float(c))
-            for index, (v_id, x_id, c) in enumerate(table)]
+        table = [(f"ah_X{i}", -n) for i in range(n + 1)]
+    return [ConformalKilling(x_id, n, chart_kind, index, float(c))
+            for index, (x_id, c) in enumerate(table)]

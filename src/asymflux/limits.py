@@ -48,10 +48,6 @@ class RadialSeries:
     model: dict = field(default_factory=dict)
 
     @property
-    def radii(self):
-        return np.array([s.r for s in self.samples])
-
-    @property
     def values(self):
         return np.array([s.normalized for s in self.samples])
 

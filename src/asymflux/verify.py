@@ -25,7 +25,8 @@ import numpy as np
 from .catalog import MetricSpec, coordinate_volume, metric_jet
 from .charges import charge_series, einstein_fluxes, hypothesis_diagnostics
 from .errors import DomainError
-from .fields import ConformalKilling, basis_jets, killing_basis
+from .fields import (ConformalKilling, basis_jets, check_indices,
+                     killing_basis)
 from .geometry import (ChartKind, curvature, divergence_vector, hessian,
                        killing_operator, tensor_norm, trace_product)
 from .limits import RadialSeries
@@ -119,11 +120,13 @@ def sample_points(n: int, chart_kind: ChartKind, count: int,
 
 # ------------------------------------------------------------------ Pohozaev
 
-def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
+def pohozaev_check(spec: MetricSpec, indices, r0: float, r1: float,
                    rule: SphereRule, radial_degree: int = 16,
                    rel_tol: float = 1e-6) -> list[IdentityReport]:
     """Integrated Bianchi identity on the annulus A(r0, r1), metric measure,
-    for each conformal Killing field in ``fields`` (one report each).
+    for the conformal Killing field ``X^(i)`` of the chart of ``spec``, for
+    each basis index i in ``indices`` (one report each; an index outside
+    ``0..n`` is a ValueError, :func:`~asymflux.fields.check_indices`).
 
     lhs is the boundary flux with the outer normal of the annulus on both
     components (the inner sphere enters with a minus sign); rhs is
@@ -134,7 +137,7 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
     interior shell on the rule the shell before it reads as enough for all
     of them (``context["shell_degrees"]``, one degree per shell, r0 first),
     so a field checked alone can take other interior rules than inside a
-    larger ``fields``, and its ``rhs`` differ at roundoff.
+    larger ``indices``, and its ``rhs`` differ at roundoff.
     The end shells also return, as node data, each field's Killing defect
     and its absolute flux ``|G(X, nu)| dA_g``.  The rule's sum of that
     flux over both boundary spheres is ``context["flux_scale"]`` unless
@@ -152,16 +155,18 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
     sides vanish by parity.  The report's ``killing_defect`` says when a
     failure is of this kind.
     """
+    n, chart = spec.n, spec.chart_kind
+    indices = check_indices(indices, n)
     if not r0 < r1:
         raise ValueError(f"annulus needs r0 < r1, got ({r0}, {r1})")
-    n, chart, count = spec.n, spec.chart_kind, len(fields)
+    count = len(indices)
 
     def shell(r):
         def f(points):
             jet = metric_jet(spec, points)
             bun = curvature(jet)
             coord = coordinate_volume(points, chart)
-            _, vectors = basis_jets(points, (), fields)
+            _, vectors = basis_jets(points, chart, (), indices)
             bulk = [bun.scal * divergence_vector(X, bun) * bun.sqrt_det * coord
                     for X in vectors]
             signed = einstein_fluxes(bun.einstein, [X.comp for X in vectors],
@@ -185,8 +190,8 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
              for s in (outer, inner)]
     degrees = [s.degree for s in annulus.shells]
 
-    reports = []
-    for k, X in enumerate(fields):
+    basis, reports = killing_basis(n, chart), []
+    for k, i in enumerate(indices):
         flux = count + k                           # the signed column
         lhs = outer.value[flux] - inner.value[flux]
         rhs = (n - 2) / (2.0 * n) * annulus.value[k]
@@ -198,7 +203,7 @@ def pohozaev_check(spec: MetricSpec, fields, r0: float, r1: float,
         rel = residual / scale if scale > 0 else 0.0
         tol = max(_POHOZAEV_FLOOR, rel_tol * max(scale, 1.0))
         reports.append(IdentityReport(
-            check_id=f"pohozaev:{spec.kind}:{X.id}:{r0}:{r1}",
+            check_id=f"pohozaev:{spec.kind}:{basis[i].id}:{r0}:{r1}",
             lhs=float(lhs), rhs=float(rhs), residual=float(residual),
             relative_residual=float(rel), quad_error=float(quad_error),
             tolerance=float(tol), passed=bool(residual <= tol),
@@ -217,17 +222,21 @@ EINSTEIN_LAMBDA = {"euclidean": 0.0, "hyperbolic_polar": -1.0,
                     "hyperbolic_area": -1.0}
 
 
-def kernel_check_lemma22(spec: MetricSpec, X: ConformalKilling,
+def kernel_check_lemma22(spec: MetricSpec, index: int,
                          points: np.ndarray | None = None, count: int = 50,
                          seed: int = 0,
                          lam: float | None = None) -> KernelReport:
-    """``Hess(delta X) + lambda (delta X) g = 0`` on an Einstein metric.
+    """``Hess(delta X) + lambda (delta X) g = 0`` on an Einstein metric, for
+    the conformal Killing field ``X = X^(index)`` of the chart of ``spec``
+    (an index outside ``0..n`` is a ValueError,
+    :func:`~asymflux.fields.check_indices`).
 
     The divergence jet of X is evaluated analytically, so the residual is
     free of finite-difference noise.  Non-Einstein metrics are rejected with
     the measured Einstein defect.
     """
     n = spec.n
+    (index,) = check_indices([index], n)
     if lam is None:
         if spec.kind not in EINSTEIN_LAMBDA:
             raise DomainError(
@@ -246,6 +255,7 @@ def kernel_check_lemma22(spec: MetricSpec, X: ConformalKilling,
             f"metric {spec.kind!r} is not Einstein with lambda={lam}: "
             f"defect {defect:.3e}")
 
+    X = killing_basis(n, spec.chart_kind)[index]
     divjet = X.divergence_jet(points)
     hess = hessian(divjet, bun)
     resid = hess + lam * divjet.value[..., None, None] * jet.g
@@ -282,7 +292,7 @@ def agreement(X: ConformalKilling, classical: RadialSeries,
     # on Kottler n=4, m=1.94 (1.04e-6 -> 1.94e-6), an absolute one
     # mass_agreement on Schwarzschild n=5, m=1.2 (1.2e-6 -> 1e-6).
     scale = max(abs(classical.limit), abs(ricci.limit), 1.0) \
-        if X.chart_kind == ChartKind.CARTESIAN and X.kernel.index == 0 \
+        if X.chart_kind == ChartKind.CARTESIAN and X.index == 0 \
         else 1.0
     difference = abs(classical.limit - ricci.limit)
     budget = max(10.0 * (classical.limit_error + ricci.limit_error),
@@ -316,7 +326,7 @@ def pair_names(X: ConformalKilling) -> tuple[str, str, str, str]:
     """The names of the pair of X: its row name (``mass``, ``center[a]`` or
     ``ah_charge[i]``) and the report ids of its classical series, its Ricci
     series and its verdict."""
-    i = X.kernel.index
+    i = X.index
     if X.chart_kind != ChartKind.CARTESIAN:
         return (f"ah_charge[{i}]", f"ah_mass_{i}", f"ah_ricci_{i}",
                 f"ah_agreement_{i}")

@@ -211,7 +211,7 @@ def test_polar_jets_equal_the_full_width_products(spec):
 def test_polar_jets_take_no_full_width_product(monkeypatch):
     """Polar ``jets`` and ``basis_jets`` multiply no two jets of the chart's
     width: every factor enters by ``mul_factor``."""
-    from asymflux.fields import basis_jets, kernel_basis, killing_basis
+    from asymflux.fields import basis_jets
     from asymflux.hyperdual import HyperDual
 
     widths = []
@@ -226,8 +226,8 @@ def test_polar_jets_take_no_full_width_product(monkeypatch):
     for spec in _POLAR_SPECS:
         pts = polar_points(spec.n, 8, 1.5, 6.0, np.random.default_rng(0))
         jets(spec, pts)
-        basis_jets(pts, kernel_basis(spec.n, spec.chart_kind),
-                   killing_basis(spec.n, spec.chart_kind))
+        basis_jets(pts, spec.chart_kind, range(spec.n + 1),
+                   range(spec.n + 1))
         assert spec.n not in widths, spec
     assert widths and max(widths) == 1    # the one-variable factors
 
@@ -273,12 +273,10 @@ def test_diagnostic_node_data_equal_jets(spec, pts_fn):
     largest frame-rescaled deviation entry, and in the cartesian chart the
     upper triangle of the deviation."""
     from asymflux.charges import sphere_integrand
-    from asymflux.fields import kernel_basis
 
     pts = pts_fn().reshape(-1, spec.n)
     n = spec.n
-    _, data = sphere_integrand(spec, kernel_basis(n, spec.chart_kind), (),
-                               9.0)(pts)
+    _, data = sphere_integrand(spec, range(n + 1), (), 9.0)(pts)
     _, b, eps = jets(spec, pts)
     bdiag = np.sqrt(np.einsum("...ii->...i", b.value))
     frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])

@@ -9,7 +9,7 @@ from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
 from asymflux.charges import (_normalization, charge_series,
                               hypothesis_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
-from asymflux.fields import kernel_basis, killing_basis
+from asymflux.fields import basis_jets
 from asymflux.geometry import ScalarJet, SymTensorJet
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from oracles import (adm_integrand, center_integrand, decay_sup,
@@ -44,7 +44,7 @@ def test_michel_specializes_to_adm():
     nu = RNG.normal(size=(100, n))
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
     eps = random_deviation(100, n)
-    V = kernel_basis(n, "cartesian")[0].scalar_jet(x)
+    (V,), _ = basis_jets(x, "cartesian", [0], [])
     general = michel_integrand_deviation(V, eps, flat_bjet(x), nu)
     classical = adm_integrand(eps, nu)
     scale = np.max(np.abs(classical)) + 1.0
@@ -58,7 +58,7 @@ def test_michel_specializes_to_center(alpha):
     nu = RNG.normal(size=(100, n))
     nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
     eps = random_deviation(100, n)
-    V = kernel_basis(n, "cartesian")[alpha + 1].scalar_jet(x)
+    (V,), _ = basis_jets(x, "cartesian", [alpha + 1], [])
     general = michel_integrand_deviation(V, eps, flat_bjet(x), nu)
     classical = center_integrand(eps, alpha, x, nu)
     scale = np.max(np.abs(classical)) + 1.0
@@ -69,7 +69,7 @@ def test_full_jets_agree_with_deviation_path():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     x = RNG.normal(size=(20, 3)) * 2.0 + np.array([8.0, 0, 0])
     nu = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    V = kernel_basis(3, "cartesian")[0].scalar_jet(x)
+    (V,), _ = basis_jets(x, "cartesian", [0], [])
     a = michel_integrand(V, metric_jet(spec, x),
                          metric_jet(background_of(spec), x), nu)
     b = michel_integrand_deviation(V, jets(spec, x)[2],
@@ -110,8 +110,7 @@ def test_flat_michel_pieces_equal_general_formula(spec):
     flat, general = _flat_michel_pieces(eps, b), michel_pieces(eps, b)
     for closed, full in zip(flat, general):
         assert np.array_equal(closed, full)
-    for V in kernel_basis(spec.n, "cartesian"):
-        jet = V.scalar_jet(x)
+    for jet in basis_jets(x, "cartesian", range(spec.n + 1), [])[0]:
         assert np.array_equal(_michel_contract(jet, eps, flat, units),
                               _michel_contract(jet, eps, general, units))
 
@@ -260,8 +259,7 @@ def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
     else:
         for r in np.sinh(HYP_S):
             integrate_sphere(charges.sphere_integrand(
-                spec, kernel_basis(3, "polar_area"), (), r), r, rule,
-                spec.chart_kind)
+                spec, range(4), (), r), r, rule, spec.chart_kind)
     assert counts["chunks"] > 0
     per_chunk = counts["chunks"] if fields else 0
     assert counts["factor"] == counts["christoffel"] == per_chunk
@@ -564,8 +562,7 @@ def test_einstein_flux_orientation():
 
 def test_michel_flux_quad_error_is_small():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    V = kernel_basis(3, "cartesian")[0]
-    flux = sphere_integrand(spec, [V], (), 16.0)
+    flux = sphere_integrand(spec, [0], (), 16.0)
     res = integrate_sphere(lambda p: flux(p)[0][:, 0], 16.0,
                            sphere_rule(3, 12))
     assert res.error_estimate < 1e-10 * max(abs(res.value), 1.0)
@@ -582,7 +579,7 @@ def test_sphere_integrand_is_the_charge_pass(kind, radii):
     tensor's 255384.8), the Einstein tensor on Schwarzschild."""
     spec = MetricSpec(kind, 3, m=1.0)
     chart = spec.chart_kind
-    kernels, fields = kernel_basis(3, chart), killing_basis(3, chart)
+    kernels = fields = range(4)
     mass, classical, ricci, _ = charge_series(spec, radii, sphere_rule(3, 12),
                                               range(4))
     # every column with its normalization, kernels first, then fields
@@ -654,13 +651,12 @@ def test_chunk_peak_below_twice_the_jet_block():
     dense = MetricSpec("expression", 5,
                        components={(i, i): factor for i in range(5)})
     conformal = MetricSpec("schwarzschild_conformal", 5, m=1.0)
-    X = killing_basis(5, "cartesian")[0]
     points = 10.0 * sphere_rule(5, 16).units[:1024]
     jet = jets(dense, points)[0]
     block = jet.g.nbytes + jet.dg.nbytes + jet.ddg.nbytes
     del jet
     for spec, bound in ((dense, 1.8), (conformal, 0.5)):
-        f = sphere_integrand(spec, [X.kernel], [X], 10.0)
+        f = sphere_integrand(spec, [0], [0], 10.0)
         tracemalloc.start()
         try:
             f(points)
@@ -684,8 +680,7 @@ def test_kottler_chunk_peak_stays_below_full_width_products(n, count,
     r = float(np.sinh(HYP_S[1]))
     points = np.concatenate([np.full((count, 1), r), rule.angles[:count]],
                             axis=-1)
-    f = sphere_integrand(spec, kernel_basis(n, spec.chart_kind),
-                         killing_basis(n, spec.chart_kind), r)
+    f = sphere_integrand(spec, range(n + 1), range(n + 1), r)
     tracemalloc.start()
     try:
         f(points)
@@ -715,10 +710,9 @@ def test_basis_pass_matches_single_charges():
                 == (mass, [classical[i]], [ricci[i]])
 
     spec = MetricSpec("hyperbolic_polar", 3)
-    fields = killing_basis(3, spec.chart_kind)
-    reports = pohozaev_check(spec, fields, 1.0, 2.0, rule, radial_degree=8)
-    for X, rep in zip(fields, reports):
-        assert pohozaev_check(spec, [X], 1.0, 2.0, rule, radial_degree=8) == [rep]
+    reports = pohozaev_check(spec, range(4), 1.0, 2.0, rule, radial_degree=8)
+    for i, rep in enumerate(reports):
+        assert pohozaev_check(spec, [i], 1.0, 2.0, rule, radial_degree=8) == [rep]
 
 
 # ------------------------------------------------------ one rule per radius

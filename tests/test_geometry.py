@@ -6,7 +6,7 @@ import sympy as sp
 
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DegenerateMetricError
-from asymflux.fields import kernel_basis, killing_basis
+from asymflux.fields import basis_jets
 from asymflux.geometry import (ConformalJet, MetricJet, ScalarJet,
                                SymTensorJet, VectorJet, christoffel,
                                curvature, divergence_vector, hessian,
@@ -348,8 +348,7 @@ def test_curvature_never_builds_dgamma(monkeypatch):
         for spec, radii, indices in cases:
             passes.append(charge_series(spec, radii, rules[spec.n], indices))
         spec = MetricSpec("hyperbolic_polar", 4)
-        reports = pohozaev_check(spec, killing_basis(4, spec.chart_kind),
-                                 1.0, 2.0, rules[4])
+        reports = pohozaev_check(spec, range(5), 1.0, 2.0, rules[4])
     assert all(rep.passed for rep in reports)
     for indices, (_, classical, ricci, _) in zip(
             (case[2] for case in cases), passes):
@@ -364,20 +363,18 @@ def test_curvature_never_builds_dgamma(monkeypatch):
 def test_divergence_vector_flat_examples():
     x = RNG.normal(size=(6, 3)) * 3.0
     bun = curvature(euclid_jet(x))
-    X = killing_basis(3, "cartesian")[0]
-    assert np.allclose(divergence_vector(X.vector_jet(x), bun), -3.0)
-    for a in range(3):
-        Xa = killing_basis(3, "cartesian")[a + 1]
-        assert np.allclose(divergence_vector(Xa.vector_jet(x), bun),
-                           6.0 * x[:, a])
+    X, *translations = basis_jets(x, "cartesian", [], range(4))[1]
+    assert np.allclose(divergence_vector(X, bun), -3.0)
+    for a, Xa in enumerate(translations):
+        assert np.allclose(divergence_vector(Xa, bun), 6.0 * x[:, a])
 
 
 def test_divergence_vector_hyperbolic_example():
     spec = MetricSpec("hyperbolic_polar", 3)
     pts = np.array([[1.0, 1.2, 0.3], [2.0, 0.7, 4.0]])
     bun = curvature(metric_jet(spec, pts))
-    X = killing_basis(3, "polar_geodesic")[0]
-    div = divergence_vector(X.vector_jet(pts), bun)
+    (X,) = basis_jets(pts, "polar_geodesic", [], [0])[1]
+    div = divergence_vector(X, bun)
     assert np.allclose(div, -3.0 * np.cosh(pts[:, 0]), atol=1e-12)
 
 
@@ -408,14 +405,13 @@ def test_divergence_conformal_perturbation():
 def test_killing_operator_flat():
     x = RNG.normal(size=(6, 3)) * 2.0
     jet = euclid_jet(x)
-    X = killing_basis(3, "cartesian")[0]
+    X, *translations = basis_jets(x, "cartesian", [], range(4))[1]
     bun = curvature(jet)
-    sym, tf = killing_operator(jet, X.vector_jet(x), bun)
+    sym, tf = killing_operator(jet, X, bun)
     assert np.allclose(sym, np.eye(3))
     assert np.allclose(tf, 0.0, atol=1e-14)
-    for a in range(3):
-        Xa = killing_basis(3, "cartesian")[a + 1]
-        _, tfa = killing_operator(jet, Xa.vector_jet(x), bun)
+    for Xa in translations:
+        _, tfa = killing_operator(jet, Xa, bun)
         assert np.allclose(tfa, 0.0, atol=1e-12)
 
 
@@ -436,7 +432,7 @@ def test_hessian_cosh_r_hyperbolic():
     pts = np.array([[1.5, 1.0, 0.8, 2.0], [0.7, 2.0, 1.4, 5.0]])
     jet = metric_jet(spec, pts)
     bun = curvature(jet)
-    V = kernel_basis(4, "polar_geodesic")[0].scalar_jet(pts)
+    (V,), _ = basis_jets(pts, "polar_geodesic", [0], [])
     H = hessian(V, bun)
     assert np.allclose(H, V.value[:, None, None] * jet.g, atol=1e-11)
     assert np.allclose(np.einsum("...ij,...ij->...", bun.ginv, H),
@@ -454,8 +450,8 @@ def test_dscal_adjoint_kernels():
     pts = np.array([[1.1, 0.9, 0.4], [2.2, 1.9, 3.3]])
     hjet = metric_jet(spec, pts)
     hbun = curvature(hjet)
-    for V in kernel_basis(3, "polar_geodesic"):
-        resid = dscal_adjoint(hjet, V.scalar_jet(pts), hbun)
+    for V in basis_jets(pts, "polar_geodesic", range(4), [])[0]:
+        resid = dscal_adjoint(hjet, V, hbun)
         assert np.max(np.abs(resid)) < 1e-11
 
 
@@ -463,9 +459,8 @@ def test_dscal_adjoint_nonkernel():
     spec = MetricSpec("hyperbolic_polar", 3)
     pts = np.array([[1.0, 1.0, 1.0]])
     jet = metric_jet(spec, pts)
-    V = kernel_basis(3, "polar_geodesic")[0]
     # cosh(2r) is not in the kernel
-    vj = V.scalar_jet(pts)
+    (vj,), _ = basis_jets(pts, "polar_geodesic", [0], [])
     bad = ScalarJet(vj.value**2, 2 * vj.value[..., None] * vj.grad,
                     2 * (np.einsum("...i,...j->...ij", vj.grad, vj.grad)
                          + vj.value[..., None, None] * vj.hess))

@@ -8,7 +8,7 @@ import pytest
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DomainError
 from asymflux.charges import charge_series, einstein_fluxes, sphere_integrand
-from asymflux.fields import basis_jets, killing_basis
+from asymflux.fields import basis_jets
 from asymflux.geometry import curvature
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from asymflux.verify import (charge_pairs, equivalence_report,
@@ -30,8 +30,8 @@ HYP_RADII = np.sinh(3.0 + 0.75 * np.arange(5))
 def test_pohozaev_all_catalog_fields(kind, n, annulus):
     spec = MetricSpec(kind, n, m=1.0 if kind == "schwarzschild_conformal" else 0.0)
     rule = sphere_rule(n, 30)
-    for X in killing_basis(n, spec.chart_kind):
-        rep = pohozaev_check(spec, [X], *annulus, rule)[0]
+    for i in range(n + 1):
+        rep = pohozaev_check(spec, [i], *annulus, rule)[0]
         assert rep.passed, rep
         assert rep.relative_residual < 1e-6
         assert rep.context["killing_defect"] < 1e-9
@@ -39,8 +39,7 @@ def test_pohozaev_all_catalog_fields(kind, n, annulus):
 
 def test_pohozaev_hyperbolic_closed_form():
     spec = MetricSpec("hyperbolic_polar", 3)
-    X0 = killing_basis(3, spec.chart_kind)[0]
-    rep = pohozaev_check(spec, [X0], 1.0, 2.0, sphere_rule(3, 30))[0]
+    rep = pohozaev_check(spec, [0], 1.0, 2.0, sphere_rule(3, 30))[0]
     exact = hyperbolic_pohozaev_closed_form(3, 1.0, 2.0)
     assert exact == pytest.approx(omega(3) * (np.sinh(2.0) ** 3 - np.sinh(1.0) ** 3))
     assert rep.lhs == pytest.approx(exact, rel=1e-8)
@@ -60,14 +59,14 @@ def test_pohozaev_boundary_fluxes_are_the_sphere_fluxes(spec, annulus):
     modified tensor)."""
     rule = sphere_rule(spec.n, 8)
     chart = spec.chart_kind
-    fields = killing_basis(spec.n, chart)
+    fields = range(spec.n + 1)
     r0, r1 = annulus
     reports = pohozaev_check(spec, fields, r0, r1, rule, radial_degree=8)
 
     def boundary_fluxes(r):
         def f(points):
             bun = curvature(metric_jet(spec, points))
-            comps = [X.comp for X in basis_jets(points, (), fields)[1]]
+            comps = [X.comp for X in basis_jets(points, chart, (), fields)[1]]
             return np.stack(einstein_fluxes(bun.einstein, comps, points,
                                             chart, r, bun), axis=-1)
         return f
@@ -88,8 +87,7 @@ def test_pohozaev_scalar_flat_has_zero_bulk():
     """Conformal Schwarzschild is scalar-flat, so the flux through both
     spheres must coincide."""
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    X = killing_basis(3, "cartesian")[0]
-    rep = pohozaev_check(spec, [X], 10.0, 20.0, sphere_rule(3, 30))[0]
+    rep = pohozaev_check(spec, [0], 10.0, 20.0, sphere_rule(3, 30))[0]
     assert abs(rep.rhs) < 1e-10 * max(abs(rep.context["outer_flux"]), 1.0)
     assert rep.context["outer_flux"] == pytest.approx(
         rep.context["inner_flux"], rel=1e-10)
@@ -98,13 +96,11 @@ def test_pohozaev_scalar_flat_has_zero_bulk():
 def test_pohozaev_residual_bounded_by_quadrature():
     """The identity is exact when X really is conformal Killing, so only
     discretization error remains."""
-    cases = [(MetricSpec("hyperbolic_area", 3),
-              killing_basis(3, "polar_area")[0], np.sinh(1.0), np.sinh(2.0)),
-             (MetricSpec("schwarzschild_conformal", 3, m=1.0),
-              killing_basis(3, "cartesian")[1],
-              8.0, 16.0)]
-    for spec, X, r0, r1 in cases:
-        rep = pohozaev_check(spec, [X], r0, r1, sphere_rule(3, 30))[0]
+    cases = [(MetricSpec("hyperbolic_area", 3), 0, np.sinh(1.0),
+              np.sinh(2.0)),
+             (MetricSpec("schwarzschild_conformal", 3, m=1.0), 1, 8.0, 16.0)]
+    for spec, i, r0, r1 in cases:
+        rep = pohozaev_check(spec, [i], r0, r1, sphere_rule(3, 30))[0]
         assert rep.passed
         assert rep.residual <= (10.0 * rep.quad_error
                                 + 1e-10 * max(rep.context["flux_scale"], 1.0))
@@ -114,22 +110,20 @@ def test_pohozaev_kottler_surfaces_killing_defect():
     """Background fields are not conformal Killing for Kottler; the check
     still runs and reports how far off they are."""
     spec = MetricSpec("kottler", 3, m=1.0)
-    X = killing_basis(3, spec.chart_kind)[0]
-    rep = pohozaev_check(spec, [X], np.sinh(1.0), np.sinh(2.0), sphere_rule(3, 30))[0]
+    rep = pohozaev_check(spec, [0], np.sinh(1.0), np.sinh(2.0), sphere_rule(3, 30))[0]
     assert rep.context["killing_defect"] > 1e-2
 
 
 def test_pohozaev_orientation_antisymmetry():
     spec = MetricSpec("hyperbolic_polar", 3)
-    X = killing_basis(3, spec.chart_kind)[0]
     rule = sphere_rule(3, 16)
-    fwd = pohozaev_check(spec, [X], 1.0, 2.0, rule)[0]
+    fwd = pohozaev_check(spec, [0], 1.0, 2.0, rule)[0]
     # swapping the roles of the spheres negates the boundary difference
     outer, inner = fwd.context["outer_flux"], fwd.context["inner_flux"]
     assert fwd.lhs == pytest.approx(outer - inner)
     assert -(inner - outer) == pytest.approx(fwd.lhs)
     with pytest.raises(ValueError):
-        pohozaev_check(spec, [X], 2.0, 1.0, rule)[0]
+        pohozaev_check(spec, [0], 2.0, 1.0, rule)[0]
 
 
 def test_pohozaev_reports_killing_defect_context():
@@ -137,8 +131,7 @@ def test_pohozaev_reports_killing_defect_context():
     conformal Killing; the report surfaces the measured defect."""
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r", (1, 1): "1", (2, 2): "1"})
-    X = killing_basis(3, "cartesian")[0]
-    rep = pohozaev_check(spec, [X], 8.0, 16.0, sphere_rule(3, 20))[0]
+    rep = pohozaev_check(spec, [0], 8.0, 16.0, sphere_rule(3, 20))[0]
     assert rep.context["killing_defect"] > 1e-4
 
 
@@ -163,7 +156,7 @@ def test_pohozaev_interior_shells_drop(monkeypatch, kind, n):
     spec = MetricSpec(kind, n, m=1.0 if kind == "kottler" else 0.0)
     annulus = (1.0, 2.0) if kind == "hyperbolic_polar" else \
         tuple(np.sinh([1.0, 2.0]))
-    fields = killing_basis(n, spec.chart_kind)
+    fields = range(n + 1)
     rule, radial_degree = sphere_rule(n, 16), 16 if n < 5 else 4
     picked = pohozaev_check(spec, fields, *annulus, rule, radial_degree)
     degrees = picked[0].context["shell_degrees"]
@@ -191,7 +184,7 @@ def test_pohozaev_unfading_angular_content_keeps_the_degree(monkeypatch):
     spec = MetricSpec("expression", 3, chart="polar_geodesic", components={
         (0, 0): "1", (1, 1): f"sinh(r)^2*{factor}",
         (2, 2): f"sinh(r)^2*sin(theta1)^2*{factor}"})
-    fields = killing_basis(3, spec.chart_kind)
+    fields = range(4)
     rule = sphere_rule(3, 16)
     reports = pohozaev_check(spec, fields, 1.0, 2.0, rule)
     assert reports[0].context["shell_degrees"] == [16] * 10
@@ -206,8 +199,8 @@ def test_pohozaev_unfading_angular_content_keeps_the_degree(monkeypatch):
                                     ("hyperbolic_area", 4)])
 def test_kernel_identity(kind, n):
     spec = MetricSpec(kind, n)
-    for X in killing_basis(n, spec.chart_kind):
-        rep = kernel_check_lemma22(spec, X)
+    for i in range(n + 1):
+        rep = kernel_check_lemma22(spec, i)
         assert rep.passed
         assert rep.max_residual < 1e-8
         assert rep.trace_residual < 1e-8
@@ -218,18 +211,49 @@ def test_kernel_identity_rejects_non_einstein():
     """Kottler slices are scalar-Einstein but not Ricci-Einstein; the check
     must refuse them rather than report a residual."""
     spec = MetricSpec("kottler", 3, m=1.0)
-    X = killing_basis(3, spec.chart_kind)[0]
     pts = sample_points(3, spec.chart_kind, 10, np.random.default_rng(1))
     pts[:, 0] += 3.0   # outside the horizon
     with pytest.raises(DomainError, match="not Einstein"):
-        kernel_check_lemma22(spec, X, points=pts, lam=-1.0)
+        kernel_check_lemma22(spec, 0, points=pts, lam=-1.0)
 
 
 def test_kernel_identity_unknown_lambda():
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
-    X = killing_basis(3, "cartesian")[0]
     with pytest.raises(DomainError):
-        kernel_check_lemma22(spec, X)
+        kernel_check_lemma22(spec, 0)
+
+
+# --------------------------------------------------------------- basis index
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic_polar"])
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "n+1"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda spec, i: basis_jets(
+        np.ones((2, 3)), spec.chart_kind, [i], []), id="basis_jets-kernel"),
+    pytest.param(lambda spec, i: basis_jets(
+        np.ones((2, 3)), spec.chart_kind, [], [0, i]), id="basis_jets-field"),
+    pytest.param(lambda spec, i: sphere_integrand(spec, [0], [i], 2.0),
+                 id="sphere_integrand"),
+    pytest.param(lambda spec, i: pohozaev_check(
+        spec, [0, i], 1.0, 2.0, sphere_rule(3, 4)), id="pohozaev_check"),
+    pytest.param(lambda spec, i: kernel_check_lemma22(spec, i),
+                 id="kernel_check_lemma22"),
+])
+def test_bad_basis_index_is_named_before_any_node(monkeypatch, call, bad,
+                                                  kind):
+    """A basis index outside ``0..n``, negative included, is a ValueError
+    that names it, raised before any node is evaluated."""
+    from asymflux import charges, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a node was evaluated")
+
+    for module, name in [(charges, "jets"), (charges, "integrate_sphere"),
+                         (verify, "metric_jet"),
+                         (verify, "integrate_annulus")]:
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(ValueError, match=f"basis index {bad} outside 0..3"):
+        call(MetricSpec(kind, 3), bad)
 
 
 # ---------------------------------------------------------------- equivalence
@@ -290,8 +314,8 @@ _SMALL_CHUNK = 16     # fewer nodes than any rule below (all n=3)
         MetricSpec("kottler", 3, m=1.0), HYP_RADII, sphere_rule(3, 8)),
         id="equivalence-kottler"),
     pytest.param(lambda: pohozaev_check(
-        MetricSpec("hyperbolic_polar", 3), killing_basis(3, "polar_geodesic"),
-        1.0, 2.0, sphere_rule(3, 8), radial_degree=4), id="pohozaev"),
+        MetricSpec("hyperbolic_polar", 3), range(4), 1.0, 2.0,
+        sphere_rule(3, 8), radial_degree=4), id="pohozaev"),
     # the center pass, whose node data carry the parity (RT) entries
     pytest.param(lambda: charge_pairs(
         MetricSpec("schwarzschild_conformal", 3, m=1.0, center=(1.0, 0.5, 0.0)),
@@ -388,5 +412,5 @@ def test_charge_pairs_take_indices_from_an_iterator():
                       center=(1.0, 0.5, 0.0))
     rule = sphere_rule(3, 4)
     rows = charge_pairs(spec, FLAT_RADII, rule, [0, 2])[1]
-    assert [row.field.kernel.index for row in rows] == [0, 2]
+    assert [row.field.index for row in rows] == [0, 2]
     assert charge_pairs(spec, FLAT_RADII, rule, iter([0, 2]))[1] == rows
