@@ -50,8 +50,8 @@ import numpy as np
 
 from . import hyperdual as hd
 from .errors import ChartMismatchError, DomainError
-from .geometry import (ChartKind, ConformalJet, MetricJet, ScalarJet,
-                       SymTensorJet, validate_dimension)
+from .geometry import (ChartKind, ConformalJet, MetricJet, SymTensorJet,
+                       validate_dimension)
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
@@ -352,7 +352,7 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     zero = _diagonal_first_order([], shape, n)
 
     if spec.kind == "euclidean":
-        flat = ScalarJet(*(np.broadcast_to(0.0, shape + (n,) * k)
+        flat = HyperDual(*(np.broadcast_to(0.0, shape + (n,) * k)
                            for k in range(3)))
         return ConformalJet(flat), _euclidean_background(shape, n), zero
 
@@ -364,9 +364,7 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
         # without the Hessian the deviation never reads
         d1 = np.exp(log_factor.val) * log_factor.grad[..., 0]
         w = HyperDual(np.expm1(log_factor.val), d1[..., None] * t.grad, 0.0)
-        return (ConformalJet(ScalarJet(two_phi.val, two_phi.grad,
-                                       two_phi.hess)),
-                _euclidean_background(shape, n),
+        return (ConformalJet(two_phi), _euclidean_background(shape, n),
                 _diagonal_first_order([w] * n, shape, n))
 
     if spec.kind in HYPERBOLIC_KINDS:
@@ -425,7 +423,7 @@ def _components_jet(spec, coords, chart_kind) -> MetricJet:
             evaluated[ast] = expr_mod.eval_jet(ast, coords, params, chart_kind)
         jet = evaluated[ast]
         for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
-            out.g[..., a, b] = jet.value
+            out.g[..., a, b] = jet.val
             out.dg[..., :, a, b] = jet.grad
             out.ddg[..., :, :, a, b] = jet.hess
     return out

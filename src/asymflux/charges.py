@@ -65,8 +65,9 @@ from .catalog import (MetricSpec, coordinate_volume, decay_mode,
                       geodesic_radius, jets)
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import basis_jets, check_indices
-from .geometry import (ChartKind, CurvatureBundle, MetricJet, ScalarJet,
-                       SymTensorJet, curvature, diagonal_sum, sum_last)
+from .geometry import (ChartKind, CurvatureBundle, MetricJet, SymTensorJet,
+                       curvature, diagonal_sum, sum_last)
+from .hyperdual import HyperDual
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import (_PICK_LOWER, SphereRule, _next_rule,
                          integrate_sphere, omega)
@@ -134,11 +135,11 @@ def _flat_michel_pieces(eps: SymTensorJet, b: SymTensorJet):
     return b.value, div_eps - dtr, tr_eps
 
 
-def _michel_contract(V: ScalarJet, eps: SymTensorJet, pieces,
+def _michel_contract(V: HyperDual, eps: SymTensorJet, pieces,
                      nu: np.ndarray) -> np.ndarray:
     binv, source, tr_eps = pieces
     gradV = binv @ V.grad[..., None]
-    one_form = (V.value[..., None] * source
+    one_form = (V.val[..., None] * source
                 + tr_eps[..., None] * V.grad
                 - (gradV.swapaxes(-1, -2) @ eps.value)[..., 0, :])
     return sum_last(one_form * nu)

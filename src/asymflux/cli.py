@@ -204,8 +204,11 @@ def build_spec(cfg: RunConfig) -> MetricSpec:
             if len(name) != 2 or not (name.isascii() and name.isdigit()):
                 raise ConfigError(f"bad component key {key!r}; use g_i_j")
             i, j = int(name[0]) - 1, int(name[1]) - 1
-            if not (0 <= i <= j < cfg.n):
+            if not (0 <= i < cfg.n and 0 <= j < cfg.n):
                 raise ConfigError(f"component indices out of range in {key!r}")
+            if i > j:
+                raise ConfigError(f"component {key!r} is below the diagonal; "
+                                  f"use 'g_{j + 1}_{i + 1}'")
             components[(i, j)] = text
     try:
         return MetricSpec(cfg.kind, cfg.n, m=cfg.m, center=tuple(cfg.center),

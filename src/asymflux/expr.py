@@ -23,7 +23,7 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import (DomainError, ExprDomainError, ParseError,
                      UnknownIdentifierError)
-from .geometry import ChartKind, ScalarJet
+from .geometry import ChartKind
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["parse", "eval_jet", "variable_names",
@@ -225,8 +225,10 @@ def _parse_atom(toks):
 # ----------------------------------------------------------------- evaluator
 
 def eval_jet(ast, p: np.ndarray, params: dict | None = None,
-             chart_kind: ChartKind | str | None = None) -> ScalarJet:
-    """Evaluate ``ast`` at ``p`` returning exact value/gradient/Hessian."""
+             chart_kind: ChartKind | str | None = None) -> HyperDual:
+    """Evaluate ``ast`` at ``p``: the hyper-dual of the evaluation, whose
+    ``val``, ``grad`` and ``hess`` are the exact value, gradient and
+    Hessian in the chart variables."""
     coords = np.asarray(p, dtype=float)
     chart_kind = ChartKind(chart_kind or ChartKind.CARTESIAN)
     params = dict(params or {})
@@ -235,10 +237,7 @@ def eval_jet(ast, p: np.ndarray, params: dict | None = None,
     env: dict[str, HyperDual] = dict(zip(variable_names(n, chart_kind), variables))
     if chart_kind == ChartKind.CARTESIAN:
         env["__cartesian_vars__"] = variables  # for lazy r
-    out = _eval(ast, env, params, n, coords.shape[:-1])
-    if not isinstance(out, HyperDual):
-        out = HyperDual.constant(out, n, coords.shape[:-1])
-    return ScalarJet(out.val, out.grad, out.hess)
+    return _eval(ast, env, params, n, coords.shape[:-1])
 
 
 def _reads_variables(node, env) -> bool:

@@ -16,11 +16,13 @@ kernel function and ``X^(i)`` the conformal Killing field of index i, with
 the constant c in ``delta^b X = c V``: -n for the dilation and the
 hyperbolic gradients, 2n for the inverted translations.
 :func:`basis_jets` takes the chart and two sequences of indices and
-evaluates any set of elements at once, with exact jets;
+evaluates any set of elements at once, with exact jets: a kernel jet is
+the :class:`~asymflux.hyperdual.HyperDual` that built it, a field a
+:class:`~asymflux.geometry.VectorJet`.
 :func:`check_indices` is the one range check of an index.
 :func:`killing_basis` is the table of the fields, one row per index with
 an id, which only labels it, and c; the analytic jet of ``delta^b X`` (used
-by the kernel-identity verifier) is the scaled jet of V.  In the polar
+by the kernel-identity verifier) is c times the jet of V.  In the polar
 charts ``V^(i) = u_i * sinh r`` and the entries ``1/(sinh^2 r sigma_j)`` of
 ``b^{-1}`` are separable products: each factor is a width-1 jet in one
 coordinate, multiplied in by one sparse step
@@ -37,7 +39,7 @@ from . import hyperdual as hd
 from .catalog import (check_polar_domain, round_sphere_diag_hd,
                       sphere_embedding_hd)
 from .errors import DomainError
-from .geometry import ChartKind, ScalarJet, VectorJet, sum_last
+from .geometry import ChartKind, VectorJet, sum_last
 from .hyperdual import HyperDual
 
 __all__ = ["ConformalKilling", "basis_jets", "check_indices", "killing_basis"]
@@ -55,10 +57,12 @@ class ConformalKilling:
     index: int
     c: float
 
-    def divergence_jet(self, p) -> ScalarJet:
+    def divergence_jet(self, p) -> HyperDual:
         """Analytic jet of ``delta^b X`` (background divergence, paper sign)."""
-        return basis_jets(p, self.chart_kind, [self.index], [])[0][0] \
-            .scaled(self.c)
+        (V,), _ = basis_jets(p, self.chart_kind, [self.index], [])
+        # each part times c: ``c * V`` takes the product rule, whose sums
+        # can flip the sign of a zero
+        return HyperDual(self.c * V.val, self.c * V.grad, self.c * V.hess)
 
 
 def check_indices(indices, n: int) -> list:
@@ -72,7 +76,7 @@ def check_indices(indices, n: int) -> list:
 
 
 def basis_jets(p, chart_kind: ChartKind | str, kernels,
-               fields) -> tuple[list[ScalarJet], list[VectorJet]]:
+               fields) -> tuple[list[HyperDual], list[VectorJet]]:
     """Exact jets at ``p`` of the kernel functions ``V^(i)``, i in
     ``kernels``, and of the conformal Killing fields ``X^(i)``, i in
     ``fields``, of the chart's background (:func:`check_indices`).
@@ -82,7 +86,7 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels,
     kernel jet once: the hyperbolic field ``X^(i) = grad_b V^(i)`` reads the
     jet of ``V^(i)`` and the values and gradients of the ``b^{-1}`` entries,
     which take no Hessian.  Returns ``(kernel jets, field jets)`` in the
-    order given.
+    order given, the kernel jets as the hyper-duals that built them.
     """
     coords = np.asarray(p, dtype=float)
     n, chart_kind = coords.shape[-1], ChartKind(chart_kind)
@@ -108,12 +112,8 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels,
         v0, radial_factor = hd.mul_factor(one, hd.sqrt(f0), 0), r
     indices = {*kernels, *fields}
     u = sphere_embedding_hd(angles, one) if indices - {0} else None
-    vjets = {}
-    for i in indices:
-        x = v0 if i == 0 else hd.mul_factor(u[i - 1], radial_factor, 0)
-        vjets[i] = ScalarJet(np.broadcast_to(x.val, shape),
-                             np.broadcast_to(x.grad, shape + (n,)),
-                             np.broadcast_to(x.hess, shape + (n, n)))
+    vjets = {i: v0 if i == 0 else hd.mul_factor(u[i - 1], radial_factor, 0)
+             for i in indices}
     vectors = []
     if fields:
         binv = [(radial_inv.val, radial_inv.grad)] + [
@@ -139,12 +139,12 @@ def _flat_kernel(coords, index):
     """Jet of ``1`` (index 0) or of the coordinate ``x^(index-1)``."""
     n, shape = coords.shape[-1], coords.shape[:-1]
     if index == 0:
-        return ScalarJet(np.ones(shape), np.zeros(shape + (n,)),
+        return HyperDual(np.ones(shape), np.zeros(shape + (n,)),
                          np.zeros(shape + (n, n)))
     alpha = index - 1
     grad = np.zeros(shape + (n,))
     grad[..., alpha] = 1.0
-    return ScalarJet(coords[..., alpha].copy(), grad, np.zeros(shape + (n, n)))
+    return HyperDual(coords[..., alpha].copy(), grad, np.zeros(shape + (n, n)))
 
 
 def _flat_field(coords, index):
@@ -169,7 +169,7 @@ def _flat_field(coords, index):
 
 # --------------------------------------------------------- hyperbolic fields
 
-def _gradient_field(vjet: ScalarJet, binv) -> VectorJet:
+def _gradient_field(vjet: HyperDual, binv) -> VectorJet:
     """``X = grad_b V`` from the jet of V and the diagonal of ``b^{-1}``,
     one ``(value, gradient)`` pair per entry."""
     shape, n = vjet.grad.shape[:-1], len(binv)

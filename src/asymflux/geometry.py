@@ -16,6 +16,9 @@ them re-derives ``g^{-1}`` or the Christoffel symbols.  The backgrounds of
 the charge integrand are diagonal and take their own closed forms
 (``charges._michel_pieces``).
 
+A scalar field comes as the :class:`~asymflux.hyperdual.HyperDual` that
+computed it (``val``, ``grad``, ``hess``), a vector field as a
+:class:`VectorJet` and a symmetric 2-tensor as a :class:`SymTensorJet`.
 A metric comes as one of two jets, and :func:`curvature` takes each its
 own way:
 
@@ -70,9 +73,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetricError
+from .hyperdual import HyperDual
 
 __all__ = [
-    "ChartKind", "MetricJet", "ConformalJet", "ScalarJet", "VectorJet",
+    "ChartKind", "MetricJet", "ConformalJet", "VectorJet",
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
     "christoffel", "curvature", "divergence_vector", "killing_operator",
     "hessian", "tensor_norm", "sum_last", "diagonal_sum", "trace_product",
@@ -90,18 +94,6 @@ def validate_dimension(n: int) -> int:
     if n < 3:
         raise ValueError(f"ambient dimension must be >= 3, got {n}")
     return n
-
-
-@dataclass
-class ScalarJet:
-    """Scalar field with exact coordinate gradient and Hessian."""
-
-    value: np.ndarray   # (...,)
-    grad: np.ndarray    # (..., n)
-    hess: np.ndarray    # (..., n, n)
-
-    def scaled(self, c):
-        return ScalarJet(c * self.value, c * self.grad, c * self.hess)
 
 
 @dataclass
@@ -136,14 +128,14 @@ class MetricJet:
 @dataclass
 class ConformalJet:
     """A conformally flat metric ``g = e^{2 phi} delta`` of the cartesian
-    chart, held as the 2-jet of ``2 phi = log g_11``.
+    chart, held as the hyper-dual of ``2 phi = log g_11``.
 
     :func:`curvature` reads ``log_factor`` alone.  The dense ``g``, ``dg``
     and ``ddg`` of a :class:`MetricJet` are built on first read: ``verify``
     reads ``g`` and ``dg``, and all three give the dense jet on which the
     general formula can be compared; the charge pass reads none of them."""
 
-    log_factor: ScalarJet       # 2 phi: value (...,), grad (..., n), hess
+    log_factor: HyperDual       # 2 phi: val (...,), grad (..., n), hess
 
     @property
     def n(self) -> int:
@@ -151,13 +143,13 @@ class ConformalJet:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _on_diagonal(np.exp(self.log_factor.value), self.n)
+        return _on_diagonal(np.exp(self.log_factor.val), self.n)
 
     @cached_property
     def dg(self) -> np.ndarray:
         # d_k g_ii = e^{2 phi} d_k (2 phi)
         two_phi = self.log_factor
-        return _on_diagonal(np.exp(two_phi.value)[..., None] * two_phi.grad,
+        return _on_diagonal(np.exp(two_phi.val)[..., None] * two_phi.grad,
                             self.n)
 
     @cached_property
@@ -166,7 +158,7 @@ class ConformalJet:
         two_phi = self.log_factor
         second = two_phi.hess + (two_phi.grad[..., :, None]
                                  * two_phi.grad[..., None, :])
-        return _on_diagonal(np.exp(two_phi.value)[..., None, None] * second,
+        return _on_diagonal(np.exp(two_phi.val)[..., None, None] * second,
                             self.n)
 
 
@@ -363,7 +355,7 @@ def _conformal_curvature(jet: ConformalJet) -> CurvatureBundle:
     first read."""
     n = jet.n
     two_phi = jet.log_factor
-    factor = np.exp(two_phi.value)
+    factor = np.exp(two_phi.val)
     if not np.all((factor > 0) & (factor < np.inf)):
         raise DegenerateMetricError(
             "conformal factor is not a positive finite number")
@@ -377,7 +369,7 @@ def _conformal_curvature(jet: ConformalJet) -> CurvatureBundle:
     modified = einstein - _on_diagonal(0.5 * (n - 1) * (n - 2) * factor, n)
     return CurvatureBundle(lambda: _conformal_christoffel(dphi), ric, scal,
                            einstein, modified, _on_diagonal(1.0 / factor, n),
-                           np.exp((0.5 * n) * two_phi.value))
+                           np.exp((0.5 * n) * two_phi.val))
 
 
 def _conformal_christoffel(dphi: np.ndarray) -> np.ndarray:
@@ -439,7 +431,7 @@ def killing_operator(jet: MetricJet, X: VectorJet, bundle: CurvatureBundle):
     return sym, tracefree
 
 
-def hessian(V: ScalarJet, bundle: CurvatureBundle) -> np.ndarray:
+def hessian(V: HyperDual, bundle: CurvatureBundle) -> np.ndarray:
     """Covariant Hessian ``Hess V_ij = d_i d_j V - Gamma^k_ij d_k V``."""
     return V.hess - _first_index(V.grad, bundle.christoffel)
 

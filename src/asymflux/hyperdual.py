@@ -4,7 +4,10 @@ A :class:`HyperDual` carries a value together with its exact gradient and
 Hessian with respect to ``nvars`` seed variables.  All components are numpy
 arrays with a common batch shape, so a single arithmetic pass evaluates a
 whole grid of points at once.  There is no truncation error: the chain rule
-is applied exactly to second order.
+is applied exactly to second order.  It is the package's one scalar jet:
+the kernel functions, the evaluated expression components and the
+conformal factor of a :class:`~asymflux.geometry.ConformalJet` are the
+hyper-duals that built them.
 
 A function of one intermediate, such as a radial profile of a metric, is
 cheaper as a width-1 hyper-dual in that intermediate, lifted to the full

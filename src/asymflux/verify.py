@@ -258,10 +258,10 @@ def kernel_check_lemma22(spec: MetricSpec, index: int,
     X = killing_basis(n, spec.chart_kind)[index]
     divjet = X.divergence_jet(points)
     hess = hessian(divjet, bun)
-    resid = hess + lam * divjet.value[..., None, None] * jet.g
+    resid = hess + lam * divjet.val[..., None, None] * jet.g
     max_residual = float(np.max(tensor_norm(bun.ginv, resid)))
     trace = trace_product(bun.ginv, hess)
-    trace_residual = float(np.max(np.abs(trace + n * lam * divjet.value)))
+    trace_residual = float(np.max(np.abs(trace + n * lam * divjet.val)))
     return KernelReport(
         check_id=f"lemma22:{spec.kind}:{X.id}",
         max_residual=max_residual, trace_residual=trace_residual,

@@ -20,9 +20,9 @@ from asymflux.charges import _michel_contract, sphere_normal_area
 from asymflux.expr import Bin, Call, Name, Num, Unary
 from asymflux.fields import _gradient_field
 from asymflux.geometry import (ChartKind, CurvatureBundle, MetricJet,
-                               ScalarJet, SymTensorJet, _christoffel,
-                               _first_kind, _pairs_flat, _pairs_last,
-                               christoffel, curvature, diagonal_sum, hessian,
+                               SymTensorJet, _christoffel, _first_kind,
+                               _pairs_flat, _pairs_last, christoffel,
+                               curvature, diagonal_sum, hessian,
                                inverse_metric, trace_product)
 from asymflux.hyperdual import HyperDual, seed_variables
 from asymflux.quadrature import _evaluate, _sphere_points
@@ -46,14 +46,14 @@ def michel_pieces(eps: SymTensorJet, b) -> tuple:
     return binv, -delta_eps - dtr, tr_eps
 
 
-def michel_integrand_deviation(V: ScalarJet, eps: SymTensorJet, b,
+def michel_integrand_deviation(V: HyperDual, eps: SymTensorJet, b,
                                nu: np.ndarray) -> np.ndarray:
     """Charge integrand ``U(V, g, b)(nu)`` from the deviation ``eps = g - b``
     and the general formula (:func:`michel_pieces`), for any background."""
     return _michel_contract(V, eps, michel_pieces(eps, b), nu)
 
 
-def michel_integrand(V: ScalarJet, g_jet: MetricJet, b_jet: MetricJet,
+def michel_integrand(V: HyperDual, g_jet: MetricJet, b_jet: MetricJet,
                      nu: np.ndarray) -> np.ndarray:
     """``U(V, g, b)(nu)`` from full metric jets (subtracts the jets)."""
     eps = SymTensorJet(g_jet.g - b_jet.g, g_jet.dg - b_jet.dg)
@@ -124,7 +124,7 @@ def christoffel_derivative(jet: MetricJet, ginv: np.ndarray) -> np.ndarray:
     return _pairs_last(out)
 
 
-def dscal_adjoint(jet: MetricJet, V: ScalarJet,
+def dscal_adjoint(jet: MetricJet, V: HyperDual,
                   bundle: CurvatureBundle) -> np.ndarray:
     """Adjoint linearized scalar curvature: ``Hess V + (Lap V) g - V Ric``.
 
@@ -136,7 +136,7 @@ def dscal_adjoint(jet: MetricJet, V: ScalarJet,
     hess = hessian(V, bundle)
     lap = -np.einsum("...ij,...ij->...", bundle.ginv, hess)
     return (hess + lap[..., None, None] * jet.g
-            - V.value[..., None, None] * bundle.ricci)
+            - V.val[..., None, None] * bundle.ricci)
 
 
 # ------------------------------------------------------- polar-chart jets
@@ -231,8 +231,7 @@ def polar_basis_jets(coords, chart_kind):
         sph2, radial_inv = hd.lift(radial, r2), hd.lift(radial, f0)
         v0, radial_factor = hd.lift(radial, hd.sqrt(f0)), radial
     u = sphere_embedding_chain(angles)
-    scalars = [ScalarJet(x.val, x.grad, x.hess)
-               for x in [v0] + [ui * radial_factor for ui in u]]
+    scalars = [v0] + [ui * radial_factor for ui in u]
     binv = [radial_inv] + [one / (sph2 * s)
                            for s in round_sphere_diag_chain(angles, one)]
     binv = [(entry.val, entry.grad) for entry in binv]

@@ -151,7 +151,7 @@ def test_acceptance_6_pairing(verdict):
                 ok &= np.max(np.abs(dscal_adjoint(jet, vj, bun))) < 1e-8
                 if kind == "hyperbolic_polar":
                     div = divergence_vector(X, bun)
-                    ok &= np.max(np.abs(div + n * vj.value)) < 1e-8
+                    ok &= np.max(np.abs(div + n * vj.val)) < 1e-8
     verdict(6, "kernel/divergence pairing, i=0..n, n=3,4", ok)
 
 
@@ -198,7 +198,7 @@ def _random_expr(rng, depth=0):
 
 def _fd_jet(text, x, h=1e-4):
     n = x.size
-    f = lambda y: eval_jet(parse(text, n), y, None, "cartesian").value
+    f = lambda y: eval_jet(parse(text, n), y, None, "cartesian").val
     grad = np.empty(n)
     hess = np.empty((n, n))
     for i in range(n):

@@ -333,7 +333,7 @@ def test_metric_jet_is_one_block(spec, pts_fn):
             assert isinstance(jet, ConformalJet)
             assert set(vars(jet)) == {"log_factor"}
             two_phi = jet.log_factor
-            assert [part.shape for part in (two_phi.value, two_phi.grad,
+            assert [part.shape for part in (two_phi.val, two_phi.grad,
                                             two_phi.hess)] \
                 == [batch, batch + (n,), batch + (n, n)]
         assert not np.shares_memory(first.log_factor.hess,
@@ -357,7 +357,7 @@ def test_variable_exponent_is_not_taken_for_a_constant():
 
     ast = parse(_VARIABLE_EXPONENT, 3)
     pts = np.array([[9.0, 1.0, 2.0], [0.5, 7.0, -3.0]])
-    values = eval_jet(ast, pts).value
+    values = eval_jet(ast, pts).val
     r = np.linalg.norm(pts, axis=-1)
     assert np.allclose(values, 1 + 2.0 ** (-r / (1 + pts[:, 0] ** 2)),
                        rtol=1e-14)

@@ -10,7 +10,7 @@ from asymflux.charges import (_normalization, charge_series,
                               hypothesis_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import basis_jets
-from asymflux.geometry import ScalarJet, SymTensorJet
+from asymflux.geometry import SymTensorJet
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from oracles import (adm_integrand, center_integrand, decay_sup,
                      michel_integrand, michel_integrand_deviation,

@@ -111,12 +111,14 @@ def test_expression_metric_from_config(tmp_path):
 
 
 def test_bad_component_key_rejected(tmp_path):
-    """An index out of range, or a digit that is not ASCII."""
+    """An index out of range, a digit that is not ASCII, or a key below the
+    diagonal, whose message names the upper-triangle key to use."""
     cfg_file = tmp_path / "bad.ini"
-    for key in ("g_1_9", "g_1_\u00b2"):
+    for key, names in (("g_1_9", "out of range"), ("g_1_\u00b2", "use g_i_j"),
+                       ("g_2_1", "'g_1_2'")):
         cfg_file.write_text(f"[metric]\nkind = expression\nn = 3\n"
                             f"[components]\n{key} = 1\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=names):
             build_spec(load_config(str(cfg_file)))
 
 

@@ -21,24 +21,24 @@ def jet(text, x, params=None, chart="cartesian", n=None):
 
 def test_precedence_and_associativity():
     x = np.array([2.0, 3.0, 1.0])
-    assert jet("x1 + x2 * x3", x).value == pytest.approx(5.0)
-    assert jet("(x1 + x2) * x3", x).value == pytest.approx(5.0 * 1.0)
-    assert jet("-x1^2", x).value == pytest.approx(-4.0)     # unary binds looser
-    assert jet("2^3^2", x).value == pytest.approx(512.0)    # right-assoc
-    assert jet("x1 - x2 - x3", x).value == pytest.approx(-2.0)
+    assert jet("x1 + x2 * x3", x).val == pytest.approx(5.0)
+    assert jet("(x1 + x2) * x3", x).val == pytest.approx(5.0 * 1.0)
+    assert jet("-x1^2", x).val == pytest.approx(-4.0)     # unary binds looser
+    assert jet("2^3^2", x).val == pytest.approx(512.0)    # right-assoc
+    assert jet("x1 - x2 - x3", x).val == pytest.approx(-2.0)
 
 
 def test_scientific_notation_and_functions():
     x = np.array([1.0, 0.0, 0.0])
-    assert jet("1.5e2 * x1", x).value == pytest.approx(150.0)
-    assert jet("exp(log(3.0))", x).value == pytest.approx(3.0)
-    assert jet("sqrt(x1^2 + 4)", x).value == pytest.approx(np.sqrt(5.0))
+    assert jet("1.5e2 * x1", x).val == pytest.approx(150.0)
+    assert jet("exp(log(3.0))", x).val == pytest.approx(3.0)
+    assert jet("sqrt(x1^2 + 4)", x).val == pytest.approx(np.sqrt(5.0))
 
 
 def test_r_is_derived_in_cartesian():
     x = np.array([3.0, 4.0, 0.0])
     out = jet("1/r", x)
-    assert out.value == pytest.approx(0.2)
+    assert out.val == pytest.approx(0.2)
     # grad of 1/r is -x/r^3
     assert np.allclose(out.grad, -x / 125.0)
 
@@ -46,13 +46,13 @@ def test_r_is_derived_in_cartesian():
 def test_polar_identifiers():
     p = np.array([2.0, 1.0, 0.5])
     out = jet("sinh(r)^2 * sin(theta1)^2", p, chart="polar_geodesic")
-    assert out.value == pytest.approx(np.sinh(2.0) ** 2 * np.sin(1.0) ** 2)
+    assert out.val == pytest.approx(np.sinh(2.0) ** 2 * np.sin(1.0) ** 2)
 
 
 def test_parameters():
     x = np.array([10.0, 0.0, 0.0])
     out = jet("1 + 2*mm/r", x, params={"mm": 0.5})
-    assert out.value == pytest.approx(1.1)
+    assert out.val == pytest.approx(1.1)
 
 
 @pytest.mark.parametrize("bad", ["", "x1 +", "(x1", "x1 ** 2", "1..2",
@@ -111,7 +111,7 @@ def test_print_parse_round_trip(ast):
 
 def fd(text, x, h=1e-4):
     n = x.size
-    f = lambda y: jet(text, y).value
+    f = lambda y: jet(text, y).val
     grad = np.empty(n)
     hess = np.empty((n, n))
     for i in range(n):
@@ -147,7 +147,7 @@ def test_empty_batch_gives_empty_jets():
     gives jets of shape ``(0, n, n)`` like every catalog kind."""
     for text in ("1 + 1/r^2", "x1^3", "(x2 + 1)^(1/2)"):
         out = jet(text, np.empty((0, 3)))
-        assert out.value.shape == (0,)
+        assert out.val.shape == (0,)
         assert out.grad.shape == (0, 3) and out.hess.shape == (0, 3, 3)
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r^2", (1, 1): "1", (2, 2): "1"})
@@ -161,7 +161,7 @@ def test_batched_matches_pointwise():
     out = jet("exp(-r)*x1", pts)
     for k in range(2):
         single = jet("exp(-r)*x1", pts[k])
-        assert out.value[k] == pytest.approx(single.value)
+        assert out.val[k] == pytest.approx(single.val)
         assert np.allclose(out.grad[k], single.grad)
         assert np.allclose(out.hess[k], single.hess)
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from asymflux.catalog import MetricSpec, metric_jet
+from asymflux.expr import eval_jet, parse
 from asymflux.fields import basis_jets, killing_basis
 from asymflux.geometry import (ChartKind, curvature, divergence_vector,
                                killing_operator, tensor_norm)
+from asymflux.hyperdual import HyperDual
 from oracles import dscal_adjoint, polar_basis_jets
 
 RNG = np.random.default_rng(23)
@@ -45,10 +47,10 @@ def test_hyperbolic_pairing(n, chart):
         assert X.c == c
         div = divergence_vector(basis_jets(pts, chart, [], [X.index])[1][0],
                                 bun)
-        vals = basis_jets(pts, chart, [X.index], [])[0][0].value
+        vals = basis_jets(pts, chart, [X.index], [])[0][0].val
         assert np.max(np.abs(div - c * vals)) < 1e-10
         # the analytic divergence jet agrees with the computed divergence
-        assert np.allclose(X.divergence_jet(pts).value, div, atol=1e-10)
+        assert np.allclose(X.divergence_jet(pts).val, div, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -132,7 +134,7 @@ def test_basis_jets_match_single_elements(n, chart):
         assert (len(scalars), len(vectors)) == (len(ks), len(xs))
         for i, jet in zip(ks, scalars):
             (alone,), _ = basis_jets(pts, chart, [i], [])
-            for key in ("value", "grad", "hess"):
+            for key in ("val", "grad", "hess"):
                 assert np.array_equal(getattr(jet, key), getattr(alone, key))
         for i, jet in zip(xs, vectors):
             alone = _field_jet(pts, chart, i)
@@ -151,7 +153,7 @@ def test_basis_jets_equal_the_full_width_products(n, chart):
     scalars, vectors = basis_jets(pts, chart, range(n + 1), range(n + 1))
     ref_scalars, ref_vectors = polar_basis_jets(pts, chart)
     for jet, ref in zip(scalars, ref_scalars, strict=True):
-        for key in ("value", "grad", "hess"):
+        for key in ("val", "grad", "hess"):
             assert np.array_equal(getattr(jet, key), getattr(ref, key))
     for jet, ref in zip(vectors, ref_vectors, strict=True):
         assert np.array_equal(jet.comp, ref.comp)
@@ -175,3 +177,36 @@ def test_basis_sizes_and_pairing_ids():
             == [(f"ah_X{i}", -3.0) for i in range(4)]
 
 
+
+
+@pytest.mark.parametrize("source", ["cartesian", "polar_geodesic",
+                                    "polar_area", "expression", "euclidean",
+                                    "schwarzschild_conformal"])
+def test_scalar_jets_are_hyper_duals(source):
+    """Every scalar jet the package hands out is the HyperDual that built
+    it: the kernel jets of basis_jets in each chart, an evaluated
+    expression, and the conformal factor ``2 phi`` of the flat catalog
+    kinds.  The divergence jet of ``X^(i)`` is c times the kernel jet of
+    ``V^(i)`` bit for bit, signs of zeros included."""
+    n = 4
+    pts = RNG.normal(size=(12, n)) * 3.0 + 5.0
+    if source == "expression":
+        scalars = [eval_jet(parse("1 + 2*x1/r^3", n), pts)]
+    elif source == "euclidean":
+        scalars = [metric_jet(MetricSpec(source, n), pts).log_factor]
+    elif source == "schwarzschild_conformal":
+        scalars = [metric_jet(MetricSpec(source, n, m=1.0), pts).log_factor]
+    else:
+        chart = ChartKind(source)
+        if chart != ChartKind.CARTESIAN:
+            pts = polar_points(n, 12)
+        scalars, _ = basis_jets(pts, chart, range(n + 1), [])
+        for X, V in zip(killing_basis(n, chart), scalars, strict=True):
+            div = X.divergence_jet(pts)
+            assert isinstance(div, HyperDual)
+            for key in ("val", "grad", "hess"):
+                ours, scaled = getattr(div, key), X.c * getattr(V, key)
+                assert ours.shape == scaled.shape
+                assert ours.tobytes() == scaled.tobytes()
+    for jet in scalars:
+        assert isinstance(jet, HyperDual)

@@ -7,10 +7,11 @@ import sympy as sp
 from asymflux.catalog import MetricSpec, metric_jet
 from asymflux.errors import DegenerateMetricError
 from asymflux.fields import basis_jets
-from asymflux.geometry import (ConformalJet, MetricJet, ScalarJet,
-                               SymTensorJet, VectorJet, christoffel,
-                               curvature, divergence_vector, hessian,
-                               inverse_metric, killing_operator, tensor_norm)
+from asymflux.geometry import (ConformalJet, MetricJet, SymTensorJet,
+                               VectorJet, christoffel, curvature,
+                               divergence_vector, hessian, inverse_metric,
+                               killing_operator, tensor_norm)
+from asymflux.hyperdual import HyperDual
 from oracles import (as_sym_tensor, christoffel_derivative,
                      divergence_symmetric2, dscal_adjoint, inverse_derivative)
 
@@ -434,16 +435,16 @@ def test_hessian_cosh_r_hyperbolic():
     bun = curvature(jet)
     (V,), _ = basis_jets(pts, "polar_geodesic", [0], [])
     H = hessian(V, bun)
-    assert np.allclose(H, V.value[:, None, None] * jet.g, atol=1e-11)
+    assert np.allclose(H, V.val[:, None, None] * jet.g, atol=1e-11)
     assert np.allclose(np.einsum("...ij,...ij->...", bun.ginv, H),
-                       4.0 * V.value, atol=1e-11)
+                       4.0 * V.val, atol=1e-11)
 
 
 def test_dscal_adjoint_kernels():
     # flat: affine functions; hyperbolic: cosh r and u sinh r
     x = RNG.normal(size=(8, 3)) * 2.0
     jet = euclid_jet(x)
-    one = ScalarJet(np.ones(8), np.zeros((8, 3)), np.zeros((8, 3, 3)))
+    one = HyperDual(np.ones(8), np.zeros((8, 3)), np.zeros((8, 3, 3)))
     assert np.allclose(dscal_adjoint(jet, one, curvature(jet)), 0.0)
 
     spec = MetricSpec("hyperbolic_polar", 3)
@@ -461,9 +462,9 @@ def test_dscal_adjoint_nonkernel():
     jet = metric_jet(spec, pts)
     # cosh(2r) is not in the kernel
     (vj,), _ = basis_jets(pts, "polar_geodesic", [0], [])
-    bad = ScalarJet(vj.value**2, 2 * vj.value[..., None] * vj.grad,
+    bad = HyperDual(vj.val**2, 2 * vj.val[..., None] * vj.grad,
                     2 * (np.einsum("...i,...j->...ij", vj.grad, vj.grad)
-                         + vj.value[..., None, None] * vj.hess))
+                         + vj.val[..., None, None] * vj.hess))
     assert np.max(np.abs(dscal_adjoint(jet, bad, curvature(jet)))) > 0.1
 
 
@@ -572,7 +573,7 @@ def test_conformal_factor_must_be_positive_and_finite(bad):
     n = 3
     two_phi = np.zeros(5)
     two_phi[3] = bad
-    jet = ConformalJet(ScalarJet(two_phi, np.zeros((5, n)),
+    jet = ConformalJet(HyperDual(two_phi, np.zeros((5, n)),
                                  np.zeros((5, n, n))))
     with pytest.raises(DegenerateMetricError):
         curvature(jet)
