@@ -21,17 +21,20 @@ product of functions of one coordinate each (``sinh^2 r * sin^2 theta_1
 ...``, ``rho^2 sigma_j``, ``1/f(rho)``): every factor is a width-1 jet in its
 own coordinate, multiplied into the running product with one sparse step
 (:func:`~asymflux.hyperdual.mul_factor`), which writes the numbers of the
-full-width product.  Every catalog metric is diagonal, and its dense jet is
-written through the diagonal view of each array's ``(i, j)`` pair, one
-entry at a time.  ``expression`` components are parsed once, when the
-spec is built, so a bad component fails before any computation starts; the
-expression language is imported only to parse and evaluate them.
-:func:`jets` returns the metric's 2-jet, the background as a first-order
-jet (value and first derivatives: the charge integrand reads no second
-derivative of ``b``) and the deviation ``g - b`` from one evaluation;
-catalog kinds give the deviation in stable closed form, expression metrics
-subtract the jets.  Every background is diagonal, so its inverse and
-Christoffel symbols are closed forms in ``b_ii`` and ``d_k b_ii``.
+full-width product.  One writer builds every dense and first-order jet
+from its upper-triangle entries, hyper-duals or constants, mirrored into
+one zeroed block: the diagonal of a catalog metric, the components of an
+expression metric, off-diagonal ones too.  ``expression`` components are
+parsed once, when the spec is built, so a bad component fails before any
+computation starts; the expression language is imported only to parse and
+evaluate them.  :func:`jets` returns the metric's 2-jet, the background as
+a first-order jet (value and first derivatives: the charge integrand reads
+no second derivative of ``b``) and the deviation ``g - b`` from one
+evaluation; catalog kinds give the deviation in stable closed form,
+expression metrics subtract the jets.  Every background is diagonal, so
+its inverse and Christoffel symbols are closed forms in ``b_ii`` and
+``d_k b_ii``; a polar chart's diagonal is built once per call, for the
+catalog kinds and the expression metrics of the chart alike.
 :func:`metric_jet` is the metric jet of :func:`jets`, for the checks that
 read ``g`` alone.
 
@@ -129,7 +132,8 @@ class MetricSpec:
 
 
 def background_of(spec: MetricSpec) -> MetricSpec:
-    """Background (model) metric of an asymptotic-type spec, same chart."""
+    """Background (model) metric of an asymptotic-type spec, same chart:
+    the metric whose jet is the background that :func:`jets` builds."""
     kind = spec.chart_kind
     if kind == ChartKind.CARTESIAN:
         return MetricSpec("euclidean", spec.n)
@@ -239,39 +243,18 @@ def _zeros(*shapes) -> list[np.ndarray]:
             for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def _zero_jet(shape, n) -> MetricJet:
-    """A zeroed 2-jet whose ``g``, ``dg`` and ``ddg`` share one block."""
-    return MetricJet(*_zeros(shape + (n, n), shape + (n, n, n),
-                             shape + (n, n, n, n)))
-
-
-def _write_diagonal(arrays, diagonal, shape):
-    """Write diagonal entries (HyperDuals or constants) into zeroed jet
-    arrays ``(value, d[, dd])`` through the ``::n+1`` view of each array's
-    trailing ``(i, j)`` pair: one assignment per array where every entry is
-    the same, else one per entry; constants leave the zero derivatives."""
-    n = len(diagonal)
-    parts = [(e.val, e.grad, e.hess) if isinstance(e, HyperDual)
-             else (e, None, None) for e in diagonal]
-    for out, entries, tail in zip(arrays, zip(*parts), ((), (n,), (n, n))):
-        # a view: out is contiguous
-        diag = out.reshape(*out.shape[:-2], n * n)[..., ::n + 1]
-        if all(e is entries[0] for e in entries):    # one entry everywhere
-            if entries[0] is not None:
-                diag[...] = np.broadcast_to(entries[0],
-                                            shape + tail)[..., None]
-            continue
-        for i, e in enumerate(entries):
-            if e is not None:
-                diag[..., i] = e
-
-
-def _assemble(diagonal, shape) -> MetricJet:
-    """A diagonal MetricJet from its entries ``g_ii`` (HyperDuals or
-    constants).  Every catalog metric is diagonal."""
-    jet = _zero_jet(shape, len(diagonal))
-    _write_diagonal((jet.g, jet.dg, jet.ddg), diagonal, shape)
-    return jet
+def _jet(entries, shape, n, order):
+    """A symmetric jet from its upper-triangle entries ``{(i, j): e}``,
+    each a HyperDual or a constant, mirrored to ``(j, i)``, in one zeroed
+    block: a MetricJet at ``order`` 2, a SymTensorJet (value and first
+    derivatives) at 1.  A constant leaves its derivatives zero."""
+    arrays = _zeros(*(shape + (n,) * (2 + k) for k in range(order + 1)))
+    for (i, j), e in entries.items():
+        parts = (e.val, e.grad, e.hess) if isinstance(e, HyperDual) else (e,)
+        for out, part in zip(arrays, parts):
+            for a, b in {(i, j), (j, i)}:
+                out[..., a, b] = part
+    return MetricJet(*arrays) if order == 2 else SymTensorJet(*arrays)
 
 
 def _schwarzschild_log_factor(spec, coords):
@@ -305,23 +288,6 @@ def _euclidean_background(shape, n) -> SymTensorJet:
                         np.broadcast_to(0.0, shape + (n, n, n)))
 
 
-def _first_order(jet: MetricJet) -> SymTensorJet:
-    """A 2-jet's value and first derivatives, as views."""
-    return SymTensorJet(jet.g, jet.dg)
-
-
-def _diagonal_first_order(diagonal, shape, n) -> SymTensorJet:
-    """A first-order jet (the background, the deviation) from its diagonal
-    entries (HyperDuals or constants); an empty list gives the zero tensor
-    as read-only broadcast views."""
-    if not diagonal:
-        return SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
-                            np.broadcast_to(0.0, shape + (n, n, n)))
-    value, d = _zeros(shape + (n, n), shape + (n, n, n))
-    _write_diagonal((value, d), diagonal, shape)
-    return SymTensorJet(value, d)
-
-
 def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
                                         SymTensorJet, SymTensorJet]:
     """The exact 2-jet of the spec's metric at point(s) ``p``, the
@@ -332,24 +298,27 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     The flat catalog kinds give their metric as a
     :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi`` for
     ``g = e^{2 phi} delta`` and no dense array; every other kind as a dense
-    :class:`~asymflux.geometry.MetricJet` in one block.
+    :class:`~asymflux.geometry.MetricJet` in one block.  One writer builds
+    every dense and first-order jet from its upper-triangle entries.
 
-    Every background is diagonal: the Euclidean ``delta`` or a polar
-    background, whose diagonal ``b_ii`` and ``d_k b_ii`` give ``b^{-1}``
-    and ``Gamma(b)`` in closed form.  Catalog kinds give the deviation in
-    stable closed form (no large-radius cancellation); expression metrics
-    subtract the jets.  The three share their intermediates: where ``g``
-    is the background, ``b`` views its arrays.  The Euclidean background
-    and a zero deviation are read-only broadcast views.
+    Every background is diagonal: the Euclidean ``delta`` or the polar
+    background of the chart, whose diagonal ``b_ii`` the polar branch
+    builds once for the catalog kinds and the expression metrics alike;
+    ``b_ii`` and ``d_k b_ii`` give ``b^{-1}`` and ``Gamma(b)`` in closed
+    form.  Catalog kinds give the deviation in stable closed form (no
+    large-radius cancellation); expression metrics subtract the jets.  The
+    three share their intermediates: where ``g`` is the background, ``b``
+    views its arrays.  The Euclidean background and a zero deviation are
+    read-only broadcast views.
     """
     coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
         raise ChartMismatchError(
             f"point has {coords.shape[-1]} coordinates, spec has n={spec.n}")
-    kind = spec.chart_kind
     n = spec.n
     shape = coords.shape[:-1]
-    zero = _diagonal_first_order([], shape, n)
+    zero = SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
+                        np.broadcast_to(0.0, shape + (n, n, n)))
 
     if spec.kind == "euclidean":
         flat = HyperDual(*(np.broadcast_to(0.0, shape + (n,) * k)
@@ -365,42 +334,50 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
         d1 = np.exp(log_factor.val) * log_factor.grad[..., 0]
         w = HyperDual(np.expm1(log_factor.val), d1[..., None] * t.grad, 0.0)
         return (ConformalJet(two_phi), _euclidean_background(shape, n),
-                _diagonal_first_order([w] * n, shape, n))
+                _jet({(i, i): w for i in range(n)}, shape, n, 1))
 
-    if spec.kind in HYPERBOLIC_KINDS:
-        # separable entries: each factor a one-variable jet in r or an
-        # angle, multiplied into the unit jet or the round-sphere product
-        check_polar_domain(coords)
-        r, *angles = hd.one_variable_seeds(coords)
-        one = HyperDual.constant(1.0, n, shape)
-        sigma = round_sphere_diag_hd(angles, one)
-        if spec.kind == "hyperbolic_polar":
-            sh = hd.sinh(r)
-            sh2 = sh * sh
-            g = _assemble([1.0] + [hd.mul_factor(s, sh2, 0) for s in sigma],
-                          shape)
-            return g, _first_order(g), zero
-        # area chart: radial entry 1/f0 (background) or 1/f, angular rho^2 sigma
+    if spec.is_flat_type:
+        # cartesian expression metric: plain subtraction from delta
+        g = _components_jet(spec, coords)
+        b = _euclidean_background(shape, n)
+        return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
+
+    # polar charts: separable background entries, each factor a one-variable
+    # jet in r or an angle, multiplied into the unit jet or the round-sphere
+    # product; radial entry 1 (geodesic) or 1/f0 (area), angular sinh^2 r
+    # sigma_j or rho^2 sigma_j
+    check_polar_domain(coords)
+    r, *angles = hd.one_variable_seeds(coords)
+    one = HyperDual.constant(1.0, n, shape)
+    sigma = round_sphere_diag_hd(angles, one)
+    if spec.chart_kind == ChartKind.POLAR_GEODESIC:
+        sh = hd.sinh(r)
+        sh2 = sh * sh
+        radial = 1.0
+        angular = [hd.mul_factor(s, sh2, 0) for s in sigma]
+    else:
         r2 = r * r
         angular = [hd.mul_factor(s, r2, 0) for s in sigma]
         f0 = 1.0 + r2
-        b_diag = [hd.mul_factor(one, 1.0 / f0, 0), *angular]
-        if spec.kind == "hyperbolic_area":
-            g = _assemble(b_diag, shape)
-            return g, _first_order(g), zero
+        radial = hd.mul_factor(one, 1.0 / f0, 0)
+    background = {(i, i): e for i, e in enumerate([radial, *angular])}
+    if spec.kind in ("hyperbolic_polar", "hyperbolic_area"):
+        g = _jet(background, shape, n, 2)
+        return g, SymTensorJet(g.g, g.dg), zero
+    if spec.kind == "kottler":
         mass_term = (2.0 * spec.m) * r ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
-        g = _assemble([hd.mul_factor(one, 1.0 / f, 0), *angular], shape)
+        g = _jet({**background, (0, 0): hd.mul_factor(one, 1.0 / f, 0)},
+                 shape, n, 2)
         # 1/f - 1/f0 = (f0 - f) / (f f0)
         eps = hd.mul_factor(one, mass_term / (f * f0), 0)
-        return (g, _diagonal_first_order(b_diag, shape, n),
-                _diagonal_first_order([eps] + [0.0] * (n - 1), shape, n))
-
-    # expression metrics: plain subtraction from the chart background
-    g = _components_jet(spec, coords, kind)
-    b = jets(background_of(spec), coords)[1]
+        return (g, _jet(background, shape, n, 1),
+                _jet({(0, 0): eps}, shape, n, 1))
+    # polar expression metric: plain subtraction from the chart background
+    g = _components_jet(spec, coords)
+    b = _jet(background, shape, n, 1)
     return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
 
 
@@ -410,20 +387,16 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet | ConformalJet:
     return jets(spec, p)[0]
 
 
-def _components_jet(spec, coords, chart_kind) -> MetricJet:
-    """Evaluate the spec's expression components into a 2-jet tensor.  Equal
-    texts parse to equal ASTs, and each distinct AST is evaluated once."""
+def _components_jet(spec, coords) -> MetricJet:
+    """The 2-jet of the spec's expression components.  Equal texts parse
+    to equal ASTs, and each distinct AST is evaluated once."""
     from . import expr as expr_mod
 
-    out = _zero_jet(coords.shape[:-1], spec.n)
     params = dict(spec.params or {})
     evaluated = {}
-    for (i, j), ast in spec.asts.items():
+    for ast in spec.asts.values():
         if ast not in evaluated:
-            evaluated[ast] = expr_mod.eval_jet(ast, coords, params, chart_kind)
-        jet = evaluated[ast]
-        for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
-            out.g[..., a, b] = jet.val
-            out.dg[..., :, a, b] = jet.grad
-            out.ddg[..., :, :, a, b] = jet.hess
-    return out
+            evaluated[ast] = expr_mod.eval_jet(ast, coords, params,
+                                               spec.chart_kind)
+    return _jet({key: evaluated[ast] for key, ast in spec.asts.items()},
+                coords.shape[:-1], spec.n, 2)

@@ -195,8 +195,7 @@ def _finite(values: np.ndarray, what: str, r: float) -> np.ndarray:
     return values
 
 
-def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
-                     scal: bool = False):
+def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
     """Integrand over S_r with one column per kernel function ``V^(i)``, i
     in ``kernels``, then one per field ``X^(i)``, i in ``fields``, and the
     node data of the hypothesis diagnostics.  The basis indices name
@@ -212,7 +211,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
 
     It returns ``(columns, node_data)``, the node data being the largest
     entry of the frame-rescaled deviation ``|eps_ij| / sqrt(b_ii b_jj)``;
-    with fields and ``scal``, ``|Scal - Scal_b| dA_b``; with a center
+    with fields, ``|Scal - Scal_b| dA_b``; with a center
     (cartesian chart, index > 0), the upper triangle of the rescaled
     deviation.
     """
@@ -253,9 +252,8 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float,
             bun = curvature(jet)
             G = bun.einstein if spec.is_flat_type else bun.modified_einstein
             columns += einstein_fluxes(G, comps, points, chart, r, bun)
-            if scal:
-                data.append(np.abs(bun.scal - scal_b)
-                            * sphere_normal_area(points, chart, r)[1])
+            data.append(np.abs(bun.scal - scal_b)
+                        * sphere_normal_area(points, chart, r)[1])
         if odd:
             data.append(upper)
         return np.stack(columns, axis=-1), np.column_stack(data)
@@ -288,8 +286,7 @@ def _series(spec, radii, rules, raw_fluxes, quad_errors, norm):
 
 # ------------------------------------------------------- basis-wide series
 
-def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices,
-                  scal: bool = False):
+def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices):
     """The classical and Ricci charges of the basis elements ``indices``
     (non-empty, strictly increasing, within ``0..n``; anything else is a
     ValueError), with one sphere pass per radius (:func:`sphere_integrand`).
@@ -309,7 +306,7 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices,
     Returns ``(mass, classical, ricci, sups)``: the ``const_one`` series
     (None in a polar chart), one classical and one Ricci series per index,
     in order, and the per-radius sups of the node data
-    (:func:`_node_sups`; ``scal`` only where ``scal`` asks for it).
+    (:func:`_node_sups`).
     """
     indices, n = list(indices), spec.n
     if not indices or indices[0] < 0 or indices[-1] > n \
@@ -321,7 +318,7 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices,
     lead = int(flat and indices[0] != 0)
     kernels = [0] * lead + indices
     values, errors, sups, rules = _sphere_fluxes(spec, radii, rule, kernels,
-                                                 indices, scal)
+                                                 indices)
 
     def normalized(column, field, center=False):
         entry = _series(spec, radii, rules, values[:, column],
@@ -349,7 +346,7 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices,
 
 
 def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels,
-                   fields, scal: bool):
+                   fields):
     """The sphere pass of :func:`charge_series`: raw fluxes and their
     quadrature errors, two ``(R, K)`` arrays with one row per radius and one
     column per kernel, then per field, a dict of ``(R,)`` sups of the node
@@ -365,11 +362,11 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels,
 
     def sphere(r, rule):
         # the node data die here, before the next sphere's pass
-        q = integrate_sphere(sphere_integrand(spec, kernels, fields, r, scal),
+        q = integrate_sphere(sphere_integrand(spec, kernels, fields, r),
                              r, rule, chart,
                              lower=_PICK_LOWER if flat else None)
         return ((q.value, q.error_estimate,
-                 _node_sups(q.node_data, rule, scal)),
+                 _node_sups(q.node_data, rule)),
                 _next_rule(rule, q, 0) if flat else rule)
 
     rules, rows = [], []
@@ -382,15 +379,13 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels,
             {key: np.array([s[key] for s in sups]) for key in sups[0]}, rules)
 
 
-def _node_sups(data, rule: SphereRule, scal: bool) -> dict:
-    """One sphere's node data (:func:`sphere_integrand`) reduced to the sups
-    ``decay``, ``scal`` (with its column) and ``odd``, half the largest
-    change of a deviation entry between antipodal nodes of ``rule`` (with
-    a center)."""
-    sups = {"decay": data[:, 0].max()}
-    if scal:
-        sups["scal"] = data[:, 1].max()
-    upper = data[:, 1 + scal:]
+def _node_sups(data, rule: SphereRule) -> dict:
+    """One sphere's node data (:func:`sphere_integrand`, with fields, as
+    every charge pass has) reduced to the sups ``decay``, ``scal`` and
+    ``odd``, half the largest change of a deviation entry between antipodal
+    nodes of ``rule`` (with a center)."""
+    sups = {"decay": data[:, 0].max(), "scal": data[:, 1].max()}
+    upper = data[:, 2:]
     if upper.shape[1]:
         antipode = rule.antipode
         # one entry at a time: the temporaries stay at one node vector

@@ -129,6 +129,10 @@ def parse(text: str, n: int, chart_kind: ChartKind | str = ChartKind.CARTESIAN,
     allowed = set(variable_names(n, chart_kind))
     if chart_kind == ChartKind.CARTESIAN:
         allowed.add("r")
+    shadowed = sorted(allowed.intersection(params))
+    if shadowed:
+        raise ParseError(f"parameter {shadowed[0]!r} is a variable of the "
+                         f"{chart_kind.value} chart")
     allowed.update(params)
     toks = _Tokens(text)
     ast = _parse_sum(toks)
@@ -202,7 +206,10 @@ def _parse_power(toks):
 def _parse_atom(toks):
     kind, text, pos = toks.next()
     if kind == "num":
-        return Num(float(text), pos)
+        value = float(text)
+        if not np.isfinite(value):
+            raise ParseError(f"number {text!r} is not finite", pos)
+        return Num(value, pos)
     if kind == "ident":
         nkind, ntext, _ = toks.peek()
         if nkind == "op" and ntext == "(":
@@ -293,8 +300,12 @@ def _eval(node, env, params, n, shape):
             if node.op == "^":
                 if not _reads_variables(node.right, env):
                     # an empty batch has no node: any exponent will do
-                    return left ** float(np.ravel(right.val)[0]) \
-                        if right.val.size else left ** 1.0
+                    p = float(np.ravel(right.val)[0]) if right.val.size \
+                        else 1.0
+                    if not np.isfinite(p):
+                        raise ExprDomainError(f"exponent {p} is not finite",
+                                              node.pos)
+                    return left ** p
                 return left ** right
         except DomainError as exc:
             raise ExprDomainError(str(exc), node.pos) from exc

@@ -301,7 +301,7 @@ def agreement(X: ConformalKilling, classical: RadialSeries,
 
 
 def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
-                 rel_tol: float = 1e-6, scal: bool = False):
+                 rel_tol: float = 1e-6):
     """The classical/Ricci charge pairs of the basis elements ``indices``
     (:func:`~asymflux.charges.charge_series`, which owns the sphere pass
     and the zero-mass rule), each judged by :func:`agreement`.
@@ -312,8 +312,7 @@ def charge_pairs(spec: MetricSpec, radii, rule: SphereRule, indices,
     pass's node data that the diagnostics fit.
     """
     indices = list(indices)
-    mass, classical, ricci, sups = charge_series(spec, radii, rule, indices,
-                                                 scal)
+    mass, classical, ricci, sups = charge_series(spec, radii, rule, indices)
     basis = killing_basis(spec.n, spec.chart_kind)
     rows = [EquivalenceRow(pair_names(X)[0], X, cls, ric,
                            *agreement(X, cls, ric, rel_tol))
@@ -348,8 +347,7 @@ def equivalence_report(spec: MetricSpec, radii, rule: SphereRule,
     same sphere pass and are attached as warnings on the affected rows; the
     computation is still attempted.
     """
-    _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1), rel_tol,
-                                 scal=True)
+    _, rows, sups = charge_pairs(spec, radii, rule, range(spec.n + 1), rel_tol)
     diagnostics = hypothesis_diagnostics(spec, radii, sups)
     warnings = () if diagnostics["tau_ok"] else (
         f"decay rate {diagnostics['tau_hat']:.3g} below threshold "

@@ -444,6 +444,31 @@ def test_equal_components_evaluated_once(monkeypatch):
     assert np.array_equal(g, g[..., :1, :1] * np.eye(4))
 
 
+
+@pytest.mark.parametrize("chart", ["cartesian", "polar_area",
+                                   "polar_geodesic"])
+def test_expression_jets_write_one_second_order_block(chart, monkeypatch):
+    """An expression metric's :func:`jets` writes one 2-jet, the metric's
+    own, then in a polar chart the background as a first-order jet: no
+    background 2-jet, whose ``n^4`` Hessian block no charge reads."""
+    from asymflux import catalog
+
+    blocks = []
+    original = catalog._zeros
+
+    def recording(*shapes):
+        blocks.append(shapes)
+        return original(*shapes)
+
+    monkeypatch.setattr(catalog, "_zeros", recording)
+    spec = MetricSpec("expression", 4, chart=chart,
+                      components={(i, i): "1 + r^(-3)" for i in range(4)})
+    jets(spec, RNG.normal(size=(6, 4)) * 3 + 9 if chart == "cartesian"
+         else polar_points(4, 6, 3.0, 8.0))
+    orders = [len(shapes) - 1 for shapes in blocks]
+    assert orders == ([2] if chart == "cartesian" else [2, 1])
+    assert blocks[0][-1] == (6, 4, 4, 4, 4)
+
 def test_perturbation_metric():
     """A perturbation ``delta + h`` of the flat metric is an expression
     metric."""

@@ -521,7 +521,7 @@ def test_node_sups_equal_the_sampled_sups(spec, radii):
     part within 1e-15 (antipodal nodes are ``-x`` up to roundoff, and the
     deviation is ``g - b``)."""
     _, (series, *_), _, sups = charge_series(
-        spec, radii, sphere_rule(spec.n, 8), range(spec.n + 1), scal=True)
+        spec, radii, sphere_rule(spec.n, 8), range(spec.n + 1))
     rules = [sphere_rule(spec.n, s.degree) for s in series.samples]
     assert np.array_equal(sups["decay"],
                           [decay_sup(spec, r, q) for r, q in zip(radii, rules)])
@@ -536,18 +536,17 @@ def test_node_sups_equal_the_sampled_sups(spec, radii):
 
 def test_odd_sups_only_with_a_center():
     """The node data carry the deviation entries for the odd part only when
-    the pass computes a center, and the scalar curvature only when the
-    caller judges it."""
+    the pass computes a center; the scalar curvature, which every pass's
+    fields compute, always."""
     spec = MetricSpec("schwarzschild_conformal", 3, m=1.0)
     rule = sphere_rule(3, 4)
 
-    def keys(indices, scal=False):
-        return set(charge_series(spec, FLAT_RADII, rule, indices, scal)[3])
+    def keys(indices):
+        return set(charge_series(spec, FLAT_RADII, rule, indices)[3])
 
-    assert keys([0], scal=True) == {"decay", "scal"}
-    assert keys([0]) == {"decay"}
-    assert keys([0, 1]) == {"decay", "odd"}
-    assert keys([1], scal=True) == {"decay", "scal", "odd"}
+    assert keys([0]) == {"decay", "scal"}
+    assert keys([0, 1]) == {"decay", "scal", "odd"}
+    assert keys([1]) == {"decay", "scal", "odd"}
 
 
 # --------------------------------------------------------------- raw fluxes

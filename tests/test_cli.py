@@ -136,6 +136,30 @@ def test_bad_component_text_rejected(tmp_path, text):
                  "--out-json", str(tmp_path / "out.json")]) == 2
 
 
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("lines,code", [
+    pytest.param("g_1_1 = 1 + 1/r + x1*0\n[params]\nx1 = 0\nr = 5\n", 2,
+                 id="parameter-named-like-a-variable"),
+    pytest.param("g_1_1 = 1 + 1/r^1e400\n", 2, id="non-finite-number"),
+    pytest.param("g_1_1 = 1 + 1/r^(1e300*1e300)\n", 1,
+                 id="non-finite-exponent"),
+])
+def test_bad_expression_exits_with_one_line(tmp_path, capsys, lines, code):
+    """A parameter that shadows a chart variable or a number literal that
+    is not finite is a configuration error (2); a constant exponent that
+    evaluates to inf is a computation error (1).  Each prints one line and
+    no traceback."""
+    cfg_file = tmp_path / "bad.ini"
+    cfg_file.write_text("[metric]\nkind = expression\nn = 3\n[components]\n"
+                        "g_2_2 = 1\ng_3_3 = 1\n" + lines)
+    assert main(["mass", "--config", str(cfg_file), "--degree", "6",
+                 "--no-timings"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: " if code == 2 else "error: ")
+    assert err.count("\n") == 1
+
 def test_unread_metric_values_rejected(tmp_path, capsys):
     """Components, params and a chart on a catalog kind, which never reads
     them, are a configuration error naming them; the component is not

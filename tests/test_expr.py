@@ -72,6 +72,43 @@ def test_unknown_identifier():
     parse("theta1", 3, "polar_geodesic")
 
 
+
+@pytest.mark.parametrize("chart,name", [
+    ("cartesian", "x1"), ("cartesian", "r"), ("polar_area", "r"),
+    ("polar_area", "theta1"), ("polar_geodesic", "phi")])
+def test_parameter_named_like_a_chart_variable(chart, name):
+    """A parameter may not share a name with a variable of the chart, which
+    the evaluator would read in its place; the error names it.  A name that
+    is a variable of another chart only is a parameter like any other."""
+    with pytest.raises(ParseError, match=repr(name)):
+        parse("1 + mm", 3, chart, ("mm", name))
+    with pytest.raises(ParseError, match="'r'"):
+        parse("1 + r*0 + x1", 3, "cartesian", ("x1", "r"))
+    other = "phi" if chart == "cartesian" else "x1"
+    assert jet(f"1 + {other}", np.array([2.0, 1.0, 0.5]), {other: 3.0},
+               chart).val == 4.0
+
+
+@pytest.mark.parametrize("text,number", [
+    ("1 + 1/r^1e400", "1e400"), ("1e309", "1e309"), ("x1*2e999 + 1", "2e999")])
+def test_non_finite_number_is_a_parse_error(text, number):
+    """A number literal that overflows to inf is rejected at its offset."""
+    with pytest.raises(ParseError, match="not finite") as exc:
+        parse(text, 3)
+    assert exc.value.offset == text.index(number)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("text", ["1 + 1/r^(1e300*1e300)",
+                                  "1 + r^(1e300*1e300 - 1e300*1e300)"])
+def test_non_finite_constant_exponent_is_a_domain_error(text):
+    """A constant exponent that evaluates to inf or NaN is a domain error at
+    the ``^``, not an OverflowError or ValueError of the power."""
+    with pytest.raises(ExprDomainError, match="exponent .* not finite") as exc:
+        jet(text, np.array([[8.0, 1.0, 0.0], [3.0, 0.0, 4.0]]))
+    assert exc.value.offset == text.index("^")
+
 def test_origin_is_rejected_for_r():
     with pytest.raises(ExprDomainError):
         jet("1/r", np.array([0.0, 0.0, 0.0]))

@@ -127,19 +127,24 @@ def test_decay_rate_background_is_infinite():
 def test_decay_sups_evaluate_the_background_once_per_chunk(monkeypatch):
     """On an expression metric the background jet of the charge pass serves
     the charges, the deviation and the frame rescaling of the decay sups:
-    one background evaluation per chunk, here one chunk per radius."""
+    one jets call per chunk, here one chunk per radius, which builds the
+    background itself, with no nested jets call."""
     from asymflux import catalog, charges
 
-    calls = {}
+    calls, depth = [], [0]
     original = catalog.jets
 
     def counting(spec, p):
-        calls[spec.kind] = calls.get(spec.kind, 0) + 1
-        return original(spec, p)
+        calls.append((spec.kind, depth[0]))
+        depth[0] += 1
+        try:
+            return original(spec, p)
+        finally:
+            depth[0] -= 1
 
     for module in (catalog, charges):
         monkeypatch.setattr(module, "jets", counting)
     spec = MetricSpec("expression", 3, components={
         (0, 0): "1 + 1/r", (1, 1): "1", (2, 2): "1"})
     charge_series(spec, 8.0 * 2.0 ** np.arange(5), sphere_rule(3, 10), [0])
-    assert calls == {"expression": 5, "euclidean": 5}
+    assert calls == [("expression", 0)] * 5
