@@ -15,26 +15,34 @@ as a :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi``
 alone: ``0`` for ``euclidean``, and for ``schwarzschild_conformal`` the
 log of its conformal factor, a width-1 hyper-dual in ``t = |x - c|^2``,
 whose jet is exact, lifted to the chart by one chain-rule step
-(:func:`~asymflux.hyperdual.lift`).  Every other metric is a dense
-:class:`~asymflux.geometry.MetricJet`.  A polar-chart entry is a separable
-product of functions of one coordinate each (``sinh^2 r * sin^2 theta_1
-...``, ``rho^2 sigma_j``, ``1/f(rho)``): every factor is a width-1 jet in its
-own coordinate, multiplied into the running product with one sparse step
+(:func:`~asymflux.hyperdual.lift`).  The polar catalog kinds are warped
+products ``drho^2 / f + rho^2 sigma`` over the round sphere and come as a
+:class:`~asymflux.geometry.WarpedJet`: the hyper-duals of their diagonal
+entries, the warping radius ``rho`` and the profile ``h = f - (1 +
+rho^2)`` with its derivative, 0 on ``hyperbolic_polar`` and
+``hyperbolic_area`` and ``-2m rho^(2-n)`` on ``kottler``, from which
+:func:`~asymflux.geometry.curvature` takes the curvature in closed form.
+An expression metric is a dense :class:`~asymflux.geometry.MetricJet`.
+A polar-chart entry is a separable product of functions of one coordinate
+each (``sinh^2 r * sin^2 theta_1 ...``, ``rho^2 sigma_j``,
+``1/f(rho)``): every factor is a width-1 jet in its own coordinate,
+multiplied into the running product with one sparse step
 (:func:`~asymflux.hyperdual.mul_factor`), which writes the numbers of the
 full-width product.  One writer builds every dense and first-order jet
 from its upper-triangle entries, hyper-duals or constants, mirrored into
-one zeroed block: the diagonal of a catalog metric, the components of an
-expression metric, off-diagonal ones too.  ``expression`` components are
-parsed once, when the spec is built, so a bad component fails before any
-computation starts; the expression language is imported only to parse and
-evaluate them.  :func:`jets` returns the metric's 2-jet, the background as
-a first-order jet (value and first derivatives: the charge integrand reads
-no second derivative of ``b``) and the deviation ``g - b`` from one
-evaluation; catalog kinds give the deviation in stable closed form,
-expression metrics subtract the jets.  Every background is diagonal, so
-its inverse and Christoffel symbols are closed forms in ``b_ii`` and
-``d_k b_ii``; a polar chart's diagonal is built once per call, for the
-catalog kinds and the expression metrics of the chart alike.
+one zeroed block: the background and deviation of a catalog metric, the
+components of an expression metric, off-diagonal ones too.
+``expression`` components are parsed once, when the spec is built, so a
+bad component fails before any computation starts; the expression
+language is imported only to parse and evaluate them.  :func:`jets`
+returns the metric's 2-jet, the background as a first-order jet (value
+and first derivatives: the charge integrand reads no second derivative of
+``b``) and the deviation ``g - b`` from one evaluation; catalog kinds give
+the deviation in stable closed form, expression metrics subtract the
+jets.  Every background is diagonal, so its inverse and Christoffel
+symbols are closed forms in ``b_ii`` and ``d_k b_ii``; a polar chart's
+diagonal is built once per call, for the catalog kinds and the expression
+metrics of the chart alike.
 :func:`metric_jet` is the metric jet of :func:`jets`, for the checks that
 read ``g`` alone.
 
@@ -54,7 +62,7 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import ChartMismatchError, DomainError
 from .geometry import (ChartKind, ConformalJet, MetricJet, SymTensorJet,
-                       validate_dimension)
+                       WarpedJet, validate_dimension)
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
@@ -288,8 +296,8 @@ def _euclidean_background(shape, n) -> SymTensorJet:
                         np.broadcast_to(0.0, shape + (n, n, n)))
 
 
-def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
-                                        SymTensorJet, SymTensorJet]:
+def jets(spec: MetricSpec, p) -> tuple[
+        MetricJet | ConformalJet | WarpedJet, SymTensorJet, SymTensorJet]:
     """The exact 2-jet of the spec's metric at point(s) ``p``, the
     first-order jet of its background ``b`` (value and first derivatives,
     the two the charge integrand reads) and the jet of the deviation
@@ -297,9 +305,12 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
 
     The flat catalog kinds give their metric as a
     :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi`` for
-    ``g = e^{2 phi} delta`` and no dense array; every other kind as a dense
-    :class:`~asymflux.geometry.MetricJet` in one block.  One writer builds
-    every dense and first-order jet from its upper-triangle entries.
+    ``g = e^{2 phi} delta``, and the polar catalog kinds as a
+    :class:`~asymflux.geometry.WarpedJet`, their diagonal entries and
+    radial profile; neither holds a dense array.  Expression metrics give
+    a dense :class:`~asymflux.geometry.MetricJet` in one block.  One writer
+    builds every dense and first-order jet from its upper-triangle
+    entries.
 
     Every background is diagonal: the Euclidean ``delta`` or the polar
     background of the chart, whose diagonal ``b_ii`` the polar branch
@@ -307,9 +318,10 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     ``b_ii`` and ``d_k b_ii`` give ``b^{-1}`` and ``Gamma(b)`` in closed
     form.  Catalog kinds give the deviation in stable closed form (no
     large-radius cancellation); expression metrics subtract the jets.  The
-    three share their intermediates: where ``g`` is the background, ``b``
-    views its arrays.  The Euclidean background and a zero deviation are
-    read-only broadcast views.
+    three share their intermediates: a warped metric's diagonal entries
+    are the background's hyper-duals, Kottler's radial one aside.  The
+    Euclidean background and a zero deviation are read-only broadcast
+    views.
     """
     coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
@@ -345,7 +357,7 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     # polar charts: separable background entries, each factor a one-variable
     # jet in r or an angle, multiplied into the unit jet or the round-sphere
     # product; radial entry 1 (geodesic) or 1/f0 (area), angular sinh^2 r
-    # sigma_j or rho^2 sigma_j
+    # sigma_j or rho^2 sigma_j, with the warping radius rho = sinh r or rho
     check_polar_domain(coords)
     r, *angles = hd.one_variable_seeds(coords)
     one = HyperDual.constant(1.0, n, shape)
@@ -353,24 +365,25 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     if spec.chart_kind == ChartKind.POLAR_GEODESIC:
         sh = hd.sinh(r)
         sh2 = sh * sh
-        radial = 1.0
+        radial, rho = one, sh.val
         angular = [hd.mul_factor(s, sh2, 0) for s in sigma]
     else:
         r2 = r * r
         angular = [hd.mul_factor(s, r2, 0) for s in sigma]
         f0 = 1.0 + r2
-        radial = hd.mul_factor(one, 1.0 / f0, 0)
+        radial, rho = hd.mul_factor(one, 1.0 / f0, 0), r.val
     background = {(i, i): e for i, e in enumerate([radial, *angular])}
     if spec.kind in ("hyperbolic_polar", "hyperbolic_area"):
-        g = _jet(background, shape, n, 2)
-        return g, SymTensorJet(g.g, g.dg), zero
+        return (WarpedJet([radial, *angular], rho, 0.0, 0.0),
+                _jet(background, shape, n, 1), zero)
     if spec.kind == "kottler":
         mass_term = (2.0 * spec.m) * r ** (-(n - 2))
         f = f0 - mass_term
         if np.any(f.val <= 0.0):
             raise DomainError("kottler metric function non-positive at point")
-        g = _jet({**background, (0, 0): hd.mul_factor(one, 1.0 / f, 0)},
-                 shape, n, 2)
+        # h = f - f0 = -mass_term, a width-1 jet in rho
+        g = WarpedJet([hd.mul_factor(one, 1.0 / f, 0), *angular], rho,
+                      -mass_term.val, -mass_term.grad[..., 0])
         # 1/f - 1/f0 = (f0 - f) / (f f0)
         eps = hd.mul_factor(one, mass_term / (f * f0), 0)
         return (g, _jet(background, shape, n, 1),
@@ -381,7 +394,7 @@ def jets(spec: MetricSpec, p) -> tuple[MetricJet | ConformalJet,
     return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
 
 
-def metric_jet(spec: MetricSpec, p) -> MetricJet | ConformalJet:
+def metric_jet(spec: MetricSpec, p) -> MetricJet | ConformalJet | WarpedJet:
     """Exact analytic 2-jet of the spec's metric at point(s) ``p``: the
     metric jet of :func:`jets`."""
     return jets(spec, p)[0]

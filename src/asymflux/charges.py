@@ -31,9 +31,12 @@ that sphere's estimate, and its estimate of every degree down to the
 lower one, read from its own nodes, is roundoff.  The pick reads the
 ``const_one`` flux alone, computed in every pass, so a charge computed
 alone gets the rules, and the bits, it gets inside the full basis.
-Hyperbolic-type metrics keep one rule: at their outer radii the Ricci
-fluxes are set by the roundoff of the modified Einstein tensor, which a
-different node set changes by more than the bars.
+Hyperbolic-type metrics keep one rule.  On a polar expression metric, a
+dense jet, the Ricci fluxes at the outer radii are set by the roundoff of
+the modified Einstein tensor, which a different node set changes by more
+than the bars.  The polar catalog kinds take that tensor in closed form
+(:class:`~asymflux.geometry.WarpedJet`), with no such roundoff, and keep
+the one rule until a pick is measured on them.
 
 Every background is diagonal, so the V-independent parts of ``U`` are
 closed forms in ``b_ii``, ``d_k b_ii`` and the deviation, at O(n^2) per
@@ -66,7 +69,7 @@ from .catalog import (MetricSpec, coordinate_volume, decay_mode,
 from .errors import ChartMismatchError, QuadratureError, ZeroMassError
 from .fields import basis_jets, check_indices
 from .geometry import (ChartKind, CurvatureBundle, MetricJet, SymTensorJet,
-                       curvature, diagonal_sum, sum_last)
+                       WarpedJet, curvature, diagonal_sum, sum_last)
 from .hyperdual import HyperDual
 from .limits import FluxSample, RadialSeries, extrapolate, fit_decay_exponent
 from .quadrature import (_PICK_LOWER, SphereRule, _next_rule,
@@ -232,10 +235,11 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
 
     def f(points):
         jet, b, eps = jets(spec, points)
-        if fields and isinstance(jet, MetricJet):
-            # g is inverted below; a non-finite dg or ddg reaches the
-            # integrand, which integrate_sphere rejects with the same error
-            # (a conformal jet's factor is checked by curvature)
+        if fields and isinstance(jet, (MetricJet, WarpedJet)):
+            # g is inverted below (a warped jet's g is its diagonal); a
+            # non-finite dg or ddg reaches the integrand, which
+            # integrate_sphere rejects with the same error (a conformal
+            # jet's factor is checked by curvature)
             _finite(jet.g, "metric jet", r)
         bdiag = np.sqrt(np.diagonal(b.value, axis1=-2, axis2=-1))
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
@@ -355,9 +359,10 @@ def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels,
     metrics, what :func:`asymflux.quadrature._next_rule` picks from column
     0, the ``const_one`` flux, of the sphere before.  So a charge gets the
     same rules alone as inside the full basis.  Hyperbolic-type metrics
-    keep ``rule``: the roundoff of their modified Einstein tensor sets
-    their Ricci fluxes at the outer radii, and a different node set moves
-    those by more than their bars."""
+    keep ``rule``: on a polar expression metric the roundoff of the
+    modified Einstein tensor sets the Ricci fluxes at the outer radii, and
+    a different node set moves those by more than their bars (the polar
+    catalog kinds, whose tensor is a closed form, keep it too)."""
     chart, flat = spec.chart_kind, spec.is_flat_type
 
     def sphere(r, rule):

@@ -19,7 +19,7 @@ the charge integrand are diagonal and take their own closed forms
 A scalar field comes as the :class:`~asymflux.hyperdual.HyperDual` that
 computed it (``val``, ``grad``, ``hess``), a vector field as a
 :class:`VectorJet` and a symmetric 2-tensor as a :class:`SymTensorJet`.
-A metric comes as one of two jets, and :func:`curvature` takes each its
+A metric comes as one of three jets, and :func:`curvature` takes each its
 own way:
 
 * a :class:`ConformalJet`, ``g = e^{2 phi} delta`` in the cartesian chart
@@ -28,8 +28,17 @@ own way:
   the conformal change (Besse, *Einstein Manifolds*, 1987, section 1.J;
   Lee & Parker, Bull. AMS 17, 1987) at O(n^2) per node: no factorization,
   no n^4 array, and Christoffel symbols only where a check reads them;
-* a dense :class:`MetricJet` (expression metrics, the hyperbolic kinds)
-  is factored and takes the general formula below at O(n^4) per node.
+* a :class:`WarpedJet`, ``g = drho^2 / f + rho^2 sigma`` over the round
+  sphere in a polar chart (the polar catalog kinds, ``hyperbolic_polar``,
+  ``hyperbolic_area`` and ``kottler``), holds its diagonal entries and
+  the radial profile ``h = f - (1 + rho^2)``.  Every background is
+  Einstein, so ``Ric + (n-1) g`` is linear in ``h``, and its curvature is
+  that closed form at O(n) per node: the modified Einstein tensor comes
+  without subtracting terms of order 1, exactly 0 on the backgrounds;
+* a dense :class:`MetricJet` (expression metrics) is factored and takes
+  the general formula below at O(n^4) per node.  On a hyperbolic-type
+  expression metric ``Ric ~ -(n-1) g`` is of order 1, and the modified
+  Einstein tensor keeps only the digits its subtraction leaves.
 
 Per-node linear algebra is laid out along the node axis, by one rule:
 
@@ -61,7 +70,9 @@ Cholesky factor's diagonal ``sqrt(D_j)``; :func:`curvature` carries both on
 the bundle, the latter for the metric area and volume elements, which
 therefore differ from an LU determinant by ulps.  A conformal jet's check
 is on ``e^{2 phi}``, with ``g^{-1} = e^{-2 phi} delta`` and ``sqrt(det g)
-= e^{n phi}``.
+= e^{n phi}``; a warped jet's is on each diagonal entry, with ``g^{-1} =
+1/g_ii`` and ``sqrt(det g)`` the product of ``sqrt(g_ii)``, the numbers
+the factorization writes on a diagonal.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ from .errors import DegenerateMetricError
 from .hyperdual import HyperDual
 
 __all__ = [
-    "ChartKind", "MetricJet", "ConformalJet", "VectorJet",
+    "ChartKind", "MetricJet", "ConformalJet", "WarpedJet", "VectorJet",
     "SymTensorJet", "CurvatureBundle", "validate_dimension", "inverse_metric",
     "christoffel", "curvature", "divergence_vector", "killing_operator",
     "hessian", "tensor_norm", "sum_last", "diagonal_sum", "trace_product",
@@ -168,13 +179,63 @@ def _on_diagonal(entry: np.ndarray, n: int) -> np.ndarray:
     return entry[..., None, None] * np.eye(n)
 
 
+def _diagonal(entries: np.ndarray) -> np.ndarray:
+    """``entries[..., i] delta_ij``: the last axis, one entry per index,
+    written to the diagonal of a trailing ``(i, j)`` pair of zeros (one
+    strided copy, not a broadcast product with ``delta``)."""
+    n = entries.shape[-1]
+    out = np.zeros(entries.shape + (n,))
+    out.reshape(*entries.shape[:-1], n * n)[..., ::n + 1] = entries
+    return out
+
+
+@dataclass
+class WarpedJet:
+    """A diagonal warped product ``g = drho^2 / f + rho^2 sigma`` over the
+    round sphere ``sigma``, in a polar chart, held as its diagonal entries
+    and its radial profile.
+
+    ``diag`` holds the hyper-dual of each ``g_ii``; ``rho`` is the warping
+    radius at each node (the area chart's coordinate, ``sinh r`` in the
+    geodesic chart), ``h = f - (1 + rho^2)`` the deviation of ``f =
+    |d rho|_g^2`` from the hyperbolic background's and ``dh`` its
+    derivative in ``rho`` (both 0 on the backgrounds).  :func:`curvature`
+    reads ``g``, built from the values of ``diag``, and the profile alone;
+    ``dg`` and ``ddg``, which the charge pass never reads, are built from
+    the entries' gradients and Hessians on first read."""
+
+    diag: list                  # n HyperDuals, g_ii: val (...,), grad, hess
+    rho: np.ndarray             # (...,)
+    h: np.ndarray | float       # (...,) or 0
+    dh: np.ndarray | float      # (...,) or 0
+
+    @property
+    def n(self) -> int:
+        return len(self.diag)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _diagonal(np.stack([e.val for e in self.diag], axis=-1))
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        # dg[..., k, i, i] = d_k g_ii
+        return _diagonal(np.stack([e.grad for e in self.diag], axis=-1))
+
+    @cached_property
+    def ddg(self) -> np.ndarray:
+        # ddg[..., k, l, i, i] = d_k d_l g_ii
+        return _diagonal(np.stack([e.hess for e in self.diag], axis=-1))
+
+
 @dataclass
 class CurvatureBundle:
     """Christoffel symbols and Ricci-level curvature at a point.
 
-    ``symbols`` holds the Christoffel array or, for a conformal jet, a
-    function that builds it: :attr:`christoffel` calls it on first read,
-    so a pass that reads no symbols (the charge pass) allocates none."""
+    ``symbols`` holds the Christoffel array or, for a conformal or warped
+    jet, a function that builds it: :attr:`christoffel` calls it on first
+    read, so a pass that reads no symbols (the charge pass) allocates
+    none."""
 
     symbols: object                 # Gamma, or a function returning it
     ricci: np.ndarray               # (..., n, n)
@@ -271,13 +332,14 @@ def _pairs_last(T):
     return T.reshape(*T.shape[:-1], n, n)
 
 
-def curvature(jet: MetricJet | ConformalJet) -> CurvatureBundle:
+def curvature(jet: MetricJet | ConformalJet | WarpedJet) -> CurvatureBundle:
     """Ricci tensor, scalar curvature and (modified) Einstein tensor.
 
-    A :class:`ConformalJet` takes its closed form
-    (:func:`_conformal_curvature`).  On a dense jet, ``Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
-    - Gamma^k_il Gamma^l_kj`` needs only two traces of ``dGamma``, both
-    taken from the 2-jet at O(n^4) per node:
+    A :class:`ConformalJet` and a :class:`WarpedJet` take their closed
+    forms (:func:`_conformal_curvature`, :func:`_warped_curvature`).  On a
+    dense jet, ``Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl
+    Gamma^l_ij - Gamma^k_il Gamma^l_kj`` needs only two traces of
+    ``dGamma``, both taken from the 2-jet at O(n^4) per node:
 
     * ``d_k Gamma^k_ij = (v^l A_lij + B_ij + B_ji - C_ij) / 2`` with
       ``v^l = d_k g^{kl}``, ``B_ij = g^{kl} d_k d_i g_jl`` and
@@ -298,6 +360,8 @@ def curvature(jet: MetricJet | ConformalJet) -> CurvatureBundle:
     """
     if isinstance(jet, ConformalJet):
         return _conformal_curvature(jet)
+    if isinstance(jet, WarpedJet):
+        return _warped_curvature(jet)
     n = jet.n
     batch = jet.g.shape[:-2]
     ginv, sqrt_det = _factor(jet.g)
@@ -370,6 +434,47 @@ def _conformal_curvature(jet: ConformalJet) -> CurvatureBundle:
     return CurvatureBundle(lambda: _conformal_christoffel(dphi), ric, scal,
                            einstein, modified, _on_diagonal(1.0 / factor, n),
                            np.exp((0.5 * n) * two_phi.val))
+
+
+def _warped_curvature(jet: WarpedJet) -> CurvatureBundle:
+    """The curvature of ``g = drho^2 / f + rho^2 sigma`` from its diagonal
+    and radial profile, at O(n) per node.  Every background is Einstein,
+    so ``E = Ric + (n-1) g`` is linear in ``h = f - (1 + rho^2)``; in the
+    orthonormal frame it is diagonal, with::
+
+        E_rr = -(n-1) h' / (2 rho)
+        E_aa = -h' / (2 rho) - (n-2) h / rho^2     (each angle)
+
+    so the modified Einstein tensor ``G - (n-1)(n-2)/2 g`` is ``E - tr_g(E)
+    g / 2``, with ``Scal = -n(n-1) + tr_g E``.  No term of order 1
+    cancels: ``E`` is exactly 0 on the backgrounds, and on Kottler (``h =
+    -2m rho^(2-n)``) ``E_rr = -(n-1)(n-2) m rho^-n``, ``E_aa = (n-2) m
+    rho^-n`` and ``tr_g E`` is 0 up to roundoff.  The frame components
+    times ``g_ii`` are the coordinate ones; ``g^{-1} = 1/g_ii`` and
+    ``sqrt(det g)`` is the product of ``sqrt(g_ii)`` in index order, the
+    numbers :func:`_factor` writes on a diagonal.  A diagonal entry that
+    is not a positive finite number raises, as a failed factorization
+    does.  The Christoffel symbols are built from ``dg`` on first read."""
+    n = jet.n
+    gii = np.diagonal(jet.g, axis1=-2, axis2=-1)
+    if not np.all((gii > 0) & (gii < np.inf)):
+        raise DegenerateMetricError(
+            "metric diagonal entry is not a positive finite number")
+    half_slope = jet.dh / (2.0 * jet.rho)
+    frame = np.empty(gii.shape)
+    frame[..., 0] = -(n - 1) * half_slope
+    frame[..., 1:] = (-half_slope - (n - 2) * jet.h / jet.rho ** 2)[..., None]
+    trace = frame[..., 0] + (n - 1) * frame[..., 1]
+    modified = frame - 0.5 * trace[..., None]
+    sqrt_det = np.sqrt(gii[..., 0])
+    for j in range(1, n):
+        sqrt_det *= np.sqrt(gii[..., j])
+    ginv = _diagonal(1.0 / gii)
+    return CurvatureBundle(
+        lambda: _christoffel(ginv, _first_kind(jet.dg)),
+        _diagonal((frame - (n - 1)) * gii), trace - n * (n - 1),
+        _diagonal((modified + 0.5 * (n - 1) * (n - 2)) * gii),
+        _diagonal(modified * gii), ginv, sqrt_det)
 
 
 def _conformal_christoffel(dphi: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import (FLAT_KINDS, MetricSpec, background_of,
-                              chart_radius, coordinate_volume, decay_mode,
-                              geodesic_radius, jets, metric_jet)
+from asymflux.catalog import (FLAT_KINDS, HYPERBOLIC_KINDS, MetricSpec,
+                              background_of, chart_radius, coordinate_volume,
+                              decay_mode, geodesic_radius, jets, metric_jet)
 from asymflux.errors import DomainError
-from asymflux.geometry import ConformalJet, SymTensorJet, curvature
+from asymflux.geometry import (ConformalJet, SymTensorJet, WarpedJet,
+                               curvature)
 from oracles import polar_jets
 
 RNG = np.random.default_rng(11)
@@ -324,7 +325,10 @@ def test_metric_jet_is_one_block(spec, pts_fn):
     same memory.  A conformal jet (the flat catalog kinds) is not dense: it
     holds the 2-jet of ``2 phi`` alone, a value, gradient and Hessian per
     node, and builds no ``g``, ``dg`` or ``ddg`` unless one is read; the
-    Euclidean one is read-only broadcast zeros."""
+    Euclidean one is read-only broadcast zeros.  Nor is a warped jet (the
+    polar catalog kinds): it holds the hyper-dual of each diagonal entry
+    and the radial profile, and builds no dense array unless one is
+    read."""
     pts = pts_fn()
     batch, n = pts.shape[:-1], spec.n
     first, second = jets(spec, pts)[0], metric_jet(spec, pts)
@@ -338,6 +342,18 @@ def test_metric_jet_is_one_block(spec, pts_fn):
                 == [batch, batch + (n,), batch + (n, n)]
         assert not np.shares_memory(first.log_factor.hess,
                                     second.log_factor.hess)
+        return
+    if spec.kind in HYPERBOLIC_KINDS:
+        for jet in (first, second):
+            assert isinstance(jet, WarpedJet)
+            assert set(vars(jet)) == {"diag", "rho", "h", "dh"}
+            assert len(jet.diag) == n
+            for e in jet.diag:
+                assert [np.shape(part) for part in (e.val, e.grad, e.hess)] \
+                    == [batch, batch + (n,), batch + (n, n)]
+            assert np.shape(jet.rho) == batch
+        for a, b in zip(first.diag[1:], second.diag[1:]):
+            assert not np.shares_memory(a.hess, b.hess)
         return
     for jet in (first, second):
         base = jet.g.base

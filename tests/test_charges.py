@@ -10,7 +10,7 @@ from asymflux.charges import (_normalization, charge_series,
                               hypothesis_diagnostics, sphere_integrand)
 from asymflux.errors import ChartMismatchError, ZeroMassError
 from asymflux.fields import basis_jets
-from asymflux.geometry import SymTensorJet
+from asymflux.geometry import SymTensorJet, WarpedJet
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from oracles import (adm_integrand, center_integrand, decay_sup,
                      michel_integrand, michel_integrand_deviation,
@@ -223,17 +223,28 @@ def test_polar_michel_pieces_match_the_general_formula(spec):
         assert not np.any(closed[1]) and not np.any(closed[2])
 
 
+_POLAR_EXPRESSION = MetricSpec("expression", 3, chart="polar_area",
+                               components={(0, 0): "1/(1 + r^2 - 2*m/r)",
+                                           (1, 1): "r^2",
+                                           (2, 2): "r^2*sin(theta1)^2"},
+                               params={"m": 1.0})
+
+
 @pytest.mark.parametrize("fields", [False, True], ids=["kernels", "basis"])
 def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
-    """On Kottler the sphere pass builds no factorization and no
-    Christoffel symbols of the background: the kernel columns of the
-    integrand alone factor nothing, and the full basis factors g once per
-    chunk, for the curvature."""
+    """The polar sphere pass builds no factorization and no Christoffel
+    symbols of the background: on Kottler the kernel columns of the
+    integrand alone factor nothing.  The full basis on each polar catalog
+    kind, a warped jet, factors nothing either, builds no Christoffel
+    symbols and never builds the metric's ``dg`` or ``ddg``; a polar
+    expression metric, a dense jet, factors ``g`` once per chunk, for the
+    curvature."""
     from asymflux import charges, geometry
 
     counts = {"factor": 0, "christoffel": 0, "chunks": 0}
     factor, symbols = geometry._factor, geometry._christoffel
-    integrand = charges.sphere_integrand
+    integrand, metric_jets = charges.sphere_integrand, charges.jets
+    built = []
 
     def counting(name, original):
         def call(*args):
@@ -249,20 +260,41 @@ def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
             return f(points)
         return chunk
 
+    def recording_jets(*args):
+        out = metric_jets(*args)
+        built.append(out[0])
+        return out
+
     monkeypatch.setattr(geometry, "_factor", counting("factor", factor))
     monkeypatch.setattr(geometry, "_christoffel",
                         counting("christoffel", symbols))
     monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
-    spec, rule = MetricSpec("kottler", 3, m=1.0), sphere_rule(3, 8)
-    if fields:
-        charge_series(spec, np.sinh(HYP_S), rule, range(4))
-    else:
+    monkeypatch.setattr(charges, "jets", recording_jets)
+    rule = sphere_rule(3, 8)
+    if not fields:
+        spec = MetricSpec("kottler", 3, m=1.0)
         for r in np.sinh(HYP_S):
             integrate_sphere(charges.sphere_integrand(
                 spec, range(4), (), r), r, rule, spec.chart_kind)
+        assert counts["chunks"] > 0
+        assert counts["factor"] == counts["christoffel"] == 0
+        return
+    for spec in (MetricSpec("kottler", 3, m=1.0),
+                 MetricSpec("hyperbolic_area", 3),
+                 MetricSpec("hyperbolic_polar", 3)):
+        radii = np.sinh(HYP_S) if spec.kind != "hyperbolic_polar" else HYP_S
+        charge_series(spec, radii, rule, range(4))
+        assert counts["chunks"] > 0
+        assert counts["factor"] == counts["christoffel"] == 0
+        assert built and all(isinstance(jet, WarpedJet) for jet in built)
+        for jet in built:
+            assert "dg" not in vars(jet) and "ddg" not in vars(jet)
+        counts["chunks"] = 0
+        built.clear()
+    charge_series(_POLAR_EXPRESSION, np.sinh(HYP_S), rule, range(4))
     assert counts["chunks"] > 0
-    per_chunk = counts["chunks"] if fields else 0
-    assert counts["factor"] == counts["christoffel"] == per_chunk
+    assert counts["factor"] == counts["chunks"]
+    assert counts["christoffel"] == counts["chunks"]
 
 
 # ------------------------------------------------------------ flat charges
@@ -377,6 +409,27 @@ def test_kottler_vector_charges_vanish():
         _, (am,), (ar,), _ = charge_series(spec, np.sinh(HYP_S), rule, [i])
         assert abs(am.limit) < 1e-10
         assert abs(ar.limit) < 1e-8
+
+
+@pytest.mark.parametrize("n,m", [(3, 0.7), (3, 1.0), (4, 0.7), (4, 1.0),
+                                 (4, 2.0), (5, 0.7), (5, 1.0), (5, 2.0)])
+def test_kottler_ricci_bars_cover_their_errors(n, m):
+    """Every Kottler Ricci charge at degree 16 on the default radii is
+    within its bar of the exact charge (m for V^(0), 0 for the others):
+    the closed-form curvature of the warped jet leaves no modified-Einstein
+    roundoff of order 1 at the outer radii.  At n = 3 that covers
+    ``ah_ricci_0`` at m = 0.7 (the dense jet's was off by 6.8e-10 against
+    a bar of 5.8e-10) and m = 1; at n = 4 and 5 every bar is at most 1e-12
+    (8.2e-13 at n = 4, m = 2, measured; the dense jet's went up to
+    3.2e-5)."""
+    spec = MetricSpec("kottler", n, m=m)
+    _, _, ricci, _ = charge_series(spec, np.sinh(HYP_S), sphere_rule(n, 16),
+                                   range(n + 1))
+    for i, series in enumerate(ricci):
+        exact = m if i == 0 else 0.0
+        assert abs(series.limit - exact) <= series.limit_error, i
+        if n > 3:
+            assert series.limit_error <= 1e-12, i
 
 
 def test_geodesic_chart_agrees_with_area_chart():

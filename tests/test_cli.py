@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -532,6 +533,39 @@ def test_huge_radius_is_a_computation_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["hyperbolic_polar", "hyperbolic_area",
+                                  "kottler"])
+def test_huge_polar_radius_is_a_metric_jet_error(capsys, kind):
+    """A polar catalog kind whose sphere radius overflows the metric's
+    diagonal (sinh^2 r or rho^2 is inf) fails loudly on the metric jet
+    itself, not on a later product: geodesic radius 368 is rho = 1.6e159
+    in the area chart."""
+    code = main(["ah-mass", "--kind", kind, "--n", "3",
+                 *(["--m", "1"] if kind == "kottler" else []),
+                 "--start", "368", "--count", "3", "--degree", "6"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: metric jet not finite on S_r at r = \S+\n",
+                        err), err
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_kottler_equivalence_has_no_false_warning(tmp_path, n):
+    """Kottler's scalar curvature is exactly that of its background, and
+    the closed-form curvature of its warped jet says so at n = 4 and 5:
+    the integrability proxy passes, no row carries a warning, and the
+    report exits 0 (the dense jet's roundoff of order 1 failed the proxy
+    here)."""
+    code, report = run_cli(["verify", "--which", "equivalence", "--kind",
+                            "kottler", "--n", str(n), "--m", "1"], tmp_path)
+    assert code == 0
+    assert report["diagnostics"]["scal_integrable"] is True
+    assert report["verdicts"] and all(
+        v["passed"] and not v["warnings"] for v in report["verdicts"])
 
 
 @pytest.mark.parametrize("argv", [

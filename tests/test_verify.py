@@ -223,6 +223,57 @@ def test_kernel_identity_unknown_lambda():
         kernel_check_lemma22(spec, 0)
 
 
+def _densified(monkeypatch):
+    """``verify`` reads each metric jet as the dense jet of its numbers,
+    so the checks take the general curvature formula."""
+    from asymflux import verify
+    from asymflux.geometry import MetricJet
+
+    def dense(spec, points):
+        jet = metric_jet(spec, points)
+        return MetricJet(jet.g, jet.dg, jet.ddg)
+    monkeypatch.setattr(verify, "metric_jet", dense)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["hyperbolic_polar", "hyperbolic_area",
+                                  "kottler"])
+def test_warped_jets_keep_every_check_verdict(monkeypatch, kind, n):
+    """The closed-form curvature of the polar catalog kinds keeps every
+    Pohozaev verdict of the general formula on the same jets, with both
+    sides within 1e-12 of the flux scale, and every kernel-identity
+    verdict, with residuals within 1e-12; the Kottler ``ah_X0`` check
+    still fails by construction (its background field is not conformal
+    Killing), and on the hyperbolic kinds the Einstein defect is an exact
+    zero."""
+    spec = MetricSpec(kind, n, m=0.5 if kind == "kottler" else 0.0)
+    annulus = (1.0, 2.0) if kind == "hyperbolic_polar" \
+        else (np.sinh(1.0), np.sinh(2.0))
+    rule = sphere_rule(n, 8)
+
+    def checks():
+        reports = pohozaev_check(spec, range(n + 1), *annulus, rule)
+        kernels = [kernel_check_lemma22(spec, i) for i in range(n + 1)] \
+            if kind != "kottler" else []
+        return reports, kernels
+
+    closed = checks()
+    with monkeypatch.context() as dense:
+        _densified(dense)
+        general = checks()
+    for got, want in zip(closed[0], general[0]):
+        assert got.passed == want.passed
+        scale = want.context["flux_scale"]
+        assert abs(got.lhs - want.lhs) <= 1e-12 * scale
+        assert abs(got.rhs - want.rhs) <= 1e-12 * scale
+    assert [rep.passed for rep in closed[0]][0] == (kind != "kottler")
+    for got, want in zip(closed[1], general[1]):
+        assert got.passed and want.passed
+        assert got.einstein_defect == 0.0
+        assert abs(got.max_residual - want.max_residual) <= 1e-12
+        assert abs(got.trace_residual - want.trace_residual) <= 1e-12
+
+
 # --------------------------------------------------------------- basis index
 
 @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic_polar"])
