@@ -22,21 +22,21 @@ them with every requested kernel function and field.  The same pass reduces
 the node data of the hypothesis diagnostics to one sup per radius, which
 :func:`hypothesis_diagnostics` judges.
 
-On a flat-type metric the angular content of every flux fades toward its
-leading harmonic as r grows, so each radius takes its own sphere rule.  The
-first takes the rule it is given (``--degree``); each later one takes the
-rule that :func:`asymflux.quadrature._next_rule`, the one pick of every
-sequence of spheres, reads from the sphere before: a lower one only where
-that sphere's estimate, and its estimate of every degree down to the
-lower one, read from its own nodes, is roundoff.  The pick reads the
-``const_one`` flux alone, computed in every pass, so a charge computed
-alone gets the rules, and the bits, it gets inside the full basis.
-Hyperbolic-type metrics keep one rule.  On a polar expression metric, a
-dense jet, the Ricci fluxes at the outer radii are set by the roundoff of
-the modified Einstein tensor, which a different node set changes by more
-than the bars.  The polar catalog kinds take that tensor in closed form
-(:class:`~asymflux.geometry.WarpedJet`), with no such roundoff, and keep
-the one rule until a pick is measured on them.
+The angular content of every flux fades toward its leading harmonic as r
+grows, so each radius takes its own sphere rule.  The first takes the rule
+it is given (``--degree``); each later one takes the rule that
+:func:`asymflux.quadrature._next_rule`, the one pick of every sequence of
+spheres, reads from the sphere before: a lower one only where that
+sphere's estimate, and its estimate of every degree down to the lower
+one, read from its own nodes, is roundoff.  The pick reads the ``V^(0)``
+flux alone (``const_one`` on a flat-type metric), computed in every pass,
+so a charge computed alone gets the rules, and the bits, it gets inside
+the full basis.  A polar expression metric alone keeps one rule: its
+dense jet takes the modified Einstein tensor from the general formula,
+whose roundoff sets the Ricci fluxes at the outer radii, and a different
+node set moves those by more than the bars.  The polar catalog kinds take
+that tensor in closed form (:class:`~asymflux.geometry.WarpedJet`), with
+no such roundoff, so they pick as the flat-type metrics do.
 
 Every background is diagonal, so the V-independent parts of ``U`` are
 closed forms in ``b_ii``, ``d_k b_ii`` and the deviation, at O(n^2) per
@@ -228,8 +228,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
     scal_b = 0.0 if spec.is_flat_type else -spec.n * (spec.n - 1)
     upper_i, upper_j = np.triu_indices(spec.n)
 
-    def kernel_columns(points, b, eps, scalars):
-        nu, area = sphere_normal_area(points, chart, r)
+    def kernel_columns(nu, area, b, eps, scalars):
         pieces = michel_pieces(eps, b)
         return [_michel_contract(V, eps, pieces, nu) * area for V in scalars]
 
@@ -247,17 +246,20 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
         upper = frame[..., upper_i, upper_j] if odd else None
         del frame
         scalars, vectors = basis_jets(points, chart, kernels, fields)
-        columns = kernel_columns(points, b, eps, scalars) if kernels else []
+        # the background's normal and area element, built once for the
+        # kernel columns and the scalar-curvature datum
+        nu, area = sphere_normal_area(points, chart, r)
+        columns = kernel_columns(nu, area, b, eps, scalars) if kernels \
+            else []
         # the background jet, the deviation and the kernel jets die here,
         # before curvature runs; of the field jets only the components stay
         comps = [X.comp for X in vectors]
-        del b, eps, scalars, vectors
+        del b, eps, scalars, vectors, nu
         if fields:
             bun = curvature(jet)
             G = bun.einstein if spec.is_flat_type else bun.modified_einstein
             columns += einstein_fluxes(G, comps, points, chart, r, bun)
-            data.append(np.abs(bun.scal - scal_b)
-                        * sphere_normal_area(points, chart, r)[1])
+            data.append(np.abs(bun.scal - scal_b) * area)
         if odd:
             data.append(upper)
         return np.stack(columns, axis=-1), np.column_stack(data)
@@ -298,10 +300,11 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices):
     The classical charge of element i is the flux of ``U(V^(i), g, b)`` in
     the background measure, its Ricci charge the flux of ``G(X^(i), nu)``
     in the metric measure, with the modified Einstein tensor on
-    hyperbolic-type metrics (``killing_basis``).  On flat-type metrics the
-    ``const_one`` kernel leads the pass, requested or not: its flux picks
-    each later radius's rule (:func:`_sphere_fluxes`) and its limit is the
-    mass the centers, the elements of index > 0, divide by.  A center's
+    hyperbolic-type metrics (``killing_basis``).  The kernel ``V^(0)``
+    leads every pass but a polar expression metric's, requested or not:
+    its flux picks each later radius's rule (:func:`_sphere_fluxes`), and
+    on flat-type metrics, where it is ``const_one``, its limit is the mass
+    the centers, the elements of index > 0, divide by.  A center's
     ``limit_error`` adds the mass's relative error, ``|center| err_m /
     |m|``.  On a vanishing mass the centers raise ZeroMassError, unless
     index 0 was requested: then the call returns the mass pair alone, from
@@ -319,10 +322,12 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices):
                          f"increasing and within 0..{n}, got {indices}")
     radii = _check_radii(radii)
     flat = spec.is_flat_type
-    lead = int(flat and indices[0] != 0)
+    # a polar expression metric's dense jet keeps one rule (_sphere_fluxes)
+    picks = flat or spec.kind != "expression"
+    lead = int(picks and indices[0] != 0)
     kernels = [0] * lead + indices
     values, errors, sups, rules = _sphere_fluxes(spec, radii, rule, kernels,
-                                                 indices)
+                                                 indices, picks)
 
     def normalized(column, field, center=False):
         entry = _series(spec, radii, rules, values[:, column],
@@ -350,29 +355,29 @@ def charge_series(spec: MetricSpec, radii, rule: SphereRule, indices):
 
 
 def _sphere_fluxes(spec: MetricSpec, radii, rule: SphereRule, kernels,
-                   fields):
+                   fields, picks: bool):
     """The sphere pass of :func:`charge_series`: raw fluxes and their
     quadrature errors, two ``(R, K)`` arrays with one row per radius and one
     column per kernel, then per field, a dict of ``(R,)`` sups of the node
     data, each radius's reduced on its own rule before the next starts,
-    and the rule of each radius: ``rule`` first, then, on flat-type
-    metrics, what :func:`asymflux.quadrature._next_rule` picks from column
-    0, the ``const_one`` flux, of the sphere before.  So a charge gets the
-    same rules alone as inside the full basis.  Hyperbolic-type metrics
-    keep ``rule``: on a polar expression metric the roundoff of the
-    modified Einstein tensor sets the Ricci fluxes at the outer radii, and
-    a different node set moves those by more than their bars (the polar
-    catalog kinds, whose tensor is a closed form, keep it too)."""
-    chart, flat = spec.chart_kind, spec.is_flat_type
+    and the rule of each radius: ``rule`` first, then, with ``picks``, what
+    :func:`asymflux.quadrature._next_rule` picks from column 0, the
+    ``V^(0)`` flux that :func:`charge_series` leads with, of the sphere
+    before.  So a charge gets the same rules alone as inside the full
+    basis.  Without ``picks``, on a polar expression metric, every radius
+    keeps ``rule``: the roundoff of the dense jet's modified Einstein
+    tensor sets the Ricci fluxes at the outer radii, and a different node
+    set moves those by more than their bars."""
+    chart = spec.chart_kind
 
     def sphere(r, rule):
         # the node data die here, before the next sphere's pass
         q = integrate_sphere(sphere_integrand(spec, kernels, fields, r),
                              r, rule, chart,
-                             lower=_PICK_LOWER if flat else None)
+                             lower=_PICK_LOWER if picks else None)
         return ((q.value, q.error_estimate,
                  _node_sups(q.node_data, rule)),
-                _next_rule(rule, q, 0) if flat else rule)
+                _next_rule(rule, q, 0) if picks else rule)
 
     rules, rows = [], []
     for r in radii:

@@ -438,8 +438,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--count", dest="schedule_count", type=int, default=None)
     p.add_argument("--degree", dest="degree", type=int, default=None,
                    help="sphere rule degree of the first radius (default "
-                        "16); on flat-type metrics each later radius picks "
-                        "its own rule, never above the one before")
+                        "16); each later radius picks its own rule, never "
+                        "above the one before, except on a polar "
+                        "expression metric, which keeps this one")
     p.add_argument("--radial-degree", dest="radial_degree", type=int,
                    default=None)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
