@@ -17,11 +17,15 @@ log of its conformal factor, a width-1 hyper-dual in ``t = |x - c|^2``,
 whose jet is exact, lifted to the chart by one chain-rule step
 (:func:`~asymflux.hyperdual.lift`).  The polar catalog kinds are warped
 products ``drho^2 / f + rho^2 sigma`` over the round sphere and come as a
-:class:`~asymflux.geometry.WarpedJet`: the hyper-duals of their diagonal
-entries, the warping radius ``rho`` and the profile ``h = f - (1 +
-rho^2)`` with its derivative, 0 on ``hyperbolic_polar`` and
+:class:`~asymflux.geometry.WarpedJet`: the first-order hyper-duals of
+their diagonal entries, the warping radius ``rho`` and the profile ``h =
+f - (1 + rho^2)`` with its derivative, 0 on ``hyperbolic_polar`` and
 ``hyperbolic_area`` and ``-2m rho^(2-n)`` on ``kottler``, from which
 :func:`~asymflux.geometry.curvature` takes the curvature in closed form.
+No pass reads a second derivative of a polar entry, so the polar branch
+carries every entry to first order (values and gradients) and builds no
+Hessian; a warped jet's ``ddg``, which only the tests read, evaluates
+the diagonal again at second order on first read.
 An expression metric is a dense :class:`~asymflux.geometry.MetricJet`.
 A polar-chart entry is a separable product of functions of one coordinate
 each (``sinh^2 r * sin^2 theta_1 ...``, ``rho^2 sigma_j``,
@@ -306,20 +310,23 @@ def jets(spec: MetricSpec, p) -> tuple[
     The flat catalog kinds give their metric as a
     :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi`` for
     ``g = e^{2 phi} delta``, and the polar catalog kinds as a
-    :class:`~asymflux.geometry.WarpedJet`, their diagonal entries and
-    radial profile; neither holds a dense array.  Expression metrics give
-    a dense :class:`~asymflux.geometry.MetricJet` in one block.  One writer
-    builds every dense and first-order jet from its upper-triangle
-    entries.
+    :class:`~asymflux.geometry.WarpedJet`, their diagonal entries to first
+    order and radial profile, with a function that evaluates the diagonal
+    again at second order for ``ddg``; neither holds a dense array.
+    Expression metrics give a dense :class:`~asymflux.geometry.MetricJet`
+    in one block.  One writer builds every dense and first-order jet from
+    its upper-triangle entries.
 
     Every background is diagonal: the Euclidean ``delta`` or the polar
     background of the chart, whose diagonal ``b_ii`` the polar branch
-    builds once for the catalog kinds and the expression metrics alike;
+    builds once, to first order, for the catalog kinds and the expression
+    metrics alike;
     ``b_ii`` and ``d_k b_ii`` give ``b^{-1}`` and ``Gamma(b)`` in closed
     form.  Catalog kinds give the deviation in stable closed form (no
-    large-radius cancellation); expression metrics subtract the jets.  The
-    three share their intermediates: a warped metric's diagonal entries
-    are the background's hyper-duals, Kottler's radial one aside.  The
+    large-radius cancellation), to first order; expression metrics
+    subtract the jets.  The three share their intermediates: a warped
+    metric's diagonal entries are the background's hyper-duals, Kottler's
+    radial one aside.  The
     Euclidean background and a zero deviation are read-only broadcast
     views.
     """
@@ -340,11 +347,9 @@ def jets(spec: MetricSpec, p) -> tuple[
     if spec.kind == "schwarzschild_conformal":
         t, log_factor = _schwarzschild_log_factor(spec, coords)
         two_phi = hd.lift(t, log_factor)
-        # the deviation e^{2 phi} - 1 to first order: the value and gradient
-        # of hd.lift(t, hd.expm1(log_factor)), by the same operations,
-        # without the Hessian the deviation never reads
-        d1 = np.exp(log_factor.val) * log_factor.grad[..., 0]
-        w = HyperDual(np.expm1(log_factor.val), d1[..., None] * t.grad, 0.0)
+        # the deviation e^{2 phi} - 1 to first order, lifted onto the
+        # first-order t: the deviation reads no Hessian
+        w = hd.lift(HyperDual(t.val, t.grad), hd.expm1(log_factor))
         return (ConformalJet(two_phi), _euclidean_background(shape, n),
                 _jet({(i, i): w for i in range(n)}, shape, n, 1))
 
@@ -354,13 +359,43 @@ def jets(spec: MetricSpec, p) -> tuple[
         b = _euclidean_background(shape, n)
         return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
 
-    # polar charts: separable background entries, each factor a one-variable
-    # jet in r or an angle, multiplied into the unit jet or the round-sphere
-    # product; radial entry 1 (geodesic) or 1/f0 (area), angular sinh^2 r
-    # sigma_j or rho^2 sigma_j, with the warping radius rho = sinh r or rho
     check_polar_domain(coords)
-    r, *angles = hd.one_variable_seeds(coords)
-    one = HyperDual.constant(1.0, n, shape)
+    diag, background, rho, mass = _polar_diagonals(spec, coords, 1)
+    background = {(i, i): e for i, e in enumerate(background)}
+    if spec.kind == "expression":
+        # polar expression metric: plain subtraction from the chart background
+        g = _components_jet(spec, coords)
+        b = _jet(background, shape, n, 1)
+        return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
+    b = _jet(background, shape, n, 1)
+
+    def second_order():
+        return _polar_diagonals(spec, coords, 2)[0]
+
+    if mass is None:
+        return WarpedJet(diag, rho, 0.0, 0.0, second_order), b, zero
+    # h = f - f0 = -mass_term, a width-1 jet in rho
+    mass_term, eps = mass
+    return (WarpedJet(diag, rho, -mass_term.val, -mass_term.grad[..., 0],
+                      second_order),
+            b, _jet({(0, 0): eps}, shape, n, 1))
+
+
+def _polar_diagonals(spec, coords, order):
+    """The diagonals of a polar-chart metric and of its background, as
+    hyper-duals of ``order``, the warping radius ``rho`` and, on Kottler,
+    the mass term ``2m rho^(2-n)`` of its profile and its deviation entry
+    ``1/f - 1/f0`` (None on the other kinds, whose metric diagonal is the
+    background's).
+
+    The entries are separable: each factor a one-variable jet in r or an
+    angle, multiplied into the unit jet or the round-sphere product; the
+    radial entry is 1 (geodesic) or 1/f0 (area), the angular ones sinh^2 r
+    sigma_j or rho^2 sigma_j, with rho = sinh r or the area coordinate.
+    """
+    n = spec.n
+    r, *angles = hd.one_variable_seeds(coords, order)
+    one = HyperDual.constant(1.0, n, coords.shape[:-1], order)
     sigma = round_sphere_diag_hd(angles, one)
     if spec.chart_kind == ChartKind.POLAR_GEODESIC:
         sh = hd.sinh(r)
@@ -372,26 +407,17 @@ def jets(spec: MetricSpec, p) -> tuple[
         angular = [hd.mul_factor(s, r2, 0) for s in sigma]
         f0 = 1.0 + r2
         radial, rho = hd.mul_factor(one, 1.0 / f0, 0), r.val
-    background = {(i, i): e for i, e in enumerate([radial, *angular])}
-    if spec.kind in ("hyperbolic_polar", "hyperbolic_area"):
-        return (WarpedJet([radial, *angular], rho, 0.0, 0.0),
-                _jet(background, shape, n, 1), zero)
-    if spec.kind == "kottler":
-        mass_term = (2.0 * spec.m) * r ** (-(n - 2))
-        f = f0 - mass_term
-        if np.any(f.val <= 0.0):
-            raise DomainError("kottler metric function non-positive at point")
-        # h = f - f0 = -mass_term, a width-1 jet in rho
-        g = WarpedJet([hd.mul_factor(one, 1.0 / f, 0), *angular], rho,
-                      -mass_term.val, -mass_term.grad[..., 0])
-        # 1/f - 1/f0 = (f0 - f) / (f f0)
-        eps = hd.mul_factor(one, mass_term / (f * f0), 0)
-        return (g, _jet(background, shape, n, 1),
-                _jet({(0, 0): eps}, shape, n, 1))
-    # polar expression metric: plain subtraction from the chart background
-    g = _components_jet(spec, coords)
-    b = _jet(background, shape, n, 1)
-    return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
+    background = [radial, *angular]
+    if spec.kind != "kottler":
+        return background, background, rho, None
+    mass_term = (2.0 * spec.m) * r ** (-(n - 2))
+    f = f0 - mass_term
+    if np.any(f.val <= 0.0):
+        raise DomainError("kottler metric function non-positive at point")
+    # 1/f - 1/f0 = (f0 - f) / (f f0)
+    eps = hd.mul_factor(one, mass_term / (f * f0), 0)
+    return ([hd.mul_factor(one, 1.0 / f, 0), *angular], background, rho,
+            (mass_term, eps))
 
 
 def metric_jet(spec: MetricSpec, p) -> MetricJet | ConformalJet | WarpedJet:

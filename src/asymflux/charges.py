@@ -245,7 +245,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
         data = [np.abs(frame).max(axis=(-2, -1))]
         upper = frame[..., upper_i, upper_j] if odd else None
         del frame
-        scalars, vectors = basis_jets(points, chart, kernels, fields)
+        scalars, vectors = basis_jets(points, chart, kernels, fields, 1)
         # the background's normal and area element, built once for the
         # kernel columns and the scalar-curvature datum
         nu, area = sphere_normal_area(points, chart, r)

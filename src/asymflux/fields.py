@@ -18,7 +18,10 @@ hyperbolic gradients, 2n for the inverted translations.
 :func:`basis_jets` takes the chart and two sequences of indices and
 evaluates any set of elements at once, with exact jets: a kernel jet is
 the :class:`~asymflux.hyperdual.HyperDual` that built it, a field a
-:class:`~asymflux.geometry.VectorJet`.
+:class:`~asymflux.geometry.VectorJet`.  Its ``order`` is what the reader
+needs: the charge pass reads ``V``, ``dV`` and the components of ``X``
+and asks for order 1 (no Hessian, no ``dX``); the Pohozaev and
+kernel-identity checks read ``dX`` and ``Hess V`` and take order 2.
 :func:`check_indices` is the one range check of an index.
 :func:`killing_basis` is the table of the fields, one row per index with
 an id, which only labels it, and c; the analytic jet of ``delta^b X`` (used
@@ -38,7 +41,6 @@ import numpy as np
 from . import hyperdual as hd
 from .catalog import (check_polar_domain, round_sphere_diag_hd,
                       sphere_embedding_hd)
-from .errors import DomainError
 from .geometry import ChartKind, VectorJet, sum_last
 from .hyperdual import HyperDual
 
@@ -75,40 +77,51 @@ def check_indices(indices, n: int) -> list:
     return indices
 
 
-def basis_jets(p, chart_kind: ChartKind | str, kernels,
-               fields) -> tuple[list[HyperDual], list[VectorJet]]:
+def basis_jets(p, chart_kind: ChartKind | str, kernels, fields,
+               order: int = 2) -> tuple[list[HyperDual], list[VectorJet]]:
     """Exact jets at ``p`` of the kernel functions ``V^(i)``, i in
     ``kernels``, and of the conformal Killing fields ``X^(i)``, i in
     ``fields``, of the chart's background (:func:`check_indices`).
 
+    At ``order`` 2 a kernel jet carries its Hessian and a field jet its
+    derivatives ``d``; at ``order`` 1, all that a charge pass reads, the
+    kernel jets are first-order hyper-duals and the field jets their
+    components alone (``d`` None), with the values, gradients and
+    components of order 2 bit for bit.
+
     One call evaluates the coordinates, the hyper-dual seeds, the sphere
     embedding and the background inverse once for every element, and each
     kernel jet once: the hyperbolic field ``X^(i) = grad_b V^(i)`` reads the
-    jet of ``V^(i)`` and the values and gradients of the ``b^{-1}`` entries,
-    which take no Hessian.  Returns ``(kernel jets, field jets)`` in the
-    order given, the kernel jets as the hyper-duals that built them.
+    jet of ``V^(i)`` and the first-order ``b^{-1}`` entries.  Returns
+    ``(kernel jets, field jets)`` in the order given, the kernel jets as the
+    hyper-duals that built them.
     """
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order}")
     coords = np.asarray(p, dtype=float)
     n, chart_kind = coords.shape[-1], ChartKind(chart_kind)
     kernels, fields = check_indices(kernels, n), check_indices(fields, n)
     if chart_kind == ChartKind.CARTESIAN:
-        return ([_flat_kernel(coords, i) for i in kernels],
-                [_flat_field(coords, i) for i in fields])
+        return ([_flat_kernel(coords, i, order) for i in kernels],
+                [_flat_field(coords, i, order) for i in fields])
 
     check_polar_domain(coords)
     shape = coords.shape[:-1]
-    r, *angles = hd.one_variable_seeds(coords)
-    one = HyperDual.constant(1.0, n, shape)
+    r, *angles = hd.one_variable_seeds(coords, order)
+    one = HyperDual.constant(1.0, n, shape, order)
+    # the b^{-1} entries are first-order at either order: the fields read
+    # their values and gradients alone
+    first = HyperDual.constant(1.0, n, shape, 1)
     # V^(0), the radial factor of V^(i) and the radial parts of b^{-1} are
     # one-variable jets in r; every product takes one factor per sparse step
     if chart_kind == ChartKind.POLAR_GEODESIC:
         sh = hd.sinh(r)
         v0, radial_factor = hd.mul_factor(one, hd.cosh(r), 0), sh
-        radial_inv, sph2 = one, sh ** 2
+        radial_inv, sph2 = first, sh ** 2
     else:  # area chart: rho = sinh r
         r2 = r * r
         f0 = 1.0 + r2
-        sph2, radial_inv = r2, hd.mul_factor(one, f0, 0)
+        sph2, radial_inv = r2, hd.mul_factor(first, f0, 0)
         v0, radial_factor = hd.mul_factor(one, hd.sqrt(f0), 0), r
     indices = {*kernels, *fields}
     u = sphere_embedding_hd(angles, one) if indices - {0} else None
@@ -116,42 +129,35 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels,
              for i in indices}
     vectors = []
     if fields:
-        binv = [(radial_inv.val, radial_inv.grad)] + [
-            _reciprocal_gradient(hd.mul_factor(s, sph2, 0))
-            for s in round_sphere_diag_hd(angles, one)]
+        binv = [(e.val, e.grad) for e in [radial_inv] + [
+            hd.reciprocal(hd.mul_factor(s, sph2, 0))
+            for s in round_sphere_diag_hd(angles, first)]]
         vectors = [_gradient_field(vjets[i], binv) for i in fields]
     return [vjets[i] for i in kernels], vectors
 
 
-def _reciprocal_gradient(x: HyperDual):
-    """The value and gradient of ``1 / x``, the numbers of
-    :func:`~asymflux.hyperdual.reciprocal` without its Hessian, which
-    :func:`_gradient_field` does not read."""
-    v = x.val
-    if np.any(v == 0.0):
-        raise DomainError("division by zero")
-    return 1.0 / v, (-1.0 / v**2)[..., None] * x.grad
-
-
 # --------------------------------------------------------------- flat fields
 
-def _flat_kernel(coords, index):
-    """Jet of ``1`` (index 0) or of the coordinate ``x^(index-1)``."""
+def _flat_kernel(coords, index, order):
+    """Jet of ``1`` (index 0) or of the coordinate ``x^(index-1)``, with a
+    zero Hessian at ``order`` 2."""
     n, shape = coords.shape[-1], coords.shape[:-1]
+    hess = np.zeros(shape + (n, n)) if order == 2 else None
     if index == 0:
-        return HyperDual(np.ones(shape), np.zeros(shape + (n,)),
-                         np.zeros(shape + (n, n)))
+        return HyperDual(np.ones(shape), np.zeros(shape + (n,)), hess)
     alpha = index - 1
     grad = np.zeros(shape + (n,))
     grad[..., alpha] = 1.0
-    return HyperDual(coords[..., alpha].copy(), grad, np.zeros(shape + (n, n)))
+    return HyperDual(coords[..., alpha].copy(), grad, hess)
 
 
-def _flat_field(coords, index):
+def _flat_field(coords, index, order):
     """Jet of the dilation (index 0) or of the inverted translation along
-    ``index - 1``."""
+    ``index - 1``; its components alone at ``order`` 1."""
     n, shape = coords.shape[-1], coords.shape[:-1]
     if index == 0:
+        if order == 1:
+            return VectorJet(coords.copy(), None)
         d = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
         return VectorJet(coords.copy(), d)
     alpha = index - 1
@@ -159,6 +165,8 @@ def _flat_field(coords, index):
     r2 = sum_last(coords * coords)
     xa = coords[..., alpha]
     comp = r2[..., None] * e_alpha - 2.0 * xa[..., None] * coords
+    if order == 1:
+        return VectorJet(comp, None)
     # d[..., j, i] = d_j X^i = 2 x_j delta_i^alpha - 2 delta_j^alpha x^i
     #                - 2 x^alpha delta_ij
     d = -2.0 * xa[..., None, None] * np.eye(n)
@@ -171,12 +179,16 @@ def _flat_field(coords, index):
 
 def _gradient_field(vjet: HyperDual, binv) -> VectorJet:
     """``X = grad_b V`` from the jet of V and the diagonal of ``b^{-1}``,
-    one ``(value, gradient)`` pair per entry."""
+    one ``(value, gradient)`` pair per entry; its components alone when V
+    is first-order."""
     shape, n = vjet.grad.shape[:-1], len(binv)
     comp = np.zeros(shape + (n,))
+    for j, (value, _) in enumerate(binv):
+        comp[..., j] = value * vjet.grad[..., j]
+    if vjet.hess is None:
+        return VectorJet(comp, None)
     d = np.zeros(shape + (n, n))
     for j, (value, grad) in enumerate(binv):
-        comp[..., j] = value * vjet.grad[..., j]
         # d_k X^j = (d_k binv_jj) dV_j + binv_jj Hess^{coord}_kj V
         d[..., :, j] = (grad * vjet.grad[..., j][..., None]
                         + value[..., None] * vjet.hess[..., :, j])

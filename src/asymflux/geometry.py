@@ -17,8 +17,10 @@ the charge integrand are diagonal and take their own closed forms
 (``charges._michel_pieces``).
 
 A scalar field comes as the :class:`~asymflux.hyperdual.HyperDual` that
-computed it (``val``, ``grad``, ``hess``), a vector field as a
-:class:`VectorJet` and a symmetric 2-tensor as a :class:`SymTensorJet`.
+computed it (``val``, ``grad``, ``hess``; ``hess`` None in the first-order
+form), a vector field as a :class:`VectorJet` (``d`` None in the
+first-order form, its components alone) and a symmetric 2-tensor as a
+:class:`SymTensorJet`.
 A metric comes as one of three jets, and :func:`curvature` takes each its
 own way:
 
@@ -30,11 +32,12 @@ own way:
   no n^4 array, and Christoffel symbols only where a check reads them;
 * a :class:`WarpedJet`, ``g = drho^2 / f + rho^2 sigma`` over the round
   sphere in a polar chart (the polar catalog kinds, ``hyperbolic_polar``,
-  ``hyperbolic_area`` and ``kottler``), holds its diagonal entries and
-  the radial profile ``h = f - (1 + rho^2)``.  Every background is
-  Einstein, so ``Ric + (n-1) g`` is linear in ``h``, and its curvature is
-  that closed form at O(n) per node: the modified Einstein tensor comes
-  without subtracting terms of order 1, exactly 0 on the backgrounds;
+  ``hyperbolic_area`` and ``kottler``), holds its diagonal entries to
+  first order and the radial profile ``h = f - (1 + rho^2)``.  Every
+  background is Einstein, so ``Ric + (n-1) g`` is linear in ``h``, and
+  its curvature is that closed form at O(n) per node: the modified
+  Einstein tensor comes without subtracting terms of order 1, exactly 0
+  on the backgrounds;
 * a dense :class:`MetricJet` (expression metrics) is factored and takes
   the general formula below at O(n^4) per node.  On a hyperbolic-type
   expression metric ``Ric ~ -(n-1) g`` is of order 1, and the modified
@@ -80,6 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -109,10 +113,12 @@ def validate_dimension(n: int) -> int:
 
 @dataclass
 class VectorJet:
-    """Contravariant vector field with first derivatives ``d[..., j, i] = d_j X^i``."""
+    """Contravariant vector field with first derivatives ``d[..., j, i] =
+    d_j X^i``, or ``d`` None in the first-order form (the components
+    alone, all that a flux reads)."""
 
-    comp: np.ndarray    # (..., n)
-    d: np.ndarray       # (..., n, n)
+    comp: np.ndarray            # (..., n)
+    d: np.ndarray | None        # (..., n, n)
 
 
 @dataclass
@@ -195,19 +201,23 @@ class WarpedJet:
     round sphere ``sigma``, in a polar chart, held as its diagonal entries
     and its radial profile.
 
-    ``diag`` holds the hyper-dual of each ``g_ii``; ``rho`` is the warping
-    radius at each node (the area chart's coordinate, ``sinh r`` in the
-    geodesic chart), ``h = f - (1 + rho^2)`` the deviation of ``f =
-    |d rho|_g^2`` from the hyperbolic background's and ``dh`` its
+    ``diag`` holds the first-order hyper-dual of each ``g_ii``; ``rho`` is
+    the warping radius at each node (the area chart's coordinate, ``sinh
+    r`` in the geodesic chart), ``h = f - (1 + rho^2)`` the deviation of
+    ``f = |d rho|_g^2`` from the hyperbolic background's and ``dh`` its
     derivative in ``rho`` (both 0 on the backgrounds).  :func:`curvature`
     reads ``g``, built from the values of ``diag``, and the profile alone;
-    ``dg`` and ``ddg``, which the charge pass never reads, are built from
-    the entries' gradients and Hessians on first read."""
+    ``dg``, which the charge pass never reads, is built from the entries'
+    gradients on first read.  ``second_order`` is a function that
+    evaluates the diagonal again at second order: ``ddg``, which only the
+    tests read, calls it on first read, so no pass builds a Hessian of the
+    diagonal."""
 
-    diag: list                  # n HyperDuals, g_ii: val (...,), grad, hess
+    diag: list                  # n HyperDuals, g_ii: val (...,), grad
     rho: np.ndarray             # (...,)
     h: np.ndarray | float       # (...,) or 0
     dh: np.ndarray | float      # (...,) or 0
+    second_order: Callable[[], list]    # () -> n second-order g_ii
 
     @property
     def n(self) -> int:
@@ -225,7 +235,8 @@ class WarpedJet:
     @cached_property
     def ddg(self) -> np.ndarray:
         # ddg[..., k, l, i, i] = d_k d_l g_ii
-        return _diagonal(np.stack([e.hess for e in self.diag], axis=-1))
+        return _diagonal(np.stack([e.hess for e in self.second_order()],
+                                  axis=-1))
 
 
 @dataclass

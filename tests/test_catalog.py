@@ -326,9 +326,10 @@ def test_metric_jet_is_one_block(spec, pts_fn):
     holds the 2-jet of ``2 phi`` alone, a value, gradient and Hessian per
     node, and builds no ``g``, ``dg`` or ``ddg`` unless one is read; the
     Euclidean one is read-only broadcast zeros.  Nor is a warped jet (the
-    polar catalog kinds): it holds the hyper-dual of each diagonal entry
-    and the radial profile, and builds no dense array unless one is
-    read."""
+    polar catalog kinds): it holds the first-order hyper-dual of each
+    diagonal entry, the radial profile and the function that evaluates
+    the diagonal again at second order, and builds no dense array unless
+    one is read; ``ddg``, read, is a Hessian block of its own."""
     pts = pts_fn()
     batch, n = pts.shape[:-1], spec.n
     first, second = jets(spec, pts)[0], metric_jet(spec, pts)
@@ -346,14 +347,16 @@ def test_metric_jet_is_one_block(spec, pts_fn):
     if spec.kind in HYPERBOLIC_KINDS:
         for jet in (first, second):
             assert isinstance(jet, WarpedJet)
-            assert set(vars(jet)) == {"diag", "rho", "h", "dh"}
+            assert set(vars(jet)) == {"diag", "rho", "h", "dh",
+                                      "second_order"}
             assert len(jet.diag) == n
             for e in jet.diag:
-                assert [np.shape(part) for part in (e.val, e.grad, e.hess)] \
-                    == [batch, batch + (n,), batch + (n, n)]
+                assert [np.shape(part) for part in (e.val, e.grad)] \
+                    == [batch, batch + (n,)]
+                assert e.hess is None
             assert np.shape(jet.rho) == batch
-        for a, b in zip(first.diag[1:], second.diag[1:]):
-            assert not np.shares_memory(a.hess, b.hess)
+            assert jet.ddg.shape == batch + (n,) * 4
+        assert not np.shares_memory(first.ddg, second.ddg)
         return
     for jet in (first, second):
         base = jet.g.base

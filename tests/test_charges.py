@@ -297,6 +297,45 @@ def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
     assert counts["christoffel"] == counts["chunks"]
 
 
+@pytest.mark.parametrize("spec", [
+    MetricSpec("kottler", 3, m=1.0), MetricSpec("hyperbolic_area", 4),
+    MetricSpec("schwarzschild_conformal", 3, m=1.0)], ids=lambda s: s.kind)
+def test_charge_pass_builds_no_hessian(monkeypatch, spec):
+    """A charge pass reads first derivatives alone and builds no Hessian:
+    every warped diagonal entry and every kernel jet is first-order, and
+    every field jet is its components alone."""
+    from asymflux import charges
+
+    metric_jets, basis = charges.jets, charges.basis_jets
+    built, bases = [], []
+
+    def recording_jets(*args):
+        out = metric_jets(*args)
+        built.append(out[0])
+        return out
+
+    def recording_basis(*args, **kwargs):
+        out = basis(*args, **kwargs)
+        bases.append(out)
+        return out
+
+    monkeypatch.setattr(charges, "jets", recording_jets)
+    monkeypatch.setattr(charges, "basis_jets", recording_basis)
+    n = spec.n
+    radii = FLAT_RADII if spec.is_flat_type else np.sinh(HYP_S)
+    charge_series(spec, radii, sphere_rule(n, 8), range(n + 1))
+    assert built and len(bases) == len(built)
+    for jet in built:
+        if not spec.is_flat_type:
+            assert isinstance(jet, WarpedJet)
+            assert all(e.hess is None for e in jet.diag)
+            assert "ddg" not in vars(jet)
+    for scalars, vectors in bases:
+        assert len(scalars) == len(vectors) == n + 1
+        assert all(V.hess is None for V in scalars)
+        assert all(X.d is None for X in vectors)
+
+
 # ------------------------------------------------------------ flat charges
 
 @pytest.mark.parametrize("n,m", [(3, 1.0), (3, 2.5), (4, 1.0), (5, 2.5)])

@@ -143,6 +143,33 @@ def test_basis_jets_match_single_elements(n, chart):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("chart", list(ChartKind))
+def test_first_order_basis_jets_equal_second_order(n, chart):
+    """At order 1 every kernel jet is first-order and every field jet its
+    components alone, with the values, gradients and components of order
+    2 bit for bit, for the full basis and for a mixed subset."""
+    pts = RNG.normal(size=(25, n)) * 3.0 if chart == ChartKind.CARTESIAN \
+        else polar_points(n, 25)
+    every = range(n + 1)
+    for ks, xs in ((every, every), (every[1::2][::-1], every[::2])):
+        first = basis_jets(pts, chart, ks, xs, order=1)
+        second = basis_jets(pts, chart, ks, xs)
+        for got, want in zip(first[0], second[0], strict=True):
+            assert got.hess is None and want.hess is not None
+            assert np.array_equal(got.val, want.val)
+            assert np.array_equal(got.grad, want.grad)
+        for got, want in zip(first[1], second[1], strict=True):
+            assert got.d is None and want.d is not None
+            assert np.array_equal(got.comp, want.comp)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_basis_jet_order_is_one_or_two(order):
+    with pytest.raises(ValueError, match="order"):
+        basis_jets(np.ones((2, 3)), ChartKind.CARTESIAN, [0], [0], order)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("chart", [ChartKind.POLAR_GEODESIC,
                                    ChartKind.POLAR_AREA])
 def test_basis_jets_equal_the_full_width_products(n, chart):

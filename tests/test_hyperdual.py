@@ -295,3 +295,126 @@ def test_reciprocal_is_one_over():
     _assert_same_jet(hd.reciprocal(p), 1.0 / p)
     with pytest.raises(DomainError):
         hd.reciprocal(p * 0.0)
+
+
+# ------------------------------------------------------- first-order form
+
+def _first(x):
+    """``x`` without its Hessian."""
+    return hd.HyperDual(x.val, x.grad)
+
+
+def _operands():
+    """Two full-width jets with nonzero gradients and Hessians, positive
+    everywhere, so every elementary function is defined on them."""
+    x = np.random.default_rng(7).uniform(0.6, 1.4, (7, 3))
+    s = seed_variables(x)
+    return hd.exp(0.3 * s[0] * s[1]) + s[2], s[1] * s[2] + 1.5
+
+
+def _assert_first_order_of(got, want):
+    """``got`` is first-order with the value and gradient of ``want``."""
+    assert got.hess is None and got.order == 1
+    assert want.hess is not None and want.order == 2
+    for a, b in ((got.val, want.val), (got.grad, want.grad)):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+_ORDERS = [(1, 1), (1, 2), (2, 1)]
+
+
+def _at(x, order):
+    return _first(x) if order == 1 else x
+
+
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "truediv": lambda a, b: a / b,
+    "pow": lambda a, b: a ** b,
+}
+
+# one operand with a scalar or array one, either side, and the functions
+UNARY = {
+    "neg": lambda a: -a,
+    "add_scalar": lambda a: a + 2.0,
+    "radd": lambda a: 2.0 + a,
+    "sub_scalar": lambda a: a - 0.5,
+    "rsub": lambda a: 0.5 - a,
+    "mul_scalar": lambda a: a * 3.0,
+    "rmul": lambda a: 3.0 * a,
+    "mul_array": lambda a: a * np.linspace(1.0, 2.0, 7),
+    "truediv_scalar": lambda a: a / 3.0,
+    "rtruediv": lambda a: 3.0 / a,
+    "pow_two": lambda a: a ** 2,
+    "pow_negative": lambda a: a ** -1.5,
+    "pow_zero": lambda a: a ** 0,
+    "pow_one": lambda a: a ** 1,
+    "rpow": lambda a: 2.0 ** a,
+    "reciprocal": hd.reciprocal,
+    **{name: getattr(hd, name)
+       for name in ("sqrt", "exp", "log", "log1p", "expm1", "sin", "cos",
+                    "tan", "sinh", "cosh", "tanh")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_first_order_operand_gives_first_order_result(name):
+    """A first-order operand, alone or with a scalar or array, gives a
+    first-order result with the value and gradient of the second-order
+    one bit for bit."""
+    a, _ = _operands()
+    _assert_first_order_of(UNARY[name](_first(a)), UNARY[name](a))
+
+
+@pytest.mark.parametrize("orders", _ORDERS, ids=str)
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_mixed_orders_give_the_lower_order(name, orders):
+    """Two jets of which one or both are first-order give a first-order
+    result with the value and gradient of the second-order one."""
+    a, b = _operands()
+    got = BINARY[name](_at(a, orders[0]), _at(b, orders[1]))
+    _assert_first_order_of(got, BINARY[name](a, b))
+
+
+@pytest.mark.parametrize("orders", _ORDERS, ids=str)
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_first_order_lift(name, orders):
+    """A lift whose inner jet or profile is first-order is first-order."""
+    inner, _ = _operands()
+    profile = PROFILES[name](_profile_variable(inner))
+    got = hd.lift(_at(inner, orders[0]), _at(profile, orders[1]))
+    _assert_first_order_of(got, hd.lift(inner, profile))
+
+
+@pytest.mark.parametrize("orders", _ORDERS, ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_first_order_mul_factor(n, orders):
+    """A sparse step with a first-order product or factor writes the value
+    and gradient of the second-order step and no Hessian."""
+    x = _factor_points(n)
+    seeds, factors = seed_variables(x), hd.one_variable_seeds(x)
+    for k in range(n):
+        p = _product_of_the_others(seeds, k)
+        for f in FACTORS.values():
+            factor = f(factors[k])
+            got = hd.mul_factor(_at(p, orders[0]), _at(factor, orders[1]), k)
+            _assert_first_order_of(got, hd.mul_factor(p, factor, k))
+
+
+def test_first_order_seeds_and_constants():
+    """Seeds and constants of order 1 are those of order 2 without the
+    Hessian, and a chain of them stays first-order."""
+    x = _factor_points(4)
+    for got, want in zip(seed_variables(x, 1), seed_variables(x), strict=True):
+        _assert_first_order_of(got, want)
+    for got, want in zip(hd.one_variable_seeds(x, 1), hd.one_variable_seeds(x),
+                         strict=True):
+        _assert_first_order_of(got, want)
+    _assert_first_order_of(hd.HyperDual.constant(2.0, 4, (40,), 1),
+                           hd.HyperDual.constant(2.0, 4, (40,)))
+    chain = lambda v: hd.sqrt(v[0] * v[1] + 1.0) / hd.cosh(v[2]) - v[3] ** 3
+    _assert_first_order_of(chain(seed_variables(x, 1)),
+                           chain(seed_variables(x)))
