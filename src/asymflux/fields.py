@@ -96,8 +96,6 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels, fields,
     ``(kernel jets, field jets)`` in the order given, the kernel jets as the
     hyper-duals that built them.
     """
-    if order not in (1, 2):
-        raise ValueError(f"jet order must be 1 or 2, got {order}")
     coords = np.asarray(p, dtype=float)
     n, chart_kind = coords.shape[-1], ChartKind(chart_kind)
     kernels, fields = check_indices(kernels, n), check_indices(fields, n)

@@ -163,12 +163,6 @@ def test_first_order_basis_jets_equal_second_order(n, chart):
             assert np.array_equal(got.comp, want.comp)
 
 
-@pytest.mark.parametrize("order", [0, 3])
-def test_basis_jet_order_is_one_or_two(order):
-    with pytest.raises(ValueError, match="order"):
-        basis_jets(np.ones((2, 3)), ChartKind.CARTESIAN, [0], [0], order)
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("chart", [ChartKind.POLAR_GEODESIC,
                                    ChartKind.POLAR_AREA])
