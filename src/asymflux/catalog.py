@@ -33,20 +33,20 @@ each (``sinh^2 r * sin^2 theta_1 ...``, ``rho^2 sigma_j``,
 multiplied into the running product with one sparse step
 (:func:`~asymflux.hyperdual.mul_factor`), which writes the numbers of the
 full-width product.  One writer builds every dense and first-order jet
-from its upper-triangle entries, hyper-duals or constants, mirrored into
-one zeroed block: the background and deviation of a catalog metric, the
-components of an expression metric, off-diagonal ones too.
+from its upper-triangle hyper-dual entries, mirrored into one zeroed
+block: the deviation of a catalog metric and the components,
+off-diagonal ones too, of an expression metric.
 ``expression`` components are parsed once, when the spec is built, so a
 bad component fails before any computation starts; the expression
 language is imported only to parse and evaluate them.  :func:`jets`
-returns the metric's 2-jet, the background as a first-order jet (value
-and first derivatives: the charge integrand reads no second derivative of
-``b``) and the deviation ``g - b`` from one evaluation; catalog kinds give
-the deviation in stable closed form, expression metrics subtract the
-jets.  Every background is diagonal, so its inverse and Christoffel
-symbols are closed forms in ``b_ii`` and ``d_k b_ii``; a polar chart's
-diagonal is built once per call, for the catalog kinds and the expression
-metrics of the chart alike.
+returns the metric's 2-jet, the background as one first-order hyper-dual
+of its diagonal (``val[..., i] = b_ii``, ``grad[..., i, k] = d_k b_ii``:
+the charge integrand reads no other entry and no second derivative) and
+the deviation ``g - b`` from one evaluation; catalog kinds give the
+deviation in stable closed form, expression metrics subtract ``b_ii``
+from their diagonal.  So every background is diagonal by construction,
+and a polar chart's diagonal is built once per call, for the catalog
+kinds and the expression metrics of the chart alike.
 :func:`metric_jet` is the metric jet of :func:`jets`, for the checks that
 read ``g`` alone.
 
@@ -145,7 +145,7 @@ class MetricSpec:
 
 def background_of(spec: MetricSpec) -> MetricSpec:
     """Background (model) metric of an asymptotic-type spec, same chart:
-    the metric whose jet is the background that :func:`jets` builds."""
+    the metric whose diagonal is the background that :func:`jets` gives."""
     kind = spec.chart_kind
     if kind == ChartKind.CARTESIAN:
         return MetricSpec("euclidean", spec.n)
@@ -257,13 +257,12 @@ def _zeros(*shapes) -> list[np.ndarray]:
 
 def _jet(entries, shape, n, order):
     """A symmetric jet from its upper-triangle entries ``{(i, j): e}``,
-    each a HyperDual or a constant, mirrored to ``(j, i)``, in one zeroed
-    block: a MetricJet at ``order`` 2, a SymTensorJet (value and first
-    derivatives) at 1.  A constant leaves its derivatives zero."""
+    each a HyperDual, mirrored to ``(j, i)``, in one zeroed block: a
+    MetricJet at ``order`` 2, a SymTensorJet (value and first derivatives)
+    at 1."""
     arrays = _zeros(*(shape + (n,) * (2 + k) for k in range(order + 1)))
     for (i, j), e in entries.items():
-        parts = (e.val, e.grad, e.hess) if isinstance(e, HyperDual) else (e,)
-        for out, part in zip(arrays, parts):
+        for out, part in zip(arrays, (e.val, e.grad, e.hess)):
             for a, b in {(i, j), (j, i)}:
                 out[..., a, b] = part
     return MetricJet(*arrays) if order == 2 else SymTensorJet(*arrays)
@@ -294,18 +293,12 @@ def _schwarzschild_log_factor(spec, coords):
     return t, (4.0 / (n - 2)) * hd.log1p(s)
 
 
-def _euclidean_background(shape, n) -> SymTensorJet:
-    """The identity with zero derivatives, as read-only broadcast views."""
-    return SymTensorJet(np.broadcast_to(np.eye(n), shape + (n, n)),
-                        np.broadcast_to(0.0, shape + (n, n, n)))
-
-
 def jets(spec: MetricSpec, p) -> tuple[
-        MetricJet | ConformalJet | WarpedJet, SymTensorJet, SymTensorJet]:
-    """The exact 2-jet of the spec's metric at point(s) ``p``, the
-    first-order jet of its background ``b`` (value and first derivatives,
-    the two the charge integrand reads) and the jet of the deviation
-    ``g - b``.
+        MetricJet | ConformalJet | WarpedJet, HyperDual, SymTensorJet]:
+    """The exact 2-jet of the spec's metric at point(s) ``p``, its
+    background ``b`` as one first-order hyper-dual of the diagonal
+    (``val[..., i] = b_ii``, ``grad[..., i, k] = d_k b_ii``, the two the
+    charge integrand reads) and the jet of the deviation ``g - b``.
 
     The flat catalog kinds give their metric as a
     :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi`` for
@@ -315,20 +308,19 @@ def jets(spec: MetricSpec, p) -> tuple[
     again at second order for ``ddg``; neither holds a dense array.
     Expression metrics give a dense :class:`~asymflux.geometry.MetricJet`
     in one block.  One writer builds every dense and first-order jet from
-    its upper-triangle entries.
+    its upper-triangle entries; none is the background's.
 
-    Every background is diagonal: the Euclidean ``delta`` or the polar
-    background of the chart, whose diagonal ``b_ii`` the polar branch
-    builds once, to first order, for the catalog kinds and the expression
-    metrics alike;
+    Every background is diagonal by construction: the Euclidean ``delta``
+    or the polar background of the chart, whose diagonal the polar branch
+    builds once for the catalog kinds and the expression metrics alike;
     ``b_ii`` and ``d_k b_ii`` give ``b^{-1}`` and ``Gamma(b)`` in closed
     form.  Catalog kinds give the deviation in stable closed form (no
     large-radius cancellation), to first order; expression metrics
-    subtract the jets.  The three share their intermediates: a warped
-    metric's diagonal entries are the background's hyper-duals, Kottler's
-    radial one aside.  The
-    Euclidean background and a zero deviation are read-only broadcast
-    views.
+    subtract ``b_ii`` and ``d_k b_ii`` from their diagonal, and a cartesian
+    one's ``dg`` is its deviation's.  The three share their intermediates:
+    a warped metric's diagonal entries are the background's hyper-duals,
+    Kottler's radial one aside.  The Euclidean background and a zero
+    deviation are read-only broadcast views.
     """
     coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
@@ -338,11 +330,13 @@ def jets(spec: MetricSpec, p) -> tuple[
     shape = coords.shape[:-1]
     zero = SymTensorJet(np.broadcast_to(0.0, shape + (n, n)),
                         np.broadcast_to(0.0, shape + (n, n, n)))
+    delta = HyperDual(np.broadcast_to(1.0, shape + (n,)),
+                      np.broadcast_to(0.0, shape + (n, n)))
 
     if spec.kind == "euclidean":
         flat = HyperDual(*(np.broadcast_to(0.0, shape + (n,) * k)
                            for k in range(3)))
-        return ConformalJet(flat), _euclidean_background(shape, n), zero
+        return ConformalJet(flat), delta, zero
 
     if spec.kind == "schwarzschild_conformal":
         t, log_factor = _schwarzschild_log_factor(spec, coords)
@@ -350,24 +344,27 @@ def jets(spec: MetricSpec, p) -> tuple[
         # the deviation e^{2 phi} - 1 to first order, lifted onto the
         # first-order t: the deviation reads no Hessian
         w = hd.lift(HyperDual(t.val, t.grad), hd.expm1(log_factor))
-        return (ConformalJet(two_phi), _euclidean_background(shape, n),
+        return (ConformalJet(two_phi), delta,
                 _jet({(i, i): w for i in range(n)}, shape, n, 1))
 
     if spec.is_flat_type:
-        # cartesian expression metric: plain subtraction from delta
+        # cartesian expression metric: g - delta, whose derivatives are g's
         g = _components_jet(spec, coords)
-        b = _euclidean_background(shape, n)
-        return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
+        return g, delta, SymTensorJet(g.g - np.eye(n), g.dg)
 
     check_polar_domain(coords)
     diag, background, rho, mass = _polar_diagonals(spec, coords, 1)
-    background = {(i, i): e for i, e in enumerate(background)}
+    b = HyperDual(np.stack([e.val for e in background], axis=-1),
+                  np.stack([e.grad for e in background], axis=-2))
     if spec.kind == "expression":
-        # polar expression metric: plain subtraction from the chart background
+        # polar expression metric: g - b, the background's entries
+        # subtracted from the diagonal alone
         g = _components_jet(spec, coords)
-        b = _jet(background, shape, n, 1)
-        return g, b, SymTensorJet(g.g - b.value, g.dg - b.d)
-    b = _jet(background, shape, n, 1)
+        eps = SymTensorJet(g.g.copy(), g.dg.copy())
+        i = np.arange(n)
+        eps.value[..., i, i] -= b.val
+        eps.d[..., i, i] -= b.grad.swapaxes(-1, -2)
+        return g, b, eps
 
     def second_order():
         return _polar_diagonals(spec, coords, 2)[0]

@@ -38,14 +38,15 @@ node set moves those by more than the bars.  The polar catalog kinds take
 that tensor in closed form (:class:`~asymflux.geometry.WarpedJet`), with
 no such roundoff, so they pick as the flat-type metrics do.
 
-Every background is diagonal, so the V-independent parts of ``U`` are
+Every background is diagonal, and :func:`~asymflux.catalog.jets` gives it
+as the hyper-dual of its diagonal, so the V-independent parts of ``U`` are
 closed forms in ``b_ii``, ``d_k b_ii`` and the deviation, at O(n^2) per
-node: ``b^{-1}`` is ``1/b_ii``, and ``Gamma(b)`` enters through the
-log-derivatives ``d_k b_ii / b_ii`` (:func:`_michel_pieces`); no
-factorization, Christoffel array or ``d b^{-1}`` of the background is
-built.  On a flat-type metric the background is the Euclidean ``delta`` of
-the cartesian chart, whose inverse is itself and whose symbols vanish, so
-the pass takes the ADM flux ``d_i eps_ij - d_j tr eps`` and ``tr eps``
+node: ``b^{-1}`` is the vector ``1/b_ii``, and ``Gamma(b)`` enters through
+the log-derivatives ``d_k b_ii / b_ii`` (:func:`_michel_pieces`); no dense
+``b``, factorization, Christoffel array or ``d b^{-1}`` is built.  On a
+flat-type metric the background is the Euclidean ``delta`` of the
+cartesian chart, whose inverse is itself and whose symbols vanish, so the
+pass takes the ADM flux ``d_i eps_ij - d_j tr eps`` and ``tr eps``
 (:func:`_flat_michel_pieces`) with the ``delta``-contractions of the
 general formula, which the tests keep as their oracle, bit for bit.
 
@@ -95,9 +96,10 @@ def _normalization(n: int, field: bool, mass: float | None) -> float:
 
 # --------------------------------------------------------------- integrands
 
-def _michel_pieces(eps: SymTensorJet, b: SymTensorJet):
+def _michel_pieces(eps: SymTensorJet, b: HyperDual):
     """The V-independent parts of ``U``, ``(binv, -delta eps - d tr eps,
-    tr eps)``, on a diagonal background, in closed form at O(n^2) per node.
+    tr eps)``, on the diagonal background ``b`` (the first-order jet of
+    ``b_ii``; ``binv`` is ``1/b_ii``), in closed form at O(n^2) per node.
 
     With ``L_ki = d_k b_ii / b_ii`` the symbols of ``b`` are ``Gamma^i_ki =
     L_ki / 2`` and, for ``l != i``, ``Gamma^l_ii = -L_li b_ii / (2 b_ll)``;
@@ -111,10 +113,8 @@ def _michel_pieces(eps: SymTensorJet, b: SymTensorJet):
                                 - c^l eps_lj + sum_i L_ji e_i / 2
 
     where the ``i = j`` term of the first sum is an exact zero."""
-    n = b.value.shape[-1]
-    bii = np.diagonal(b.value, axis1=-2, axis2=-1)
-    inv = 1.0 / bii
-    L = np.diagonal(b.d, axis1=-2, axis2=-1) / bii[..., None, :]
+    inv = 1.0 / b.val
+    L = b.grad.swapaxes(-1, -2) / b.val[..., None, :]   # [..., k, i]
     e = inv * np.diagonal(eps.value, axis1=-2, axis2=-1)
     c = inv * (np.diagonal(L, axis1=-2, axis2=-1) - 0.5 * sum_last(L))
     # [..., j, i] = d_i eps_ij - d_j eps_ii
@@ -123,28 +123,28 @@ def _michel_pieces(eps: SymTensorJet, b: SymTensorJet):
     source = sum_last(inv[..., None, :] * d_eps)
     source -= sum_last(c[..., None, :] * eps.value)   # eps is symmetric
     source += 0.5 * sum_last(L * e[..., None, :])
-    return inv[..., :, None] * np.eye(n), source, sum_last(e)
+    return inv, source, sum_last(e)
 
 
-def _flat_michel_pieces(eps: SymTensorJet, b: SymTensorJet):
-    """:func:`_michel_pieces` on the Euclidean background, whose jet is the
-    identity with zero derivatives: ``binv`` is ``b`` itself, the
+def _flat_michel_pieces(eps: SymTensorJet, b: HyperDual):
+    """:func:`_michel_pieces` on the Euclidean background, whose diagonal is
+    ones with zero derivatives: ``binv`` is ``b_ii`` itself, the
     Christoffel and ``d b^{-1}`` terms, exact zeros, are left out, and the
     contractions with ``delta`` are diagonal sums in the index order of the
     general formula (the test oracle)."""
     div_eps = diagonal_sum(eps.d, -3, -2)
     dtr = diagonal_sum(eps.d, -2, -1)
     tr_eps = diagonal_sum(eps.value, -2, -1)
-    return b.value, div_eps - dtr, tr_eps
+    return b.val, div_eps - dtr, tr_eps
 
 
 def _michel_contract(V: HyperDual, eps: SymTensorJet, pieces,
                      nu: np.ndarray) -> np.ndarray:
     binv, source, tr_eps = pieces
-    gradV = binv @ V.grad[..., None]
+    gradV = binv * V.grad
     one_form = (V.val[..., None] * source
                 + tr_eps[..., None] * V.grad
-                - (gradV.swapaxes(-1, -2) @ eps.value)[..., 0, :])
+                - (gradV[..., None, :] @ eps.value)[..., 0, :])
     return sum_last(one_form * nu)
 
 
@@ -240,7 +240,7 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
             # integrate_sphere rejects with the same error (a conformal
             # jet's factor is checked by curvature)
             _finite(jet.g, "metric jet", r)
-        bdiag = np.sqrt(np.diagonal(b.value, axis1=-2, axis2=-1))
+        bdiag = np.sqrt(b.val)
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         data = [np.abs(frame).max(axis=(-2, -1))]
         upper = frame[..., upper_i, upper_j] if odd else None

@@ -13,14 +13,14 @@ Every operation accepts arbitrary leading batch dimensions and is a pure
 function of its inputs.  The operators on a metric read the node's
 :class:`CurvatureBundle`, which the caller computes once per node; none of
 them re-derives ``g^{-1}`` or the Christoffel symbols.  The backgrounds of
-the charge integrand are diagonal and take their own closed forms
-(``charges._michel_pieces``).
+the charge integrand are the hyper-duals of their diagonals and take their
+own closed forms (``charges._michel_pieces``).
 
 A scalar field comes as the :class:`~asymflux.hyperdual.HyperDual` that
 computed it (``val``, ``grad``, ``hess``; ``hess`` None in the first-order
 form), a vector field as a :class:`VectorJet` (``d`` None in the
-first-order form, its components alone) and a symmetric 2-tensor as a
-:class:`SymTensorJet`.
+first-order form, its components alone) and a symmetric 2-tensor, the
+deviation ``g - b``, as a :class:`SymTensorJet`.
 A metric comes as one of three jets, and :func:`curvature` takes each its
 own way:
 
@@ -123,7 +123,8 @@ class VectorJet:
 
 @dataclass
 class SymTensorJet:
-    """Covariant symmetric 2-tensor with first derivatives ``d[..., k, i, j] = d_k T_ij``."""
+    """The deviation ``g - b`` of :func:`~asymflux.catalog.jets`, with first
+    derivatives ``d[..., k, i, j] = d_k T_ij``."""
 
     value: np.ndarray   # (..., n, n)
     d: np.ndarray       # (..., n, n, n)

@@ -7,7 +7,8 @@ whole grid of points at once.  There is no truncation error: the chain rule
 is applied exactly to second order.  It is the package's one scalar jet:
 the kernel functions, the evaluated expression components and the
 conformal factor of a :class:`~asymflux.geometry.ConformalJet` are the
-hyper-duals that built them.
+hyper-duals that built them, and a background is the first-order jet of
+its diagonal, batched over the entry index.
 
 A jet is carried only to the order its reader needs (Griewank & Walther,
 *Evaluating Derivatives*, SIAM 2008): a first-order jet has ``hess`` None

@@ -6,7 +6,8 @@ metric jets with the general formula for any background (its Cholesky
 inverse, Christoffel symbols, covariant divergence and ``d b^{-1}``), the
 full derivative of the Christoffel symbols, the adjoint linearized scalar
 curvature, an expression printer whose text parses back to the same tree,
-a metric jet read as a symmetric 2-tensor, the polar-chart jets and basis
+a metric jet read as a symmetric 2-tensor and its diagonal read as a
+background, the polar-chart jets and basis
 jets built with full-width products of full-width seeds, and the
 per-radius sups of the hypothesis diagnostics, each sampled on a node pass
 of its own.
@@ -16,14 +17,14 @@ import numpy as np
 
 from asymflux import hyperdual as hd
 from asymflux.catalog import jets
-from asymflux.charges import _michel_contract, sphere_normal_area
+from asymflux.charges import sphere_normal_area
 from asymflux.expr import Bin, Call, Name, Num, Unary
 from asymflux.fields import _gradient_field
 from asymflux.geometry import (ChartKind, CurvatureBundle, MetricJet,
                                SymTensorJet, _christoffel, _first_kind,
                                _pairs_flat, _pairs_last, christoffel,
                                curvature, diagonal_sum, hessian,
-                               inverse_metric, trace_product)
+                               inverse_metric, sum_last, trace_product)
 from asymflux.hyperdual import HyperDual, seed_variables
 from asymflux.quadrature import _evaluate, _sphere_points
 
@@ -46,11 +47,23 @@ def michel_pieces(eps: SymTensorJet, b) -> tuple:
     return binv, -delta_eps - dtr, tr_eps
 
 
+def michel_contract(V: HyperDual, eps: SymTensorJet, pieces,
+                    nu: np.ndarray) -> np.ndarray:
+    """``U(V, g, b)(nu)`` from the pieces of :func:`michel_pieces`, with the
+    dense ``binv`` raising ``dV``."""
+    binv, source, tr_eps = pieces
+    gradV = binv @ V.grad[..., None]
+    one_form = (V.val[..., None] * source
+                + tr_eps[..., None] * V.grad
+                - (gradV.swapaxes(-1, -2) @ eps.value)[..., 0, :])
+    return sum_last(one_form * nu)
+
+
 def michel_integrand_deviation(V: HyperDual, eps: SymTensorJet, b,
                                nu: np.ndarray) -> np.ndarray:
     """Charge integrand ``U(V, g, b)(nu)`` from the deviation ``eps = g - b``
     and the general formula (:func:`michel_pieces`), for any background."""
-    return _michel_contract(V, eps, michel_pieces(eps, b), nu)
+    return michel_contract(V, eps, michel_pieces(eps, b), nu)
 
 
 def michel_integrand(V: HyperDual, g_jet: MetricJet, b_jet: MetricJet,
@@ -84,6 +97,14 @@ def center_integrand(eps: SymTensorJet, alpha: int, points: np.ndarray,
 def as_sym_tensor(jet: MetricJet) -> SymTensorJet:
     """The metric jet's value and first derivatives as a symmetric 2-tensor."""
     return SymTensorJet(jet.g, jet.dg)
+
+
+def diagonal_jet(T: SymTensorJet) -> HyperDual:
+    """The diagonal entries ``T_ii`` of a symmetric 2-tensor with their
+    first derivatives, in the form of a catalog background: ``val[..., i] =
+    T_ii`` and ``grad[..., i, k] = d_k T_ii``."""
+    i = np.arange(T.value.shape[-1])
+    return HyperDual(T.value[..., i, i], T.d[..., i, i].swapaxes(-1, -2))
 
 
 def inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -248,7 +269,7 @@ def decay_sup(spec, r, rule):
     b_jj)``."""
     def frame_sup(points):
         _, b, eps = jets(spec, points)
-        bdiag = np.sqrt(np.einsum("...ii->...i", b.value))
+        bdiag = np.sqrt(b.val)
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         return np.abs(frame).max(axis=(-2, -1))
     points = _sphere_points(r, rule, spec.chart_kind)

@@ -7,9 +7,9 @@ from asymflux.catalog import (FLAT_KINDS, HYPERBOLIC_KINDS, MetricSpec,
                               background_of, chart_radius, coordinate_volume,
                               decay_mode, geodesic_radius, jets, metric_jet)
 from asymflux.errors import DomainError
-from asymflux.geometry import (ConformalJet, SymTensorJet, WarpedJet,
-                               curvature)
-from oracles import polar_jets
+from asymflux.geometry import ConformalJet, WarpedJet, curvature
+from asymflux.hyperdual import HyperDual
+from oracles import as_sym_tensor, diagonal_jet, polar_jets
 
 RNG = np.random.default_rng(11)
 
@@ -178,12 +178,13 @@ def test_deviation_matches_subtraction(kind, n, pts_fn):
     b = metric_jet(background_of(spec), pts)
     assert np.allclose(eps.value, g.g - b.g, atol=1e-12)
     assert np.allclose(eps.d, g.dg - b.dg, atol=1e-12)
-    # the fused call gives the metric jet and the background's value and
-    # first derivatives bit for bit
+    # the fused call gives the metric jet and the background's diagonal
+    # entries and their first derivatives bit for bit
     for key in ("g", "dg", "ddg"):
         assert np.array_equal(getattr(g_jet, key), getattr(g, key))
-    assert np.array_equal(b_jet.value, b.g)
-    assert np.array_equal(b_jet.d, b.dg)
+    reference = diagonal_jet(as_sym_tensor(b))
+    assert np.array_equal(b_jet.val, reference.val)
+    assert np.array_equal(b_jet.grad, reference.grad)
 
 
 # ------------------------------------------------ separable polar products
@@ -200,20 +201,21 @@ def test_polar_jets_equal_the_full_width_products(spec):
     equal the full-width products of full-width seeds, including huge
     ``sinh^2 r`` entries."""
     pts = polar_points(spec.n, 40, 1.5, 30.0, np.random.default_rng(spec.n))
-    computed, reference = jets(spec, pts), polar_jets(spec, pts)
+    (g, b, eps), (g_ref, b_ref, eps_ref) = jets(spec, pts), polar_jets(spec,
+                                                                      pts)
     for key in ("g", "dg", "ddg"):
-        assert np.array_equal(getattr(computed[0], key),
-                              getattr(reference[0], key))
-    for ours, ref in zip(computed[1:], reference[1:]):
-        assert np.array_equal(ours.value, ref.value)
-        assert np.array_equal(ours.d, ref.d)
+        assert np.array_equal(getattr(g, key), getattr(g_ref, key))
+    b_ref = diagonal_jet(b_ref)
+    assert np.array_equal(b.val, b_ref.val)
+    assert np.array_equal(b.grad, b_ref.grad)
+    assert np.array_equal(eps.value, eps_ref.value)
+    assert np.array_equal(eps.d, eps_ref.d)
 
 
 def test_polar_jets_take_no_full_width_product(monkeypatch):
     """Polar ``jets`` and ``basis_jets`` multiply no two jets of the chart's
     width: every factor enters by ``mul_factor``."""
     from asymflux.fields import basis_jets
-    from asymflux.hyperdual import HyperDual
 
     widths = []
     product = HyperDual.__mul__
@@ -279,7 +281,7 @@ def test_diagnostic_node_data_equal_jets(spec, pts_fn):
     n = spec.n
     _, data = sphere_integrand(spec, range(n + 1), (), 9.0)(pts)
     _, b, eps = jets(spec, pts)
-    bdiag = np.sqrt(np.einsum("...ii->...i", b.value))
+    bdiag = np.sqrt(b.val)
     frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
     expected = [np.abs(frame).max(axis=(-2, -1))]
     if spec.is_flat_type:
@@ -290,19 +292,45 @@ def test_diagnostic_node_data_equal_jets(spec, pts_fn):
 
 @pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
 def test_backgrounds_are_diagonal_first_order_jets(spec, pts_fn):
-    """The background from :func:`jets` is a first-order jet, value and
-    first derivatives with no second ones, and exactly diagonal, which
-    the closed-form charge integrand assumes; its diagonal is that of the
-    background spec's metric jet, bit for bit."""
+    """The background from :func:`jets` is the first-order jet of its
+    diagonal entries ``b_ii``, values and first derivatives with no second
+    ones, which is all the closed-form charge integrand reads: the
+    background spec's metric jet is exactly diagonal, and its diagonal is
+    ``b``, bit for bit."""
     pts = pts_fn()
     b = jets(spec, pts)[1]
-    assert isinstance(b, SymTensorJet)
-    n = spec.n
-    off = ~np.eye(n, dtype=bool)
-    assert not np.any(b.value[..., off]) and not np.any(b.d[..., off])
+    assert isinstance(b, HyperDual) and b.order == 1
     reference = metric_jet(background_of(spec), pts)
-    assert np.array_equal(b.value, reference.g)
-    assert np.array_equal(b.d, reference.dg)
+    off = ~np.eye(spec.n, dtype=bool)
+    assert not np.any(reference.g[..., off])
+    assert not np.any(reference.dg[..., off])
+    reference = diagonal_jet(as_sym_tensor(reference))
+    assert np.array_equal(b.val, reference.val)
+    assert np.array_equal(b.grad, reference.grad)
+
+
+@pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
+def test_jets_write_no_background_block(spec, pts_fn, monkeypatch):
+    """:func:`jets` writes no dense block for the background, whose
+    diagonal is a hyper-dual of shape ``(..., n)``: the only blocks are
+    the deviation of ``schwarzschild_conformal`` and ``kottler`` and the
+    components of an expression metric."""
+    from asymflux import catalog
+
+    calls = []
+    writer = catalog._jet
+
+    def counting(*args):
+        calls.append(args)
+        return writer(*args)
+
+    monkeypatch.setattr(catalog, "_jet", counting)
+    pts = pts_fn()
+    b = jets(spec, pts)[1]
+    exact = spec.kind in ("euclidean", "hyperbolic_polar", "hyperbolic_area")
+    assert len(calls) == (0 if exact else 1)
+    assert b.hess is None and b.val.shape == pts.shape
+    assert b.grad.shape == pts.shape + (spec.n,)
 
 
 @pytest.mark.parametrize("spec,pts_fn", _EVERY_KIND)
@@ -469,9 +497,10 @@ def test_equal_components_evaluated_once(monkeypatch):
 @pytest.mark.parametrize("chart", ["cartesian", "polar_area",
                                    "polar_geodesic"])
 def test_expression_jets_write_one_second_order_block(chart, monkeypatch):
-    """An expression metric's :func:`jets` writes one 2-jet, the metric's
-    own, then in a polar chart the background as a first-order jet: no
-    background 2-jet, whose ``n^4`` Hessian block no charge reads."""
+    """An expression metric's :func:`jets` writes one block, the metric's
+    own 2-jet, in every chart: no background block, whose diagonal is a
+    hyper-dual, and no background 2-jet, whose ``n^4`` Hessian block no
+    charge reads."""
     from asymflux import catalog
 
     blocks = []
@@ -487,7 +516,7 @@ def test_expression_jets_write_one_second_order_block(chart, monkeypatch):
     jets(spec, RNG.normal(size=(6, 4)) * 3 + 9 if chart == "cartesian"
          else polar_points(4, 6, 3.0, 8.0))
     orders = [len(shapes) - 1 for shapes in blocks]
-    assert orders == ([2] if chart == "cartesian" else [2, 1])
+    assert orders == [2]
     assert blocks[0][-1] == (6, 4, 4, 4, 4)
 
 def test_perturbation_metric():

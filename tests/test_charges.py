@@ -13,8 +13,9 @@ from asymflux.fields import basis_jets
 from asymflux.geometry import SymTensorJet, WarpedJet
 from asymflux.quadrature import integrate_sphere, omega, sphere_rule
 from oracles import (adm_integrand, center_integrand, decay_sup,
-                     michel_integrand, michel_integrand_deviation,
-                     michel_pieces, odd_sup, scal_sup)
+                     michel_contract, michel_integrand,
+                     michel_integrand_deviation, michel_pieces, odd_sup,
+                     scal_sup)
 
 RNG = np.random.default_rng(42)
 FLAT_RADII = 8.0 * 2.0 ** np.arange(5)
@@ -107,12 +108,14 @@ def test_flat_michel_pieces_equal_general_formula(spec):
     units = sphere_rule(spec.n, 8).units
     x = 12.0 * units
     _, b, eps = jets(spec, x)
-    flat, general = _flat_michel_pieces(eps, b), michel_pieces(eps, b)
-    for closed, full in zip(flat, general):
+    flat = _flat_michel_pieces(eps, b)
+    general = michel_pieces(eps, metric_jet(background_of(spec), x))
+    assert np.array_equal(flat[0][..., None] * np.eye(spec.n), general[0])
+    for closed, full in zip(flat[1:], general[1:]):
         assert np.array_equal(closed, full)
     for jet in basis_jets(x, "cartesian", range(spec.n + 1), [])[0]:
         assert np.array_equal(_michel_contract(jet, eps, flat, units),
-                              _michel_contract(jet, eps, general, units))
+                              michel_contract(jet, eps, general, units))
 
 
 def test_flat_sphere_pass_inverts_only_the_metric(monkeypatch):
@@ -202,9 +205,10 @@ def test_polar_michel_pieces_match_the_general_formula(spec):
     """On a polar background the closed-form Michel pieces match the general
     formula (Cholesky inverse, Christoffel symbols, covariant divergence and
     ``d b^{-1}`` of the background) within 2e-15 of the largest entry of
-    the source (4.9e-16 measured); ``binv`` and ``tr eps`` are the same
-    bits, and on the hyperbolic metrics themselves every piece but
-    ``binv`` is an exact zero."""
+    the source (4.9e-16 measured); ``binv``, the diagonal of the general
+    formula's inverse, and ``tr eps`` are the same bits, and on the
+    hyperbolic metrics themselves every piece but ``binv`` is an exact
+    zero."""
     from asymflux.charges import _michel_pieces
 
     rng = np.random.default_rng(spec.n)
@@ -214,8 +218,9 @@ def test_polar_michel_pieces_match_the_general_formula(spec):
     pts[:, 1:-1] = rng.uniform(0.3, np.pi - 0.3, (200, spec.n - 2))
     pts[:, -1] = rng.uniform(0.0, 2.0 * np.pi, 200)
     _, b, eps = jets(spec, pts)
-    closed, general = _michel_pieces(eps, b), michel_pieces(eps, b)
-    assert np.array_equal(closed[0], general[0])
+    closed = _michel_pieces(eps, b)
+    general = michel_pieces(eps, metric_jet(background_of(spec), pts))
+    assert np.array_equal(closed[0][..., None] * np.eye(spec.n), general[0])
     assert np.array_equal(closed[2], general[2])
     scale = np.abs(general[1]).max()
     assert np.abs(closed[1] - general[1]).max() <= 2e-15 * scale
