@@ -17,10 +17,11 @@ log of its conformal factor, a width-1 hyper-dual in ``t = |x - c|^2``,
 whose jet is exact, lifted to the chart by one chain-rule step
 (:func:`~asymflux.hyperdual.lift`).  The polar catalog kinds are warped
 products ``drho^2 / f + rho^2 sigma`` over the round sphere and come as a
-:class:`~asymflux.geometry.WarpedJet`: the first-order hyper-duals of
-their diagonal entries, the warping radius ``rho`` and the profile ``h =
-f - (1 + rho^2)`` with its derivative, 0 on ``hyperbolic_polar`` and
-``hyperbolic_area`` and ``-2m rho^(2-n)`` on ``kottler``, from which
+:class:`~asymflux.geometry.WarpedJet`: their stacked first-order
+diagonal (on ``hyperbolic_polar`` and ``hyperbolic_area`` the background
+itself), the warping radius ``rho`` and the profile ``h = f - (1 +
+rho^2)`` with its derivative, 0 on the two backgrounds and ``-2m
+rho^(2-n)`` on ``kottler``, from which
 :func:`~asymflux.geometry.curvature` takes the curvature in closed form.
 No pass reads a second derivative of a polar entry, so the polar branch
 carries every entry to first order (values and gradients) and builds no
@@ -39,14 +40,13 @@ off-diagonal ones too, of an expression metric.
 ``expression`` components are parsed once, when the spec is built, so a
 bad component fails before any computation starts; the expression
 language is imported only to parse and evaluate them.  :func:`jets`
-returns the metric's 2-jet, the background as one first-order hyper-dual
-of its diagonal (``val[..., i] = b_ii``, ``grad[..., i, k] = d_k b_ii``:
-the charge integrand reads no other entry and no second derivative) and
-the deviation ``g - b`` from one evaluation; catalog kinds give the
-deviation in stable closed form, expression metrics subtract ``b_ii``
-from their diagonal.  So every background is diagonal by construction,
-and a polar chart's diagonal is built once per call, for the catalog
-kinds and the expression metrics of the chart alike.
+returns the metric's 2-jet, the background as the stacked first-order
+hyper-dual of its diagonal (the charge integrand reads no other entry
+and no second derivative) and the deviation ``g - b`` from one
+evaluation; catalog kinds give the deviation in stable closed form,
+expression metrics subtract ``b_ii`` from their diagonal.  So every
+background is diagonal by construction, and a polar chart's is built
+once per call, for its catalog kinds and expression metrics alike.
 :func:`metric_jet` is the metric jet of :func:`jets`, for the checks that
 read ``g`` alone.
 
@@ -296,31 +296,28 @@ def _schwarzschild_log_factor(spec, coords):
 def jets(spec: MetricSpec, p) -> tuple[
         MetricJet | ConformalJet | WarpedJet, HyperDual, SymTensorJet]:
     """The exact 2-jet of the spec's metric at point(s) ``p``, its
-    background ``b`` as one first-order hyper-dual of the diagonal
+    background ``b`` as the stacked first-order hyper-dual of the diagonal
     (``val[..., i] = b_ii``, ``grad[..., i, k] = d_k b_ii``, the two the
     charge integrand reads) and the jet of the deviation ``g - b``.
 
     The flat catalog kinds give their metric as a
     :class:`~asymflux.geometry.ConformalJet`, the 2-jet of ``2 phi`` for
     ``g = e^{2 phi} delta``, and the polar catalog kinds as a
-    :class:`~asymflux.geometry.WarpedJet`, their diagonal entries to first
-    order and radial profile, with a function that evaluates the diagonal
-    again at second order for ``ddg``; neither holds a dense array.
+    :class:`~asymflux.geometry.WarpedJet`, their stacked first-order
+    diagonal and radial profile, with a function that evaluates it again
+    at second order for ``ddg``; neither holds a dense array.
     Expression metrics give a dense :class:`~asymflux.geometry.MetricJet`
-    in one block.  One writer builds every dense and first-order jet from
-    its upper-triangle entries; none is the background's.
+    in one block.
 
-    Every background is diagonal by construction: the Euclidean ``delta``
-    or the polar background of the chart, whose diagonal the polar branch
-    builds once for the catalog kinds and the expression metrics alike;
-    ``b_ii`` and ``d_k b_ii`` give ``b^{-1}`` and ``Gamma(b)`` in closed
-    form.  Catalog kinds give the deviation in stable closed form (no
-    large-radius cancellation), to first order; expression metrics
-    subtract ``b_ii`` and ``d_k b_ii`` from their diagonal, and a cartesian
-    one's ``dg`` is its deviation's.  The three share their intermediates:
-    a warped metric's diagonal entries are the background's hyper-duals,
-    Kottler's radial one aside.  The Euclidean background and a zero
-    deviation are read-only broadcast views.
+    Every background is diagonal by construction, the Euclidean ``delta``
+    or the polar background of the chart, and ``b_ii`` and ``d_k b_ii``
+    give ``b^{-1}`` and ``Gamma(b)`` in closed form.  Catalog kinds give
+    the deviation in stable closed form (no large-radius cancellation), to
+    first order; expression metrics subtract ``b_ii`` and ``d_k b_ii``
+    from their diagonal, and a cartesian one's ``dg`` is its deviation's.
+    The three share their intermediates: a warped background's diagonal is
+    ``b`` itself and Kottler's shares its angular entries.  The Euclidean
+    background and a zero deviation are read-only broadcast views.
     """
     coords = np.asarray(p, dtype=float)
     if coords.shape[-1] != spec.n:
@@ -353,9 +350,7 @@ def jets(spec: MetricSpec, p) -> tuple[
         return g, delta, SymTensorJet(g.g - np.eye(n), g.dg)
 
     check_polar_domain(coords)
-    diag, background, rho, mass = _polar_diagonals(spec, coords, 1)
-    b = HyperDual(np.stack([e.val for e in background], axis=-1),
-                  np.stack([e.grad for e in background], axis=-2))
+    diag, b, rho, mass = _polar_diagonals(spec, coords, 1)
     if spec.kind == "expression":
         # polar expression metric: g - b, the background's entries
         # subtracted from the diagonal alone
@@ -379,11 +374,11 @@ def jets(spec: MetricSpec, p) -> tuple[
 
 
 def _polar_diagonals(spec, coords, order):
-    """The diagonals of a polar-chart metric and of its background, as
-    hyper-duals of ``order``, the warping radius ``rho`` and, on Kottler,
-    the mass term ``2m rho^(2-n)`` of its profile and its deviation entry
-    ``1/f - 1/f0`` (None on the other kinds, whose metric diagonal is the
-    background's).
+    """The diagonals of a polar-chart metric and of its background, each
+    stacked at ``order`` (:func:`~asymflux.hyperdual.stack`), the warping
+    radius ``rho`` and, on Kottler, the mass term ``2m rho^(2-n)`` of its
+    profile and its deviation entry ``1/f - 1/f0`` (None on the other
+    kinds, whose metric diagonal is the background object).
 
     The entries are separable: each factor a one-variable jet in r or an
     angle, multiplied into the unit jet or the round-sphere product; the
@@ -404,7 +399,7 @@ def _polar_diagonals(spec, coords, order):
         angular = [hd.mul_factor(s, r2, 0) for s in sigma]
         f0 = 1.0 + r2
         radial, rho = hd.mul_factor(one, 1.0 / f0, 0), r.val
-    background = [radial, *angular]
+    background = hd.stack([radial, *angular])
     if spec.kind != "kottler":
         return background, background, rho, None
     mass_term = (2.0 * spec.m) * r ** (-(n - 2))
@@ -413,8 +408,8 @@ def _polar_diagonals(spec, coords, order):
         raise DomainError("kottler metric function non-positive at point")
     # 1/f - 1/f0 = (f0 - f) / (f f0)
     eps = hd.mul_factor(one, mass_term / (f * f0), 0)
-    return ([hd.mul_factor(one, 1.0 / f, 0), *angular], background, rho,
-            (mass_term, eps))
+    return (hd.stack([hd.mul_factor(one, 1.0 / f, 0), *angular]),
+            background, rho, (mass_term, eps))
 
 
 def metric_jet(spec: MetricSpec, p) -> MetricJet | ConformalJet | WarpedJet:

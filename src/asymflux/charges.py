@@ -235,11 +235,11 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
     def f(points):
         jet, b, eps = jets(spec, points)
         if fields and isinstance(jet, (MetricJet, WarpedJet)):
-            # g is inverted below (a warped jet's g is its diagonal); a
-            # non-finite dg or ddg reaches the integrand, which
-            # integrate_sphere rejects with the same error (a conformal
-            # jet's factor is checked by curvature)
-            _finite(jet.g, "metric jet", r)
+            # the metric is inverted below; a non-finite dg or ddg reaches
+            # the integrand, which integrate_sphere rejects with the same
+            # error (a conformal jet's factor is checked by curvature)
+            _finite(jet.diag.val if isinstance(jet, WarpedJet) else jet.g,
+                    "metric jet", r)
         bdiag = np.sqrt(b.val)
         frame = eps.value / (bdiag[..., :, None] * bdiag[..., None, :])
         data = [np.abs(frame).max(axis=(-2, -1))]

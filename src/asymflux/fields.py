@@ -92,7 +92,7 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels, fields,
     One call evaluates the coordinates, the hyper-dual seeds, the sphere
     embedding and the background inverse once for every element, and each
     kernel jet once: the hyperbolic field ``X^(i) = grad_b V^(i)`` reads the
-    jet of ``V^(i)`` and the first-order ``b^{-1}`` entries.  Returns
+    jet of ``V^(i)`` and the stacked first-order ``b^{-1}``.  Returns
     ``(kernel jets, field jets)`` in the order given, the kernel jets as the
     hyper-duals that built them.
     """
@@ -127,9 +127,9 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels, fields,
              for i in indices}
     vectors = []
     if fields:
-        binv = [(e.val, e.grad) for e in [radial_inv] + [
+        binv = hd.stack([radial_inv] + [
             hd.reciprocal(hd.mul_factor(s, sph2, 0))
-            for s in round_sphere_diag_hd(angles, first)]]
+            for s in round_sphere_diag_hd(angles, first)])
         vectors = [_gradient_field(vjets[i], binv) for i in fields]
     return [vjets[i] for i in kernels], vectors
 
@@ -175,21 +175,18 @@ def _flat_field(coords, index, order):
 
 # --------------------------------------------------------- hyperbolic fields
 
-def _gradient_field(vjet: HyperDual, binv) -> VectorJet:
-    """``X = grad_b V`` from the jet of V and the diagonal of ``b^{-1}``,
-    one ``(value, gradient)`` pair per entry; its components alone when V
-    is first-order."""
-    shape, n = vjet.grad.shape[:-1], len(binv)
-    comp = np.zeros(shape + (n,))
-    for j, (value, _) in enumerate(binv):
-        comp[..., j] = value * vjet.grad[..., j]
+def _gradient_field(vjet: HyperDual, binv: HyperDual) -> VectorJet:
+    """``X = grad_b V`` from the jet of V and the stacked first-order
+    diagonal of ``b^{-1}``; its components alone when V is first-order.
+    ``d`` is written by columns, with no ``(..., n, n)`` temporary."""
+    comp = binv.val * vjet.grad
     if vjet.hess is None:
         return VectorJet(comp, None)
-    d = np.zeros(shape + (n, n))
-    for j, (value, grad) in enumerate(binv):
+    d = np.empty(vjet.hess.shape)
+    for j in range(binv.val.shape[-1]):
         # d_k X^j = (d_k binv_jj) dV_j + binv_jj Hess^{coord}_kj V
-        d[..., :, j] = (grad * vjet.grad[..., j][..., None]
-                        + value[..., None] * vjet.hess[..., :, j])
+        d[..., :, j] = (binv.grad[..., j, :] * vjet.grad[..., j, None]
+                        + binv.val[..., j, None] * vjet.hess[..., :, j])
     return VectorJet(comp, d)
 
 

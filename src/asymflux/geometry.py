@@ -32,8 +32,8 @@ own way:
   no n^4 array, and Christoffel symbols only where a check reads them;
 * a :class:`WarpedJet`, ``g = drho^2 / f + rho^2 sigma`` over the round
   sphere in a polar chart (the polar catalog kinds, ``hyperbolic_polar``,
-  ``hyperbolic_area`` and ``kottler``), holds its diagonal entries to
-  first order and the radial profile ``h = f - (1 + rho^2)``.  Every
+  ``hyperbolic_area`` and ``kottler``), holds its stacked first-order
+  diagonal and the radial profile ``h = f - (1 + rho^2)``.  Every
   background is Einstein, so ``Ric + (n-1) g`` is linear in ``h``, and
   its curvature is that closed form at O(n) per node: the modified
   Einstein tensor comes without subtracting terms of order 1, exactly 0
@@ -199,45 +199,43 @@ def _diagonal(entries: np.ndarray) -> np.ndarray:
 @dataclass
 class WarpedJet:
     """A diagonal warped product ``g = drho^2 / f + rho^2 sigma`` over the
-    round sphere ``sigma``, in a polar chart, held as its diagonal entries
-    and its radial profile.
+    round sphere ``sigma``, in a polar chart, held as its diagonal and its
+    radial profile.
 
-    ``diag`` holds the first-order hyper-dual of each ``g_ii``; ``rho`` is
-    the warping radius at each node (the area chart's coordinate, ``sinh
-    r`` in the geodesic chart), ``h = f - (1 + rho^2)`` the deviation of
-    ``f = |d rho|_g^2`` from the hyperbolic background's and ``dh`` its
-    derivative in ``rho`` (both 0 on the backgrounds).  :func:`curvature`
-    reads ``g``, built from the values of ``diag``, and the profile alone;
-    ``dg``, which the charge pass never reads, is built from the entries'
-    gradients on first read.  ``second_order`` is a function that
-    evaluates the diagonal again at second order: ``ddg``, which only the
-    tests read, calls it on first read, so no pass builds a Hessian of the
-    diagonal."""
+    ``diag`` is the stacked first-order hyper-dual of the diagonal
+    (:func:`~asymflux.hyperdual.stack`); ``rho`` is the warping radius at
+    each node (the area chart's coordinate, ``sinh r`` in the geodesic
+    chart), ``h = f - (1 + rho^2)`` the deviation of ``f = |d rho|_g^2``
+    from the hyperbolic background's and ``dh`` its derivative in ``rho``
+    (both 0 on the backgrounds).  :func:`curvature` reads ``diag.val`` and
+    the profile alone; the dense ``g``, ``dg`` and ``ddg``, which the
+    charge pass never reads, are written from the diagonal on first read,
+    ``ddg`` from ``second_order()``, the diagonal evaluated again at
+    second order, so no pass builds a Hessian of the diagonal."""
 
-    diag: list                  # n HyperDuals, g_ii: val (...,), grad
+    diag: HyperDual             # g_ii: val (..., n), grad (..., n, n)
     rho: np.ndarray             # (...,)
     h: np.ndarray | float       # (...,) or 0
     dh: np.ndarray | float      # (...,) or 0
-    second_order: Callable[[], list]    # () -> n second-order g_ii
+    second_order: Callable[[], HyperDual]   # () -> second-order diag
 
     @property
     def n(self) -> int:
-        return len(self.diag)
+        return self.diag.val.shape[-1]
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _diagonal(np.stack([e.val for e in self.diag], axis=-1))
+        return _diagonal(self.diag.val)
 
     @cached_property
     def dg(self) -> np.ndarray:
         # dg[..., k, i, i] = d_k g_ii
-        return _diagonal(np.stack([e.grad for e in self.diag], axis=-1))
+        return _diagonal(self.diag.grad.swapaxes(-1, -2))
 
     @cached_property
     def ddg(self) -> np.ndarray:
         # ddg[..., k, l, i, i] = d_k d_l g_ii
-        return _diagonal(np.stack([e.hess for e in self.second_order()],
-                                  axis=-1))
+        return _diagonal(np.moveaxis(self.second_order().hess, -3, -1))
 
 
 @dataclass
@@ -468,7 +466,7 @@ def _warped_curvature(jet: WarpedJet) -> CurvatureBundle:
     is not a positive finite number raises, as a failed factorization
     does.  The Christoffel symbols are built from ``dg`` on first read."""
     n = jet.n
-    gii = np.diagonal(jet.g, axis1=-2, axis2=-1)
+    gii = jet.diag.val
     if not np.all((gii > 0) & (gii < np.inf)):
         raise DegenerateMetricError(
             "metric diagonal entry is not a positive finite number")

@@ -7,8 +7,8 @@ whole grid of points at once.  There is no truncation error: the chain rule
 is applied exactly to second order.  It is the package's one scalar jet:
 the kernel functions, the evaluated expression components and the
 conformal factor of a :class:`~asymflux.geometry.ConformalJet` are the
-hyper-duals that built them, and a background is the first-order jet of
-its diagonal, batched over the entry index.
+hyper-duals that built them, and a diagonal (a background, a warped
+metric's, a ``b^{-1}``) is one jet batched over its entries (:func:`stack`).
 
 A jet is carried only to the order its reader needs (Griewank & Walther,
 *Evaluating Derivatives*, SIAM 2008): a first-order jet has ``hess`` None
@@ -41,8 +41,8 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = ["HyperDual", "seed_variables", "one_variable_seeds", "lift",
-           "mul_factor", "reciprocal", "sqrt", "exp", "log", "log1p", "expm1",
-           "sin", "cos", "tan", "sinh", "cosh", "tanh"]
+           "mul_factor", "stack", "reciprocal", "sqrt", "exp", "log",
+           "log1p", "expm1", "sin", "cos", "tan", "sinh", "cosh", "tanh"]
 
 
 def _outer(a, b):
@@ -242,6 +242,16 @@ def mul_factor(p: HyperDual, f: HyperDual, k: int) -> HyperDual:
             hess[..., :, k] = cross
             hess[..., k, k] = f.hess[..., 0, 0] * p.val
     return HyperDual(val, grad, hess)
+
+
+def stack(entries) -> HyperDual:
+    """One jet of a diagonal from its entries, jets of one batch shape:
+    ``val[..., i]``, ``grad[..., i, k]`` and ``hess[..., i, k, l]`` when
+    every entry has a Hessian."""
+    return HyperDual(np.stack([e.val for e in entries], axis=-1),
+                     np.stack([e.grad for e in entries], axis=-2),
+                     np.stack([e.hess for e in entries], axis=-3)
+                     if _second_order(*entries) else None)
 
 
 def reciprocal(x: HyperDual) -> HyperDual:

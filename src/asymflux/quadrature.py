@@ -68,7 +68,7 @@ memory to the kernel and the next chunk faults it in again (at n=5, degree
 covers the dense jets only.  A conformal jet (the flat catalog kinds) has
 no n^4 array, so its chunks peak lower but free smaller blocks too: the
 trim threshold sits below the peak of a translated n=5 ``center`` chunk,
-whose heap top is faulted in again chunk by chunk (about 78k minor faults
+whose heap top is faulted in again chunk by chunk (about 48k minor faults
 at degree 24), which costs less than the n^4 arrays did.
 """
 

@@ -8,7 +8,8 @@ full derivative of the Christoffel symbols, the adjoint linearized scalar
 curvature, an expression printer whose text parses back to the same tree,
 a metric jet read as a symmetric 2-tensor and its diagonal read as a
 background, the polar-chart jets and basis
-jets built with full-width products of full-width seeds, and the
+jets built with full-width products of full-width seeds (the gradient
+fields written one column at a time), and the
 per-radius sups of the hypothesis diagnostics, each sampled on a node pass
 of its own.
 """
@@ -19,12 +20,12 @@ from asymflux import hyperdual as hd
 from asymflux.catalog import jets
 from asymflux.charges import sphere_normal_area
 from asymflux.expr import Bin, Call, Name, Num, Unary
-from asymflux.fields import _gradient_field
 from asymflux.geometry import (ChartKind, CurvatureBundle, MetricJet,
-                               SymTensorJet, _christoffel, _first_kind,
-                               _pairs_flat, _pairs_last, christoffel,
-                               curvature, diagonal_sum, hessian,
-                               inverse_metric, sum_last, trace_product)
+                               SymTensorJet, VectorJet, _christoffel,
+                               _first_kind, _pairs_flat, _pairs_last,
+                               christoffel, curvature, diagonal_sum,
+                               hessian, inverse_metric, sum_last,
+                               trace_product)
 from asymflux.hyperdual import HyperDual, seed_variables
 from asymflux.quadrature import _evaluate, _sphere_points
 
@@ -255,8 +256,22 @@ def polar_basis_jets(coords, chart_kind):
     scalars = [v0] + [ui * radial_factor for ui in u]
     binv = [radial_inv] + [one / (sph2 * s)
                            for s in round_sphere_diag_chain(angles, one)]
-    binv = [(entry.val, entry.grad) for entry in binv]
-    return scalars, [_gradient_field(V, binv) for V in scalars]
+    return scalars, [gradient_field(V, binv) for V in scalars]
+
+
+def gradient_field(vjet: HyperDual, binv) -> VectorJet:
+    """``X = grad_b V`` from the jet of V and the list of diagonal entries
+    of ``b^{-1}``, written one column per entry."""
+    shape, n = vjet.grad.shape[:-1], len(binv)
+    comp = np.zeros(shape + (n,))
+    for j, entry in enumerate(binv):
+        comp[..., j] = entry.val * vjet.grad[..., j]
+    d = np.zeros(shape + (n, n))
+    for j, entry in enumerate(binv):
+        # d_k X^j = (d_k binv_jj) dV_j + binv_jj Hess^{coord}_kj V
+        d[..., :, j] = (entry.grad * vjet.grad[..., j][..., None]
+                        + entry.val[..., None] * vjet.hess[..., :, j])
+    return VectorJet(comp, d)
 
 
 # ------------------------------------------------------ diagnostic sups

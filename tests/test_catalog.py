@@ -354,13 +354,15 @@ def test_metric_jet_is_one_block(spec, pts_fn):
     holds the 2-jet of ``2 phi`` alone, a value, gradient and Hessian per
     node, and builds no ``g``, ``dg`` or ``ddg`` unless one is read; the
     Euclidean one is read-only broadcast zeros.  Nor is a warped jet (the
-    polar catalog kinds): it holds the first-order hyper-dual of each
-    diagonal entry, the radial profile and the function that evaluates
-    the diagonal again at second order, and builds no dense array unless
-    one is read; ``ddg``, read, is a Hessian block of its own."""
+    polar catalog kinds): it holds its diagonal as one stacked first-order
+    hyper-dual, on the hyperbolic backgrounds the very background that
+    :func:`jets` returns, the radial profile and the function that
+    evaluates the diagonal again at second order, and builds no dense
+    array unless one is read; ``ddg``, read, is a Hessian block of its
+    own."""
     pts = pts_fn()
     batch, n = pts.shape[:-1], spec.n
-    first, second = jets(spec, pts)[0], metric_jet(spec, pts)
+    (first, b, _), second = jets(spec, pts), metric_jet(spec, pts)
     if spec.kind in FLAT_KINDS:
         for jet in (first, second):
             assert isinstance(jet, ConformalJet)
@@ -377,16 +379,16 @@ def test_metric_jet_is_one_block(spec, pts_fn):
             assert isinstance(jet, WarpedJet)
             assert set(vars(jet)) == {"diag", "rho", "h", "dh",
                                       "second_order"}
-            assert len(jet.diag) == n
-            for e in jet.diag:
-                assert [np.shape(part) for part in (e.val, e.grad)] \
-                    == [batch, batch + (n,)]
-                assert e.hess is None
+            assert isinstance(jet.diag, HyperDual)
+            assert [np.shape(part) for part in (jet.diag.val,
+                                                jet.diag.grad)] \
+                == [batch + (n,), batch + (n, n)]
+            assert jet.diag.hess is None
             assert np.shape(jet.rho) == batch
             assert jet.ddg.shape == batch + (n,) * 4
-        for a, b in zip(first.diag[1:], second.diag[1:]):
-            assert not np.shares_memory(a.val, b.val)
-            assert not np.shares_memory(a.grad, b.grad)
+        assert (first.diag is b) == (spec.kind != "kottler")
+        assert not np.shares_memory(first.diag.val, second.diag.val)
+        assert not np.shares_memory(first.diag.grad, second.diag.grad)
         return
     for jet in (first, second):
         base = jet.g.base

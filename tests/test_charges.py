@@ -293,7 +293,7 @@ def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
         assert counts["factor"] == counts["christoffel"] == 0
         assert built and all(isinstance(jet, WarpedJet) for jet in built)
         for jet in built:
-            assert "dg" not in vars(jet) and "ddg" not in vars(jet)
+            assert not {"g", "dg", "ddg"} & set(vars(jet))
         counts["chunks"] = 0
         built.clear()
     charge_series(_POLAR_EXPRESSION, np.sinh(HYP_S), rule, range(4))
@@ -307,8 +307,10 @@ def test_polar_sphere_pass_factors_only_the_metric(monkeypatch, fields):
     MetricSpec("schwarzschild_conformal", 3, m=1.0)], ids=lambda s: s.kind)
 def test_charge_pass_builds_no_hessian(monkeypatch, spec):
     """A charge pass reads first derivatives alone and builds no Hessian:
-    every warped diagonal entry and every kernel jet is first-order, and
-    every field jet is its components alone."""
+    every warped diagonal and every kernel jet is first-order, and every
+    field jet is its components alone.  Nor does it build a dense warped
+    metric: no warped jet caches ``g``, ``dg`` or ``ddg``, and on the
+    hyperbolic backgrounds the warped diagonal is the background itself."""
     from asymflux import charges
 
     metric_jets, basis = charges.jets, charges.basis_jets
@@ -316,7 +318,7 @@ def test_charge_pass_builds_no_hessian(monkeypatch, spec):
 
     def recording_jets(*args):
         out = metric_jets(*args)
-        built.append(out[0])
+        built.append(out)
         return out
 
     def recording_basis(*args, **kwargs):
@@ -330,11 +332,12 @@ def test_charge_pass_builds_no_hessian(monkeypatch, spec):
     radii = FLAT_RADII if spec.is_flat_type else np.sinh(HYP_S)
     charge_series(spec, radii, sphere_rule(n, 8), range(n + 1))
     assert built and len(bases) == len(built)
-    for jet in built:
+    for jet, b, _ in built:
         if not spec.is_flat_type:
             assert isinstance(jet, WarpedJet)
-            assert all(e.hess is None for e in jet.diag)
-            assert "ddg" not in vars(jet)
+            assert jet.diag.hess is None
+            assert not {"g", "dg", "ddg"} & set(vars(jet))
+            assert (jet.diag is b) == (spec.kind == "hyperbolic_area")
     for scalars, vectors in bases:
         assert len(scalars) == len(vectors) == n + 1
         assert all(V.hess is None for V in scalars)

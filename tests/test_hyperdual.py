@@ -418,3 +418,20 @@ def test_first_order_seeds_and_constants():
     chain = lambda v: hd.sqrt(v[0] * v[1] + 1.0) / hd.cosh(v[2]) - v[3] ** 3
     _assert_first_order_of(chain(seed_variables(x, 1)),
                            chain(seed_variables(x)))
+
+
+def test_stack_puts_the_entries_on_one_axis():
+    """A stacked diagonal holds entry i at ``val[..., i]``, ``grad[..., i,
+    :]`` and ``hess[..., i, :, :]``, the entries' own arrays bit for bit;
+    one first-order entry makes it first-order."""
+    x = _factor_points(3)
+    v = seed_variables(x)
+    entries = [v[0] * v[1], hd.sin(v[2]), v[1] ** 3]
+    got = hd.stack(entries)
+    assert got.val.shape == (40, 3) and got.hess.shape == (40, 3, 3, 3)
+    for i, e in enumerate(entries):
+        for part in ("val", "grad", "hess"):
+            assert np.array_equal(getattr(got, part)[:, i], getattr(e, part))
+    first = hd.stack(entries[:2] + [hd.HyperDual(entries[2].val,
+                                                 entries[2].grad)])
+    _assert_first_order_of(first, got)
