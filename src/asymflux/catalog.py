@@ -46,7 +46,9 @@ and no second derivative) and the deviation ``g - b`` from one
 evaluation; catalog kinds give the deviation in stable closed form,
 expression metrics subtract ``b_ii`` from their diagonal.  So every
 background is diagonal by construction, and a polar chart's is built
-once per call, for its catalog kinds and expression metrics alike.
+once per call, for its catalog kinds and expression metrics alike; the
+polar Killing fields of :func:`~asymflux.fields.basis_jets` take their
+``b^{-1}`` from it, so a chunk builds its background once.
 :func:`metric_jet` is the metric jet of :func:`jets`, for the checks that
 read ``g`` alone.
 
@@ -70,9 +72,9 @@ from .geometry import (ChartKind, ConformalJet, MetricJet, SymTensorJet,
 from .hyperdual import HyperDual, seed_variables
 
 __all__ = ["MetricSpec", "jets", "metric_jet", "background_of",
-           "sphere_embedding_hd", "round_sphere_diag_hd",
-           "check_polar_domain", "coordinate_volume", "geodesic_radius",
-           "chart_radius", "decay_mode", "FLAT_KINDS", "HYPERBOLIC_KINDS"]
+           "sphere_embedding_hd", "check_polar_domain", "coordinate_volume",
+           "geodesic_radius", "chart_radius", "decay_mode", "FLAT_KINDS",
+           "HYPERBOLIC_KINDS"]
 
 FLAT_KINDS = ("euclidean", "schwarzschild_conformal")
 HYPERBOLIC_KINDS = ("hyperbolic_polar", "hyperbolic_area", "kottler")
@@ -183,8 +185,8 @@ def sphere_embedding_hd(angles: list[HyperDual],
     return out
 
 
-def round_sphere_diag_hd(angles: list[HyperDual],
-                         one: HyperDual) -> list[HyperDual]:
+def _round_sphere_diag_hd(angles: list[HyperDual],
+                          one: HyperDual) -> list[HyperDual]:
     """Diagonal entries of the round metric in our angles."""
     diag = [one]
     for k, theta in enumerate(angles[:-1], one.nvars - len(angles)):
@@ -388,7 +390,7 @@ def _polar_diagonals(spec, coords, order):
     n = spec.n
     r, *angles = hd.one_variable_seeds(coords, order)
     one = HyperDual.constant(1.0, n, coords.shape[:-1], order)
-    sigma = round_sphere_diag_hd(angles, one)
+    sigma = _round_sphere_diag_hd(angles, one)
     if spec.chart_kind == ChartKind.POLAR_GEODESIC:
         sh = hd.sinh(r)
         sh2 = sh * sh

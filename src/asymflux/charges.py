@@ -210,7 +210,8 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
     where ``G`` is the Einstein tensor, the modified one on hyperbolic-type
     metrics.  Each chunk makes one :func:`~asymflux.catalog.jets` call
     for the metric jet, the background jet and the deviation, and one
-    :func:`~asymflux.fields.basis_jets` call for every kernel and field jet.
+    :func:`~asymflux.fields.basis_jets` call for every kernel and field jet,
+    which reads that background: a chunk builds its background once.
 
     It returns ``(columns, node_data)``, the node data being the largest
     entry of the frame-rescaled deviation ``|eps_ij| / sqrt(b_ii b_jj)``;
@@ -245,7 +246,8 @@ def sphere_integrand(spec: MetricSpec, kernels, fields, r: float):
         data = [np.abs(frame).max(axis=(-2, -1))]
         upper = frame[..., upper_i, upper_j] if odd else None
         del frame
-        scalars, vectors = basis_jets(points, chart, kernels, fields, 1)
+        scalars, vectors = basis_jets(points, chart, kernels, fields, 1,
+                                      b=b)
         # the background's normal and area element, built once for the
         # kernel columns and the scalar-curvature datum
         nu, area = sphere_normal_area(points, chart, r)

@@ -26,10 +26,10 @@ kernel-identity checks read ``dX`` and ``Hess V`` and take order 2.
 :func:`killing_basis` is the table of the fields, one row per index with
 an id, which only labels it, and c; the analytic jet of ``delta^b X`` (used
 by the kernel-identity verifier) is c times the jet of V.  In the polar
-charts ``V^(i) = u_i * sinh r`` and the entries ``1/(sinh^2 r sigma_j)`` of
-``b^{-1}`` are separable products: each factor is a width-1 jet in one
-coordinate, multiplied in by one sparse step
-(:func:`~asymflux.hyperdual.mul_factor`).
+charts ``V^(i) = u_i * sinh r`` is a separable product, each factor
+multiplied in by one sparse step (:func:`~asymflux.hyperdual.mul_factor`),
+and a field reads ``b^{-1}`` as the reciprocal of the background that
+:func:`~asymflux.catalog.jets` builds.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .catalog import (check_polar_domain, round_sphere_diag_hd,
-                      sphere_embedding_hd)
+from .catalog import check_polar_domain, sphere_embedding_hd
 from .geometry import ChartKind, VectorJet, sum_last
 from .hyperdual import HyperDual
 
@@ -78,7 +77,8 @@ def check_indices(indices, n: int) -> list:
 
 
 def basis_jets(p, chart_kind: ChartKind | str, kernels, fields,
-               order: int = 2) -> tuple[list[HyperDual], list[VectorJet]]:
+               order: int = 2, *, b: HyperDual | None = None
+               ) -> tuple[list[HyperDual], list[VectorJet]]:
     """Exact jets at ``p`` of the kernel functions ``V^(i)``, i in
     ``kernels``, and of the conformal Killing fields ``X^(i)``, i in
     ``fields``, of the chart's background (:func:`check_indices`).
@@ -89,12 +89,13 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels, fields,
     components alone (``d`` None), with the values, gradients and
     components of order 2 bit for bit.
 
-    One call evaluates the coordinates, the hyper-dual seeds, the sphere
-    embedding and the background inverse once for every element, and each
-    kernel jet once: the hyperbolic field ``X^(i) = grad_b V^(i)`` reads the
-    jet of ``V^(i)`` and the stacked first-order ``b^{-1}``.  Returns
-    ``(kernel jets, field jets)`` in the order given, the kernel jets as the
-    hyper-duals that built them.
+    One call evaluates the coordinates, the hyper-dual seeds and the sphere
+    embedding once for every element, and each kernel jet once.  A polar
+    field ``X^(i) = grad_b V^(i)`` reads that jet and ``b^{-1}``, the
+    reciprocal of ``b``, the background at ``p`` that
+    :func:`~asymflux.catalog.jets` returns; a polar call with fields and no
+    ``b`` is a ValueError.  Returns ``(kernel jets, field jets)`` in the
+    order given, the kernel jets as the hyper-duals that built them.
     """
     coords = np.asarray(p, dtype=float)
     n, chart_kind = coords.shape[-1], ChartKind(chart_kind)
@@ -102,36 +103,26 @@ def basis_jets(p, chart_kind: ChartKind | str, kernels, fields,
     if chart_kind == ChartKind.CARTESIAN:
         return ([_flat_kernel(coords, i, order) for i in kernels],
                 [_flat_field(coords, i, order) for i in fields])
+    if fields and b is None:
+        raise ValueError("polar fields need the background b (catalog.jets)")
 
     check_polar_domain(coords)
     shape = coords.shape[:-1]
     r, *angles = hd.one_variable_seeds(coords, order)
     one = HyperDual.constant(1.0, n, shape, order)
-    # the b^{-1} entries are first-order at either order: the fields read
-    # their values and gradients alone
-    first = HyperDual.constant(1.0, n, shape, 1)
-    # V^(0), the radial factor of V^(i) and the radial parts of b^{-1} are
-    # one-variable jets in r; every product takes one factor per sparse step
+    # V^(0) and the radial factor of V^(i) are one-variable jets in r; every
+    # product takes one factor per sparse step
     if chart_kind == ChartKind.POLAR_GEODESIC:
-        sh = hd.sinh(r)
-        v0, radial_factor = hd.mul_factor(one, hd.cosh(r), 0), sh
-        radial_inv, sph2 = first, sh ** 2
+        v0, radial_factor = hd.mul_factor(one, hd.cosh(r), 0), hd.sinh(r)
     else:  # area chart: rho = sinh r
-        r2 = r * r
-        f0 = 1.0 + r2
-        sph2, radial_inv = r2, hd.mul_factor(first, f0, 0)
-        v0, radial_factor = hd.mul_factor(one, hd.sqrt(f0), 0), r
+        v0, radial_factor = hd.mul_factor(one, hd.sqrt(1.0 + r * r), 0), r
     indices = {*kernels, *fields}
     u = sphere_embedding_hd(angles, one) if indices - {0} else None
     vjets = {i: v0 if i == 0 else hd.mul_factor(u[i - 1], radial_factor, 0)
              for i in indices}
-    vectors = []
-    if fields:
-        binv = hd.stack([radial_inv] + [
-            hd.reciprocal(hd.mul_factor(s, sph2, 0))
-            for s in round_sphere_diag_hd(angles, first)])
-        vectors = [_gradient_field(vjets[i], binv) for i in fields]
-    return [vjets[i] for i in kernels], vectors
+    binv = hd.reciprocal(b) if fields else None
+    return ([vjets[i] for i in kernels],
+            [_gradient_field(vjets[i], binv) for i in fields])
 
 
 # --------------------------------------------------------------- flat fields
@@ -176,8 +167,8 @@ def _flat_field(coords, index, order):
 # --------------------------------------------------------- hyperbolic fields
 
 def _gradient_field(vjet: HyperDual, binv: HyperDual) -> VectorJet:
-    """``X = grad_b V`` from the jet of V and the stacked first-order
-    diagonal of ``b^{-1}``; its components alone when V is first-order.
+    """``X = grad_b V`` from the jet of V and the first-order diagonal
+    jet of ``b^{-1}``; its components alone when V is first-order.
     ``d`` is written by columns, with no ``(..., n, n)`` temporary."""
     comp = binv.val * vjet.grad
     if vjet.hess is None:

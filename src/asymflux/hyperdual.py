@@ -8,7 +8,8 @@ is applied exactly to second order.  It is the package's one scalar jet:
 the kernel functions, the evaluated expression components and the
 conformal factor of a :class:`~asymflux.geometry.ConformalJet` are the
 hyper-duals that built them, and a diagonal (a background, a warped
-metric's, a ``b^{-1}``) is one jet batched over its entries (:func:`stack`).
+metric's) is one jet batched over its entries (:func:`stack`), and so is
+an entrywise function of one: ``b^{-1}`` is :func:`reciprocal` of ``b``.
 
 A jet is carried only to the order its reader needs (Griewank & Walther,
 *Evaluating Derivatives*, SIAM 2008): a first-order jet has ``hess`` None

@@ -36,10 +36,12 @@ lower rule does not integrate.  Every sequence of spheres, the radii of a
 charge pass and the shells of an annulus, picks the next sphere's rule from
 these with one pick (:func:`_next_rule`), with no node evaluated twice.
 
-Integrands map an ``(N, n)`` array of chart points to ``(N,)`` values or to
-``(N, K)`` columns, one per integrand of a family evaluated together, and
-carry their own measure: the rule weights are those of the unit round sphere
-(times ``dr`` on annuli).  A sphere integrand may return ``(columns,
+Each sphere of a charge pass and each shell of an annulus is one call of
+:func:`integrate_sphere`, the one sphere integrator.  Integrands map an
+``(N, n)`` array of chart points to ``(N,)`` values or to ``(N, K)``
+columns, one per integrand of a family evaluated together, and carry their
+own measure: the rule weights are those of the unit round sphere (times
+``dr`` on annuli).  A sphere integrand may return ``(columns,
 node_data)``: the node data come back unreduced, for the caller to reduce,
 and cost no coefficient tail.  Reductions use a fixed-order pairwise summation
 tree along the node axis (along each factor's axis for the error estimate)
@@ -359,12 +361,27 @@ def _integrate_axis(x, e, axis: RuleAxis, steps=(0,)):
     return pairwise_sum(w * x), errors
 
 
-def _sphere_value(f, rule, r, chart_kind, lower=None):
-    """The result of :func:`integrate_sphere`: the rule's integral of ``f``
-    over S_r, its node data and its error, the coefficient tail of each
-    angle, taken after integrating out the angles after it, plus a roundoff
-    floor of a few ulps of sum |w f|; with ``lower``, the same error of
-    each lower rule down to that degree."""
+def integrate_sphere(f, r: float, rule: SphereRule,
+                     chart_kind: ChartKind = ChartKind.CARTESIAN,
+                     lower: int | None = None) -> QuadratureResult:
+    """Integrate ``f`` over the coordinate sphere S_r.
+
+    ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
+    ``(N, K)`` columns and must be pure; it includes the area element of
+    S_r relative to the round-sphere measure carried by the rule weights.
+    ``f`` is evaluated once on each node of ``rule`` and on no other point.
+    It may return ``(columns, node_data)``; the node data are not integrated.
+    The error estimate reads the decay of the discrete coefficients of
+    those values, per column: the DFT of each azimuth ring and the
+    Gauss-Jacobi coefficients along each polar angle, once the later angles
+    are integrated out, each carried at its decay rate to the first degree
+    the rule does not integrate (:func:`_tail`), plus the roundoff floor
+    that the result's ``floor`` holds.  With ``lower``, a degree of at
+    least 2, the result's ``lower_errors`` maps each lower rule's degree
+    down to that one to an estimate of every column under it, shaped as
+    ``error_estimate``, from the same coefficients truncated to those it
+    resolves (:func:`_integrate_axis`).
+    """
     values, node_data = _evaluate(f, _sphere_points(r, rule, chart_kind))
     weighted = (values.T * rule.weights).T
     value = pairwise_sum(weighted)
@@ -387,30 +404,6 @@ def _sphere_value(f, rule, r, chart_kind, lower=None):
     return QuadratureResult(value, errors[0], rule.node_count, node_data,
                             floor=floor, lower_errors=lower_errors,
                             degree=rule.degree)
-
-
-def integrate_sphere(f, r: float, rule: SphereRule,
-                     chart_kind: ChartKind = ChartKind.CARTESIAN,
-                     lower: int | None = None) -> QuadratureResult:
-    """Integrate ``f`` over the coordinate sphere S_r.
-
-    ``f`` maps an ``(N, n)`` array of chart points to ``(N,)`` values or
-    ``(N, K)`` columns and must be pure; it includes the area element of
-    S_r relative to the round-sphere measure carried by the rule weights.
-    ``f`` is evaluated once on each node of ``rule`` and on no other point.
-    It may return ``(columns, node_data)``; the node data are not integrated.
-    The error estimate reads the decay of the discrete coefficients of
-    those values, per column: the DFT of each azimuth ring and the
-    Gauss-Jacobi coefficients along each polar angle, once the later angles
-    are integrated out, each carried at its decay rate to the first degree
-    the rule does not integrate (:func:`_tail`), plus the roundoff floor
-    that the result's ``floor`` holds.  With ``lower``, a degree of at
-    least 2, the result's ``lower_errors`` maps each lower rule's degree
-    down to that one to an estimate of every column under it, shaped as
-    ``error_estimate``, from the same coefficients truncated to those it
-    resolves (:func:`_integrate_axis`).
-    """
-    return _sphere_value(f, rule, r, chart_kind, lower)
 
 
 def _next_rule(rule: SphereRule, q: QuadratureResult,
@@ -472,9 +465,9 @@ def integrate_annulus(shell, r0: float, r1: float, rule: SphereRule,
     Gauss-Lobatto in the radial coordinate tensored with sphere rules.
     ``shell(r)`` is an integrand over S_r as in :func:`integrate_sphere`,
     including the volume element relative to ``dr x (round sphere)``.  The
-    result's ``shells`` hold each shell's result, r0 first and r1 last: the
-    end shells are integrated on ``rule`` and equal :func:`integrate_sphere`
-    on S_r0 and S_r1 bit for bit; each interior shell takes the rule that
+    result's ``shells`` hold each shell's :func:`integrate_sphere` result,
+    r0 first and r1 last: the end shells are integrated on ``rule``; each
+    interior shell takes the rule that
     :func:`_next_rule` picks from every column of the shell before it, so
     the degrees never rise before r1.  ``nodes_used`` is the sum of the
     shells'.  The error estimate adds the shell errors, integrated in r, to
@@ -486,8 +479,9 @@ def integrate_annulus(shell, r0: float, r1: float, rule: SphereRule,
     shells, picked = [], rule
     for i, r in enumerate(radii):
         picks = i < len(radii) - 2      # the next shell is an interior one
-        q = _sphere_value(shell(r), rule if i == len(radii) - 1 else picked,
-                          r, chart_kind, _PICK_LOWER if picks else None)
+        q = integrate_sphere(shell(r), r,
+                             rule if i == len(radii) - 1 else picked,
+                             chart_kind, _PICK_LOWER if picks else None)
         if picks:
             picked = _next_rule(picked, q)
         shells.append(q)

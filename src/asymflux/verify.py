@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .catalog import MetricSpec, coordinate_volume, metric_jet
+from .catalog import MetricSpec, coordinate_volume, jets, metric_jet
 from .charges import charge_series, einstein_fluxes, hypothesis_diagnostics
 from .errors import DomainError
 from .fields import (ConformalKilling, basis_jets, check_indices,
@@ -133,6 +133,8 @@ def pohozaev_check(spec: MetricSpec, indices, r0: float, r1: float,
     ``(n-2)/(2n)`` times the bulk integral of ``Scal * delta X``.  Both come
     from one :func:`~asymflux.quadrature.integrate_annulus` pass whose end
     shells, the boundary spheres, give the boundary fluxes on ``rule``.
+    Each chunk of a shell makes one :func:`~asymflux.catalog.jets` call,
+    whose background the fields read, so it builds its background once.
     The bulk and signed-flux columns are integrated on every shell, each
     interior shell on the rule the shell before it reads as enough for all
     of them (``context["shell_degrees"]``, one degree per shell, r0 first),
@@ -163,10 +165,10 @@ def pohozaev_check(spec: MetricSpec, indices, r0: float, r1: float,
 
     def shell(r):
         def f(points):
-            jet = metric_jet(spec, points)
+            jet, b = jets(spec, points)[:2]
             bun = curvature(jet)
             coord = coordinate_volume(points, chart)
-            _, vectors = basis_jets(points, chart, (), indices)
+            _, vectors = basis_jets(points, chart, (), indices, b=b)
             bulk = [bun.scal * divergence_vector(X, bun) * bun.sqrt_det * coord
                     for X in vectors]
             signed = einstein_fluxes(bun.einstein, [X.comp for X in vectors],

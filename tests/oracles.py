@@ -250,7 +250,10 @@ def polar_basis_jets(coords, chart_kind):
     else:
         r2 = r * r
         f0 = 1.0 + r2
-        sph2, radial_inv = hd.lift(radial, r2), hd.lift(radial, f0)
+        # b^rr as the reciprocal of the background's entry 1/f0, the
+        # entry that basis_jets reads
+        sph2 = hd.lift(radial, r2)
+        radial_inv = one / hd.lift(radial, 1.0 / f0)
         v0, radial_factor = hd.lift(radial, hd.sqrt(f0)), radial
     u = sphere_embedding_chain(angles)
     scalars = [v0] + [ui * radial_factor for ui in u]

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from asymflux.catalog import MetricSpec, background_of, metric_jet
+from asymflux.catalog import MetricSpec, background_of, jets, metric_jet
 from asymflux.charges import charge_series, hypothesis_diagnostics
 from asymflux.expr import parse, eval_jet
 from asymflux.fields import basis_jets
@@ -144,10 +144,10 @@ def test_acceptance_6_pairing(verdict):
                             ("hyperbolic_polar", ChartKind.POLAR_GEODESIC)):
             spec = MetricSpec(kind, n)
             pts = sample_points(n, chart, 50, rng)
-            jet = metric_jet(spec, pts)
+            jet, b, _ = jets(spec, pts)
             bun = curvature(jet)
             for i in range(n + 1):
-                (vj,), (X,) = basis_jets(pts, chart, [i], [i])
+                (vj,), (X,) = basis_jets(pts, chart, [i], [i], b=b)
                 ok &= np.max(np.abs(dscal_adjoint(jet, vj, bun))) < 1e-8
                 if kind == "hyperbolic_polar":
                     div = divergence_vector(X, bun)

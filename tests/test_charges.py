@@ -737,6 +737,43 @@ def test_sphere_pass_evaluates_node_data_once_per_chunk(
     assert counts[name] == counts["chunks"]
 
 
+@pytest.mark.parametrize("spec,stacks", [
+    pytest.param(MetricSpec("hyperbolic_polar", 3), 1, id="hyperbolic_polar"),
+    pytest.param(MetricSpec("hyperbolic_area", 4), 1, id="hyperbolic_area"),
+    pytest.param(MetricSpec("kottler", 3, m=1.0), 2, id="kottler"),
+])
+def test_polar_chunk_builds_its_background_once(monkeypatch, spec, stacks):
+    """A polar chunk of the full-basis charge pass stacks its background
+    diagonal once, and the Killing fields read its reciprocal: one
+    ``hyperdual.stack`` call per chunk on the two backgrounds, whose metric
+    diagonal is the background itself, and two on Kottler, whose metric
+    diagonal is a stack of its own."""
+    from asymflux import charges
+    from asymflux import hyperdual
+
+    counts = {"chunks": 0, "stacks": 0}
+    stack, integrand = hyperdual.stack, charges.sphere_integrand
+
+    def counting_stack(entries):
+        counts["stacks"] += 1
+        return stack(entries)
+
+    def counting_integrand(*args, **kwargs):
+        f = integrand(*args, **kwargs)
+
+        def chunk(points):
+            counts["chunks"] += 1
+            return f(points)
+        return chunk
+
+    monkeypatch.setattr(hyperdual, "stack", counting_stack)
+    monkeypatch.setattr(charges, "sphere_integrand", counting_integrand)
+    radii = np.sinh(HYP_S) if spec.chart_kind == "polar_area" else HYP_S
+    charge_series(spec, radii, sphere_rule(spec.n, 8), range(spec.n + 1))
+    assert counts["chunks"] > 0
+    assert counts["stacks"] == stacks * counts["chunks"]
+
+
 @pytest.mark.parametrize("spec,radii", [
     pytest.param(MetricSpec("kottler", 3, m=1.0), np.sinh(HYP_S),
                  id="kottler"),

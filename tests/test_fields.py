@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from asymflux.catalog import MetricSpec, metric_jet
+from asymflux.catalog import MetricSpec, jets, metric_jet
 from asymflux.expr import eval_jet, parse
 from asymflux.fields import basis_jets, killing_basis
 from asymflux.geometry import (ChartKind, curvature, divergence_vector,
@@ -12,6 +12,17 @@ from asymflux.hyperdual import HyperDual
 from oracles import dscal_adjoint, polar_basis_jets
 
 RNG = np.random.default_rng(23)
+
+BACKGROUND = {ChartKind.CARTESIAN: "euclidean",
+              ChartKind.POLAR_GEODESIC: "hyperbolic_polar",
+              ChartKind.POLAR_AREA: "hyperbolic_area"}
+
+
+def background(pts, chart):
+    """The chart's background at ``pts``, the ``b`` that the fields of
+    basis_jets read."""
+    spec = MetricSpec(BACKGROUND[ChartKind(chart)], pts.shape[-1])
+    return jets(spec, pts)[1]
 
 
 def polar_points(n, count, rng=RNG):
@@ -30,10 +41,7 @@ def test_hyperbolic_pairing(n, chart):
     """delta^b X^(i) = c V^(i), the index-paired divergence identity: c = -n
     for the dilation and the hyperbolic gradients, 2n for the inverted
     translations."""
-    kind = {ChartKind.CARTESIAN: "euclidean",
-            ChartKind.POLAR_GEODESIC: "hyperbolic_polar",
-            ChartKind.POLAR_AREA: "hyperbolic_area"}[chart]
-    spec = MetricSpec(kind, n)
+    spec = MetricSpec(BACKGROUND[chart], n)
     if chart == ChartKind.CARTESIAN:
         pts = RNG.normal(size=(30, n)) * 3.0
         cs = [-n] + [2 * n] * n
@@ -42,11 +50,12 @@ def test_hyperbolic_pairing(n, chart):
         cs = [-n] * (n + 1)
     if chart == ChartKind.POLAR_AREA:
         pts[:, 0] = np.sinh(pts[:, 0])
-    bun = curvature(metric_jet(spec, pts))
+    jet, b, _ = jets(spec, pts)
+    bun = curvature(jet)
     for X, c in zip(killing_basis(n, chart), cs, strict=True):
         assert X.c == c
-        div = divergence_vector(basis_jets(pts, chart, [], [X.index])[1][0],
-                                bun)
+        div = divergence_vector(
+            basis_jets(pts, chart, [], [X.index], b=b)[1][0], bun)
         vals = basis_jets(pts, chart, [X.index], [])[0][0].val
         assert np.max(np.abs(div - c * vals)) < 1e-10
         # the analytic divergence jet agrees with the computed divergence
@@ -57,9 +66,10 @@ def test_hyperbolic_pairing(n, chart):
 def test_hyperbolic_killing_fields_are_conformal(n):
     spec = MetricSpec("hyperbolic_polar", n)
     pts = polar_points(n, 20)
-    jet = metric_jet(spec, pts)
+    jet, b, _ = jets(spec, pts)
     bun = curvature(jet)
-    for X in basis_jets(pts, ChartKind.POLAR_GEODESIC, [], range(n + 1))[1]:
+    for X in basis_jets(pts, ChartKind.POLAR_GEODESIC, [], range(n + 1),
+                        b=b)[1]:
         _, tf = killing_operator(jet, X, bun)
         assert np.max(tensor_norm(bun.ginv, tf)) < 1e-10
 
@@ -94,7 +104,7 @@ def test_flat_field_jets():
 
 
 def _field_jet(p, chart, index):
-    return basis_jets(p, chart, [], [index])[1][0]
+    return basis_jets(p, chart, [], [index], b=background(p, chart))[1][0]
 
 
 def test_vector_jet_derivative_fd():
@@ -120,6 +130,22 @@ def test_hyperbolic_vector_jet_derivative_fd():
         assert np.allclose(d[j], fd, atol=1e-7)
 
 
+@pytest.mark.parametrize("chart", [ChartKind.POLAR_GEODESIC,
+                                   ChartKind.POLAR_AREA])
+def test_polar_fields_need_the_background(chart):
+    """A polar field reads ``b^{-1}`` from the background that ``jets``
+    builds: asked for without ``b`` it is a ValueError that names ``b``.
+    The kernel functions and the cartesian fields do not read it."""
+    pts = polar_points(3, 4)
+    with pytest.raises(ValueError, match="background b"):
+        basis_jets(pts, chart, [0], [0])
+    (V,), vectors = basis_jets(pts, chart, [1], [])
+    assert vectors == [] and V.val.shape == (4,)
+    x = RNG.normal(size=(4, 3))
+    (X,) = basis_jets(x, ChartKind.CARTESIAN, [], [0])[1]
+    assert np.array_equal(X.comp, x)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("chart", list(ChartKind))
 def test_basis_jets_match_single_elements(n, chart):
@@ -129,8 +155,9 @@ def test_basis_jets_match_single_elements(n, chart):
     pts = RNG.normal(size=(25, n)) * 3.0 if chart == ChartKind.CARTESIAN \
         else polar_points(n, 25)
     every = range(n + 1)
+    b = background(pts, chart)
     for ks, xs in ((every, every), (every[1::2][::-1], every[::2])):
-        scalars, vectors = basis_jets(pts, chart, ks, xs)
+        scalars, vectors = basis_jets(pts, chart, ks, xs, b=b)
         assert (len(scalars), len(vectors)) == (len(ks), len(xs))
         for i, jet in zip(ks, scalars):
             (alone,), _ = basis_jets(pts, chart, [i], [])
@@ -151,9 +178,10 @@ def test_first_order_basis_jets_equal_second_order(n, chart):
     pts = RNG.normal(size=(25, n)) * 3.0 if chart == ChartKind.CARTESIAN \
         else polar_points(n, 25)
     every = range(n + 1)
+    b = background(pts, chart)
     for ks, xs in ((every, every), (every[1::2][::-1], every[::2])):
-        first = basis_jets(pts, chart, ks, xs, order=1)
-        second = basis_jets(pts, chart, ks, xs)
+        first = basis_jets(pts, chart, ks, xs, order=1, b=b)
+        second = basis_jets(pts, chart, ks, xs, b=b)
         for got, want in zip(first[0], second[0], strict=True):
             assert got.hess is None and want.hess is not None
             assert np.array_equal(got.val, want.val)
@@ -171,7 +199,8 @@ def test_basis_jets_equal_the_full_width_products(n, chart):
     each, equals the full-width products of full-width seeds."""
     pts = polar_points(n, 40, np.random.default_rng(n))
     pts[:, 0] *= 10.0
-    scalars, vectors = basis_jets(pts, chart, range(n + 1), range(n + 1))
+    scalars, vectors = basis_jets(pts, chart, range(n + 1), range(n + 1),
+                                  b=background(pts, chart))
     ref_scalars, ref_vectors = polar_basis_jets(pts, chart)
     for jet, ref in zip(scalars, ref_scalars, strict=True):
         for key in ("val", "grad", "hess"):

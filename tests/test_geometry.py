@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from asymflux.catalog import MetricSpec, metric_jet
+from asymflux.catalog import MetricSpec, jets, metric_jet
 from asymflux.errors import DegenerateMetricError
 from asymflux.fields import basis_jets
 from asymflux.geometry import (ConformalJet, MetricJet, SymTensorJet,
@@ -373,8 +373,9 @@ def test_divergence_vector_flat_examples():
 def test_divergence_vector_hyperbolic_example():
     spec = MetricSpec("hyperbolic_polar", 3)
     pts = np.array([[1.0, 1.2, 0.3], [2.0, 0.7, 4.0]])
-    bun = curvature(metric_jet(spec, pts))
-    (X,) = basis_jets(pts, "polar_geodesic", [], [0])[1]
+    jet, b, _ = jets(spec, pts)
+    bun = curvature(jet)
+    (X,) = basis_jets(pts, "polar_geodesic", [], [0], b=b)[1]
     div = divergence_vector(X, bun)
     assert np.allclose(div, -3.0 * np.cosh(pts[:, 0]), atol=1e-12)
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from asymflux.catalog import MetricSpec, metric_jet
+from asymflux.catalog import MetricSpec, jets, metric_jet
 from asymflux.errors import DomainError
 from asymflux.charges import charge_series, einstein_fluxes, sphere_integrand
 from asymflux.fields import basis_jets
@@ -65,8 +65,10 @@ def test_pohozaev_boundary_fluxes_are_the_sphere_fluxes(spec, annulus):
 
     def boundary_fluxes(r):
         def f(points):
-            bun = curvature(metric_jet(spec, points))
-            comps = [X.comp for X in basis_jets(points, chart, (), fields)[1]]
+            jet, b, _ = jets(spec, points)
+            bun = curvature(jet)
+            comps = [X.comp
+                     for X in basis_jets(points, chart, (), fields, b=b)[1]]
             return np.stack(einstein_fluxes(bun.einstein, comps, points,
                                             chart, r, bun), axis=-1)
         return f
@@ -81,6 +83,38 @@ def test_pohozaev_boundary_fluxes_are_the_sphere_fluxes(spec, annulus):
             q = integrate_sphere(sphere_integrand(spec, (), fields, r), r,
                                  rule, chart)
             assert np.array_equal(q.value, fluxes)
+
+
+def test_pohozaev_shell_builds_its_background_once(monkeypatch):
+    """Each chunk of a ``hyperbolic_polar`` Pohozaev shell stacks the
+    background diagonal once: its metric diagonal is that background, and
+    the Killing fields read its reciprocal."""
+    from asymflux import hyperdual, verify
+
+    counts = {"chunks": 0, "stacks": 0}
+    stack, annulus = hyperdual.stack, verify.integrate_annulus
+
+    def counting_stack(entries):
+        counts["stacks"] += 1
+        return stack(entries)
+
+    def counting_annulus(shell, *args, **kwargs):
+        def counted(r):
+            f = shell(r)
+
+            def chunk(points):
+                counts["chunks"] += 1
+                return f(points)
+            return chunk
+        return annulus(counted, *args, **kwargs)
+
+    monkeypatch.setattr(hyperdual, "stack", counting_stack)
+    monkeypatch.setattr(verify, "integrate_annulus", counting_annulus)
+    spec = MetricSpec("hyperbolic_polar", 4)
+    pohozaev_check(spec, range(5), 1.0, 2.0, sphere_rule(4, 8),
+                   radial_degree=8)
+    assert counts["chunks"] > 0
+    assert counts["stacks"] == counts["chunks"]
 
 
 def test_pohozaev_scalar_flat_has_zero_bulk():
